@@ -12,22 +12,74 @@ optimizer state held fixed.  The loss term defaults to the same batch B that
 produced g (the fresh-batch variant exists as an ablation and exhibits the
 classic rapid learning-rate collapse).  The learning rate is adapted in log
 space so it stays positive.
+
+Each output divergence rho is defined once, in DIVERGENCES: its per-row
+value, its gradient in the new outputs, and its Hessian at zero displacement
+(the oracles read the Hessians).  The proximal objective and its gradient in
+theta' are assembled once, by proximal_value_and_grad, which the meta step and
+the exact proximal-point oracle share.  One pass costs one forward and one
+backward on the loss batch, plus, when lam_fsd > 0, one forward at theta',
+one at theta and one backward on the discrepancy rows: 3 forwards and 2
+backwards per meta step.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .baseopt import BaseOptKind, OptState, apply_lr_update, init_state, update_direction
-from .diffnet import Batch, ParamSet, backward, forward, loss_eval, loss_out_grad, predictive
+from .diffnet import ParamSet, backward, forward, loss_eval, loss_out_grad, predictive
 from .errors import ContractError, NumericalError, TrainingDivergedError
-from .kronprecond import PrecondPhi, apply_precond_update, bias_diag_vjp, init_identity, precond_vjp
+from .kronprecond import (DEFAULT_SCALE, PrecondPhi, apply_precond_update, bias_diag_vjp,
+                          init_identity, precond_vjp)
 from .numkit import FLOAT
 
-FSD_KINDS = ("kl-categorical", "kl-gaussian-unit-variance", "squared-output-distance")
+
+@dataclass(frozen=True)
+class Divergence:
+    """An output-space divergence rho(y_new, y_old) on row-batched outputs."""
+
+    value: object    # (y_new, y_old) -> per-row rho, shape (B,)
+    grad: object     # (y_new, y_old) -> d rho / d y_new, shape (B, d)
+    hessian: object  # output row y, shape (d,) -> d^2 rho / d y_new^2 at y_new = y_old = y
+
+
+def _log_softmax(z):
+    z = z - z.max(axis=1, keepdims=True)
+    return z - np.log(np.exp(z).sum(axis=1, keepdims=True))
+
+
+def _kl_categorical_rows(y_new, y_old):
+    """KL( softmax(y_old) || softmax(y_new) ) per row."""
+    lp = _log_softmax(y_old)
+    lq = _log_softmax(y_new)
+    return np.sum(np.exp(lp) * (lp - lq), axis=1)
+
+
+def _softmax_hessian(y):
+    p = predictive("classification-softmax", y[None, :])[0]
+    return np.diag(p) - np.outer(p, p)
+
+
+DIVERGENCES = {
+    "kl-categorical": Divergence(
+        value=_kl_categorical_rows,
+        grad=lambda y_new, y_old: (predictive("classification-softmax", y_new)
+                                   - predictive("classification-softmax", y_old)),
+        hessian=_softmax_hessian),
+    "kl-gaussian-unit-variance": Divergence(
+        value=lambda y_new, y_old: 0.5 * np.sum((y_new - y_old) ** 2, axis=1),
+        grad=lambda y_new, y_old: y_new - y_old,
+        hessian=lambda y: np.eye(y.shape[0])),
+    "squared-output-distance": Divergence(
+        value=lambda y_new, y_old: np.sum((y_new - y_old) ** 2, axis=1),
+        grad=lambda y_new, y_old: 2.0 * (y_new - y_old),
+        hessian=lambda y: 2.0 * np.eye(y.shape[0])),
+}
+FSD_KINDS = tuple(DIVERGENCES)
 BATCH_POLICIES = ("same", "fresh")
 
 DIVERGENCE_GUARD = 1e12
@@ -45,7 +97,7 @@ class ProximalConfig:
     warmup_lr: float = 0.01
     loss_batch_policy: str = "same"
     fsd_batch_policy: str = "fresh"
-    scale: float = 0.9
+    scale: float = DEFAULT_SCALE
 
     def __post_init__(self):
         if self.lam_fsd < 0 or self.lam_wsd < 0:
@@ -75,23 +127,10 @@ def default_lr_config(**overrides):
 
 def default_precond_config(**overrides):
     """Preconditioner adaptation defaults: Adam meta-optimizer, identity init
-    applied with a fixed 0.9 scale, and an SGDm warm-up phase."""
-    base = dict(meta_opt=BaseOptKind("adam"), meta_lr=1e-4, warmup_steps=300, scale=0.9)
+    applied with the fixed DEFAULT_SCALE, and an SGDm warm-up phase."""
+    base = dict(meta_opt=BaseOptKind("adam"), meta_lr=1e-4, warmup_steps=300)
     base.update(overrides)
     return ProximalConfig(**base)
-
-
-def ablation_variants(cfg, toggle_loss=True, toggle_fsd=False):
-    """Toggle the batch policies for the short-horizon-bias ablations.
-
-    Toggling twice returns the original configuration."""
-    other = {"same": "fresh", "fresh": "same"}
-    changes = {}
-    if toggle_loss:
-        changes["loss_batch_policy"] = other[cfg.loss_batch_policy]
-    if toggle_fsd:
-        changes["fsd_batch_policy"] = other[cfg.fsd_batch_policy]
-    return replace(cfg, **changes)
 
 
 @dataclass
@@ -102,7 +141,10 @@ class LrPhi:
 
     @property
     def lr(self):
-        return math.exp(self.log_lr)
+        try:
+            return math.exp(self.log_lr)
+        except OverflowError as exc:
+            raise NumericalError(f"learning rate exp({self.log_lr}) overflows") from exc
 
     def to_flat(self):
         return np.array([self.log_lr], dtype=FLOAT)
@@ -132,53 +174,15 @@ def wsd(theta_new, theta_old):
     return 0.5 * diff.sq_norm()
 
 
-def _kl_categorical(logits_old, logits_new):
-    """Mean KL( softmax(old) || softmax(new) ) over rows."""
-
-    def log_softmax(z):
-        z = z - z.max(axis=1, keepdims=True)
-        return z - np.log(np.exp(z).sum(axis=1, keepdims=True))
-
-    lp = log_softmax(logits_old)
-    lq = log_softmax(logits_new)
-    p = np.exp(lp)
-    return float(np.mean(np.sum(p * (lp - lq), axis=1)))
-
-
 def fsd(model, theta_new, theta_old, inputs, kind):
     """Mean output-space discrepancy between theta_new and theta_old on the
     given inputs (targets are never used)."""
-    if kind not in FSD_KINDS:
+    if kind not in DIVERGENCES:
         raise ContractError(f"unknown fsd kind {kind!r}")
     inputs = np.asarray(inputs, dtype=FLOAT)
     y_new, _ = forward(model, theta_new, inputs)
     y_old, _ = forward(model, theta_old, inputs)
-    if kind == "kl-categorical":
-        return _kl_categorical(y_old, y_new)
-    gap = np.sum((y_new - y_old) ** 2, axis=1)
-    if kind == "kl-gaussian-unit-variance":
-        return float(0.5 * np.mean(gap))
-    return float(np.mean(gap))  # squared-output-distance
-
-
-def _fsd_value_and_grad(model, theta_new, theta_old, inputs, kind):
-    """FSD value plus its gradient w.r.t. theta_new (theta_old fixed)."""
-    inputs = np.asarray(inputs, dtype=FLOAT)
-    bsz = inputs.shape[0]
-    y_old, _ = forward(model, theta_old, inputs)
-    y_new, trace = forward(model, theta_new, inputs)
-    if kind == "kl-categorical":
-        value = _kl_categorical(y_old, y_new)
-        seed = (predictive("classification-softmax", y_new)
-                - predictive("classification-softmax", y_old)) / bsz
-    elif kind == "kl-gaussian-unit-variance":
-        value = float(0.5 * np.mean(np.sum((y_new - y_old) ** 2, axis=1)))
-        seed = (y_new - y_old) / bsz
-    else:
-        value = float(np.mean(np.sum((y_new - y_old) ** 2, axis=1)))
-        seed = 2.0 * (y_new - y_old) / bsz
-    grad, _ = backward(model, theta_new, trace, seed)
-    return value, grad
+    return float(np.mean(DIVERGENCES[kind].value(y_new, y_old)))
 
 
 def loss_and_grad(model, params, batch):
@@ -214,28 +218,53 @@ def _resolve_batches(cfg, batch_b, batch_bp, batch_loss):
     return lb, fsd_inputs
 
 
-def meta_objective_parts(model, theta, phi, opt_state, batch_b, batch_bp, cfg,
-                         base_kind=None, batch_loss=None, g=None, delta=None):
-    """Q and its three terms; also returns the lookahead intermediates."""
+def proximal_value_and_grad(model, u, theta, loss_batch, fsd_inputs, lam_fsd, lam_wsd,
+                            fsd_kind):
+    """The proximal objective
+    Q(u) = J_batch(u) + lam_fsd * FSD(u, theta) + lam_wsd * 0.5 ||u - theta||^2
+    with its terms and its gradient in u (theta fixed), in one pass.
+
+    Returns (Q, {"loss", "fsd", "wsd"}, dQ/du); a term whose weight is zero is
+    skipped and reported as 0.0.
+    """
+    loss_term, grad = loss_and_grad(model, u, loss_batch)
+    fsd_term = wsd_term = 0.0
+    if lam_fsd:
+        div = DIVERGENCES[fsd_kind]
+        fsd_inputs = np.asarray(fsd_inputs, dtype=FLOAT)
+        y_new, trace = forward(model, u, fsd_inputs)
+        y_old, _ = forward(model, theta, fsd_inputs)
+        fsd_term = float(np.mean(div.value(y_new, y_old)))
+        seed = div.grad(y_new, y_old) / fsd_inputs.shape[0]
+        fsd_grad, _ = backward(model, u, trace, seed)
+        grad = grad.map2(fsd_grad, lambda a, b: a + lam_fsd * b)
+    if lam_wsd:
+        diff = u.map2(theta, lambda a, b: a - b)
+        wsd_term = 0.5 * diff.sq_norm()
+        grad = grad.map2(diff, lambda a, b: a + lam_wsd * b)
+    q = loss_term + lam_fsd * fsd_term + lam_wsd * wsd_term
+    return q, {"loss": loss_term, "fsd": fsd_term, "wsd": wsd_term}, grad
+
+
+def _meta_value_and_grad(model, theta, phi, opt_state, batch_b, batch_bp, cfg,
+                         base_kind, batch_loss, g, delta):
+    """Q at the lookahead theta'(phi), its terms, v = dQ/d theta', and the
+    lookahead intermediates g and delta."""
     theta_new, g, delta = lookahead(model, theta, phi, opt_state, batch_b,
                                     base_kind, g=g, delta=delta)
     loss_batch, fsd_inputs = _resolve_batches(cfg, batch_b, batch_bp, batch_loss)
-    out, _ = forward(model, theta_new, loss_batch.inputs)
-    loss_term = loss_eval(model.head, out, loss_batch.targets)
-    fsd_term = fsd(model, theta_new, theta, fsd_inputs, cfg.fsd_kind) if cfg.lam_fsd else 0.0
-    wsd_term = wsd(theta_new, theta) if cfg.lam_wsd else 0.0
-    for name, value in (("loss", loss_term), ("fsd", fsd_term), ("wsd", wsd_term)):
+    q, parts, v = proximal_value_and_grad(model, theta_new, theta, loss_batch, fsd_inputs,
+                                          cfg.lam_fsd, cfg.lam_wsd, cfg.fsd_kind)
+    for name, value in parts.items():
         if not np.isfinite(value):
             raise NumericalError(f"meta-objective {name} term is non-finite")
-    q = loss_term + cfg.lam_fsd * fsd_term + cfg.lam_wsd * wsd_term
-    parts = {"loss": loss_term, "fsd": fsd_term, "wsd": wsd_term}
-    return q, parts, theta_new, g, delta
+    return q, parts, v, g, delta
 
 
 def meta_objective(model, theta, phi, opt_state, batch_b, batch_bp, cfg,
                    base_kind=None, batch_loss=None):
-    q, _, _, _, _ = meta_objective_parts(
-        model, theta, phi, opt_state, batch_b, batch_bp, cfg, base_kind, batch_loss)
+    q, _, _, _, _ = _meta_value_and_grad(model, theta, phi, opt_state, batch_b, batch_bp,
+                                         cfg, base_kind, batch_loss, None, None)
     return q
 
 
@@ -246,19 +275,9 @@ def meta_gradient(model, theta, phi, opt_state, batch_b, batch_bp, cfg,
 
     Returns a phi-shaped container; with return_parts=True also (Q, parts).
     """
-    q, parts, theta_new, g, delta = meta_objective_parts(
-        model, theta, phi, opt_state, batch_b, batch_bp, cfg, base_kind,
-        batch_loss, g=g, delta=delta)
-    loss_batch, fsd_inputs = _resolve_batches(cfg, batch_b, batch_bp, batch_loss)
-
-    # v = dQ/d theta' : loss gradient at theta' plus the discrepancy pulls.
-    _, v = loss_and_grad(model, theta_new, loss_batch)
-    if cfg.lam_fsd:
-        _, fsd_grad = _fsd_value_and_grad(model, theta_new, theta, fsd_inputs, cfg.fsd_kind)
-        v = v.map2(fsd_grad, lambda a, b: a + cfg.lam_fsd * b)
-    if cfg.lam_wsd:
-        diff = theta_new.map2(theta, lambda a, b: a - b)
-        v = v.map2(diff, lambda a, b: a + cfg.lam_wsd * b)
+    q, parts, v, g, delta = _meta_value_and_grad(model, theta, phi, opt_state, batch_b,
+                                                 batch_bp, cfg, base_kind, batch_loss,
+                                                 g, delta)
 
     if isinstance(phi, LrPhi):
         # theta' = theta - exp(log_lr) * delta

@@ -7,9 +7,11 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import asdict, dataclass, field
+import os
+from dataclasses import asdict, dataclass, field, replace
 
-from ..apo import BATCH_POLICIES, FSD_KINDS, ProximalConfig
+from ..apo import (BATCH_POLICIES, FSD_KINDS, ProximalConfig, default_lr_config,
+                   default_precond_config)
 from ..baseopt import KINDS as BASE_KINDS
 from ..baseopt import BaseOptKind
 from ..errors import ConfigError, ContractError
@@ -61,6 +63,25 @@ def _no_unknown_keys(d, allowed, pointer):
             raise ConfigError(f"unknown key {key!r}", f"{pointer}/{key}")
 
 
+def _overrides(d, fields):
+    """Dataclass field overrides for the keys of d that fields maps, as
+    {key: (field name, cast)}; defaults stay with the dataclass that owns them."""
+    return {name: cast(d[key]) for key, (name, cast) in fields.items() if key in d}
+
+
+# Document key -> (dataclass field, cast) for each configurable object.
+OPT_FIELDS = {k: (k, float) for k in ("beta", "beta2", "rms_beta2", "eps", "weight_decay")}
+PROXIMAL_FIELDS = {
+    "lambda_fsd": ("lam_fsd", float), "lambda_wsd": ("lam_wsd", float),
+    "meta_interval": ("meta_interval", int), "meta_lr": ("meta_lr", float),
+    "warmup_steps": ("warmup_steps", int), "warmup_lr": ("warmup_lr", float),
+    "loss_batch_policy": ("loss_batch_policy", str),
+    "fsd_batch_policy": ("fsd_batch_policy", str), "scale": ("scale", float),
+}
+KFAC_FIELDS = {"damping": ("damping", float), "update_every": ("update_every", int),
+               "ema_decay": ("ema_decay", float)}
+
+
 def parse_config(doc):
     """Build an ExperimentConfig from a parsed JSON document."""
     if not isinstance(doc, dict):
@@ -83,40 +104,34 @@ def parse_config(doc):
                         params=params)
     except ContractError as exc:
         raise ConfigError(str(exc), "/task") from exc
+    if kind == "uci-csv":
+        path = (params or {}).get("path")
+        _expect(isinstance(path, str) and os.path.isfile(path),
+                "uci-csv needs the path of an existing CSV file", "/task/params/path")
 
     mode = doc.get("mode", "none")
     _expect(mode in MODES, f"mode must be one of {MODES}", "/mode")
 
     base_doc = _pick(doc, "base_opt", {}, "", dict) or {}
-    _no_unknown_keys(base_doc, {"kind", "beta", "beta2", "rms_beta2", "eps",
-                                "weight_decay"}, "/base_opt")
+    _no_unknown_keys(base_doc, {"kind", *OPT_FIELDS}, "/base_opt")
     base_kind = base_doc.get("kind", "sgd")
     _expect(base_kind in BASELINE_KINDS,
             f"base optimizer must be one of {BASELINE_KINDS}", "/base_opt/kind")
     _expect(base_kind != "kfac" or mode == "none",
             "the kfac baseline only runs with mode 'none'", "/base_opt/kind")
     try:
-        base_opt = BaseOptKind(
-            kind=base_kind if base_kind != "kfac" else "sgd",
-            beta=float(base_doc.get("beta", 0.9)),
-            beta2=float(base_doc.get("beta2", 0.999)),
-            rms_beta2=float(base_doc.get("rms_beta2", 0.99)),
-            eps=float(base_doc.get("eps", 1e-8)),
-            weight_decay=float(base_doc.get("weight_decay", 0.0)))
+        base_opt = BaseOptKind(kind=base_kind if base_kind != "kfac" else "sgd",
+                               **_overrides(base_doc, OPT_FIELDS))
     except ContractError as exc:
         raise ConfigError(str(exc), "/base_opt") from exc
 
     prox_doc = _pick(doc, "proximal", {}, "", dict) or {}
-    _no_unknown_keys(prox_doc, {"lambda_fsd", "lambda_wsd", "fsd_kind",
-                                "meta_interval", "meta_lr", "meta_opt",
-                                "warmup_steps", "warmup_lr",
-                                "loss_batch_policy", "fsd_batch_policy",
-                                "scale"}, "/proximal")
+    _no_unknown_keys(prox_doc, {"fsd_kind", "meta_opt", *PROXIMAL_FIELDS}, "/proximal")
     meta_opt_doc = _pick(prox_doc, "meta_opt", {}, "/proximal", dict) or {}
     _no_unknown_keys(meta_opt_doc, {"kind", "beta", "beta2", "rms_beta2", "eps"},
                      "/proximal/meta_opt")
-    default_meta = "adam" if mode == "apo-precond" else "rmsprop"
-    meta_kind = meta_opt_doc.get("kind", default_meta)
+    defaults = default_precond_config() if mode == "apo-precond" else default_lr_config()
+    meta_kind = meta_opt_doc.get("kind", defaults.meta_opt.kind)
     _expect(meta_kind in BASE_KINDS,
             f"meta optimizer must be one of {BASE_KINDS}", "/proximal/meta_opt/kind")
     fsd_kind = prox_doc.get("fsd_kind")
@@ -126,26 +141,13 @@ def parse_config(doc):
         value = prox_doc.get(policy_key)
         _expect(value is None or value in BATCH_POLICIES,
                 f"must be one of {BATCH_POLICIES}", f"/proximal/{policy_key}")
-    default_meta_lr = 1e-4 if mode == "apo-precond" else 0.1
-    default_warmup = 300 if mode == "apo-precond" else 0
     try:
-        proximal = ProximalConfig(
-            lam_fsd=float(prox_doc.get("lambda_fsd", 0.0)),
-            lam_wsd=float(prox_doc.get("lambda_wsd", 0.0)),
-            fsd_kind=fsd_kind or "kl-gaussian-unit-variance",
-            meta_interval=int(prox_doc.get("meta_interval", 10)),
-            meta_lr=float(prox_doc.get("meta_lr", default_meta_lr)),
-            meta_opt=BaseOptKind(
-                kind=meta_kind,
-                beta=float(meta_opt_doc.get("beta", 0.9)),
-                beta2=float(meta_opt_doc.get("beta2", 0.999)),
-                rms_beta2=float(meta_opt_doc.get("rms_beta2", 0.99)),
-                eps=float(meta_opt_doc.get("eps", 1e-8))),
-            warmup_steps=int(prox_doc.get("warmup_steps", default_warmup)),
-            warmup_lr=float(prox_doc.get("warmup_lr", 0.01)),
-            loss_batch_policy=prox_doc.get("loss_batch_policy", "same"),
-            fsd_batch_policy=prox_doc.get("fsd_batch_policy", "fresh"),
-            scale=float(prox_doc.get("scale", 0.9)))
+        proximal = replace(
+            defaults,
+            fsd_kind=fsd_kind or defaults.fsd_kind,
+            meta_opt=replace(defaults.meta_opt, kind=meta_kind,
+                             **_overrides(meta_opt_doc, OPT_FIELDS)),
+            **_overrides(prox_doc, PROXIMAL_FIELDS))
     except ContractError as exc:
         raise ConfigError(str(exc), "/proximal") from exc
 
@@ -156,12 +158,11 @@ def parse_config(doc):
         init_lr = float(init_lr)
 
     kfac_doc = _pick(doc, "kfac", {}, "", dict) or {}
-    _no_unknown_keys(kfac_doc, {"damping", "update_every", "ema_decay"}, "/kfac")
-    kfac = KfacSettings(damping=float(kfac_doc.get("damping", 1e-3)),
-                        update_every=int(kfac_doc.get("update_every", 5)),
-                        ema_decay=float(kfac_doc.get("ema_decay", 0.95)))
+    _no_unknown_keys(kfac_doc, KFAC_FIELDS, "/kfac")
+    kfac = KfacSettings(**_overrides(kfac_doc, KFAC_FIELDS))
     _expect(kfac.damping >= 0, "damping must be nonnegative", "/kfac/damping")
     _expect(kfac.update_every >= 1, "update_every must be >= 1", "/kfac/update_every")
+    _expect(0.0 <= kfac.ema_decay < 1.0, "ema_decay must lie in [0, 1)", "/kfac/ema_decay")
 
     steps = doc.get("steps", 100)
     _expect(isinstance(steps, int) and steps >= 1, "steps must be a positive integer",

@@ -115,15 +115,3 @@ def grid(template_doc, sweep_doc, out_dir, parallel=1):
                    "n_runs": len(rows)}, fh, indent=2)
     return rows
 
-
-def best_by(rows, field="final_eval_loss", fallback="final_train_loss"):
-    """Best completed run: smallest field value (failures rank last)."""
-
-    def key(row):
-        value = row.get(field)
-        if value is None:
-            value = row.get(fallback)
-        ok = row["status"] == "ok" and value is not None
-        return (not ok, value if ok else float("inf"))
-
-    return min(rows, key=key)

@@ -36,32 +36,11 @@ def make_rng(seed):
     return np.random.default_rng(np.uint64(seed))
 
 
-def spawn_rngs(seed, n):
-    """n independent, reproducible substreams derived from one seed."""
-    return [np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(n)]
-
-
 def as_matrix(a, name="array"):
     m = np.asarray(a, dtype=FLOAT)
     if m.ndim != 2:
         raise DimensionError(f"{name} must be 2-D, got shape {m.shape}")
     return m
-
-
-def check_finite(a, name="array"):
-    a = np.asarray(a)
-    if not np.all(np.isfinite(a)):
-        raise NumericalError(f"{name} contains non-finite entries")
-    return a
-
-
-def matmul(a, b):
-    """Matrix product with explicit conformance checking."""
-    a = as_matrix(a, "a")
-    b = as_matrix(b, "b")
-    if a.shape[1] != b.shape[0]:
-        raise DimensionError(f"inner extents disagree: {a.shape} x {b.shape}")
-    return a @ b
 
 
 def kron_dense(a, b):

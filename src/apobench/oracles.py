@@ -10,10 +10,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from .apo import FSD_KINDS, _fsd_value_and_grad, loss_and_grad
+from .apo import DIVERGENCES, loss_and_grad, proximal_value_and_grad
 from .diffnet import ParamSet, backward, forward, per_example_jacobian, predictive
 from .errors import ContractError, ConvergenceError, NumericalError, OracleScaleError
-from .numkit import FLOAT, kron_dense, solve_spd, sym_eig_min
+from .numkit import FLOAT, kron_dense, solve_spd
 
 HESSIAN_MAX_PARAMS = 2000
 
@@ -26,17 +26,6 @@ def _default_fsd_kind(model):
     return "kl-gaussian-unit-variance"
 
 
-def _output_hessian(kind, outputs_row):
-    """Hessian of the output-space divergence rho at zero displacement."""
-    d = outputs_row.shape[0]
-    if kind == "kl-gaussian-unit-variance":
-        return np.eye(d)
-    if kind == "squared-output-distance":
-        return 2.0 * np.eye(d)
-    p = predictive("classification-softmax", outputs_row[None, :])[0]
-    return np.diag(p) - np.outer(p, p)
-
-
 def fsd_hessian_exact(model, params, inputs, kind=None):
     """Exact discrepancy Hessian G = mean_b J_b^T H_rho J_b.
 
@@ -44,8 +33,9 @@ def fsd_hessian_exact(model, params, inputs, kind=None):
     ordering follows ParamSet.to_flat.
     """
     kind = kind or _default_fsd_kind(model)
-    if kind not in FSD_KINDS:
+    if kind not in DIVERGENCES:
         raise ContractError(f"unknown fsd kind {kind!r}")
+    hessian = DIVERGENCES[kind].hessian
     m = params.size
     if m > HESSIAN_MAX_PARAMS:
         raise OracleScaleError(f"fsd_hessian_exact limited to {HESSIAN_MAX_PARAMS} params, got {m}")
@@ -54,8 +44,7 @@ def fsd_hessian_exact(model, params, inputs, kind=None):
     jac = per_example_jacobian(model, params, inputs)
     g = np.zeros((m, m))
     for b in range(inputs.shape[0]):
-        h = _output_hessian(kind, outputs[b])
-        g += jac[b].T @ h @ jac[b]
+        g += jac[b].T @ hessian(outputs[b]) @ jac[b]
     g /= inputs.shape[0]
     return 0.5 * (g + g.T)
 
@@ -184,18 +173,12 @@ def exact_ppm_solve(model, theta, batch, lam_fsd, lam_wsd, fsd_inputs,
     if tol <= 0:
         raise ContractError("tol must be positive")
     kind = fsd_kind or _default_fsd_kind(model)
-    fsd_inputs = np.asarray(fsd_inputs, dtype=FLOAT)
+    if kind not in DIVERGENCES:
+        raise ContractError(f"unknown fsd kind {kind!r}")
 
     def objective(u):
-        value, grad = loss_and_grad(model, u, batch)
-        if lam_fsd:
-            fv, fg = _fsd_value_and_grad(model, u, theta, fsd_inputs, kind)
-            value += lam_fsd * fv
-            grad = grad.map2(fg, lambda a, b: a + lam_fsd * b)
-        if lam_wsd:
-            diff = u.map2(theta, lambda a, b: a - b)
-            value += lam_wsd * 0.5 * diff.sq_norm()
-            grad = grad.map2(diff, lambda a, b: a + lam_wsd * b)
+        value, _, grad = proximal_value_and_grad(model, u, theta, batch, fsd_inputs,
+                                                 lam_fsd, lam_wsd, kind)
         return value, grad
 
     theta_norm = float(np.sqrt(theta.sq_norm()))
@@ -323,10 +306,8 @@ def kfac_blocks(model, params, inputs, rng=None, exact=False):
             _, ds_list = backward(model, params, trace, seed)
             for l in range(n_layers):
                 per_out_ds[l].append(ds_list[l])
-        if model.head == "classification-softmax":
-            hs = [_output_hessian("kl-categorical", outputs[b]) for b in range(bsz)]
-        else:
-            hs = [np.eye(d_out)] * bsz
+        hessian = DIVERGENCES[_default_fsd_kind(model)].hessian
+        hs = [hessian(outputs[b]) for b in range(bsz)]
         b_blocks = []
         for l in range(n_layers):
             stack = np.stack(per_out_ds[l], axis=1)  # bsz x d_out x n_l
@@ -432,8 +413,3 @@ def verify_kfac_recovery(rng, fan_in=5, fan_out=3, n_data=40):
     checks.append({"check": "kfac-diagonal-arithmetic", "value": rel,
                    "threshold": 1e-12, "pass": rel <= 1e-12})
     return checks
-
-
-def min_eig_check(m, floor=-1e-10):
-    """PSD verification helper for dense preconditioners."""
-    return sym_eig_min(0.5 * (m + m.T)) >= floor

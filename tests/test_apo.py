@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 
 from apobench import numkit
-from apobench.apo import (LrPhi, ProximalConfig, ablation_variants, apo_train,
+from apobench import apo
+from apobench.apo import (DIVERGENCES, LrPhi, ProximalConfig, apo_train,
                           default_lr_config, default_precond_config, fsd,
-                          init_meta_state, meta_gradient, meta_objective,
-                          meta_objective_parts, meta_step, wsd)
+                          init_meta_state, meta_gradient, meta_objective, meta_step,
+                          proximal_value_and_grad, wsd)
 from apobench.baseopt import BaseOptKind, init_state
 from apobench.diffnet import Batch, LayerSpec, Model, ParamSet, init_params, mlp
 from apobench.errors import NumericalError, TrainingDivergedError
@@ -85,6 +86,32 @@ def test_fsd_gaussian_kl_hand_value():
     assert fsd(model, theta_new, theta_old, x, "squared-output-distance") == pytest.approx(2.0)
 
 
+@pytest.mark.parametrize("kind", sorted(DIVERGENCES))
+def test_divergence_table_value_grad_hessian(kind):
+    div = DIVERGENCES[kind]
+    rng = numkit.make_rng(21)
+    y_old = rng.standard_normal((3, 4))
+    y_new = y_old + 0.3 * rng.standard_normal((3, 4))
+    assert np.array_equal(div.value(y_old, y_old), np.zeros(3))
+    # gradient in y_new against central differences of the per-row value
+    grad = div.grad(y_new, y_old)
+    for r in range(3):
+        fd = fd_scalar_fn(lambda v: div.value(v[None, :], y_old[r:r + 1])[0],
+                          y_new[r], h=1e-6)
+        assert rel_err(grad[r], fd) < 1e-7
+    # Hessian at zero displacement against central differences of the gradient
+    h = 1e-6
+    for r in range(3):
+        y = y_old[r]
+        fd = np.zeros((4, 4))
+        for j in range(4):
+            e = np.zeros(4)
+            e[j] = h
+            fd[:, j] = (div.grad((y + e)[None, :], y[None, :])[0]
+                        - div.grad((y - e)[None, :], y[None, :])[0]) / (2 * h)
+        assert rel_err(div.hessian(y), fd) < 1e-7
+
+
 # ------------------------------------------------------------ meta-objective
 
 
@@ -143,8 +170,8 @@ def test_meta_objective_dominates_post_step_loss():
     kind = BaseOptKind("sgd")
     state = init_state(kind, theta)
     phi = LrPhi(math.log(0.2))
-    q, parts, theta_new, _, _ = meta_objective_parts(
-        model, theta, phi, state, b1, b2, cfg, base_kind=kind)
+    _, q, parts = meta_gradient(model, theta, phi, state, b1, b2, cfg, base_kind=kind,
+                                return_parts=True)
     assert parts["fsd"] >= 0.0 and parts["wsd"] >= 0.0
     assert q >= parts["loss"]
 
@@ -257,6 +284,20 @@ def test_meta_gradient_precond_matches_fd(fsd_kind, classification):
     fd = fd_scalar_fn(q_of, flat0, h=1e-4)
     assert rel_err(grad.to_flat(), fd) < 1e-4
 
+    # the proximal pass underneath, at a generic u: dQ/du against FD
+    u = theta.from_flat(theta.to_flat() + 0.2 * rng.standard_normal(theta.size))
+
+    def prox(params):
+        return proximal_value_and_grad(model, params, theta, b, bp.inputs,
+                                       cfg.lam_fsd, cfg.lam_wsd, fsd_kind)
+
+    q, parts, qgrad = prox(u)
+    assert parts["fsd"] == fsd(model, u, theta, bp.inputs, fsd_kind) > 0.0
+    assert parts["wsd"] == wsd(u, theta) > 0.0
+    assert q == parts["loss"] + cfg.lam_fsd * parts["fsd"] + cfg.lam_wsd * parts["wsd"]
+    fd = fd_scalar_fn(lambda v: prox(theta.from_flat(v))[0], u.to_flat(), h=1e-5)
+    assert rel_err(qgrad.to_flat(), fd) < 1e-6
+
 
 def test_meta_gradient_fd_sweep_random_instances():
     """20 random instances mixing LR mode and a 1-layer 3x2 preconditioner."""
@@ -276,6 +317,42 @@ def test_meta_gradient_fd_sweep_random_instances():
             lambda v: meta_objective(model, theta, phi.from_flat(v), None, b, bp, cfg),
             flat0, h=1e-4)
         assert rel_err(grad.to_flat(), fd) < 1e-4, f"seed {seed}"
+
+
+def _count_passes(monkeypatch):
+    counts = {"forward": 0, "backward": 0}
+    for name in counts:
+        original = getattr(apo, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            counts[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(apo, name, counted)
+    return counts
+
+
+@pytest.mark.parametrize("lam_fsd,forwards,backwards", [(0.5, 3, 2), (0.0, 1, 1)])
+def test_meta_gradient_op_counts(monkeypatch, lam_fsd, forwards, backwards):
+    """One meta step as apo_train makes it (g and delta given, fresh B')."""
+    from apobench.apo import loss_and_grad
+    from apobench.baseopt import update_direction
+    rng = numkit.make_rng(41)
+    model = mlp([3, 4, 2], activation="sigmoid")
+    theta = init_params(model, rng)
+    b = Batch(rng.standard_normal((5, 3)), rng.standard_normal((5, 2)))
+    bp = Batch(rng.standard_normal((4, 3)), rng.standard_normal((4, 2)))
+    cfg = ProximalConfig(lam_fsd=lam_fsd, lam_wsd=0.3, fsd_batch_policy="fresh")
+    kind = BaseOptKind("sgd-momentum")
+    state = init_state(kind, theta)
+    _, g = loss_and_grad(model, theta, b)
+    delta, _ = update_direction(kind, state, g)
+    for phi, d in ((LrPhi(math.log(0.1)), delta), (init_identity(model), None)):
+        counts = _count_passes(monkeypatch)
+        meta_gradient(model, theta, phi, state, b, bp, cfg, base_kind=kind,
+                      g=g, delta=d, return_parts=True)
+        assert counts == {"forward": forwards, "backward": backwards}
+        monkeypatch.undo()
 
 
 # ---------------------------------------------------------------- meta-step
@@ -409,20 +486,6 @@ def test_apo_train_meta_fires_on_interval():
 # ------------------------------------------------------------------ config
 
 
-def test_ablation_variants_default_and_toggles():
-    cfg = default_lr_config()
-    assert cfg.loss_batch_policy == "same"
-    assert cfg.fsd_batch_policy == "fresh"
-    toggled = ablation_variants(cfg, toggle_loss=True)
-    assert toggled.loss_batch_policy == "fresh"
-    assert toggled.fsd_batch_policy == "fresh"
-    both = ablation_variants(cfg, toggle_loss=True, toggle_fsd=True)
-    assert both.loss_batch_policy == "fresh"
-    assert both.fsd_batch_policy == "same"
-    back = ablation_variants(ablation_variants(cfg, True, True), True, True)
-    assert back == cfg
-
-
 def test_config_validation():
     with pytest.raises(Exception):
         ProximalConfig(lam_fsd=-1.0)
@@ -440,3 +503,9 @@ def test_meta_objective_nonfinite_term_raises():
     huge = LrPhi(820.0)  # exp overflows to inf
     with pytest.raises((NumericalError, FloatingPointError, OverflowError)):
         meta_objective(model, theta, huge, state, batch, batch, cfg, base_kind=kind)
+
+
+def test_lr_overflow_is_numerical_error():
+    assert LrPhi(700.0).lr == math.exp(700.0)
+    with pytest.raises(NumericalError):
+        LrPhi(710.0).lr

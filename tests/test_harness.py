@@ -4,11 +4,14 @@ import os
 import numpy as np
 import pytest
 
+from apobench import tasks
+from apobench.apo import default_lr_config, default_precond_config
+from apobench.baseopt import BaseOptKind
 from apobench.errors import ConfigError, TrainingDivergedError
 from apobench.harness import cli
-from apobench.harness.config import (config_hash, config_to_dict, load_config,
-                                     parse_config)
-from apobench.harness.gridsearch import best_by, expand_grid, grid
+from apobench.harness.config import (KfacSettings, config_hash, config_to_dict,
+                                     load_config, parse_config)
+from apobench.harness.gridsearch import expand_grid, grid
 from apobench.harness.runner import run, validate_metrics_csv, write_metrics_csv
 
 
@@ -83,6 +86,32 @@ def test_parse_defaults_by_mode():
     assert pre_cfg.proximal.meta_lr == 1e-4
     assert pre_cfg.proximal.warmup_steps == 300
     assert pre_cfg.proximal.scale == 0.9
+    # an omitted field takes the default of the object that owns it
+    for mode, defaults in (("none", default_lr_config), ("apo-lr", default_lr_config),
+                           ("apo-precond", default_precond_config)):
+        cfg = parse_config(synth_doc(mode=mode))
+        assert cfg.proximal == defaults()
+        assert cfg.base_opt == BaseOptKind("sgd-momentum")
+        assert cfg.kfac == KfacSettings()
+
+
+def test_parse_rejects_uci_csv_without_existing_path(tmp_path):
+    for params in ({}, {"path": str(tmp_path / "missing.csv")}, {"path": 3}):
+        doc = synth_doc(task={"kind": "uci-csv", "batch_size": 8, "params": params})
+        with pytest.raises(ConfigError) as err:
+            parse_config(doc)
+        assert err.value.pointer == "/task/params/path"
+    path = tmp_path / "data.csv"
+    tasks.save_csv(np.arange(20.0).reshape(10, 2), np.arange(10.0), path)
+    doc = synth_doc(task={"kind": "uci-csv", "batch_size": 8, "params": {"path": str(path)}})
+    assert parse_config(doc).task.params["path"] == str(path)
+
+
+@pytest.mark.parametrize("decay", [-0.1, 1.0, 1.5])
+def test_parse_rejects_ema_decay_out_of_range(decay):
+    with pytest.raises(ConfigError) as err:
+        parse_config(synth_doc(kfac={"ema_decay": decay}))
+    assert err.value.pointer == "/kfac/ema_decay"
 
 
 def test_load_config_bad_json(tmp_path):
@@ -210,8 +239,25 @@ def test_grid_records_failures_and_continues(tmp_path):
     statuses = {repr(r["axis:init_lr"]): r["status"] for r in rows}
     assert statuses[repr(1e-4)] == "ok"
     assert statuses[repr(0.1)].startswith("failed")
-    best = best_by(rows)
-    assert best["axis:init_lr"] == 1e-4
+
+
+def test_grid_bad_task_point_fails_alone(tmp_path):
+    rows = grid(synth_doc(), {"axes": {"task.kind": ["synth-regression", "uci-csv"]}},
+                tmp_path / "g3")
+    statuses = {r["axis:task.kind"]: r["status"] for r in rows}
+    assert statuses["synth-regression"] == "ok"
+    assert statuses["uci-csv"].startswith("failed: /task/params/path")
+
+
+def test_grid_lr_overflow_fails_alone(tmp_path):
+    doc = rosen_doc(proximal={"lambda_wsd": 1.0, "meta_interval": 10,
+                              "meta_opt": {"kind": "sgd"}})
+    rows = grid(doc, {"axes": {"proximal.meta_lr": [0.1, 1e6]}}, tmp_path / "g4")
+    statuses = {r["axis:proximal.meta_lr"]: r["status"] for r in rows}
+    assert statuses[0.1] == "ok"
+    assert statuses[1e6].startswith("failed: non-finite at step 10")
+    sidecar = json.loads(open(tmp_path / "g4" / "run0001" / "config.json").read())
+    assert sidecar["runtime"]["status"] == "diverged at step 10"
 
 
 def test_grid_summary_order_deterministic(tmp_path):

@@ -7,26 +7,6 @@ from apobench import numkit
 from apobench.errors import ContractError, DimensionError, NumericalError, OracleScaleError
 
 
-def test_matmul_identity():
-    m = np.array([[1.0, 2.0], [3.0, 4.0]])
-    assert np.array_equal(numkit.matmul(np.eye(2), m), m)
-
-
-def test_matmul_hand_value():
-    out = numkit.matmul(np.array([[1.0, 2.0], [3.0, 4.0]]), np.array([[1.0], [1.0]]))
-    assert np.array_equal(out, np.array([[3.0], [7.0]]))
-
-
-def test_matmul_zero_annihilates():
-    m = np.arange(6.0).reshape(2, 3)
-    assert np.array_equal(numkit.matmul(np.zeros((2, 2)), m), np.zeros((2, 3)))
-
-
-def test_matmul_shape_error():
-    with pytest.raises(DimensionError):
-        numkit.matmul(np.ones((2, 3)), np.ones((2, 3)))
-
-
 def test_kron_identity():
     assert np.array_equal(numkit.kron_dense(np.eye(2), np.eye(3)), np.eye(6))
 
@@ -156,11 +136,3 @@ def test_rng_streams_bit_identical():
     b = numkit.make_rng(1234).standard_normal(100)
     assert np.array_equal(a, b)
 
-
-def test_spawned_streams_differ_but_reproduce():
-    r1 = numkit.spawn_rngs(5, 3)
-    r2 = numkit.spawn_rngs(5, 3)
-    for a, b in zip(r1, r2):
-        assert np.array_equal(a.standard_normal(8), b.standard_normal(8))
-    fresh = numkit.spawn_rngs(5, 2)
-    assert not np.array_equal(fresh[0].standard_normal(8), fresh[1].standard_normal(8))

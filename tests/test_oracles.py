@@ -15,7 +15,8 @@ from helpers import rel_err
 
 
 def test_output_hessian_softmax_uniform():
-    h = oracles._output_hessian("kl-categorical", np.zeros(2))
+    from apobench.apo import DIVERGENCES
+    h = DIVERGENCES["kl-categorical"].hessian(np.zeros(2))
     assert np.allclose(h, [[0.25, -0.25], [-0.25, 0.25]])
 
 
