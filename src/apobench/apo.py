@@ -33,8 +33,8 @@ import numpy as np
 from .baseopt import BaseOptKind, OptState, apply_lr_update, init_state, update_direction
 from .diffnet import ParamSet, backward, forward, loss_eval, loss_out_grad, predictive
 from .errors import ContractError, NumericalError, TrainingDivergedError
-from .kronprecond import (DEFAULT_SCALE, PrecondPhi, apply_precond_update, bias_diag_vjp,
-                          init_identity, precond_vjp)
+from .kronprecond import (DEFAULT_SCALE, apply_precond_update, bias_diag_vjp, init_identity,
+                          precond_vjp)
 from .numkit import FLOAT
 
 
@@ -152,9 +152,6 @@ class LrPhi:
     def from_flat(self, vec):
         return LrPhi(float(np.asarray(vec).reshape(-1)[0]))
 
-    def copy(self):
-        return LrPhi(self.log_lr)
-
 
 @dataclass
 class MetaState:
@@ -163,9 +160,7 @@ class MetaState:
 
 
 def init_meta_state(cfg, phi):
-    flat = phi.to_flat()
-    template = ParamSet([np.zeros_like(flat)], [None])
-    return MetaState(init_state(cfg.meta_opt, template), 0)
+    return MetaState(init_state(cfg.meta_opt, phi.to_flat()), 0)
 
 
 def wsd(theta_new, theta_old):
@@ -196,7 +191,8 @@ def loss_and_grad(model, params, batch):
 def lookahead(model, theta, phi, opt_state, batch_b, base_kind=None, g=None, delta=None):
     """One-step lookahead theta'(phi) with g and the optimizer state fixed.
 
-    Returns (theta_new, g, delta); delta is None in preconditioner mode.
+    Returns (theta_new, g, delta); delta is the flat base direction, None in
+    preconditioner mode.
     """
     if g is None:
         _, g = loss_and_grad(model, theta, batch_b)
@@ -204,7 +200,7 @@ def lookahead(model, theta, phi, opt_state, batch_b, base_kind=None, g=None, del
         if delta is None:
             if base_kind is None:
                 raise ContractError("learning-rate lookahead needs the base optimizer kind")
-            delta, _ = update_direction(base_kind, opt_state, g)
+            delta, _ = update_direction(base_kind, opt_state, g.flat)
         return apply_lr_update(theta, phi.lr, delta), g, delta
     return apply_precond_update(theta, phi, g), g, None
 
@@ -284,29 +280,26 @@ def meta_gradient(model, theta, phi, opt_state, batch_b, batch_bp, cfg,
         grad = LrPhi(-phi.lr * v.dot(delta))
     else:
         c = phi.scale
-        blocks_grads, diag_grads = [], []
-        for blk, d, gw, gb, vw, vb in zip(phi.blocks, phi.bias_diags,
-                                          g.weights, g.biases,
-                                          v.weights, v.biases):
-            da, db, dsb = precond_vjp(blk, gw, -c * vw)
-            blocks_grads.append(type(blk)(da, db, dsb))
-            diag_grads.append(None if d is None else bias_diag_vjp(d, gb, -c * vb))
-        grad = PrecondPhi(blocks_grads, diag_grads, 0.0)
+        grad = phi.map(np.empty_like)
+        for blk, d, gw, gb, vw, vb, out, dout in zip(phi.blocks, phi.bias_diags,
+                                                     g.weights, g.biases, v.weights,
+                                                     v.biases, grad.blocks, grad.bias_diags):
+            out.a[...], out.b[...], out.s[...] = precond_vjp(blk, gw, -c * vw)
+            if d is not None:
+                dout[...] = bias_diag_vjp(d, gb, -c * vb)
     if return_parts:
         return grad, q, parts
     return grad
 
 
 def meta_step(phi, meta_state, meta_grad, cfg):
-    """One meta-optimizer step on phi in its native parameterization."""
+    """One meta-optimizer step on phi's flat vector."""
     flat = phi.to_flat()
     gflat = meta_grad.to_flat()
     if flat.size != gflat.size:
         raise ContractError("meta gradient does not match phi layout")
-    delta, opt = update_direction(cfg.meta_opt, meta_state.opt,
-                                  ParamSet([gflat], [None]))
-    new_flat = flat - cfg.meta_lr * delta.weights[0]
-    return phi.from_flat(new_flat), MetaState(opt, meta_state.iteration + 1)
+    delta, opt = update_direction(cfg.meta_opt, meta_state.opt, gflat)
+    return phi.from_flat(flat - cfg.meta_lr * delta), MetaState(opt, meta_state.iteration + 1)
 
 
 @dataclass
@@ -340,7 +333,8 @@ def apo_train(model, theta0, cfg, task, steps, rng, mode="apo-lr", base_kind=Non
     one meta-optimizer step on phi through the one-step lookahead; then step
     theta with the base update u(theta, phi, B).  In preconditioner mode the
     first warmup_steps parameter updates use SGDm while phi is still
-    meta-learned.  Raises TrainingDivergedError past the loss guard.
+    meta-learned.  Raises TrainingDivergedError past the loss guard, carrying
+    the rows of the steps completed before it.
     """
     if steps < 1:
         raise ContractError("steps must be >= 1")
@@ -356,9 +350,9 @@ def apo_train(model, theta0, cfg, task, steps, rng, mode="apo-lr", base_kind=Non
         phi = LrPhi(math.log(lr0))
 
     theta = theta0.copy()
-    opt_state = init_state(base_kind, theta)
+    opt_state = init_state(base_kind, theta.flat)
     warm_kind = BaseOptKind("sgd-momentum", beta=0.9)
-    warm_state = init_state(warm_kind, theta) if cfg.warmup_steps else None
+    warm_state = init_state(warm_kind, theta.flat) if cfg.warmup_steps else None
     meta_state = init_meta_state(cfg, phi) if mode != "none" else None
 
     rows = []
@@ -368,15 +362,15 @@ def apo_train(model, theta0, cfg, task, steps, rng, mode="apo-lr", base_kind=Non
         try:
             loss, g = loss_and_grad(model, theta, batch)
         except NumericalError as exc:
-            raise TrainingDivergedError(f"non-finite at step {t}: {exc}", step=t) from exc
+            raise TrainingDivergedError(f"non-finite at step {t}: {exc}", t, rows) from exc
         if not np.isfinite(loss) or loss > DIVERGENCE_GUARD:
-            raise TrainingDivergedError(f"loss {loss} at step {t}", step=t)
+            raise TrainingDivergedError(f"loss {loss} at step {t}", t, rows)
         if wd:
             g = g.map2(theta, lambda gg, th: gg + wd * th)
 
         delta = state_next = None
         if mode in ("none", "apo-lr"):
-            delta, state_next = update_direction(base_kind, opt_state, g)
+            delta, state_next = update_direction(base_kind, opt_state, g.flat)
 
         if mode != "none" and t % cfg.meta_interval == 0:
             batch_bp = task.sample_batch(rng)
@@ -389,14 +383,14 @@ def apo_train(model, theta0, cfg, task, steps, rng, mode="apo-lr", base_kind=Non
                     return_parts=True)
             except NumericalError as exc:
                 raise TrainingDivergedError(
-                    f"meta-objective non-finite at step {t}: {exc}", step=t) from exc
+                    f"meta-objective non-finite at step {t}: {exc}", t, rows) from exc
             last_fsd, last_wsd = parts["fsd"], parts["wsd"]
             phi, meta_state = meta_step(phi, meta_state, mgrad, cfg)
 
         try:
             if mode == "apo-precond":
                 if t <= cfg.warmup_steps:
-                    wdelta, warm_state = update_direction(warm_kind, warm_state, g)
+                    wdelta, warm_state = update_direction(warm_kind, warm_state, g.flat)
                     theta = apply_lr_update(theta, cfg.warmup_lr, wdelta)
                 else:
                     theta = apply_precond_update(theta, phi, g)
@@ -404,7 +398,7 @@ def apo_train(model, theta0, cfg, task, steps, rng, mode="apo-lr", base_kind=Non
                 theta = apply_lr_update(theta, phi.lr, delta)
                 opt_state = state_next
         except NumericalError as exc:
-            raise TrainingDivergedError(f"non-finite at step {t}: {exc}", step=t) from exc
+            raise TrainingDivergedError(f"non-finite at step {t}: {exc}", t, rows) from exc
 
         if isinstance(phi, LrPhi):
             phi_scalar = phi.lr

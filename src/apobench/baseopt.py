@@ -3,6 +3,10 @@
 A step is split into the unscaled direction Delta and the learning-rate
 application theta' = theta - eta * Delta, so the meta-learning layer can
 treat the optimizer state as a constant while differentiating through eta.
+
+Gradients, directions and optimizer buffers are flat float64 vectors (a
+ParamSet's ``flat``, or a meta-parameter vector), so each update is one
+whole-vector expression.
 """
 
 from __future__ import annotations
@@ -11,7 +15,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .diffnet import ParamSet
 from .errors import ContractError, NumericalError
 
 KINDS = ("sgd", "sgd-momentum", "rmsprop", "adam")
@@ -39,53 +42,52 @@ class BaseOptKind:
 
 @dataclass
 class OptState:
-    """Accumulators shaped like the parameters; treated as fixed by the
-    meta-gradient."""
+    """Flat accumulators shaped like the parameter vector; treated as fixed
+    by the meta-gradient."""
 
-    momentum: ParamSet | None
-    second: ParamSet | None
+    momentum: np.ndarray | None
+    second: np.ndarray | None
     step: int = 0
 
 
-def init_state(kind, params):
-    momentum = params.zeros_like() if kind.kind in ("sgd-momentum", "adam") else None
-    second = params.zeros_like() if kind.kind in ("rmsprop", "adam") else None
+def init_state(kind, flat):
+    momentum = np.zeros_like(flat) if kind.kind in ("sgd-momentum", "adam") else None
+    second = np.zeros_like(flat) if kind.kind in ("rmsprop", "adam") else None
     return OptState(momentum, second, 0)
 
 
 def update_direction(kind, state, g):
-    """Unscaled step direction Delta and the advanced state.
+    """Unscaled step direction Delta for the flat gradient g, and the
+    advanced state.
 
     sgd:          Delta = g
     sgd-momentum: buf' = beta*buf + g;              Delta = buf'
     rmsprop:      v' = b2*v + (1-b2)*g^2;           Delta = g / (sqrt(v') + eps)
     adam:         bias-corrected m-hat / (sqrt(v-hat) + eps)
     """
-    if not g.all_finite():
+    if not np.all(np.isfinite(g)):
         raise NumericalError("gradient passed to update_direction is non-finite")
     if kind.kind == "sgd":
         return g.copy(), OptState(None, None, state.step + 1)
     if kind.kind == "sgd-momentum":
-        buf = state.momentum.map2(g, lambda m, gg: kind.beta * m + gg)
+        buf = kind.beta * state.momentum + g
         return buf.copy(), OptState(buf, None, state.step + 1)
     if kind.kind == "rmsprop":
         b2 = kind.rms_beta2
-        v = state.second.map2(g, lambda vv, gg: b2 * vv + (1.0 - b2) * gg * gg)
-        delta = g.map2(v, lambda gg, vv: gg / (np.sqrt(vv) + kind.eps))
-        return delta, OptState(None, v, state.step + 1)
+        v = b2 * state.second + (1.0 - b2) * g * g
+        return g / (np.sqrt(v) + kind.eps), OptState(None, v, state.step + 1)
     # adam
     t = state.step + 1
     b1, b2 = kind.beta, kind.beta2
-    m = state.momentum.map2(g, lambda mm, gg: b1 * mm + (1.0 - b1) * gg)
-    v = state.second.map2(g, lambda vv, gg: b2 * vv + (1.0 - b2) * gg * gg)
+    m = b1 * state.momentum + (1.0 - b1) * g
+    v = b2 * state.second + (1.0 - b2) * g * g
     c1 = 1.0 - b1 ** t
     c2 = 1.0 - b2 ** t
-    delta = m.map2(v, lambda mm, vv: (mm / c1) / (np.sqrt(vv / c2) + kind.eps))
-    return delta, OptState(m, v, t)
+    return (m / c1) / (np.sqrt(v / c2) + kind.eps), OptState(m, v, t)
 
 
 def apply_lr_update(params, lr, delta):
-    """theta' = theta - lr * Delta, elementwise."""
+    """theta' = theta - lr * Delta on the flat vector; a new ParamSet."""
     if not np.isfinite(lr):
         raise ContractError(f"learning rate must be finite, got {lr}")
-    return params.map2(delta, lambda p, d: p - lr * d)
+    return params.from_flat(params.flat - lr * delta)

@@ -2,10 +2,10 @@
 reverse-mode gradients.
 
 Weight matrices are stored fan_in x fan_out, so a forward step is
-``a @ W + b`` on row-batched activations.  Parameter vectors (for the dense
-oracles) flatten each layer as W.ravel() in C order followed by the bias;
-this makes the per-layer Fisher blocks come out as
-(input stats) kron (output stats) under that flattening.
+``a @ W + b`` on row-batched activations.  A ParamSet stores all parameters
+in one float64 vector: each layer's W in C order, then its bias.  This is
+also the parameter order of the dense oracles, and it makes the per-layer
+Fisher blocks come out as (input stats) kron (output stats).
 
 ReLU uses subgradient 0 at 0; finite-difference checks are run on smooth
 activations or off-kink inputs.
@@ -13,6 +13,8 @@ activations or off-kink inputs.
 
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -63,6 +65,12 @@ class Model:
     def d_out(self):
         return self.layers[-1].fan_out
 
+    @functools.cached_property
+    def layout(self):
+        """The ParamSet layout of this model's parameters."""
+        return tuple(((s.fan_in, s.fan_out), (s.fan_out,) if s.has_bias else None)
+                     for s in self.layers)
+
 
 def mlp(widths, activation="sigmoid", head="regression-gaussian-unit-variance",
         out_activation="linear", bias=True):
@@ -80,33 +88,71 @@ def rosenbrock_model():
     return Model((LayerSpec(2, 1, "linear", False),), "rosenbrock-direct", kind="rosenbrock")
 
 
-@dataclass
 class ParamSet:
-    """Per-layer weights and optional biases; also reused as a generic
-    parameter-shaped container (gradients, optimizer buffers)."""
+    """Per-layer weights and optional biases held in one contiguous float64
+    vector ``flat``; also the container for gradients and other
+    parameter-shaped values.
 
-    weights: list
-    biases: list
+    ``layout`` gives, per layer, the shape of each of its arrays (None for an
+    absent one), in storage order.  The per-layer arrays are views of
+    ``flat``, kept in tuples so they can be written through but not rebound.
+    Subclasses name the views of their own layouts in ``_bind``.
+    """
 
-    def entries(self):
-        for w, b in zip(self.weights, self.biases):
-            yield w
-            if b is not None:
-                yield b
+    def __init__(self, flat, layout):
+        self.flat = flat
+        self.layout = layout
+        self._spans, self._bounds = ParamSet._offsets(layout)
+        self._bind()
+
+    @staticmethod
+    @functools.lru_cache(maxsize=None)
+    def _offsets(layout):
+        """Per layer, (start, stop, shape) of each array in ``flat`` (None
+        where absent); and the (start, stop) of every present array."""
+        spans, k = [], 0
+        for layer in layout:
+            row = []
+            for shape in layer:
+                n = 0 if shape is None else math.prod(shape)
+                row.append(None if shape is None else (k, k + n, shape))
+                k += n
+            spans.append(tuple(row))
+        return tuple(spans), tuple(span[:2] for row in spans for span in row if span)
+
+    def _views(self):
+        """Per array slot of a layer (W, b, ...), its view of ``flat`` in
+        every layer, None where absent."""
+        flat = self.flat
+        return zip(*[[None if span is None else flat[span[0]:span[1]].reshape(span[2])
+                      for span in layer] for layer in self._spans])
+
+    def _bind(self):
+        self.weights, self.biases = map(tuple, self._views())
+
+    @classmethod
+    def from_layers(cls, layers, *args):
+        """A set whose fresh buffer holds copies of the given arrays: one
+        tuple per layer, in storage order, None for an absent array."""
+        layers = [tuple(None if a is None else np.asarray(a, dtype=FLOAT) for a in layer)
+                  for layer in layers]
+        layout = tuple(tuple(None if a is None else a.shape for a in layer)
+                       for layer in layers)
+        flat = np.concatenate([a.ravel() for layer in layers for a in layer if a is not None])
+        return cls(flat, layout, *args)
+
+    def _with_flat(self, flat):
+        new = object.__new__(type(self))
+        new.__dict__.update(self.__dict__)
+        new.flat = flat
+        new._bind()
+        return new
 
     def map(self, fn):
-        return ParamSet(
-            [fn(w) for w in self.weights],
-            [None if b is None else fn(b) for b in self.biases],
-        )
+        return self._with_flat(fn(self.flat))
 
     def map2(self, other, fn):
-        weights = [fn(a, b) for a, b in zip(self.weights, other.weights)]
-        biases = [
-            None if a is None else fn(a, b)
-            for a, b in zip(self.biases, other.biases)
-        ]
-        return ParamSet(weights, biases)
+        return self._with_flat(fn(self.flat, other.flat))
 
     def copy(self):
         return self.map(np.copy)
@@ -115,63 +161,46 @@ class ParamSet:
         return self.map(np.zeros_like)
 
     def dot(self, other):
-        return float(sum(np.vdot(a, b) for a, b in zip(self.entries(), other.entries())))
+        """Sum of the per-array dot products in layout order; ``other`` is a
+        set of the same layout or its flat vector."""
+        a, b = self.flat, other.flat if isinstance(other, ParamSet) else other
+        return float(sum(np.vdot(a[i:j], b[i:j]) for i, j in self._bounds))
 
     def sq_norm(self):
-        return float(sum(np.vdot(a, a) for a in self.entries()))
+        a = self.flat
+        return float(sum(np.vdot(a[i:j], a[i:j]) for i, j in self._bounds))
 
     @property
     def size(self):
-        return int(sum(a.size for a in self.entries()))
+        return self.flat.size
 
     def all_finite(self):
-        return all(np.all(np.isfinite(a)) for a in self.entries())
+        return bool(np.all(np.isfinite(self.flat)))
 
     def to_flat(self):
-        return np.concatenate([np.asarray(a, dtype=FLOAT).ravel() for a in self.entries()])
+        return self.flat.copy()
 
     def from_flat(self, vec):
-        """New ParamSet with this one's shapes filled from a flat vector."""
-        vec = np.asarray(vec, dtype=FLOAT)
+        """New set with this one's layout holding a copy of a flat vector."""
+        vec = np.array(vec, dtype=FLOAT).reshape(-1)
         if vec.size != self.size:
             raise DimensionError(f"flat vector has {vec.size} entries, need {self.size}")
-        weights, biases, k = [], [], 0
-        for w, b in zip(self.weights, self.biases):
-            weights.append(vec[k:k + w.size].reshape(w.shape).copy())
-            k += w.size
-            if b is None:
-                biases.append(None)
-            else:
-                biases.append(vec[k:k + b.size].copy())
-                k += b.size
-        return ParamSet(weights, biases)
+        return self._with_flat(vec)
 
 
 def init_params(model, rng):
     """Fan-in-scaled uniform init in [-1/sqrt(fan_in), 1/sqrt(fan_in)]."""
-    weights, biases = [], []
+    layers = []
     for spec in model.layers:
         bound = 1.0 / np.sqrt(spec.fan_in)
-        weights.append(rng.uniform(-bound, bound, size=(spec.fan_in, spec.fan_out)))
-        biases.append(np.zeros(spec.fan_out) if spec.has_bias else None)
-    return ParamSet(weights, biases)
-
-
-def zero_params(model):
-    return ParamSet(
-        [np.zeros((s.fan_in, s.fan_out)) for s in model.layers],
-        [np.zeros(s.fan_out) if s.has_bias else None for s in model.layers],
-    )
+        layers.append((rng.uniform(-bound, bound, size=(spec.fan_in, spec.fan_out)),
+                       np.zeros(spec.fan_out) if spec.has_bias else None))
+    return ParamSet.from_layers(layers)
 
 
 def check_params(model, params):
-    for spec, w, b in zip(model.layers, params.weights, params.biases):
-        if w.shape != (spec.fan_in, spec.fan_out):
-            raise DimensionError(f"weight shape {w.shape} != ({spec.fan_in}, {spec.fan_out})")
-        if spec.has_bias and (b is None or b.shape != (spec.fan_out,)):
-            raise DimensionError(f"bias missing or misshaped for layer {spec}")
-        if not spec.has_bias and b is not None:
-            raise DimensionError("unexpected bias on a bias-free layer")
+    if params.layout != model.layout:
+        raise DimensionError(f"parameter layout {params.layout} != model layout {model.layout}")
 
 
 @dataclass
@@ -271,10 +300,9 @@ def backward(model, params, trace, out_grad):
     """
     if model.kind == "rosenbrock":
         seed = float(np.sum(out_grad))
-        g = ParamSet([seed * _rosenbrock_grad(params.weights[0])], [None])
+        g = params.from_flat(seed * _rosenbrock_grad(params.weights[0]))
         return g, [np.asarray(out_grad, dtype=FLOAT)]
-    grads_w = [None] * len(model.layers)
-    grads_b = [None] * len(model.layers)
+    g = params.map(np.empty_like)
     ds_list = [None] * len(model.layers)
     da = np.asarray(out_grad, dtype=FLOAT)
     for idx in range(len(model.layers) - 1, -1, -1):
@@ -283,12 +311,12 @@ def backward(model, params, trace, out_grad):
         a = _act(spec.activation, s)
         ds = da * _act_deriv(spec.activation, s, a)
         ds_list[idx] = ds
-        a_prev = trace.layer_inputs[idx]
-        grads_w[idx] = a_prev.T @ ds
-        grads_b[idx] = ds.sum(axis=0) if spec.has_bias else None
+        np.matmul(trace.layer_inputs[idx].T, ds, out=g.weights[idx])
+        if spec.has_bias:
+            ds.sum(axis=0, out=g.biases[idx])
         if idx > 0:
             da = ds @ params.weights[idx].T
-    return ParamSet(grads_w, grads_b), ds_list
+    return g, ds_list
 
 
 def _softmax(logits):
@@ -365,8 +393,8 @@ def predictive(head, outputs):
 def per_example_jacobian(model, params, inputs):
     """Exact per-example Jacobian d f(x_b, theta) / d theta, B x d_out x m.
 
-    Parameter ordering matches ParamSet.to_flat (row-major W, then bias, per
-    layer).  Loops over examples and output units; oracle scale only.
+    Parameter ordering is the ParamSet storage order (row-major W, then bias,
+    per layer).  Loops over examples and output units; oracle scale only.
     """
     m = params.size
     if m > JACOBIAN_MAX_PARAMS:
@@ -383,5 +411,5 @@ def per_example_jacobian(model, params, inputs):
             seed = np.zeros((1, d_out))
             seed[0, j] = 1.0
             g, _ = backward(model, params, trace, seed)
-            jac[bi, j] = g.to_flat()
+            jac[bi, j] = g.flat
     return jac

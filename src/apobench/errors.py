@@ -38,11 +38,13 @@ class ConvergenceError(ApoBenchError):
 
 
 class TrainingDivergedError(ApoBenchError):
-    """Training loss exceeded the divergence guard or became non-finite."""
+    """Training loss exceeded the divergence guard or became non-finite at
+    ``step``; ``rows`` holds the metric rows of the steps before it."""
 
-    def __init__(self, message, step):
+    def __init__(self, message, step, rows=()):
         super().__init__(message)
         self.step = step
+        self.rows = list(rows)
 
 
 class ConfigError(ApoBenchError):

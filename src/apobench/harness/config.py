@@ -15,7 +15,7 @@ from ..apo import (BATCH_POLICIES, FSD_KINDS, ProximalConfig, default_lr_config,
 from ..baseopt import KINDS as BASE_KINDS
 from ..baseopt import BaseOptKind
 from ..errors import ConfigError, ContractError
-from ..tasks import TASK_KINDS, TaskSpec
+from ..tasks import TASK_KINDS, TASK_PARAMS, TaskSpec
 
 MODES = ("none", "apo-lr", "apo-precond")
 BASELINE_KINDS = BASE_KINDS + ("kfac",)
@@ -63,6 +63,19 @@ def _no_unknown_keys(d, allowed, pointer):
             raise ConfigError(f"unknown key {key!r}", f"{pointer}/{key}")
 
 
+def _is_int(value):
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+# One test per JSON type named in tasks.TASK_PARAMS.
+PARAM_TYPES = {
+    "int": _is_int,
+    "number": lambda v: _is_int(v) or isinstance(v, float),
+    "string": lambda v: isinstance(v, str),
+    "ints": lambda v: isinstance(v, (list, tuple)) and len(v) >= 2 and all(map(_is_int, v)),
+}
+
+
 def _overrides(d, fields):
     """Dataclass field overrides for the keys of d that fields maps, as
     {key: (field name, cast)}; defaults stay with the dataclass that owns them."""
@@ -95,7 +108,7 @@ def parse_config(doc):
                                 "params"}, "/task")
     kind = task_doc.get("kind")
     _expect(kind in TASK_KINDS, f"task kind must be one of {TASK_KINDS}", "/task/kind")
-    params = _pick(task_doc, "params", {}, "/task", dict)
+    params = _pick(task_doc, "params", {}, "/task", dict) or {}
     try:
         task = TaskSpec(kind,
                         batch_size=_pick(task_doc, "batch_size", 32, "/task", int),
@@ -105,9 +118,14 @@ def parse_config(doc):
     except ContractError as exc:
         raise ConfigError(str(exc), "/task") from exc
     if kind == "uci-csv":
-        path = (params or {}).get("path")
+        path = params.get("path")
         _expect(isinstance(path, str) and os.path.isfile(path),
                 "uci-csv needs the path of an existing CSV file", "/task/params/path")
+    types = TASK_PARAMS[kind]
+    _no_unknown_keys(params, types, "/task/params")
+    for key, value in params.items():
+        _expect(PARAM_TYPES[types[key]](value), f"{kind} needs {key} of type {types[key]}",
+                f"/task/params/{key}")
 
     mode = doc.get("mode", "none")
     _expect(mode in MODES, f"mode must be one of {MODES}", "/mode")

@@ -41,10 +41,10 @@ def _fit_base_model(seed=0, hidden=48, iters=3000, lr=0.02):
     y = np.sin(1.5 * x) * 0.8
     batch = Batch(x, y)
     kind = BaseOptKind("adam")
-    state = init_state(kind, theta)
+    state = init_state(kind, theta.flat)
     for _ in range(iters):
         _, g = loss_and_grad(model, theta, batch)
-        delta, state = update_direction(kind, state, g)
+        delta, state = update_direction(kind, state, g.flat)
         theta = apply_lr_update(theta, lr, delta)
     return model, theta, x
 

@@ -81,7 +81,7 @@ def train_kfac(model, theta0, task, steps, rng, lr, damping, update_every,
         try:
             loss, g = loss_and_grad(model, theta, batch)
             if not np.isfinite(loss) or loss > DIVERGENCE_GUARD:
-                raise TrainingDivergedError(f"loss {loss} at step {t}", step=t)
+                raise TrainingDivergedError(f"loss {loss} at step {t}", t, rows)
             if stats is None or t % update_every == 0:
                 fresh = kfac_blocks(model, theta, batch.inputs, rng=rng)
                 if stats is None:
@@ -92,7 +92,7 @@ def train_kfac(model, theta0, task, steps, rng, lr, damping, update_every,
                              for (a0, b0), (a1, b1) in zip(stats, fresh)]
             theta = kfac_update(theta, g, stats, damping, lr)
         except NumericalError as exc:
-            raise TrainingDivergedError(f"non-finite at step {t}: {exc}", step=t) from exc
+            raise TrainingDivergedError(f"non-finite at step {t}: {exc}", t, rows) from exc
         eval_loss = None
         if eval_fn is not None and eval_every and (t % eval_every == 0 or t == steps):
             eval_loss = float(eval_fn(theta))
@@ -164,8 +164,8 @@ def summarize(rows, result, task):
 def run(cfg, out_dir):
     """Execute one experiment and write metrics.csv plus config.json sidecar.
 
-    Raises TrainingDivergedError on divergence (after writing the sidecar
-    with the failure recorded).
+    Raises TrainingDivergedError on divergence, after writing the rows of the
+    steps before it to metrics.csv and the failure to the sidecar.
     """
     os.makedirs(out_dir, exist_ok=True)
     metrics_path = os.path.join(out_dir, "metrics.csv")
@@ -173,17 +173,20 @@ def run(cfg, out_dir):
     sidecar = {"schema_version": CSV_SCHEMA_VERSION,
                "config": config_to_dict(cfg),
                "config_hash": config_hash(cfg)}
+    csv_mode = cfg.mode if cfg.base_kind != "kfac" else "kfac"
     started = time.monotonic()
     try:
         result, task, seed = execute(cfg)
     except TrainingDivergedError as exc:
+        write_metrics_csv(metrics_path, exc.rows, csv_mode)
+        validate_metrics_csv(metrics_path)
         sidecar["runtime"] = {"wallclock_ms": round((time.monotonic() - started) * 1e3),
                               "status": f"diverged at step {exc.step}"}
         with open(sidecar_path, "w", encoding="utf-8") as fh:
             json.dump(sidecar, fh, indent=2)
         raise
     rows = result.rows
-    write_metrics_csv(metrics_path, rows, cfg.mode if cfg.base_kind != "kfac" else "kfac")
+    write_metrics_csv(metrics_path, rows, csv_mode)
     validate_metrics_csv(metrics_path)
     summary = summarize(rows, result, task)
     sidecar["resolved_seed"] = seed

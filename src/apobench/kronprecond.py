@@ -13,7 +13,8 @@ for arbitrary A, B, S, and is applied without ever materializing it:
 Biases are not covered by the factorization; each bias vector gets an
 independent diagonal preconditioner diag(d)^2 with d meta-learned alongside
 the blocks.  The fixed step scale c multiplies the preconditioned gradient
-and is not meta-learned.
+and is not meta-learned.  PrecondPhi stores A, B, S and d of every layer in
+one flat vector, in that order, through ParamSet's layout code.
 """
 
 from __future__ import annotations
@@ -49,68 +50,32 @@ class KronBlocks:
     def param_count(self):
         return self.a.size + self.b.size + self.s.size
 
-    def copy(self):
-        return KronBlocks(self.a.copy(), self.b.copy(), self.s.copy())
 
+class PrecondPhi(ParamSet):
+    """The meta-parameters phi in one flat vector with ParamSet's layout
+    code: per layer the views A, B and S of one KronBlocks, then the bias
+    diagonal d (None for a bias-free layer).  The fixed application scale c
+    is not part of the vector."""
 
-@dataclass
-class PrecondPhi:
-    """One KronBlocks per weight layer, one diagonal vector per bias, plus the
-    fixed application scale c."""
+    def __init__(self, flat, layout, scale=DEFAULT_SCALE):
+        self.scale = scale
+        super().__init__(flat, layout)
 
-    blocks: list
-    bias_diags: list  # per layer: fan_out vector or None
-    scale: float = DEFAULT_SCALE
-
-    def copy(self):
-        return PrecondPhi(
-            [blk.copy() for blk in self.blocks],
-            [None if d is None else d.copy() for d in self.bias_diags],
-            self.scale,
-        )
-
-    def entries(self):
-        for blk, d in zip(self.blocks, self.bias_diags):
-            yield blk.a
-            yield blk.b
-            yield blk.s
-            if d is not None:
-                yield d
-
-    def to_flat(self):
-        return np.concatenate([e.ravel() for e in self.entries()])
-
-    def from_flat(self, vec):
-        vec = np.asarray(vec, dtype=FLOAT)
-        out = self.copy()
-        k = 0
-        for blk, d in zip(out.blocks, out.bias_diags):
-            for arr in (blk.a, blk.b, blk.s):
-                arr[...] = vec[k:k + arr.size].reshape(arr.shape)
-                k += arr.size
-            if d is not None:
-                d[...] = vec[k:k + d.size]
-                k += d.size
-        if k != vec.size:
-            raise DimensionError(f"flat vector has {vec.size} entries, need {k}")
-        return out
+    def _bind(self):
+        a, b, s, self.bias_diags = map(tuple, self._views())
+        self.blocks = tuple(map(KronBlocks, a, b, s))
 
     def frobenius_norm(self):
-        return float(np.sqrt(sum(np.vdot(e, e) for e in self.entries())))
+        return float(np.sqrt(self.sq_norm()))
 
 
 def init_identity(model, scale=DEFAULT_SCALE):
     """Identity preconditioner: A = I, B = I, S = ones (and d = ones for
     biases), so the first preconditioned update equals scale * gradient."""
-    blocks, diags = [], []
-    for spec in model.layers:
-        blocks.append(KronBlocks(
-            np.eye(spec.fan_out),
-            np.eye(spec.fan_in),
-            np.ones((spec.fan_in, spec.fan_out)),
-        ))
-        diags.append(np.ones(spec.fan_out) if spec.has_bias else None)
-    return PrecondPhi(blocks, diags, scale)
+    return PrecondPhi.from_layers(
+        [(np.eye(spec.fan_out), np.eye(spec.fan_in), np.ones((spec.fan_in, spec.fan_out)),
+          np.ones(spec.fan_out) if spec.has_bias else None) for spec in model.layers],
+        scale)
 
 
 def apply_precond(blocks, grad_w):
@@ -141,16 +106,13 @@ def apply_precond_update(params, phi, g):
             f"{len(phi.blocks)} block sets for {len(params.weights)} layers"
         )
     c = phi.scale
-    weights, biases = [], []
-    for w, b, gw, gb, blk, d in zip(
-        params.weights, params.biases, g.weights, g.biases, phi.blocks, phi.bias_diags
-    ):
-        weights.append(w - c * apply_precond(blk, gw))
-        if b is None:
-            biases.append(None)
-        else:
-            biases.append(b - c * ((d * d) * gb))
-    out = ParamSet(weights, biases)
+    out = params.map(np.empty_like)
+    for w, b, gw, gb, blk, d, ow, ob in zip(params.weights, params.biases, g.weights,
+                                            g.biases, phi.blocks, phi.bias_diags,
+                                            out.weights, out.biases):
+        np.subtract(w, c * apply_precond(blk, gw), out=ow)
+        if b is not None:
+            np.subtract(b, c * ((d * d) * gb), out=ob)
     if not out.all_finite():
         raise NumericalError("preconditioned update produced non-finite parameters")
     return out
@@ -200,13 +162,7 @@ def to_json(phi, layer_names=None):
 
 def from_json(doc):
     data = json.loads(doc)
-    blocks, diags = [], []
-    for layer in data["layers"]:
-        blocks.append(KronBlocks(
-            np.asarray(layer["a"], dtype=FLOAT),
-            np.asarray(layer["b"], dtype=FLOAT),
-            np.asarray(layer["s"], dtype=FLOAT),
-        ))
-        d = layer.get("bias_diag")
-        diags.append(None if d is None else np.asarray(d, dtype=FLOAT))
-    return PrecondPhi(blocks, diags, float(data["scale"]))
+    return PrecondPhi.from_layers(
+        [(layer["a"], layer["b"], layer["s"], layer.get("bias_diag"))
+         for layer in data["layers"]],
+        float(data["scale"]))

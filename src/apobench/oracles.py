@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from .apo import DIVERGENCES, loss_and_grad, proximal_value_and_grad
-from .diffnet import ParamSet, backward, forward, per_example_jacobian, predictive
+from .diffnet import backward, forward, per_example_jacobian, predictive
 from .errors import ContractError, ConvergenceError, NumericalError, OracleScaleError
 from .numkit import FLOAT, kron_dense, solve_spd
 
@@ -30,7 +30,7 @@ def fsd_hessian_exact(model, params, inputs, kind=None):
     """Exact discrepancy Hessian G = mean_b J_b^T H_rho J_b.
 
     For the categorical KL this is the Fisher information matrix.  Parameter
-    ordering follows ParamSet.to_flat.
+    ordering is the ParamSet storage order.
     """
     kind = kind or _default_fsd_kind(model)
     if kind not in DIVERGENCES:
@@ -129,24 +129,19 @@ def verify_thm1(g, grad_samples, lam_fsd, lam_wsd, n_perturb=100, perturb_norm=1
 def approx_ppm_update(theta, g, fsd_hessian, lam_fsd, lam_wsd):
     """Closed-form approximate proximal step
     theta - (lam_fsd G + lam_wsd I)^-1 g."""
-    flat_g = g.to_flat()
-    reg = lam_fsd * np.asarray(fsd_hessian, dtype=FLOAT) + lam_wsd * np.eye(flat_g.size)
-    step = solve_spd(reg, flat_g)
-    return theta.from_flat(theta.to_flat() - step)
+    reg = lam_fsd * np.asarray(fsd_hessian, dtype=FLOAT) + lam_wsd * np.eye(g.size)
+    return theta.from_flat(theta.flat - solve_spd(reg, g.flat))
 
 
 def damped_newton_update(theta, g, loss_hessian, lam_wsd):
     """theta - (H + lam_wsd I)^-1 g; requires the damped Hessian to be SPD."""
-    flat_g = g.to_flat()
-    h = np.asarray(loss_hessian, dtype=FLOAT) + lam_wsd * np.eye(flat_g.size)
-    step = solve_spd(h, flat_g)
-    return theta.from_flat(theta.to_flat() - step)
+    h = np.asarray(loss_hessian, dtype=FLOAT) + lam_wsd * np.eye(g.size)
+    return theta.from_flat(theta.flat - solve_spd(h, g.flat))
 
 
 def loss_hessian_fd(model, theta, batch, h=1e-5):
     """Dense loss Hessian by central differences of the exact gradient."""
-    flat = theta.to_flat()
-    m = flat.size
+    flat, m = theta.flat, theta.size
     if m > HESSIAN_MAX_PARAMS:
         raise OracleScaleError(f"loss_hessian_fd limited to {HESSIAN_MAX_PARAMS} params")
     out = np.zeros((m, m))
@@ -155,7 +150,7 @@ def loss_hessian_fd(model, theta, batch, h=1e-5):
         e[i] = h
         _, gp = loss_and_grad(model, theta.from_flat(flat + e), batch)
         _, gm = loss_and_grad(model, theta.from_flat(flat - e), batch)
-        out[:, i] = (gp.to_flat() - gm.to_flat()) / (2 * h)
+        out[:, i] = (gp.flat - gm.flat) / (2 * h)
     return 0.5 * (out + out.T)
 
 
@@ -199,7 +194,7 @@ def exact_ppm_solve(model, theta, batch, lam_fsd, lam_wsd, fsd_inputs,
 
     u = theta.copy()
     value, grad = objective(u)
-    flat, gflat = u.to_flat(), grad.to_flat()
+    flat, gflat = u.flat, grad.flat
     prev_flat = prev_gflat = None
     step = 1.0
     no_progress = 0
@@ -228,7 +223,7 @@ def exact_ppm_solve(model, theta, batch, lam_fsd, lam_wsd, fsd_inputs,
                     no_progress = 0
                 prev_flat, prev_gflat = flat, gflat
                 u, value, grad = cand, cand_value, cand_grad
-                flat, gflat = cand_flat, grad.to_flat()
+                flat, gflat = cand_flat, grad.flat
                 accepted = True
                 break
             trial *= 0.5
@@ -326,9 +321,9 @@ def kfac_update(theta, g, blocks, damping, lr):
     """
     if damping < 0:
         raise ContractError("damping must be nonnegative")
-    weights, biases = [], []
-    for w, b, gw, gb, (a_blk, b_blk) in zip(theta.weights, theta.biases,
-                                            g.weights, g.biases, blocks):
+    out = theta.map(np.empty_like)
+    for w, b, gw, gb, ow, ob, (a_blk, b_blk) in zip(theta.weights, theta.biases, g.weights,
+                                                    g.biases, out.weights, out.biases, blocks):
         gbar = gw if b is None else np.vstack([gw, gb])
         try:
             left = solve_spd(a_blk + damping * np.eye(a_blk.shape[0]), gbar)
@@ -336,13 +331,10 @@ def kfac_update(theta, g, blocks, damping, lr):
         except NumericalError as exc:
             raise NumericalError(f"kfac block factorization failed: {exc}",
                                  pivot=exc.pivot) from exc
-        if b is None:
-            weights.append(w - lr * right)
-            biases.append(None)
-        else:
-            weights.append(w - lr * right[:-1])
-            biases.append(b - lr * right[-1])
-    return ParamSet(weights, biases)
+        np.subtract(w, lr * right[:w.shape[0]], out=ow)
+        if b is not None:
+            np.subtract(b, lr * right[-1], out=ob)
+    return out
 
 
 def _msqrt_inv(m):

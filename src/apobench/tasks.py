@@ -19,8 +19,18 @@ from .numkit import FLOAT, make_rng, rand_orthogonal
 
 SIGMA_FLOOR = 1e-12
 
-TASK_KINDS = ("rosenbrock", "illcond-linear", "synth-regression",
-              "synth-classification", "bottleneck-autoencoder", "uci-csv")
+# Per task kind, the builder keywords that TaskSpec.params may set, with the
+# JSON type of each: "int", "number", "string", or "ints" (two or more ints).
+TASK_PARAMS = {
+    "rosenbrock": {},
+    "illcond-linear": {"d": "int", "kappa": "number"},
+    "synth-regression": {"d": "int", "noise": "number", "hidden": "int"},
+    "synth-classification": {"d": "int", "classes": "int", "separation": "number",
+                             "hidden": "int"},
+    "bottleneck-autoencoder": {"widths": "ints"},
+    "uci-csv": {"path": "string", "hidden": "int"},
+}
+TASK_KINDS = tuple(TASK_PARAMS)
 
 
 @dataclass(frozen=True)
@@ -87,7 +97,7 @@ def rosenbrock_task():
     return Task(spec, model,
                 sample_batch=lambda rng: batch,
                 eval_loss=evaluate,
-                init_theta=lambda rng: ParamSet([np.array([[1.0], [-1.5]])], [None]),
+                init_theta=lambda rng: ParamSet.from_layers([(np.array([[1.0], [-1.5]]), None)]),
                 fsd_kind="squared-output-distance")
 
 
@@ -277,29 +287,19 @@ def uci_task(path, batch_size=32, hidden=16, seed=0):
 
 
 def build_task(spec):
-    """Construct a task from its spec (harness entry point)."""
-    p = dict(spec.params)
+    """Construct a task from its spec (harness entry point); spec.params are
+    keyword arguments of the kind's builder, as listed in TASK_PARAMS."""
+    p, common = dict(spec.params), {"seed": spec.seed, "batch_size": spec.batch_size}
     if spec.kind == "rosenbrock":
         return rosenbrock_task()
     if spec.kind == "illcond-linear":
-        return illcond_linear_task(d=p.get("d", 64), kappa=p.get("kappa", 1e10),
-                                   seed=spec.seed, batch_size=spec.batch_size)
+        return illcond_linear_task(**p, **common)
     if spec.kind == "synth-regression":
-        return synth_regression_task(n=spec.dataset_size or 512, d=p.get("d", 8),
-                                     noise=p.get("noise", 0.1), seed=spec.seed,
-                                     batch_size=spec.batch_size,
-                                     hidden=p.get("hidden", 16))
+        return synth_regression_task(n=spec.dataset_size or 512, **p, **common)
     if spec.kind == "synth-classification":
-        return synth_classification_task(n=spec.dataset_size or 512, d=p.get("d", 8),
-                                         classes=p.get("classes", 2), seed=spec.seed,
-                                         batch_size=spec.batch_size,
-                                         separation=p.get("separation", 3.0),
-                                         hidden=p.get("hidden", 16))
+        return synth_classification_task(n=spec.dataset_size or 512, **p, **common)
     if spec.kind == "bottleneck-autoencoder":
-        return bottleneck_autoencoder_task(n=spec.dataset_size or 256, seed=spec.seed,
-                                           batch_size=spec.batch_size,
-                                           widths=tuple(p.get("widths", (16, 8, 2, 8, 16))))
+        return bottleneck_autoencoder_task(n=spec.dataset_size or 256, **p, **common)
     if spec.kind == "uci-csv":
-        return uci_task(p["path"], batch_size=spec.batch_size,
-                        hidden=p.get("hidden", 16), seed=spec.seed)
+        return uci_task(**p, **common)
     raise ContractError(f"unknown task kind {spec.kind!r}")

@@ -22,7 +22,7 @@ def quadratic_setup():
     """Single free weight with J(theta) = 0.5 theta^2 exactly (x = 1/sqrt 2,
     target 0, squared-error head)."""
     model = Model((LayerSpec(1, 1, "linear", False),), "regression-gaussian-unit-variance")
-    theta = ParamSet([np.array([[1.0]])], [None])
+    theta = ParamSet.from_layers([(np.array([[1.0]]), None)])
     batch = Batch(np.array([[1.0 / np.sqrt(2.0)]]), np.array([[0.0]]))
     return model, theta, batch
 
@@ -37,19 +37,19 @@ def zero_lam_cfg(**kw):
 
 
 def test_wsd_zero_at_same_point():
-    theta = ParamSet([np.ones((2, 2))], [np.ones(2)])
+    theta = ParamSet.from_layers([(np.ones((2, 2)), np.ones(2))])
     assert wsd(theta, theta.copy()) == 0.0
 
 
 def test_wsd_hand_value():
-    a = ParamSet([np.array([[3.0, 4.0]])], [None])
-    b = ParamSet([np.zeros((1, 2))], [None])
+    a = ParamSet.from_layers([(np.array([[3.0, 4.0]]), None)])
+    b = ParamSet.from_layers([(np.zeros((1, 2)), None)])
     assert wsd(a, b) == pytest.approx(12.5)
 
 
 def test_wsd_quadratic_homogeneity():
     rng = numkit.make_rng(0)
-    base = ParamSet([rng.standard_normal((3, 2))], [rng.standard_normal(2)])
+    base = ParamSet.from_layers([(rng.standard_normal((3, 2)), rng.standard_normal(2))])
     diff = base.map(lambda x: rng.standard_normal(x.shape))
     for t in (0.5, 2.0, 7.0):
         a = base.map2(diff, lambda p, d: p + t * d)
@@ -69,8 +69,8 @@ def test_fsd_categorical_hand_value():
     # old logits [0, 0], new logits [ln 2, 0]:
     # KL(uniform || [2/3, 1/3]) = 0.5 ln(9/8)
     model = Model((LayerSpec(1, 2, "linear", False),), "classification-softmax")
-    theta_old = ParamSet([np.zeros((1, 2))], [None])
-    theta_new = ParamSet([np.array([[np.log(2.0), 0.0]])], [None])
+    theta_old = ParamSet.from_layers([(np.zeros((1, 2)), None)])
+    theta_new = ParamSet.from_layers([(np.array([[np.log(2.0), 0.0]]), None)])
     x = np.array([[1.0]])
     value = fsd(model, theta_new, theta_old, x, "kl-categorical")
     assert value == pytest.approx(0.5 * np.log(9.0 / 8.0), rel=1e-12)
@@ -78,8 +78,8 @@ def test_fsd_categorical_hand_value():
 
 def test_fsd_gaussian_kl_hand_value():
     model = Model((LayerSpec(1, 2, "linear", False),), "regression-gaussian-unit-variance")
-    theta_old = ParamSet([np.zeros((1, 2))], [None])
-    theta_new = ParamSet([np.ones((1, 2))], [None])
+    theta_old = ParamSet.from_layers([(np.zeros((1, 2)), None)])
+    theta_new = ParamSet.from_layers([(np.ones((1, 2)), None)])
     x = np.array([[1.0], [1.0]])
     # per-example output gap [1, 1]: 0.5 * ||gap||^2 = 1
     assert fsd(model, theta_new, theta_old, x, "kl-gaussian-unit-variance") == pytest.approx(1.0)
@@ -123,9 +123,9 @@ def test_meta_objective_null_step_equals_current_loss():
     phi = init_identity(model)
     for blk in phi.blocks:
         blk.s[:] = 0.0
-    for i, d in enumerate(phi.bias_diags):
+    for d in phi.bias_diags:
         if d is not None:
-            phi.bias_diags[i] = np.zeros_like(d)
+            d[:] = 0.0
     cfg = ProximalConfig(lam_fsd=0.3, lam_wsd=0.5)
     from apobench.apo import loss_and_grad
     expected, _ = loss_and_grad(model, theta, batch)
@@ -142,9 +142,9 @@ def test_meta_objective_degenerate_config_is_post_step_loss():
     phi = LrPhi(math.log(0.05))
     kind = BaseOptKind("sgd")
     from apobench.apo import lookahead, loss_and_grad
-    theta_new, _, _ = lookahead(model, theta, phi, init_state(kind, theta), batch, kind)
+    theta_new, _, _ = lookahead(model, theta, phi, init_state(kind, theta.flat), batch, kind)
     expected, _ = loss_and_grad(model, theta_new, batch)
-    q = meta_objective(model, theta, phi, init_state(kind, theta), batch, batch, cfg,
+    q = meta_objective(model, theta, phi, init_state(kind, theta.flat), batch, batch, cfg,
                        base_kind=kind)
     assert q == pytest.approx(expected)
 
@@ -153,7 +153,7 @@ def test_meta_objective_quadratic_closed_form():
     model, theta, batch = quadratic_setup()
     cfg = zero_lam_cfg()
     kind = BaseOptKind("sgd")
-    state = init_state(kind, theta)
+    state = init_state(kind, theta.flat)
     for eta in (0.05, 0.1, 0.5, 1.5):
         q = meta_objective(model, theta, LrPhi(math.log(eta)), state, batch, batch,
                            cfg, base_kind=kind)
@@ -168,7 +168,7 @@ def test_meta_objective_dominates_post_step_loss():
     b2 = Batch(rng.standard_normal((6, 3)), rng.standard_normal((6, 2)))
     cfg = ProximalConfig(lam_fsd=0.7, lam_wsd=0.4)
     kind = BaseOptKind("sgd")
-    state = init_state(kind, theta)
+    state = init_state(kind, theta.flat)
     phi = LrPhi(math.log(0.2))
     _, q, parts = meta_gradient(model, theta, phi, state, b1, b2, cfg, base_kind=kind,
                                 return_parts=True)
@@ -184,7 +184,7 @@ def test_meta_objective_fresh_loss_policy_is_expected_loss_objective():
     bp = Batch(rng.standard_normal((5, 3)), rng.standard_normal((5, 2)))
     cfg = zero_lam_cfg(loss_batch_policy="fresh")
     kind = BaseOptKind("sgd")
-    state = init_state(kind, theta)
+    state = init_state(kind, theta.flat)
     phi = LrPhi(math.log(0.1))
     from apobench.apo import lookahead, loss_and_grad
     theta_new, _, _ = lookahead(model, theta, phi, state, b, kind)
@@ -200,7 +200,7 @@ def test_meta_gradient_quadratic_hand_value():
     model, theta, batch = quadratic_setup()
     cfg = zero_lam_cfg()
     kind = BaseOptKind("sgd")
-    state = init_state(kind, theta)
+    state = init_state(kind, theta.flat)
     grad = meta_gradient(model, theta, LrPhi(math.log(0.1)), state, batch, batch,
                          cfg, base_kind=kind)
     # dQ/d eta = -(1 - eta) = -0.9; chain to log space: eta * that = -0.09
@@ -217,7 +217,7 @@ def test_meta_gradient_zero_at_stationary_point():
     batch = Batch(x, outputs)  # loss minimum: gradient is exactly zero
     cfg = ProximalConfig(lam_fsd=0.5, lam_wsd=0.5)
     kind = BaseOptKind("sgd")
-    grad = meta_gradient(model, theta, LrPhi(math.log(0.3)), init_state(kind, theta),
+    grad = meta_gradient(model, theta, LrPhi(math.log(0.3)), init_state(kind, theta.flat),
                          batch, batch, cfg, base_kind=kind)
     assert grad.log_lr == 0.0
     phi = init_identity(model)
@@ -236,12 +236,12 @@ def test_meta_gradient_lr_matches_fd(base, lam_fsd, lam_wsd):
     cfg = ProximalConfig(lam_fsd=lam_fsd, lam_wsd=lam_wsd,
                          fsd_kind="kl-gaussian-unit-variance")
     kind = BaseOptKind(base)
-    state = init_state(kind, theta)
+    state = init_state(kind, theta.flat)
     # advance the state so momentum buffers are nontrivial
     from apobench.apo import loss_and_grad
     _, g0 = loss_and_grad(model, theta, bp)
     from apobench.baseopt import update_direction
-    _, state = update_direction(kind, state, g0)
+    _, state = update_direction(kind, state, g0.flat)
     phi = LrPhi(math.log(0.07))
     grad = meta_gradient(model, theta, phi, state, b, bp, cfg, base_kind=kind)
 
@@ -344,9 +344,9 @@ def test_meta_gradient_op_counts(monkeypatch, lam_fsd, forwards, backwards):
     bp = Batch(rng.standard_normal((4, 3)), rng.standard_normal((4, 2)))
     cfg = ProximalConfig(lam_fsd=lam_fsd, lam_wsd=0.3, fsd_batch_policy="fresh")
     kind = BaseOptKind("sgd-momentum")
-    state = init_state(kind, theta)
+    state = init_state(kind, theta.flat)
     _, g = loss_and_grad(model, theta, b)
-    delta, _ = update_direction(kind, state, g)
+    delta, _ = update_direction(kind, state, g.flat)
     for phi, d in ((LrPhi(math.log(0.1)), delta), (init_identity(model), None)):
         counts = _count_passes(monkeypatch)
         meta_gradient(model, theta, phi, state, b, bp, cfg, base_kind=kind,
@@ -411,8 +411,7 @@ def test_apo_train_no_meta_updates_matches_plain_run():
         assert a.train_loss == b.train_loss
         assert a.lr_or_phi_norm == b.lr_or_phi_norm
         assert a.lr_or_phi_norm == pytest.approx(0.05)
-    for wa, wb in zip(res_apo.theta.entries(), res_plain.theta.entries()):
-        assert np.array_equal(wa, wb)
+    assert np.array_equal(res_apo.theta.flat, res_plain.theta.flat)
 
 
 def test_apo_train_deterministic_given_seed():
@@ -499,7 +498,7 @@ def test_meta_objective_nonfinite_term_raises():
     model, theta, batch = quadratic_setup()
     cfg = zero_lam_cfg()
     kind = BaseOptKind("sgd")
-    state = init_state(kind, theta)
+    state = init_state(kind, theta.flat)
     huge = LrPhi(820.0)  # exp overflows to inf
     with pytest.raises((NumericalError, FloatingPointError, OverflowError)):
         meta_objective(model, theta, huge, state, batch, batch, cfg, base_kind=kind)

@@ -8,14 +8,18 @@ from apobench.errors import ContractError
 
 
 def vec(*values):
-    return ParamSet([np.array(values, dtype=float)], [None])
+    return np.array(values, dtype=float)
+
+
+def params(*values):
+    return ParamSet.from_layers([(vec(*values), None)])
 
 
 def test_sgd_direction_is_gradient():
     g = vec(1.0, -2.0, 0.5)
     kind = BaseOptKind("sgd")
     delta, _ = update_direction(kind, init_state(kind, g), g)
-    assert np.array_equal(delta.weights[0], g.weights[0])
+    assert np.array_equal(delta, g)
 
 
 def test_momentum_recurrence():
@@ -23,16 +27,16 @@ def test_momentum_recurrence():
     g = vec(1.0)
     state = init_state(kind, g)
     d1, state = update_direction(kind, state, g)
-    assert d1.weights[0][0] == pytest.approx(1.0)
+    assert d1[0] == pytest.approx(1.0)
     d2, _ = update_direction(kind, state, g)
-    assert d2.weights[0][0] == pytest.approx(1.9)
+    assert d2[0] == pytest.approx(1.9)
 
 
 def test_adam_first_step_near_sign():
     kind = BaseOptKind("adam")
     g = vec(0.5)
     delta, _ = update_direction(kind, init_state(kind, g), g)
-    assert delta.weights[0][0] == pytest.approx(0.99999998, abs=1e-8)
+    assert delta[0] == pytest.approx(0.99999998, abs=1e-8)
 
 
 def test_rmsprop_direction():
@@ -40,8 +44,8 @@ def test_rmsprop_direction():
     g = vec(2.0)
     delta, state = update_direction(kind, init_state(kind, g), g)
     v = 0.01 * 4.0
-    assert delta.weights[0][0] == pytest.approx(2.0 / (np.sqrt(v) + 1e-8))
-    assert state.second.weights[0][0] == pytest.approx(v)
+    assert delta[0] == pytest.approx(2.0 / (np.sqrt(v) + 1e-8))
+    assert state.second[0] == pytest.approx(v)
 
 
 def test_determinism():
@@ -50,35 +54,35 @@ def test_determinism():
     s0 = init_state(kind, g)
     d1, s1 = update_direction(kind, s0, g)
     d2, s2 = update_direction(kind, s0, g)
-    assert np.array_equal(d1.weights[0], d2.weights[0])
+    assert np.array_equal(d1, d2)
     assert s1.step == s2.step
-    assert np.array_equal(s1.momentum.weights[0], s2.momentum.weights[0])
+    assert np.array_equal(s1.momentum, s2.momentum)
 
 
 @pytest.mark.parametrize("kind_name", ["rmsprop", "adam"])
 def test_scale_invariance_small_eps(kind_name):
     kind = BaseOptKind(kind_name, eps=1e-12)
     rng = numkit.make_rng(0)
-    g = ParamSet([rng.standard_normal(6) + 2.0], [None])
-    g10 = g.map(lambda a: 10.0 * a)
+    g = rng.standard_normal(6) + 2.0
+    g10 = 10.0 * g
     d1, _ = update_direction(kind, init_state(kind, g), g)
     d2, _ = update_direction(kind, init_state(kind, g10), g10)
-    assert np.abs(d1.weights[0] - d2.weights[0]).max() < 1e-6 * np.abs(d2.weights[0]).max()
+    assert np.abs(d1 - d2).max() < 1e-6 * np.abs(d2).max()
 
 
 def test_apply_lr_zero_is_identity():
-    theta = vec(1.0, 2.0)
+    theta = params(1.0, 2.0)
     out = apply_lr_update(theta, 0.0, vec(5.0, -1.0))
     assert np.array_equal(out.weights[0], theta.weights[0])
 
 
 def test_apply_lr_hand_value():
-    out = apply_lr_update(vec(1.0, 2.0), 0.1, vec(0.5, -1.0))
+    out = apply_lr_update(params(1.0, 2.0), 0.1, vec(0.5, -1.0))
     assert np.allclose(out.weights[0], [0.95, 2.1])
 
 
 def test_apply_lr_zero_direction():
-    theta = vec(3.0)
+    theta = params(3.0)
     out = apply_lr_update(theta, 0.7, vec(0.0))
     assert np.array_equal(out.weights[0], theta.weights[0])
 
@@ -97,5 +101,5 @@ def test_momentum_state_not_aliased():
     g = vec(1.0)
     state = init_state(kind, g)
     delta, state1 = update_direction(kind, state, g)
-    delta.weights[0][0] = 99.0
-    assert state1.momentum.weights[0][0] == pytest.approx(1.0)
+    delta[0] = 99.0
+    assert state1.momentum[0] == pytest.approx(1.0)

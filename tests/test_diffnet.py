@@ -1,11 +1,15 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from apobench import diffnet, numkit
+from apobench.baseopt import apply_lr_update
 from apobench.diffnet import (Batch, LayerSpec, Model, ParamSet, forward, grad_params,
                               init_params, loss_eval, mlp, per_example_jacobian,
-                              predictive, rosenbrock_model, zero_params)
+                              predictive, rosenbrock_model)
 from apobench.errors import ContractError, DimensionError
+from apobench.kronprecond import apply_precond_update, init_identity
 
 from helpers import fd_param_gradient, rel_err
 
@@ -21,14 +25,14 @@ def small_batch(rng, model, n=5, classification=False):
 
 def test_forward_zero_params_zero_output():
     model = mlp([3, 4, 2], activation="relu")
-    theta = zero_params(model)
+    theta = init_params(model, numkit.make_rng(0)).zeros_like()
     out, _ = forward(model, theta, np.ones((4, 3)))
     assert np.array_equal(out, np.zeros((4, 2)))
 
 
 def test_forward_identity_layer():
     model = Model((LayerSpec(3, 3, "linear", False),), "regression-gaussian-unit-variance")
-    theta = ParamSet([np.eye(3)], [None])
+    theta = ParamSet.from_layers([(np.eye(3), None)])
     x = numkit.make_rng(0).standard_normal((6, 3))
     out, _ = forward(model, theta, x)
     assert np.array_equal(out, x)
@@ -37,7 +41,7 @@ def test_forward_identity_layer():
 def test_forward_two_layer_composition():
     model = Model((LayerSpec(1, 1, "linear", False), LayerSpec(1, 1, "linear", False)),
                   "regression-gaussian-unit-variance")
-    theta = ParamSet([np.array([[2.0]]), np.array([[3.0]])], [None, None])
+    theta = ParamSet.from_layers([(np.array([[2.0]]), None), (np.array([[3.0]]), None)])
     out, _ = forward(model, theta, np.array([[1.0]]))
     assert out[0, 0] == 6.0
 
@@ -93,7 +97,7 @@ def test_grad_one_param_quadratic():
     # J(theta) = (theta * x)^2 with x = 1 gives dJ/dtheta = 2 theta; at
     # theta=3 with the loss convention L = ||y - t||^2 the slope is 6.
     model = Model((LayerSpec(1, 1, "linear", False),), "regression-gaussian-unit-variance")
-    theta = ParamSet([np.array([[3.0]])], [None])
+    theta = ParamSet.from_layers([(np.array([[3.0]]), None)])
     g = grad_params(model, theta, Batch(np.array([[1.0]]), np.array([[0.0]])))
     assert g.weights[0][0, 0] == pytest.approx(6.0)
 
@@ -141,7 +145,7 @@ def test_jacobian_linear_model_kron_pattern():
 def test_jacobian_saturated_relu_rows_zero():
     model = Model((LayerSpec(2, 3, "relu", False), LayerSpec(3, 1, "linear", False)),
                   "regression-gaussian-unit-variance")
-    theta = ParamSet([-np.ones((2, 3)), np.ones((3, 1))], [None, None])
+    theta = ParamSet.from_layers([(-np.ones((2, 3)), None), (np.ones((3, 1)), None)])
     jac = per_example_jacobian(model, theta, np.array([[1.0, 1.0]]))
     # relu saturates at 0 for all hidden units, so the first-layer block is 0
     assert np.abs(jac[0, 0, :6]).max() == 0.0
@@ -202,7 +206,7 @@ def test_predictive_regression_passthrough():
 
 def test_rosenbrock_values_and_gradient():
     model = rosenbrock_model()
-    at = lambda x, y: ParamSet([np.array([[x], [y]])], [None])
+    at = lambda x, y: ParamSet.from_layers([(np.array([[x], [y]]), None)])
     batch = Batch(np.zeros((1, 1)), np.zeros((1, 1)))
     out, _ = forward(model, at(1.0, 1.0), batch.inputs)
     assert out[0, 0] == 0.0
@@ -221,5 +225,83 @@ def test_paramset_flatten_roundtrip():
     model = mlp([3, 4, 2], activation="relu")
     theta = init_params(model, rng)
     again = theta.from_flat(theta.to_flat())
-    for a, b in zip(theta.entries(), again.entries()):
+    for a, b in zip(theta.weights + theta.biases, again.weights + again.biases):
         assert np.array_equal(a, b)
+
+
+# ------------------------------------------------------------ flat layout
+
+
+@st.composite
+def random_layers(draw):
+    """Per layer (W, b or None) for a random width chain, biases optional."""
+    widths = draw(st.lists(st.integers(1, 5), min_size=2, max_size=5))
+    has_bias = draw(st.lists(st.booleans(), min_size=len(widths) - 1,
+                             max_size=len(widths) - 1))
+    rng = numkit.make_rng(draw(st.integers(0, 2**32 - 1)))
+    return [(rng.standard_normal((m, n)), rng.standard_normal(n) if b else None)
+            for m, n, b in zip(widths, widths[1:], has_bias)]
+
+
+def arrays_of(params):
+    return [a for w, b in zip(params.weights, params.biases) for a in (w, b) if a is not None]
+
+
+def model_of(layers):
+    return Model(tuple(LayerSpec(*w.shape, "linear", b is not None) for w, b in layers),
+                 "regression-gaussian-unit-variance")
+
+
+@settings(max_examples=60, deadline=None)
+@given(random_layers())
+def test_flat_is_storage_order_and_views_share_it(layers):
+    theta = ParamSet.from_layers(layers)
+    expect = np.concatenate([a.ravel() for w, b in layers for a in (w, b) if a is not None])
+    assert np.array_equal(theta.flat, expect)
+    assert theta.flat.flags.c_contiguous and theta.size == expect.size
+    assert all(np.shares_memory(a, theta.flat) for a in arrays_of(theta))
+    theta.weights[-1][...] = 7.0
+    assert np.count_nonzero(theta.flat == 7.0) >= theta.weights[-1].size
+    with pytest.raises(TypeError):
+        theta.weights[0] = np.zeros_like(theta.weights[0])
+    with pytest.raises(TypeError):
+        theta.biases[0] = None
+
+
+@settings(max_examples=60, deadline=None)
+@given(random_layers())
+def test_flat_roundtrip_and_dot_order(layers):
+    theta = ParamSet.from_layers(layers)
+    other = theta.map(lambda v: np.cos(v) - 0.5)
+    back = theta.from_flat(theta.to_flat())
+    assert back.layout == theta.layout
+    assert all(np.array_equal(a, b) for a, b in zip(arrays_of(back), arrays_of(theta)))
+    per_array = sum(np.vdot(a, b) for a, b in zip(arrays_of(theta), arrays_of(other)))
+    assert theta.dot(other) == float(per_array)
+    assert theta.dot(other.flat) == float(per_array)
+    assert theta.sq_norm() == float(sum(np.vdot(a, a) for a in arrays_of(theta)))
+    with pytest.raises(DimensionError):
+        theta.from_flat(np.zeros(theta.size + 1))
+
+
+@settings(max_examples=60, deadline=None)
+@given(random_layers())
+def test_container_operations_never_alias_inputs(layers):
+    theta = ParamSet.from_layers(layers)
+    g = theta.map(np.sin)
+    vec = g.to_flat()
+    phi = init_identity(model_of(layers))
+    outputs = {
+        "map": (theta.map(lambda v: 2.0 * v), [theta]),
+        "map2": (theta.map2(g, lambda a, b: a - b), [theta, g]),
+        "copy": (theta.copy(), [theta]),
+        "from_flat": (theta.from_flat(vec), [theta, vec]),
+        "to_flat": (vec, [g]),
+        "apply_lr_update": (apply_lr_update(theta, 0.1, vec), [theta, vec]),
+        "apply_precond_update": (apply_precond_update(theta, phi, g), [theta, g, phi]),
+        "phi.copy": (phi.copy(), [phi]),
+    }
+    for name, (out, inputs) in outputs.items():
+        out_flat = getattr(out, "flat", out)
+        for x in inputs:
+            assert not np.shares_memory(out_flat, getattr(x, "flat", x)), name

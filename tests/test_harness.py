@@ -107,6 +107,33 @@ def test_parse_rejects_uci_csv_without_existing_path(tmp_path):
     assert parse_config(doc).task.params["path"] == str(path)
 
 
+@pytest.mark.parametrize("kind,params,pointer", [
+    ("synth-regression", {"d": "x"}, "/task/params/d"),
+    ("synth-regression", {"d": True}, "/task/params/d"),
+    ("synth-regression", {"widht": 3}, "/task/params/widht"),
+    ("synth-regression", {"noise": "0.1"}, "/task/params/noise"),
+    ("synth-classification", {"classes": 2.5}, "/task/params/classes"),
+    ("illcond-linear", {"kappa": [10]}, "/task/params/kappa"),
+    ("bottleneck-autoencoder", {"widths": [16]}, "/task/params/widths"),
+    ("bottleneck-autoencoder", {"widths": [16, "2", 16]}, "/task/params/widths"),
+    ("rosenbrock", {"d": 3}, "/task/params/d"),
+])
+def test_parse_rejects_bad_task_params(kind, params, pointer):
+    doc = synth_doc(task={"kind": kind, "batch_size": 8, "params": params})
+    with pytest.raises(ConfigError) as err:
+        parse_config(doc)
+    assert err.value.pointer == pointer
+
+
+def test_parse_accepts_every_task_param_type():
+    for kind, params in (("illcond-linear", {"d": 4, "kappa": 100}),
+                         ("synth-regression", {"d": 3, "noise": 0, "hidden": 4}),
+                         ("synth-classification", {"classes": 3, "separation": 2.5}),
+                         ("bottleneck-autoencoder", {"widths": [4, 2, 4]})):
+        doc = synth_doc(task={"kind": kind, "batch_size": 8, "params": params})
+        assert parse_config(doc).task.params == params
+
+
 @pytest.mark.parametrize("decay", [-0.1, 1.0, 1.5])
 def test_parse_rejects_ema_decay_out_of_range(decay):
     with pytest.raises(ConfigError) as err:
@@ -159,6 +186,29 @@ def test_run_divergence_exit(tmp_path):
         run(cfg, tmp_path / "x")
     sidecar = json.loads(open(tmp_path / "x" / "config.json").read())
     assert sidecar["runtime"]["status"].startswith("diverged")
+
+
+def _assert_rows_before_divergence(cfg, run_dir):
+    with pytest.raises(TrainingDivergedError) as err:
+        run(cfg, run_dir)
+    metrics = run_dir / "metrics.csv"
+    assert validate_metrics_csv(metrics)
+    steps = [int(line.split(",")[0]) for line in open(metrics).read().splitlines()[1:]]
+    assert steps == list(range(1, err.value.step))
+    assert len(err.value.rows) == err.value.step - 1
+    return err.value.step
+
+
+def test_run_divergence_keeps_rows_apo_train(tmp_path):
+    cfg = parse_config(rosen_doc(mode="none", init_lr=0.1, steps=50))
+    assert _assert_rows_before_divergence(cfg, tmp_path / "x") == 3
+
+
+def test_run_divergence_keeps_rows_kfac(tmp_path):
+    doc = synth_doc(task={"kind": "illcond-linear", "batch_size": 64,
+                          "params": {"d": 64, "kappa": 1e10}},
+                    base_opt={"kind": "kfac"}, init_lr=None, steps=20)
+    assert _assert_rows_before_divergence(parse_config(doc), tmp_path / "k") == 3
 
 
 def test_run_env_seed_override(tmp_path, monkeypatch):
@@ -247,6 +297,12 @@ def test_grid_bad_task_point_fails_alone(tmp_path):
     statuses = {r["axis:task.kind"]: r["status"] for r in rows}
     assert statuses["synth-regression"] == "ok"
     assert statuses["uci-csv"].startswith("failed: /task/params/path")
+
+
+def test_grid_bad_task_params_point_fails_alone(tmp_path):
+    rows = grid(synth_doc(), {"axes": {"task.params": [{}, {"d": "x"}]}}, tmp_path / "g5")
+    statuses = [r["status"] for r in rows]
+    assert statuses == ["failed: /task/params/d: synth-regression needs d of type int", "ok"]
 
 
 def test_grid_lr_overflow_fails_alone(tmp_path):

@@ -104,29 +104,27 @@ def test_first_update_is_scaled_gradient_bitwise():
     model = mlp([3, 4, 2], activation="relu")
     phi = init_identity(model, scale=0.9)
     rng = numkit.make_rng(3)
-    theta = ParamSet([rng.standard_normal((3, 4)), rng.standard_normal((4, 2))],
-                     [rng.standard_normal(4), rng.standard_normal(2)])
+    w1, w2 = rng.standard_normal((3, 4)), rng.standard_normal((4, 2))
+    theta = ParamSet.from_layers([(w1, rng.standard_normal(4)), (w2, rng.standard_normal(2))])
     g = theta.map(lambda a: rng.standard_normal(a.shape))
     stepped = apply_precond_update(theta, phi, g)
     expect = theta.map2(g, lambda t, gg: t - 0.9 * gg)
-    for a, b in zip(stepped.entries(), expect.entries()):
-        assert np.array_equal(a, b)
+    assert np.array_equal(stepped.flat, expect.flat)
 
 
 def test_update_zero_gradient_is_identity():
     model = mlp([2, 2])
     phi = init_identity(model)
-    theta = ParamSet([np.ones((2, 2))], [np.ones(2)])
+    theta = ParamSet.from_layers([(np.ones((2, 2)), np.ones(2))])
     out = apply_precond_update(theta, phi, theta.zeros_like())
-    for a, b in zip(out.entries(), theta.entries()):
-        assert np.array_equal(a, b)
+    assert np.array_equal(out.flat, theta.flat)
 
 
 def test_update_1x1_hand_value():
     blocks = KronBlocks(np.array([[2.0]]), np.array([[3.0]]), np.array([[0.5]]))
-    phi = PrecondPhi([blocks], [None], scale=1.0)
-    theta = ParamSet([np.array([[1.0]])], [None])
-    g = ParamSet([np.array([[4.0]])], [None])
+    phi = PrecondPhi.from_layers([(blocks.a, blocks.b, blocks.s, None)], 1.0)
+    theta = ParamSet.from_layers([(np.array([[1.0]]), None)])
+    g = ParamSet.from_layers([(np.array([[4.0]]), None)])
     out = apply_precond_update(theta, phi, g)
     assert out.weights[0][0, 0] == pytest.approx(-35.0)
 
@@ -135,8 +133,8 @@ def test_bias_diag_square_parameterization():
     model = mlp([2, 3])
     phi = init_identity(model, scale=1.0)
     phi.bias_diags[0][:] = np.array([2.0, -3.0, 0.5])
-    theta = ParamSet([np.zeros((2, 3))], [np.zeros(3)])
-    g = ParamSet([np.zeros((2, 3))], [np.ones(3)])
+    theta = ParamSet.from_layers([(np.zeros((2, 3)), np.zeros(3))])
+    g = ParamSet.from_layers([(np.zeros((2, 3)), np.ones(3))])
     out = apply_precond_update(theta, phi, g)
     # diag(d)^2 keeps the bias preconditioner PSD even for negative d
     assert np.allclose(out.biases[0], [-4.0, -9.0, -0.25])
@@ -166,3 +164,15 @@ def test_flat_roundtrip():
     flat = rng.standard_normal(phi.to_flat().size)
     back = phi.from_flat(flat)
     assert np.array_equal(back.to_flat(), flat)
+
+
+def test_phi_flat_is_a_b_s_d_per_layer():
+    model = mlp([3, 4, 2], bias=True)
+    phi = init_identity(model).map(lambda v: v + numkit.make_rng(6).standard_normal(v.shape))
+    expect = np.concatenate([a.ravel() for blk, d in zip(phi.blocks, phi.bias_diags)
+                             for a in (blk.a, blk.b, blk.s, d)])
+    assert np.array_equal(phi.flat, expect)
+    views = [a for blk, d in zip(phi.blocks, phi.bias_diags) for a in (blk.a, blk.b, blk.s, d)]
+    assert all(np.shares_memory(a, phi.flat) for a in views)
+    assert phi.frobenius_norm() == float(np.sqrt(sum(np.vdot(a, a) for a in views)))
+    assert phi.from_flat(phi.flat).scale == phi.scale

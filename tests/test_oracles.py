@@ -22,7 +22,7 @@ def test_output_hessian_softmax_uniform():
 
 def test_fsd_hessian_scalar_linear_model():
     model = Model((LayerSpec(1, 1, "linear", False),), "regression-gaussian-unit-variance")
-    theta = ParamSet([np.array([[0.7]])], [None])
+    theta = ParamSet.from_layers([(np.array([[0.7]]), None)])
     g = oracles.fsd_hessian_exact(model, theta, np.array([[1.0]]),
                                   "kl-gaussian-unit-variance")
     assert g.shape == (1, 1)
@@ -163,22 +163,22 @@ def test_qhat_gradient_matches_fd():
 
 
 def test_approx_ppm_zero_gradient_no_move():
-    theta = ParamSet([np.array([[1.0, 2.0]])], [None])
+    theta = ParamSet.from_layers([(np.array([[1.0, 2.0]]), None)])
     g = theta.zeros_like()
     out = oracles.approx_ppm_update(theta, g, np.eye(2), 1.0, 1.0)
     assert np.array_equal(out.to_flat(), theta.to_flat())
 
 
 def test_approx_ppm_scalar_hand_value():
-    theta = ParamSet([np.array([[1.0]])], [None])
-    g = ParamSet([np.array([[4.0]])], [None])
+    theta = ParamSet.from_layers([(np.array([[1.0]]), None)])
+    g = ParamSet.from_layers([(np.array([[4.0]]), None)])
     out = oracles.approx_ppm_update(theta, g, np.array([[2.0]]), 1.0, 0.0)
     assert out.weights[0][0, 0] == pytest.approx(-1.0)
 
 
 def test_approx_ppm_large_damping_freezes():
     rng = numkit.make_rng(9)
-    theta = ParamSet([rng.standard_normal((2, 3))], [None])
+    theta = ParamSet.from_layers([(rng.standard_normal((2, 3)), None)])
     g = theta.map(lambda a: rng.standard_normal(a.shape))
     out = oracles.approx_ppm_update(theta, g, np.eye(6), 1.0, 1e12)
     assert np.abs(out.to_flat() - theta.to_flat()).max() < 1e-10
@@ -190,7 +190,7 @@ def test_approx_ppm_large_damping_freezes():
 def quadratic_1p():
     # J(u) = u^2 realized as (u * x)^2 with x = 1: H = 2, g(1) = 2
     model = Model((LayerSpec(1, 1, "linear", False),), "regression-gaussian-unit-variance")
-    theta = ParamSet([np.array([[1.0]])], [None])
+    theta = ParamSet.from_layers([(np.array([[1.0]]), None)])
     batch = Batch(np.array([[1.0]]), np.array([[0.0]]))
     return model, theta, batch
 
@@ -211,14 +211,14 @@ def test_damped_newton_hand_value():
 
 
 def test_damped_newton_zero_gradient():
-    theta = ParamSet([np.array([[3.0]])], [None])
+    theta = ParamSet.from_layers([(np.array([[3.0]]), None)])
     out = oracles.damped_newton_update(theta, theta.zeros_like(), np.array([[2.0]]), 1.0)
     assert out.weights[0][0, 0] == 3.0
 
 
 def test_damped_newton_indefinite_rejected():
-    theta = ParamSet([np.array([[1.0]])], [None])
-    g = ParamSet([np.array([[1.0]])], [None])
+    theta = ParamSet.from_layers([(np.array([[1.0]]), None)])
+    g = ParamSet.from_layers([(np.array([[1.0]]), None)])
     with pytest.raises(NumericalError):
         oracles.damped_newton_update(theta, g, np.array([[-3.0]]), 1.0)
 
@@ -234,7 +234,7 @@ def test_loss_hessian_fd_on_quadratic():
 
 def test_exact_ppm_stays_put_when_optimal():
     model, theta, batch = quadratic_1p()
-    theta0 = ParamSet([np.array([[0.0]])], [None])  # J(0) = 0, the minimum
+    theta0 = ParamSet.from_layers([(np.array([[0.0]]), None)])  # J(0) = 0, the minimum
     u = oracles.exact_ppm_solve(model, theta0, batch, 1.0, 1.0,
                                 batch.inputs, tol=1e-10)
     assert np.abs(u.to_flat() - theta0.to_flat()).max() < 1e-9
@@ -245,7 +245,7 @@ def test_exact_ppm_scalar_hand_value():
     # minimize 0.5 (u-1)^2 + 0.5 u^2 -> u = 0.5
     x = 1.0 / np.sqrt(2.0)
     model = Model((LayerSpec(1, 1, "linear", False),), "regression-gaussian-unit-variance")
-    theta = ParamSet([np.array([[0.0]])], [None])
+    theta = ParamSet.from_layers([(np.array([[0.0]]), None)])
     batch = Batch(np.array([[x]]), np.array([[x]]))
     u = oracles.exact_ppm_solve(model, theta, batch, 0.0, 1.0, batch.inputs,
                                 tol=1e-12)
@@ -339,23 +339,23 @@ def test_kfac_identity_statistics_gives_sgd_direction():
     blocks = oracles.kfac_blocks(model, theta, inputs, exact=True)
     assert np.abs(blocks[0][0] - np.eye(3)).max() < 1e-12
     assert np.abs(blocks[0][1] - np.eye(2)).max() < 1e-12
-    g = ParamSet([rng.standard_normal((3, 2))], [None])
+    g = ParamSet.from_layers([(rng.standard_normal((3, 2)), None)])
     out = oracles.kfac_update(theta, g, blocks, damping=0.0, lr=0.25)
     expect = theta.map2(g, lambda t, gg: t - 0.25 * gg)
     assert np.abs(out.to_flat() - expect.to_flat()).max() < 1e-12
 
 
 def test_kfac_update_scalar_hand_value():
-    theta = ParamSet([np.array([[0.0]])], [None])
-    g = ParamSet([np.array([[6.0]])], [None])
+    theta = ParamSet.from_layers([(np.array([[0.0]]), None)])
+    g = ParamSet.from_layers([(np.array([[6.0]]), None)])
     blocks = [(np.array([[2.0]]), np.array([[3.0]]))]
     out = oracles.kfac_update(theta, g, blocks, damping=0.0, lr=1.0)
     assert out.weights[0][0, 0] == pytest.approx(-1.0)
 
 
 def test_kfac_update_huge_damping_freezes():
-    theta = ParamSet([np.array([[1.0]])], [None])
-    g = ParamSet([np.array([[6.0]])], [None])
+    theta = ParamSet.from_layers([(np.array([[1.0]]), None)])
+    g = ParamSet.from_layers([(np.array([[6.0]]), None)])
     blocks = [(np.array([[2.0]]), np.array([[3.0]]))]
     out = oracles.kfac_update(theta, g, blocks, damping=1e12, lr=1.0)
     assert abs(out.weights[0][0, 0] - 1.0) < 1e-10

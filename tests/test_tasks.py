@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from apobench import numkit, tasks
-from apobench.diffnet import ParamSet, forward, zero_params
+from apobench.diffnet import ParamSet, forward, init_params
 from apobench.errors import ContractError, IngestionError
 
 
@@ -10,7 +10,7 @@ def test_rosenbrock_task_values():
     task = tasks.rosenbrock_task()
     theta0 = task.init_theta(numkit.make_rng(0))
     assert task.eval_loss(theta0) == 625.0
-    at_min = ParamSet([np.array([[1.0], [1.0]])], [None])
+    at_min = ParamSet.from_layers([(np.array([[1.0], [1.0]]), None)])
     assert task.eval_loss(at_min) == 0.0
     from apobench.apo import loss_and_grad
     _, g = loss_and_grad(task.model, at_min, task.sample_batch(numkit.make_rng(0)))
@@ -30,7 +30,7 @@ def test_illcond_perfect_conditioning_realizable():
     # kappa = 1 makes A orthogonal
     assert np.abs(a.T @ a - np.eye(6)).max() < 1e-10
     # the factorized solution W1 W2 = A^T zeroes the population loss
-    theta = ParamSet([a.T.copy(), np.eye(6)], [None, None])
+    theta = ParamSet.from_layers([(a.T.copy(), None), (np.eye(6), None)])
     assert task.eval_loss(theta) < 1e-24
 
 
@@ -65,8 +65,8 @@ def test_synth_regression_noise_free_is_realizable():
     b1, b2 = task.extras["teacher_theta"].biases
     mx, sx = task.extras["feature_affine"]
     t_mean, t_std = task.extras["target_affine"]
-    student = ParamSet([sx[:, None] * w1, w2 / t_std],
-                       [mx @ w1 + b1, (b2 - t_mean) / t_std])
+    student = ParamSet.from_layers([(sx[:, None] * w1, mx @ w1 + b1),
+                                    (w2 / t_std, (b2 - t_mean) / t_std)])
     assert task.eval_loss(student) < 1e-20
 
 
@@ -96,7 +96,7 @@ def test_synth_classification_standardized():
 
 def test_autoencoder_zero_weights_closed_form():
     task = tasks.bottleneck_autoencoder_task(n=64, seed=10)
-    theta = zero_params(task.model)
+    theta = init_params(task.model, numkit.make_rng(0)).zeros_like()
     out, _ = forward(task.model, theta, np.zeros((1, 16)))
     assert np.abs(out - 0.5).max() < 1e-15
     from apobench.diffnet import loss_eval
