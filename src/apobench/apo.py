@@ -15,7 +15,8 @@ space so it stays positive.
 
 Each output divergence rho is defined once, in DIVERGENCES: its per-row
 value, its gradient in the new outputs, and its Hessian at zero displacement
-(the oracles read the Hessians).  The proximal objective and its gradient in
+(the oracles read the Hessians).  An fsd kind of None names the divergence
+the model head implies, per HEAD_DIVERGENCE.  The proximal objective and its gradient in
 theta' are assembled once, by proximal_value_and_grad, which the meta step and
 the exact proximal-point oracle share.  One pass costs one forward and one
 backward on the loss batch, plus, when lam_fsd > 0, one forward at theta',
@@ -80,6 +81,12 @@ DIVERGENCES = {
         hessian=lambda y: 2.0 * np.eye(y.shape[0])),
 }
 FSD_KINDS = tuple(DIVERGENCES)
+# The divergence each model head implies, used wherever no fsd kind is named.
+HEAD_DIVERGENCE = {
+    "regression-gaussian-unit-variance": "kl-gaussian-unit-variance",
+    "classification-softmax": "kl-categorical",
+    "rosenbrock-direct": "squared-output-distance",
+}
 BATCH_POLICIES = ("same", "fresh")
 
 DIVERGENCE_GUARD = 1e12
@@ -89,7 +96,7 @@ DIVERGENCE_GUARD = 1e12
 class ProximalConfig:
     lam_fsd: float = 0.0
     lam_wsd: float = 0.0
-    fsd_kind: str = "kl-gaussian-unit-variance"
+    fsd_kind: str | None = None   # None: the model head's, per HEAD_DIVERGENCE
     meta_interval: int = 10
     meta_lr: float = 0.1
     meta_opt: BaseOptKind = field(default_factory=lambda: BaseOptKind("rmsprop"))
@@ -102,7 +109,7 @@ class ProximalConfig:
     def __post_init__(self):
         if self.lam_fsd < 0 or self.lam_wsd < 0:
             raise ContractError("discrepancy weights must be nonnegative")
-        if self.fsd_kind not in FSD_KINDS:
+        if self.fsd_kind is not None and self.fsd_kind not in FSD_KINDS:
             raise ContractError(f"unknown fsd kind {self.fsd_kind!r}")
         if self.meta_interval < 1:
             raise ContractError("meta_interval must be >= 1")
@@ -169,15 +176,22 @@ def wsd(theta_new, theta_old):
     return 0.5 * diff.sq_norm()
 
 
+def divergence(model, kind=None):
+    """The Divergence named kind; None names the model head's."""
+    kind = kind or HEAD_DIVERGENCE[model.head]
+    if kind not in DIVERGENCES:
+        raise ContractError(f"unknown fsd kind {kind!r}")
+    return DIVERGENCES[kind]
+
+
 def fsd(model, theta_new, theta_old, inputs, kind):
     """Mean output-space discrepancy between theta_new and theta_old on the
     given inputs (targets are never used)."""
-    if kind not in DIVERGENCES:
-        raise ContractError(f"unknown fsd kind {kind!r}")
+    div = divergence(model, kind)
     inputs = np.asarray(inputs, dtype=FLOAT)
     y_new, _ = forward(model, theta_new, inputs)
     y_old, _ = forward(model, theta_old, inputs)
-    return float(np.mean(DIVERGENCES[kind].value(y_new, y_old)))
+    return float(np.mean(div.value(y_new, y_old)))
 
 
 def loss_and_grad(model, params, batch):
@@ -218,7 +232,8 @@ def proximal_value_and_grad(model, u, theta, loss_batch, fsd_inputs, lam_fsd, la
                             fsd_kind):
     """The proximal objective
     Q(u) = J_batch(u) + lam_fsd * FSD(u, theta) + lam_wsd * 0.5 ||u - theta||^2
-    with its terms and its gradient in u (theta fixed), in one pass.
+    with its terms and its gradient in u (theta fixed), in one pass; a None
+    fsd_kind means the model head's divergence.
 
     Returns (Q, {"loss", "fsd", "wsd"}, dQ/du); a term whose weight is zero is
     skipped and reported as 0.0.
@@ -226,7 +241,7 @@ def proximal_value_and_grad(model, u, theta, loss_batch, fsd_inputs, lam_fsd, la
     loss_term, grad = loss_and_grad(model, u, loss_batch)
     fsd_term = wsd_term = 0.0
     if lam_fsd:
-        div = DIVERGENCES[fsd_kind]
+        div = divergence(model, fsd_kind)
         fsd_inputs = np.asarray(fsd_inputs, dtype=FLOAT)
         y_new, trace = forward(model, u, fsd_inputs)
         y_old, _ = forward(model, theta, fsd_inputs)

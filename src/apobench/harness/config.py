@@ -1,14 +1,29 @@
 """Experiment configuration: one JSON document per run.
 
-Validation errors carry a JSON-pointer to the offending field.
+Each object of the document (the top level, task, base_opt, proximal,
+proximal/meta_opt and kfac) is declared once, as a table that maps each
+document key to its dataclass field and its type. A type is a name in
+JSON_TYPES (a trailing "?" also admits null), a tuple of the allowed values,
+or the table of a nested object. parse_config reads every object through its
+table with _read, and config_to_dict dumps the resolved configuration by
+walking the same tables, keys in table order.
+
+Numbers are stored as floats, so an integer in a number field dumps as a
+float; integer fields take integers only. A key left out takes the default of
+the dataclass that owns the field; the proximal defaults depend on the mode.
+Every error is a ConfigError that carries the JSON pointer of the offending
+field.
 """
 
 from __future__ import annotations
 
+import copy
 import hashlib
 import json
 import os
-from dataclasses import asdict, dataclass, field, replace
+import sys
+from dataclasses import dataclass, field, replace
+from functools import partial
 
 from ..apo import (BATCH_POLICIES, FSD_KINDS, ProximalConfig, default_lr_config,
                    default_precond_config)
@@ -18,7 +33,6 @@ from ..errors import ConfigError, ContractError
 from ..tasks import TASK_KINDS, TASK_PARAMS, TaskSpec
 
 MODES = ("none", "apo-lr", "apo-precond")
-BASELINE_KINDS = BASE_KINDS + ("kfac",)
 
 
 @dataclass(frozen=True)
@@ -40,8 +54,40 @@ class ExperimentConfig:
     steps: int = 100
     seed: int = 0
     eval_every: int | None = None
-    # an omitted fsd_kind falls back to the task's natural output divergence
-    fsd_kind_from_task: bool = False
+
+
+def _is_int(value):
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+# One test per JSON type, for the tables below and for tasks.TASK_PARAMS.
+JSON_TYPES = {
+    "int": _is_int,
+    "number": lambda v: isinstance(v, float) or _is_int(v) and abs(v) <= sys.float_info.max,
+    "string": lambda v: isinstance(v, str),
+    "ints": lambda v: isinstance(v, (list, tuple)) and len(v) >= 2 and all(map(_is_int, v)),
+    "object": lambda v: isinstance(v, dict),
+}
+
+
+def _table(**types):
+    """A table whose document keys are the dataclass field names."""
+    return {key: (key, kind) for key, kind in types.items()}
+
+
+TASK = _table(kind=TASK_KINDS, batch_size="int", dataset_size="int?", seed="int",
+              params="object?")
+OPT_DECAYS = dict.fromkeys(("beta", "beta2", "rms_beta2", "eps"), "number")
+BASE_OPT = _table(kind=BASE_KINDS + ("kfac",), **OPT_DECAYS, weight_decay="number")
+META_OPT = _table(kind=BASE_KINDS, **OPT_DECAYS)
+PROXIMAL = {"lambda_fsd": ("lam_fsd", "number"), "lambda_wsd": ("lam_wsd", "number"),
+            **_table(fsd_kind=(None, *FSD_KINDS), meta_interval="int", meta_lr="number",
+                     meta_opt=META_OPT, warmup_steps="int", warmup_lr="number",
+                     loss_batch_policy=BATCH_POLICIES, fsd_batch_policy=BATCH_POLICIES,
+                     scale="number")}
+KFAC = _table(damping="number", update_every="int", ema_decay="number")
+CONFIG = _table(task=TASK, mode=MODES, base_opt=BASE_OPT, proximal=PROXIMAL,
+                init_lr="number?", kfac=KFAC, steps="int", seed="int", eval_every="int?")
 
 
 def _expect(cond, message, pointer):
@@ -49,152 +95,86 @@ def _expect(cond, message, pointer):
         raise ConfigError(message, pointer)
 
 
-def _pick(d, key, default, pointer, types):
-    value = d.get(key, default)
-    if value is not None and not isinstance(value, types):
-        raise ConfigError(f"expected {types}, got {type(value).__name__}",
-                          f"{pointer}/{key}")
-    return value
+def _read(doc, table, pointer, owner=None, number=float):
+    """{dataclass field: value} for the keys doc sets, each checked against
+    table; an unknown key or a wrong type raises ConfigError at its pointer,
+    naming owner (by default the object's pointer). A number is stored as
+    number(v); a nested object is returned as given (null as {}) for its own
+    _read."""
+    owner = owner or pointer[1:] or "configuration"
+    _expect(isinstance(doc, dict), f"{owner} must be a JSON object", pointer)
+    fields = {}
+    for key, value in doc.items():
+        where = f"{pointer}/{key}"
+        _expect(key in table, f"unknown key {key!r}", where)
+        name, kind = table[key]
+        if isinstance(kind, dict):
+            value = {} if value is None else value
+        elif isinstance(kind, tuple):
+            _expect(value in kind, f"{key} must be one of {kind}", where)
+        elif value is not None or not kind.endswith("?"):
+            kind = kind.rstrip("?")
+            _expect(JSON_TYPES[kind](value), f"{owner} needs {key} of type {kind}", where)
+            value = number(value) if kind == "number" else value
+        fields[name] = value
+    return fields
 
 
-def _no_unknown_keys(d, allowed, pointer):
-    for key in d:
-        if key not in allowed:
-            raise ConfigError(f"unknown key {key!r}", f"{pointer}/{key}")
-
-
-def _is_int(value):
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
-# One test per JSON type named in tasks.TASK_PARAMS.
-PARAM_TYPES = {
-    "int": _is_int,
-    "number": lambda v: _is_int(v) or isinstance(v, float),
-    "string": lambda v: isinstance(v, str),
-    "ints": lambda v: isinstance(v, (list, tuple)) and len(v) >= 2 and all(map(_is_int, v)),
-}
-
-
-def _overrides(d, fields):
-    """Dataclass field overrides for the keys of d that fields maps, as
-    {key: (field name, cast)}; defaults stay with the dataclass that owns them."""
-    return {name: cast(d[key]) for key, (name, cast) in fields.items() if key in d}
-
-
-# Document key -> (dataclass field, cast) for each configurable object.
-OPT_FIELDS = {k: (k, float) for k in ("beta", "beta2", "rms_beta2", "eps", "weight_decay")}
-PROXIMAL_FIELDS = {
-    "lambda_fsd": ("lam_fsd", float), "lambda_wsd": ("lam_wsd", float),
-    "meta_interval": ("meta_interval", int), "meta_lr": ("meta_lr", float),
-    "warmup_steps": ("warmup_steps", int), "warmup_lr": ("warmup_lr", float),
-    "loss_batch_policy": ("loss_batch_policy", str),
-    "fsd_batch_policy": ("fsd_batch_policy", str), "scale": ("scale", float),
-}
-KFAC_FIELDS = {"damping": ("damping", float), "update_every": ("update_every", int),
-               "ema_decay": ("ema_decay", float)}
+def _build(make, fields, pointer):
+    """make(**fields), with a dataclass's ContractError as a ConfigError at pointer."""
+    try:
+        return make(**fields)
+    except ContractError as exc:
+        raise ConfigError(str(exc), pointer) from exc
 
 
 def parse_config(doc):
     """Build an ExperimentConfig from a parsed JSON document."""
-    if not isinstance(doc, dict):
-        raise ConfigError("configuration must be a JSON object", "")
-    _no_unknown_keys(doc, {"task", "mode", "base_opt", "proximal", "init_lr",
-                           "kfac", "steps", "seed", "eval_every"}, "")
-
-    task_doc = doc.get("task")
-    _expect(isinstance(task_doc, dict), "missing task object", "/task")
-    _no_unknown_keys(task_doc, {"kind", "batch_size", "dataset_size", "seed",
-                                "params"}, "/task")
-    kind = task_doc.get("kind")
+    top = _read(doc, CONFIG, "")
+    _expect(isinstance(doc.get("task"), dict), "missing task object", "/task")
+    task = _read(top["task"], TASK, "/task")
+    kind = task.get("kind")
     _expect(kind in TASK_KINDS, f"task kind must be one of {TASK_KINDS}", "/task/kind")
-    params = _pick(task_doc, "params", {}, "/task", dict) or {}
-    try:
-        task = TaskSpec(kind,
-                        batch_size=_pick(task_doc, "batch_size", 32, "/task", int),
-                        dataset_size=_pick(task_doc, "dataset_size", None, "/task", int),
-                        seed=_pick(task_doc, "seed", 0, "/task", int),
-                        params=params)
-    except ContractError as exc:
-        raise ConfigError(str(exc), "/task") from exc
+    params = task.get("params") or {}
     if kind == "uci-csv":
         path = params.get("path")
         _expect(isinstance(path, str) and os.path.isfile(path),
                 "uci-csv needs the path of an existing CSV file", "/task/params/path")
-    types = TASK_PARAMS[kind]
-    _no_unknown_keys(params, types, "/task/params")
-    for key, value in params.items():
-        _expect(PARAM_TYPES[types[key]](value), f"{kind} needs {key} of type {types[key]}",
-                f"/task/params/{key}")
+    # Task parameters are builder keywords, kept as given.
+    task["params"] = _read(params, _table(**TASK_PARAMS[kind]), "/task/params", kind,
+                           number=lambda v: v)
 
-    mode = doc.get("mode", "none")
-    _expect(mode in MODES, f"mode must be one of {MODES}", "/mode")
+    mode = top.get("mode", ExperimentConfig.mode)
+    base = _read(top.get("base_opt", {}), BASE_OPT, "/base_opt")
+    base_kind = base.get("kind", BaseOptKind.kind)
+    if base_kind == "kfac":
+        base["kind"] = "sgd"   # the KFAC baseline ignores the base optimizer
 
-    base_doc = _pick(doc, "base_opt", {}, "", dict) or {}
-    _no_unknown_keys(base_doc, {"kind", *OPT_FIELDS}, "/base_opt")
-    base_kind = base_doc.get("kind", "sgd")
-    _expect(base_kind in BASELINE_KINDS,
-            f"base optimizer must be one of {BASELINE_KINDS}", "/base_opt/kind")
-    _expect(base_kind != "kfac" or mode == "none",
-            "the kfac baseline only runs with mode 'none'", "/base_opt/kind")
-    try:
-        base_opt = BaseOptKind(kind=base_kind if base_kind != "kfac" else "sgd",
-                               **_overrides(base_doc, OPT_FIELDS))
-    except ContractError as exc:
-        raise ConfigError(str(exc), "/base_opt") from exc
-
-    prox_doc = _pick(doc, "proximal", {}, "", dict) or {}
-    _no_unknown_keys(prox_doc, {"fsd_kind", "meta_opt", *PROXIMAL_FIELDS}, "/proximal")
-    meta_opt_doc = _pick(prox_doc, "meta_opt", {}, "/proximal", dict) or {}
-    _no_unknown_keys(meta_opt_doc, {"kind", "beta", "beta2", "rms_beta2", "eps"},
-                     "/proximal/meta_opt")
     defaults = default_precond_config() if mode == "apo-precond" else default_lr_config()
-    meta_kind = meta_opt_doc.get("kind", defaults.meta_opt.kind)
-    _expect(meta_kind in BASE_KINDS,
-            f"meta optimizer must be one of {BASE_KINDS}", "/proximal/meta_opt/kind")
-    fsd_kind = prox_doc.get("fsd_kind")
-    _expect(fsd_kind is None or fsd_kind in FSD_KINDS,
-            f"fsd_kind must be one of {FSD_KINDS}", "/proximal/fsd_kind")
-    for policy_key in ("loss_batch_policy", "fsd_batch_policy"):
-        value = prox_doc.get(policy_key)
-        _expect(value is None or value in BATCH_POLICIES,
-                f"must be one of {BATCH_POLICIES}", f"/proximal/{policy_key}")
-    try:
-        proximal = replace(
-            defaults,
-            fsd_kind=fsd_kind or defaults.fsd_kind,
-            meta_opt=replace(defaults.meta_opt, kind=meta_kind,
-                             **_overrides(meta_opt_doc, OPT_FIELDS)),
-            **_overrides(prox_doc, PROXIMAL_FIELDS))
-    except ContractError as exc:
-        raise ConfigError(str(exc), "/proximal") from exc
+    prox = _read(top.get("proximal", {}), PROXIMAL, "/proximal")
+    prox["meta_opt"] = _build(partial(replace, defaults.meta_opt),
+                              _read(prox.get("meta_opt", {}), META_OPT, "/proximal/meta_opt"),
+                              "/proximal/meta_opt")
 
-    init_lr = doc.get("init_lr")
-    if init_lr is not None:
-        _expect(isinstance(init_lr, (int, float)) and init_lr > 0,
-                "init_lr must be a positive number", "/init_lr")
-        init_lr = float(init_lr)
-
-    kfac_doc = _pick(doc, "kfac", {}, "", dict) or {}
-    _no_unknown_keys(kfac_doc, KFAC_FIELDS, "/kfac")
-    kfac = KfacSettings(**_overrides(kfac_doc, KFAC_FIELDS))
-    _expect(kfac.damping >= 0, "damping must be nonnegative", "/kfac/damping")
-    _expect(kfac.update_every >= 1, "update_every must be >= 1", "/kfac/update_every")
-    _expect(0.0 <= kfac.ema_decay < 1.0, "ema_decay must lie in [0, 1)", "/kfac/ema_decay")
-
-    steps = doc.get("steps", 100)
-    _expect(isinstance(steps, int) and steps >= 1, "steps must be a positive integer",
-            "/steps")
-    seed = doc.get("seed", 0)
-    _expect(isinstance(seed, int), "seed must be an integer", "/seed")
-    eval_every = doc.get("eval_every")
-    _expect(eval_every is None or (isinstance(eval_every, int) and eval_every >= 0),
-            "eval_every must be a nonnegative integer", "/eval_every")
-
-    return ExperimentConfig(task=task, mode=mode, base_kind=base_kind,
-                            base_opt=base_opt, proximal=proximal, init_lr=init_lr,
-                            kfac=kfac, steps=steps, seed=seed, eval_every=eval_every,
-                            fsd_kind_from_task=fsd_kind is None)
+    cfg = ExperimentConfig(**{
+        **top, "task": _build(TaskSpec, task, "/task"), "base_kind": base_kind,
+        "base_opt": _build(BaseOptKind, base, "/base_opt"),
+        "proximal": _build(partial(replace, defaults), prox, "/proximal"),
+        "kfac": KfacSettings(**_read(top.get("kfac", {}), KFAC, "/kfac"))})
+    for ok, message, pointer in (
+            (base_kind != "kfac" or mode == "none",
+             "the kfac baseline only runs with mode 'none'", "/base_opt/kind"),
+            (cfg.init_lr is None or cfg.init_lr > 0, "init_lr must be a positive number",
+             "/init_lr"),
+            (cfg.kfac.damping >= 0, "damping must be nonnegative", "/kfac/damping"),
+            (cfg.kfac.update_every >= 1, "update_every must be >= 1", "/kfac/update_every"),
+            (0.0 <= cfg.kfac.ema_decay < 1.0, "ema_decay must lie in [0, 1)",
+             "/kfac/ema_decay"),
+            (cfg.steps >= 1, "steps must be a positive integer", "/steps"),
+            (cfg.eval_every is None or cfg.eval_every >= 0,
+             "eval_every must be a nonnegative integer", "/eval_every")):
+        _expect(ok, message, pointer)
+    return cfg
 
 
 def load_config(path):
@@ -206,35 +186,18 @@ def load_config(path):
     return parse_config(doc)
 
 
+def _dump(obj, table):
+    """The document of a dataclass: table's keys in order, nested objects by
+    their own tables."""
+    return {key: _dump(getattr(obj, name), kind) if isinstance(kind, dict)
+            else copy.copy(getattr(obj, name)) for key, (name, kind) in table.items()}
+
+
 def config_to_dict(cfg):
     """Resolved configuration as a JSON-ready dict (sidecar contents)."""
-    return {
-        "task": {"kind": cfg.task.kind, "batch_size": cfg.task.batch_size,
-                 "dataset_size": cfg.task.dataset_size, "seed": cfg.task.seed,
-                 "params": dict(cfg.task.params)},
-        "mode": cfg.mode,
-        "base_opt": {"kind": cfg.base_kind, **{k: v for k, v in
-                     asdict(cfg.base_opt).items() if k != "kind"}},
-        "proximal": {
-            "lambda_fsd": cfg.proximal.lam_fsd,
-            "lambda_wsd": cfg.proximal.lam_wsd,
-            "fsd_kind": None if cfg.fsd_kind_from_task else cfg.proximal.fsd_kind,
-            "meta_interval": cfg.proximal.meta_interval,
-            "meta_lr": cfg.proximal.meta_lr,
-            "meta_opt": {k: v for k, v in asdict(cfg.proximal.meta_opt).items()
-                         if k != "weight_decay"},
-            "warmup_steps": cfg.proximal.warmup_steps,
-            "warmup_lr": cfg.proximal.warmup_lr,
-            "loss_batch_policy": cfg.proximal.loss_batch_policy,
-            "fsd_batch_policy": cfg.proximal.fsd_batch_policy,
-            "scale": cfg.proximal.scale,
-        },
-        "init_lr": cfg.init_lr,
-        "kfac": asdict(cfg.kfac),
-        "steps": cfg.steps,
-        "seed": cfg.seed,
-        "eval_every": cfg.eval_every,
-    }
+    doc = _dump(cfg, CONFIG)
+    doc["base_opt"]["kind"] = cfg.base_kind
+    return doc
 
 
 def config_hash(cfg):

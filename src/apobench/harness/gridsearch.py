@@ -3,8 +3,9 @@
 A sweep spec is JSON: {"axes": {"<dotted.path>": [values...], ...}}, where a
 dotted path addresses a field of the experiment document (for example
 "proximal.lambda_wsd" or "init_lr").  Every combination is run in its own
-subdirectory; per-run failures are recorded and the sweep continues.  The
-summary is sorted by axis values, so it never depends on execution order.
+subdirectory; per-run failures (an ApoBenchError, or an OSError from writing
+the run's files) are recorded and the sweep continues.  The summary is sorted
+by axis values, so it never depends on execution order.
 """
 
 from __future__ import annotations
@@ -61,7 +62,7 @@ def _run_one(doc, run_dir):
             "final_accuracy": outcome.summary["final_accuracy"],
         })
         return row
-    except ApoBenchError as exc:
+    except (ApoBenchError, OSError) as exc:
         return {"status": f"failed: {exc}", "config_hash": "",
                 "final_train_loss": None, "best_train_loss": None,
                 "final_eval_loss": None, "best_eval_loss": None,

@@ -9,11 +9,11 @@ from __future__ import annotations
 import json
 import os
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from ..apo import DIVERGENCE_GUARD, TrainRow, apo_train, loss_and_grad
+from ..apo import DIVERGENCE_GUARD, TrainResult, TrainRow, apo_train, loss_and_grad
 from ..baseopt import BaseOptKind
 from ..diffnet import forward, predictive
 from ..errors import NumericalError, TrainingDivergedError
@@ -97,8 +97,6 @@ def train_kfac(model, theta0, task, steps, rng, lr, damping, update_every,
         if eval_fn is not None and eval_every and (t % eval_every == 0 or t == steps):
             eval_loss = float(eval_fn(theta))
         rows.append(TrainRow(t, loss, None, lr, None, None, eval_loss))
-
-    from ..apo import TrainResult
     return TrainResult(rows, theta, None)
 
 
@@ -128,9 +126,6 @@ def execute(cfg):
     eval_every = cfg.eval_every
     if eval_every is None:
         eval_every = max(1, cfg.steps // 100)
-    prox = cfg.proximal
-    if cfg.fsd_kind_from_task:
-        prox = replace(prox, fsd_kind=task.fsd_kind)
     if cfg.base_kind == "kfac":
         result = train_kfac(task.model, theta0, task, cfg.steps, rng,
                             lr=cfg.init_lr if cfg.init_lr is not None else 0.01,
@@ -139,7 +134,7 @@ def execute(cfg):
                             ema_decay=cfg.kfac.ema_decay,
                             eval_fn=task.eval_loss, eval_every=eval_every)
     else:
-        result = apo_train(task.model, theta0, prox, task, cfg.steps, rng,
+        result = apo_train(task.model, theta0, cfg.proximal, task, cfg.steps, rng,
                            mode=cfg.mode, base_kind=cfg.base_opt,
                            init_lr=cfg.init_lr, eval_fn=task.eval_loss,
                            eval_every=eval_every)

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .apo import DIVERGENCES, loss_and_grad, proximal_value_and_grad
+from .apo import divergence, loss_and_grad, proximal_value_and_grad
 from .diffnet import backward, forward, per_example_jacobian, predictive
 from .errors import ContractError, ConvergenceError, NumericalError, OracleScaleError
 from .numkit import FLOAT, kron_dense, solve_spd
@@ -18,24 +18,14 @@ from .numkit import FLOAT, kron_dense, solve_spd
 HESSIAN_MAX_PARAMS = 2000
 
 
-def _default_fsd_kind(model):
-    if model.head == "classification-softmax":
-        return "kl-categorical"
-    if model.head == "rosenbrock-direct":
-        return "squared-output-distance"
-    return "kl-gaussian-unit-variance"
-
-
 def fsd_hessian_exact(model, params, inputs, kind=None):
     """Exact discrepancy Hessian G = mean_b J_b^T H_rho J_b.
 
     For the categorical KL this is the Fisher information matrix.  Parameter
-    ordering is the ParamSet storage order.
+    ordering is the ParamSet storage order; a None kind means the model head's
+    divergence.
     """
-    kind = kind or _default_fsd_kind(model)
-    if kind not in DIVERGENCES:
-        raise ContractError(f"unknown fsd kind {kind!r}")
-    hessian = DIVERGENCES[kind].hessian
+    hessian = divergence(model, kind).hessian
     m = params.size
     if m > HESSIAN_MAX_PARAMS:
         raise OracleScaleError(f"fsd_hessian_exact limited to {HESSIAN_MAX_PARAMS} params, got {m}")
@@ -162,18 +152,17 @@ def exact_ppm_solve(model, theta, batch, lam_fsd, lam_wsd, fsd_inputs,
     iteration is a Barzilai-Borwein spectral step, which copes with the
     ill-conditioned inner problems the plain unit step cannot.
 
-    Returns u with inner gradient 2-norm <= tol.  Raises ConvergenceError
-    when the iteration cap is hit.
+    A None fsd_kind means the model head's divergence.  Returns u with inner
+    gradient 2-norm <= tol.  Raises ConvergenceError when the iteration cap
+    is hit.
     """
     if tol <= 0:
         raise ContractError("tol must be positive")
-    kind = fsd_kind or _default_fsd_kind(model)
-    if kind not in DIVERGENCES:
-        raise ContractError(f"unknown fsd kind {kind!r}")
+    divergence(model, fsd_kind)  # rejects an unknown kind before the first step
 
     def objective(u):
         value, _, grad = proximal_value_and_grad(model, u, theta, batch, fsd_inputs,
-                                                 lam_fsd, lam_wsd, kind)
+                                                 lam_fsd, lam_wsd, fsd_kind)
         return value, grad
 
     theta_norm = float(np.sqrt(theta.sq_norm()))
@@ -301,7 +290,7 @@ def kfac_blocks(model, params, inputs, rng=None, exact=False):
             _, ds_list = backward(model, params, trace, seed)
             for l in range(n_layers):
                 per_out_ds[l].append(ds_list[l])
-        hessian = DIVERGENCES[_default_fsd_kind(model)].hessian
+        hessian = divergence(model).hessian
         hs = [hessian(outputs[b]) for b in range(bsz)]
         b_blocks = []
         for l in range(n_layers):

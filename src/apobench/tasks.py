@@ -20,7 +20,8 @@ from .numkit import FLOAT, make_rng, rand_orthogonal
 SIGMA_FLOOR = 1e-12
 
 # Per task kind, the builder keywords that TaskSpec.params may set, with the
-# JSON type of each: "int", "number", "string", or "ints" (two or more ints).
+# JSON type of each, named in harness.config.JSON_TYPES: "int", "number",
+# "string", or "ints" (two or more ints).
 TASK_PARAMS = {
     "rosenbrock": {},
     "illcond-linear": {"d": "int", "kappa": "number"},
@@ -52,24 +53,22 @@ class TaskSpec:
 
 @dataclass
 class Task:
-    spec: TaskSpec
     model: Model
     sample_batch: object   # callable(rng) -> Batch
     eval_loss: object      # callable(theta) -> float
     init_theta: object     # callable(rng) -> ParamSet
-    fsd_kind: str = "kl-gaussian-unit-variance"
     extras: dict = field(default_factory=dict)
 
 
-def _finite_dataset_task(spec, model, features, targets, fsd_kind, extras=None):
+def _finite_dataset_task(batch_size, model, features, targets, extras=None):
     features = np.asarray(features, dtype=FLOAT)
     n = features.shape[0]
-    if spec.batch_size > n:
+    if batch_size > n:
         raise ContractError("batch_size cannot exceed dataset size")
     full = Batch(features, targets)
 
     def sample(rng):
-        idx = rng.choice(n, size=spec.batch_size, replace=False)
+        idx = rng.choice(n, size=batch_size, replace=False)
         return Batch(features[idx], targets[idx])
 
     def evaluate(theta):
@@ -78,15 +77,13 @@ def _finite_dataset_task(spec, model, features, targets, fsd_kind, extras=None):
 
     merged = {"dataset": (full.inputs, full.targets)}
     merged.update(extras or {})
-    return Task(spec, model, sample, evaluate,
-                lambda rng: init_params(model, rng), fsd_kind, merged)
+    return Task(model, sample, evaluate, lambda rng: init_params(model, rng), merged)
 
 
 def rosenbrock_task():
     """Two-parameter valley with the classic (1, -1.5) start; the single
     deterministic 'example' makes every batch identical and the function
     value doubles as both loss and discrepancy output."""
-    spec = TaskSpec("rosenbrock", batch_size=1, dataset_size=1)
     model = rosenbrock_model()
     batch = Batch(np.zeros((1, 1)), np.zeros((1, 1)))
 
@@ -94,11 +91,10 @@ def rosenbrock_task():
         outputs, _ = forward(model, theta, batch.inputs)
         return float(outputs[0, 0])
 
-    return Task(spec, model,
+    return Task(model,
                 sample_batch=lambda rng: batch,
                 eval_loss=evaluate,
-                init_theta=lambda rng: ParamSet.from_layers([(np.array([[1.0], [-1.5]]), None)]),
-                fsd_kind="squared-output-distance")
+                init_theta=lambda rng: ParamSet.from_layers([(np.array([[1.0], [-1.5]]), None)]))
 
 
 def illcond_linear_task(d=64, kappa=1e10, seed=0, batch_size=64):
@@ -115,8 +111,6 @@ def illcond_linear_task(d=64, kappa=1e10, seed=0, batch_size=64):
     v = rand_orthogonal(rng, d)
     sigma = np.logspace(0.0, -np.log10(kappa), d)
     a = (u * sigma) @ v.T
-    spec = TaskSpec("illcond-linear", batch_size=batch_size, seed=seed,
-                    params={"d": d, "kappa": kappa})
     model = Model((LayerSpec(d, d, "linear", False),
                    LayerSpec(d, d, "linear", False)),
                   "regression-gaussian-unit-variance")
@@ -129,9 +123,7 @@ def illcond_linear_task(d=64, kappa=1e10, seed=0, batch_size=64):
         m = theta.weights[0] @ theta.weights[1]
         return float(np.sum((a.T - m) ** 2))
 
-    return Task(spec, model, sample, evaluate,
-                lambda rng_: init_params(model, rng_),
-                fsd_kind="kl-gaussian-unit-variance",
+    return Task(model, sample, evaluate, lambda rng_: init_params(model, rng_),
                 extras={"a": a, "sigma": sigma})
 
 
@@ -161,12 +153,10 @@ def synth_regression_task(n=512, d=8, noise=0.1, seed=0, batch_size=32, hidden=1
     x = (x - x_mean) / x_std
     t_mean, t_std = t.mean(), max(t.std(), SIGMA_FLOOR)
     t = (t - t_mean) / t_std
-    spec = TaskSpec("synth-regression", batch_size=batch_size, dataset_size=n,
-                    seed=seed, params={"d": d, "noise": noise})
     model = mlp([d, hidden, 1], activation="sigmoid")
     extras = {"teacher": teacher, "teacher_theta": teacher_theta,
               "target_affine": (t_mean, t_std), "feature_affine": (x_mean, x_std)}
-    return _finite_dataset_task(spec, model, x, t, "kl-gaussian-unit-variance", extras)
+    return _finite_dataset_task(batch_size, model, x, t, extras)
 
 
 def synth_classification_task(n=512, d=8, classes=2, seed=0, batch_size=32,
@@ -189,13 +179,10 @@ def synth_classification_task(n=512, d=8, classes=2, seed=0, batch_size=32,
     mean, std = x.mean(axis=0), np.maximum(x.std(axis=0), SIGMA_FLOOR)
     x = (x - mean) / std
     means_std = (means - mean) / std
-    spec = TaskSpec("synth-classification", batch_size=batch_size, dataset_size=n,
-                    seed=seed, params={"d": d, "classes": classes,
-                                       "separation": separation})
     model = mlp([d, hidden, classes], activation="relu",
                 head="classification-softmax")
     extras = {"means": means_std, "labels": labels, "cov_scale": 1.0 / std}
-    return _finite_dataset_task(spec, model, x, labels, "kl-categorical", extras)
+    return _finite_dataset_task(batch_size, model, x, labels, extras)
 
 
 def bottleneck_autoencoder_task(n=256, seed=0, batch_size=32,
@@ -207,10 +194,8 @@ def bottleneck_autoencoder_task(n=256, seed=0, batch_size=32,
     q = rand_orthogonal(rng, d)
     z = rng.standard_normal((n, d))
     x = 1.0 / (1.0 + np.exp(-1.5 * (z @ q)))
-    spec = TaskSpec("bottleneck-autoencoder", batch_size=batch_size,
-                    dataset_size=n, seed=seed, params={"widths": tuple(widths)})
     model = mlp(list(widths), activation="sigmoid", out_activation="sigmoid")
-    return _finite_dataset_task(spec, model, x, x, "kl-gaussian-unit-variance",
+    return _finite_dataset_task(batch_size, model, x, x,
                                 {"latent_dim": widths[len(widths) // 2]})
 
 
@@ -277,13 +262,8 @@ def save_csv(features, targets, path):
 def uci_task(path, batch_size=32, hidden=16, seed=0):
     """Regression task over an ingested CSV (2-layer MLP student)."""
     features, targets, report = uci_csv_load(path)
-    spec = TaskSpec("uci-csv", batch_size=batch_size,
-                    dataset_size=features.shape[0], seed=seed,
-                    params={"path": str(path)})
     model = mlp([features.shape[1], hidden, targets.shape[1]], activation="relu")
-    task = _finite_dataset_task(spec, model, features, targets,
-                                "kl-gaussian-unit-variance", {"report": report})
-    return task
+    return _finite_dataset_task(batch_size, model, features, targets, {"report": report})
 
 
 def build_task(spec):

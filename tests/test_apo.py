@@ -319,6 +319,31 @@ def test_meta_gradient_fd_sweep_random_instances():
         assert rel_err(grad.to_flat(), fd) < 1e-4, f"seed {seed}"
 
 
+@pytest.mark.parametrize("head,kind", [("classification-softmax", "kl-categorical"),
+                                       ("regression-gaussian-unit-variance",
+                                        "kl-gaussian-unit-variance")])
+def test_meta_objective_none_fsd_kind_is_head_divergence(head, kind):
+    rng = numkit.make_rng(17)
+    model = mlp([3, 4, 3], activation="sigmoid", head=head)
+    theta = init_params(model, rng)
+    targets = rng.integers(0, 3, size=5) if kind == "kl-categorical" else \
+        rng.standard_normal((5, 3))
+    b = Batch(rng.standard_normal((5, 3)), targets)
+    bp = Batch(rng.standard_normal((4, 3)), targets[:4])
+    base = BaseOptKind("sgd")
+    state = init_state(base, theta.flat)
+    phi = LrPhi(math.log(0.3))
+
+    def q(fsd_kind):
+        cfg = ProximalConfig(lam_fsd=0.8, lam_wsd=0.2, fsd_kind=fsd_kind)
+        return meta_objective(model, theta, phi, state, b, bp, cfg, base_kind=base)
+
+    assert ProximalConfig().fsd_kind is None
+    assert q(None) == q(kind)
+    others = [other for other in DIVERGENCES if other != kind]
+    assert all(q(other) != q(None) for other in others)
+
+
 def _count_passes(monkeypatch):
     counts = {"forward": 0, "backward": 0}
     for name in counts:

@@ -3,14 +3,17 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from apobench import tasks
-from apobench.apo import default_lr_config, default_precond_config
+from apobench.apo import DIVERGENCES, default_lr_config, default_precond_config
+from apobench.baseopt import KINDS as BASE_KINDS
 from apobench.baseopt import BaseOptKind
 from apobench.errors import ConfigError, TrainingDivergedError
 from apobench.harness import cli
-from apobench.harness.config import (KfacSettings, config_hash, config_to_dict,
-                                     load_config, parse_config)
+from apobench.harness.config import (CONFIG, MODES, KfacSettings, config_hash,
+                                     config_to_dict, load_config, parse_config)
 from apobench.harness.gridsearch import expand_grid, grid
 from apobench.harness.runner import run, validate_metrics_csv, write_metrics_csv
 
@@ -139,6 +142,118 @@ def test_parse_rejects_ema_decay_out_of_range(decay):
     with pytest.raises(ConfigError) as err:
         parse_config(synth_doc(kfac={"ema_decay": decay}))
     assert err.value.pointer == "/kfac/ema_decay"
+
+
+# The document schema: every object's keys in the order config_to_dict writes them.
+DOCUMENT_KEYS = {
+    "": ["task", "mode", "base_opt", "proximal", "init_lr", "kfac", "steps", "seed",
+         "eval_every"],
+    "/task": ["kind", "batch_size", "dataset_size", "seed", "params"],
+    "/base_opt": ["kind", "beta", "beta2", "rms_beta2", "eps", "weight_decay"],
+    "/proximal": ["lambda_fsd", "lambda_wsd", "fsd_kind", "meta_interval", "meta_lr",
+                  "meta_opt", "warmup_steps", "warmup_lr", "loss_batch_policy",
+                  "fsd_batch_policy", "scale"],
+    "/proximal/meta_opt": ["kind", "beta", "beta2", "rms_beta2", "eps"],
+    "/kfac": ["damping", "update_every", "ema_decay"],
+}
+
+
+def _assert_key_order(doc, table, pointer=""):
+    assert list(doc) == list(table) == DOCUMENT_KEYS[pointer]
+    for key, (_, kind) in table.items():
+        if isinstance(kind, dict):
+            _assert_key_order(doc[key], kind, f"{pointer}/{key}")
+
+
+def _numbers(lo, hi):
+    """Integers and floats in [lo, hi]: a number field takes both."""
+    return st.one_of(st.integers(int(np.ceil(lo)), int(hi)), st.floats(lo, hi))
+
+
+def _optional(**fields):
+    return st.fixed_dictionaries({}, optional=fields)
+
+
+def _optimizer(kinds):
+    decay = st.one_of(st.just(0), st.floats(0.0, 0.99))
+    return _optional(kind=st.sampled_from(kinds), beta=decay, beta2=decay,
+                     rms_beta2=decay, eps=_numbers(1e-9, 1.0))
+
+
+PARAM_VALUES = {"int": st.integers(2, 6), "number": _numbers(1.0, 20.0),
+                "ints": st.lists(st.integers(2, 6), min_size=2, max_size=4)}
+
+
+@st.composite
+def config_docs(draw, csv_path):
+    """Valid documents: every task kind, mode and base kind, sections left out
+    or null, integers in number fields, fsd_kind left out, null or given."""
+    kind = draw(st.sampled_from(tasks.TASK_KINDS))
+    params = draw(_optional(**{key: PARAM_VALUES[t] for key, t in
+                               tasks.TASK_PARAMS[kind].items() if t != "string"}))
+    if kind == "uci-csv":
+        params["path"] = csv_path
+    task = {"kind": kind, **draw(_optional(
+        batch_size=st.integers(1, 8), dataset_size=st.one_of(st.none(), st.integers(32, 64)),
+        seed=st.integers(0, 9), params=st.one_of(st.none(), st.just(params))))}
+    if kind == "uci-csv":
+        task["params"] = params
+    mode = draw(st.sampled_from(MODES))
+    base = _optimizer(BASE_KINDS + (("kfac",) if mode == "none" else ()))
+    proximal = _optional(
+        lambda_fsd=_numbers(0.0, 2.0), lambda_wsd=_numbers(0.0, 2.0),
+        fsd_kind=st.sampled_from([None, *DIVERGENCES]), meta_interval=st.integers(1, 20),
+        meta_lr=_numbers(1e-4, 1.0), meta_opt=st.one_of(st.none(), _optimizer(BASE_KINDS)),
+        warmup_steps=st.integers(0, 50), warmup_lr=_numbers(0.0, 1.0),
+        loss_batch_policy=st.sampled_from(["same", "fresh"]),
+        fsd_batch_policy=st.sampled_from(["same", "fresh"]), scale=_numbers(0.01, 2.0))
+    kfac = _optional(damping=_numbers(0.0, 1.0), update_every=st.integers(1, 9),
+                     ema_decay=st.floats(0.0, 0.99))
+    return {"task": task, "mode": mode, **draw(_optional(
+        base_opt=st.one_of(st.none(), base), proximal=st.one_of(st.none(), proximal),
+        init_lr=st.one_of(st.none(), _numbers(1e-4, 1.0)),
+        kfac=st.one_of(st.none(), kfac), steps=st.integers(1, 500),
+        seed=st.integers(0, 99), eval_every=st.one_of(st.none(), st.integers(0, 50))))}
+
+
+def test_parse_dump_roundtrip(tmp_path):
+    csv_path = tmp_path / "data.csv"
+    tasks.save_csv(np.arange(20.0).reshape(10, 2), np.arange(10.0), csv_path)
+
+    @settings(max_examples=200, deadline=None)
+    @given(config_docs(str(csv_path)))
+    def roundtrip(doc):
+        cfg = parse_config(doc)
+        dumped = json.loads(json.dumps(config_to_dict(cfg)))
+        _assert_key_order(dumped, CONFIG)
+        again = parse_config(dumped)
+        assert again == cfg
+        assert config_to_dict(again) == dumped
+        assert config_hash(again) == config_hash(cfg)
+
+    roundtrip()
+
+
+@pytest.mark.parametrize("path,value", [
+    ("base_opt.beta", "x"),
+    ("proximal.lambda_fsd", None),
+    ("proximal.meta_interval", 2.5),
+    ("proximal.meta_interval", "3"),
+    ("steps", True),
+    ("init_lr", True),
+    ("task.seed", None),
+    ("kfac.update_every", "x"),
+])
+def test_parse_rejects_wrong_type_at_its_pointer(path, value):
+    doc = synth_doc()
+    *parents, key = path.split(".")
+    node = doc
+    for name in parents:
+        node = node.setdefault(name, {})
+    node[key] = value
+    with pytest.raises(ConfigError) as err:
+        parse_config(doc)
+    assert err.value.pointer == "/" + path.replace(".", "/")
 
 
 def test_load_config_bad_json(tmp_path):
@@ -316,6 +431,26 @@ def test_grid_lr_overflow_fails_alone(tmp_path):
     assert sidecar["runtime"]["status"] == "diverged at step 10"
 
 
+def test_grid_bad_type_point_fails_alone(tmp_path):
+    rows = grid(rosen_doc(steps=10), {"axes": {"base_opt.beta": [0.9, "x"]}},
+                tmp_path / "g6")
+    statuses = {r["axis:base_opt.beta"]: r["status"] for r in rows}
+    assert statuses[0.9] == "ok"
+    assert statuses["x"].startswith("failed: /base_opt/beta")
+    assert os.path.exists(tmp_path / "g6" / "summary.csv")
+
+
+def test_grid_os_error_point_fails_alone(tmp_path):
+    out = tmp_path / "g7"
+    out.mkdir()
+    (out / "run0001").write_text("a file where the run directory goes")
+    rows = grid(rosen_doc(steps=10), {"axes": {"seed": [0, 1, 2]}}, out)
+    statuses = [r["status"] for r in rows]
+    assert statuses[0] == statuses[2] == "ok"
+    assert statuses[1].startswith("failed: ")
+    assert os.path.exists(out / "summary.csv")
+
+
 def test_grid_summary_order_deterministic(tmp_path):
     sweep = {"axes": {"seed": [2, 0, 1]}}
     rows1 = grid(rosen_doc(steps=10), sweep, tmp_path / "o1")
@@ -341,6 +476,11 @@ def test_cli_run_and_exit_codes(tmp_path):
     bad_path.write_text(json.dumps(rosen_doc(mode="bogus")))
     assert cli.main(["run", "--config", str(bad_path),
                      "--out", str(tmp_path / "out2")]) == 2
+
+    type_path = tmp_path / "type.json"
+    type_path.write_text(json.dumps(rosen_doc(base_opt={"kind": "sgd", "beta": "x"})))
+    assert cli.main(["run", "--config", str(type_path),
+                     "--out", str(tmp_path / "out4")]) == 2
 
     div_path = tmp_path / "div.json"
     div_path.write_text(json.dumps(rosen_doc(mode="none", init_lr=0.1)))
