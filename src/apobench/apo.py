@@ -13,6 +13,12 @@ produced g (the fresh-batch variant exists as an ablation and exhibits the
 classic rapid learning-rate collapse).  The learning rate is adapted in log
 space so it stays positive.
 
+Each phi type (LrPhi, kronprecond.PrecondPhi) owns its rule: update(theta,
+g, delta) takes the step, vjp(g, v, delta) is its vector-Jacobian product in
+phi, and scalar() is the value a training row logs.  Only the SGDm warm-up
+of preconditioner mode and base kind kfac (oracles.kfac_update) step
+without phi.
+
 Each output divergence rho is defined once, in DIVERGENCES: its per-row
 value, its gradient in the new outputs, and its Hessian at zero displacement
 (the oracles read the Hessians).  An fsd kind of None names the divergence
@@ -34,8 +40,7 @@ import numpy as np
 from .baseopt import BaseOptKind, OptState, apply_lr_update, init_state, update_direction
 from .diffnet import ParamSet, backward, forward, loss_eval, loss_out_grad, predictive
 from .errors import ContractError, NumericalError, TrainingDivergedError
-from .kronprecond import (DEFAULT_SCALE, apply_precond_update, bias_diag_vjp, init_identity,
-                          precond_vjp)
+from .kronprecond import DEFAULT_SCALE, init_identity
 from .numkit import FLOAT
 
 
@@ -153,11 +158,33 @@ class LrPhi:
         except OverflowError as exc:
             raise NumericalError(f"learning rate exp({self.log_lr}) overflows") from exc
 
+    def scalar(self):
+        return self.lr
+
+    def update(self, theta, g, delta):
+        """theta' = theta - lr * delta; the gradient g is unused."""
+        if delta is None:
+            raise ContractError("a learning-rate update needs the base direction")
+        return apply_lr_update(theta, self.lr, delta)
+
+    def vjp(self, g, v, delta):
+        """Gradient of <v, update(theta, g, delta)> w.r.t. log_lr."""
+        return LrPhi(-self.lr * v.dot(delta))
+
     def to_flat(self):
         return np.array([self.log_lr], dtype=FLOAT)
 
     def from_flat(self, vec):
         return LrPhi(float(np.asarray(vec).reshape(-1)[0]))
+
+
+@dataclass(frozen=True)
+class KfacSettings:
+    """The kfac base optimizer's damping and statistics refresh."""
+
+    damping: float = 1e-3
+    update_every: int = 5
+    ema_decay: float = 0.95
 
 
 @dataclass
@@ -205,18 +232,15 @@ def loss_and_grad(model, params, batch):
 def lookahead(model, theta, phi, opt_state, batch_b, base_kind=None, g=None, delta=None):
     """One-step lookahead theta'(phi) with g and the optimizer state fixed.
 
-    Returns (theta_new, g, delta); delta is the flat base direction, None in
-    preconditioner mode.
+    Returns (theta_new, g, delta); delta is the flat base direction, computed
+    from base_kind and opt_state unless given, and None without either (a
+    preconditioner ignores it).
     """
     if g is None:
         _, g = loss_and_grad(model, theta, batch_b)
-    if isinstance(phi, LrPhi):
-        if delta is None:
-            if base_kind is None:
-                raise ContractError("learning-rate lookahead needs the base optimizer kind")
-            delta, _ = update_direction(base_kind, opt_state, g.flat)
-        return apply_lr_update(theta, phi.lr, delta), g, delta
-    return apply_precond_update(theta, phi, g), g, None
+    if delta is None and base_kind is not None:
+        delta, _ = update_direction(base_kind, opt_state, g.flat)
+    return phi.update(theta, g, delta), g, delta
 
 
 def _resolve_batches(cfg, batch_b, batch_bp, batch_loss):
@@ -289,19 +313,7 @@ def meta_gradient(model, theta, phi, opt_state, batch_b, batch_bp, cfg,
     q, parts, v, g, delta = _meta_value_and_grad(model, theta, phi, opt_state, batch_b,
                                                  batch_bp, cfg, base_kind, batch_loss,
                                                  g, delta)
-
-    if isinstance(phi, LrPhi):
-        # theta' = theta - exp(log_lr) * delta
-        grad = LrPhi(-phi.lr * v.dot(delta))
-    else:
-        c = phi.scale
-        grad = phi.map(np.empty_like)
-        for blk, d, gw, gb, vw, vb, out, dout in zip(phi.blocks, phi.bias_diags,
-                                                     g.weights, g.biases, v.weights,
-                                                     v.biases, grad.blocks, grad.bias_diags):
-            out.a[...], out.b[...], out.s[...] = precond_vjp(blk, gw, -c * vw)
-            if d is not None:
-                dout[...] = bias_diag_vjp(d, gb, -c * vb)
+    grad = phi.vjp(g, v, delta)
     if return_parts:
         return grad, q, parts
     return grad
@@ -333,23 +345,24 @@ class TrainResult:
     rows: list
     theta: ParamSet
     phi: object
-    diverged: bool = False
 
 
-DEFAULT_INIT_LR = {"sgd": 0.1, "sgd-momentum": 0.1, "rmsprop": 3e-4, "adam": 3e-4}
+DEFAULT_INIT_LR = {"sgd": 0.1, "sgd-momentum": 0.1, "rmsprop": 3e-4, "adam": 3e-4,
+                   "kfac": 0.01}
 
 
 def apo_train(model, theta0, cfg, task, steps, rng, mode="apo-lr", base_kind=None,
-              init_lr=None, eval_fn=None, eval_every=0):
+              init_lr=None, kfac=KfacSettings(), eval_fn=None, eval_every=0):
     """Online meta-learning loop.
 
     Per iteration t = 1..steps: sample B; every meta_interval-th iteration
     sample B' (and a separate loss batch under the fresh-loss policy), take
     one meta-optimizer step on phi through the one-step lookahead; then step
-    theta with the base update u(theta, phi, B).  In preconditioner mode the
-    first warmup_steps parameter updates use SGDm while phi is still
-    meta-learned.  Raises TrainingDivergedError past the loss guard, carrying
-    the rows of the steps completed before it.
+    theta with phi.update.  In preconditioner mode the first warmup_steps
+    parameter updates use SGDm while phi is still meta-learned.  Base kind
+    kfac (mode none only) steps with oracles.kfac_update at init_lr.  Raises
+    TrainingDivergedError past the loss guard or on a NumericalError,
+    carrying the rows of the steps completed before it.
     """
     if steps < 1:
         raise ContractError("steps must be >= 1")
@@ -357,70 +370,58 @@ def apo_train(model, theta0, cfg, task, steps, rng, mode="apo-lr", base_kind=Non
         raise ContractError(f"unknown mode {mode!r}")
     base_kind = base_kind or BaseOptKind("sgd")
     wd = base_kind.weight_decay
-
-    if mode == "apo-precond":
+    lr0 = init_lr if init_lr is not None else DEFAULT_INIT_LR[base_kind.kind]
+    use_kfac = base_kind.kind == "kfac"
+    if use_kfac:
+        if mode != "none":
+            raise ContractError("the kfac base optimizer only runs with mode 'none'")
+        from .oracles import kfac_statistics, kfac_update  # oracles imports apo
+        phi = stats = None
+    elif mode == "apo-precond":
         phi = init_identity(model, cfg.scale)
     else:
-        lr0 = init_lr if init_lr is not None else DEFAULT_INIT_LR[base_kind.kind]
         phi = LrPhi(math.log(lr0))
 
     theta = theta0.copy()
     opt_state = init_state(base_kind, theta.flat)
+    warmup = cfg.warmup_steps if mode == "apo-precond" else 0
     warm_kind = BaseOptKind("sgd-momentum", beta=0.9)
-    warm_state = init_state(warm_kind, theta.flat) if cfg.warmup_steps else None
+    warm_state = init_state(warm_kind, theta.flat) if warmup else None
     meta_state = init_meta_state(cfg, phi) if mode != "none" else None
 
     rows = []
-    last_q = last_fsd = last_wsd = None
+    delta = last_q = last_fsd = last_wsd = None
     for t in range(1, steps + 1):
         batch = task.sample_batch(rng)
         try:
             loss, g = loss_and_grad(model, theta, batch)
-        except NumericalError as exc:
-            raise TrainingDivergedError(f"non-finite at step {t}: {exc}", t, rows) from exc
-        if not np.isfinite(loss) or loss > DIVERGENCE_GUARD:
-            raise TrainingDivergedError(f"loss {loss} at step {t}", t, rows)
-        if wd:
-            g = g.map2(theta, lambda gg, th: gg + wd * th)
-
-        delta = state_next = None
-        if mode in ("none", "apo-lr"):
-            delta, state_next = update_direction(base_kind, opt_state, g.flat)
-
-        if mode != "none" and t % cfg.meta_interval == 0:
-            batch_bp = task.sample_batch(rng)
-            batch_loss = (task.sample_batch(rng)
-                          if cfg.loss_batch_policy == "fresh" else None)
-            try:
+            if not np.isfinite(loss) or loss > DIVERGENCE_GUARD:
+                raise TrainingDivergedError(f"loss {loss} at step {t}", t, rows)
+            if wd:
+                g = g.map2(theta, lambda gg, th: gg + wd * th)
+            if mode != "apo-precond" and not use_kfac:
+                delta, opt_state = update_direction(base_kind, opt_state, g.flat)
+            if mode != "none" and t % cfg.meta_interval == 0:
+                batch_bp = task.sample_batch(rng)
+                batch_loss = (task.sample_batch(rng)
+                              if cfg.loss_batch_policy == "fresh" else None)
                 mgrad, last_q, parts = meta_gradient(
-                    model, theta, phi, opt_state, batch, batch_bp, cfg,
-                    base_kind=base_kind, batch_loss=batch_loss, g=g, delta=delta,
-                    return_parts=True)
-            except NumericalError as exc:
-                raise TrainingDivergedError(
-                    f"meta-objective non-finite at step {t}: {exc}", t, rows) from exc
-            last_fsd, last_wsd = parts["fsd"], parts["wsd"]
-            phi, meta_state = meta_step(phi, meta_state, mgrad, cfg)
-
-        try:
-            if mode == "apo-precond":
-                if t <= cfg.warmup_steps:
-                    wdelta, warm_state = update_direction(warm_kind, warm_state, g.flat)
-                    theta = apply_lr_update(theta, cfg.warmup_lr, wdelta)
-                else:
-                    theta = apply_precond_update(theta, phi, g)
+                    model, theta, phi, None, batch, batch_bp, cfg, batch_loss=batch_loss,
+                    g=g, delta=delta, return_parts=True)
+                last_fsd, last_wsd = parts["fsd"], parts["wsd"]
+                phi, meta_state = meta_step(phi, meta_state, mgrad, cfg)
+            if use_kfac:
+                stats = kfac_statistics(model, theta, batch.inputs, rng, stats, t, kfac)
+                theta = kfac_update(theta, g, stats, kfac.damping, lr0)
+            elif t <= warmup:
+                wdelta, warm_state = update_direction(warm_kind, warm_state, g.flat)
+                theta = apply_lr_update(theta, cfg.warmup_lr, wdelta)
             else:
-                theta = apply_lr_update(theta, phi.lr, delta)
-                opt_state = state_next
+                theta = phi.update(theta, g, delta)
+            due = eval_fn is not None and eval_every and (t % eval_every == 0 or t == steps)
+            eval_loss = float(eval_fn(theta)) if due else None
+            rows.append(TrainRow(t, loss, last_q, lr0 if use_kfac else phi.scalar(),
+                                 last_fsd, last_wsd, eval_loss))
         except NumericalError as exc:
             raise TrainingDivergedError(f"non-finite at step {t}: {exc}", t, rows) from exc
-
-        if isinstance(phi, LrPhi):
-            phi_scalar = phi.lr
-        else:
-            phi_scalar = phi.frobenius_norm()
-        eval_loss = None
-        if eval_fn is not None and eval_every and (t % eval_every == 0 or t == steps):
-            eval_loss = float(eval_fn(theta))
-        rows.append(TrainRow(t, loss, last_q, phi_scalar, last_fsd, last_wsd, eval_loss))
     return TrainResult(rows, theta, phi)

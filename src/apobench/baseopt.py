@@ -18,6 +18,8 @@ import numpy as np
 from .errors import ContractError, NumericalError
 
 KINDS = ("sgd", "sgd-momentum", "rmsprop", "adam")
+# kfac has no update direction: apo_train steps it with oracles.kfac_update.
+BASE_KINDS = KINDS + ("kfac",)
 
 
 @dataclass(frozen=True)
@@ -30,7 +32,7 @@ class BaseOptKind:
     weight_decay: float = 0.0
 
     def __post_init__(self):
-        if self.kind not in KINDS:
+        if self.kind not in BASE_KINDS:
             raise ContractError(f"unknown base optimizer {self.kind!r}")
         for name in ("beta", "beta2", "rms_beta2"):
             v = getattr(self, name)
@@ -76,7 +78,8 @@ def update_direction(kind, state, g):
         b2 = kind.rms_beta2
         v = b2 * state.second + (1.0 - b2) * g * g
         return g / (np.sqrt(v) + kind.eps), OptState(None, v, state.step + 1)
-    # adam
+    if kind.kind != "adam":
+        raise ContractError(f"{kind.kind} has no update direction")
     t = state.step + 1
     b1, b2 = kind.beta, kind.beta2
     m = b1 * state.momentum + (1.0 - b1) * g

@@ -256,7 +256,10 @@ def _act_deriv(name, s, a):
 
 def _rosenbrock_value(w):
     x, y = float(w[0, 0]), float(w[1, 0])
-    return (1.0 - x) ** 2 + 100.0 * (y - x * x) ** 2
+    try:
+        return (1.0 - x) ** 2 + 100.0 * (y - x * x) ** 2
+    except OverflowError:   # float ** raises where x * x gives inf
+        return math.inf
 
 
 def _rosenbrock_grad(w):

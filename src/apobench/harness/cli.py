@@ -1,7 +1,9 @@
 """Command-line entry point.
 
 Subcommands: run, grid, check, ppm-demo.  Exit codes: 0 success, 2 config
-error, 3 training divergence, 4 check failure.
+error, 3 training divergence, 4 check failure, 5 any other apobench error
+(bad input data, a solver that did not converge, a violated contract), each
+reported as one line on stderr.
 """
 
 from __future__ import annotations
@@ -10,7 +12,7 @@ import argparse
 import json
 import sys
 
-from ..errors import ConfigError, TrainingDivergedError
+from ..errors import ApoBenchError, ConfigError, TrainingDivergedError
 from .checks import report_to_json, run_checks
 from .config import load_config
 from .gridsearch import grid
@@ -21,6 +23,7 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_DIVERGED = 3
 EXIT_CHECK_FAILED = 4
+EXIT_ERROR = 5
 
 
 def _cmd_run(args):
@@ -118,6 +121,9 @@ def main(argv=None):
     except TrainingDivergedError as exc:
         print(f"training diverged: {exc}", file=sys.stderr)
         return EXIT_DIVERGED
+    except ApoBenchError as exc:
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_ERROR
 
 
 if __name__ == "__main__":

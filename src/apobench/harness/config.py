@@ -25,10 +25,9 @@ import sys
 from dataclasses import dataclass, field, replace
 from functools import partial
 
-from ..apo import (BATCH_POLICIES, FSD_KINDS, ProximalConfig, default_lr_config,
-                   default_precond_config)
-from ..baseopt import KINDS as BASE_KINDS
-from ..baseopt import BaseOptKind
+from ..apo import (BATCH_POLICIES, FSD_KINDS, KfacSettings, ProximalConfig,
+                   default_lr_config, default_precond_config)
+from ..baseopt import BASE_KINDS, KINDS, BaseOptKind
 from ..errors import ConfigError, ContractError
 from ..tasks import TASK_KINDS, TASK_PARAMS, TaskSpec
 
@@ -36,17 +35,9 @@ MODES = ("none", "apo-lr", "apo-precond")
 
 
 @dataclass(frozen=True)
-class KfacSettings:
-    damping: float = 1e-3
-    update_every: int = 5
-    ema_decay: float = 0.95
-
-
-@dataclass(frozen=True)
 class ExperimentConfig:
     task: TaskSpec
     mode: str = "none"
-    base_kind: str = "sgd"
     base_opt: BaseOptKind = field(default_factory=BaseOptKind)
     proximal: ProximalConfig = field(default_factory=ProximalConfig)
     init_lr: float | None = None
@@ -78,8 +69,8 @@ def _table(**types):
 TASK = _table(kind=TASK_KINDS, batch_size="int", dataset_size="int?", seed="int",
               params="object?")
 OPT_DECAYS = dict.fromkeys(("beta", "beta2", "rms_beta2", "eps"), "number")
-BASE_OPT = _table(kind=BASE_KINDS + ("kfac",), **OPT_DECAYS, weight_decay="number")
-META_OPT = _table(kind=BASE_KINDS, **OPT_DECAYS)
+BASE_OPT = _table(kind=BASE_KINDS, **OPT_DECAYS, weight_decay="number")
+META_OPT = _table(kind=KINDS, **OPT_DECAYS)
 PROXIMAL = {"lambda_fsd": ("lam_fsd", "number"), "lambda_wsd": ("lam_wsd", "number"),
             **_table(fsd_kind=(None, *FSD_KINDS), meta_interval="int", meta_lr="number",
                      meta_opt=META_OPT, warmup_steps="int", warmup_lr="number",
@@ -146,10 +137,6 @@ def parse_config(doc):
 
     mode = top.get("mode", ExperimentConfig.mode)
     base = _read(top.get("base_opt", {}), BASE_OPT, "/base_opt")
-    base_kind = base.get("kind", BaseOptKind.kind)
-    if base_kind == "kfac":
-        base["kind"] = "sgd"   # the KFAC baseline ignores the base optimizer
-
     defaults = default_precond_config() if mode == "apo-precond" else default_lr_config()
     prox = _read(top.get("proximal", {}), PROXIMAL, "/proximal")
     prox["meta_opt"] = _build(partial(replace, defaults.meta_opt),
@@ -157,13 +144,17 @@ def parse_config(doc):
                               "/proximal/meta_opt")
 
     cfg = ExperimentConfig(**{
-        **top, "task": _build(TaskSpec, task, "/task"), "base_kind": base_kind,
+        **top, "task": _build(TaskSpec, task, "/task"),
         "base_opt": _build(BaseOptKind, base, "/base_opt"),
         "proximal": _build(partial(replace, defaults), prox, "/proximal"),
         "kfac": KfacSettings(**_read(top.get("kfac", {}), KFAC, "/kfac"))})
+    kfac = cfg.base_opt.kind == "kfac"
     for ok, message, pointer in (
-            (base_kind != "kfac" or mode == "none",
+            (not kfac or mode == "none",
              "the kfac baseline only runs with mode 'none'", "/base_opt/kind"),
+            (not kfac or kind != "rosenbrock",
+             "the kfac baseline needs a layered model, which rosenbrock is not",
+             "/base_opt/kind"),
             (cfg.init_lr is None or cfg.init_lr > 0, "init_lr must be a positive number",
              "/init_lr"),
             (cfg.kfac.damping >= 0, "damping must be nonnegative", "/kfac/damping"),
@@ -195,9 +186,7 @@ def _dump(obj, table):
 
 def config_to_dict(cfg):
     """Resolved configuration as a JSON-ready dict (sidecar contents)."""
-    doc = _dump(cfg, CONFIG)
-    doc["base_opt"]["kind"] = cfg.base_kind
-    return doc
+    return _dump(cfg, CONFIG)
 
 
 def config_hash(cfg):

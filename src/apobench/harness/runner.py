@@ -13,12 +13,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..apo import DIVERGENCE_GUARD, TrainResult, TrainRow, apo_train, loss_and_grad
-from ..baseopt import BaseOptKind
+from ..apo import apo_train
 from ..diffnet import forward, predictive
-from ..errors import NumericalError, TrainingDivergedError
+from ..errors import ConfigError, TrainingDivergedError
 from ..numkit import make_rng
-from ..oracles import kfac_blocks, kfac_update
 from ..tasks import build_task
 from .config import config_hash, config_to_dict
 
@@ -35,7 +33,7 @@ def _fmt(value):
 
 def write_metrics_csv(path, rows, mode):
     """Fixed column order, '.' decimals, shortest-roundtrip float repr."""
-    lr_mode = mode in ("none", "apo-lr", "kfac")
+    lr_mode = mode in ("none", "apo-lr")
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(CSV_COLUMNS) + "\n")
         for r in rows:
@@ -69,37 +67,6 @@ def validate_metrics_csv(path):
     return True
 
 
-def train_kfac(model, theta0, task, steps, rng, lr, damping, update_every,
-               ema_decay, eval_fn=None, eval_every=0):
-    """KFAC baseline: exponentially averaged Kronecker statistics from the
-    current batch, damped Kronecker-inverse steps."""
-    theta = theta0.copy()
-    stats = None
-    rows = []
-    for t in range(1, steps + 1):
-        batch = task.sample_batch(rng)
-        try:
-            loss, g = loss_and_grad(model, theta, batch)
-            if not np.isfinite(loss) or loss > DIVERGENCE_GUARD:
-                raise TrainingDivergedError(f"loss {loss} at step {t}", t, rows)
-            if stats is None or t % update_every == 0:
-                fresh = kfac_blocks(model, theta, batch.inputs, rng=rng)
-                if stats is None:
-                    stats = [(a.copy(), b.copy()) for a, b in fresh]
-                else:
-                    stats = [(ema_decay * a0 + (1 - ema_decay) * a1,
-                              ema_decay * b0 + (1 - ema_decay) * b1)
-                             for (a0, b0), (a1, b1) in zip(stats, fresh)]
-            theta = kfac_update(theta, g, stats, damping, lr)
-        except NumericalError as exc:
-            raise TrainingDivergedError(f"non-finite at step {t}: {exc}", t, rows) from exc
-        eval_loss = None
-        if eval_fn is not None and eval_every and (t % eval_every == 0 or t == steps):
-            eval_loss = float(eval_fn(theta))
-        rows.append(TrainRow(t, loss, None, lr, None, None, eval_loss))
-    return TrainResult(rows, theta, None)
-
-
 def _final_accuracy(task, theta):
     if task.model.head != "classification-softmax" or "dataset" not in task.extras:
         return None
@@ -117,27 +84,20 @@ class RunOutcome:
 
 
 def execute(cfg):
-    """Run the configured experiment; returns (rows, result, task)."""
-    seed_override = os.environ.get("APO_SEED")
-    seed = int(seed_override) if seed_override else cfg.seed
+    """Run the configured experiment; returns (result, task, seed)."""
+    try:
+        seed = int(os.environ.get("APO_SEED") or cfg.seed)
+    except ValueError:
+        raise ConfigError("APO_SEED must be an integer") from None
     task = build_task(cfg.task)
     rng = make_rng(seed)
     theta0 = task.init_theta(rng)
     eval_every = cfg.eval_every
     if eval_every is None:
         eval_every = max(1, cfg.steps // 100)
-    if cfg.base_kind == "kfac":
-        result = train_kfac(task.model, theta0, task, cfg.steps, rng,
-                            lr=cfg.init_lr if cfg.init_lr is not None else 0.01,
-                            damping=cfg.kfac.damping,
-                            update_every=cfg.kfac.update_every,
-                            ema_decay=cfg.kfac.ema_decay,
-                            eval_fn=task.eval_loss, eval_every=eval_every)
-    else:
-        result = apo_train(task.model, theta0, cfg.proximal, task, cfg.steps, rng,
-                           mode=cfg.mode, base_kind=cfg.base_opt,
-                           init_lr=cfg.init_lr, eval_fn=task.eval_loss,
-                           eval_every=eval_every)
+    result = apo_train(task.model, theta0, cfg.proximal, task, cfg.steps, rng,
+                       mode=cfg.mode, base_kind=cfg.base_opt, init_lr=cfg.init_lr,
+                       kfac=cfg.kfac, eval_fn=task.eval_loss, eval_every=eval_every)
     return result, task, seed
 
 
@@ -168,26 +128,22 @@ def run(cfg, out_dir):
     sidecar = {"schema_version": CSV_SCHEMA_VERSION,
                "config": config_to_dict(cfg),
                "config_hash": config_hash(cfg)}
-    csv_mode = cfg.mode if cfg.base_kind != "kfac" else "kfac"
     started = time.monotonic()
+    failure = None
     try:
         result, task, seed = execute(cfg)
+        rows = result.rows
     except TrainingDivergedError as exc:
-        write_metrics_csv(metrics_path, exc.rows, csv_mode)
-        validate_metrics_csv(metrics_path)
-        sidecar["runtime"] = {"wallclock_ms": round((time.monotonic() - started) * 1e3),
-                              "status": f"diverged at step {exc.step}"}
-        with open(sidecar_path, "w", encoding="utf-8") as fh:
-            json.dump(sidecar, fh, indent=2)
-        raise
-    rows = result.rows
-    write_metrics_csv(metrics_path, rows, csv_mode)
+        failure, rows = exc, exc.rows
+    write_metrics_csv(metrics_path, rows, cfg.mode)
     validate_metrics_csv(metrics_path)
-    summary = summarize(rows, result, task)
-    sidecar["resolved_seed"] = seed
-    sidecar["summary"] = summary
+    if failure is None:
+        sidecar["resolved_seed"] = seed
+        sidecar["summary"] = summary = summarize(rows, result, task)
     sidecar["runtime"] = {"wallclock_ms": round((time.monotonic() - started) * 1e3),
-                          "status": "ok"}
+                          "status": f"diverged at step {failure.step}" if failure else "ok"}
     with open(sidecar_path, "w", encoding="utf-8") as fh:
         json.dump(sidecar, fh, indent=2)
+    if failure is not None:
+        raise failure
     return RunOutcome(metrics_path, sidecar_path, summary)

@@ -14,7 +14,8 @@ Biases are not covered by the factorization; each bias vector gets an
 independent diagonal preconditioner diag(d)^2 with d meta-learned alongside
 the blocks.  The fixed step scale c multiplies the preconditioned gradient
 and is not meta-learned.  PrecondPhi stores A, B, S and d of every layer in
-one flat vector, in that order, through ParamSet's layout code.
+one flat vector, in that order, through ParamSet's layout code, and owns its
+update of theta and that update's vector-Jacobian product in phi.
 """
 
 from __future__ import annotations
@@ -67,6 +68,24 @@ class PrecondPhi(ParamSet):
 
     def frobenius_norm(self):
         return float(np.sqrt(self.sq_norm()))
+
+    scalar = frobenius_norm   # the value a training row logs
+
+    def update(self, theta, g, delta):
+        """theta' = theta - c * P g; the base direction delta is unused."""
+        return apply_precond_update(theta, self, g)
+
+    def vjp(self, g, v, delta):
+        """Gradient of <v, update(theta, g)> w.r.t. phi, with g fixed."""
+        c = self.scale
+        grad = self.map(np.empty_like)
+        for blk, d, gw, gb, vw, vb, out, dout in zip(self.blocks, self.bias_diags,
+                                                     g.weights, g.biases, v.weights,
+                                                     v.biases, grad.blocks, grad.bias_diags):
+            out.a[...], out.b[...], out.s[...] = precond_vjp(blk, gw, -c * vw)
+            if d is not None:
+                dout[...] = bias_diag_vjp(d, gb, -c * vb)
+        return grad
 
 
 def init_identity(model, scale=DEFAULT_SCALE):

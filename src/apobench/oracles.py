@@ -3,7 +3,8 @@ optimizers: exact and closed-form proximal-point updates, damped Newton,
 dense discrepancy Hessians, the optimal dense preconditioner, and KFAC.
 
 Everything here is oracle-scale: dense matrices, explicit loops, guards on
-the parameter count.  Production training never calls into this module.
+the parameter count.  Training calls into this module only for the KFAC base
+optimizer, whose steps apo_train takes with kfac_statistics and kfac_update.
 """
 
 from __future__ import annotations
@@ -300,6 +301,20 @@ def kfac_blocks(model, params, inputs, rng=None, exact=False):
                 acc += stack[b].T @ hs[b] @ stack[b]
             b_blocks.append(acc / bsz)
     return list(zip(a_blocks, b_blocks))
+
+
+def kfac_statistics(model, params, inputs, rng, stats, t, settings):
+    """The KFAC statistics for training step t: sampled kfac_blocks on the
+    first step, then every settings.update_every-th step averaged into stats
+    with decay settings.ema_decay; stats unchanged on the other steps."""
+    if stats is not None and t % settings.update_every:
+        return stats
+    fresh = kfac_blocks(model, params, inputs, rng=rng)
+    if stats is None:
+        return fresh
+    d = settings.ema_decay
+    return [(d * a0 + (1 - d) * a1, d * b0 + (1 - d) * b1)
+            for (a0, b0), (a1, b1) in zip(stats, fresh)]
 
 
 def kfac_update(theta, g, blocks, damping, lr):

@@ -5,13 +5,13 @@ import pytest
 
 from apobench import numkit
 from apobench import apo
-from apobench.apo import (DIVERGENCES, LrPhi, ProximalConfig, apo_train,
+from apobench.apo import (DIVERGENCES, KfacSettings, LrPhi, ProximalConfig, apo_train,
                           default_lr_config, default_precond_config, fsd,
                           init_meta_state, meta_gradient, meta_objective, meta_step,
                           proximal_value_and_grad, wsd)
 from apobench.baseopt import BaseOptKind, init_state
 from apobench.diffnet import Batch, LayerSpec, Model, ParamSet, init_params, mlp
-from apobench.errors import NumericalError, TrainingDivergedError
+from apobench.errors import ContractError, NumericalError, TrainingDivergedError
 from apobench.kronprecond import KronBlocks, PrecondPhi, init_identity
 from apobench import tasks
 
@@ -505,6 +505,53 @@ def test_apo_train_meta_fires_on_interval():
     lrs = [r.lr_or_phi_norm for r in res.rows]
     assert lrs[0] == lrs[8] == pytest.approx(0.01)
     assert lrs[9] != lrs[8]
+
+
+def test_apo_train_kfac_needs_mode_none():
+    task = tasks.synth_regression_task(n=64, d=3, seed=2, batch_size=8)
+    theta0 = task.init_theta(numkit.make_rng(1))
+    with pytest.raises(ContractError):
+        apo_train(task.model, theta0, default_lr_config(), task, 5, numkit.make_rng(2),
+                  mode="apo-lr", base_kind=BaseOptKind("kfac"))
+
+
+def test_apo_train_kfac_logs_exact_lr_and_applies_weight_decay():
+    task = tasks.synth_regression_task(n=64, d=3, seed=2, batch_size=8)
+    theta0 = task.init_theta(numkit.make_rng(1))
+
+    def train(**kind):
+        return apo_train(task.model, theta0, default_lr_config(), task, 12,
+                         numkit.make_rng(2), mode="none",
+                         base_kind=BaseOptKind("kfac", **kind),
+                         kfac=KfacSettings(damping=1e-2, update_every=2, ema_decay=0.9))
+
+    plain, decayed = train(), train(weight_decay=0.1)
+    assert [r.lr_or_phi_norm for r in plain.rows] == [0.01] * 12
+    assert plain.phi is None
+    assert not np.array_equal(plain.theta.flat, decayed.theta.flat)
+
+
+def test_phi_vjp_matches_fd_of_update():
+    """Each phi type's vjp is the gradient of <v, phi.update(theta, g, delta)>."""
+    rng = numkit.make_rng(21)
+    model = mlp([3, 4, 2], activation="sigmoid", out_activation="linear")
+    theta = init_params(model, rng)
+    g, v = (theta.map(lambda a: rng.standard_normal(a.shape)) for _ in range(2))
+    delta = rng.standard_normal(theta.size)
+    precond = init_identity(model, scale=0.7)
+    precond = precond.from_flat(precond.to_flat() + 0.3 * rng.standard_normal(precond.size))
+    for phi in (LrPhi(math.log(0.2)), precond):
+        def inner(vec):
+            return v.dot(phi.from_flat(vec).update(theta, g, delta).flat)
+
+        fd = fd_scalar_fn(inner, phi.to_flat(), h=1e-5)
+        assert rel_err(phi.vjp(g, v, delta).to_flat(), fd) < 1e-7
+
+
+def test_lr_update_needs_base_direction():
+    model, theta, batch = quadratic_setup()
+    with pytest.raises(ContractError):
+        apo.lookahead(model, theta, LrPhi(0.0), None, batch)
 
 
 # ------------------------------------------------------------------ config

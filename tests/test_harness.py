@@ -110,6 +110,15 @@ def test_parse_rejects_uci_csv_without_existing_path(tmp_path):
     assert parse_config(doc).task.params["path"] == str(path)
 
 
+def test_parse_rejects_kfac_on_rosenbrock():
+    doc = {"task": {"kind": "rosenbrock", "batch_size": 1}, "base_opt": {"kind": "kfac"}}
+    with pytest.raises(ConfigError) as err:
+        parse_config(doc)
+    assert err.value.pointer == "/base_opt/kind"
+    # every other task kind is a layered model
+    parse_config({**doc, "task": {"kind": "illcond-linear", "batch_size": 8}})
+
+
 @pytest.mark.parametrize("kind,params,pointer", [
     ("synth-regression", {"d": "x"}, "/task/params/d"),
     ("synth-regression", {"d": True}, "/task/params/d"),
@@ -199,7 +208,8 @@ def config_docs(draw, csv_path):
     if kind == "uci-csv":
         task["params"] = params
     mode = draw(st.sampled_from(MODES))
-    base = _optimizer(BASE_KINDS + (("kfac",) if mode == "none" else ()))
+    kfac_ok = mode == "none" and kind != "rosenbrock"   # kfac needs layers
+    base = _optimizer(BASE_KINDS + (("kfac",) if kfac_ok else ()))
     proximal = _optional(
         lambda_fsd=_numbers(0.0, 2.0), lambda_wsd=_numbers(0.0, 2.0),
         fsd_kind=st.sampled_from([None, *DIVERGENCES]), meta_interval=st.integers(1, 20),
@@ -324,6 +334,11 @@ def test_run_divergence_keeps_rows_kfac(tmp_path):
                           "params": {"d": 64, "kappa": 1e10}},
                     base_opt={"kind": "kfac"}, init_lr=None, steps=20)
     assert _assert_rows_before_divergence(parse_config(doc), tmp_path / "k") == 3
+
+
+def test_run_divergence_keeps_rows_nonfinite_eval(tmp_path):
+    doc = synth_doc(base_opt={"kind": "sgd"}, init_lr=1.7e308, eval_every=1)
+    assert _assert_rows_before_divergence(parse_config(doc), tmp_path / "e") == 1
 
 
 def test_run_env_seed_override(tmp_path, monkeypatch):
@@ -451,6 +466,28 @@ def test_grid_os_error_point_fails_alone(tmp_path):
     assert os.path.exists(out / "summary.csv")
 
 
+def test_grid_rosenbrock_overflow_fails_alone(tmp_path):
+    doc = rosen_doc(base_opt={"kind": "adam"}, seed=3, steps=40,
+                    proximal={"meta_lr": 1e4, "meta_interval": 2, "meta_opt": {"kind": "sgd"},
+                              "lambda_fsd": 1, "lambda_wsd": 0, "warmup_steps": 0})
+    del doc["init_lr"]
+    rows = grid(doc, {"axes": {"proximal.meta_lr": [0.1, 1e4]}}, tmp_path / "g8")
+    statuses = {r["axis:proximal.meta_lr"]: r["status"] for r in rows}
+    assert statuses[0.1] == "ok"
+    assert statuses[1e4].startswith("failed: loss inf at step")
+    assert os.path.exists(tmp_path / "g8" / "summary.csv")
+
+
+def test_bad_apo_seed_is_config_error(tmp_path, monkeypatch):
+    monkeypatch.setenv("APO_SEED", "abc")
+    rows = grid(rosen_doc(steps=10), {"axes": {"seed": [0, 1]}}, tmp_path / "g9")
+    assert [r["status"] for r in rows] == ["failed: APO_SEED must be an integer"] * 2
+    assert os.path.exists(tmp_path / "g9" / "summary.csv")
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(rosen_doc(steps=10)))
+    assert cli.main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 2
+
+
 def test_grid_summary_order_deterministic(tmp_path):
     sweep = {"axes": {"seed": [2, 0, 1]}}
     rows1 = grid(rosen_doc(steps=10), sweep, tmp_path / "o1")
@@ -481,6 +518,19 @@ def test_cli_run_and_exit_codes(tmp_path):
     type_path.write_text(json.dumps(rosen_doc(base_opt={"kind": "sgd", "beta": "x"})))
     assert cli.main(["run", "--config", str(type_path),
                      "--out", str(tmp_path / "out4")]) == 2
+
+    kfac_path = tmp_path / "kfac.json"
+    kfac_path.write_text(json.dumps(rosen_doc(mode="none", base_opt={"kind": "kfac"})))
+    assert cli.main(["run", "--config", str(kfac_path),
+                     "--out", str(tmp_path / "out5")]) == 2
+
+    data_path = tmp_path / "data.csv"
+    data_path.write_text("1.0,2.0\nx,3.0\n")
+    uci_path = tmp_path / "uci.json"
+    uci_path.write_text(json.dumps(synth_doc(task={"kind": "uci-csv", "batch_size": 2,
+                                                   "params": {"path": str(data_path)}})))
+    assert cli.main(["run", "--config", str(uci_path),
+                     "--out", str(tmp_path / "out6")]) == 5
 
     div_path = tmp_path / "div.json"
     div_path.write_text(json.dumps(rosen_doc(mode="none", init_lr=0.1)))
