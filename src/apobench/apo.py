@@ -211,16 +211,6 @@ def divergence(model, kind=None):
     return DIVERGENCES[kind]
 
 
-def fsd(model, theta_new, theta_old, inputs, kind):
-    """Mean output-space discrepancy between theta_new and theta_old on the
-    given inputs (targets are never used)."""
-    div = divergence(model, kind)
-    inputs = np.asarray(inputs, dtype=FLOAT)
-    y_new, _ = forward(model, theta_new, inputs)
-    y_old, _ = forward(model, theta_old, inputs)
-    return float(np.mean(div.value(y_new, y_old)))
-
-
 def loss_and_grad(model, params, batch):
     outputs, trace = forward(model, params, batch.inputs)
     loss = loss_eval(model.head, outputs, batch.targets)

@@ -373,17 +373,6 @@ def loss_out_grad(head, outputs, targets):
     return p / b
 
 
-def grad_params(model, params, batch, head=None):
-    """Reverse-mode gradient of loss_eval(forward(.)) over the batch."""
-    head = head or model.head
-    outputs, trace = forward(model, params, batch.inputs)
-    dy = loss_out_grad(head, outputs, batch.targets)
-    g, _ = backward(model, params, trace, dy)
-    if not g.all_finite():
-        raise NumericalError("parameter gradient is non-finite")
-    return g
-
-
 def predictive(head, outputs):
     """Predictive-distribution parameters: softmax probabilities for
     classification, means passed through for regression."""

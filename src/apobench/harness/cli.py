@@ -9,12 +9,11 @@ reported as one line on stderr.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
 from ..errors import ApoBenchError, ConfigError, TrainingDivergedError
 from .checks import report_to_json, run_checks
-from .config import load_config
+from .config import load_config, read_json
 from .gridsearch import grid
 from .ppmdemo import DEFAULT_SETTINGS, ppm_demo, regime_checks, write_demo_csv
 from .runner import run
@@ -37,11 +36,8 @@ def _cmd_run(args):
 
 
 def _cmd_grid(args):
-    with open(args.config, "r", encoding="utf-8") as fh:
-        template = json.load(fh)
-    with open(args.sweep, "r", encoding="utf-8") as fh:
-        sweep = json.load(fh)
-    rows = grid(template, sweep, args.out, parallel=args.parallel)
+    rows = grid(read_json(args.config), read_json(args.sweep), args.out,
+                parallel=args.parallel)
     n_ok = sum(1 for r in rows if r["status"] == "ok")
     print(f"{n_ok}/{len(rows)} runs completed; summary at {args.out}/summary.csv")
     return EXIT_OK

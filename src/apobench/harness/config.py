@@ -12,7 +12,7 @@ Numbers are stored as floats, so an integer in a number field dumps as a
 float; integer fields take integers only. A key left out takes the default of
 the dataclass that owns the field; the proximal defaults depend on the mode.
 Every error is a ConfigError that carries the JSON pointer of the offending
-field.
+field; read_json, the reader of every JSON input file, raises one too.
 """
 
 from __future__ import annotations
@@ -168,13 +168,18 @@ def parse_config(doc):
     return cfg
 
 
-def load_config(path):
+def read_json(path):
+    """The JSON document at path; a file that cannot be read or parsed is a
+    ConfigError."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"invalid JSON: {exc}", "") from exc
-    return parse_config(doc)
+            return json.load(fh)
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"cannot read JSON from {path}: {exc}") from exc
+
+
+def load_config(path):
+    return parse_config(read_json(path))
 
 
 def _dump(obj, table):

@@ -25,9 +25,9 @@ def _set_path(doc, dotted, value):
     keys = dotted.split(".")
     node = doc
     for k in keys[:-1]:
-        node = node.setdefault(k, {})
-        if not isinstance(node, dict):
-            raise ConfigError(f"path {dotted!r} does not address an object", "")
+        node = node.setdefault(k, {}) if isinstance(node, dict) else None
+    if not isinstance(node, dict):
+        raise ConfigError(f"path {dotted!r} does not address an object", "")
     node[keys[-1]] = value
 
 
@@ -36,8 +36,9 @@ def expand_grid(template_doc, sweep_doc):
     if not isinstance(sweep_doc, dict) or "axes" not in sweep_doc:
         raise ConfigError("sweep spec needs an 'axes' object", "/axes")
     axes = sweep_doc["axes"]
-    if not axes or any(not values for values in axes.values()):
-        raise ConfigError("sweep axes must be nonempty", "/axes")
+    if not axes or not isinstance(axes, dict) or any(
+            not isinstance(values, list) or not values for values in axes.values()):
+        raise ConfigError("sweep axes must map each path to a nonempty list", "/axes")
     names = sorted(axes)
     combos = []
     for values in itertools.product(*(axes[n] for n in names)):

@@ -10,7 +10,9 @@ solved for several (lambda_fsd, lambda_wsd) settings:
   * fsd only (large)  -> a spike carved around the new example, predictions
                          pinned at the discrepancy sample points.
 
-Emits (lambda_fsd, lambda_wsd, x, f_before, f_after) rows for plotting.
+Emits (lambda_fsd, lambda_wsd, x, f_before, f_after) rows for plotting;
+regime_checks turns the three regimes into check results, built like the
+`check` suite's by checks.result.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ from ..baseopt import BaseOptKind, apply_lr_update, init_state, update_direction
 from ..diffnet import Batch, forward, init_params, mlp
 from ..numkit import make_rng
 from ..oracles import exact_ppm_solve
+from .checks import result
 
 DEFAULT_SETTINGS = ((1e6, 1e6), (0.0, 1.0), (100.0, 0.0))
 WINDOW = 0.5
@@ -94,19 +97,14 @@ def locality_metrics(meta, lam_fsd, lam_wsd):
 
 
 def regime_checks(meta):
-    """The three qualitative regimes as JSON-ready pass/fail checks."""
-    checks = []
+    """The three qualitative regimes as pass/fail check results."""
     frozen = locality_metrics(meta, *meta["settings"][0])
-    checks.append({"check": "ppm-frozen-regime", "value": frozen["max_anywhere"],
-                   "threshold": 1e-3, "pass": frozen["max_anywhere"] <= 1e-3})
     glob = locality_metrics(meta, *meta["settings"][1])
     ratio_glob = glob["mean_off_window"] / max(glob["at_x0"], 1e-12)
-    checks.append({"check": "ppm-global-regime", "value": ratio_glob,
-                   "threshold": 0.10,
-                   "pass": glob["at_x0"] > 1e-3 and ratio_glob > 0.10})
     spike = locality_metrics(meta, *meta["settings"][2])
     ratio_spike = spike["mean_off_window"] / max(spike["at_x0"], 1e-12)
-    checks.append({"check": "ppm-spike-regime", "value": ratio_spike,
-                   "threshold": 0.10,
-                   "pass": spike["at_x0"] > 0.1 and ratio_spike < 0.10})
-    return checks
+    return [result("ppm-frozen-regime", frozen["max_anywhere"], 1e-3),
+            result("ppm-global-regime", ratio_glob, 0.10,
+                   glob["at_x0"] > 1e-3 and ratio_glob > 0.10),
+            result("ppm-spike-regime", ratio_spike, 0.10,
+                   spike["at_x0"] > 0.1 and ratio_spike < 0.10)]

@@ -15,7 +15,7 @@ import numpy as np
 
 from ..apo import apo_train
 from ..diffnet import forward, predictive
-from ..errors import ConfigError, TrainingDivergedError
+from ..errors import ConfigError, IngestionError, TrainingDivergedError
 from ..numkit import make_rng
 from ..tasks import build_task
 from .config import config_hash, config_to_dict
@@ -50,19 +50,21 @@ def write_metrics_csv(path, rows, mode):
 
 
 def validate_metrics_csv(path):
-    """Schema check: exact header and strictly increasing steps."""
+    """Schema check: exact header and strictly increasing integer steps.  A
+    violation is an IngestionError at its 0-based line of the file."""
     with open(path, "r", encoding="utf-8") as fh:
         header = fh.readline().strip()
         if header != ",".join(CSV_COLUMNS):
-            raise ValueError(f"bad metrics header in {path}: {header}")
+            raise IngestionError(f"bad metrics header in {path}: {header}", row=0)
         last = 0
-        for line in fh:
+        for r, line in enumerate(fh, start=1):
             cells = line.rstrip("\n").split(",")
             if len(cells) != len(CSV_COLUMNS):
-                raise ValueError(f"bad column count in {path}: {line!r}")
-            step = int(cells[0])
+                raise IngestionError(f"bad column count in {path}: {line!r}", row=r)
+            step = int(cells[0]) if cells[0].isdecimal() else 0
             if step <= last:
-                raise ValueError(f"steps not strictly increasing in {path}")
+                raise IngestionError(f"steps not strictly increasing integers in {path}",
+                                     row=r)
             last = step
     return True
 

@@ -5,6 +5,9 @@ dense discrepancy Hessians, the optimal dense preconditioner, and KFAC.
 Everything here is oracle-scale: dense matrices, explicit loops, guards on
 the parameter count.  Training calls into this module only for the KFAC base
 optimizer, whose steps apo_train takes with kfac_statistics and kfac_update.
+The checks that compare these oracles with each other and with the
+meta-learned optimizers (Thm 1, KFAC recovery, the proximal-point limits)
+live in harness.checks.
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ import numpy as np
 from .apo import divergence, loss_and_grad, proximal_value_and_grad
 from .diffnet import backward, forward, per_example_jacobian, predictive
 from .errors import ContractError, ConvergenceError, NumericalError, OracleScaleError
-from .numkit import FLOAT, kron_dense, solve_spd
+from .numkit import FLOAT, solve_spd
 
 HESSIAN_MAX_PARAMS = 2000
 
@@ -76,45 +79,6 @@ def qhat_grad(p, g, grad_samples, lam_fsd, lam_wsd):
     samples = np.asarray(grad_samples, dtype=FLOAT)
     m2 = samples.T @ samples / samples.shape[0]
     return (lam_fsd * g @ p + lam_wsd * p - np.eye(p.shape[0])) @ m2
-
-
-def verify_thm1(g, grad_samples, lam_fsd, lam_wsd, n_perturb=100, perturb_norm=1e-3,
-                rng=None):
-    """Check that the closed-form preconditioner is a stationary point and a
-    local minimizer of the quadratic meta-objective.
-
-    Returns a list of JSON-ready check dicts; also reports the gradient norm
-    at an offset preconditioner as a sensitivity (negative) control.
-    """
-    g = np.asarray(g, dtype=FLOAT)
-    samples = np.asarray(grad_samples, dtype=FLOAT)
-    m2 = samples.T @ samples / samples.shape[0]
-    if np.linalg.matrix_rank(m2, tol=1e-10) < m2.shape[0]:
-        raise ContractError("gradient second-moment matrix is singular")
-    rng = rng or np.random.default_rng(0)
-
-    p_star = optimal_dense_precond(g, lam_fsd, lam_wsd)
-    grad_max = float(np.abs(qhat_grad(p_star, g, samples, lam_fsd, lam_wsd)).max())
-
-    q_star = qhat_value(p_star, g, samples, lam_fsd, lam_wsd)
-    violations = 0
-    for _ in range(n_perturb):
-        d = rng.standard_normal(p_star.shape)
-        d *= perturb_norm / np.linalg.norm(d)
-        if qhat_value(p_star + d, g, samples, lam_fsd, lam_wsd) < q_star:
-            violations += 1
-
-    p_off = p_star + 1e-2
-    off_grad_max = float(np.abs(qhat_grad(p_off, g, samples, lam_fsd, lam_wsd)).max())
-
-    return [
-        {"check": "thm1-gradient-zero", "value": grad_max, "threshold": 1e-8,
-         "pass": grad_max <= 1e-8},
-        {"check": "thm1-local-min", "value": violations, "threshold": 0,
-         "pass": violations == 0},
-        {"check": "thm1-offset-sensitivity", "value": off_grad_max,
-         "threshold": 1e-8, "pass": off_grad_max > 1e-8},
-    ]
 
 
 def approx_ppm_update(theta, g, fsd_hessian, lam_fsd, lam_wsd):
@@ -340,72 +304,3 @@ def kfac_update(theta, g, blocks, damping, lr):
             np.subtract(b, lr * right[-1], out=ob)
     return out
 
-
-def _msqrt_inv(m):
-    vals, vecs = np.linalg.eigh(np.asarray(m, dtype=FLOAT))
-    if vals.min() <= 0:
-        raise NumericalError("matrix is not positive definite")
-    return (vecs / np.sqrt(vals)) @ vecs.T
-
-
-def _commutation_rm_cm(p, q):
-    """Permutation Pi with vec_rm(M) = Pi @ vec_cm(M) for M of shape p x q."""
-    pi = np.zeros((p * q, p * q))
-    for i in range(p):
-        for j in range(q):
-            pi[i * q + j, j * p + i] = 1.0
-    return pi
-
-
-def verify_kfac_recovery(rng, fan_in=5, fan_out=3, n_data=40):
-    """On a single-layer instance engineered so the layer inputs and
-    output-gradient statistics are exactly independent, confirm that the
-    closed-form optimal preconditioner (KL discrepancy, lam_fsd=1, lam_wsd=0)
-    equals the Kronecker product of the inverse KFAC blocks, and exhibit
-    structured blocks that reproduce it.
-
-    Returns JSON-ready check dicts.
-    """
-    from .diffnet import Model, LayerSpec, init_params
-    from .kronprecond import KronBlocks, dense_precond
-
-    model = Model((LayerSpec(fan_in, fan_out, "linear", has_bias=False),),
-                  "regression-gaussian-unit-variance")
-    params = init_params(model, rng)
-    checks = []
-
-    def run_instance(name, inputs):
-        blocks = kfac_blocks(model, params, inputs, exact=True)
-        a_stat, b_stat = blocks[0]
-        g = fsd_hessian_exact(model, params, inputs, "kl-gaussian-unit-variance")
-        p_star = optimal_dense_precond(g, 1.0, 0.0)
-        target = kron_dense(spd_inverse(a_stat), spd_inverse(b_stat))
-        scale = max(np.abs(target).max(), 1e-30)
-        rel = float(np.abs(p_star - target).max() / scale)
-        checks.append({"check": f"kfac-recovery-{name}", "value": rel,
-                       "threshold": 1e-6, "pass": rel <= 1e-6})
-
-        # Exhibit Eq-family blocks achieving the same matrix: the factored
-        # form lives in the column-stacking convention, the dense Fisher in
-        # the row-major one, so compare through the commutation permutation.
-        exhibit = KronBlocks(_msqrt_inv(b_stat), _msqrt_inv(a_stat),
-                             np.ones((fan_in, fan_out)))
-        pi = _commutation_rm_cm(fan_in, fan_out)
-        p_struct = pi @ dense_precond(exhibit) @ pi.T
-        rel2 = float(np.abs(p_struct - target).max() / scale)
-        checks.append({"check": f"kfac-structured-{name}", "value": rel2,
-                       "threshold": 1e-6, "pass": rel2 <= 1e-6})
-
-    # Identity statistics: scaled basis vectors make E[x x^T] exactly I.
-    ident = np.repeat(np.sqrt(fan_in) * np.eye(fan_in), 2, axis=0)
-    run_instance("identity", ident)
-    run_instance("generic", rng.standard_normal((n_data, fan_in)))
-
-    # Hand-checkable Kronecker-inverse arithmetic on diagonal statistics.
-    a_diag, b_diag = np.diag([1.0, 2.0]), np.array([[3.0]])
-    inv = optimal_dense_precond(kron_dense(a_diag, b_diag), 1.0, 0.0)
-    target = np.diag([1 / 3, 1 / 6])
-    rel = float(np.abs(inv - target).max() / np.abs(target).max())
-    checks.append({"check": "kfac-diagonal-arithmetic", "value": rel,
-                   "threshold": 1e-12, "pass": rel <= 1e-12})
-    return checks

@@ -247,18 +247,6 @@ def uci_csv_load(path):
     return features, targets, report
 
 
-def save_csv(features, targets, path):
-    """Write a dataset back out in the ingestion convention (target last)."""
-    features = np.asarray(features, dtype=FLOAT)
-    targets = np.asarray(targets)
-    if targets.ndim == 1:
-        targets = targets[:, None]
-    data = np.hstack([features, targets.astype(FLOAT)])
-    with open(path, "w", encoding="utf-8") as fh:
-        for row in data:
-            fh.write(",".join(repr(float(v)) for v in row) + "\n")
-
-
 def uci_task(path, batch_size=32, hidden=16, seed=0):
     """Regression task over an ingested CSV (2-layer MLP student)."""
     features, targets, report = uci_csv_load(path)

@@ -6,6 +6,7 @@ functions so they stay independent of the reverse-mode code paths they check.
 
 import numpy as np
 
+from apobench.apo import divergence
 from apobench.diffnet import forward, loss_eval
 
 
@@ -43,3 +44,16 @@ def rel_err(approx, exact, floor=1e-12):
     exact = np.asarray(exact, dtype=float)
     scale = max(np.abs(exact).max(), floor)
     return float(np.abs(approx - exact).max() / scale)
+
+
+def fsd_value(model, theta_new, theta_old, inputs, kind):
+    """Mean output discrepancy of kind between theta_new and theta_old on
+    inputs: the fsd term of the proximal objective, evaluated on its own."""
+    y_new, _ = forward(model, theta_new, inputs)
+    y_old, _ = forward(model, theta_old, inputs)
+    return float(np.mean(divergence(model, kind).value(y_new, y_old)))
+
+
+def write_dataset_csv(features, targets, path):
+    """Write a dataset in the CSV ingestion convention: no header, target last."""
+    np.savetxt(path, np.column_stack([features, targets]), delimiter=",", fmt="%.17g")

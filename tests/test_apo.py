@@ -6,7 +6,7 @@ import pytest
 from apobench import numkit
 from apobench import apo
 from apobench.apo import (DIVERGENCES, KfacSettings, LrPhi, ProximalConfig, apo_train,
-                          default_lr_config, default_precond_config, fsd,
+                          default_lr_config, default_precond_config,
                           init_meta_state, meta_gradient, meta_objective, meta_step,
                           proximal_value_and_grad, wsd)
 from apobench.baseopt import BaseOptKind, init_state
@@ -15,7 +15,7 @@ from apobench.errors import ContractError, NumericalError, TrainingDivergedError
 from apobench.kronprecond import KronBlocks, PrecondPhi, init_identity
 from apobench import tasks
 
-from helpers import fd_scalar_fn, rel_err
+from helpers import fd_scalar_fn, fsd_value, rel_err
 
 
 def quadratic_setup():
@@ -62,7 +62,7 @@ def test_fsd_zero_when_params_equal():
     theta = init_params(model, rng)
     x = rng.standard_normal((4, 2))
     for kind in ("kl-categorical", "kl-gaussian-unit-variance", "squared-output-distance"):
-        assert fsd(model, theta, theta.copy(), x, kind) == 0.0
+        assert fsd_value(model, theta, theta.copy(), x, kind) == 0.0
 
 
 def test_fsd_categorical_hand_value():
@@ -72,7 +72,7 @@ def test_fsd_categorical_hand_value():
     theta_old = ParamSet.from_layers([(np.zeros((1, 2)), None)])
     theta_new = ParamSet.from_layers([(np.array([[np.log(2.0), 0.0]]), None)])
     x = np.array([[1.0]])
-    value = fsd(model, theta_new, theta_old, x, "kl-categorical")
+    value = fsd_value(model, theta_new, theta_old, x, "kl-categorical")
     assert value == pytest.approx(0.5 * np.log(9.0 / 8.0), rel=1e-12)
 
 
@@ -82,8 +82,8 @@ def test_fsd_gaussian_kl_hand_value():
     theta_new = ParamSet.from_layers([(np.ones((1, 2)), None)])
     x = np.array([[1.0], [1.0]])
     # per-example output gap [1, 1]: 0.5 * ||gap||^2 = 1
-    assert fsd(model, theta_new, theta_old, x, "kl-gaussian-unit-variance") == pytest.approx(1.0)
-    assert fsd(model, theta_new, theta_old, x, "squared-output-distance") == pytest.approx(2.0)
+    for kind, value in (("kl-gaussian-unit-variance", 1.0), ("squared-output-distance", 2.0)):
+        assert fsd_value(model, theta_new, theta_old, x, kind) == pytest.approx(value)
 
 
 @pytest.mark.parametrize("kind", sorted(DIVERGENCES))
@@ -292,7 +292,7 @@ def test_meta_gradient_precond_matches_fd(fsd_kind, classification):
                                        cfg.lam_fsd, cfg.lam_wsd, fsd_kind)
 
     q, parts, qgrad = prox(u)
-    assert parts["fsd"] == fsd(model, u, theta, bp.inputs, fsd_kind) > 0.0
+    assert parts["fsd"] == fsd_value(model, u, theta, bp.inputs, fsd_kind) > 0.0
     assert parts["wsd"] == wsd(u, theta) > 0.0
     assert q == parts["loss"] + cfg.lam_fsd * parts["fsd"] + cfg.lam_wsd * parts["wsd"]
     fd = fd_scalar_fn(lambda v: prox(theta.from_flat(v))[0], u.to_flat(), h=1e-5)

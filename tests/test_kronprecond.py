@@ -83,12 +83,6 @@ def test_dense_scale_guard():
         dense_precond(blocks)
 
 
-def test_param_count():
-    for fan_in, fan_out in [(3, 2), (8, 8), (1, 5)]:
-        blocks = random_blocks(numkit.make_rng(0), fan_in, fan_out)
-        assert blocks.param_count == fan_in ** 2 + fan_out ** 2 + fan_in * fan_out
-
-
 def test_init_identity_contract():
     model = mlp([3, 4, 2], activation="relu")
     phi = init_identity(model)

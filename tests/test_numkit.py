@@ -129,10 +129,3 @@ def test_rand_orthogonal_determinant():
     for seed in range(5):
         q = numkit.rand_orthogonal(numkit.make_rng(seed), 5)
         assert abs(abs(np.linalg.det(q)) - 1.0) < 1e-8
-
-
-def test_rng_streams_bit_identical():
-    a = numkit.make_rng(1234).standard_normal(100)
-    b = numkit.make_rng(1234).standard_normal(100)
-    assert np.array_equal(a, b)
-

@@ -5,6 +5,8 @@ from apobench import numkit, tasks
 from apobench.diffnet import ParamSet, forward, init_params
 from apobench.errors import ContractError, IngestionError
 
+from helpers import write_dataset_csv
+
 
 def test_rosenbrock_task_values():
     task = tasks.rosenbrock_task()
@@ -196,7 +198,7 @@ def test_uci_empty_file_rejected(tmp_path):
 def test_uci_reload_identical(tmp_path):
     p = tmp_path / "data.csv"
     rng = numkit.make_rng(14)
-    tasks.save_csv(rng.standard_normal((10, 3)), rng.standard_normal(10), p)
+    write_dataset_csv(rng.standard_normal((10, 3)), rng.standard_normal(10), p)
     f1, t1, _ = tasks.uci_csv_load(p)
     f2, t2, _ = tasks.uci_csv_load(p)
     assert np.array_equal(f1, f2) and np.array_equal(t1, t2)
@@ -207,7 +209,7 @@ def test_save_then_load_roundtrip(tmp_path):
     rng = numkit.make_rng(15)
     x = rng.standard_normal((20, 4))
     y = rng.standard_normal(20)
-    tasks.save_csv(x, y, p)
+    write_dataset_csv(x, y, p)
     features, targets, report = tasks.uci_csv_load(p)
     assert report["rows"] == 20 and report["features"] == 4
     # loading standardizes; undo it against the originals
@@ -219,7 +221,7 @@ def test_uci_task_trains(tmp_path):
     rng = numkit.make_rng(16)
     x = rng.standard_normal((64, 3))
     y = x @ np.array([1.0, -2.0, 0.5]) + 0.1 * rng.standard_normal(64)
-    tasks.save_csv(x, y, p)
+    write_dataset_csv(x, y, p)
     task = tasks.uci_task(p, batch_size=16)
     assert task.extras["report"]["rows"] == 64
     theta = task.init_theta(numkit.make_rng(0))
@@ -228,7 +230,7 @@ def test_uci_task_trains(tmp_path):
 
 def test_build_task_dispatch(tmp_path):
     p = tmp_path / "d.csv"
-    tasks.save_csv(np.eye(4), np.arange(4.0), p)
+    write_dataset_csv(np.eye(4), np.arange(4.0), p)
     specs = [
         tasks.TaskSpec("rosenbrock", batch_size=1),
         tasks.TaskSpec("illcond-linear", batch_size=4, params={"d": 4, "kappa": 10.0}),
