@@ -171,11 +171,20 @@ class LrPhi:
         """Gradient of <v, update(theta, g, delta)> w.r.t. log_lr."""
         return LrPhi(-self.lr * v.dot(delta))
 
-    def to_flat(self):
+    @property
+    def flat(self):
+        """The one-entry meta-parameter vector [log_lr], a fresh array."""
         return np.array([self.log_lr], dtype=FLOAT)
 
+    def with_flat(self, vec):
+        """The LrPhi whose log_lr is the one entry of vec."""
+        return LrPhi(float(vec[0]))
+
+    def to_flat(self):
+        return self.flat
+
     def from_flat(self, vec):
-        return LrPhi(float(np.asarray(vec).reshape(-1)[0]))
+        return self.with_flat(np.asarray(vec).reshape(-1))
 
 
 @dataclass(frozen=True)
@@ -194,7 +203,7 @@ class MetaState:
 
 
 def init_meta_state(cfg, phi):
-    return MetaState(init_state(cfg.meta_opt, phi.to_flat()), 0)
+    return MetaState(init_state(cfg.meta_opt, phi.flat), 0)
 
 
 def wsd(theta_new, theta_old):
@@ -242,6 +251,11 @@ def _resolve_batches(cfg, batch_b, batch_bp, batch_loss):
     return lb, fsd_inputs
 
 
+def _add_scaled(a, lam, b):
+    """a <- a + lam * b, written into a; b is overwritten with lam * b."""
+    np.add(a, np.multiply(lam, b, out=b), out=a)
+
+
 def proximal_value_and_grad(model, u, theta, loss_batch, fsd_inputs, lam_fsd, lam_wsd,
                             fsd_kind):
     """The proximal objective
@@ -250,7 +264,8 @@ def proximal_value_and_grad(model, u, theta, loss_batch, fsd_inputs, lam_fsd, la
     fsd_kind means the model head's divergence.
 
     Returns (Q, {"loss", "fsd", "wsd"}, dQ/du); a term whose weight is zero is
-    skipped and reported as 0.0.
+    skipped and reported as 0.0.  dQ/du is the loss gradient's set, with the
+    weighted fsd and wsd gradients added into its buffer.
     """
     loss_term, grad = loss_and_grad(model, u, loss_batch)
     fsd_term = wsd_term = 0.0
@@ -262,11 +277,11 @@ def proximal_value_and_grad(model, u, theta, loss_batch, fsd_inputs, lam_fsd, la
         fsd_term = float(np.mean(div.value(y_new, y_old)))
         seed = div.grad(y_new, y_old) / fsd_inputs.shape[0]
         fsd_grad, _ = backward(model, u, trace, seed)
-        grad = grad.map2(fsd_grad, lambda a, b: a + lam_fsd * b)
+        _add_scaled(grad.flat, lam_fsd, fsd_grad.flat)
     if lam_wsd:
         diff = u.map2(theta, lambda a, b: a - b)
         wsd_term = 0.5 * diff.sq_norm()
-        grad = grad.map2(diff, lambda a, b: a + lam_wsd * b)
+        _add_scaled(grad.flat, lam_wsd, diff.flat)
     q = loss_term + lam_fsd * fsd_term + lam_wsd * wsd_term
     return q, {"loss": loss_term, "fsd": fsd_term, "wsd": wsd_term}, grad
 
@@ -310,13 +325,17 @@ def meta_gradient(model, theta, phi, opt_state, batch_b, batch_bp, cfg,
 
 
 def meta_step(phi, meta_state, meta_grad, cfg):
-    """One meta-optimizer step on phi's flat vector."""
-    flat = phi.to_flat()
-    gflat = meta_grad.to_flat()
+    """One meta-optimizer step on phi's flat vector: phi' = phi -
+    meta_lr * Delta.  Neither phi nor meta_grad is copied or written; phi'
+    wraps the fresh direction buffer, which holds meta_lr * Delta and then
+    the new vector, so it shares no memory with them or the new state."""
+    flat, gflat = phi.flat, meta_grad.flat
     if flat.size != gflat.size:
         raise ContractError("meta gradient does not match phi layout")
     delta, opt = update_direction(cfg.meta_opt, meta_state.opt, gflat)
-    return phi.from_flat(flat - cfg.meta_lr * delta), MetaState(opt, meta_state.iteration + 1)
+    np.multiply(cfg.meta_lr, delta, out=delta)
+    np.subtract(flat, delta, out=delta)
+    return phi.with_flat(delta), MetaState(opt, meta_state.iteration + 1)
 
 
 @dataclass

@@ -6,7 +6,10 @@ treat the optimizer state as a constant while differentiating through eta.
 
 Gradients, directions and optimizer buffers are flat float64 vectors (a
 ParamSet's ``flat``, or a meta-parameter vector), so each update is one
-whole-vector expression.
+whole-vector expression.  update_direction writes its temporaries with
+out= into the new state's arrays or one scratch array, so its results are
+bit-identical to the formulas it lists, and the direction it returns is
+always a fresh array.
 """
 
 from __future__ import annotations
@@ -64,29 +67,50 @@ def update_direction(kind, state, g):
 
     sgd:          Delta = g
     sgd-momentum: buf' = beta*buf + g;              Delta = buf'
-    rmsprop:      v' = b2*v + (1-b2)*g^2;           Delta = g / (sqrt(v') + eps)
-    adam:         bias-corrected m-hat / (sqrt(v-hat) + eps)
+    rmsprop:      v' = b2*v + (1-b2)*g*g;           Delta = g / (sqrt(v') + eps)
+    adam:         m' = b1*m + (1-b1)*g;  v' = b2*v + (1-b2)*g*g;
+                  Delta = (m'/c1) / (sqrt(v'/c2) + eps),  c_i = 1 - b_i^t
+
+    evaluated in the order written, bit for bit; the input state is not
+    written, and Delta is a fresh array that no state shares.
     """
     if not np.all(np.isfinite(g)):
         raise NumericalError("gradient passed to update_direction is non-finite")
     if kind.kind == "sgd":
         return g.copy(), OptState(None, None, state.step + 1)
     if kind.kind == "sgd-momentum":
-        buf = kind.beta * state.momentum + g
+        buf = np.multiply(kind.beta, state.momentum)
+        np.add(buf, g, out=buf)
         return buf.copy(), OptState(buf, None, state.step + 1)
     if kind.kind == "rmsprop":
-        b2 = kind.rms_beta2
-        v = b2 * state.second + (1.0 - b2) * g * g
-        return g / (np.sqrt(v) + kind.eps), OptState(None, v, state.step + 1)
+        scratch = np.empty(g.shape)
+        v = _second_moment(kind.rms_beta2, state.second, g, scratch)
+        np.sqrt(v, out=scratch)
+        np.add(scratch, kind.eps, out=scratch)
+        return np.divide(g, scratch, out=scratch), OptState(None, v, state.step + 1)
     if kind.kind != "adam":
         raise ContractError(f"{kind.kind} has no update direction")
     t = state.step + 1
     b1, b2 = kind.beta, kind.beta2
-    m = b1 * state.momentum + (1.0 - b1) * g
-    v = b2 * state.second + (1.0 - b2) * g * g
+    m = np.multiply(b1, state.momentum)
+    scratch = np.multiply(1.0 - b1, g)
+    np.add(m, scratch, out=m)
+    v = _second_moment(b2, state.second, g, scratch)
     c1 = 1.0 - b1 ** t
     c2 = 1.0 - b2 ** t
-    return (m / c1) / (np.sqrt(v / c2) + kind.eps), OptState(m, v, t)
+    np.divide(v, c2, out=scratch)
+    np.sqrt(scratch, out=scratch)
+    np.add(scratch, kind.eps, out=scratch)
+    delta = np.divide(m, c1)
+    return np.divide(delta, scratch, out=delta), OptState(m, v, t)
+
+
+def _second_moment(b2, second, g, scratch):
+    """b2*second + (1-b2)*g*g in a new array, through scratch."""
+    v = np.multiply(b2, second)
+    np.multiply(1.0 - b2, g, out=scratch)
+    np.multiply(scratch, g, out=scratch)
+    return np.add(v, scratch, out=v)
 
 
 def apply_lr_update(params, lr, delta):

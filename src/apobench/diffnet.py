@@ -7,6 +7,9 @@ in one float64 vector: each layer's W in C order, then its bias.  This is
 also the parameter order of the dense oracles, and it makes the per-layer
 Fisher blocks come out as (input stats) kron (output stats).
 
+``forward`` keeps every layer's activation in its ForwardTrace, and
+``backward`` reads them from there instead of computing them again.
+
 ReLU uses subgradient 0 at 0; finite-difference checks are run on smooth
 activations or off-kink inputs.
 """
@@ -141,7 +144,9 @@ class ParamSet:
         flat = np.concatenate([a.ravel() for layer in layers for a in layer if a is not None])
         return cls(flat, layout, *args)
 
-    def _with_flat(self, flat):
+    def with_flat(self, flat):
+        """New set with this one's layout (and attributes) whose buffer is
+        ``flat`` itself, not a copy."""
         new = object.__new__(type(self))
         new.__dict__.update(self.__dict__)
         new.flat = flat
@@ -149,10 +154,10 @@ class ParamSet:
         return new
 
     def map(self, fn):
-        return self._with_flat(fn(self.flat))
+        return self.with_flat(fn(self.flat))
 
     def map2(self, other, fn):
-        return self._with_flat(fn(self.flat, other.flat))
+        return self.with_flat(fn(self.flat, other.flat))
 
     def copy(self):
         return self.map(np.copy)
@@ -185,7 +190,7 @@ class ParamSet:
         vec = np.array(vec, dtype=FLOAT).reshape(-1)
         if vec.size != self.size:
             raise DimensionError(f"flat vector has {vec.size} entries, need {self.size}")
-        return self._with_flat(vec)
+        return self.with_flat(vec)
 
 
 def init_params(model, rng):
@@ -228,14 +233,22 @@ class Batch:
 
 @dataclass
 class ForwardTrace:
-    """Per-layer inputs and pre-activations kept for backprop / KFAC stats.
+    """Every activation and pre-activation of a forward pass, kept for
+    backprop and KFAC stats; backward reads the activations, never
+    recomputes them.
 
     layer_inputs[l] is the activation entering layer l (layer_inputs[0] is the
-    batch input); preacts[l] = layer_inputs[l] @ W_l (+ b_l).
+    batch input); preacts[l] = layer_inputs[l] @ W_l (+ b_l); output is the
+    last layer's activation, the array forward returns.
     """
 
     layer_inputs: list = field(default_factory=list)
     preacts: list = field(default_factory=list)
+    output: np.ndarray | None = None
+
+    def activation(self, l):
+        """The activation layer l produced."""
+        return self.layer_inputs[l + 1] if l + 1 < len(self.layer_inputs) else self.output
 
 
 def _act(name, s):
@@ -246,12 +259,14 @@ def _act(name, s):
     return 1.0 / (1.0 + np.exp(-s))  # sigmoid
 
 
-def _act_deriv(name, s, a):
+def _act_grad(name, da, s, a):
+    """da times the activation's derivative at s (a is its value there);
+    for linear that product is da itself."""
     if name == "linear":
-        return np.ones_like(s)
+        return da
     if name == "relu":
-        return (s > 0).astype(FLOAT)
-    return a * (1.0 - a)  # sigmoid, from the cached activation
+        return da * (s > 0).astype(FLOAT)
+    return da * (a * (1.0 - a))  # sigmoid, from the cached activation
 
 
 def _rosenbrock_value(w):
@@ -278,7 +293,7 @@ def forward(model, params, inputs):
     if model.kind == "rosenbrock":
         f = _rosenbrock_value(params.weights[0])
         outputs = np.full((inputs.shape[0], 1), f)
-        return outputs, ForwardTrace([inputs], [outputs.copy()])
+        return outputs, ForwardTrace([inputs], [outputs.copy()], outputs)
     if inputs.shape[1] != model.d_in:
         raise DimensionError(f"inputs have {inputs.shape[1]} features, model wants {model.d_in}")
     trace = ForwardTrace()
@@ -292,6 +307,7 @@ def forward(model, params, inputs):
         a = _act(spec.activation, s)
     if not np.all(np.isfinite(a)):
         raise NumericalError("forward pass produced non-finite outputs")
+    trace.output = a
     return a, trace
 
 
@@ -299,7 +315,9 @@ def backward(model, params, trace, out_grad):
     """Vector-Jacobian product of the forward map.
 
     out_grad is d(scalar)/d(outputs), shape B x d_out.  Returns
-    (ParamSet gradient, per-layer pre-activation gradients ds).
+    (ParamSet gradient, per-layer pre-activation gradients ds).  Each
+    layer's activation comes from the trace; a linear layer's ds is the
+    incoming gradient array itself.
     """
     if model.kind == "rosenbrock":
         seed = float(np.sum(out_grad))
@@ -310,9 +328,7 @@ def backward(model, params, trace, out_grad):
     da = np.asarray(out_grad, dtype=FLOAT)
     for idx in range(len(model.layers) - 1, -1, -1):
         spec = model.layers[idx]
-        s = trace.preacts[idx]
-        a = _act(spec.activation, s)
-        ds = da * _act_deriv(spec.activation, s, a)
+        ds = _act_grad(spec.activation, da, trace.preacts[idx], trace.activation(idx))
         ds_list[idx] = ds
         np.matmul(trace.layer_inputs[idx].T, ds, out=g.weights[idx])
         if spec.has_bias:

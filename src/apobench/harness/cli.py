@@ -1,7 +1,8 @@
 """Command-line entry point.
 
 Subcommands: run, grid, check, ppm-demo.  Exit codes: 0 success, 2 config
-error, 3 training divergence, 4 check failure, 5 any other apobench error
+error (an unreadable input file or an unwritable output path included), 3
+training divergence, 4 check failure, 5 any other apobench error
 (bad input data, a solver that did not converge, a violated contract), each
 reported as one line on stderr.
 """
@@ -9,6 +10,7 @@ reported as one line on stderr.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import sys
 
 from ..errors import ApoBenchError, ConfigError, TrainingDivergedError
@@ -25,9 +27,19 @@ EXIT_CHECK_FAILED = 4
 EXIT_ERROR = 5
 
 
+@contextlib.contextmanager
+def _output(flag, path):
+    """Report an OSError raised while writing path as a ConfigError at flag."""
+    try:
+        yield
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc}", flag) from exc
+
+
 def _cmd_run(args):
     cfg = load_config(args.config)
-    outcome = run(cfg, args.out)
+    with _output("--out", args.out):
+        outcome = run(cfg, args.out)
     print(f"wrote {outcome.metrics_path}")
     for key, value in outcome.summary.items():
         if value is not None:
@@ -36,8 +48,9 @@ def _cmd_run(args):
 
 
 def _cmd_grid(args):
-    rows = grid(read_json(args.config), read_json(args.sweep), args.out,
-                parallel=args.parallel)
+    template, sweep = read_json(args.config), read_json(args.sweep)
+    with _output("--out", args.out):
+        rows = grid(template, sweep, args.out, parallel=args.parallel)
     n_ok = sum(1 for r in rows if r["status"] == "ok")
     print(f"{n_ok}/{len(rows)} runs completed; summary at {args.out}/summary.csv")
     return EXIT_OK
@@ -47,7 +60,7 @@ def _cmd_check(args):
     report = run_checks()
     text = report_to_json(report)
     if args.json:
-        with open(args.json, "w", encoding="utf-8") as fh:
+        with _output("--json", args.json), open(args.json, "w", encoding="utf-8") as fh:
             fh.write(text + "\n")
     for c in report["checks"]:
         mark = "PASS" if c["pass"] else "FAIL"
@@ -67,7 +80,8 @@ def _cmd_ppm_demo(args):
     else:
         settings = DEFAULT_SETTINGS
     rows, meta = ppm_demo(lambda_settings=settings)
-    write_demo_csv(rows, args.out)
+    with _output("--out", args.out):
+        write_demo_csv(rows, args.out)
     print(f"wrote {args.out}")
     if settings == DEFAULT_SETTINGS:
         for c in regime_checks(meta):

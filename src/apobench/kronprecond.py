@@ -153,9 +153,10 @@ def precond_vjp(blocks, grad_w, upstream):
     t = b.T @ g @ a
     u = s2 * t
     x = b.T @ v @ a
+    s2x = s2 * x
     ds = 2.0 * s * t * x
-    db = v @ a @ u.T + (g @ a) @ (s2 * x).T
-    da = g.T @ (b @ (s2 * x)) + v.T @ (b @ u)
+    db = v @ a @ u.T + (g @ a) @ s2x.T
+    da = g.T @ (b @ s2x) + v.T @ (b @ u)
     return da, db, ds
 
 

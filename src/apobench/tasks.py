@@ -206,8 +206,11 @@ def uci_csv_load(path):
 
     Returns (features, targets, report) where report carries row/column
     counts and the indices of any constant columns."""
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = [ln.strip() for ln in fh if ln.strip()]
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            lines = [ln.strip() for ln in fh if ln.strip()]
+    except OSError as exc:   # so an OSError out of runner.run is an output path's
+        raise IngestionError(f"cannot read {path}: {exc}") from exc
     if not lines:
         raise ContractError(f"{path} is empty")
     start = 0

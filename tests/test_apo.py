@@ -9,7 +9,7 @@ from apobench.apo import (DIVERGENCES, KfacSettings, LrPhi, ProximalConfig, apo_
                           default_lr_config, default_precond_config,
                           init_meta_state, meta_gradient, meta_objective, meta_step,
                           proximal_value_and_grad, wsd)
-from apobench.baseopt import BaseOptKind, init_state
+from apobench.baseopt import KINDS, BaseOptKind, init_state, update_direction
 from apobench.diffnet import Batch, LayerSpec, Model, ParamSet, init_params, mlp
 from apobench.errors import ContractError, NumericalError, TrainingDivergedError
 from apobench.kronprecond import KronBlocks, PrecondPhi, init_identity
@@ -580,3 +580,31 @@ def test_lr_overflow_is_numerical_error():
     assert LrPhi(700.0).lr == math.exp(700.0)
     with pytest.raises(NumericalError):
         LrPhi(710.0).lr
+
+
+@pytest.mark.parametrize("meta_kind", KINDS)
+@pytest.mark.parametrize("phi_type", ["precond", "lr"])
+def test_meta_step_copies_nothing_and_shares_no_memory(phi_type, meta_kind):
+    rng = numkit.make_rng(17)
+    if phi_type == "precond":
+        phi = init_identity(mlp([3, 4, 2]), 0.5)
+        phi = phi.map(lambda f: f + 0.1 * rng.standard_normal(f.size))
+        meta_grad = phi.map(lambda f: rng.standard_normal(f.size))
+    else:
+        phi, meta_grad = LrPhi(math.log(0.05)), LrPhi(0.3)
+    cfg = ProximalConfig(meta_opt=BaseOptKind(meta_kind), meta_lr=0.01)
+    state = init_meta_state(cfg, phi)
+    for _ in range(3):
+        phi_before, grad_before = phi.flat.copy(), meta_grad.flat.copy()
+        delta, _ = update_direction(cfg.meta_opt, state.opt, grad_before)
+        new, state = meta_step(phi, state, meta_grad, cfg)
+        assert np.array_equal(phi.flat, phi_before)
+        assert np.array_equal(meta_grad.flat, grad_before)
+        assert type(new) is type(phi)
+        assert np.array_equal(new.flat, phi_before - cfg.meta_lr * delta)
+        for other in (phi.flat, meta_grad.flat, state.opt.momentum, state.opt.second):
+            assert other is None or not np.shares_memory(new.flat, other)
+        phi = new
+    if phi_type == "precond":
+        assert phi.scale == 0.5
+        assert all(np.shares_memory(blk.s, phi.flat) for blk in phi.blocks)

@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from apobench import numkit
-from apobench.baseopt import BaseOptKind, apply_lr_update, init_state, update_direction
+from apobench.baseopt import (KINDS, BaseOptKind, apply_lr_update, init_state,
+                              update_direction)
 from apobench.diffnet import ParamSet
 from apobench.errors import ContractError
 
@@ -103,3 +106,46 @@ def test_momentum_state_not_aliased():
     delta, state1 = update_direction(kind, state, g)
     delta[0] = 99.0
     assert state1.momentum[0] == pytest.approx(1.0)
+
+
+def textbook_step(kind, m, v, t, g):
+    """(Delta, m', v') of step t, each formula written out in one expression."""
+    if kind.kind == "sgd":
+        return g, m, v
+    if kind.kind == "sgd-momentum":
+        m = kind.beta * m + g
+        return m, m, v
+    if kind.kind == "rmsprop":
+        v = kind.rms_beta2 * v + (1.0 - kind.rms_beta2) * g * g
+        return g / (np.sqrt(v) + kind.eps), m, v
+    m = kind.beta * m + (1.0 - kind.beta) * g
+    v = kind.beta2 * v + (1.0 - kind.beta2) * g * g
+    c1, c2 = 1.0 - kind.beta ** t, 1.0 - kind.beta2 ** t
+    return (m / c1) / (np.sqrt(v / c2) + kind.eps), m, v
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from(KINDS), st.integers(1, 50), st.integers(1, 6),
+       st.floats(0.0, 0.999), st.floats(0.0, 0.9999), st.integers(-4, 4),
+       st.integers(0, 2 ** 32 - 1))
+def test_update_direction_matches_textbook_bit_for_bit(name, n, steps, beta, beta2,
+                                                       log_scale, seed):
+    kind = BaseOptKind(name, beta=beta, beta2=beta2, rms_beta2=beta2)
+    rng = numkit.make_rng(seed)
+    state = init_state(kind, np.zeros(n))
+    m = v = np.zeros(n)
+    for t in range(1, steps + 1):
+        g = rng.standard_normal(n) * 10.0 ** log_scale
+        g_before = g.copy()
+        kept = [None if a is None else (a, a.copy()) for a in (state.momentum, state.second)]
+        delta, new = update_direction(kind, state, g)
+        want, m, v = textbook_step(kind, m, v, t, g)
+        assert np.array_equal(delta, want)
+        assert new.step == t
+        for got, expect in ((new.momentum, m), (new.second, v)):
+            assert got is None or np.array_equal(got, expect)
+            assert got is None or not np.shares_memory(got, delta)
+        assert not np.shares_memory(delta, g) and np.array_equal(g, g_before)
+        for pair in kept:
+            assert pair is None or np.array_equal(*pair)
+        state = new

@@ -3,11 +3,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from apobench import numkit
+from apobench import diffnet, numkit
 from apobench.apo import loss_and_grad
 from apobench.baseopt import apply_lr_update
-from apobench.diffnet import (Batch, LayerSpec, Model, ParamSet, forward,
-                              init_params, loss_eval, mlp, per_example_jacobian,
+from apobench.diffnet import (Batch, LayerSpec, Model, ParamSet, backward, forward,
+                              init_params, loss_eval, loss_out_grad, mlp, per_example_jacobian,
                               predictive, rosenbrock_model)
 from apobench.errors import ContractError, DimensionError
 from apobench.kronprecond import apply_precond_update, init_identity
@@ -294,3 +294,24 @@ def test_container_operations_never_alias_inputs(layers):
         out_flat = getattr(out, "flat", out)
         for x in inputs:
             assert not np.shares_memory(out_flat, getattr(x, "flat", x)), name
+
+
+@pytest.mark.parametrize("activations", [("relu", "linear", "sigmoid"),
+                                         ("sigmoid", "relu", "linear")])
+def test_backward_reads_activations_from_the_trace(monkeypatch, activations):
+    """backward calls no activation function: every activation, the output
+    layer's included, comes from the forward trace."""
+    calls = []
+    act = diffnet._act
+    monkeypatch.setattr(diffnet, "_act", lambda name, s: calls.append(name) or act(name, s))
+    widths = (3, 5, 4, 2)
+    model = Model(tuple(LayerSpec(m, n, a) for m, n, a in zip(widths, widths[1:], activations)),
+                  "regression-gaussian-unit-variance")
+    rng = numkit.make_rng(21)
+    theta = init_params(model, rng)
+    batch = small_batch(rng, model)
+    outputs, trace = forward(model, theta, batch.inputs)
+    assert calls == list(activations)
+    g, _ = backward(model, theta, trace, loss_out_grad(model.head, outputs, batch.targets))
+    assert calls == list(activations)
+    assert rel_err(g.flat, fd_param_gradient(model, theta, batch)) < 1e-6

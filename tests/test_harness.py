@@ -565,6 +565,18 @@ def test_cli_run_and_exit_codes(tmp_path, capsys):
         assert cli.main(argv + ["--out", str(tmp_path / "bad-input")]) == 2, argv
         assert len(capsys.readouterr().err.splitlines()) == 1
 
+    # Unwritable output paths: exit 2 with one line on stderr, naming the flag.
+    nodir = str(tmp_path / "nodir" / "x")
+    for argv, flag in ((["check", "--json", nodir + ".json"], "--json"),
+                       (["run", "--config", str(cfg_path), "--out", str(cfg_path)], "--out"),
+                       (["grid", "--config", str(cfg_path), "--sweep", str(sweep),
+                         "--out", str(cfg_path)], "--out"),
+                       (["ppm-demo", "--out", nodir + ".csv", "--lambda-fsd", "0",
+                         "--lambda-wsd", "1"], "--out")):
+        assert cli.main(argv) == 2, argv
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and flag in err[0], err
+
 
 def test_cli_grid(tmp_path):
     cfg_path = tmp_path / "cfg.json"

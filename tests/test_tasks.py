@@ -245,3 +245,8 @@ def test_build_task_dispatch(tmp_path):
         batch = task.sample_batch(numkit.make_rng(0))
         assert batch.size >= 1
         assert np.isfinite(task.eval_loss(task.init_theta(numkit.make_rng(1))))
+
+
+def test_uci_unreadable_path_is_ingestion_error(tmp_path):
+    with pytest.raises(IngestionError):
+        tasks.uci_csv_load(str(tmp_path))
