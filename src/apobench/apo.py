@@ -7,27 +7,29 @@ The meta-objective evaluated at the one-step lookahead theta'(phi) is
            + lam_fsd * mean_{x in B'} rho(f(x, theta'(phi)), f(x, theta))
            + lam_wsd * 0.5 * ||theta'(phi) - theta||^2
 
-where theta'(phi) applies the base update with the gradient g on B and the
-optimizer state held fixed.  The loss term defaults to the same batch B that
-produced g (the fresh-batch variant exists as an ablation and exhibits the
-classic rapid learning-rate collapse).  The learning rate is adapted in log
-space so it stays positive.
+where theta'(phi) applies the update rule with the gradient g on B and the
+base direction delta held fixed.  The loss term defaults to the same batch B
+that produced g (the fresh-batch variant exists as an ablation and exhibits
+the classic rapid learning-rate collapse).
 
-Each phi type (LrPhi, kronprecond.PrecondPhi) owns its rule: update(theta,
-g, delta) takes the step, vjp(g, v, delta) is its vector-Jacobian product in
-phi, and scalar() is the value a training row logs.  Only the SGDm warm-up
-of preconditioner mode and base kind kfac (oracles.kfac_update) step
-without phi.
+Both phi types are ParamSets, so the meta-optimizer steps either one through
+its flat vector: LrPhi holds the log learning rate (exp keeps the rate
+positive) and kronprecond.PrecondPhi the Kronecker blocks.  Each owns its
+rule: update(theta, g, delta) takes the step, vjp(g, v, delta) is its
+vector-Jacobian product in phi, and scalar() is the value a training row
+logs.  Only the SGDm warm-up of preconditioner mode and base kind kfac
+(oracles.kfac_update) step without phi.
 
 Each output divergence rho is defined once, in DIVERGENCES: its per-row
 value, its gradient in the new outputs, and its Hessian at zero displacement
 (the oracles read the Hessians).  An fsd kind of None names the divergence
-the model head implies, per HEAD_DIVERGENCE.  The proximal objective and its gradient in
-theta' are assembled once, by proximal_value_and_grad, which the meta step and
-the exact proximal-point oracle share.  One pass costs one forward and one
-backward on the loss batch, plus, when lam_fsd > 0, one forward at theta',
-one at theta and one backward on the discrepancy rows: 3 forwards and 2
-backwards per meta step.
+the model head implies, per HEAD_DIVERGENCE.  The proximal objective and its
+gradient in theta' are assembled once, by proximal_value_and_grad, which
+meta_gradient and the exact proximal-point oracle share.  meta_gradient is
+the one entry point to Q: one pass takes the lookahead, Q with its terms,
+and dQ/dphi.  Given g, it costs one forward and one backward on the loss
+batch, plus, when lam_fsd > 0, one forward at theta', one at theta and one
+backward on the discrepancy rows: 3 forwards and 2 backwards per meta step.
 """
 
 from __future__ import annotations
@@ -145,11 +147,19 @@ def default_precond_config(**overrides):
     return ProximalConfig(**base)
 
 
-@dataclass
-class LrPhi:
-    """Scalar log learning rate; exp keeps the induced rate positive."""
+class LrPhi(ParamSet):
+    """Scalar log learning rate, the one entry of a ParamSet; exp keeps the
+    induced rate positive."""
 
-    log_lr: float
+    def __init__(self, log_lr):
+        super().__init__(np.array([log_lr], dtype=FLOAT), (((1,),),))
+
+    def _bind(self):
+        """The one entry has no per-layer views to name."""
+
+    @property
+    def log_lr(self):
+        return float(self.flat[0])
 
     @property
     def lr(self):
@@ -170,21 +180,6 @@ class LrPhi:
     def vjp(self, g, v, delta):
         """Gradient of <v, update(theta, g, delta)> w.r.t. log_lr."""
         return LrPhi(-self.lr * v.dot(delta))
-
-    @property
-    def flat(self):
-        """The one-entry meta-parameter vector [log_lr], a fresh array."""
-        return np.array([self.log_lr], dtype=FLOAT)
-
-    def with_flat(self, vec):
-        """The LrPhi whose log_lr is the one entry of vec."""
-        return LrPhi(float(vec[0]))
-
-    def to_flat(self):
-        return self.flat
-
-    def from_flat(self, vec):
-        return self.with_flat(np.asarray(vec).reshape(-1))
 
 
 @dataclass(frozen=True)
@@ -228,29 +223,6 @@ def loss_and_grad(model, params, batch):
     return loss, g
 
 
-def lookahead(model, theta, phi, opt_state, batch_b, base_kind=None, g=None, delta=None):
-    """One-step lookahead theta'(phi) with g and the optimizer state fixed.
-
-    Returns (theta_new, g, delta); delta is the flat base direction, computed
-    from base_kind and opt_state unless given, and None without either (a
-    preconditioner ignores it).
-    """
-    if g is None:
-        _, g = loss_and_grad(model, theta, batch_b)
-    if delta is None and base_kind is not None:
-        delta, _ = update_direction(base_kind, opt_state, g.flat)
-    return phi.update(theta, g, delta), g, delta
-
-
-def _resolve_batches(cfg, batch_b, batch_bp, batch_loss):
-    if cfg.loss_batch_policy == "same":
-        lb = batch_b
-    else:
-        lb = batch_loss if batch_loss is not None else batch_bp
-    fsd_inputs = batch_bp.inputs if cfg.fsd_batch_policy == "fresh" else batch_b.inputs
-    return lb, fsd_inputs
-
-
 def _add_scaled(a, lam, b):
     """a <- a + lam * b, written into a; b is overwritten with lam * b."""
     np.add(a, np.multiply(lam, b, out=b), out=a)
@@ -286,42 +258,30 @@ def proximal_value_and_grad(model, u, theta, loss_batch, fsd_inputs, lam_fsd, la
     return q, {"loss": loss_term, "fsd": fsd_term, "wsd": wsd_term}, grad
 
 
-def _meta_value_and_grad(model, theta, phi, opt_state, batch_b, batch_bp, cfg,
-                         base_kind, batch_loss, g, delta):
-    """Q at the lookahead theta'(phi), its terms, v = dQ/d theta', and the
-    lookahead intermediates g and delta."""
-    theta_new, g, delta = lookahead(model, theta, phi, opt_state, batch_b,
-                                    base_kind, g=g, delta=delta)
-    loss_batch, fsd_inputs = _resolve_batches(cfg, batch_b, batch_bp, batch_loss)
+def meta_gradient(model, theta, phi, batch_b, batch_bp, cfg, g=None, delta=None,
+                  batch_loss=None):
+    """Exact reverse-mode gradient of Q w.r.t. phi at the lookahead
+    theta' = phi.update(theta, g, delta), with g and delta held fixed.
+
+    g is the loss gradient on batch_b, computed here unless given; delta is
+    the base direction a learning-rate phi steps along (a preconditioner
+    ignores it).  Returns (dQ/dphi as a set of phi's type, Q, Q's terms
+    {"loss", "fsd", "wsd"}); raises NumericalError on a non-finite term.
+    """
+    if g is None:
+        _, g = loss_and_grad(model, theta, batch_b)
+    theta_new = phi.update(theta, g, delta)
+    if cfg.loss_batch_policy == "same":
+        loss_batch = batch_b
+    else:
+        loss_batch = batch_loss if batch_loss is not None else batch_bp
+    fsd_inputs = batch_bp.inputs if cfg.fsd_batch_policy == "fresh" else batch_b.inputs
     q, parts, v = proximal_value_and_grad(model, theta_new, theta, loss_batch, fsd_inputs,
                                           cfg.lam_fsd, cfg.lam_wsd, cfg.fsd_kind)
     for name, value in parts.items():
         if not np.isfinite(value):
             raise NumericalError(f"meta-objective {name} term is non-finite")
-    return q, parts, v, g, delta
-
-
-def meta_objective(model, theta, phi, opt_state, batch_b, batch_bp, cfg,
-                   base_kind=None, batch_loss=None):
-    q, _, _, _, _ = _meta_value_and_grad(model, theta, phi, opt_state, batch_b, batch_bp,
-                                         cfg, base_kind, batch_loss, None, None)
-    return q
-
-
-def meta_gradient(model, theta, phi, opt_state, batch_b, batch_bp, cfg,
-                  base_kind=None, batch_loss=None, g=None, delta=None,
-                  return_parts=False):
-    """Exact reverse-mode gradient of Q w.r.t. phi (g and opt state fixed).
-
-    Returns a phi-shaped container; with return_parts=True also (Q, parts).
-    """
-    q, parts, v, g, delta = _meta_value_and_grad(model, theta, phi, opt_state, batch_b,
-                                                 batch_bp, cfg, base_kind, batch_loss,
-                                                 g, delta)
-    grad = phi.vjp(g, v, delta)
-    if return_parts:
-        return grad, q, parts
-    return grad
+    return phi.vjp(g, v, delta), q, parts
 
 
 def meta_step(phi, meta_state, meta_grad, cfg):
@@ -414,9 +374,8 @@ def apo_train(model, theta0, cfg, task, steps, rng, mode="apo-lr", base_kind=Non
                 batch_bp = task.sample_batch(rng)
                 batch_loss = (task.sample_batch(rng)
                               if cfg.loss_batch_policy == "fresh" else None)
-                mgrad, last_q, parts = meta_gradient(
-                    model, theta, phi, None, batch, batch_bp, cfg, batch_loss=batch_loss,
-                    g=g, delta=delta, return_parts=True)
+                mgrad, last_q, parts = meta_gradient(model, theta, phi, batch, batch_bp, cfg,
+                                                     g=g, delta=delta, batch_loss=batch_loss)
                 last_fsd, last_wsd = parts["fsd"], parts["wsd"]
                 phi, meta_state = meta_step(phi, meta_state, mgrad, cfg)
             if use_kfac:

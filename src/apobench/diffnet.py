@@ -94,7 +94,9 @@ def rosenbrock_model():
 class ParamSet:
     """Per-layer weights and optional biases held in one contiguous float64
     vector ``flat``; also the container for gradients and other
-    parameter-shaped values.
+    parameter-shaped values, and the base class of both meta-parameter types
+    phi (apo.LrPhi, kronprecond.PrecondPhi), which the meta-optimizer steps
+    through ``flat``.
 
     ``layout`` gives, per layer, the shape of each of its arrays (None for an
     absent one), in storage order.  The per-layer arrays are views of

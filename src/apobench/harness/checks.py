@@ -16,7 +16,7 @@ import math
 import numpy as np
 
 from .. import oracles
-from ..apo import LrPhi, ProximalConfig, loss_and_grad, meta_gradient, meta_objective
+from ..apo import LrPhi, ProximalConfig, loss_and_grad, meta_gradient
 from ..baseopt import BaseOptKind, init_state, update_direction
 from ..diffnet import (Batch, LayerSpec, Model, forward, init_params, loss_out_grad, mlp,
                        per_example_jacobian)
@@ -176,6 +176,15 @@ def check_identity_init_scaling():
     return [result("identity-init-scaling-bitwise", int(exact), 1, exact)]
 
 
+def _metagrad_fd_error(model, theta, phi, b, bp, cfg, delta=None):
+    """Max-norm relative error of meta_gradient's dQ/dphi against central
+    differences of Q over phi's flat vector."""
+    grad = meta_gradient(model, theta, phi, b, bp, cfg, delta=delta)[0]
+    fd = _fd_gradient(lambda v: meta_gradient(model, theta, phi.from_flat(v), b, bp, cfg,
+                                              delta=delta)[1], phi.flat)
+    return np.abs(grad.flat - fd).max() / max(np.abs(fd).max(), 1e-12)
+
+
 def check_metagrad_lr_fd(n_instances=5):
     worst = 0.0
     for seed in range(n_instances):
@@ -189,12 +198,9 @@ def check_metagrad_lr_fd(n_instances=5):
         state = init_state(kind, theta.flat)
         _, g0 = loss_and_grad(model, theta, bp)
         _, state = update_direction(kind, state, g0.flat)
+        delta, _ = update_direction(kind, state, loss_and_grad(model, theta, b)[1].flat)
         phi = LrPhi(math.log(0.05))
-        grad = meta_gradient(model, theta, phi, state, b, bp, cfg, base_kind=kind)
-        fd = _fd_gradient(lambda v: meta_objective(model, theta, LrPhi(float(v[0])),
-                                                   state, b, bp, cfg, base_kind=kind),
-                          np.array([phi.log_lr]))
-        worst = max(worst, abs(grad.log_lr - fd[0]) / max(abs(fd[0]), 1e-12))
+        worst = max(worst, _metagrad_fd_error(model, theta, phi, b, bp, cfg, delta))
     return [result("metagrad-fd-lr", worst, 1e-4)]
 
 
@@ -207,13 +213,8 @@ def check_metagrad_precond_fd(n_instances=5):
         b = Batch(rng.standard_normal((4, 3)), rng.standard_normal((4, 2)))
         bp = Batch(rng.standard_normal((4, 3)), rng.standard_normal((4, 2)))
         cfg = ProximalConfig(lam_fsd=0.4, lam_wsd=0.5)
-        phi = init_identity(model)
-        flat0 = phi.to_flat() + 0.25 * rng.standard_normal(phi.to_flat().size)
-        phi = phi.from_flat(flat0)
-        grad = meta_gradient(model, theta, phi, None, b, bp, cfg)
-        fd = _fd_gradient(lambda v: meta_objective(model, theta, phi.from_flat(v),
-                                                   None, b, bp, cfg), flat0)
-        worst = max(worst, np.abs(grad.to_flat() - fd).max() / max(np.abs(fd).max(), 1e-12))
+        phi = init_identity(model).map(lambda f: f + 0.25 * rng.standard_normal(f.size))
+        worst = max(worst, _metagrad_fd_error(model, theta, phi, b, bp, cfg))
     return [result("metagrad-fd-precond", worst, 1e-4)]
 
 

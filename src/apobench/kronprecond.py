@@ -13,14 +13,14 @@ for arbitrary A, B, S, and is applied without ever materializing it:
 Biases are not covered by the factorization; each bias vector gets an
 independent diagonal preconditioner diag(d)^2 with d meta-learned alongside
 the blocks.  The fixed step scale c multiplies the preconditioned gradient
-and is not meta-learned.  PrecondPhi stores A, B, S and d of every layer in
-one flat vector, in that order, through ParamSet's layout code, and owns its
-update of theta and that update's vector-Jacobian product in phi.
+and is not meta-learned.  PrecondPhi is a ParamSet: it stores A, B, S and d
+of every layer in one flat vector, in that order, so apo.meta_step steps it
+through that vector as it steps apo.LrPhi.  It owns its update of theta and
+that update's vector-Jacobian product in phi, which apo.meta_gradient calls.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -163,26 +163,3 @@ def precond_vjp(blocks, grad_w, upstream):
 def bias_diag_vjp(d, grad_b, upstream):
     """Gradient of <upstream, d^2 * grad_b> w.r.t. d."""
     return 2.0 * d * grad_b * upstream
-
-
-def to_json(phi, layer_names=None):
-    """Flat JSON document: per-layer row-major block arrays plus the scale."""
-    layers = []
-    for i, (blk, d) in enumerate(zip(phi.blocks, phi.bias_diags)):
-        name = layer_names[i] if layer_names else f"layer{i}"
-        layers.append({
-            "name": name,
-            "a": blk.a.tolist(),
-            "b": blk.b.tolist(),
-            "s": blk.s.tolist(),
-            "bias_diag": None if d is None else d.tolist(),
-        })
-    return json.dumps({"scale": phi.scale, "layers": layers}, indent=2)
-
-
-def from_json(doc):
-    data = json.loads(doc)
-    return PrecondPhi.from_layers(
-        [(layer["a"], layer["b"], layer["s"], layer.get("bias_diag"))
-         for layer in data["layers"]],
-        float(data["scale"]))

@@ -1,4 +1,5 @@
 import math
+import zlib
 
 import numpy as np
 import pytest
@@ -6,9 +7,9 @@ import pytest
 from apobench import numkit
 from apobench import apo
 from apobench.apo import (DIVERGENCES, KfacSettings, LrPhi, ProximalConfig, apo_train,
-                          default_lr_config, default_precond_config,
-                          init_meta_state, meta_gradient, meta_objective, meta_step,
-                          proximal_value_and_grad, wsd)
+                          default_lr_config, default_precond_config, init_meta_state,
+                          loss_and_grad, meta_gradient, meta_step, proximal_value_and_grad,
+                          wsd)
 from apobench.baseopt import KINDS, BaseOptKind, init_state, update_direction
 from apobench.diffnet import Batch, LayerSpec, Model, ParamSet, init_params, mlp
 from apobench.errors import ContractError, NumericalError, TrainingDivergedError
@@ -115,6 +116,11 @@ def test_divergence_table_value_grad_hessian(kind):
 # ------------------------------------------------------------ meta-objective
 
 
+def sgd_delta(model, theta, batch):
+    """The plain-SGD base direction on batch: its loss gradient's flat vector."""
+    return loss_and_grad(model, theta, batch)[1].flat
+
+
 def test_meta_objective_null_step_equals_current_loss():
     rng = numkit.make_rng(2)
     model = mlp([2, 3, 1], activation="sigmoid")
@@ -127,9 +133,8 @@ def test_meta_objective_null_step_equals_current_loss():
         if d is not None:
             d[:] = 0.0
     cfg = ProximalConfig(lam_fsd=0.3, lam_wsd=0.5)
-    from apobench.apo import loss_and_grad
     expected, _ = loss_and_grad(model, theta, batch)
-    q = meta_objective(model, theta, phi, None, batch, batch, cfg)
+    q = meta_gradient(model, theta, phi, batch, batch, cfg)[1]
     assert q == pytest.approx(expected, rel=0, abs=0)
 
 
@@ -140,23 +145,19 @@ def test_meta_objective_degenerate_config_is_post_step_loss():
     batch = Batch(rng.standard_normal((4, 2)), rng.standard_normal((4, 1)))
     cfg = zero_lam_cfg()
     phi = LrPhi(math.log(0.05))
-    kind = BaseOptKind("sgd")
-    from apobench.apo import lookahead, loss_and_grad
-    theta_new, _, _ = lookahead(model, theta, phi, init_state(kind, theta.flat), batch, kind)
-    expected, _ = loss_and_grad(model, theta_new, batch)
-    q = meta_objective(model, theta, phi, init_state(kind, theta.flat), batch, batch, cfg,
-                       base_kind=kind)
+    _, g = loss_and_grad(model, theta, batch)
+    expected, _ = loss_and_grad(model, phi.update(theta, g, g.flat), batch)
+    q = meta_gradient(model, theta, phi, batch, batch, cfg, delta=g.flat)[1]
     assert q == pytest.approx(expected)
 
 
 def test_meta_objective_quadratic_closed_form():
     model, theta, batch = quadratic_setup()
     cfg = zero_lam_cfg()
-    kind = BaseOptKind("sgd")
-    state = init_state(kind, theta.flat)
+    delta = sgd_delta(model, theta, batch)
     for eta in (0.05, 0.1, 0.5, 1.5):
-        q = meta_objective(model, theta, LrPhi(math.log(eta)), state, batch, batch,
-                           cfg, base_kind=kind)
+        q = meta_gradient(model, theta, LrPhi(math.log(eta)), batch, batch, cfg,
+                          delta=delta)[1]
         assert q == pytest.approx(0.5 * (1.0 - eta) ** 2, rel=1e-12)
 
 
@@ -167,11 +168,9 @@ def test_meta_objective_dominates_post_step_loss():
     b1 = Batch(rng.standard_normal((5, 3)), rng.standard_normal((5, 2)))
     b2 = Batch(rng.standard_normal((6, 3)), rng.standard_normal((6, 2)))
     cfg = ProximalConfig(lam_fsd=0.7, lam_wsd=0.4)
-    kind = BaseOptKind("sgd")
-    state = init_state(kind, theta.flat)
     phi = LrPhi(math.log(0.2))
-    _, q, parts = meta_gradient(model, theta, phi, state, b1, b2, cfg, base_kind=kind,
-                                return_parts=True)
+    _, q, parts = meta_gradient(model, theta, phi, b1, b2, cfg,
+                                delta=sgd_delta(model, theta, b1))
     assert parts["fsd"] >= 0.0 and parts["wsd"] >= 0.0
     assert q >= parts["loss"]
 
@@ -183,13 +182,10 @@ def test_meta_objective_fresh_loss_policy_is_expected_loss_objective():
     b = Batch(rng.standard_normal((5, 3)), rng.standard_normal((5, 2)))
     bp = Batch(rng.standard_normal((5, 3)), rng.standard_normal((5, 2)))
     cfg = zero_lam_cfg(loss_batch_policy="fresh")
-    kind = BaseOptKind("sgd")
-    state = init_state(kind, theta.flat)
     phi = LrPhi(math.log(0.1))
-    from apobench.apo import lookahead, loss_and_grad
-    theta_new, _, _ = lookahead(model, theta, phi, state, b, kind)
-    expected, _ = loss_and_grad(model, theta_new, bp)
-    q = meta_objective(model, theta, phi, state, b, bp, cfg, base_kind=kind)
+    _, g = loss_and_grad(model, theta, b)
+    expected, _ = loss_and_grad(model, phi.update(theta, g, g.flat), bp)
+    q = meta_gradient(model, theta, phi, b, bp, cfg, delta=g.flat)[1]
     assert q == pytest.approx(expected, rel=1e-14)
 
 
@@ -198,11 +194,8 @@ def test_meta_objective_fresh_loss_policy_is_expected_loss_objective():
 
 def test_meta_gradient_quadratic_hand_value():
     model, theta, batch = quadratic_setup()
-    cfg = zero_lam_cfg()
-    kind = BaseOptKind("sgd")
-    state = init_state(kind, theta.flat)
-    grad = meta_gradient(model, theta, LrPhi(math.log(0.1)), state, batch, batch,
-                         cfg, base_kind=kind)
+    grad = meta_gradient(model, theta, LrPhi(math.log(0.1)), batch, batch, zero_lam_cfg(),
+                         delta=sgd_delta(model, theta, batch))[0]
     # dQ/d eta = -(1 - eta) = -0.9; chain to log space: eta * that = -0.09
     assert grad.log_lr == pytest.approx(-0.09, rel=1e-12)
 
@@ -216,19 +209,27 @@ def test_meta_gradient_zero_at_stationary_point():
     outputs, _ = forward(model, theta, x)
     batch = Batch(x, outputs)  # loss minimum: gradient is exactly zero
     cfg = ProximalConfig(lam_fsd=0.5, lam_wsd=0.5)
-    kind = BaseOptKind("sgd")
-    grad = meta_gradient(model, theta, LrPhi(math.log(0.3)), init_state(kind, theta.flat),
-                         batch, batch, cfg, base_kind=kind)
+    grad = meta_gradient(model, theta, LrPhi(math.log(0.3)), batch, batch, cfg,
+                         delta=sgd_delta(model, theta, batch))[0]
     assert grad.log_lr == 0.0
-    phi = init_identity(model)
-    pgrad = meta_gradient(model, theta, phi, None, batch, batch, cfg)
-    assert np.abs(pgrad.to_flat()).max() == 0.0
+    pgrad = meta_gradient(model, theta, init_identity(model), batch, batch, cfg)[0]
+    assert np.abs(pgrad.flat).max() == 0.0
+
+
+def assert_meta_gradient_matches_fd(model, theta, phi, b, bp, cfg, delta=None):
+    """dQ/dphi from meta_gradient against central differences of Q over
+    phi's flat vector; the same check for either phi type."""
+    grad = meta_gradient(model, theta, phi, b, bp, cfg, delta=delta)[0]
+    fd = fd_scalar_fn(lambda v: meta_gradient(model, theta, phi.from_flat(v), b, bp, cfg,
+                                              delta=delta)[1], phi.flat, h=1e-4)
+    assert type(grad) is type(phi)
+    assert rel_err(grad.flat, fd) < 1e-4
 
 
 @pytest.mark.parametrize("base", ["sgd", "sgd-momentum", "rmsprop", "adam"])
 @pytest.mark.parametrize("lam_fsd,lam_wsd", [(0.0, 0.0), (0.4, 0.0), (0.3, 0.7)])
 def test_meta_gradient_lr_matches_fd(base, lam_fsd, lam_wsd):
-    rng = numkit.make_rng(hash((base, lam_fsd, lam_wsd)) % 2**32)
+    rng = numkit.make_rng(zlib.crc32(f"{base}/{lam_fsd}/{lam_wsd}".encode()))
     model = mlp([3, 4, 2], activation="sigmoid")
     theta = init_params(model, rng)
     b = Batch(rng.standard_normal((5, 3)), rng.standard_normal((5, 2)))
@@ -236,21 +237,11 @@ def test_meta_gradient_lr_matches_fd(base, lam_fsd, lam_wsd):
     cfg = ProximalConfig(lam_fsd=lam_fsd, lam_wsd=lam_wsd,
                          fsd_kind="kl-gaussian-unit-variance")
     kind = BaseOptKind(base)
-    state = init_state(kind, theta.flat)
     # advance the state so momentum buffers are nontrivial
-    from apobench.apo import loss_and_grad
-    _, g0 = loss_and_grad(model, theta, bp)
-    from apobench.baseopt import update_direction
-    _, state = update_direction(kind, state, g0.flat)
-    phi = LrPhi(math.log(0.07))
-    grad = meta_gradient(model, theta, phi, state, b, bp, cfg, base_kind=kind)
-
-    def q_of(vec):
-        return meta_objective(model, theta, LrPhi(float(vec[0])), state, b, bp,
-                              cfg, base_kind=kind)
-
-    fd = fd_scalar_fn(q_of, np.array([phi.log_lr]), h=1e-4)
-    assert rel_err(np.array([grad.log_lr]), fd) < 1e-4
+    _, state = update_direction(kind, init_state(kind, theta.flat),
+                                loss_and_grad(model, theta, bp)[1].flat)
+    delta, _ = update_direction(kind, state, loss_and_grad(model, theta, b)[1].flat)
+    assert_meta_gradient_matches_fd(model, theta, LrPhi(math.log(0.07)), b, bp, cfg, delta)
 
 
 @pytest.mark.parametrize("fsd_kind,classification", [
@@ -272,17 +263,9 @@ def test_meta_gradient_precond_matches_fd(fsd_kind, classification):
     b = Batch(x, t)
     bp = Batch(rng.standard_normal((4, 3)), t[:4])
     cfg = ProximalConfig(lam_fsd=0.4, lam_wsd=0.6, fsd_kind=fsd_kind)
-    phi = init_identity(model, scale=0.9)
     # randomize the blocks so the test point is generic
-    flat0 = phi.to_flat() + 0.3 * rng.standard_normal(phi.to_flat().size)
-    phi = phi.from_flat(flat0)
-    grad = meta_gradient(model, theta, phi, None, b, bp, cfg)
-
-    def q_of(vec):
-        return meta_objective(model, theta, phi.from_flat(vec), None, b, bp, cfg)
-
-    fd = fd_scalar_fn(q_of, flat0, h=1e-4)
-    assert rel_err(grad.to_flat(), fd) < 1e-4
+    phi = init_identity(model, scale=0.9).map(lambda f: f + 0.3 * rng.standard_normal(f.size))
+    assert_meta_gradient_matches_fd(model, theta, phi, b, bp, cfg)
 
     # the proximal pass underneath, at a generic u: dQ/du against FD
     u = theta.from_flat(theta.to_flat() + 0.2 * rng.standard_normal(theta.size))
@@ -300,7 +283,7 @@ def test_meta_gradient_precond_matches_fd(fsd_kind, classification):
 
 
 def test_meta_gradient_fd_sweep_random_instances():
-    """20 random instances mixing LR mode and a 1-layer 3x2 preconditioner."""
+    """20 random instances of a 1-layer 3x2 preconditioner."""
     for seed in range(20):
         rng = numkit.make_rng(1000 + seed)
         model = mlp([3, 2], activation="sigmoid", out_activation="linear")
@@ -309,14 +292,8 @@ def test_meta_gradient_fd_sweep_random_instances():
         bp = Batch(rng.standard_normal((4, 3)), rng.standard_normal((4, 2)))
         cfg = ProximalConfig(lam_fsd=0.2 + 0.5 * rng.random(),
                              lam_wsd=0.2 + 0.5 * rng.random())
-        phi = init_identity(model)
-        flat0 = phi.to_flat() + 0.25 * rng.standard_normal(phi.to_flat().size)
-        phi = phi.from_flat(flat0)
-        grad = meta_gradient(model, theta, phi, None, b, bp, cfg)
-        fd = fd_scalar_fn(
-            lambda v: meta_objective(model, theta, phi.from_flat(v), None, b, bp, cfg),
-            flat0, h=1e-4)
-        assert rel_err(grad.to_flat(), fd) < 1e-4, f"seed {seed}"
+        phi = init_identity(model).map(lambda f: f + 0.25 * rng.standard_normal(f.size))
+        assert_meta_gradient_matches_fd(model, theta, phi, b, bp, cfg)
 
 
 @pytest.mark.parametrize("head,kind", [("classification-softmax", "kl-categorical"),
@@ -330,13 +307,12 @@ def test_meta_objective_none_fsd_kind_is_head_divergence(head, kind):
         rng.standard_normal((5, 3))
     b = Batch(rng.standard_normal((5, 3)), targets)
     bp = Batch(rng.standard_normal((4, 3)), targets[:4])
-    base = BaseOptKind("sgd")
-    state = init_state(base, theta.flat)
     phi = LrPhi(math.log(0.3))
+    delta = sgd_delta(model, theta, b)
 
     def q(fsd_kind):
         cfg = ProximalConfig(lam_fsd=0.8, lam_wsd=0.2, fsd_kind=fsd_kind)
-        return meta_objective(model, theta, phi, state, b, bp, cfg, base_kind=base)
+        return meta_gradient(model, theta, phi, b, bp, cfg, delta=delta)[1]
 
     assert ProximalConfig().fsd_kind is None
     assert q(None) == q(kind)
@@ -360,8 +336,6 @@ def _count_passes(monkeypatch):
 @pytest.mark.parametrize("lam_fsd,forwards,backwards", [(0.5, 3, 2), (0.0, 1, 1)])
 def test_meta_gradient_op_counts(monkeypatch, lam_fsd, forwards, backwards):
     """One meta step as apo_train makes it (g and delta given, fresh B')."""
-    from apobench.apo import loss_and_grad
-    from apobench.baseopt import update_direction
     rng = numkit.make_rng(41)
     model = mlp([3, 4, 2], activation="sigmoid")
     theta = init_params(model, rng)
@@ -369,15 +343,48 @@ def test_meta_gradient_op_counts(monkeypatch, lam_fsd, forwards, backwards):
     bp = Batch(rng.standard_normal((4, 3)), rng.standard_normal((4, 2)))
     cfg = ProximalConfig(lam_fsd=lam_fsd, lam_wsd=0.3, fsd_batch_policy="fresh")
     kind = BaseOptKind("sgd-momentum")
-    state = init_state(kind, theta.flat)
     _, g = loss_and_grad(model, theta, b)
-    delta, _ = update_direction(kind, state, g.flat)
+    delta, _ = update_direction(kind, init_state(kind, theta.flat), g.flat)
     for phi, d in ((LrPhi(math.log(0.1)), delta), (init_identity(model), None)):
         counts = _count_passes(monkeypatch)
-        meta_gradient(model, theta, phi, state, b, bp, cfg, base_kind=kind,
-                      g=g, delta=d, return_parts=True)
+        meta_gradient(model, theta, phi, b, bp, cfg, g=g, delta=d)
         assert counts == {"forward": forwards, "backward": backwards}
         monkeypatch.undo()
+
+
+@pytest.mark.parametrize("mode,meta_interval", [("apo-lr", 10), ("apo-precond", 1)])
+def test_training_pass_counts(monkeypatch, mode, meta_interval):
+    """apo_train makes 1 forward and 1 backward per training step, and 3
+    forwards and 2 backwards more per meta step (fsd and wsd on), in the
+    preconditioner's SGDm warm-up and after it."""
+    task = tasks.synth_regression_task(n=64, d=3, seed=2, batch_size=8)
+    theta0 = task.init_theta(numkit.make_rng(1))
+    if mode == "apo-lr":
+        cfg = default_lr_config(lam_fsd=1.0, lam_wsd=0.1, meta_interval=meta_interval)
+    else:
+        cfg = default_precond_config(lam_fsd=1.0, lam_wsd=0.1, meta_interval=meta_interval,
+                                     warmup_steps=5)
+    steps = 20
+    counts = _count_passes(monkeypatch)
+    apo_train(task.model, theta0, cfg, task, steps, numkit.make_rng(2), mode=mode,
+              base_kind=BaseOptKind("sgd-momentum"))
+    meta_steps = steps // meta_interval
+    assert counts == {"forward": steps + 3 * meta_steps, "backward": steps + 2 * meta_steps}
+
+
+def test_kfac_step_solves_twice_per_layer(monkeypatch):
+    """A KFAC step makes 2 solve_spd calls per layer, refresh step or not."""
+    from apobench import oracles
+    calls = []
+    solve = oracles.solve_spd
+    monkeypatch.setattr(oracles, "solve_spd", lambda m, rhs: calls.append(1) or solve(m, rhs))
+    task = tasks.synth_regression_task(n=64, d=3, seed=2, batch_size=8)
+    theta0 = task.init_theta(numkit.make_rng(1))
+    steps = 12
+    apo_train(task.model, theta0, default_lr_config(), task, steps, numkit.make_rng(2),
+              mode="none", base_kind=BaseOptKind("kfac"),
+              kfac=KfacSettings(damping=1e-2, update_every=5, ema_decay=0.9))
+    assert len(calls) == 2 * len(task.model.layers) * steps
 
 
 # ---------------------------------------------------------------- meta-step
@@ -485,7 +492,6 @@ def test_apo_train_warmup_uses_sgdm_but_meta_learns():
     assert not np.array_equal(res.phi.to_flat(), ident.to_flat())
     # parameters moved by plain SGDm: first step is -warmup_lr * g
     batch = task.sample_batch(numkit.make_rng(5))
-    from apobench.apo import loss_and_grad
     _, g = loss_and_grad(task.model, theta0, batch)
     one = apo_train(task.model, theta0, cfg, task, 1, numkit.make_rng(5),
                     mode="apo-precond", base_kind=BaseOptKind("sgd-momentum"))
@@ -551,7 +557,7 @@ def test_phi_vjp_matches_fd_of_update():
 def test_lr_update_needs_base_direction():
     model, theta, batch = quadratic_setup()
     with pytest.raises(ContractError):
-        apo.lookahead(model, theta, LrPhi(0.0), None, batch)
+        meta_gradient(model, theta, LrPhi(0.0), batch, batch, zero_lam_cfg())
 
 
 # ------------------------------------------------------------------ config
@@ -569,11 +575,10 @@ def test_config_validation():
 def test_meta_objective_nonfinite_term_raises():
     model, theta, batch = quadratic_setup()
     cfg = zero_lam_cfg()
-    kind = BaseOptKind("sgd")
-    state = init_state(kind, theta.flat)
     huge = LrPhi(820.0)  # exp overflows to inf
     with pytest.raises((NumericalError, FloatingPointError, OverflowError)):
-        meta_objective(model, theta, huge, state, batch, batch, cfg, base_kind=kind)
+        meta_gradient(model, theta, huge, batch, batch, cfg,
+                      delta=sgd_delta(model, theta, batch))
 
 
 def test_lr_overflow_is_numerical_error():

@@ -7,8 +7,7 @@ from apobench import numkit
 from apobench.diffnet import ParamSet, mlp
 from apobench.errors import DimensionError, OracleScaleError
 from apobench.kronprecond import (KronBlocks, PrecondPhi, apply_precond,
-                                  apply_precond_update, dense_precond, from_json,
-                                  init_identity, to_json)
+                                  apply_precond_update, dense_precond, init_identity)
 from apobench.numkit import kron_dense, sym_eig_min, unvec_cm, vec_cm
 
 
@@ -138,17 +137,6 @@ def test_shape_mismatch_raises():
     blocks = KronBlocks(np.eye(2), np.eye(3), np.ones((3, 2)))
     with pytest.raises(DimensionError):
         apply_precond(blocks, np.ones((2, 3)))
-
-
-def test_json_roundtrip():
-    model = mlp([3, 2], activation="sigmoid")
-    phi = init_identity(model, scale=0.7)
-    phi.blocks[0].s[:] = numkit.make_rng(1).standard_normal((3, 2))
-    doc = to_json(phi, layer_names=["enc"])
-    back = from_json(doc)
-    assert back.scale == phi.scale
-    assert np.array_equal(back.blocks[0].s, phi.blocks[0].s)
-    assert np.array_equal(back.bias_diags[0], phi.bias_diags[0])
 
 
 def test_flat_roundtrip():
