@@ -41,7 +41,7 @@ import numpy as np
 
 from .baseopt import BaseOptKind, OptState, apply_lr_update, init_state, update_direction
 from .diffnet import ParamSet, backward, forward, loss_eval, loss_out_grad, predictive
-from .errors import ContractError, NumericalError, TrainingDivergedError
+from .errors import ContractError, DimensionError, NumericalError, TrainingDivergedError
 from .kronprecond import DEFAULT_SCALE, init_identity
 from .numkit import FLOAT
 
@@ -151,8 +151,14 @@ class LrPhi(ParamSet):
     """Scalar log learning rate, the one entry of a ParamSet; exp keeps the
     induced rate positive."""
 
-    def __init__(self, log_lr):
-        super().__init__(np.array([log_lr], dtype=FLOAT), (((1,),),))
+    LAYOUT = (((1,),),)
+
+    def __init__(self, log_lr, layout=LAYOUT):
+        """LrPhi(log_lr), or LrPhi(flat, layout) as ParamSet.from_layers
+        rebuilds one."""
+        if layout != LrPhi.LAYOUT:
+            raise DimensionError(f"a learning-rate phi has layout {LrPhi.LAYOUT}, got {layout}")
+        super().__init__(np.array(log_lr, dtype=FLOAT).reshape(1), layout)
 
     def _bind(self):
         """The one entry has no per-layer views to name."""
@@ -380,7 +386,7 @@ def apo_train(model, theta0, cfg, task, steps, rng, mode="apo-lr", base_kind=Non
                 phi, meta_state = meta_step(phi, meta_state, mgrad, cfg)
             if use_kfac:
                 stats = kfac_statistics(model, theta, batch.inputs, rng, stats, t, kfac)
-                theta = kfac_update(theta, g, stats, kfac.damping, lr0)
+                theta = kfac_update(theta, g, stats.factors, lr0)
             elif t <= warmup:
                 wdelta, warm_state = update_direction(warm_kind, warm_state, g.flat)
                 theta = apply_lr_update(theta, cfg.warmup_lr, wdelta)

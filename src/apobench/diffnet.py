@@ -135,6 +135,17 @@ class ParamSet:
     def _bind(self):
         self.weights, self.biases = map(tuple, self._views())
 
+    def stacked(self):
+        """Per layer of a (W, b) layout, the one view of ``flat`` that holds
+        W with b appended as its last row (W alone for a bias-free layer):
+        the homogeneous [W; b] that a Kronecker-factored step acts on."""
+        views = []
+        for w, b in self._spans:
+            fan_in, fan_out = w[2]
+            stop = w[1] if b is None else b[1]
+            views.append(self.flat[w[0]:stop].reshape(fan_in + (b is not None), fan_out))
+        return views
+
     @classmethod
     def from_layers(cls, layers, *args):
         """A set whose fresh buffer holds copies of the given arrays: one

@@ -13,9 +13,18 @@ holds exactly, which is what makes the structured-preconditioner
 factorization and its efficient application interchangeable.  Do not mix
 ``vec_cm`` with numpy's default C-order ``ravel`` when moving between the
 dense and factored representations.
+
+SPD solves
+----------
+``solve_spd`` factors its matrix with ``cholesky_spd`` (``dpotrf``) and then
+solves (``dpotrs``).  A caller that solves with one matrix many times factors
+it once and passes the ``CholeskyFactor`` instead.  Both routes give the same
+bytes: ``dpotrf`` is deterministic, and the solve reads only the factor.
 """
 
 from __future__ import annotations
+
+from typing import NamedTuple
 
 import numpy as np
 from scipy.linalg import lapack as _lapack
@@ -83,8 +92,15 @@ def _require_symmetric(m, name, tol=1e-8):
     return m
 
 
-def solve_spd(m, rhs):
-    """Solve m @ x = rhs for symmetric positive-definite m via Cholesky.
+class CholeskyFactor(NamedTuple):
+    """The lower Cholesky factor of an SPD matrix, as cholesky_spd returns
+    it; solve_spd takes it in place of the matrix to skip the factorization."""
+
+    lower: np.ndarray
+
+
+def cholesky_spd(m):
+    """Cholesky factor of a symmetric positive-definite m (dpotrf).
 
     Raises NumericalError with the 1-based failing pivot index when the
     factorization detects a non-SPD matrix.
@@ -92,14 +108,26 @@ def solve_spd(m, rhs):
     m = _require_symmetric(m, "m")
     n = m.shape[0]
     if n > SOLVE_SPD_MAX_N:
-        raise OracleScaleError(f"solve_spd limited to n <= {SOLVE_SPD_MAX_N}, got {n}")
-    rhs = np.asarray(rhs, dtype=FLOAT)
-    if rhs.shape[0] != n:
-        raise DimensionError(f"rhs length {rhs.shape[0]} does not match n={n}")
+        raise OracleScaleError(f"cholesky_spd limited to n <= {SOLVE_SPD_MAX_N}, got {n}")
     c, info = _lapack.dpotrf(m, lower=1)
     if info != 0:
         raise NumericalError(f"matrix is not SPD: pivot {info} failed", pivot=info)
-    x, info = _lapack.dpotrs(c, rhs, lower=1)
+    return CholeskyFactor(c)
+
+
+def solve_spd(m, rhs):
+    """Solve m @ x = rhs for symmetric positive-definite m via Cholesky.
+
+    m is the matrix, which cholesky_spd factors here (raising its
+    NumericalError with the failing pivot), or a CholeskyFactor of it; the
+    solve itself is one dpotrs call.
+    """
+    factor = m if isinstance(m, CholeskyFactor) else cholesky_spd(m)
+    n = factor.lower.shape[0]
+    rhs = np.asarray(rhs, dtype=FLOAT)
+    if rhs.shape[0] != n:
+        raise DimensionError(f"rhs length {rhs.shape[0]} does not match n={n}")
+    x, info = _lapack.dpotrs(factor.lower, rhs, lower=1)
     if info != 0:
         raise NumericalError(f"triangular solve failed with info={info}")
     return x

@@ -4,7 +4,9 @@ dense discrepancy Hessians, the optimal dense preconditioner, and KFAC.
 
 Everything here is oracle-scale: dense matrices, explicit loops, guards on
 the parameter count.  Training calls into this module only for the KFAC base
-optimizer, whose steps apo_train takes with kfac_statistics and kfac_update.
+optimizer, whose steps apo_train takes with kfac_statistics and kfac_update:
+the statistics refresh every update_every-th step and factor their damped
+blocks then, so every step costs two Cholesky solves (dpotrs) per layer.
 The checks that compare these oracles with each other and with the
 meta-learned optimizers (Thm 1, KFAC recovery, the proximal-point limits)
 live in harness.checks.
@@ -12,12 +14,14 @@ live in harness.checks.
 
 from __future__ import annotations
 
+from typing import NamedTuple
+
 import numpy as np
 
 from .apo import divergence, loss_and_grad, proximal_value_and_grad
 from .diffnet import backward, forward, per_example_jacobian, predictive
 from .errors import ContractError, ConvergenceError, NumericalError, OracleScaleError
-from .numkit import FLOAT, solve_spd
+from .numkit import FLOAT, cholesky_spd, solve_spd
 
 HESSIAN_MAX_PARAMS = 2000
 
@@ -196,7 +200,8 @@ def _sample_targets(head, outputs, rng):
     if head == "classification-softmax":
         p = predictive("classification-softmax", outputs)
         u = rng.random(p.shape[0])
-        return np.array([np.searchsorted(np.cumsum(row), uu) for row, uu in zip(p, u)])
+        # Per row, the first index whose running total reaches u.
+        return np.count_nonzero(np.cumsum(p, axis=1) < u[:, None], axis=1)
     raise ContractError(f"cannot sample Fisher targets for head {head!r}")
 
 
@@ -267,40 +272,56 @@ def kfac_blocks(model, params, inputs, rng=None, exact=False):
     return list(zip(a_blocks, b_blocks))
 
 
-def kfac_statistics(model, params, inputs, rng, stats, t, settings):
-    """The KFAC statistics for training step t: sampled kfac_blocks on the
-    first step, then every settings.update_every-th step averaged into stats
-    with decay settings.ema_decay; stats unchanged on the other steps."""
-    if stats is not None and t % settings.update_every:
-        return stats
-    fresh = kfac_blocks(model, params, inputs, rng=rng)
-    if stats is None:
-        return fresh
-    d = settings.ema_decay
-    return [(d * a0 + (1 - d) * a1, d * b0 + (1 - d) * b1)
-            for (a0, b0), (a1, b1) in zip(stats, fresh)]
+class KfacStats(NamedTuple):
+    """The KFAC state between refreshes: per layer the statistics (A, B) and
+    the Cholesky factors of the damped blocks A + damping I and
+    B + damping I, which kfac_update solves with."""
+
+    blocks: list
+    factors: list
 
 
-def kfac_update(theta, g, blocks, damping, lr):
-    """Damped Kronecker-inverse step: with weights stored fan_in x fan_out
-    (bias as the appended homogeneous row), each layer takes
-
-        Wbar' = Wbar - lr * (A + damping I)^-1  grad(Wbar)  (B + damping I)^-1.
-    """
+def kfac_factors(blocks, damping):
+    """Per layer, the Cholesky factors of A + damping I and B + damping I.
+    A block that is not SPD raises NumericalError with its failing pivot."""
     if damping < 0:
         raise ContractError("damping must be nonnegative")
-    out = theta.map(np.empty_like)
-    for w, b, gw, gb, ow, ob, (a_blk, b_blk) in zip(theta.weights, theta.biases, g.weights,
-                                                    g.biases, out.weights, out.biases, blocks):
-        gbar = gw if b is None else np.vstack([gw, gb])
-        try:
-            left = solve_spd(a_blk + damping * np.eye(a_blk.shape[0]), gbar)
-            right = solve_spd(b_blk + damping * np.eye(b_blk.shape[0]), left.T).T
-        except NumericalError as exc:
-            raise NumericalError(f"kfac block factorization failed: {exc}",
-                                 pivot=exc.pivot) from exc
-        np.subtract(w, lr * right[:w.shape[0]], out=ow)
-        if b is not None:
-            np.subtract(b, lr * right[-1], out=ob)
-    return out
+    try:
+        return [tuple(cholesky_spd(m + damping * np.eye(m.shape[0])) for m in pair)
+                for pair in blocks]
+    except NumericalError as exc:
+        raise NumericalError(f"kfac block factorization failed: {exc}",
+                             pivot=exc.pivot) from exc
 
+
+def kfac_statistics(model, params, inputs, rng, stats, t, settings):
+    """The KfacStats for training step t: sampled kfac_blocks on the first
+    step, then every settings.update_every-th step averaged into stats with
+    decay settings.ema_decay, each refresh factoring its damped blocks
+    (settings.damping) once; stats unchanged on the other steps."""
+    if stats is not None and t % settings.update_every:
+        return stats
+    blocks = kfac_blocks(model, params, inputs, rng=rng)
+    if stats is not None:
+        d = settings.ema_decay
+        blocks = [(d * a0 + (1 - d) * a1, d * b0 + (1 - d) * b1)
+                  for (a0, b0), (a1, b1) in zip(stats.blocks, blocks)]
+    return KfacStats(blocks, kfac_factors(blocks, settings.damping))
+
+
+def kfac_update(theta, g, factors, lr):
+    """Damped Kronecker-inverse step from kfac_factors' Cholesky factors:
+    with weights stored fan_in x fan_out and the bias as the appended
+    homogeneous row, each layer's [W; b] span of theta takes
+
+        Wbar' = Wbar - lr * (A + damping I)^-1  grad(Wbar)  (B + damping I)^-1,
+
+    two solve_spd calls on the factors and no factorization.
+    """
+    out = theta.map(np.empty_like)
+    for wbar, gbar, obar, (a_fac, b_fac) in zip(theta.stacked(), g.stacked(),
+                                                out.stacked(), factors):
+        left = solve_spd(a_fac, gbar)
+        right = solve_spd(b_fac, left.T).T
+        np.subtract(wbar, lr * right, out=obar)
+    return out

@@ -1,5 +1,6 @@
 import math
 import zlib
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from apobench.diffnet import Batch, LayerSpec, Model, ParamSet, init_params, mlp
 from apobench.errors import ContractError, NumericalError, TrainingDivergedError
 from apobench.kronprecond import KronBlocks, PrecondPhi, init_identity
 from apobench import tasks
+from apobench.harness import config, runner
 
 from helpers import fd_scalar_fn, fsd_value, rel_err
 
@@ -258,7 +260,6 @@ def test_meta_gradient_precond_matches_fd(fsd_kind, classification):
     if classification:
         t = rng.integers(0, 2, size=5)
     else:
-        t = rng.standard_normal((5, 1 if model.d_out == 1 else model.d_out))
         t = rng.standard_normal((5, model.d_out))
     b = Batch(x, t)
     bp = Batch(rng.standard_normal((4, 3)), t[:4])
@@ -385,6 +386,53 @@ def test_kfac_step_solves_twice_per_layer(monkeypatch):
               mode="none", base_kind=BaseOptKind("kfac"),
               kfac=KfacSettings(damping=1e-2, update_every=5, ema_decay=0.9))
     assert len(calls) == 2 * len(task.model.layers) * steps
+
+
+def test_kfac_factors_twice_per_layer_per_refresh(monkeypatch):
+    """Only a statistics refresh factors, 2 blocks per layer: over 12 steps
+    with update_every=5 the refreshes are t = 1, 5 and 10."""
+    calls = []
+    dpotrf = numkit._lapack.dpotrf
+    monkeypatch.setattr(numkit._lapack, "dpotrf",
+                        lambda *a, **kw: calls.append(1) or dpotrf(*a, **kw))
+    task = tasks.synth_regression_task(n=64, d=3, seed=2, batch_size=8)
+    theta0 = task.init_theta(numkit.make_rng(1))
+    apo_train(task.model, theta0, default_lr_config(), task, 12, numkit.make_rng(2),
+              mode="none", base_kind=BaseOptKind("kfac"),
+              kfac=KfacSettings(damping=1e-2, update_every=5, ema_decay=0.9))
+    assert len(calls) == 2 * len(task.model.layers) * 3
+
+
+def test_kfac_non_spd_refresh_diverges_at_its_step():
+    """A refreshed block that is not SPD stops training at the refresh step
+    with the factorization's pivot: the step-5 batch has a zero input
+    column, so with no damping and no averaging A has a zero first pivot."""
+    model = Model((LayerSpec(3, 2, "linear", True),), "regression-gaussian-unit-variance")
+    rng = numkit.make_rng(4)
+    batches = [Batch(rng.standard_normal((8, 3)), rng.standard_normal((8, 2)))
+               for _ in range(6)]
+    batches[4].inputs[:, 0] = 0.0
+    task = SimpleNamespace(sample_batch=lambda _rng: batches.pop(0))
+    with pytest.raises(TrainingDivergedError) as err:
+        apo_train(model, init_params(model, rng), default_lr_config(), task, 6,
+                  numkit.make_rng(5), mode="none", base_kind=BaseOptKind("kfac"),
+                  kfac=KfacSettings(damping=0.0, update_every=5, ema_decay=0.0))
+    assert err.value.step == 5 and len(err.value.rows) == 4
+    cause = err.value.__cause__
+    assert isinstance(cause, NumericalError) and cause.pivot == 1
+    assert str(cause).startswith("kfac block factorization failed: ")
+
+
+@pytest.mark.parametrize("seed", [1000, 2000])
+def test_kfac_illcond_linear_diverges_at_step_3(tmp_path, seed):
+    """KFAC at its default damping on the 64-d illcond-linear task (kappa
+    1e10, batch 64) diverges at step 3, keeping the two rows before it."""
+    doc = {"task": {"kind": "illcond-linear", "batch_size": 64,
+                    "params": {"d": 64, "kappa": 1e10}},
+           "mode": "none", "base_opt": {"kind": "kfac"}, "steps": 400, "seed": seed}
+    with pytest.raises(TrainingDivergedError) as err:
+        runner.run(config.parse_config(doc), tmp_path)
+    assert err.value.step == 3 and len(err.value.rows) == 2
 
 
 # ---------------------------------------------------------------- meta-step

@@ -10,7 +10,7 @@ from apobench.diffnet import (Batch, LayerSpec, Model, ParamSet, backward, forwa
                               init_params, loss_eval, loss_out_grad, mlp, per_example_jacobian,
                               predictive, rosenbrock_model)
 from apobench.errors import ContractError, DimensionError
-from apobench.kronprecond import apply_precond_update, init_identity
+from apobench.kronprecond import PrecondPhi, apply_precond_update, init_identity
 
 from helpers import fd_param_gradient, rel_err
 
@@ -271,6 +271,29 @@ def test_flat_roundtrip_and_dot_order(layers):
     assert theta.sq_norm() == float(sum(np.vdot(a, a) for a in arrays_of(theta)))
     with pytest.raises(DimensionError):
         theta.from_flat(np.zeros(theta.size + 1))
+
+
+@settings(max_examples=60, deadline=None)
+@given(random_layers())
+def test_stacked_views_are_w_with_b_appended(layers):
+    theta = ParamSet.from_layers(layers)
+    for view, (w, b) in zip(theta.stacked(), layers):
+        assert np.shares_memory(view, theta.flat)
+        assert np.array_equal(view, w if b is None else np.vstack([w, b]))
+
+
+def test_phi_types_rebuild_through_from_layers():
+    lr = LrPhi.from_layers([((0.5,),)])
+    assert type(lr) is LrPhi and lr.log_lr == 0.5 and np.array_equal(lr.flat, [0.5])
+    with pytest.raises(DimensionError):
+        LrPhi.from_layers([((0.5, 0.1),)])
+    rng = numkit.make_rng(3)
+    phi = init_identity(mlp([3, 4, 2]), scale=0.4).map(
+        lambda f: f + rng.standard_normal(f.size))
+    again = PrecondPhi.from_layers(
+        [(blk.a, blk.b, blk.s, d) for blk, d in zip(phi.blocks, phi.bias_diags)], phi.scale)
+    assert type(again) is PrecondPhi and again.layout == phi.layout
+    assert np.array_equal(again.flat, phi.flat) and again.scale == 0.4
 
 
 @settings(max_examples=60, deadline=None)

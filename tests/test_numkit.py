@@ -82,6 +82,8 @@ def test_solve_spd_random_residual():
         rhs = rng.standard_normal(n)
         x = numkit.solve_spd(spd, rhs)
         assert np.linalg.norm(spd @ x - rhs) <= 1e-8 * np.linalg.norm(rhs)
+        # A factor computed once solves to the same bytes as the matrix.
+        assert np.array_equal(numkit.solve_spd(numkit.cholesky_spd(spd), rhs), x)
 
 
 def test_solve_spd_non_spd_reports_pivot():
@@ -94,6 +96,22 @@ def test_solve_spd_non_spd_reports_pivot():
 def test_solve_spd_rejects_asymmetric():
     with pytest.raises(ContractError):
         numkit.solve_spd(np.array([[1.0, 0.5], [0.0, 1.0]]), np.ones(2))
+
+
+def test_cholesky_spd_checks_what_solve_spd_checked():
+    with pytest.raises(NumericalError) as err:
+        numkit.cholesky_spd(np.diag([1.0, -1.0, 2.0]))
+    assert err.value.pivot == 2
+    with pytest.raises(ContractError):
+        numkit.cholesky_spd(np.array([[1.0, 0.5], [0.0, 1.0]]))
+    n = numkit.SOLVE_SPD_MAX_N + 1
+    with pytest.raises(OracleScaleError):
+        numkit.cholesky_spd(np.eye(n))
+
+
+def test_solve_spd_factor_rejects_wrong_rhs_length():
+    with pytest.raises(DimensionError):
+        numkit.solve_spd(numkit.cholesky_spd(np.eye(3)), np.ones(2))
 
 
 def test_sym_eig_min_identity():

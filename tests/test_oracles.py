@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from apobench import numkit, oracles
 from apobench.apo import loss_and_grad
 from apobench.diffnet import (Batch, LayerSpec, Model, ParamSet, forward,
-                              init_params, mlp)
+                              init_params, mlp, predictive)
 from apobench.errors import ContractError, NumericalError
 from apobench.harness import checks
 from apobench.numkit import kron_dense
@@ -307,7 +309,7 @@ def test_kfac_identity_statistics_gives_sgd_direction():
     assert np.abs(blocks[0][0] - np.eye(3)).max() < 1e-12
     assert np.abs(blocks[0][1] - np.eye(2)).max() < 1e-12
     g = ParamSet.from_layers([(rng.standard_normal((3, 2)), None)])
-    out = oracles.kfac_update(theta, g, blocks, damping=0.0, lr=0.25)
+    out = oracles.kfac_update(theta, g, oracles.kfac_factors(blocks, 0.0), lr=0.25)
     expect = theta.map2(g, lambda t, gg: t - 0.25 * gg)
     assert np.abs(out.to_flat() - expect.to_flat()).max() < 1e-12
 
@@ -316,7 +318,7 @@ def test_kfac_update_scalar_hand_value():
     theta = ParamSet.from_layers([(np.array([[0.0]]), None)])
     g = ParamSet.from_layers([(np.array([[6.0]]), None)])
     blocks = [(np.array([[2.0]]), np.array([[3.0]]))]
-    out = oracles.kfac_update(theta, g, blocks, damping=0.0, lr=1.0)
+    out = oracles.kfac_update(theta, g, oracles.kfac_factors(blocks, 0.0), lr=1.0)
     assert out.weights[0][0, 0] == pytest.approx(-1.0)
 
 
@@ -324,8 +326,72 @@ def test_kfac_update_huge_damping_freezes():
     theta = ParamSet.from_layers([(np.array([[1.0]]), None)])
     g = ParamSet.from_layers([(np.array([[6.0]]), None)])
     blocks = [(np.array([[2.0]]), np.array([[3.0]]))]
-    out = oracles.kfac_update(theta, g, blocks, damping=1e12, lr=1.0)
+    out = oracles.kfac_update(theta, g, oracles.kfac_factors(blocks, 1e12), lr=1.0)
     assert abs(out.weights[0][0, 0] - 1.0) < 1e-10
+
+
+def kfac_update_reference(theta, g, blocks, damping, lr):
+    """The KFAC step as written out in full: [W; b] stacked by vstack, a
+    solve_spd on each raw damped block, then the subtracts."""
+    out = theta.map(np.empty_like)
+    for w, b, gw, gb, ow, ob, (a_blk, b_blk) in zip(theta.weights, theta.biases, g.weights,
+                                                    g.biases, out.weights, out.biases, blocks):
+        gbar = gw if b is None else np.vstack([gw, gb])
+        left = numkit.solve_spd(a_blk + damping * np.eye(a_blk.shape[0]), gbar)
+        right = numkit.solve_spd(b_blk + damping * np.eye(b_blk.shape[0]), left.T).T
+        np.subtract(w, lr * right[:w.shape[0]], out=ow)
+        if b is not None:
+            np.subtract(b, lr * right[-1], out=ob)
+    return out
+
+
+def random_spd(rng, n):
+    m = rng.standard_normal((n, n + 2))
+    return m @ m.T / (n + 2)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.integers(1, 6), min_size=2, max_size=4), st.data(),
+       st.sampled_from([0.0, 1e-3, 1e12]), st.integers(0, 2**32 - 1))
+def test_kfac_update_from_factors_is_byte_identical_to_full_formula(widths, data, damping,
+                                                                    seed):
+    has_bias = data.draw(st.lists(st.booleans(), min_size=len(widths) - 1,
+                                  max_size=len(widths) - 1))
+    rng = numkit.make_rng(seed)
+    shapes = list(zip(widths, widths[1:], has_bias))
+    theta, g = (ParamSet.from_layers([(rng.standard_normal((m, n)),
+                                       rng.standard_normal(n) if bias else None)
+                                      for m, n, bias in shapes]) for _ in range(2))
+    blocks = [(random_spd(rng, m + bias), random_spd(rng, n)) for m, n, bias in shapes]
+    got = oracles.kfac_update(theta, g, oracles.kfac_factors(blocks, damping), lr=0.3)
+    expect = kfac_update_reference(theta, g, blocks, damping, lr=0.3)
+    assert np.array_equal(got.flat, expect.flat)
+
+
+def test_kfac_factors_non_spd_reports_pivot():
+    blocks = [(np.diag([1.0, 0.0, 2.0]), np.eye(2))]
+    with pytest.raises(NumericalError, match="^kfac block factorization failed") as err:
+        oracles.kfac_factors(blocks, 0.0)
+    assert err.value.pivot == 2
+    with pytest.raises(ContractError):
+        oracles.kfac_factors(blocks, -1.0)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(1, 12), st.integers(2, 6), st.sampled_from([0.5, 5.0, 1e3]),
+       st.integers(0, 2**32 - 1))
+def test_sampled_classification_targets_match_per_row_search(rows, classes, spread, seed):
+    """One vectorized draw gives the per-row searchsorted(cumsum(row), u)
+    indices, saturated softmax rows (spread 1e3) included, and leaves the rng
+    where the per-row search would."""
+    outputs = spread * numkit.make_rng(seed + 1).standard_normal((rows, classes))
+    rng, ref_rng = numkit.make_rng(seed), numkit.make_rng(seed)
+    got = oracles._sample_targets("classification-softmax", outputs, rng)
+    p = predictive("classification-softmax", outputs)
+    u = ref_rng.random(rows)
+    expect = np.array([np.searchsorted(np.cumsum(row), uu) for row, uu in zip(p, u)])
+    assert got.dtype == expect.dtype and np.array_equal(got, expect)
+    assert rng.random() == ref_rng.random()
 
 
 def test_kfac_blocks_empty_dataset_rejected():
