@@ -20,6 +20,11 @@ SPD solves
 solves (``dpotrs``).  A caller that solves with one matrix many times factors
 it once and passes the ``CholeskyFactor`` instead.  Both routes give the same
 bytes: ``dpotrf`` is deterministic, and the solve reads only the factor.
+
+SciPy's LAPACK wrappers are imported on the first factorization or solve,
+not with this module: the APO training paths make no LAPACK call, and the
+import roughly doubles the start-up time of every process.  This is the only
+place the package imports SciPy.
 """
 
 from __future__ import annotations
@@ -27,7 +32,6 @@ from __future__ import annotations
 from typing import NamedTuple
 
 import numpy as np
-from scipy.linalg import lapack as _lapack
 
 from .errors import ContractError, DimensionError, NumericalError, OracleScaleError
 
@@ -92,6 +96,13 @@ def _require_symmetric(m, name, tol=1e-8):
     return m
 
 
+def _lapack():
+    """scipy.linalg.lapack, imported on first use (see module docstring)."""
+    from scipy.linalg import lapack
+
+    return lapack
+
+
 class CholeskyFactor(NamedTuple):
     """The lower Cholesky factor of an SPD matrix, as cholesky_spd returns
     it; solve_spd takes it in place of the matrix to skip the factorization."""
@@ -109,7 +120,7 @@ def cholesky_spd(m):
     n = m.shape[0]
     if n > SOLVE_SPD_MAX_N:
         raise OracleScaleError(f"cholesky_spd limited to n <= {SOLVE_SPD_MAX_N}, got {n}")
-    c, info = _lapack.dpotrf(m, lower=1)
+    c, info = _lapack().dpotrf(m, lower=1)
     if info != 0:
         raise NumericalError(f"matrix is not SPD: pivot {info} failed", pivot=info)
     return CholeskyFactor(c)
@@ -127,7 +138,7 @@ def solve_spd(m, rhs):
     rhs = np.asarray(rhs, dtype=FLOAT)
     if rhs.shape[0] != n:
         raise DimensionError(f"rhs length {rhs.shape[0]} does not match n={n}")
-    x, info = _lapack.dpotrs(factor.lower, rhs, lower=1)
+    x, info = _lapack().dpotrs(factor.lower, rhs, lower=1)
     if info != 0:
         raise NumericalError(f"triangular solve failed with info={info}")
     return x

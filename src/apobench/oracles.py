@@ -200,8 +200,10 @@ def _sample_targets(head, outputs, rng):
     if head == "classification-softmax":
         p = predictive("classification-softmax", outputs)
         u = rng.random(p.shape[0])
-        # Per row, the first index whose running total reaches u.
-        return np.count_nonzero(np.cumsum(p, axis=1) < u[:, None], axis=1)
+        # Per row, the first index whose running total reaches u; a total
+        # that rounds to just below 1 can stay under u, so clamp to the last.
+        drawn = np.count_nonzero(np.cumsum(p, axis=1) < u[:, None], axis=1)
+        return np.minimum(drawn, p.shape[1] - 1)
     raise ContractError(f"cannot sample Fisher targets for head {head!r}")
 
 

@@ -1,5 +1,6 @@
 import math
 import zlib
+from collections import Counter
 from types import SimpleNamespace
 
 import numpy as np
@@ -353,24 +354,61 @@ def test_meta_gradient_op_counts(monkeypatch, lam_fsd, forwards, backwards):
         monkeypatch.undo()
 
 
+# The ParamSet operations bench/tracer.PARAMSET_OPS counts (a copy's own
+# map counts too).
+PARAMSET_OPS = ("map", "map2", "copy", "dot", "sq_norm", "to_flat", "from_flat")
+
+
+def _count_paramset_ops(monkeypatch):
+    counts = Counter()
+    for name in PARAMSET_OPS:
+        original = vars(ParamSet)[name]
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            counts[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(ParamSet, name, counted)
+    return counts
+
+
+# ParamSet operations per SGDm warm-up step, per training step after it
+# (backward's gradient set; for a preconditioner also the logged norm and its
+# update) and per meta step (the lookahead's and the two backwards' sets, the
+# wsd difference and its norm, and the phi VJP).  A run adds theta0.copy().
+PARAMSET_COUNTS = {
+    "apo-lr": ({}, {"map": 1}, {"map": 2, "map2": 1, "sq_norm": 1, "dot": 1}),
+    "apo-precond": ({"map": 1, "sq_norm": 1}, {"map": 2, "sq_norm": 1},
+                    {"map": 4, "map2": 1, "sq_norm": 1}),
+}
+
+
 @pytest.mark.parametrize("mode,meta_interval", [("apo-lr", 10), ("apo-precond", 1)])
 def test_training_pass_counts(monkeypatch, mode, meta_interval):
     """apo_train makes 1 forward and 1 backward per training step, and 3
     forwards and 2 backwards more per meta step (fsd and wsd on), in the
-    preconditioner's SGDm warm-up and after it."""
+    preconditioner's SGDm warm-up and after it; its ParamSet operations
+    follow PARAMSET_COUNTS exactly."""
     task = tasks.synth_regression_task(n=64, d=3, seed=2, batch_size=8)
     theta0 = task.init_theta(numkit.make_rng(1))
+    warmup = 0 if mode == "apo-lr" else 5
     if mode == "apo-lr":
         cfg = default_lr_config(lam_fsd=1.0, lam_wsd=0.1, meta_interval=meta_interval)
     else:
         cfg = default_precond_config(lam_fsd=1.0, lam_wsd=0.1, meta_interval=meta_interval,
-                                     warmup_steps=5)
+                                     warmup_steps=warmup)
     steps = 20
     counts = _count_passes(monkeypatch)
+    ops = _count_paramset_ops(monkeypatch)
     apo_train(task.model, theta0, cfg, task, steps, numkit.make_rng(2), mode=mode,
               base_kind=BaseOptKind("sgd-momentum"))
     meta_steps = steps // meta_interval
     assert counts == {"forward": steps + 3 * meta_steps, "backward": steps + 2 * meta_steps}
+    expect = Counter({"copy": 1, "map": 1})
+    for times, per in zip((warmup, steps - warmup, meta_steps), PARAMSET_COUNTS[mode]):
+        for op, n in per.items():
+            expect[op] += times * n
+    assert ops == expect
 
 
 def test_kfac_step_solves_twice_per_layer(monkeypatch):
@@ -391,9 +429,10 @@ def test_kfac_step_solves_twice_per_layer(monkeypatch):
 def test_kfac_factors_twice_per_layer_per_refresh(monkeypatch):
     """Only a statistics refresh factors, 2 blocks per layer: over 12 steps
     with update_every=5 the refreshes are t = 1, 5 and 10."""
+    from scipy.linalg import lapack
     calls = []
-    dpotrf = numkit._lapack.dpotrf
-    monkeypatch.setattr(numkit._lapack, "dpotrf",
+    dpotrf = lapack.dpotrf
+    monkeypatch.setattr(lapack, "dpotrf",
                         lambda *a, **kw: calls.append(1) or dpotrf(*a, **kw))
     task = tasks.synth_regression_task(n=64, d=3, seed=2, batch_size=8)
     theta0 = task.init_theta(numkit.make_rng(1))

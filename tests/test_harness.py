@@ -1,11 +1,14 @@
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import apobench
 from apobench import tasks
 from apobench.apo import DIVERGENCES, default_lr_config, default_precond_config
 from apobench.baseopt import KINDS as BASE_KINDS
@@ -586,3 +589,41 @@ def test_cli_grid(tmp_path):
     assert cli.main(["grid", "--config", str(cfg_path), "--sweep", str(sweep_path),
                      "--out", str(tmp_path / "g")]) == 0
     assert os.path.exists(tmp_path / "g" / "summary.csv")
+
+
+# The benchmark's three tasks, an APO run of each mode on each, and one KFAC
+# run, all in one fresh interpreter that reports when scipy.linalg appears.
+LAZY_LAPACK_SCRIPT = """
+import json, os, sys
+from apobench.harness import cli, config, runner
+from apobench import tasks
+task_docs, out = json.loads(sys.argv[1])
+seen = {}
+for task in task_docs:
+    tasks.build_task(config.parse_config({"task": task}).task)
+seen["built"] = "scipy.linalg" in sys.modules
+for i, task in enumerate(task_docs):
+    for mode in ("apo-lr", "apo-precond"):
+        doc = {"task": task, "mode": mode, "steps": 5, "seed": i,
+               "proximal": {"lambda_fsd": 1.0, "lambda_wsd": 0.1, "meta_interval": 1}}
+        runner.run(config.parse_config(doc), os.path.join(out, f"{mode}-{i}"))
+seen["apo"] = "scipy.linalg" in sys.modules
+doc = {"task": task_docs[0], "mode": "none", "base_opt": {"kind": "kfac"}, "steps": 5}
+runner.run(config.parse_config(doc), os.path.join(out, "kfac"))
+seen["kfac"] = "scipy.linalg" in sys.modules
+print(json.dumps(seen))
+"""
+BENCH_TASKS = [{"kind": "synth-classification"}, {"kind": "bottleneck-autoencoder"},
+               {"kind": "illcond-linear", "batch_size": 64,
+                "params": {"d": 64, "kappa": 1e10}}]
+
+
+def test_lapack_loads_on_first_factorization_only(tmp_path):
+    """Importing the CLI, building tasks and APO training load no SciPy;
+    the first KFAC factorization does."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(apobench.__file__)))
+    proc = subprocess.run(
+        [sys.executable, "-c", LAZY_LAPACK_SCRIPT, json.dumps([BENCH_TASKS, str(tmp_path)])],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == {"built": False, "apo": False, "kfac": True}

@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -382,16 +384,29 @@ def test_kfac_factors_non_spd_reports_pivot():
        st.integers(0, 2**32 - 1))
 def test_sampled_classification_targets_match_per_row_search(rows, classes, spread, seed):
     """One vectorized draw gives the per-row searchsorted(cumsum(row), u)
-    indices, saturated softmax rows (spread 1e3) included, and leaves the rng
-    where the per-row search would."""
+    indices (clamped to the last class), saturated softmax rows (spread 1e3)
+    included, and leaves the rng where the per-row search would."""
     outputs = spread * numkit.make_rng(seed + 1).standard_normal((rows, classes))
     rng, ref_rng = numkit.make_rng(seed), numkit.make_rng(seed)
     got = oracles._sample_targets("classification-softmax", outputs, rng)
     p = predictive("classification-softmax", outputs)
     u = ref_rng.random(rows)
-    expect = np.array([np.searchsorted(np.cumsum(row), uu) for row, uu in zip(p, u)])
+    expect = np.array([min(np.searchsorted(np.cumsum(row), uu), classes - 1)
+                       for row, uu in zip(p, u)])
     assert got.dtype == expect.dtype and np.array_equal(got, expect)
     assert rng.random() == ref_rng.random()
+
+
+def test_sampled_classification_target_clamped_to_last_class():
+    """A softmax row whose running total rounds to below 1, with a draw
+    above that total, gets the last class instead of one past it."""
+    outputs = 3.0 * numkit.make_rng(12).standard_normal((1, 10))
+    assert np.cumsum(predictive("classification-softmax", outputs))[-1] < 1.0
+    top = SimpleNamespace(random=lambda n: np.full(n, np.nextafter(1.0, 0.0)))
+    targets = oracles._sample_targets("classification-softmax", outputs, top)
+    assert targets.tolist() == [9]
+    seed = oracles._nll_seed("classification-softmax", outputs, targets)
+    assert seed[0, 9] < 0.0 and np.all(seed[0, :9] > 0.0)
 
 
 def test_kfac_blocks_empty_dataset_rejected():
