@@ -52,7 +52,7 @@ class Divergence:
 
     value: object    # (y_new, y_old) -> per-row rho, shape (B,)
     grad: object     # (y_new, y_old) -> d rho / d y_new, shape (B, d)
-    hessian: object  # output row y, shape (d,) -> d^2 rho / d y_new^2 at y_new = y_old = y
+    hessian: object  # (y,) -> per-row d^2 rho / d y_new^2 at y_new = y_old = y, shape (B, d, d)
 
 
 def _log_softmax(z):
@@ -67,9 +67,9 @@ def _kl_categorical_rows(y_new, y_old):
     return np.sum(np.exp(lp) * (lp - lq), axis=1)
 
 
-def _softmax_hessian(y):
-    p = predictive("classification-softmax", y[None, :])[0]
-    return np.diag(p) - np.outer(p, p)
+def _softmax_hessians(y):
+    p = predictive("classification-softmax", y)[:, :, None]
+    return np.eye(y.shape[1]) * p - p * p.transpose(0, 2, 1)
 
 
 DIVERGENCES = {
@@ -77,15 +77,15 @@ DIVERGENCES = {
         value=_kl_categorical_rows,
         grad=lambda y_new, y_old: (predictive("classification-softmax", y_new)
                                    - predictive("classification-softmax", y_old)),
-        hessian=_softmax_hessian),
+        hessian=_softmax_hessians),
     "kl-gaussian-unit-variance": Divergence(
         value=lambda y_new, y_old: 0.5 * np.sum((y_new - y_old) ** 2, axis=1),
         grad=lambda y_new, y_old: y_new - y_old,
-        hessian=lambda y: np.eye(y.shape[0])),
+        hessian=lambda y: np.broadcast_to(np.eye(y.shape[1]), (*y.shape, y.shape[1]))),
     "squared-output-distance": Divergence(
         value=lambda y_new, y_old: np.sum((y_new - y_old) ** 2, axis=1),
         grad=lambda y_new, y_old: 2.0 * (y_new - y_old),
-        hessian=lambda y: 2.0 * np.eye(y.shape[0])),
+        hessian=lambda y: np.broadcast_to(2.0 * np.eye(y.shape[1]), (*y.shape, y.shape[1]))),
 }
 FSD_KINDS = tuple(DIVERGENCES)
 # The divergence each model head implies, used wherever no fsd kind is named.
@@ -101,6 +101,9 @@ DIVERGENCE_GUARD = 1e12
 
 @dataclass(frozen=True)
 class ProximalConfig:
+    """Proximal meta-learning settings; the defaults are learning-rate mode's
+    (RMSprop meta-optimizer at 0.1), default_precond_config preconditioner's."""
+
     lam_fsd: float = 0.0
     lam_wsd: float = 0.0
     fsd_kind: str | None = None   # None: the model head's, per HEAD_DIVERGENCE
@@ -130,13 +133,6 @@ class ProximalConfig:
             raise ContractError(f"bad fsd_batch_policy {self.fsd_batch_policy!r}")
         if self.scale <= 0:
             raise ContractError("scale must be positive")
-
-
-def default_lr_config(**overrides):
-    """Learning-rate adaptation defaults: RMSprop meta-optimizer at 0.1."""
-    base = dict(meta_opt=BaseOptKind("rmsprop"), meta_lr=0.1, warmup_steps=0)
-    base.update(overrides)
-    return ProximalConfig(**base)
 
 
 def default_precond_config(**overrides):

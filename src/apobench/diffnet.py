@@ -9,6 +9,8 @@ Fisher blocks come out as (input stats) kron (output stats).
 
 ``forward`` keeps every layer's activation in its ForwardTrace, and
 ``backward`` reads them from there instead of computing them again.
+``preact_jacobians`` sweeps a whole batch with one forward and one backward
+per output unit; the per-example Jacobian and the exact oracles read it.
 
 ReLU uses subgradient 0 at 0; finite-difference checks are run on smooth
 activations or off-kink inputs.
@@ -411,26 +413,33 @@ def predictive(head, outputs):
     return outputs
 
 
+def preact_jacobians(model, params, inputs):
+    """One forward on the whole batch, then one backward per output unit j
+    seeded with e_j on every row (rows never mix in a backward pass).
+    Returns (outputs, trace, ds): ds[l] is B x d_out x fan_out, with
+    ds[l][b, j] = d y_j(x_b) / d s_l(x_b) at layer l's pre-activation."""
+    if model.kind != "mlp":
+        raise ContractError("per-example Jacobians are defined for layered models only")
+    outputs, trace = forward(model, params, inputs)
+    per_out = [backward(model, params, trace, np.tile(e, (len(outputs), 1)))[1]
+               for e in np.eye(outputs.shape[1])]
+    return outputs, trace, [np.stack(ds, axis=1) for ds in zip(*per_out)]
+
+
 def per_example_jacobian(model, params, inputs):
     """Exact per-example Jacobian d f(x_b, theta) / d theta, B x d_out x m.
 
     Parameter ordering is the ParamSet storage order (row-major W, then bias,
-    per layer).  Loops over examples and output units; oracle scale only.
+    per layer).  From one preact_jacobians sweep: a weight block is the outer
+    product of the layer input with ds, a bias block is ds itself.
     """
     m = params.size
     if m > JACOBIAN_MAX_PARAMS:
         raise OracleScaleError(f"per_example_jacobian limited to {JACOBIAN_MAX_PARAMS} params, got {m}")
-    inputs = np.asarray(inputs, dtype=FLOAT)
-    bsz = inputs.shape[0]
-    outputs, _ = forward(model, params, inputs)
-    d_out = outputs.shape[1]
-    jac = np.zeros((bsz, d_out, m))
-    for bi in range(bsz):
-        row = inputs[bi:bi + 1]
-        _, trace = forward(model, params, row)
-        for j in range(d_out):
-            seed = np.zeros((1, d_out))
-            seed[0, j] = 1.0
-            g, _ = backward(model, params, trace, seed)
-            jac[bi, j] = g.flat
-    return jac
+    _, trace, ds = preact_jacobians(model, params, inputs)
+    blocks = []
+    for spec, a, d in zip(model.layers, trace.layer_inputs, ds):
+        blocks.append((a[:, None, :, None] * d[:, :, None, :]).reshape(*d.shape[:2], -1))
+        if spec.has_bias:
+            blocks.append(d)
+    return np.concatenate(blocks, axis=2)

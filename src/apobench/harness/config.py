@@ -26,7 +26,7 @@ from dataclasses import dataclass, field, replace
 from functools import partial
 
 from ..apo import (BATCH_POLICIES, FSD_KINDS, KfacSettings, ProximalConfig,
-                   default_lr_config, default_precond_config)
+                   default_precond_config)
 from ..baseopt import BASE_KINDS, KINDS, BaseOptKind
 from ..errors import ConfigError, ContractError
 from ..tasks import TASK_KINDS, TASK_PARAMS, TaskSpec
@@ -137,7 +137,7 @@ def parse_config(doc):
 
     mode = top.get("mode", ExperimentConfig.mode)
     base = _read(top.get("base_opt", {}), BASE_OPT, "/base_opt")
-    defaults = default_precond_config() if mode == "apo-precond" else default_lr_config()
+    defaults = default_precond_config() if mode == "apo-precond" else ProximalConfig()
     prox = _read(top.get("proximal", {}), PROXIMAL, "/proximal")
     prox["meta_opt"] = _build(partial(replace, defaults.meta_opt),
                               _read(prox.get("meta_opt", {}), META_OPT, "/proximal/meta_opt"),

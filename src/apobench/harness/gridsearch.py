@@ -49,29 +49,22 @@ def expand_grid(template_doc, sweep_doc):
     return combos
 
 
+SUMMARY_FIELDS = ("config_hash", "status", "final_train_loss", "best_train_loss",
+                  "final_eval_loss", "best_eval_loss", "final_accuracy")
+
+
 def _run_one(doc, run_dir):
-    """Worker: returns a JSON-ready summary row for one grid point."""
+    """Worker: returns a JSON-ready summary row for one grid point, every
+    SUMMARY_FIELDS key present (None where a failed point has no value)."""
+    row = dict.fromkeys(SUMMARY_FIELDS)
     try:
         cfg = parse_config(doc)
         outcome = run(cfg, run_dir)
-        row = {"status": "ok", "config_hash": config_hash(cfg)}
-        row.update({
-            "final_train_loss": outcome.summary["final_train_loss"],
-            "best_train_loss": outcome.summary["best_train_loss"],
-            "final_eval_loss": outcome.summary["final_eval_loss"],
-            "best_eval_loss": outcome.summary["best_eval_loss"],
-            "final_accuracy": outcome.summary["final_accuracy"],
-        })
-        return row
+        row.update({key: outcome.summary[key] for key in SUMMARY_FIELDS[2:]},
+                   status="ok", config_hash=config_hash(cfg))
     except (ApoBenchError, OSError) as exc:
-        return {"status": f"failed: {exc}", "config_hash": "",
-                "final_train_loss": None, "best_train_loss": None,
-                "final_eval_loss": None, "best_eval_loss": None,
-                "final_accuracy": None}
-
-
-SUMMARY_FIELDS = ("config_hash", "status", "final_train_loss", "best_train_loss",
-                  "final_eval_loss", "best_eval_loss", "final_accuracy")
+        row.update(status=f"failed: {exc}", config_hash="")
+    return row
 
 
 def grid(template_doc, sweep_doc, out_dir, parallel=1):

@@ -2,8 +2,10 @@
 optimizers: exact and closed-form proximal-point updates, damped Newton,
 dense discrepancy Hessians, the optimal dense preconditioner, and KFAC.
 
-Everything here is oracle-scale: dense matrices, explicit loops, guards on
-the parameter count.  Training calls into this module only for the KFAC base
+Everything here is oracle-scale: dense matrices, guards on the parameter
+count, and exact curvature as one contraction over the per-example
+Jacobians of diffnet.preact_jacobians (one forward, d_out backwards).
+Training calls into this module only for the KFAC base
 optimizer, whose steps apo_train takes with kfac_statistics and kfac_update:
 the statistics refresh every update_every-th step and factor their damped
 blocks then, so every step costs two Cholesky solves (dpotrs) per layer.
@@ -19,11 +21,17 @@ from typing import NamedTuple
 import numpy as np
 
 from .apo import divergence, loss_and_grad, proximal_value_and_grad
-from .diffnet import backward, forward, per_example_jacobian, predictive
+from .diffnet import backward, forward, per_example_jacobian, preact_jacobians, predictive
 from .errors import ContractError, ConvergenceError, NumericalError, OracleScaleError
 from .numkit import FLOAT, cholesky_spd, solve_spd
 
 HESSIAN_MAX_PARAMS = 2000
+
+
+def _mean_sandwich(jac, hessians):
+    """mean_b jac[b]^T hessians[b] jac[b] of a B x d x n stack, one matmul."""
+    rows = jac.reshape(-1, jac.shape[2])
+    return rows.T @ (hessians @ jac).reshape(rows.shape) / len(jac)
 
 
 def fsd_hessian_exact(model, params, inputs, kind=None):
@@ -33,17 +41,12 @@ def fsd_hessian_exact(model, params, inputs, kind=None):
     ordering is the ParamSet storage order; a None kind means the model head's
     divergence.
     """
-    hessian = divergence(model, kind).hessian
+    hessians = divergence(model, kind).hessian
     m = params.size
     if m > HESSIAN_MAX_PARAMS:
         raise OracleScaleError(f"fsd_hessian_exact limited to {HESSIAN_MAX_PARAMS} params, got {m}")
-    inputs = np.asarray(inputs, dtype=FLOAT)
     outputs, _ = forward(model, params, inputs)
-    jac = per_example_jacobian(model, params, inputs)
-    g = np.zeros((m, m))
-    for b in range(inputs.shape[0]):
-        g += jac[b].T @ hessian(outputs[b]) @ jac[b]
-    g /= inputs.shape[0]
+    g = _mean_sandwich(per_example_jacobian(model, params, inputs), hessians(outputs))
     return 0.5 * (g + g.T)
 
 
@@ -230,48 +233,29 @@ def kfac_blocks(model, params, inputs, rng=None, exact=False):
 
     Sampled mode backpropagates one target drawn from the predictive
     distribution per example.  Exact mode integrates the target out in closed
-    form through per-output backward passes.
+    form: B_l = mean_b M_b^T H_rho M_b over the preact_jacobians sweep, whose
+    M_b holds d y / d s_l for example b.
     """
     if model.kind != "mlp":
         raise ContractError("kfac statistics are defined for layered models only")
     inputs = np.asarray(inputs, dtype=FLOAT)
     if inputs.shape[0] == 0:
         raise ContractError("kfac_blocks needs a nonempty dataset")
-    outputs, trace = forward(model, params, inputs)
-    bsz, d_out = outputs.shape
-
-    a_blocks = []
-    for spec, a_in in zip(model.layers, trace.layer_inputs):
-        abar = _homogeneous(a_in, spec.has_bias)
-        a_blocks.append(abar.T @ abar / bsz)
-
-    n_layers = len(model.layers)
-    if not exact:
+    bsz = inputs.shape[0]
+    if exact:
+        outputs, trace, ds_stacks = preact_jacobians(model, params, inputs)
+        hessians = divergence(model).hessian(outputs)
+        b_blocks = [_mean_sandwich(stack, hessians) for stack in ds_stacks]
+    else:
         if rng is None:
             raise ContractError("sampled kfac_blocks needs an rng")
+        outputs, trace = forward(model, params, inputs)
         targets = _sample_targets(model.head, outputs, rng)
         seed = _nll_seed(model.head, outputs, targets)
         _, ds_list = backward(model, params, trace, seed)
         b_blocks = [ds.T @ ds / bsz for ds in ds_list]
-    else:
-        # M[j] holds d y_j / d s_l for every example; B_l = E[M^T H_rho M].
-        per_out_ds = [[] for _ in range(n_layers)]
-        for j in range(d_out):
-            seed = np.zeros((bsz, d_out))
-            seed[:, j] = 1.0
-            _, ds_list = backward(model, params, trace, seed)
-            for l in range(n_layers):
-                per_out_ds[l].append(ds_list[l])
-        hessian = divergence(model).hessian
-        hs = [hessian(outputs[b]) for b in range(bsz)]
-        b_blocks = []
-        for l in range(n_layers):
-            stack = np.stack(per_out_ds[l], axis=1)  # bsz x d_out x n_l
-            acc = np.zeros((stack.shape[2], stack.shape[2]))
-            for b in range(bsz):
-                acc += stack[b].T @ hs[b] @ stack[b]
-            b_blocks.append(acc / bsz)
-    return list(zip(a_blocks, b_blocks))
+    abars = [_homogeneous(a, spec.has_bias) for spec, a in zip(model.layers, trace.layer_inputs)]
+    return [(a.T @ a / bsz, b) for a, b in zip(abars, b_blocks)]
 
 
 class KfacStats(NamedTuple):

@@ -282,6 +282,36 @@ def test_stacked_views_are_w_with_b_appended(layers):
         assert np.array_equal(view, w if b is None else np.vstack([w, b]))
 
 
+@settings(max_examples=60, deadline=None)
+@given(random_layers(), st.lists(st.sampled_from(diffnet.ACTIVATIONS), min_size=4, max_size=4),
+       st.integers(1, 6), st.integers(0, 2**32 - 1))
+def test_jacobian_rows_are_batch_invariant(layers, activations, bsz, seed):
+    """Row b of the batched Jacobian is the Jacobian of example b alone, and
+    contracting it with an output gradient gives backward's gradient."""
+    model = Model(tuple(LayerSpec(*w.shape, act, b is not None)
+                        for (w, b), act in zip(layers, activations)),
+                  "regression-gaussian-unit-variance")
+    theta = ParamSet.from_layers(layers)
+    rng = numkit.make_rng(seed)
+    x = rng.standard_normal((bsz, model.d_in))
+    jac = per_example_jacobian(model, theta, x)
+    assert jac.shape == (bsz, model.d_out, theta.size)
+    for b in range(bsz):
+        one = per_example_jacobian(model, theta, x[b:b + 1])[0]
+        assert np.abs(jac[b] - one).max() <= 1e-12 * max(1.0, np.abs(one).max())
+    dy = rng.standard_normal((bsz, model.d_out))
+    g, _ = backward(model, theta, forward(model, theta, x)[1], dy)
+    vjp = np.einsum("bj,bjm->m", dy, jac)
+    assert np.abs(vjp - g.flat).max() <= 1e-12 * max(1.0, np.abs(g.flat).max())
+
+
+def test_jacobian_needs_a_layered_model():
+    model = rosenbrock_model()
+    theta = ParamSet.from_layers([(np.array([[0.3], [-0.2]]), None)])
+    with pytest.raises(ContractError):
+        per_example_jacobian(model, theta, np.zeros((2, 1)))
+
+
 def test_phi_types_rebuild_through_from_layers():
     lr = LrPhi.from_layers([((0.5,),)])
     assert type(lr) is LrPhi and lr.log_lr == 0.5 and np.array_equal(lr.flat, [0.5])

@@ -10,14 +10,14 @@ from hypothesis import strategies as st
 
 import apobench
 from apobench import tasks
-from apobench.apo import DIVERGENCES, default_lr_config, default_precond_config
+from apobench.apo import DIVERGENCES, ProximalConfig, default_precond_config
 from apobench.baseopt import KINDS as BASE_KINDS
 from apobench.baseopt import BaseOptKind
 from apobench.errors import ConfigError, IngestionError, TrainingDivergedError
 from apobench.harness import cli
 from apobench.harness.config import (CONFIG, MODES, KfacSettings, config_hash,
                                      config_to_dict, load_config, parse_config)
-from apobench.harness.gridsearch import expand_grid, grid
+from apobench.harness.gridsearch import SUMMARY_FIELDS, expand_grid, grid
 from apobench.harness.runner import run, validate_metrics_csv, write_metrics_csv
 
 from helpers import write_dataset_csv
@@ -95,7 +95,7 @@ def test_parse_defaults_by_mode():
     assert pre_cfg.proximal.warmup_steps == 300
     assert pre_cfg.proximal.scale == 0.9
     # an omitted field takes the default of the object that owns it
-    for mode, defaults in (("none", default_lr_config), ("apo-lr", default_lr_config),
+    for mode, defaults in (("none", ProximalConfig), ("apo-lr", ProximalConfig),
                            ("apo-precond", default_precond_config)):
         cfg = parse_config(synth_doc(mode=mode))
         assert cfg.proximal == defaults()
@@ -430,6 +430,8 @@ def test_grid_records_failures_and_continues(tmp_path):
     statuses = {repr(r["axis:init_lr"]): r["status"] for r in rows}
     assert statuses[repr(1e-4)] == "ok"
     assert statuses[repr(0.1)].startswith("failed")
+    for row in rows:  # both rows carry every summary field
+        assert set(SUMMARY_FIELDS) <= set(row)
 
 
 def test_grid_bad_task_point_fails_alone(tmp_path):

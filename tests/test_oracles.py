@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from apobench import numkit, oracles
-from apobench.apo import loss_and_grad
+from apobench import diffnet, numkit, oracles
+from apobench.apo import DIVERGENCES, loss_and_grad
 from apobench.diffnet import (Batch, LayerSpec, Model, ParamSet, forward,
                               init_params, mlp, predictive)
 from apobench.errors import ContractError, NumericalError
@@ -20,8 +20,7 @@ from helpers import fsd_value, rel_err
 
 
 def test_output_hessian_softmax_uniform():
-    from apobench.apo import DIVERGENCES
-    h = DIVERGENCES["kl-categorical"].hessian(np.zeros(2))
+    h = DIVERGENCES["kl-categorical"].hessian(np.zeros(2)[None])[0]
     assert np.allclose(h, [[0.25, -0.25], [-0.25, 0.25]])
 
 
@@ -407,6 +406,58 @@ def test_sampled_classification_target_clamped_to_last_class():
     assert targets.tolist() == [9]
     seed = oracles._nll_seed("classification-softmax", outputs, targets)
     assert seed[0, 9] < 0.0 and np.all(seed[0, :9] > 0.0)
+
+
+@pytest.mark.parametrize("oracle,forwards", [
+    (lambda m, th, x: diffnet.per_example_jacobian(m, th, x), 1),
+    (lambda m, th, x: oracles.fsd_hessian_exact(m, th, x), 2),
+    (lambda m, th, x: oracles.kfac_blocks(m, th, x, exact=True), 1),
+])
+def test_exact_oracles_sweep_pass_counts(monkeypatch, oracle, forwards):
+    """Each exact oracle makes at most `forwards` forwards on the whole
+    batch and one backward per output unit, whatever the batch size."""
+    counts = {"forward": 0, "backward": 0}
+    for name in counts:
+        original = getattr(diffnet, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            counts[_name] += 1
+            return _original(*args, **kwargs)
+
+        for module in (diffnet, oracles):
+            monkeypatch.setattr(module, name, counted)
+    rng = numkit.make_rng(23)
+    model = mlp([4, 5, 3], activation="sigmoid", head="classification-softmax")
+    oracle(model, init_params(model, rng), rng.standard_normal((6, 4)))
+    assert counts["forward"] <= forwards
+    assert counts["backward"] == model.d_out
+
+
+def test_exact_oracles_equal_per_example_sums():
+    """The one-contraction oracles against per-example sums: G is
+    mean_b J_b^T H_b J_b, and exact KFAC's B_l is the same sandwich of
+    d y / d s_l, here from one backward per example and output."""
+    rng = numkit.make_rng(24)
+    model = Model((LayerSpec(3, 4, "relu"), LayerSpec(4, 3, "sigmoid", False)),
+                  "classification-softmax")
+    theta = init_params(model, rng)
+    inputs = rng.standard_normal((5, 3))
+    outputs, _ = forward(model, theta, inputs)
+    hessians = DIVERGENCES["kl-categorical"].hessian(outputs)
+    jac = diffnet.per_example_jacobian(model, theta, inputs)
+    g = sum(jac[b].T @ hessians[b] @ jac[b] for b in range(5)) / 5
+    assert rel_err(oracles.fsd_hessian_exact(model, theta, inputs), g) < 1e-12
+    b_blocks = [np.zeros((4, 4)), np.zeros((3, 3))]
+    for b in range(5):
+        _, trace = forward(model, theta, inputs[b:b + 1])
+        per_out = [diffnet.backward(model, theta, trace, np.eye(3)[j:j + 1])[1]
+                   for j in range(3)]
+        for l, acc in enumerate(b_blocks):
+            m_b = np.vstack([ds[l] for ds in per_out])
+            acc += m_b.T @ hessians[b] @ m_b / 5
+    blocks = oracles.kfac_blocks(model, theta, inputs, exact=True)
+    for (_, got), expect in zip(blocks, b_blocks):
+        assert rel_err(got, expect) < 1e-12
 
 
 def test_kfac_blocks_empty_dataset_rejected():

@@ -120,7 +120,7 @@ def test_autoencoder_bottleneck_loss_floor():
     """A 2-unit bottleneck cannot reconstruct full-rank 16-dim data; after a
     short training run the loss stays bounded away from zero, at the scale of
     the rank-2 PCA residual."""
-    from apobench.apo import apo_train, default_lr_config
+    from apobench.apo import ProximalConfig, apo_train
     from apobench.baseopt import BaseOptKind
     task = tasks.bottleneck_autoencoder_task(n=128, seed=12, batch_size=32)
     full = tasks.bottleneck_autoencoder_task(n=128, seed=12, batch_size=128)
@@ -129,7 +129,7 @@ def test_autoencoder_bottleneck_loss_floor():
     evals = np.linalg.eigvalsh(x.T @ x / x.shape[0])[::-1]
     pca_residual = evals[2:].sum()  # best linear rank-2 reconstruction error
     theta0 = task.init_theta(numkit.make_rng(1))
-    res = apo_train(task.model, theta0, default_lr_config(), task, 400,
+    res = apo_train(task.model, theta0, ProximalConfig(), task, 400,
                     numkit.make_rng(2), mode="none",
                     base_kind=BaseOptKind("adam"), init_lr=3e-3,
                     eval_fn=task.eval_loss, eval_every=400)
