@@ -127,6 +127,8 @@ class ProximalConfig:
             raise ContractError("meta_lr must be positive")
         if self.warmup_steps < 0:
             raise ContractError("warmup_steps must be >= 0")
+        if self.warmup_lr <= 0:
+            raise ContractError("warmup_lr must be positive")
         if self.loss_batch_policy not in BATCH_POLICIES:
             raise ContractError(f"bad loss_batch_policy {self.loss_batch_policy!r}")
         if self.fsd_batch_policy not in BATCH_POLICIES:
@@ -165,10 +167,13 @@ class LrPhi(ParamSet):
 
     @property
     def lr(self):
+        """exp(log_lr); a NumericalError unless that is finite."""
         try:
-            return math.exp(self.log_lr)
-        except OverflowError as exc:
-            raise NumericalError(f"learning rate exp({self.log_lr}) overflows") from exc
+            if math.isfinite(lr := math.exp(self.log_lr)):
+                return lr
+        except OverflowError:
+            pass
+        raise NumericalError(f"learning rate exp({self.log_lr}) is not finite")
 
     def scalar(self):
         return self.lr
@@ -245,7 +250,6 @@ def proximal_value_and_grad(model, u, theta, loss_batch, fsd_inputs, lam_fsd, la
     fsd_term = wsd_term = 0.0
     if lam_fsd:
         div = divergence(model, fsd_kind)
-        fsd_inputs = np.asarray(fsd_inputs, dtype=FLOAT)
         y_new, trace = forward(model, u, fsd_inputs)
         y_old, _ = forward(model, theta, fsd_inputs)
         fsd_term = float(np.mean(div.value(y_new, y_old)))
@@ -291,12 +295,9 @@ def meta_step(phi, meta_state, meta_grad, cfg):
     meta_lr * Delta.  Neither phi nor meta_grad is copied or written; phi'
     wraps the fresh direction buffer, which holds meta_lr * Delta and then
     the new vector, so it shares no memory with them or the new state."""
-    flat, gflat = phi.flat, meta_grad.flat
-    if flat.size != gflat.size:
-        raise ContractError("meta gradient does not match phi layout")
-    delta, opt = update_direction(cfg.meta_opt, meta_state.opt, gflat)
+    delta, opt = update_direction(cfg.meta_opt, meta_state.opt, meta_grad.flat)
     np.multiply(cfg.meta_lr, delta, out=delta)
-    np.subtract(flat, delta, out=delta)
+    np.subtract(phi.flat, delta, out=delta)
     return phi.with_flat(delta), MetaState(opt, meta_state.iteration + 1)
 
 
@@ -339,6 +340,8 @@ def apo_train(model, theta0, cfg, task, steps, rng, mode="apo-lr", base_kind=Non
         raise ContractError("steps must be >= 1")
     if mode not in ("none", "apo-lr", "apo-precond"):
         raise ContractError(f"unknown mode {mode!r}")
+    if theta0.layout != model.layout:
+        raise DimensionError(f"theta0 layout {theta0.layout} != model layout {model.layout}")
     base_kind = base_kind or BaseOptKind("sgd")
     wd = base_kind.weight_decay
     lr0 = init_lr if init_lr is not None else DEFAULT_INIT_LR[base_kind.kind]

@@ -116,6 +116,4 @@ def _second_moment(b2, second, g, scratch):
 def apply_lr_update(params, lr, delta):
     """theta' = theta - lr * Delta on the flat vector; a new ParamSet that
     wraps the freshly computed vector."""
-    if not np.isfinite(lr):
-        raise ContractError(f"learning rate must be finite, got {lr}")
     return params.with_flat(params.flat - lr * delta)

@@ -12,6 +12,13 @@ Fisher blocks come out as (input stats) kron (output stats).
 ``preact_jacobians`` sweeps a whole batch with one forward and one backward
 per output unit; the per-example Jacobian and the exact oracles read it.
 
+Each input is checked once, where it enters: ``check_dataset`` checks a
+task's inputs and targets (labels: integers in [0, d_out)) when the task is
+built, apo.apo_train checks theta0's layout at its entry, and
+kronprecond.PrecondPhi its block layout when it is constructed.  Batch,
+forward, the losses and the preconditioner trust those checks; the step keeps
+only the non-finite guards that decide a divergence.
+
 ReLU uses subgradient 0 at 0; finite-difference checks are run on smooth
 activations or off-kink inputs.
 """
@@ -218,32 +225,32 @@ def init_params(model, rng):
     return ParamSet.from_layers(layers)
 
 
-def check_params(model, params):
-    if params.layout != model.layout:
-        raise DimensionError(f"parameter layout {params.layout} != model layout {model.layout}")
+def check_dataset(model, inputs, targets):
+    """Inputs are at least one float64 row of d_in features; targets have as
+    many rows: an integer label vector in [0, d_out) for classification,
+    else float64 rows of d_out values."""
+    if inputs.dtype != FLOAT or inputs.ndim != 2 or inputs.shape[1] != model.d_in:
+        raise DimensionError(f"inputs must be float64 rows of {model.d_in} features, "
+                             f"got {inputs.dtype} {inputs.shape}")
+    if len(inputs) < 1:
+        raise ContractError("a dataset needs at least one example")
+    if len(targets) != len(inputs):
+        raise DimensionError("inputs and targets disagree on row count")
+    if model.head != "classification-softmax":
+        if targets.dtype != FLOAT or targets.shape != (len(inputs), model.d_out):
+            raise DimensionError(f"targets must be float64 rows of {model.d_out} values, "
+                                 f"got {targets.dtype} {targets.shape}")
+    elif targets.ndim != 1 or not np.issubdtype(targets.dtype, np.integer):
+        raise ContractError("classification targets must be a vector of integer labels")
+    elif targets.min() < 0 or targets.max() >= model.d_out:
+        raise ContractError(f"label outside [0, {model.d_out}): "
+                            f"{targets.min()}..{targets.max()}")
 
 
 @dataclass
 class Batch:
     inputs: np.ndarray
     targets: np.ndarray
-
-    def __post_init__(self):
-        self.inputs = np.asarray(self.inputs, dtype=FLOAT)
-        targets = np.asarray(self.targets)
-        if not np.issubdtype(targets.dtype, np.integer):
-            targets = targets.astype(FLOAT)
-        self.targets = targets
-        if self.inputs.ndim != 2:
-            raise DimensionError(f"inputs must be 2-D, got {self.inputs.shape}")
-        if self.targets.shape[0] != self.inputs.shape[0]:
-            raise DimensionError("inputs and targets disagree on row count")
-        if self.inputs.shape[0] < 1:
-            raise ContractError("batch must contain at least one example")
-
-    @property
-    def size(self):
-        return self.inputs.shape[0]
 
 
 @dataclass
@@ -280,7 +287,7 @@ def _act_grad(name, da, s, a):
     if name == "linear":
         return da
     if name == "relu":
-        return da * (s > 0).astype(FLOAT)
+        return da * (s > 0)
     return da * (a * (1.0 - a))  # sigmoid, from the cached activation
 
 
@@ -301,16 +308,10 @@ def _rosenbrock_grad(w):
 
 def forward(model, params, inputs):
     """Run the network; returns (outputs, ForwardTrace)."""
-    check_params(model, params)
-    inputs = np.asarray(inputs, dtype=FLOAT)
-    if inputs.ndim != 2:
-        raise DimensionError(f"inputs must be 2-D, got {inputs.shape}")
     if model.kind == "rosenbrock":
         f = _rosenbrock_value(params.weights[0])
         outputs = np.full((inputs.shape[0], 1), f)
         return outputs, ForwardTrace([inputs], [outputs.copy()], outputs)
-    if inputs.shape[1] != model.d_in:
-        raise DimensionError(f"inputs have {inputs.shape[1]} features, model wants {model.d_in}")
     trace = ForwardTrace()
     a = inputs
     for spec, w, b in zip(model.layers, params.weights, params.biases):
@@ -340,7 +341,7 @@ def backward(model, params, trace, out_grad):
         return g, [np.asarray(out_grad, dtype=FLOAT)]
     g = params.map(np.empty_like)
     ds_list = [None] * len(model.layers)
-    da = np.asarray(out_grad, dtype=FLOAT)
+    da = out_grad
     for idx in range(len(model.layers) - 1, -1, -1):
         spec = model.layers[idx]
         ds = _act_grad(spec.activation, da, trace.preacts[idx], trace.activation(idx))
@@ -359,48 +360,27 @@ def _softmax(logits):
     return e / e.sum(axis=1, keepdims=True)
 
 
-def _as_labels(targets, n_classes, batch):
-    if np.issubdtype(np.asarray(targets).dtype, np.integer):
-        labels = np.asarray(targets).reshape(-1)
-        if labels.min() < 0 or labels.max() >= n_classes:
-            raise ContractError(
-                f"label outside [0, {n_classes}): {labels.min()}..{labels.max()}"
-            )
-        return labels
-    onehot = np.asarray(targets, dtype=FLOAT)
-    if onehot.shape != (batch, n_classes):
-        raise DimensionError(f"one-hot targets must be {batch}x{n_classes}")
-    return onehot.argmax(axis=1)
-
-
 def loss_eval(head, outputs, targets):
     """Mean per-example loss: squared error for regression, softmax
     cross-entropy for classification, raw function value for rosenbrock."""
-    outputs = np.asarray(outputs, dtype=FLOAT)
-    b = outputs.shape[0]
     if head == "rosenbrock-direct":
         return float(outputs.mean())
     if head == "regression-gaussian-unit-variance":
-        t = np.asarray(targets, dtype=FLOAT).reshape(outputs.shape)
-        return float(np.mean(np.sum((outputs - t) ** 2, axis=1)))
-    labels = _as_labels(targets, outputs.shape[1], b)
+        return float(np.mean(np.sum((outputs - targets) ** 2, axis=1)))
     z = outputs - outputs.max(axis=1, keepdims=True)
     logz = np.log(np.sum(np.exp(z), axis=1))
-    return float(np.mean(logz - z[np.arange(b), labels]))
+    return float(np.mean(logz - z[np.arange(len(outputs)), targets]))
 
 
 def loss_out_grad(head, outputs, targets):
     """d loss_eval / d outputs (includes the 1/B mean factor)."""
-    outputs = np.asarray(outputs, dtype=FLOAT)
-    b = outputs.shape[0]
+    b = len(outputs)
     if head == "rosenbrock-direct":
         return np.full_like(outputs, 1.0 / b)
     if head == "regression-gaussian-unit-variance":
-        t = np.asarray(targets, dtype=FLOAT).reshape(outputs.shape)
-        return 2.0 * (outputs - t) / b
-    labels = _as_labels(targets, outputs.shape[1], b)
+        return 2.0 * (outputs - targets) / b
     p = _softmax(outputs)
-    p[np.arange(b), labels] -= 1.0
+    p[np.arange(b), targets] -= 1.0
     return p / b
 
 

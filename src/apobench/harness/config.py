@@ -8,8 +8,9 @@ or the table of a nested object. parse_config reads every object through its
 table with _read, and config_to_dict dumps the resolved configuration by
 walking the same tables, keys in table order.
 
-Numbers are stored as floats, so an integer in a number field dumps as a
-float; integer fields take integers only. A key left out takes the default of
+A number is finite (Python's json parses Infinity and NaN, which no number
+field takes) and stored as a float, so an integer in a number field dumps as
+a float; integer fields take integers only. A key left out takes the default of
 the dataclass that owns the field; the proximal defaults depend on the mode.
 Every error is a ConfigError that carries the JSON pointer of the offending
 field; read_json, the reader of every JSON input file, raises one too.
@@ -20,6 +21,7 @@ from __future__ import annotations
 import copy
 import hashlib
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass, field, replace
@@ -54,7 +56,8 @@ def _is_int(value):
 # One test per JSON type, for the tables below and for tasks.TASK_PARAMS.
 JSON_TYPES = {
     "int": _is_int,
-    "number": lambda v: isinstance(v, float) or _is_int(v) and abs(v) <= sys.float_info.max,
+    "number": lambda v: (math.isfinite(v) if isinstance(v, float)
+                         else _is_int(v) and abs(v) <= sys.float_info.max),
     "string": lambda v: isinstance(v, str),
     "ints": lambda v: isinstance(v, (list, tuple)) and len(v) >= 2 and all(map(_is_int, v)),
     "object": lambda v: isinstance(v, dict),

@@ -11,8 +11,6 @@ import os
 import time
 from dataclasses import dataclass
 
-import numpy as np
-
 from ..apo import apo_train
 from ..diffnet import forward, predictive
 from ..errors import ConfigError, IngestionError, TrainingDivergedError
@@ -75,7 +73,7 @@ def _final_accuracy(task, theta):
     features, labels = task.extras["dataset"]
     outputs, _ = forward(task.model, theta, features)
     pred = predictive("classification-softmax", outputs).argmax(axis=1)
-    return float((pred == np.asarray(labels).reshape(-1)).mean())
+    return float((pred == labels).mean())
 
 
 @dataclass

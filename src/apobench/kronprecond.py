@@ -27,7 +27,7 @@ import numpy as np
 
 from .diffnet import ParamSet
 from .errors import DimensionError, NumericalError, OracleScaleError
-from .numkit import FLOAT, kron_dense, vec_cm
+from .numkit import kron_dense, vec_cm
 
 DENSE_MAX_DIM = 64
 DEFAULT_SCALE = 0.9
@@ -39,14 +39,6 @@ class KronBlocks:
     b: np.ndarray  # fan_in x fan_in
     s: np.ndarray  # fan_in x fan_out
 
-    def check(self, fan_in, fan_out):
-        if self.a.shape != (fan_out, fan_out):
-            raise DimensionError(f"A block {self.a.shape} != ({fan_out}, {fan_out})")
-        if self.b.shape != (fan_in, fan_in):
-            raise DimensionError(f"B block {self.b.shape} != ({fan_in}, {fan_in})")
-        if self.s.shape != (fan_in, fan_out):
-            raise DimensionError(f"S block {self.s.shape} != ({fan_in}, {fan_out})")
-
     @property
     def param_count(self):
         return self.a.size + self.b.size + self.s.size
@@ -56,9 +48,13 @@ class PrecondPhi(ParamSet):
     """The meta-parameters phi in one flat vector with ParamSet's layout
     code: per layer the views A, B and S of one KronBlocks, then the bias
     diagonal d (None for a bias-free layer).  The fixed application scale c
-    is not part of the vector."""
+    is not part of the vector.  The layout is checked once, here; the sets
+    with_flat derives from this one share it."""
 
     def __init__(self, flat, layout, scale=DEFAULT_SCALE):
+        for a, b, (fan_in, fan_out), d in layout:
+            if (a, b, d) != ((fan_out,) * 2, (fan_in,) * 2, d and (fan_out,)):
+                raise DimensionError(f"A, B, d of {a}, {b}, {d} do not fit S of {fan_in}x{fan_out}")
         self.scale = scale
         super().__init__(flat, layout)
 
@@ -99,9 +95,6 @@ def init_identity(model, scale=DEFAULT_SCALE):
 
 def apply_precond(blocks, grad_w):
     """Efficient application: B (S^2 * (B^T G A)) A^T."""
-    grad_w = np.asarray(grad_w, dtype=FLOAT)
-    fan_in, fan_out = grad_w.shape
-    blocks.check(fan_in, fan_out)
     inner = blocks.b.T @ grad_w @ blocks.a
     return blocks.b @ ((blocks.s * blocks.s) * inner) @ blocks.a.T
 
@@ -120,10 +113,6 @@ def dense_precond(blocks):
 
 def apply_precond_update(params, phi, g):
     """theta' = theta - c * P g, per layer (bias preconditioner diag(d)^2)."""
-    if len(phi.blocks) != len(params.weights):
-        raise DimensionError(
-            f"{len(phi.blocks)} block sets for {len(params.weights)} layers"
-        )
     c = phi.scale
     out = params.map(np.empty_like)
     for w, b, gw, gb, blk, d, ow, ob in zip(params.weights, params.biases, g.weights,
@@ -137,17 +126,15 @@ def apply_precond_update(params, phi, g):
     return out
 
 
-def precond_vjp(blocks, grad_w, upstream):
-    """Gradients of <upstream, apply_precond(blocks, grad_w)> w.r.t. A, B, S,
-    holding grad_w fixed.
+def precond_vjp(blocks, g, v):
+    """Gradients of <v, apply_precond(blocks, g)> w.r.t. A, B, S, holding the
+    weight gradient g fixed.
 
     Derived from R = B U A^T with U = S^2 * T and T = B^T G A:
-      dS = 2 S * T * X          where X = B^T V A  (V = upstream)
+      dS = 2 S * T * X          where X = B^T V A  (G = g, V = v)
       dB = V A U^T + (G A) (S^2 * X)^T
       dA = G^T B (S^2 * X) + V^T B U
     """
-    g = np.asarray(grad_w, dtype=FLOAT)
-    v = np.asarray(upstream, dtype=FLOAT)
     a, b, s = blocks.a, blocks.b, blocks.s
     s2 = s * s
     t = b.T @ g @ a

@@ -216,7 +216,7 @@ def _nll_seed(head, outputs, targets):
         return outputs - targets
     p = predictive("classification-softmax", outputs)
     seed = p.copy()
-    seed[np.arange(outputs.shape[0]), np.asarray(targets).reshape(-1)] -= 1.0
+    seed[np.arange(len(outputs)), targets] -= 1.0
     return seed
 
 

@@ -2,7 +2,9 @@
 
 Each task bundles a model, a seeded parameter initializer, a batch sampler
 (driven by the caller's rng so training streams stay reproducible), and an
-exact or full-dataset evaluation function.
+exact or full-dataset evaluation function.  A task's data passes
+diffnet.check_dataset once, when the task is built (a generated task's on one
+sampled batch); the batches it then samples are not checked again.
 """
 
 from __future__ import annotations
@@ -12,8 +14,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .diffnet import (Batch, LayerSpec, Model, ParamSet, forward, init_params,
-                      loss_eval, mlp, rosenbrock_model)
+from .diffnet import (Batch, LayerSpec, Model, ParamSet, check_dataset, forward,
+                      init_params, loss_eval, mlp, rosenbrock_model)
 from .errors import ContractError, IngestionError
 from .numkit import FLOAT, make_rng, rand_orthogonal
 
@@ -61,21 +63,20 @@ class Task:
 
 
 def _finite_dataset_task(batch_size, model, features, targets, extras=None):
-    features = np.asarray(features, dtype=FLOAT)
-    n = features.shape[0]
+    check_dataset(model, features, targets)
+    n = len(features)
     if batch_size > n:
         raise ContractError("batch_size cannot exceed dataset size")
-    full = Batch(features, targets)
 
     def sample(rng):
         idx = rng.choice(n, size=batch_size, replace=False)
         return Batch(features[idx], targets[idx])
 
     def evaluate(theta):
-        outputs, _ = forward(model, theta, full.inputs)
-        return loss_eval(model.head, outputs, full.targets)
+        outputs, _ = forward(model, theta, features)
+        return loss_eval(model.head, outputs, targets)
 
-    merged = {"dataset": (full.inputs, full.targets)}
+    merged = {"dataset": (features, targets)}
     merged.update(extras or {})
     return Task(model, sample, evaluate, lambda rng: init_params(model, rng), merged)
 
@@ -85,7 +86,8 @@ def rosenbrock_task():
     deterministic 'example' makes every batch identical and the function
     value doubles as both loss and discrepancy output."""
     model = rosenbrock_model()
-    batch = Batch(np.zeros((1, 1)), np.zeros((1, 1)))
+    batch = Batch(np.zeros((1, 2)), np.zeros((1, 1)))
+    check_dataset(model, batch.inputs, batch.targets)
 
     def evaluate(theta):
         outputs, _ = forward(model, theta, batch.inputs)
@@ -118,6 +120,9 @@ def illcond_linear_task(d=64, kappa=1e10, seed=0, batch_size=64):
     def sample(rng_):
         x = rng_.standard_normal((batch_size, d))
         return Batch(x, x @ a.T)
+
+    probe = sample(rng)   # every batch has this one's shapes and dtypes
+    check_dataset(model, probe.inputs, probe.targets)
 
     def evaluate(theta):
         m = theta.weights[0] @ theta.weights[1]

@@ -1,4 +1,6 @@
 import math
+import os
+import sys
 import zlib
 from collections import Counter
 from types import SimpleNamespace
@@ -14,7 +16,8 @@ from apobench.apo import (DIVERGENCES, KfacSettings, LrPhi, ProximalConfig, apo_
                           wsd)
 from apobench.baseopt import KINDS, BaseOptKind, init_state, update_direction
 from apobench.diffnet import Batch, LayerSpec, Model, ParamSet, init_params, mlp
-from apobench.errors import ContractError, NumericalError, TrainingDivergedError
+from apobench.errors import (ContractError, DimensionError, NumericalError,
+                             TrainingDivergedError)
 from apobench.kronprecond import KronBlocks, PrecondPhi, init_identity
 from apobench import tasks
 from apobench.harness import config, runner
@@ -411,6 +414,47 @@ def test_training_pass_counts(monkeypatch, mode, meta_interval):
     assert ops == expect
 
 
+# Calls of named apobench functions and methods in a 20-step apo_train on
+# synth-classification with Adam (apo-precond: 5 SGDm warm-up steps), fsd
+# and wsd on as in the bench.  Lambdas, comprehensions and generator
+# expressions are left out, so neither the numpy nor the Python version
+# moves the count.  The step repeats none of the checks that the task build
+# and apo_train's entry make (batch coercion, label range, layout, input
+# shape, Kronecker block shapes); one that creeps back moves these counts.
+CALL_COUNTS = {"none": 593, "apo-lr": 731, "apo-precond": 2019}
+
+
+@pytest.mark.parametrize("mode", list(CALL_COUNTS))
+def test_training_call_counts(mode):
+    task = tasks.synth_classification_task()
+    theta0 = task.init_theta(numkit.make_rng(1))
+    if mode == "apo-precond":
+        cfg = default_precond_config(lam_fsd=1.0, lam_wsd=0.1, meta_interval=1, scale=0.3,
+                                     warmup_steps=5)
+    else:
+        cfg = ProximalConfig(lam_fsd=1.0, lam_wsd=0.1, meta_interval=10)
+    root = os.path.dirname(apo.__file__) + os.sep
+    calls = Counter()
+
+    def train():
+        apo_train(task.model, theta0, cfg, task, 20, numkit.make_rng(2), mode=mode,
+                  base_kind=BaseOptKind("adam"))
+
+    def profile(frame, event, arg):
+        code = frame.f_code
+        if (event == "call" and code.co_filename.startswith(root)
+                and not code.co_name.startswith("<")):
+            calls[code.co_name] += 1
+
+    train()  # warm-up: fills the caches (layout offsets) that a first run fills
+    sys.setprofile(profile)
+    try:
+        train()
+    finally:
+        sys.setprofile(None)
+    assert sum(calls.values()) == CALL_COUNTS[mode], dict(calls)
+
+
 def test_kfac_step_solves_twice_per_layer(monkeypatch):
     """A KFAC step makes 2 solve_spd calls per layer, refresh step or not."""
     from apobench import oracles
@@ -600,6 +644,19 @@ def test_apo_train_meta_fires_on_interval():
     assert lrs[9] != lrs[8]
 
 
+def test_apo_train_rejects_wrong_theta_layout_before_step_1():
+    task = tasks.synth_regression_task(n=64, d=3, seed=2, batch_size=8)
+    theta0 = init_params(mlp([3, 4, 1]), numkit.make_rng(1))  # the task's hidden is 16
+    sampled = []
+    sample = task.sample_batch
+    task.sample_batch = lambda rng: sampled.append(rng) or sample(rng)
+    for mode in ("none", "apo-lr", "apo-precond"):
+        with pytest.raises(DimensionError):
+            apo_train(task.model, theta0, ProximalConfig(), task, 5, numkit.make_rng(2),
+                      mode=mode, base_kind=BaseOptKind("sgd"))
+    assert not sampled
+
+
 def test_apo_train_kfac_needs_mode_none():
     task = tasks.synth_regression_task(n=64, d=3, seed=2, batch_size=8)
     theta0 = task.init_theta(numkit.make_rng(1))
@@ -670,8 +727,11 @@ def test_meta_objective_nonfinite_term_raises():
 
 def test_lr_overflow_is_numerical_error():
     assert LrPhi(700.0).lr == math.exp(700.0)
-    with pytest.raises(NumericalError):
-        LrPhi(710.0).lr
+    assert LrPhi(-math.inf).lr == 0.0
+    # exp(710) overflows; math.exp(inf) is inf and exp(nan) nan, raising nothing
+    for log_lr in (710.0, math.inf, math.nan):
+        with pytest.raises(NumericalError):
+            LrPhi(log_lr).lr
 
 
 @pytest.mark.parametrize("meta_kind", KINDS)

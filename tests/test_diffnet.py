@@ -3,12 +3,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from apobench import diffnet, numkit
+from apobench import diffnet, numkit, tasks
 from apobench.apo import LrPhi, ProximalConfig, init_meta_state, loss_and_grad, meta_step
 from apobench.baseopt import BaseOptKind, apply_lr_update
-from apobench.diffnet import (Batch, LayerSpec, Model, ParamSet, backward, forward,
-                              init_params, loss_eval, loss_out_grad, mlp, per_example_jacobian,
-                              predictive, rosenbrock_model)
+from apobench.diffnet import (Batch, LayerSpec, Model, ParamSet, backward, check_dataset,
+                              forward, init_params, loss_eval, loss_out_grad, mlp,
+                              per_example_jacobian, predictive, rosenbrock_model)
 from apobench.errors import ContractError, DimensionError
 from apobench.kronprecond import PrecondPhi, apply_precond_update, init_identity
 
@@ -57,11 +57,20 @@ def test_forward_deterministic():
     assert np.array_equal(a, b)
 
 
-def test_forward_shape_mismatch():
+def test_dataset_shape_mismatch():
+    """forward trusts its inputs; a task's data is shape-checked at build."""
     model = mlp([3, 2])
-    theta = init_params(model, numkit.make_rng(0))
+    x, t = np.ones((4, 3)), np.zeros((4, 2))
+    check_dataset(model, x, t)
+    for bad_x, bad_t in ((np.ones((4, 4)), t), (np.ones(4), t), (x, np.zeros((3, 2))),
+                         (x, np.zeros((4, 1))), (x, np.zeros(4)),
+                         (np.ones((4, 3), dtype=np.float32), t), (x, t.astype(np.int64))):
+        with pytest.raises(DimensionError):
+            check_dataset(model, bad_x, bad_t)
+    with pytest.raises(ContractError):
+        check_dataset(model, np.ones((0, 3)), np.zeros((0, 2)))
     with pytest.raises(DimensionError):
-        forward(model, theta, np.ones((2, 4)))
+        tasks._finite_dataset_task(2, model, np.ones((4, 4)), t)
 
 
 def test_loss_regression_zero_at_target():
@@ -81,8 +90,17 @@ def test_loss_uniform_logits_is_log_c():
 
 
 def test_loss_label_out_of_range():
+    """Labels are checked where a task's data enters, not by the loss, which
+    would wrap a negative label to the last class."""
+    model = mlp([2, 3], head="classification-softmax")
+    x = np.ones((2, 2))
+    check_dataset(model, x, np.array([0, 2]))
+    for labels in (np.array([0, 3]), np.array([-1, 0]), np.array([0.0, 1.0]),
+                   np.eye(3)[[0, 1]].astype(np.int64), np.array(["a", "b"])):
+        with pytest.raises(ContractError):
+            check_dataset(model, x, labels)
     with pytest.raises(ContractError):
-        loss_eval("classification-softmax", np.zeros((2, 3)), np.array([0, 3]))
+        tasks._finite_dataset_task(2, model, x, np.array([1, -1]))
 
 
 def test_grad_zero_at_minimum():

@@ -83,6 +83,16 @@ def test_parse_rejects_bad_nested_value():
     assert err.value.pointer.startswith("/proximal")
 
 
+@pytest.mark.parametrize("mode", ["apo-lr", "apo-precond"])
+@pytest.mark.parametrize("warmup_lr", [-1.0, 0.0])
+def test_parse_rejects_nonpositive_warmup_lr(mode, warmup_lr):
+    """A warm-up at a negative rate would climb the loss and still exit 0."""
+    doc = synth_doc(mode=mode, proximal={"warmup_steps": 5, "warmup_lr": warmup_lr})
+    with pytest.raises(ConfigError) as err:
+        parse_config(doc)
+    assert err.value.pointer == "/proximal"
+
+
 def test_parse_defaults_by_mode():
     lr_cfg = parse_config(rosen_doc())
     assert lr_cfg.proximal.meta_opt.kind == "rmsprop"
@@ -134,6 +144,7 @@ def test_parse_rejects_kfac_on_rosenbrock():
     ("bottleneck-autoencoder", {"widths": [16]}, "/task/params/widths"),
     ("bottleneck-autoencoder", {"widths": [16, "2", 16]}, "/task/params/widths"),
     ("rosenbrock", {"d": 3}, "/task/params/d"),
+    ("illcond-linear", {"kappa": float("inf")}, "/task/params/kappa"),
 ])
 def test_parse_rejects_bad_task_params(kind, params, pointer):
     doc = synth_doc(task={"kind": kind, "batch_size": 8, "params": params})
@@ -217,7 +228,7 @@ def config_docs(draw, csv_path):
         lambda_fsd=_numbers(0.0, 2.0), lambda_wsd=_numbers(0.0, 2.0),
         fsd_kind=st.sampled_from([None, *DIVERGENCES]), meta_interval=st.integers(1, 20),
         meta_lr=_numbers(1e-4, 1.0), meta_opt=st.one_of(st.none(), _optimizer(BASE_KINDS)),
-        warmup_steps=st.integers(0, 50), warmup_lr=_numbers(0.0, 1.0),
+        warmup_steps=st.integers(0, 50), warmup_lr=_numbers(1e-4, 1.0),
         loss_batch_policy=st.sampled_from(["same", "fresh"]),
         fsd_batch_policy=st.sampled_from(["same", "fresh"]), scale=_numbers(0.01, 2.0))
     kfac = _optional(damping=_numbers(0.0, 1.0), update_every=st.integers(1, 9),
@@ -261,6 +272,12 @@ def test_parse_dump_roundtrip(tmp_path):
     ("init_lr", True),
     ("task.seed", None),
     ("kfac.update_every", "x"),
+    # Python's json parses Infinity and NaN; a number field takes neither
+    ("init_lr", float("inf")),
+    ("proximal.warmup_lr", float("inf")),
+    ("proximal.meta_lr", float("nan")),
+    ("base_opt.eps", float("-inf")),
+    ("kfac.damping", float("nan")),
 ])
 def test_parse_rejects_wrong_type_at_its_pointer(path, value):
     doc = synth_doc()
@@ -347,6 +364,15 @@ def test_run_divergence_keeps_rows_kfac(tmp_path):
 def test_run_divergence_keeps_rows_nonfinite_eval(tmp_path):
     doc = synth_doc(base_opt={"kind": "sgd"}, init_lr=1.7e308, eval_every=1)
     assert _assert_rows_before_divergence(parse_config(doc), tmp_path / "e") == 1
+
+
+def test_run_divergence_keeps_rows_nonfinite_learned_lr(tmp_path):
+    """meta_lr 1e308 takes log_lr to inf at the first meta step (step 10),
+    where math.exp returns inf without raising: a divergence, not an error."""
+    doc = {"task": {"kind": "synth-regression"}, "mode": "apo-lr", "steps": 30,
+           "proximal": {"meta_lr": 1e308}}
+    with np.errstate(over="ignore"):
+        assert _assert_rows_before_divergence(parse_config(doc), tmp_path / "l") == 10
 
 
 def test_run_env_seed_override(tmp_path, monkeypatch):

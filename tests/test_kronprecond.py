@@ -134,9 +134,18 @@ def test_bias_diag_square_parameterization():
 
 
 def test_shape_mismatch_raises():
-    blocks = KronBlocks(np.eye(2), np.eye(3), np.ones((3, 2)))
+    """A PrecondPhi checks its (A, B, S, d) layout once, when it is built;
+    apply_precond trusts the blocks."""
+    good = (np.eye(2), np.eye(3), np.ones((3, 2)), np.ones(2))
+    assert PrecondPhi.from_layers([good, good[:3] + (None,)]).layout == (
+        ((2, 2), (3, 3), (3, 2), (2,)), ((2, 2), (3, 3), (3, 2), None))
+    for i, bad in ((0, np.eye(3)), (1, np.eye(2)), (2, np.ones((2, 3))), (3, np.ones(3))):
+        layer = good[:i] + (bad,) + good[i + 1:]
+        with pytest.raises(DimensionError):
+            PrecondPhi.from_layers([layer])
+    phi = init_identity(mlp([3, 2]))
     with pytest.raises(DimensionError):
-        apply_precond(blocks, np.ones((2, 3)))
+        PrecondPhi(phi.flat, (((2, 2), (3, 3), (2, 3), (2,)),))
 
 
 def test_flat_roundtrip():

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from apobench import numkit, tasks
-from apobench.diffnet import ParamSet, forward, init_params
+from apobench.diffnet import ParamSet, check_dataset, forward, init_params
 from apobench.errors import ContractError, IngestionError
 
 from helpers import write_dataset_csv
@@ -243,7 +243,8 @@ def test_build_task_dispatch(tmp_path):
     for spec in specs:
         task = tasks.build_task(spec)
         batch = task.sample_batch(numkit.make_rng(0))
-        assert batch.size >= 1
+        assert len(batch.inputs) >= 1
+        check_dataset(task.model, batch.inputs, batch.targets)
         assert np.isfinite(task.eval_loss(task.init_theta(numkit.make_rng(1))))
 
 
