@@ -15,32 +15,35 @@ the classic rapid learning-rate collapse).
 Both phi types are ParamSets, so the meta-optimizer steps either one through
 its flat vector: LrPhi holds the log learning rate (exp keeps the rate
 positive) and kronprecond.PrecondPhi the Kronecker blocks.  Each owns its
-rule: update(theta, g, delta) takes the step, vjp(g, v, delta) is its
-vector-Jacobian product in phi, and scalar() is the value a training row
-logs.  Only the SGDm warm-up of preconditioner mode and base kind kfac
-(oracles.kfac_update) step without phi.
+rule: update(theta, g, delta) takes the step, linearize(theta, g, delta)
+also returns the step's vector-Jacobian product in phi, a closure over its
+intermediates, and scalar() is the value a training row logs.  Only the SGDm
+warm-up of preconditioner mode and base kind kfac (oracles.kfac_update) step
+without phi.
 
 Each output divergence rho is defined once, in DIVERGENCES: its per-row
-value, its gradient in the new outputs, and its Hessian at zero displacement
-(the oracles read the Hessians).  An fsd kind of None names the divergence
-the model head implies, per HEAD_DIVERGENCE.  The proximal objective and its
-gradient in theta' are assembled once, by proximal_value_and_grad, which
-meta_gradient and the exact proximal-point oracle share.  meta_gradient is
-the one entry point to Q: one pass takes the lookahead, Q with its terms,
-and dQ/dphi.  Given g, it costs one forward and one backward on the loss
-batch, plus, when lam_fsd > 0, one forward at theta', one at theta and one
-backward on the discrepancy rows: 3 forwards and 2 backwards per meta step.
+value with its gradient in the new outputs, from one pass, and its Hessian
+at zero displacement (the oracles read the Hessians).  An fsd kind of None
+names the divergence the model head implies, per HEAD_DIVERGENCE.  The
+proximal objective and its gradient in theta' are assembled once, by
+proximal_value_and_grad, which meta_gradient and the exact proximal-point
+oracle share.  meta_gradient is the one entry point to Q: one pass takes the
+lookahead, Q with its terms, and dQ/dphi.  Given g, it costs one forward and
+one backward on the loss batch, plus, when lam_fsd > 0, one forward at
+theta', one at theta and one backward on the discrepancy rows: 3 forwards
+and 2 backwards per meta step.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .baseopt import BaseOptKind, OptState, apply_lr_update, init_state, update_direction
-from .diffnet import ParamSet, backward, forward, loss_eval, loss_out_grad, predictive
+from .diffnet import ParamSet, _softmax_parts, backward, forward, loss_value_and_grad, predictive
 from .errors import ContractError, DimensionError, NumericalError, TrainingDivergedError
 from .kronprecond import DEFAULT_SCALE, init_identity
 from .numkit import FLOAT
@@ -50,21 +53,18 @@ from .numkit import FLOAT
 class Divergence:
     """An output-space divergence rho(y_new, y_old) on row-batched outputs."""
 
-    value: object    # (y_new, y_old) -> per-row rho, shape (B,)
-    grad: object     # (y_new, y_old) -> d rho / d y_new, shape (B, d)
+    value_and_grad: object  # (y_new, y_old) -> (per-row rho (B,), d rho / d y_new (B, d))
     hessian: object  # (y,) -> per-row d^2 rho / d y_new^2 at y_new = y_old = y, shape (B, d, d)
 
 
-def _log_softmax(z):
-    z = z - z.max(axis=1, keepdims=True)
-    return z - np.log(np.exp(z).sum(axis=1, keepdims=True))
-
-
-def _kl_categorical_rows(y_new, y_old):
-    """KL( softmax(y_old) || softmax(y_new) ) per row."""
-    lp = _log_softmax(y_old)
-    lq = _log_softmax(y_new)
-    return np.sum(np.exp(lp) * (lp - lq), axis=1)
+def _kl_categorical(y_new, y_old):
+    """KL( softmax(y_old) || softmax(y_new) ) per row, and its gradient in
+    y_new, softmax(y_new) - softmax(y_old); each softmax's parts are shared."""
+    zp, ep, sp = _softmax_parts(y_old)
+    zq, eq, sq = _softmax_parts(y_new)
+    lp = zp - np.log(sp)
+    lq = zq - np.log(sq)
+    return np.add.reduce(np.exp(lp) * (lp - lq), axis=1), eq / sq - ep / sp
 
 
 def _softmax_hessians(y):
@@ -72,20 +72,24 @@ def _softmax_hessians(y):
     return np.eye(y.shape[1]) * p - p * p.transpose(0, 2, 1)
 
 
+def _half_squared_distance(y_new, y_old):
+    r = y_new - y_old
+    return 0.5 * np.add.reduce(r ** 2, axis=1), r
+
+
+def _squared_distance(y_new, y_old):
+    r = y_new - y_old
+    return np.add.reduce(r ** 2, axis=1), 2.0 * r
+
+
 DIVERGENCES = {
-    "kl-categorical": Divergence(
-        value=_kl_categorical_rows,
-        grad=lambda y_new, y_old: (predictive("classification-softmax", y_new)
-                                   - predictive("classification-softmax", y_old)),
-        hessian=_softmax_hessians),
+    "kl-categorical": Divergence(_kl_categorical, _softmax_hessians),
     "kl-gaussian-unit-variance": Divergence(
-        value=lambda y_new, y_old: 0.5 * np.sum((y_new - y_old) ** 2, axis=1),
-        grad=lambda y_new, y_old: y_new - y_old,
-        hessian=lambda y: np.broadcast_to(np.eye(y.shape[1]), (*y.shape, y.shape[1]))),
+        _half_squared_distance,
+        lambda y: np.broadcast_to(np.eye(y.shape[1]), (*y.shape, y.shape[1]))),
     "squared-output-distance": Divergence(
-        value=lambda y_new, y_old: np.sum((y_new - y_old) ** 2, axis=1),
-        grad=lambda y_new, y_old: 2.0 * (y_new - y_old),
-        hessian=lambda y: np.broadcast_to(2.0 * np.eye(y.shape[1]), (*y.shape, y.shape[1]))),
+        _squared_distance,
+        lambda y: np.broadcast_to(2.0 * np.eye(y.shape[1]), (*y.shape, y.shape[1]))),
 }
 FSD_KINDS = tuple(DIVERGENCES)
 # The divergence each model head implies, used wherever no fsd kind is named.
@@ -159,15 +163,16 @@ class LrPhi(ParamSet):
         super().__init__(np.array(log_lr, dtype=FLOAT).reshape(1), layout)
 
     def _bind(self):
-        """The one entry has no per-layer views to name."""
+        """No per-layer views; a set with_flat derives drops the cached rate."""
+        self.__dict__.pop("lr", None)
 
     @property
     def log_lr(self):
         return float(self.flat[0])
 
-    @property
+    @functools.cached_property
     def lr(self):
-        """exp(log_lr); a NumericalError unless that is finite."""
+        """exp(log_lr), once per set; a NumericalError unless it is finite."""
         try:
             if math.isfinite(lr := math.exp(self.log_lr)):
                 return lr
@@ -184,9 +189,10 @@ class LrPhi(ParamSet):
             raise ContractError("a learning-rate update needs the base direction")
         return apply_lr_update(theta, self.lr, delta)
 
-    def vjp(self, g, v, delta):
-        """Gradient of <v, update(theta, g, delta)> w.r.t. log_lr."""
-        return LrPhi(-self.lr * v.dot(delta))
+    def linearize(self, theta, g, delta):
+        """(theta', vjp): the update and its vector-Jacobian product in
+        log_lr, vjp(v) = d <v, theta'> / d log_lr = -lr <v, delta>."""
+        return self.update(theta, g, delta), lambda v: LrPhi(-self.lr * v.dot(delta))
 
 
 @dataclass(frozen=True)
@@ -210,8 +216,7 @@ def init_meta_state(cfg, phi):
 
 def wsd(theta_new, theta_old):
     """0.5 * sum of squared parameter differences, biases included."""
-    diff = theta_new.map2(theta_old, lambda a, b: a - b)
-    return 0.5 * diff.sq_norm()
+    return 0.5 * theta_new.sq_norm(theta_new.flat - theta_old.flat)
 
 
 def divergence(model, kind=None):
@@ -224,8 +229,7 @@ def divergence(model, kind=None):
 
 def loss_and_grad(model, params, batch):
     outputs, trace = forward(model, params, batch.inputs)
-    loss = loss_eval(model.head, outputs, batch.targets)
-    dy = loss_out_grad(model.head, outputs, batch.targets)
+    loss, dy = loss_value_and_grad(model.head, outputs, batch.targets)
     g, _ = backward(model, params, trace, dy)
     return loss, g
 
@@ -252,14 +256,15 @@ def proximal_value_and_grad(model, u, theta, loss_batch, fsd_inputs, lam_fsd, la
         div = divergence(model, fsd_kind)
         y_new, trace = forward(model, u, fsd_inputs)
         y_old, _ = forward(model, theta, fsd_inputs)
-        fsd_term = float(np.mean(div.value(y_new, y_old)))
-        seed = div.grad(y_new, y_old) / fsd_inputs.shape[0]
-        fsd_grad, _ = backward(model, u, trace, seed)
+        rho, dy = div.value_and_grad(y_new, y_old)
+        n = fsd_inputs.shape[0]
+        fsd_term = float(np.add.reduce(rho) / n)
+        fsd_grad, _ = backward(model, u, trace, dy / n)
         _add_scaled(grad.flat, lam_fsd, fsd_grad.flat)
     if lam_wsd:
-        diff = u.map2(theta, lambda a, b: a - b)
-        wsd_term = 0.5 * diff.sq_norm()
-        _add_scaled(grad.flat, lam_wsd, diff.flat)
+        diff = u.flat - theta.flat
+        wsd_term = 0.5 * u.sq_norm(diff)
+        _add_scaled(grad.flat, lam_wsd, diff)
     q = loss_term + lam_fsd * fsd_term + lam_wsd * wsd_term
     return q, {"loss": loss_term, "fsd": fsd_term, "wsd": wsd_term}, grad
 
@@ -267,7 +272,8 @@ def proximal_value_and_grad(model, u, theta, loss_batch, fsd_inputs, lam_fsd, la
 def meta_gradient(model, theta, phi, batch_b, batch_bp, cfg, g=None, delta=None,
                   batch_loss=None):
     """Exact reverse-mode gradient of Q w.r.t. phi at the lookahead
-    theta' = phi.update(theta, g, delta), with g and delta held fixed.
+    theta' = phi.update(theta, g, delta), with g and delta held fixed:
+    phi.linearize takes the lookahead and gives its vjp.
 
     g is the loss gradient on batch_b, computed here unless given; delta is
     the base direction a learning-rate phi steps along (a preconditioner
@@ -276,7 +282,7 @@ def meta_gradient(model, theta, phi, batch_b, batch_bp, cfg, g=None, delta=None,
     """
     if g is None:
         _, g = loss_and_grad(model, theta, batch_b)
-    theta_new = phi.update(theta, g, delta)
+    theta_new, vjp = phi.linearize(theta, g, delta)
     if cfg.loss_batch_policy == "same":
         loss_batch = batch_b
     else:
@@ -285,9 +291,9 @@ def meta_gradient(model, theta, phi, batch_b, batch_bp, cfg, g=None, delta=None,
     q, parts, v = proximal_value_and_grad(model, theta_new, theta, loss_batch, fsd_inputs,
                                           cfg.lam_fsd, cfg.lam_wsd, cfg.fsd_kind)
     for name, value in parts.items():
-        if not np.isfinite(value):
+        if not math.isfinite(value):
             raise NumericalError(f"meta-objective {name} term is non-finite")
-    return phi.vjp(g, v, delta), q, parts
+    return vjp(v), q, parts
 
 
 def meta_step(phi, meta_state, meta_grad, cfg):
@@ -323,6 +329,8 @@ DEFAULT_INIT_LR = {"sgd": 0.1, "sgd-momentum": 0.1, "rmsprop": 3e-4, "adam": 3e-
                    "kfac": 0.01}
 
 
+# The non-finite guards decide a divergence; numpy's warnings would only add noise.
+@np.errstate(over="ignore", invalid="ignore")
 def apo_train(model, theta0, cfg, task, steps, rng, mode="apo-lr", base_kind=None,
               init_lr=None, kfac=KfacSettings(), eval_fn=None, eval_every=0):
     """Online meta-learning loop.
@@ -369,7 +377,7 @@ def apo_train(model, theta0, cfg, task, steps, rng, mode="apo-lr", base_kind=Non
         batch = task.sample_batch(rng)
         try:
             loss, g = loss_and_grad(model, theta, batch)
-            if not np.isfinite(loss) or loss > DIVERGENCE_GUARD:
+            if not math.isfinite(loss) or loss > DIVERGENCE_GUARD:
                 raise TrainingDivergedError(f"loss {loss} at step {t}", t, rows)
             if wd:
                 g = g.map2(theta, lambda gg, th: gg + wd * th)

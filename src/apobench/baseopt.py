@@ -74,7 +74,7 @@ def update_direction(kind, state, g):
     evaluated in the order written, bit for bit; the input state is not
     written, and Delta is a fresh array that no state shares.
     """
-    if not np.all(np.isfinite(g)):
+    if not np.isfinite(g).all():
         raise NumericalError("gradient passed to update_direction is non-finite")
     if kind.kind == "sgd":
         return g.copy(), OptState(None, None, state.step + 1)

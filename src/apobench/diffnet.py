@@ -193,8 +193,9 @@ class ParamSet:
         a, b = self.flat, other.flat if isinstance(other, ParamSet) else other
         return float(sum(np.vdot(a[i:j], b[i:j]) for i, j in self._bounds))
 
-    def sq_norm(self):
-        a = self.flat
+    def sq_norm(self, flat=None):
+        """Sum of per-array squared norms of flat (this set's by default)."""
+        a = self.flat if flat is None else flat
         return float(sum(np.vdot(a[i:j], a[i:j]) for i, j in self._bounds))
 
     @property
@@ -202,7 +203,7 @@ class ParamSet:
         return self.flat.size
 
     def all_finite(self):
-        return bool(np.all(np.isfinite(self.flat)))
+        return bool(np.isfinite(self.flat).all())
 
     def to_flat(self):
         return self.flat.copy()
@@ -321,7 +322,7 @@ def forward(model, params, inputs):
             s = s + b
         trace.preacts.append(s)
         a = _act(spec.activation, s)
-    if not np.all(np.isfinite(a)):
+    if not np.isfinite(a).all():
         raise NumericalError("forward pass produced non-finite outputs")
     trace.output = a
     return a, trace
@@ -336,7 +337,7 @@ def backward(model, params, trace, out_grad):
     incoming gradient array itself.
     """
     if model.kind == "rosenbrock":
-        seed = float(np.sum(out_grad))
+        seed = float(np.add.reduce(out_grad, axis=None))
         g = params.from_flat(seed * _rosenbrock_grad(params.weights[0]))
         return g, [np.asarray(out_grad, dtype=FLOAT)]
     g = params.map(np.empty_like)
@@ -348,40 +349,52 @@ def backward(model, params, trace, out_grad):
         ds_list[idx] = ds
         np.matmul(trace.layer_inputs[idx].T, ds, out=g.weights[idx])
         if spec.has_bias:
-            ds.sum(axis=0, out=g.biases[idx])
+            np.add.reduce(ds, axis=0, out=g.biases[idx])
         if idx > 0:
             da = ds @ params.weights[idx].T
     return g, ds_list
 
 
-def _softmax(logits):
-    z = logits - logits.max(axis=1, keepdims=True)
+def _softmax_parts(y):
+    """The shared parts of a row softmax: z = y minus its row maximum,
+    exp(z), and exp(z)'s row sums as a column."""
+    z = y - np.maximum.reduce(y, axis=1, keepdims=True)
     e = np.exp(z)
-    return e / e.sum(axis=1, keepdims=True)
+    return z, e, np.add.reduce(e, axis=1, keepdims=True)
+
+
+def _loss(head, outputs, targets):
+    """loss_eval's value, and what its gradient reuses: the residual
+    (regression) or the softmax parts (classification)."""
+    b = len(outputs)
+    if head == "rosenbrock-direct":
+        return float(np.add.reduce(outputs, axis=None) / outputs.size), None
+    if head == "regression-gaussian-unit-variance":
+        r = outputs - targets
+        return float(np.add.reduce(np.add.reduce(r ** 2, axis=1)) / b), r
+    parts = z, _, total = _softmax_parts(outputs)
+    return float(np.add.reduce(np.log(total[:, 0]) - z[np.arange(b), targets]) / b), parts
 
 
 def loss_eval(head, outputs, targets):
     """Mean per-example loss: squared error for regression, softmax
     cross-entropy for classification, raw function value for rosenbrock."""
-    if head == "rosenbrock-direct":
-        return float(outputs.mean())
-    if head == "regression-gaussian-unit-variance":
-        return float(np.mean(np.sum((outputs - targets) ** 2, axis=1)))
-    z = outputs - outputs.max(axis=1, keepdims=True)
-    logz = np.log(np.sum(np.exp(z), axis=1))
-    return float(np.mean(logz - z[np.arange(len(outputs)), targets]))
+    return _loss(head, outputs, targets)[0]
 
 
-def loss_out_grad(head, outputs, targets):
-    """d loss_eval / d outputs (includes the 1/B mean factor)."""
+def loss_value_and_grad(head, outputs, targets):
+    """(loss_eval, d loss_eval / d outputs) from one pass: one residual, or
+    one shift, exp and row sum of the logits."""
+    loss, shared = _loss(head, outputs, targets)
     b = len(outputs)
     if head == "rosenbrock-direct":
-        return np.full_like(outputs, 1.0 / b)
+        return loss, np.full_like(outputs, 1.0 / b)
     if head == "regression-gaussian-unit-variance":
-        return 2.0 * (outputs - targets) / b
-    p = _softmax(outputs)
+        return loss, 2.0 * shared / b
+    _, e, total = shared
+    p = e / total
     p[np.arange(b), targets] -= 1.0
-    return p / b
+    return loss, p / b
 
 
 def predictive(head, outputs):
@@ -389,7 +402,8 @@ def predictive(head, outputs):
     classification, means passed through for regression."""
     outputs = np.asarray(outputs, dtype=FLOAT)
     if head == "classification-softmax":
-        return _softmax(outputs)
+        _, e, total = _softmax_parts(outputs)
+        return e / total
     return outputs
 
 

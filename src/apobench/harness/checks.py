@@ -18,8 +18,8 @@ import numpy as np
 from .. import oracles
 from ..apo import LrPhi, ProximalConfig, loss_and_grad, meta_gradient
 from ..baseopt import BaseOptKind, init_state, update_direction
-from ..diffnet import (Batch, LayerSpec, Model, forward, init_params, loss_out_grad, mlp,
-                       per_example_jacobian)
+from ..diffnet import (Batch, LayerSpec, Model, forward, init_params, loss_value_and_grad,
+                       mlp, per_example_jacobian)
 from ..errors import ContractError, NumericalError
 from ..kronprecond import (KronBlocks, apply_precond, apply_precond_update,
                            dense_precond, init_identity)
@@ -106,7 +106,7 @@ def check_jacobian_chain():
     batch = Batch(rng.standard_normal((4, 3)), rng.standard_normal((4, 2)))
     jac = per_example_jacobian(model, theta, batch.inputs)
     outputs, _ = forward(model, theta, batch.inputs)
-    dy = loss_out_grad(model.head, outputs, batch.targets)
+    _, dy = loss_value_and_grad(model.head, outputs, batch.targets)
     contracted = np.einsum("bj,bjm->m", dy, jac)
     exact = loss_and_grad(model, theta, batch)[1].to_flat()
     err = np.abs(contracted - exact).max() / max(np.abs(exact).max(), 1e-12)

@@ -15,8 +15,9 @@ independent diagonal preconditioner diag(d)^2 with d meta-learned alongside
 the blocks.  The fixed step scale c multiplies the preconditioned gradient
 and is not meta-learned.  PrecondPhi is a ParamSet: it stores A, B, S and d
 of every layer in one flat vector, in that order, so apo.meta_step steps it
-through that vector as it steps apo.LrPhi.  It owns its update of theta and
-that update's vector-Jacobian product in phi, which apo.meta_gradient calls.
+through that vector as it steps apo.LrPhi.  It owns its update of theta
+and, in linearize, the meta step's lookahead with that lookahead's
+vector-Jacobian product in phi, built from the lookahead's own products.
 """
 
 from __future__ import annotations
@@ -62,26 +63,33 @@ class PrecondPhi(ParamSet):
         a, b, s, self.bias_diags = map(tuple, self._views())
         self.blocks = tuple(map(KronBlocks, a, b, s))
 
-    def frobenius_norm(self):
+    def scalar(self):
+        """phi's Frobenius norm, the value a training row logs."""
         return float(np.sqrt(self.sq_norm()))
-
-    scalar = frobenius_norm   # the value a training row logs
 
     def update(self, theta, g, delta):
         """theta' = theta - c * P g; the base direction delta is unused."""
         return apply_precond_update(theta, self, g)
 
-    def vjp(self, g, v, delta):
-        """Gradient of <v, update(theta, g)> w.r.t. phi, with g fixed."""
-        c = self.scale
-        grad = self.map(np.empty_like)
-        for blk, d, gw, gb, vw, vb, out, dout in zip(self.blocks, self.bias_diags,
-                                                     g.weights, g.biases, v.weights,
-                                                     v.biases, grad.blocks, grad.bias_diags):
-            out.a[...], out.b[...], out.s[...] = precond_vjp(blk, gw, -c * vw)
-            if d is not None:
-                dout[...] = bias_diag_vjp(d, gb, -c * vb)
-        return grad
+    def linearize(self, theta, g, delta):
+        """(theta', vjp): the update and its vector-Jacobian product in phi,
+        vjp(v) = d <v, theta'> / d phi with g fixed.  vjp reuses each layer's
+        S^2, T, U and B U from the update, and writes into one fresh set."""
+        products = []
+        theta_new = apply_precond_update(theta, self, g, products)
+
+        def vjp(v):
+            c = self.scale
+            grad = self.map(np.empty_like)
+            for blk, d, gw, gb, vw, vb, kept, out, dout in zip(
+                    self.blocks, self.bias_diags, g.weights, g.biases, v.weights, v.biases,
+                    products, grad.blocks, grad.bias_diags):
+                precond_vjp(blk, gw, -c * vw, kept, out)
+                if d is not None:   # d <v_b, -c d^2 g_b> / dd = 2 d g_b (-c v_b)
+                    np.multiply(np.multiply(2.0 * d, gb, out=dout), -c * vb, out=dout)
+            return grad
+
+        return theta_new, vjp
 
 
 def init_identity(model, scale=DEFAULT_SCALE):
@@ -93,10 +101,16 @@ def init_identity(model, scale=DEFAULT_SCALE):
         scale)
 
 
-def apply_precond(blocks, grad_w):
-    """Efficient application: B (S^2 * (B^T G A)) A^T."""
-    inner = blocks.b.T @ grad_w @ blocks.a
-    return blocks.b @ ((blocks.s * blocks.s) * inner) @ blocks.a.T
+def apply_precond(blocks, grad_w, keep=None):
+    """Efficient application: B (S^2 * (B^T G A)) A^T.  A list keep gets
+    the products (S^2, T, U, B U) appended, which precond_vjp reuses."""
+    s2 = blocks.s * blocks.s
+    t = blocks.b.T @ grad_w @ blocks.a
+    u = s2 * t
+    bu = blocks.b @ u
+    if keep is not None:
+        keep.append((s2, t, u, bu))
+    return bu @ blocks.a.T
 
 
 def dense_precond(blocks):
@@ -111,14 +125,15 @@ def dense_precond(blocks):
     return (ab * d2) @ ab.T
 
 
-def apply_precond_update(params, phi, g):
-    """theta' = theta - c * P g, per layer (bias preconditioner diag(d)^2)."""
+def apply_precond_update(params, phi, g, keep=None):
+    """theta' = theta - c * P g, per layer (bias preconditioner diag(d)^2);
+    keep, a list, gets each layer's apply_precond products."""
     c = phi.scale
     out = params.map(np.empty_like)
     for w, b, gw, gb, blk, d, ow, ob in zip(params.weights, params.biases, g.weights,
                                             g.biases, phi.blocks, phi.bias_diags,
                                             out.weights, out.biases):
-        np.subtract(w, c * apply_precond(blk, gw), out=ow)
+        np.subtract(w, c * apply_precond(blk, gw, keep), out=ow)
         if b is not None:
             np.subtract(b, c * ((d * d) * gb), out=ob)
     if not out.all_finite():
@@ -126,9 +141,10 @@ def apply_precond_update(params, phi, g):
     return out
 
 
-def precond_vjp(blocks, g, v):
+def precond_vjp(blocks, g, v, products, out):
     """Gradients of <v, apply_precond(blocks, g)> w.r.t. A, B, S, holding the
-    weight gradient g fixed.
+    weight gradient g fixed, written into the KronBlocks out; products are
+    apply_precond's (S^2, T, U, B U) on g.
 
     Derived from R = B U A^T with U = S^2 * T and T = B^T G A:
       dS = 2 S * T * X          where X = B^T V A  (G = g, V = v)
@@ -136,17 +152,9 @@ def precond_vjp(blocks, g, v):
       dA = G^T B (S^2 * X) + V^T B U
     """
     a, b, s = blocks.a, blocks.b, blocks.s
-    s2 = s * s
-    t = b.T @ g @ a
-    u = s2 * t
+    s2, t, u, bu = products
     x = b.T @ v @ a
     s2x = s2 * x
-    ds = 2.0 * s * t * x
-    db = v @ a @ u.T + (g @ a) @ s2x.T
-    da = g.T @ (b @ s2x) + v.T @ (b @ u)
-    return da, db, ds
-
-
-def bias_diag_vjp(d, grad_b, upstream):
-    """Gradient of <upstream, d^2 * grad_b> w.r.t. d."""
-    return 2.0 * d * grad_b * upstream
+    np.multiply(np.multiply(2.0 * s, t, out=out.s), x, out=out.s)
+    np.add(v @ a @ u.T, (g @ a) @ s2x.T, out=out.b)
+    np.add(g.T @ (b @ s2x), v.T @ bu, out=out.a)

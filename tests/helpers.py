@@ -51,7 +51,7 @@ def fsd_value(model, theta_new, theta_old, inputs, kind):
     inputs: the fsd term of the proximal objective, evaluated on its own."""
     y_new, _ = forward(model, theta_new, inputs)
     y_old, _ = forward(model, theta_old, inputs)
-    return float(np.mean(divergence(model, kind).value(y_new, y_old)))
+    return float(np.mean(divergence(model, kind).value_and_grad(y_new, y_old)[0]))
 
 
 def write_dataset_csv(features, targets, path):

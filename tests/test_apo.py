@@ -7,6 +7,8 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from apobench import numkit
 from apobench import apo
@@ -99,11 +101,11 @@ def test_divergence_table_value_grad_hessian(kind):
     rng = numkit.make_rng(21)
     y_old = rng.standard_normal((3, 4))
     y_new = y_old + 0.3 * rng.standard_normal((3, 4))
-    assert np.array_equal(div.value(y_old, y_old), np.zeros(3))
+    assert np.array_equal(div.value_and_grad(y_old, y_old)[0], np.zeros(3))
     # gradient in y_new against central differences of the per-row value
-    grad = div.grad(y_new, y_old)
+    grad = div.value_and_grad(y_new, y_old)[1]
     for r in range(3):
-        fd = fd_scalar_fn(lambda v: div.value(v[None, :], y_old[r:r + 1])[0],
+        fd = fd_scalar_fn(lambda v: div.value_and_grad(v[None, :], y_old[r:r + 1])[0][0],
                           y_new[r], h=1e-6)
         assert rel_err(grad[r], fd) < 1e-7
     # Hessian at zero displacement against central differences of the gradient
@@ -114,9 +116,42 @@ def test_divergence_table_value_grad_hessian(kind):
         for j in range(4):
             e = np.zeros(4)
             e[j] = h
-            fd[:, j] = (div.grad((y + e)[None, :], y[None, :])[0]
-                        - div.grad((y - e)[None, :], y[None, :])[0]) / (2 * h)
+            fd[:, j] = (div.value_and_grad((y + e)[None, :], y[None, :])[1][0]
+                        - div.value_and_grad((y - e)[None, :], y[None, :])[1][0]) / (2 * h)
         assert rel_err(div.hessian(y[None])[0], fd) < 1e-7
+
+
+def _separate_divergence_passes(kind, y_new, y_old):
+    """A divergence's per-row value and its gradient in y_new by the
+    formulas that computed them apart, each softmax from scratch."""
+    def log_softmax(z):
+        z = z - z.max(axis=1, keepdims=True)
+        return z - np.log(np.exp(z).sum(axis=1, keepdims=True))
+
+    def softmax(z):
+        e = np.exp(z - z.max(axis=1, keepdims=True))
+        return e / e.sum(axis=1, keepdims=True)
+
+    if kind == "kl-categorical":
+        lp, lq = log_softmax(y_old), log_softmax(y_new)
+        return np.sum(np.exp(lp) * (lp - lq), axis=1), softmax(y_new) - softmax(y_old)
+    if kind == "kl-gaussian-unit-variance":
+        return 0.5 * np.sum((y_new - y_old) ** 2, axis=1), y_new - y_old
+    return np.sum((y_new - y_old) ** 2, axis=1), 2.0 * (y_new - y_old)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(sorted(DIVERGENCES)), st.integers(1, 40), st.integers(1, 12),
+       st.floats(1e-3, 1e3), st.floats(0.0, 2.0), st.integers(0, 2**32 - 1))
+def test_divergence_value_and_grad_is_bitwise_the_separate_passes(kind, b, d, spread, step,
+                                                                   seed):
+    rng = numkit.make_rng(seed)
+    y_old = spread * rng.standard_normal((b, d))
+    y_new = y_old + step * spread * rng.standard_normal((b, d))
+    rho, grad = DIVERGENCES[kind].value_and_grad(y_new, y_old)
+    expect_rho, expect_grad = _separate_divergence_passes(kind, y_new, y_old)
+    assert np.array_equal(rho, expect_rho)
+    assert np.array_equal(grad, expect_grad)
 
 
 # ------------------------------------------------------------ meta-objective
@@ -378,11 +413,12 @@ def _count_paramset_ops(monkeypatch):
 # ParamSet operations per SGDm warm-up step, per training step after it
 # (backward's gradient set; for a preconditioner also the logged norm and its
 # update) and per meta step (the lookahead's and the two backwards' sets, the
-# wsd difference and its norm, and the phi VJP).  A run adds theta0.copy().
+# norm of the flat wsd difference, and the phi VJP).  A run adds
+# theta0.copy().
 PARAMSET_COUNTS = {
-    "apo-lr": ({}, {"map": 1}, {"map": 2, "map2": 1, "sq_norm": 1, "dot": 1}),
+    "apo-lr": ({}, {"map": 1}, {"map": 2, "sq_norm": 1, "dot": 1}),
     "apo-precond": ({"map": 1, "sq_norm": 1}, {"map": 2, "sq_norm": 1},
-                    {"map": 4, "map2": 1, "sq_norm": 1}),
+                    {"map": 4, "sq_norm": 1}),
 }
 
 
@@ -421,7 +457,7 @@ def test_training_pass_counts(monkeypatch, mode, meta_interval):
 # moves the count.  The step repeats none of the checks that the task build
 # and apo_train's entry make (batch coercion, label range, layout, input
 # shape, Kronecker block shapes); one that creeps back moves these counts.
-CALL_COUNTS = {"none": 593, "apo-lr": 731, "apo-precond": 2019}
+CALL_COUNTS = {"none": 515, "apo-lr": 633, "apo-precond": 1819}
 
 
 @pytest.mark.parametrize("mode", list(CALL_COUNTS))
@@ -681,8 +717,9 @@ def test_apo_train_kfac_logs_exact_lr_and_applies_weight_decay():
     assert not np.array_equal(plain.theta.flat, decayed.theta.flat)
 
 
-def test_phi_vjp_matches_fd_of_update():
-    """Each phi type's vjp is the gradient of <v, phi.update(theta, g, delta)>."""
+def test_phi_linearize_matches_update_and_fd():
+    """Each phi type's linearize takes phi.update's step, and its vjp is the
+    gradient of <v, phi.update(theta, g, delta)>."""
     rng = numkit.make_rng(21)
     model = mlp([3, 4, 2], activation="sigmoid", out_activation="linear")
     theta = init_params(model, rng)
@@ -695,7 +732,9 @@ def test_phi_vjp_matches_fd_of_update():
             return v.dot(phi.from_flat(vec).update(theta, g, delta).flat)
 
         fd = fd_scalar_fn(inner, phi.to_flat(), h=1e-5)
-        assert rel_err(phi.vjp(g, v, delta).to_flat(), fd) < 1e-7
+        theta_new, vjp = phi.linearize(theta, g, delta)
+        assert np.array_equal(theta_new.flat, phi.update(theta, g, delta).flat)
+        assert rel_err(vjp(v).to_flat(), fd) < 1e-7
 
 
 def test_lr_update_needs_base_direction():
@@ -732,6 +771,15 @@ def test_lr_overflow_is_numerical_error():
     for log_lr in (710.0, math.inf, math.nan):
         with pytest.raises(NumericalError):
             LrPhi(log_lr).lr
+
+
+def test_lr_is_evaluated_once_per_set():
+    """A set keeps the rate it evaluated; a set derived from it evaluates
+    its own, so no stale rate reaches the next phi."""
+    phi = LrPhi(math.log(0.5))
+    assert phi.lr is phi.lr
+    for new in (phi.with_flat(np.array([math.log(0.25)])), phi.map(lambda f: f - 1.0)):
+        assert new.lr == math.exp(new.log_lr) != phi.lr
 
 
 @pytest.mark.parametrize("meta_kind", KINDS)

@@ -7,7 +7,7 @@ from apobench import diffnet, numkit, tasks
 from apobench.apo import LrPhi, ProximalConfig, init_meta_state, loss_and_grad, meta_step
 from apobench.baseopt import BaseOptKind, apply_lr_update
 from apobench.diffnet import (Batch, LayerSpec, Model, ParamSet, backward, check_dataset,
-                              forward, init_params, loss_eval, loss_out_grad, mlp,
+                              forward, init_params, loss_eval, loss_value_and_grad, mlp,
                               per_example_jacobian, predictive, rosenbrock_model)
 from apobench.errors import ContractError, DimensionError
 from apobench.kronprecond import PrecondPhi, apply_precond_update, init_identity
@@ -287,6 +287,7 @@ def test_flat_roundtrip_and_dot_order(layers):
     assert theta.dot(other) == float(per_array)
     assert theta.dot(other.flat) == float(per_array)
     assert theta.sq_norm() == float(sum(np.vdot(a, a) for a in arrays_of(theta)))
+    assert theta.sq_norm(other.flat) == other.sq_norm()
     with pytest.raises(DimensionError):
         theta.from_flat(np.zeros(theta.size + 1))
 
@@ -390,6 +391,39 @@ def test_backward_reads_activations_from_the_trace(monkeypatch, activations):
     batch = small_batch(rng, model)
     outputs, trace = forward(model, theta, batch.inputs)
     assert calls == list(activations)
-    g, _ = backward(model, theta, trace, loss_out_grad(model.head, outputs, batch.targets))
+    _, dy = loss_value_and_grad(model.head, outputs, batch.targets)
+    g, _ = backward(model, theta, trace, dy)
     assert calls == list(activations)
     assert rel_err(g.flat, fd_param_gradient(model, theta, batch)) < 1e-6
+
+
+def _separate_loss_passes(head, outputs, targets):
+    """The loss and its output gradient by the formulas that computed them
+    apart (loss_eval and the deleted loss_out_grad), through numpy's
+    reduction wrappers."""
+    b = len(outputs)
+    if head == "rosenbrock-direct":
+        return float(outputs.mean()), np.full_like(outputs, 1.0 / b)
+    if head == "regression-gaussian-unit-variance":
+        return (float(np.mean(np.sum((outputs - targets) ** 2, axis=1))),
+                2.0 * (outputs - targets) / b)
+    z = outputs - outputs.max(axis=1, keepdims=True)
+    loss = float(np.mean(np.log(np.sum(np.exp(z), axis=1)) - z[np.arange(b), targets]))
+    e = np.exp(z)
+    p = e / e.sum(axis=1, keepdims=True)
+    p[np.arange(b), targets] -= 1.0
+    return loss, p / b
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(diffnet.HEADS), st.integers(1, 40), st.integers(1, 12),
+       st.floats(1e-3, 1e3), st.integers(0, 2**32 - 1))
+def test_loss_value_and_grad_is_bitwise_the_separate_passes(head, b, d, spread, seed):
+    rng = numkit.make_rng(seed)
+    outputs = spread * rng.standard_normal((b, d))
+    targets = (rng.integers(0, d, b) if head == "classification-softmax"
+               else rng.standard_normal((b, d)))
+    loss, dy = loss_value_and_grad(head, outputs, targets)
+    expect_loss, expect_dy = _separate_loss_passes(head, outputs, targets)
+    assert loss == expect_loss == loss_eval(head, outputs, targets)
+    assert np.array_equal(dy, expect_dy)

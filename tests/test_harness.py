@@ -371,8 +371,7 @@ def test_run_divergence_keeps_rows_nonfinite_learned_lr(tmp_path):
     where math.exp returns inf without raising: a divergence, not an error."""
     doc = {"task": {"kind": "synth-regression"}, "mode": "apo-lr", "steps": 30,
            "proximal": {"meta_lr": 1e308}}
-    with np.errstate(over="ignore"):
-        assert _assert_rows_before_divergence(parse_config(doc), tmp_path / "l") == 10
+    assert _assert_rows_before_divergence(parse_config(doc), tmp_path / "l") == 10
 
 
 def test_run_env_seed_override(tmp_path, monkeypatch):
@@ -607,6 +606,22 @@ def test_cli_run_and_exit_codes(tmp_path, capsys):
         assert cli.main(argv) == 2, argv
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and flag in err[0], err
+
+
+def test_cli_divergence_prints_one_stderr_line(tmp_path):
+    """A learned rate that overflows ends the run with exit 3 and the
+    divergence message alone on stderr: no numpy warning precedes it."""
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"task": {"kind": "synth-regression"}, "mode": "apo-lr",
+                                    "steps": 30, "proximal": {"meta_lr": 1e308}}))
+    src = os.path.dirname(os.path.dirname(os.path.abspath(apobench.__file__)))
+    proc = subprocess.run(
+        [sys.executable, "-m", "apobench.harness.cli", "run", "--config", str(cfg_path),
+         "--out", str(tmp_path / "out")],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 3, proc.stderr
+    assert len(proc.stderr.splitlines()) == 1, proc.stderr
+    assert proc.stderr.startswith("training diverged:")
 
 
 def test_cli_grid(tmp_path):

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from apobench import numkit
-from apobench.diffnet import ParamSet, mlp
+from apobench.diffnet import ParamSet, init_params, mlp
 from apobench.errors import DimensionError, OracleScaleError
 from apobench.kronprecond import (KronBlocks, PrecondPhi, apply_precond,
                                   apply_precond_update, dense_precond, init_identity)
@@ -165,5 +165,78 @@ def test_phi_flat_is_a_b_s_d_per_layer():
     assert np.array_equal(phi.flat, expect)
     views = [a for blk, d in zip(phi.blocks, phi.bias_diags) for a in (blk.a, blk.b, blk.s, d)]
     assert all(np.shares_memory(a, phi.flat) for a in views)
-    assert phi.frobenius_norm() == float(np.sqrt(sum(np.vdot(a, a) for a in views)))
+    assert phi.scalar() == float(np.sqrt(sum(np.vdot(a, a) for a in views)))
     assert phi.from_flat(phi.flat).scale == phi.scale
+
+
+def _separate_vjp(blocks, g, v):
+    """precond_vjp's formulas, dA, dB and dS, with every product computed
+    afresh, as the VJP computed them before it shared the lookahead's."""
+    a, b, s = blocks.a, blocks.b, blocks.s
+    s2 = s * s
+    t = b.T @ g @ a
+    u = s2 * t
+    x = b.T @ v @ a
+    s2x = s2 * x
+    return (g.T @ (b @ s2x) + v.T @ (b @ u), v @ a @ u.T + (g @ a) @ s2x.T,
+            2.0 * s * t * x)
+
+
+def _perturbed_setup(widths, bias, seed, scale):
+    """A model, theta, gradient g, upstream v and a non-identity phi."""
+    model = mlp(widths, bias=bias)
+    rng = numkit.make_rng(seed)
+    theta = init_params(model, rng)
+    g, v = (theta.map(lambda a: rng.standard_normal(a.shape)) for _ in range(2))
+    phi = init_identity(model, scale)
+    phi = phi.map(lambda f: f + 0.3 * rng.standard_normal(f.size))
+    return theta, g, v, phi
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.integers(1, 6), min_size=2, max_size=4), st.booleans(),
+       st.integers(0, 2**32 - 1), st.floats(0.01, 1.0))
+def test_linearize_is_bitwise_the_update_and_an_unshared_vjp(widths, bias, seed, scale):
+    theta, g, v, phi = _perturbed_setup(widths, bias, seed, scale)
+    attrs = set(vars(phi))
+    theta_new, vjp = phi.linearize(theta, g, None)
+    assert np.array_equal(theta_new.flat, apply_precond_update(theta, phi, g).flat)
+    grad = vjp(v)
+    assert type(grad) is PrecondPhi and grad.layout == phi.layout
+    assert set(vars(phi)) == attrs   # the lookahead's products stay in the closure
+    for blk, d, gw, gb, vw, vb, out, dout in zip(phi.blocks, phi.bias_diags, g.weights,
+                                                 g.biases, v.weights, v.biases,
+                                                 grad.blocks, grad.bias_diags):
+        for got, unshared in zip((out.a, out.b, out.s), _separate_vjp(blk, gw, -scale * vw)):
+            assert np.array_equal(got, unshared)
+        if d is not None:
+            assert np.array_equal(dout, 2.0 * d * gb * (-scale * vb))
+
+
+class MatmulCounter(np.ndarray):
+    """An ndarray that counts the matrix products it takes part in."""
+
+    products = 0
+
+    def __matmul__(self, other):
+        MatmulCounter.products += 1
+        return super().__matmul__(other)
+
+    def __rmatmul__(self, other):
+        MatmulCounter.products += 1
+        return super().__rmatmul__(other)
+
+
+def test_lookahead_and_vjp_share_products():
+    """One layer's lookahead and VJP take 13 matrix products: the VJP reuses
+    T = B^T G A and B U, which the unshared formulas compute again (16)."""
+    theta, g, v, phi = _perturbed_setup([4, 3], True, 8, 0.5)
+    theta, g, v, phi = (p.with_flat(p.flat.view(MatmulCounter)) for p in (theta, g, v, phi))
+    MatmulCounter.products = 0
+    _, vjp = phi.linearize(theta, g, None)
+    vjp(v)
+    assert MatmulCounter.products == 13
+    MatmulCounter.products = 0
+    apply_precond_update(theta, phi, g)
+    _separate_vjp(phi.blocks[0], g.weights[0], -phi.scale * v.weights[0])
+    assert MatmulCounter.products == 16
