@@ -98,6 +98,12 @@ HEAD_DIVERGENCE = {
     "classification-softmax": "kl-categorical",
     "rosenbrock-direct": "squared-output-distance",
 }
+# The divergence whose per-row output Hessian is the loss's (the Gauss-Newton
+# curvature of oracles.exact_ppm_solve); rosenbrock's raw loss has none.
+HEAD_LOSS_CURVATURE = {
+    "regression-gaussian-unit-variance": "squared-output-distance",
+    "classification-softmax": "kl-categorical",
+}
 BATCH_POLICIES = ("same", "fresh")
 
 DIVERGENCE_GUARD = 1e12

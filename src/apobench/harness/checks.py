@@ -349,7 +349,7 @@ def check_ppm_limits():
         limit("ppm-closed-form-limit", 1.0,
               lambda lam_w: oracles.approx_ppm_update(theta, g, g_mat, 1.0, lam_w), 1e-2),
         limit("ppm-damped-newton-limit", 0.0,
-              lambda lam_w: oracles.damped_newton_update(theta, g, hessian, lam_w), 1e-4),
+              lambda lam_w: oracles.approx_ppm_update(theta, g, hessian, 1.0, lam_w), 1e-4),
     ]
 
 

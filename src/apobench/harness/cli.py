@@ -83,11 +83,11 @@ def _cmd_ppm_demo(args):
     with _output("--out", args.out):
         write_demo_csv(rows, args.out)
     print(f"wrote {args.out}")
-    if settings == DEFAULT_SETTINGS:
-        for c in regime_checks(meta):
-            mark = "PASS" if c["pass"] else "FAIL"
-            print(f"[{mark}] {c['check']}: value={c['value']:.4g}")
-    return EXIT_OK
+    checks = regime_checks(meta) if settings == DEFAULT_SETTINGS else []
+    for c in checks:
+        mark = "PASS" if c["pass"] else "FAIL"
+        print(f"[{mark}] {c['check']}: value={c['value']:.4g}")
+    return EXIT_OK if all(c["pass"] for c in checks) else EXIT_CHECK_FAILED
 
 
 def build_parser():

@@ -10,9 +10,11 @@ solved for several (lambda_fsd, lambda_wsd) settings:
   * fsd only (large)  -> a spike carved around the new example, predictions
                          pinned at the discrepancy sample points.
 
-Emits (lambda_fsd, lambda_wsd, x, f_before, f_after) rows for plotting;
-regime_checks turns the three regimes into check results, built like the
-`check` suite's by checks.result.
+Each step is oracles.exact_ppm_solve (Levenberg-Marquardt); the fsd-only
+setting's minimum is 0, so it ends on the solver's certified Q(u) <=
+tol * Q(theta).  Emits (lambda_fsd, lambda_wsd, x, f_before, f_after) rows
+for plotting; regime_checks turns the three regimes into check results,
+built like the `check` suite's by checks.result.
 """
 
 from __future__ import annotations

@@ -1,10 +1,13 @@
 """Reference implementations used to cross-validate the meta-learned
-optimizers: exact and closed-form proximal-point updates, damped Newton,
-dense discrepancy Hessians, the optimal dense preconditioner, and KFAC.
+optimizers: the exact proximal point, the closed-form proximal step (damped
+Newton is its lam_fsd = 1 case on the loss Hessian), dense discrepancy
+Hessians, the optimal dense preconditioner, and KFAC.
 
 Everything here is oracle-scale: dense matrices, guards on the parameter
 count, and exact curvature as one contraction over the per-example
-Jacobians of diffnet.preact_jacobians (one forward, d_out backwards).
+Jacobians of diffnet.preact_jacobians (one forward, d_out backwards).  The
+exact proximal point is solved by Levenberg-Marquardt on that Gauss-Newton
+curvature, so it is limited to numkit.SOLVE_SPD_MAX_N parameters.
 Training calls into this module only for the KFAC base
 optimizer, whose steps apo_train takes with kfac_statistics and kfac_update:
 the statistics refresh every update_every-th step and factor their damped
@@ -20,7 +23,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .apo import divergence, loss_and_grad, proximal_value_and_grad
+from .apo import HEAD_LOSS_CURVATURE, divergence, loss_and_grad, proximal_value_and_grad
 from .diffnet import backward, forward, per_example_jacobian, preact_jacobians, predictive
 from .errors import ContractError, ConvergenceError, NumericalError, OracleScaleError
 from .numkit import FLOAT, cholesky_spd, solve_spd
@@ -88,17 +91,13 @@ def qhat_grad(p, g, grad_samples, lam_fsd, lam_wsd):
     return (lam_fsd * g @ p + lam_wsd * p - np.eye(p.shape[0])) @ m2
 
 
-def approx_ppm_update(theta, g, fsd_hessian, lam_fsd, lam_wsd):
+def approx_ppm_update(theta, g, curvature, lam_fsd, lam_wsd):
     """Closed-form approximate proximal step
-    theta - (lam_fsd G + lam_wsd I)^-1 g."""
-    reg = lam_fsd * np.asarray(fsd_hessian, dtype=FLOAT) + lam_wsd * np.eye(g.size)
+    theta - (lam_fsd C + lam_wsd I)^-1 g; with C the fsd Hessian G this is
+    the linearized proximal point, with lam_fsd = 1 and C the loss Hessian
+    the damped Newton step.  Requires the damped matrix to be SPD."""
+    reg = lam_fsd * np.asarray(curvature, dtype=FLOAT) + lam_wsd * np.eye(g.size)
     return theta.from_flat(theta.flat - solve_spd(reg, g.flat))
-
-
-def damped_newton_update(theta, g, loss_hessian, lam_wsd):
-    """theta - (H + lam_wsd I)^-1 g; requires the damped Hessian to be SPD."""
-    h = np.asarray(loss_hessian, dtype=FLOAT) + lam_wsd * np.eye(g.size)
-    return theta.from_flat(theta.flat - solve_spd(h, g.flat))
 
 
 def loss_hessian_fd(model, theta, batch, h=1e-5):
@@ -117,83 +116,74 @@ def loss_hessian_fd(model, theta, batch, h=1e-5):
 
 
 def exact_ppm_solve(model, theta, batch, lam_fsd, lam_wsd, fsd_inputs,
-                    tol=1e-10, max_iter=100_000, fsd_kind=None):
+                    tol=1e-10, max_iter=1000, fsd_kind=None):
     """Minimize the proximal objective
-    J_batch(u) + lam_fsd * FSD(u, theta) + lam_wsd * 0.5 ||u - theta||^2
-    over u by gradient descent with Armijo backtracking; the trial step per
-    iteration is a Barzilai-Borwein spectral step, which copes with the
-    ill-conditioned inner problems the plain unit step cannot.
+    Q(u) = J_batch(u) + lam_fsd * FSD(u, theta) + lam_wsd * 0.5 ||u - theta||^2
+    by Levenberg-Marquardt: steps u - (H + lam_wsd I + mu I)^-1 dQ/du, with
+    H the Gauss-Newton curvature of the loss (its HEAD_LOSS_CURVATURE
+    divergence) and of lam_fsd * FSD.  A step is taken when Q decreases or,
+    below Q's rounding, when ||dQ/du|| does; mu then follows Nielsen's
+    gain-ratio rule, and grows 4x on a rejected step.
 
-    A None fsd_kind means the model head's divergence.  Returns u with inner
-    gradient 2-norm <= tol.  Raises ConvergenceError when the iteration cap
-    is hit.
+    A None fsd_kind means the model head's divergence.  Returns u with
+    ||dQ/du|| <= tol or Q(u) <= tol * Q(theta), which bounds Q(u) - min Q
+    since every term of Q is >= 0.  Raises ConvergenceError (with the
+    gradient norm) after max_iter objective evaluations or when a step no
+    longer moves u, ContractError for a head without a loss curvature
+    (rosenbrock), and OracleScaleError above 512 parameters (SOLVE_SPD_MAX_N).
     """
     if tol <= 0:
         raise ContractError("tol must be positive")
     divergence(model, fsd_kind)  # rejects an unknown kind before the first step
+    if model.head not in HEAD_LOSS_CURVATURE:
+        raise ContractError(f"no Gauss-Newton loss curvature for head {model.head!r}")
+    loss_kind = HEAD_LOSS_CURVATURE[model.head]
 
     def objective(u):
         value, _, grad = proximal_value_and_grad(model, u, theta, batch, fsd_inputs,
                                                  lam_fsd, lam_wsd, fsd_kind)
-        return value, grad
-
-    theta_norm = float(np.sqrt(theta.sq_norm()))
-
-    def stalled_exit(gnorm, value, step):
-        # Value progress has hit float resolution.  Accept if the gradient is
-        # tiny relative to the objective scale, or if the remaining distance
-        # to the minimizer (about step * gnorm, the BB step approximating the
-        # inverse curvature) is negligible -- the high-curvature regimes
-        # bottom out at gradient norms ~ sqrt(eps * curvature) under any
-        # value-based line search.
-        if gnorm <= tol * max(1.0, abs(value)) * 1e3:
-            return True
-        if gnorm * step <= 1e-9 * (1.0 + theta_norm):
-            return True
-        raise ConvergenceError(
-            f"inner solver stalled with gradient norm {gnorm}", grad_norm=gnorm)
+        return value, grad.flat
 
     u = theta.copy()
     value, grad = objective(u)
-    flat, gflat = u.flat, grad.flat
-    prev_flat = prev_gflat = None
-    step = 1.0
-    no_progress = 0
-    for _ in range(max_iter):
-        gnorm2 = float(gflat @ gflat)
-        if np.sqrt(gnorm2) <= tol:
+    floor = tol * value
+    evals, mu = 1, None
+    while True:
+        gnorm = float(np.sqrt(grad @ grad))
+        if gnorm <= tol or value <= floor:
             return u
-        if no_progress > 50 and stalled_exit(float(np.sqrt(gnorm2)), value, step):
-            return u
-        if prev_flat is not None:
-            dg = gflat - prev_gflat
-            du = flat - prev_flat
-            denom = float(dg @ dg)
-            if denom > 0 and np.isfinite(denom):
-                step = float(np.clip(du @ dg / denom, 1e-30, 1e12))
-        accepted = False
-        trial = step
-        for _ in range(80):
-            cand_flat = flat - trial * gflat
+        h = fsd_hessian_exact(model, u, batch.inputs, loss_kind)
+        if lam_fsd:
+            h += lam_fsd * fsd_hessian_exact(model, u, fsd_inputs, fsd_kind)
+        h += lam_wsd * np.eye(u.size)
+        if mu is None:
+            mu = 1e-3 * float(h.diagonal().max())
+        while True:
+            if evals >= max_iter:
+                raise ConvergenceError(f"inner solver hit {max_iter} objective evaluations "
+                                       f"with gradient norm {gnorm}", grad_norm=gnorm)
+            try:
+                step = solve_spd(h + mu * np.eye(u.size), grad)
+            except NumericalError:  # mu below the rounding of a singular h
+                mu *= 4
+                continue
+            cand_flat = u.flat - step
+            if np.array_equal(cand_flat, u.flat):
+                raise ConvergenceError(f"inner solver stalled with gradient norm {gnorm}",
+                                       grad_norm=gnorm)
             cand = u.from_flat(cand_flat)
             cand_value, cand_grad = objective(cand)
-            if np.isfinite(cand_value) and cand_value <= value - 1e-4 * trial * gnorm2:
-                if value - cand_value <= 1e-16 * max(1.0, abs(value)):
-                    no_progress += 1
-                else:
-                    no_progress = 0
-                prev_flat, prev_gflat = flat, gflat
+            evals += 1
+            predicted = 0.5 * float(step @ grad + mu * (step @ step))
+            if predicted <= 4 * np.finfo(FLOAT).eps * abs(value):
+                rho = 1.0 if cand_grad @ cand_grad < gnorm * gnorm else 0.0
+            else:
+                rho = (value - cand_value) / predicted
+            if rho > 0:
+                mu *= max(1 / 3, 1 - (2 * rho - 1) ** 3)
                 u, value, grad = cand, cand_value, cand_grad
-                flat, gflat = cand_flat, grad.flat
-                accepted = True
                 break
-            trial *= 0.5
-        if not accepted and stalled_exit(float(np.sqrt(gnorm2)), value, step):
-            return u
-    gnorm = float(np.sqrt(gflat @ gflat))
-    raise ConvergenceError(
-        f"inner solver hit {max_iter} iterations with gradient norm {gnorm}",
-        grad_norm=gnorm)
+            mu *= 4
 
 
 def _sample_targets(head, outputs, rng):

@@ -1,6 +1,8 @@
 import pytest
 
-from apobench.harness import checks
+from apobench import oracles
+from apobench.apo import proximal_value_and_grad
+from apobench.harness import checks, ppmdemo
 
 # Every check with its threshold, in report order, a line per CHECKS entry
 # (kfac-* takes three): loosening a threshold, or dropping or renaming a
@@ -37,3 +39,30 @@ def test_report_pins_every_name_and_threshold():
     assert [(r["check"], r["threshold"]) for r in report["checks"]] == THRESHOLDS
     assert report["n_checks"] == len(THRESHOLDS)
     assert report["passed"]
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_ppm_demo_regimes(seed, monkeypatch):
+    """The demo's three regimes hold on its own seed and on seeds 1-3; on
+    seed 0 the fsd-only solve, whose minimum is 0, ends certified by
+    Q(u) <= tol * Q(theta)."""
+    solves = []
+
+    def recording(*args, **kwargs):
+        u = oracles.exact_ppm_solve(*args, **kwargs)
+        solves.append((args, kwargs, u))
+        return u
+
+    monkeypatch.setattr(ppmdemo, "exact_ppm_solve", recording)
+    _, meta = ppmdemo.ppm_demo(seed=seed)
+    for result in ppmdemo.regime_checks(meta):
+        assert result["pass"], result
+    if seed == 0:
+        (model, theta, batch, lam_fsd, lam_wsd, fsd_inputs), kwargs, u = solves[2]
+        assert (lam_fsd, lam_wsd) == ppmdemo.DEFAULT_SETTINGS[2] == (100.0, 0.0)
+
+        def q(params):
+            return proximal_value_and_grad(model, params, theta, batch, fsd_inputs, lam_fsd,
+                                           lam_wsd, kwargs["fsd_kind"])[0]
+
+        assert q(u) <= kwargs["tol"] * q(theta)

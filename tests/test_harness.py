@@ -15,6 +15,7 @@ from apobench.baseopt import KINDS as BASE_KINDS
 from apobench.baseopt import BaseOptKind
 from apobench.errors import ConfigError, IngestionError, TrainingDivergedError
 from apobench.harness import cli
+from apobench.harness.checks import result
 from apobench.harness.config import (CONFIG, MODES, KfacSettings, config_hash,
                                      config_to_dict, load_config, parse_config)
 from apobench.harness.gridsearch import SUMMARY_FIELDS, expand_grid, grid
@@ -606,6 +607,23 @@ def test_cli_run_and_exit_codes(tmp_path, capsys):
         assert cli.main(argv) == 2, argv
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and flag in err[0], err
+
+
+def test_cli_ppm_demo_default_run(tmp_path, capsys):
+    out = tmp_path / "demo.csv"
+    assert cli.main(["ppm-demo", "--out", str(out)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split(":")[0] for line in lines if line.startswith("[")] == [
+        "[PASS] ppm-frozen-regime", "[PASS] ppm-global-regime", "[PASS] ppm-spike-regime"]
+    assert out.read_text().startswith("lambda_fsd,lambda_wsd,x,f_before,f_after\n")
+
+
+def test_cli_ppm_demo_failing_check_exits_4(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "ppm_demo", lambda lambda_settings: ([], {}))
+    monkeypatch.setattr(cli, "regime_checks", lambda meta: [
+        result("ppm-frozen-regime", 0.0, 1e-3), result("ppm-spike-regime", 0.5, 0.1)])
+    assert cli.main(["ppm-demo", "--out", str(tmp_path / "demo.csv")]) == 4
+    assert "[FAIL] ppm-spike-regime" in capsys.readouterr().out
 
 
 def test_cli_divergence_prints_one_stderr_line(tmp_path):

@@ -9,7 +9,7 @@ from apobench import diffnet, numkit, oracles
 from apobench.apo import DIVERGENCES, loss_and_grad
 from apobench.diffnet import (Batch, LayerSpec, Model, ParamSet, forward,
                               init_params, mlp, predictive)
-from apobench.errors import ContractError, NumericalError
+from apobench.errors import ContractError, ConvergenceError, NumericalError
 from apobench.harness import checks
 from apobench.numkit import kron_dense
 
@@ -178,6 +178,8 @@ def test_approx_ppm_large_damping_freezes():
 
 
 # -------------------------------------------------------------- damped Newton
+# The damped Newton step is approx_ppm_update with lam_fsd = 1 and the loss
+# Hessian.
 
 
 def quadratic_1p():
@@ -192,20 +194,20 @@ def test_damped_newton_exact_on_quadratic():
     model, theta, batch = quadratic_1p()
     _, g = loss_and_grad(model, theta, batch)
     assert g.weights[0][0, 0] == pytest.approx(2.0)
-    out = oracles.damped_newton_update(theta, g, np.array([[2.0]]), 0.0)
+    out = oracles.approx_ppm_update(theta, g, np.array([[2.0]]), 1.0, 0.0)
     assert out.weights[0][0, 0] == pytest.approx(0.0)
 
 
 def test_damped_newton_hand_value():
     model, theta, batch = quadratic_1p()
     _, g = loss_and_grad(model, theta, batch)
-    out = oracles.damped_newton_update(theta, g, np.array([[2.0]]), 2.0)
+    out = oracles.approx_ppm_update(theta, g, np.array([[2.0]]), 1.0, 2.0)
     assert out.weights[0][0, 0] == pytest.approx(0.5)
 
 
 def test_damped_newton_zero_gradient():
     theta = ParamSet.from_layers([(np.array([[3.0]]), None)])
-    out = oracles.damped_newton_update(theta, theta.zeros_like(), np.array([[2.0]]), 1.0)
+    out = oracles.approx_ppm_update(theta, theta.zeros_like(), np.array([[2.0]]), 1.0, 1.0)
     assert out.weights[0][0, 0] == 3.0
 
 
@@ -213,7 +215,7 @@ def test_damped_newton_indefinite_rejected():
     theta = ParamSet.from_layers([(np.array([[1.0]]), None)])
     g = ParamSet.from_layers([(np.array([[1.0]]), None)])
     with pytest.raises(NumericalError):
-        oracles.damped_newton_update(theta, g, np.array([[-3.0]]), 1.0)
+        oracles.approx_ppm_update(theta, g, np.array([[-3.0]]), 1.0, 1.0)
 
 
 def test_loss_hessian_fd_on_quadratic():
@@ -275,6 +277,44 @@ def test_exact_ppm_monotone_descent_invariant():
                 + 0.5 * wsd(params, theta))
 
     assert inner(u) <= inner(theta)
+
+
+def test_exact_ppm_capped_solve_raises_with_grad_norm():
+    rng = numkit.make_rng(11)
+    model = mlp([2, 3, 1], activation="sigmoid")
+    theta = init_params(model, rng)
+    batch = Batch(rng.standard_normal((4, 2)), rng.standard_normal((4, 1)))
+    fsd_inputs = rng.standard_normal((6, 2))
+    with pytest.raises(ConvergenceError) as info:
+        oracles.exact_ppm_solve(model, theta, batch, 0.5, 0.5, fsd_inputs, tol=1e-9,
+                                max_iter=2)
+    assert info.value.grad_norm > 1e-9
+
+
+def test_exact_ppm_damps_a_singular_curvature():
+    # Unregularized softmax loss on 4 rows: the 33 x 33 Gauss-Newton matrix
+    # has rank <= 8, and once mu shrinks below its rounding the damped matrix
+    # does not factor; that counts as a rejected step, not a NumericalError.
+    rng = numkit.make_rng(45)
+    model = mlp([2, 5, 3], activation="sigmoid", head="classification-softmax")
+    theta = init_params(model, rng)
+    labels = rng.integers(0, 3, 4)
+    batch = Batch(rng.standard_normal((4, 2)), labels)
+    loss0, _ = loss_and_grad(model, theta, batch)
+    u = oracles.exact_ppm_solve(model, theta, batch, 0.0, 0.0, batch.inputs, tol=1e-13)
+    loss, g = loss_and_grad(model, u, batch)
+    assert np.sqrt(g.flat @ g.flat) <= 1e-13 or loss <= 1e-13 * loss0
+
+
+def test_exact_ppm_rejects_rosenbrock_before_first_step(monkeypatch):
+    # The raw Rosenbrock value has no Gauss-Newton curvature to damp.
+    model = diffnet.rosenbrock_model()
+    theta = ParamSet.from_layers([(np.array([[0.3], [-0.2]]), None)])
+    batch = Batch(np.zeros((1, 1)), np.zeros((1, 1)))
+    monkeypatch.setattr(oracles, "proximal_value_and_grad",
+                        lambda *args: pytest.fail("the solver evaluated Q"))
+    with pytest.raises(ContractError, match="rosenbrock-direct"):
+        oracles.exact_ppm_solve(model, theta, batch, 0.0, 1.0, batch.inputs)
 
 
 # -------------------------------------------------------------------- KFAC
