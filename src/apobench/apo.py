@@ -15,11 +15,13 @@ the classic rapid learning-rate collapse).
 Both phi types are ParamSets, so the meta-optimizer steps either one through
 its flat vector: LrPhi holds the log learning rate (exp keeps the rate
 positive) and kronprecond.PrecondPhi the Kronecker blocks.  Each owns its
-rule: update(theta, g, delta) takes the step, linearize(theta, g, delta)
+rule: update(theta, g, delta, out) takes the step, linearize(theta, g, delta)
 also returns the step's vector-Jacobian product in phi, a closure over its
 intermediates, and scalar() is the value a training row logs.  Only the SGDm
 warm-up of preconditioner mode and base kind kfac (oracles.kfac_update) step
-without phi.
+without phi.  The training loop updates theta, phi and the optimizer moments
+in place, each in its own buffer; what a step derives (gradients, theta',
+the meta-gradient, Delta) is fresh.
 
 Each output divergence rho is defined once, in DIVERGENCES: its per-row
 value with its gradient in the new outputs, from one pass, and its Hessian
@@ -36,13 +38,12 @@ and 2 backwards per meta step.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .baseopt import BaseOptKind, OptState, apply_lr_update, init_state, update_direction
+from .baseopt import BaseOptKind, apply_lr_update, init_state, update_direction
 from .diffnet import ParamSet, _softmax_parts, backward, forward, loss_value_and_grad, predictive
 from .errors import ContractError, DimensionError, NumericalError, TrainingDivergedError
 from .kronprecond import DEFAULT_SCALE, init_identity
@@ -169,18 +170,17 @@ class LrPhi(ParamSet):
         super().__init__(np.array(log_lr, dtype=FLOAT).reshape(1), layout)
 
     def _bind(self):
-        """No per-layer views; a set with_flat derives drops the cached rate."""
-        self.__dict__.pop("lr", None)
+        """A one-entry vector has no per-layer views."""
 
     @property
     def log_lr(self):
         return float(self.flat[0])
 
-    @functools.cached_property
+    @property
     def lr(self):
-        """exp(log_lr), once per set; a NumericalError unless it is finite."""
+        """exp(log_lr), read on each use; a NumericalError unless finite."""
         try:
-            if math.isfinite(lr := math.exp(self.log_lr)):
+            if math.isfinite(lr := math.exp(self.flat[0])):
                 return lr
         except OverflowError:
             pass
@@ -189,11 +189,11 @@ class LrPhi(ParamSet):
     def scalar(self):
         return self.lr
 
-    def update(self, theta, g, delta):
-        """theta' = theta - lr * delta; the gradient g is unused."""
+    def update(self, theta, g, delta, out=None):
+        """theta' = theta - lr * delta, into out or a new set; g is unused."""
         if delta is None:
             raise ContractError("a learning-rate update needs the base direction")
-        return apply_lr_update(theta, self.lr, delta)
+        return apply_lr_update(theta, self.lr, delta, out)
 
     def linearize(self, theta, g, delta):
         """(theta', vjp): the update and its vector-Jacobian product in
@@ -208,16 +208,6 @@ class KfacSettings:
     damping: float = 1e-3
     update_every: int = 5
     ema_decay: float = 0.95
-
-
-@dataclass
-class MetaState:
-    opt: OptState
-    iteration: int = 0
-
-
-def init_meta_state(cfg, phi):
-    return MetaState(init_state(cfg.meta_opt, phi.flat), 0)
 
 
 def wsd(theta_new, theta_old):
@@ -302,15 +292,13 @@ def meta_gradient(model, theta, phi, batch_b, batch_bp, cfg, g=None, delta=None,
     return vjp(v), q, parts
 
 
-def meta_step(phi, meta_state, meta_grad, cfg):
-    """One meta-optimizer step on phi's flat vector: phi' = phi -
-    meta_lr * Delta.  Neither phi nor meta_grad is copied or written; phi'
-    wraps the fresh direction buffer, which holds meta_lr * Delta and then
-    the new vector, so it shares no memory with them or the new state."""
-    delta, opt = update_direction(cfg.meta_opt, meta_state.opt, meta_grad.flat)
-    np.multiply(cfg.meta_lr, delta, out=delta)
-    np.subtract(phi.flat, delta, out=delta)
-    return phi.with_flat(delta), MetaState(opt, meta_state.iteration + 1)
+def meta_step(phi, state, meta_grad, cfg):
+    """One meta-optimizer step on phi's flat vector, phi <- phi - meta_lr *
+    Delta, written in place, so the views phi binds stay valid.  state, the
+    meta-optimizer's OptState (init_state(cfg.meta_opt, phi.flat)), advances
+    in place and counts the meta steps; meta_grad is not written."""
+    delta, _ = update_direction(cfg.meta_opt, state, meta_grad.flat)
+    np.subtract(phi.flat, cfg.meta_lr * delta, out=phi.flat)
 
 
 @dataclass
@@ -346,9 +334,10 @@ def apo_train(model, theta0, cfg, task, steps, rng, mode="apo-lr", base_kind=Non
     one meta-optimizer step on phi through the one-step lookahead; then step
     theta with phi.update.  In preconditioner mode the first warmup_steps
     parameter updates use SGDm while phi is still meta-learned.  Base kind
-    kfac (mode none only) steps with oracles.kfac_update at init_lr.  Raises
-    TrainingDivergedError past the loss guard or on a NumericalError,
-    carrying the rows of the steps completed before it.
+    kfac (mode none only) steps with oracles.kfac_update at init_lr; theta
+    is a copy of theta0, written in place.  Raises TrainingDivergedError
+    past the loss guard or on a NumericalError, carrying the rows of the
+    steps completed before it.
     """
     if steps < 1:
         raise ContractError("steps must be >= 1")
@@ -375,7 +364,7 @@ def apo_train(model, theta0, cfg, task, steps, rng, mode="apo-lr", base_kind=Non
     warmup = cfg.warmup_steps if mode == "apo-precond" else 0
     warm_kind = BaseOptKind("sgd-momentum", beta=0.9)
     warm_state = init_state(warm_kind, theta.flat) if warmup else None
-    meta_state = init_meta_state(cfg, phi) if mode != "none" else None
+    meta_state = init_state(cfg.meta_opt, phi.flat) if mode != "none" else None
 
     rows = []
     delta = last_q = last_fsd = last_wsd = None
@@ -388,7 +377,7 @@ def apo_train(model, theta0, cfg, task, steps, rng, mode="apo-lr", base_kind=Non
             if wd:
                 g = g.map2(theta, lambda gg, th: gg + wd * th)
             if mode != "apo-precond" and not use_kfac:
-                delta, opt_state = update_direction(base_kind, opt_state, g.flat)
+                delta, _ = update_direction(base_kind, opt_state, g.flat)
             if mode != "none" and t % cfg.meta_interval == 0:
                 batch_bp = task.sample_batch(rng)
                 batch_loss = (task.sample_batch(rng)
@@ -396,15 +385,15 @@ def apo_train(model, theta0, cfg, task, steps, rng, mode="apo-lr", base_kind=Non
                 mgrad, last_q, parts = meta_gradient(model, theta, phi, batch, batch_bp, cfg,
                                                      g=g, delta=delta, batch_loss=batch_loss)
                 last_fsd, last_wsd = parts["fsd"], parts["wsd"]
-                phi, meta_state = meta_step(phi, meta_state, mgrad, cfg)
+                meta_step(phi, meta_state, mgrad, cfg)
             if use_kfac:
                 stats = kfac_statistics(model, theta, batch.inputs, rng, stats, t, kfac)
-                theta = kfac_update(theta, g, stats.factors, lr0)
+                kfac_update(theta, g, stats.factors, lr0)
             elif t <= warmup:
-                wdelta, warm_state = update_direction(warm_kind, warm_state, g.flat)
-                theta = apply_lr_update(theta, cfg.warmup_lr, wdelta)
+                wdelta, _ = update_direction(warm_kind, warm_state, g.flat)
+                apply_lr_update(theta, cfg.warmup_lr, wdelta, theta)
             else:
-                theta = phi.update(theta, g, delta)
+                phi.update(theta, g, delta, theta)
             due = eval_fn is not None and eval_every and (t % eval_every == 0 or t == steps)
             eval_loss = float(eval_fn(theta)) if due else None
             rows.append(TrainRow(t, loss, last_q, lr0 if use_kfac else phi.scalar(),

@@ -6,10 +6,10 @@ treat the optimizer state as a constant while differentiating through eta.
 
 Gradients, directions and optimizer buffers are flat float64 vectors (a
 ParamSet's ``flat``, or a meta-parameter vector), so each update is one
-whole-vector expression.  update_direction writes its temporaries with
-out= into the new state's arrays or one scratch array, so its results are
-bit-identical to the formulas it lists, and the direction it returns is
-always a fresh array.
+whole-vector expression.  An optimizer state persists from step to step:
+update_direction advances its moment buffers in place, with out= through
+one scratch array, so its results are bit-identical to the formulas it
+lists.  The direction it returns never shares memory with the gradient.
 """
 
 from __future__ import annotations
@@ -47,8 +47,9 @@ class BaseOptKind:
 
 @dataclass
 class OptState:
-    """Flat accumulators shaped like the parameter vector; treated as fixed
-    by the meta-gradient."""
+    """Flat accumulators shaped like the parameter vector, one buffer each
+    for the whole run, advanced in place; treated as fixed by the
+    meta-gradient."""
 
     momentum: np.ndarray | None
     second: np.ndarray | None
@@ -62,58 +63,61 @@ def init_state(kind, flat):
 
 
 def update_direction(kind, state, g):
-    """Unscaled step direction Delta for the flat gradient g, and the
-    advanced state.
+    """Unscaled step direction Delta for the flat gradient g; advances
+    state in place and returns (Delta, state).
 
     sgd:          Delta = g
-    sgd-momentum: buf' = beta*buf + g;              Delta = buf'
-    rmsprop:      v' = b2*v + (1-b2)*g*g;           Delta = g / (sqrt(v') + eps)
-    adam:         m' = b1*m + (1-b1)*g;  v' = b2*v + (1-b2)*g*g;
-                  Delta = (m'/c1) / (sqrt(v'/c2) + eps),  c_i = 1 - b_i^t
+    sgd-momentum: buf <- beta*buf + g;              Delta = buf
+    rmsprop:      v <- b2*v + (1-b2)*g*g;           Delta = g / (sqrt(v) + eps)
+    adam:         m <- b1*m + (1-b1)*g;  v <- b2*v + (1-b2)*g*g;
+                  Delta = (m/c1) / (sqrt(v/c2) + eps),  c_i = 1 - b_i^t
 
-    evaluated in the order written, bit for bit; the input state is not
-    written, and Delta is a fresh array that no state shares.
+    evaluated in the order written, bit for bit.  g is never written and
+    Delta never shares memory with it; Delta may be a state buffer
+    (sgd-momentum's buf), so a caller must not write into it.
     """
     if not np.isfinite(g).all():
         raise NumericalError("gradient passed to update_direction is non-finite")
-    if kind.kind == "sgd":
-        return g.copy(), OptState(None, None, state.step + 1)
-    if kind.kind == "sgd-momentum":
-        buf = np.multiply(kind.beta, state.momentum)
-        np.add(buf, g, out=buf)
-        return buf.copy(), OptState(buf, None, state.step + 1)
-    if kind.kind == "rmsprop":
-        scratch = np.empty(g.shape)
-        v = _second_moment(kind.rms_beta2, state.second, g, scratch)
-        np.sqrt(v, out=scratch)
-        np.add(scratch, kind.eps, out=scratch)
-        return np.divide(g, scratch, out=scratch), OptState(None, v, state.step + 1)
-    if kind.kind != "adam":
+    if kind.kind not in KINDS:
         raise ContractError(f"{kind.kind} has no update direction")
-    t = state.step + 1
+    state.step += 1
+    if kind.kind == "sgd":
+        return g.copy(), state
+    if kind.kind == "sgd-momentum":
+        m = state.momentum
+        np.multiply(kind.beta, m, out=m)
+        return np.add(m, g, out=m), state
+    scratch = np.empty(g.shape)
+    if kind.kind == "rmsprop":
+        _second_moment(kind.rms_beta2, state.second, g, scratch)
+        np.sqrt(state.second, out=scratch)
+        np.add(scratch, kind.eps, out=scratch)
+        return np.divide(g, scratch, out=scratch), state
     b1, b2 = kind.beta, kind.beta2
-    m = np.multiply(b1, state.momentum)
-    scratch = np.multiply(1.0 - b1, g)
+    m = state.momentum
+    np.multiply(b1, m, out=m)
+    np.multiply(1.0 - b1, g, out=scratch)
     np.add(m, scratch, out=m)
-    v = _second_moment(b2, state.second, g, scratch)
-    c1 = 1.0 - b1 ** t
-    c2 = 1.0 - b2 ** t
-    np.divide(v, c2, out=scratch)
+    _second_moment(b2, state.second, g, scratch)
+    c1 = 1.0 - b1 ** state.step
+    c2 = 1.0 - b2 ** state.step
+    np.divide(state.second, c2, out=scratch)
     np.sqrt(scratch, out=scratch)
     np.add(scratch, kind.eps, out=scratch)
     delta = np.divide(m, c1)
-    return np.divide(delta, scratch, out=delta), OptState(m, v, t)
+    return np.divide(delta, scratch, out=delta), state
 
 
 def _second_moment(b2, second, g, scratch):
-    """b2*second + (1-b2)*g*g in a new array, through scratch."""
-    v = np.multiply(b2, second)
+    """second <- b2*second + (1-b2)*g*g in place, through scratch."""
+    np.multiply(b2, second, out=second)
     np.multiply(1.0 - b2, g, out=scratch)
     np.multiply(scratch, g, out=scratch)
-    return np.add(v, scratch, out=v)
+    np.add(second, scratch, out=second)
 
 
-def apply_lr_update(params, lr, delta):
-    """theta' = theta - lr * Delta on the flat vector; a new ParamSet that
-    wraps the freshly computed vector."""
-    return params.with_flat(params.flat - lr * delta)
+def apply_lr_update(params, lr, delta, out=None):
+    """theta' = theta - lr * Delta on the flat vector, written into the set
+    out (params itself included) and returned; a new set when out is None."""
+    flat = np.subtract(params.flat, lr * delta, out=None if out is None else out.flat)
+    return params.with_flat(flat) if out is None else out

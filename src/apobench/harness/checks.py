@@ -197,7 +197,7 @@ def check_metagrad_lr_fd(n_instances=5):
         kind = BaseOptKind("sgd-momentum")
         state = init_state(kind, theta.flat)
         _, g0 = loss_and_grad(model, theta, bp)
-        _, state = update_direction(kind, state, g0.flat)
+        update_direction(kind, state, g0.flat)
         delta, _ = update_direction(kind, state, loss_and_grad(model, theta, b)[1].flat)
         phi = LrPhi(math.log(0.05))
         worst = max(worst, _metagrad_fd_error(model, theta, phi, b, bp, cfg, delta))

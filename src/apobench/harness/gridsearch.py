@@ -68,7 +68,10 @@ def _run_one(doc, run_dir):
 
 
 def grid(template_doc, sweep_doc, out_dir, parallel=1):
-    """Run the sweep; returns the summary rows (also written to summary.csv)."""
+    """Run the sweep in up to `parallel` processes, at most one per point;
+    returns the summary rows (also written to summary.csv)."""
+    if parallel < 1:
+        raise ConfigError(f"must be >= 1, got {parallel}", "--parallel")
     combos = expand_grid(template_doc, sweep_doc)
     os.makedirs(out_dir, exist_ok=True)
     axis_names = sorted(sweep_doc["axes"])
@@ -76,8 +79,9 @@ def grid(template_doc, sweep_doc, out_dir, parallel=1):
     for i, (overrides, _) in enumerate(combos):
         run_dirs.append(os.path.join(out_dir, f"run{i:04d}"))
 
-    if parallel > 1:
-        with ProcessPoolExecutor(max_workers=parallel) as pool:
+    workers = min(parallel, len(combos))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_run_one, [doc for _, doc in combos], run_dirs))
     else:
         results = [_run_one(doc, rd) for (_, doc), rd in zip(combos, run_dirs)]

@@ -67,9 +67,10 @@ class PrecondPhi(ParamSet):
         """phi's Frobenius norm, the value a training row logs."""
         return float(np.sqrt(self.sq_norm()))
 
-    def update(self, theta, g, delta):
-        """theta' = theta - c * P g; the base direction delta is unused."""
-        return apply_precond_update(theta, self, g)
+    def update(self, theta, g, delta, out=None):
+        """theta' = theta - c * P g, written into out (a new set when None);
+        the base direction delta is unused."""
+        return apply_precond_update(theta, self, g, out=out)
 
     def linearize(self, theta, g, delta):
         """(theta', vjp): the update and its vector-Jacobian product in phi,
@@ -125,11 +126,13 @@ def dense_precond(blocks):
     return (ab * d2) @ ab.T
 
 
-def apply_precond_update(params, phi, g, keep=None):
-    """theta' = theta - c * P g, per layer (bias preconditioner diag(d)^2);
-    keep, a list, gets each layer's apply_precond products."""
+def apply_precond_update(params, phi, g, keep=None, out=None):
+    """theta' = theta - c * P g, per layer (bias preconditioner diag(d)^2),
+    written into the set out (params itself included) and returned; a new
+    set when out is None.  keep, a list, gets each layer's apply_precond
+    products.  A non-finite result raises once out is written."""
     c = phi.scale
-    out = params.map(np.empty_like)
+    out = params.map(np.empty_like) if out is None else out
     for w, b, gw, gb, blk, d, ow, ob in zip(params.weights, params.biases, g.weights,
                                             g.biases, phi.blocks, phi.bias_diags,
                                             out.weights, out.biases):

@@ -286,18 +286,16 @@ def kfac_statistics(model, params, inputs, rng, stats, t, settings):
 
 
 def kfac_update(theta, g, factors, lr):
-    """Damped Kronecker-inverse step from kfac_factors' Cholesky factors:
-    with weights stored fan_in x fan_out and the bias as the appended
-    homogeneous row, each layer's [W; b] span of theta takes
+    """Damped Kronecker-inverse step from kfac_factors' Cholesky factors,
+    written into theta's own buffer: with weights stored fan_in x fan_out
+    and the bias as the appended homogeneous row, each layer's [W; b] span
+    of theta takes
 
-        Wbar' = Wbar - lr * (A + damping I)^-1  grad(Wbar)  (B + damping I)^-1,
+        Wbar <- Wbar - lr * (A + damping I)^-1  grad(Wbar)  (B + damping I)^-1,
 
     two solve_spd calls on the factors and no factorization.
     """
-    out = theta.map(np.empty_like)
-    for wbar, gbar, obar, (a_fac, b_fac) in zip(theta.stacked(), g.stacked(),
-                                                out.stacked(), factors):
+    for wbar, gbar, (a_fac, b_fac) in zip(theta.stacked(), g.stacked(), factors):
         left = solve_spd(a_fac, gbar)
         right = solve_spd(b_fac, left.T).T
-        np.subtract(wbar, lr * right, out=obar)
-    return out
+        np.subtract(wbar, lr * right, out=wbar)

@@ -13,14 +13,13 @@ from hypothesis import strategies as st
 from apobench import numkit
 from apobench import apo
 from apobench.apo import (DIVERGENCES, KfacSettings, LrPhi, ProximalConfig, apo_train,
-                          default_precond_config, init_meta_state,
-                          loss_and_grad, meta_gradient, meta_step, proximal_value_and_grad,
-                          wsd)
+                          default_precond_config, loss_and_grad, meta_gradient, meta_step,
+                          proximal_value_and_grad, wsd)
 from apobench.baseopt import KINDS, BaseOptKind, init_state, update_direction
 from apobench.diffnet import Batch, LayerSpec, Model, ParamSet, init_params, mlp
 from apobench.errors import (ContractError, DimensionError, NumericalError,
                              TrainingDivergedError)
-from apobench.kronprecond import KronBlocks, PrecondPhi, init_identity
+from apobench.kronprecond import DEFAULT_SCALE, KronBlocks, PrecondPhi, init_identity
 from apobench import tasks
 from apobench.harness import config, runner
 
@@ -411,13 +410,13 @@ def _count_paramset_ops(monkeypatch):
 
 
 # ParamSet operations per SGDm warm-up step, per training step after it
-# (backward's gradient set; for a preconditioner also the logged norm and its
-# update) and per meta step (the lookahead's and the two backwards' sets, the
-# norm of the flat wsd difference, and the phi VJP).  A run adds
-# theta0.copy().
+# (backward's gradient set; for a preconditioner also the logged norm; each
+# step writes theta in place) and per meta step (the lookahead's and the two
+# backwards' sets, the norm of the flat wsd difference, and the phi VJP).  A
+# run adds theta0.copy().
 PARAMSET_COUNTS = {
     "apo-lr": ({}, {"map": 1}, {"map": 2, "sq_norm": 1, "dot": 1}),
-    "apo-precond": ({"map": 1, "sq_norm": 1}, {"map": 2, "sq_norm": 1},
+    "apo-precond": ({"map": 1, "sq_norm": 1}, {"map": 1, "sq_norm": 1},
                     {"map": 4, "sq_norm": 1}),
 }
 
@@ -457,7 +456,7 @@ def test_training_pass_counts(monkeypatch, mode, meta_interval):
 # moves the count.  The step repeats none of the checks that the task build
 # and apo_train's entry make (batch coercion, label range, layout, input
 # shape, Kronecker block shapes); one that creeps back moves these counts.
-CALL_COUNTS = {"none": 515, "apo-lr": 633, "apo-precond": 1819}
+CALL_COUNTS = {"none": 493, "apo-lr": 606, "apo-precond": 1683}
 
 
 @pytest.mark.parametrize("mode", list(CALL_COUNTS))
@@ -560,38 +559,40 @@ def test_kfac_illcond_linear_diverges_at_step_3(tmp_path, seed):
 def test_meta_step_zero_gradient_keeps_phi():
     cfg = zero_lam_cfg()
     phi = LrPhi(math.log(0.1))
-    state = init_meta_state(cfg, phi)
-    phi2, _ = meta_step(phi, state, LrPhi(0.0), cfg)
-    assert phi2.log_lr == phi.log_lr
+    meta_step(phi, init_state(cfg.meta_opt, phi.flat), LrPhi(0.0), cfg)
+    assert phi.log_lr == math.log(0.1)
 
 
 def test_meta_step_sgd_hand_value():
     cfg = zero_lam_cfg()  # plain-SGD meta-optimizer, meta_lr 0.1
     phi = LrPhi(math.log(0.1))
-    state = init_meta_state(cfg, phi)
-    phi2, state2 = meta_step(phi, state, LrPhi(-0.09), cfg)
-    assert phi2.log_lr == pytest.approx(math.log(0.1) + 0.009)
-    assert state2.iteration == 1
+    state = init_state(cfg.meta_opt, phi.flat)
+    meta_step(phi, state, LrPhi(-0.09), cfg)
+    assert phi.log_lr == pytest.approx(math.log(0.1) + 0.009)
+    assert state.step == 1
 
 
 def test_meta_step_lr_stays_positive():
     cfg = zero_lam_cfg(meta_lr=5.0)
     phi = LrPhi(math.log(0.1))
-    state = init_meta_state(cfg, phi)
+    state = init_state(cfg.meta_opt, phi.flat)
     for _ in range(50):
-        phi, state = meta_step(phi, state, LrPhi(1.0), cfg)
+        meta_step(phi, state, LrPhi(1.0), cfg)
     assert phi.lr > 0.0
 
 
 def test_meta_step_precond_moves_blocks():
+    """A meta step moves the blocks in place: phi's views see the new
+    values, and the application scale is never learned."""
     model = mlp([2, 2])
     phi = init_identity(model)
     cfg = default_precond_config(meta_lr=0.01)
-    state = init_meta_state(cfg, phi)
-    grad = phi.from_flat(np.ones(phi.to_flat().size))
-    phi2, _ = meta_step(phi, state, grad, cfg)
-    assert not np.array_equal(phi2.to_flat(), phi.to_flat())
-    assert phi2.scale == phi.scale  # the application scale is never learned
+    before, flat, s = phi.to_flat(), phi.flat, phi.blocks[0].s
+    meta_step(phi, init_state(cfg.meta_opt, phi.flat), phi.from_flat(np.ones(phi.size)), cfg)
+    assert not np.array_equal(phi.flat, before)
+    assert phi.flat is flat and phi.blocks[0].s is s and np.shares_memory(s, flat)
+    assert not np.array_equal(s, np.ones_like(s))  # S starts at ones
+    assert phi.scale == DEFAULT_SCALE
 
 
 # ---------------------------------------------------------------- apo_train
@@ -717,6 +718,102 @@ def test_apo_train_kfac_logs_exact_lr_and_applies_weight_decay():
     assert not np.array_equal(plain.theta.flat, decayed.theta.flat)
 
 
+# (mode, base kind, meta-optimizer kind) of the runs that check how apo_train
+# treats its buffers; apo-precond takes 5 SGDm warm-up steps.
+BUFFER_RUNS = [("none", "sgd-momentum", None), ("none", "adam", None), ("none", "kfac", None),
+               ("apo-lr", "sgd-momentum", "rmsprop"), ("apo-lr", "adam", "adam"),
+               ("apo-precond", "sgd", "adam")]
+
+
+def buffer_run(mode, base, meta, steps=20, task=None, init_lr=None):
+    task = task or tasks.synth_regression_task(n=64, d=3, seed=2, batch_size=8)
+    theta0 = task.init_theta(numkit.make_rng(1))
+    meta_opt = BaseOptKind(meta or "rmsprop")
+    if mode == "apo-precond":
+        cfg = default_precond_config(lam_fsd=1.0, lam_wsd=0.1, meta_interval=1, scale=0.3,
+                                     warmup_steps=5, meta_opt=meta_opt)
+    else:
+        cfg = ProximalConfig(lam_fsd=1.0, lam_wsd=0.1, meta_interval=3, meta_opt=meta_opt)
+    kfac = KfacSettings(damping=1e-2, update_every=2, ema_decay=0.9)
+    return theta0, lambda: apo_train(task.model, theta0, cfg, task, steps, numkit.make_rng(2),
+                                     mode=mode, base_kind=BaseOptKind(base), init_lr=init_lr,
+                                     kfac=kfac)
+
+
+@pytest.mark.parametrize("mode,base,meta", BUFFER_RUNS + [("diverged", "sgd", None)])
+def test_apo_train_never_writes_theta0(mode, base, meta):
+    """theta0 stays bit for bit the caller's, also when the run diverges."""
+    if mode == "diverged":
+        theta0, train = buffer_run("none", base, meta, 200, tasks.rosenbrock_task(), 0.1)
+    else:
+        theta0, train = buffer_run(mode, base, meta)
+    flat, before = theta0.flat, theta0.flat.copy()
+    if mode == "diverged":
+        with pytest.raises(TrainingDivergedError):
+            train()
+    else:
+        assert train().theta.flat is not flat
+    assert theta0.flat is flat and np.array_equal(flat, before)
+
+
+@pytest.mark.parametrize("mode,base,meta", BUFFER_RUNS)
+def test_apo_train_keeps_one_buffer_per_persistent_state(monkeypatch, mode, base, meta):
+    """Over a 20-step run theta, phi and every optimizer state each keep one
+    buffer: each step writes theta once, in place, and each meta step phi."""
+    from apobench import kronprecond, oracles
+    states, theta_writes, phis = [], [], []
+
+    def record_states(kind, state, g, _fn=apo.update_direction):
+        before = (state.momentum, state.second)
+        delta, returned = _fn(kind, state, g)
+        assert returned is state and (state.momentum, state.second) == before
+        states.append((state, *before))
+        return delta, returned
+
+    def record_step(fn, out_at):
+        def step(params, *args, **kwargs):
+            out = kwargs.get("out", args[out_at] if len(args) > out_at else None)
+            if out is not None:
+                assert out is params
+                theta_writes.append((params, params.flat))
+            return fn(params, *args, **kwargs)
+        return step
+
+    def record_kfac(theta, g, factors, lr, _fn=oracles.kfac_update):
+        theta_writes.append((theta, theta.flat))
+        return _fn(theta, g, factors, lr)
+
+    def record_meta(phi, state, meta_grad, cfg, _fn=apo.meta_step):
+        phis.append((phi, phi.flat))
+        return _fn(phi, state, meta_grad, cfg)
+
+    monkeypatch.setattr(apo, "update_direction", record_states)
+    monkeypatch.setattr(apo, "apply_lr_update", record_step(apo.apply_lr_update, 2))
+    monkeypatch.setattr(kronprecond, "apply_precond_update",
+                        record_step(kronprecond.apply_precond_update, 3))
+    monkeypatch.setattr(oracles, "kfac_update", record_kfac)
+    monkeypatch.setattr(apo, "meta_step", record_meta)
+    _, train = buffer_run(mode, base, meta)
+    res = train()
+
+    def one(pairs):
+        """Every (set, its flat) pair recorded is the same set and array."""
+        return len({id(x) for pair in pairs for x in pair}) == 2
+
+    assert len(theta_writes) == 20 and one(theta_writes)
+    assert theta_writes[0][0] is res.theta and theta_writes[0][1] is res.theta.flat
+    distinct = {id(state): state for state, *_ in states}
+    assert len(distinct) == {"none": base != "kfac", "apo-lr": 2, "apo-precond": 2}[mode]
+    for state in distinct.values():
+        buffers = [(m, v) for st, m, v in states if st is state]
+        assert all(m is state.momentum and v is state.second for m, v in buffers)
+    if mode == "none":
+        assert not phis
+    else:
+        assert len(phis) == (20 if mode == "apo-precond" else 6) and one(phis)
+        assert phis[0][0] is res.phi and phis[0][1] is res.phi.flat
+
+
 def test_phi_linearize_matches_update_and_fd():
     """Each phi type's linearize takes phi.update's step, and its vjp is the
     gradient of <v, phi.update(theta, g, delta)>."""
@@ -773,18 +870,28 @@ def test_lr_overflow_is_numerical_error():
             LrPhi(log_lr).lr
 
 
-def test_lr_is_evaluated_once_per_set():
-    """A set keeps the rate it evaluated; a set derived from it evaluates
-    its own, so no stale rate reaches the next phi."""
-    phi = LrPhi(math.log(0.5))
-    assert phi.lr is phi.lr
-    for new in (phi.with_flat(np.array([math.log(0.25)])), phi.map(lambda f: f - 1.0)):
-        assert new.lr == math.exp(new.log_lr) != phi.lr
+def test_lr_follows_log_lr_through_meta_steps():
+    """The rate is read from the vector on each use: after each in-place
+    meta step of every meta-optimizer kind, and on a set derived from phi,
+    no stale rate is seen."""
+    for meta_kind in KINDS:
+        phi = LrPhi(math.log(0.5))
+        cfg = ProximalConfig(meta_opt=BaseOptKind(meta_kind), meta_lr=0.1)
+        state = init_state(cfg.meta_opt, phi.flat)
+        for _ in range(3):
+            old = phi.lr
+            meta_step(phi, state, LrPhi(0.3), cfg)
+            assert phi.lr == math.exp(phi.log_lr) != old
+        for new in (phi.with_flat(np.array([math.log(0.25)])), phi.map(lambda f: f - 1.0)):
+            assert new.lr == math.exp(new.log_lr) != phi.lr
 
 
 @pytest.mark.parametrize("meta_kind", KINDS)
 @pytest.mark.parametrize("phi_type", ["precond", "lr"])
 def test_meta_step_copies_nothing_and_shares_no_memory(phi_type, meta_kind):
+    """meta_step writes phi's own buffer, bit for bit phi - meta_lr * Delta,
+    so phi's views stay bound to it; meta_grad is not written, and phi
+    shares no memory with it or the meta-optimizer's moments."""
     rng = numkit.make_rng(17)
     if phi_type == "precond":
         phi = init_identity(mlp([3, 4, 2]), 0.5)
@@ -793,18 +900,19 @@ def test_meta_step_copies_nothing_and_shares_no_memory(phi_type, meta_kind):
     else:
         phi, meta_grad = LrPhi(math.log(0.05)), LrPhi(0.3)
     cfg = ProximalConfig(meta_opt=BaseOptKind(meta_kind), meta_lr=0.01)
-    state = init_meta_state(cfg, phi)
-    for _ in range(3):
+    state = init_state(cfg.meta_opt, phi.flat)
+    ref = init_state(cfg.meta_opt, phi.flat)
+    flat = phi.flat
+    for t in range(1, 4):
         phi_before, grad_before = phi.flat.copy(), meta_grad.flat.copy()
-        delta, _ = update_direction(cfg.meta_opt, state.opt, grad_before)
-        new, state = meta_step(phi, state, meta_grad, cfg)
-        assert np.array_equal(phi.flat, phi_before)
+        delta, _ = update_direction(cfg.meta_opt, ref, grad_before)
+        meta_step(phi, state, meta_grad, cfg)
+        assert phi.flat is flat and state.step == t
         assert np.array_equal(meta_grad.flat, grad_before)
-        assert type(new) is type(phi)
-        assert np.array_equal(new.flat, phi_before - cfg.meta_lr * delta)
-        for other in (phi.flat, meta_grad.flat, state.opt.momentum, state.opt.second):
-            assert other is None or not np.shares_memory(new.flat, other)
-        phi = new
+        assert np.array_equal(phi.flat, phi_before - cfg.meta_lr * delta)
+        for other in (meta_grad.flat, state.momentum, state.second):
+            assert other is None or not np.shares_memory(phi.flat, other)
     if phi_type == "precond":
         assert phi.scale == 0.5
-        assert all(np.shares_memory(blk.s, phi.flat) for blk in phi.blocks)
+        assert all(np.shares_memory(blk.s, flat) and np.shares_memory(blk.a, flat)
+                   for blk in phi.blocks)

@@ -52,14 +52,18 @@ def test_rmsprop_direction():
 
 
 def test_determinism():
+    """Two states from the same start, advanced by the same gradients, give
+    the same directions and moments bit for bit."""
     kind = BaseOptKind("adam")
     g = vec(0.3, -0.7)
-    s0 = init_state(kind, g)
-    d1, s1 = update_direction(kind, s0, g)
-    d2, s2 = update_direction(kind, s0, g)
-    assert np.array_equal(d1, d2)
-    assert s1.step == s2.step
-    assert np.array_equal(s1.momentum, s2.momentum)
+    s1, s2 = init_state(kind, g), init_state(kind, g)
+    for t in (1, 2):
+        d1, _ = update_direction(kind, s1, g)
+        d2, _ = update_direction(kind, s2, g)
+        assert np.array_equal(d1, d2)
+        assert s1.step == s2.step == t
+        assert np.array_equal(s1.momentum, s2.momentum)
+        assert np.array_equal(s1.second, s2.second)
 
 
 @pytest.mark.parametrize("kind_name", ["rmsprop"])
@@ -100,12 +104,18 @@ def test_bad_hyperparameters_rejected():
 
 
 def test_momentum_state_not_aliased():
+    """The momentum buffer is the state's own: one buffer across steps,
+    shared with neither g nor another state; its direction is that buffer."""
     kind = BaseOptKind("sgd-momentum", beta=0.5)
     g = vec(1.0)
-    state = init_state(kind, g)
-    delta, state1 = update_direction(kind, state, g)
-    delta[0] = 99.0
-    assert state1.momentum[0] == pytest.approx(1.0)
+    state, other = init_state(kind, g), init_state(kind, g)
+    buf = state.momentum
+    for want in (1.0, 1.5):
+        delta, returned = update_direction(kind, state, g)
+        assert returned is state and state.momentum is buf and delta is buf
+        assert delta[0] == want and g[0] == 1.0
+        assert not np.shares_memory(buf, g) and not np.shares_memory(buf, other.momentum)
+    assert other.momentum[0] == 0.0 and other.step == 0
 
 
 def textbook_step(kind, m, v, t, g):
@@ -133,19 +143,18 @@ def test_update_direction_matches_textbook_bit_for_bit(name, n, steps, beta, bet
     kind = BaseOptKind(name, beta=beta, beta2=beta2, rms_beta2=beta2)
     rng = numkit.make_rng(seed)
     state = init_state(kind, np.zeros(n))
+    buffers = (state.momentum, state.second)
     m = v = np.zeros(n)
     for t in range(1, steps + 1):
         g = rng.standard_normal(n) * 10.0 ** log_scale
         g_before = g.copy()
-        kept = [None if a is None else (a, a.copy()) for a in (state.momentum, state.second)]
         delta, new = update_direction(kind, state, g)
         want, m, v = textbook_step(kind, m, v, t, g)
         assert np.array_equal(delta, want)
-        assert new.step == t
-        for got, expect in ((new.momentum, m), (new.second, v)):
+        assert new is state and new.step == t
+        for got, buf, expect in zip((new.momentum, new.second), buffers, (m, v)):
+            assert got is buf  # advanced in place
             assert got is None or np.array_equal(got, expect)
-            assert got is None or not np.shares_memory(got, delta)
+            # only sgd-momentum's direction is its state buffer
+            assert got is None or np.shares_memory(got, delta) == (name == "sgd-momentum")
         assert not np.shares_memory(delta, g) and np.array_equal(g, g_before)
-        for pair in kept:
-            assert pair is None or np.array_equal(*pair)
-        state = new

@@ -4,8 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from apobench import diffnet, numkit, tasks
-from apobench.apo import LrPhi, ProximalConfig, init_meta_state, loss_and_grad, meta_step
-from apobench.baseopt import BaseOptKind, apply_lr_update
+from apobench.apo import LrPhi, loss_and_grad
+from apobench.baseopt import apply_lr_update
 from apobench.diffnet import (Batch, LayerSpec, Model, ParamSet, backward, check_dataset,
                               forward, init_params, loss_eval, loss_value_and_grad, mlp,
                               per_example_jacobian, predictive, rosenbrock_model)
@@ -348,13 +348,14 @@ def test_phi_types_rebuild_through_from_layers():
 @settings(max_examples=60, deadline=None)
 @given(random_layers())
 def test_container_operations_never_alias_inputs(layers):
+    """Each operation that builds a fresh set, the step functions at out=None
+    included, shares no memory with its inputs (meta_step, which writes phi
+    in place, is tested in test_apo)."""
     theta = ParamSet.from_layers(layers)
     g = theta.map(np.sin)
     vec = g.to_flat()
     phi = init_identity(model_of(layers))
     lr, lr_grad = LrPhi(float(vec[0])), LrPhi(-0.3)
-    cfg = ProximalConfig(meta_opt=BaseOptKind("adam"), meta_lr=0.01)
-    state = init_meta_state(cfg, lr)
     outputs = {
         "map": (theta.map(lambda v: 2.0 * v), [theta]),
         "map2": (theta.map2(g, lambda a, b: a - b), [theta, g]),
@@ -366,8 +367,6 @@ def test_container_operations_never_alias_inputs(layers):
         "phi.copy": (phi.copy(), [phi]),
         "lr_phi.copy": (lr.copy(), [lr]),
         "lr_phi.from_flat": (lr.from_flat(lr_grad.flat), [lr, lr_grad]),
-        "lr_phi.meta_step": (meta_step(lr, state, lr_grad, cfg)[0],
-                             [lr, lr_grad, state.opt.momentum, state.opt.second]),
     }
     for name, (out, inputs) in outputs.items():
         out_flat = getattr(out, "flat", out)

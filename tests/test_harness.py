@@ -14,7 +14,7 @@ from apobench.apo import DIVERGENCES, ProximalConfig, default_precond_config
 from apobench.baseopt import KINDS as BASE_KINDS
 from apobench.baseopt import BaseOptKind
 from apobench.errors import ConfigError, IngestionError, TrainingDivergedError
-from apobench.harness import cli
+from apobench.harness import cli, gridsearch
 from apobench.harness.checks import result
 from apobench.harness.config import (CONFIG, MODES, KfacSettings, config_hash,
                                      config_to_dict, load_config, parse_config)
@@ -537,6 +537,46 @@ def test_grid_summary_order_deterministic(tmp_path):
     # identical modulo the run_dir assignment, which follows expansion order
     assert [l.split(",")[1:] for l in s1.splitlines()] == \
         [l.split(",")[1:] for l in s2.splitlines()]
+
+
+def test_grid_parallel_starts_at_most_one_worker_per_point(tmp_path, monkeypatch, capsys):
+    """--parallel N starts min(N, points) workers, a one-point sweep none,
+    and N < 1 is a ConfigError at --parallel (exit 2).  The pool is a
+    stand-in that records max_workers and maps in this process."""
+    made = []
+
+    class FakePool:
+        def __init__(self, max_workers):
+            made.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return list(map(fn, *iterables))
+
+    monkeypatch.setattr(gridsearch, "ProcessPoolExecutor", FakePool)
+    sweep = {"axes": {"seed": [0, 1, 2, 3]}}
+    for parallel in (5000, 3, 2, 1):
+        rows = grid(rosen_doc(steps=10), sweep, tmp_path / f"p{parallel}", parallel=parallel)
+        assert [r["status"] for r in rows] == ["ok"] * 4
+    grid(rosen_doc(steps=10), {"axes": {"seed": [0]}}, tmp_path / "one", parallel=8)
+    assert made == [4, 3, 2]
+    cfg_path, sweep_path = tmp_path / "cfg.json", tmp_path / "sweep.json"
+    cfg_path.write_text(json.dumps(rosen_doc(steps=10)))
+    sweep_path.write_text(json.dumps(sweep))
+    capsys.readouterr()
+    for bad in (0, -3):
+        with pytest.raises(ConfigError, match="--parallel"):
+            grid(rosen_doc(steps=10), sweep, tmp_path / "bad", parallel=bad)
+        assert cli.main(["grid", "--config", str(cfg_path), "--sweep", str(sweep_path),
+                         "--out", str(tmp_path / "bad"), "--parallel", str(bad)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and "--parallel" in err[0], err
+    assert made == [4, 3, 2] and not os.path.exists(tmp_path / "bad")
 
 
 # --------------------------------------------------------------------- cli

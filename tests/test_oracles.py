@@ -350,25 +350,25 @@ def test_kfac_identity_statistics_gives_sgd_direction():
     assert np.abs(blocks[0][0] - np.eye(3)).max() < 1e-12
     assert np.abs(blocks[0][1] - np.eye(2)).max() < 1e-12
     g = ParamSet.from_layers([(rng.standard_normal((3, 2)), None)])
-    out = oracles.kfac_update(theta, g, oracles.kfac_factors(blocks, 0.0), lr=0.25)
     expect = theta.map2(g, lambda t, gg: t - 0.25 * gg)
-    assert np.abs(out.to_flat() - expect.to_flat()).max() < 1e-12
+    oracles.kfac_update(theta, g, oracles.kfac_factors(blocks, 0.0), lr=0.25)
+    assert np.abs(theta.to_flat() - expect.to_flat()).max() < 1e-12
 
 
 def test_kfac_update_scalar_hand_value():
     theta = ParamSet.from_layers([(np.array([[0.0]]), None)])
     g = ParamSet.from_layers([(np.array([[6.0]]), None)])
     blocks = [(np.array([[2.0]]), np.array([[3.0]]))]
-    out = oracles.kfac_update(theta, g, oracles.kfac_factors(blocks, 0.0), lr=1.0)
-    assert out.weights[0][0, 0] == pytest.approx(-1.0)
+    oracles.kfac_update(theta, g, oracles.kfac_factors(blocks, 0.0), lr=1.0)
+    assert theta.weights[0][0, 0] == pytest.approx(-1.0)
 
 
 def test_kfac_update_huge_damping_freezes():
     theta = ParamSet.from_layers([(np.array([[1.0]]), None)])
     g = ParamSet.from_layers([(np.array([[6.0]]), None)])
     blocks = [(np.array([[2.0]]), np.array([[3.0]]))]
-    out = oracles.kfac_update(theta, g, oracles.kfac_factors(blocks, 1e12), lr=1.0)
-    assert abs(out.weights[0][0, 0] - 1.0) < 1e-10
+    oracles.kfac_update(theta, g, oracles.kfac_factors(blocks, 1e12), lr=1.0)
+    assert abs(theta.weights[0][0, 0] - 1.0) < 1e-10
 
 
 def kfac_update_reference(theta, g, blocks, damping, lr):
@@ -404,9 +404,11 @@ def test_kfac_update_from_factors_is_byte_identical_to_full_formula(widths, data
                                        rng.standard_normal(n) if bias else None)
                                       for m, n, bias in shapes]) for _ in range(2))
     blocks = [(random_spd(rng, m + bias), random_spd(rng, n)) for m, n, bias in shapes]
-    got = oracles.kfac_update(theta, g, oracles.kfac_factors(blocks, damping), lr=0.3)
     expect = kfac_update_reference(theta, g, blocks, damping, lr=0.3)
-    assert np.array_equal(got.flat, expect.flat)
+    flat, g_before = theta.flat, g.to_flat()
+    oracles.kfac_update(theta, g, oracles.kfac_factors(blocks, damping), lr=0.3)
+    assert theta.flat is flat and np.array_equal(theta.flat, expect.flat)
+    assert np.array_equal(g.flat, g_before)
 
 
 def test_kfac_factors_non_spd_reports_pivot():
