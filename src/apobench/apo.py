@@ -297,7 +297,7 @@ def meta_step(phi, state, meta_grad, cfg):
     Delta, written in place, so the views phi binds stay valid.  state, the
     meta-optimizer's OptState (init_state(cfg.meta_opt, phi.flat)), advances
     in place and counts the meta steps; meta_grad is not written."""
-    delta, _ = update_direction(cfg.meta_opt, state, meta_grad.flat)
+    delta = update_direction(cfg.meta_opt, state, meta_grad.flat)
     np.subtract(phi.flat, cfg.meta_lr * delta, out=phi.flat)
 
 
@@ -377,7 +377,7 @@ def apo_train(model, theta0, cfg, task, steps, rng, mode="apo-lr", base_kind=Non
             if wd:
                 g = g.map2(theta, lambda gg, th: gg + wd * th)
             if mode != "apo-precond" and not use_kfac:
-                delta, _ = update_direction(base_kind, opt_state, g.flat)
+                delta = update_direction(base_kind, opt_state, g.flat)
             if mode != "none" and t % cfg.meta_interval == 0:
                 batch_bp = task.sample_batch(rng)
                 batch_loss = (task.sample_batch(rng)
@@ -390,7 +390,7 @@ def apo_train(model, theta0, cfg, task, steps, rng, mode="apo-lr", base_kind=Non
                 stats = kfac_statistics(model, theta, batch.inputs, rng, stats, t, kfac)
                 kfac_update(theta, g, stats.factors, lr0)
             elif t <= warmup:
-                wdelta, _ = update_direction(warm_kind, warm_state, g.flat)
+                wdelta = update_direction(warm_kind, warm_state, g.flat)
                 apply_lr_update(theta, cfg.warmup_lr, wdelta, theta)
             else:
                 phi.update(theta, g, delta, theta)

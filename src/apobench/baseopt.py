@@ -64,7 +64,7 @@ def init_state(kind, flat):
 
 def update_direction(kind, state, g):
     """Unscaled step direction Delta for the flat gradient g; advances
-    state in place and returns (Delta, state).
+    state in place and returns Delta.
 
     sgd:          Delta = g
     sgd-momentum: buf <- beta*buf + g;              Delta = buf
@@ -82,17 +82,17 @@ def update_direction(kind, state, g):
         raise ContractError(f"{kind.kind} has no update direction")
     state.step += 1
     if kind.kind == "sgd":
-        return g.copy(), state
+        return g.copy()
     if kind.kind == "sgd-momentum":
         m = state.momentum
         np.multiply(kind.beta, m, out=m)
-        return np.add(m, g, out=m), state
+        return np.add(m, g, out=m)
     scratch = np.empty(g.shape)
     if kind.kind == "rmsprop":
         _second_moment(kind.rms_beta2, state.second, g, scratch)
         np.sqrt(state.second, out=scratch)
         np.add(scratch, kind.eps, out=scratch)
-        return np.divide(g, scratch, out=scratch), state
+        return np.divide(g, scratch, out=scratch)
     b1, b2 = kind.beta, kind.beta2
     m = state.momentum
     np.multiply(b1, m, out=m)
@@ -105,7 +105,7 @@ def update_direction(kind, state, g):
     np.sqrt(scratch, out=scratch)
     np.add(scratch, kind.eps, out=scratch)
     delta = np.divide(m, c1)
-    return np.divide(delta, scratch, out=delta), state
+    return np.divide(delta, scratch, out=delta)
 
 
 def _second_moment(b2, second, g, scratch):

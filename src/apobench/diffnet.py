@@ -356,9 +356,9 @@ def backward(model, params, trace, out_grad):
 
 
 def _softmax_parts(y):
-    """The shared parts of a row softmax: z = y minus its row maximum,
-    exp(z), and exp(z)'s row sums as a column."""
-    z = y - np.maximum.reduce(y, axis=1, keepdims=True)
+    """The shared parts of a row softmax: z = y minus its row maximum (exact
+    and faster down a contiguous transpose), exp(z), and its row sums."""
+    z = y - np.maximum.reduce(np.ascontiguousarray(y.T), axis=0)[:, None]
     e = np.exp(z)
     return z, e, np.add.reduce(e, axis=1, keepdims=True)
 

@@ -49,7 +49,7 @@ def _fit_base_model(seed=0, hidden=48, iters=3000, lr=0.02):
     state = init_state(kind, theta.flat)
     for _ in range(iters):
         _, g = loss_and_grad(model, theta, batch)
-        delta, _ = update_direction(kind, state, g.flat)
+        delta = update_direction(kind, state, g.flat)
         apply_lr_update(theta, lr, delta, theta)
     return model, theta, x
 

@@ -16,20 +16,17 @@ dense and factored representations.
 
 SPD solves
 ----------
-``solve_spd`` factors its matrix with ``cholesky_spd`` (``dpotrf``) and then
-solves (``dpotrs``).  A caller that solves with one matrix many times factors
-it once and passes the ``CholeskyFactor`` instead.  Both routes give the same
-bytes: ``dpotrf`` is deterministic, and the solve reads only the factor.
-
-SciPy's LAPACK wrappers are imported on the first factorization or solve,
-not with this module: the APO training paths make no LAPACK call, and the
-import roughly doubles the start-up time of every process.  This is the only
-place the package imports SciPy.
+``cholesky_spd`` factors with numpy's LAPACK.  numpy does not say which
+pivot failed, so a failure bisects over leading blocks for it: a leading
+block that is not positive definite stays so in every larger one.  A
+``CholeskyFactor`` forms its SPD inverse once, on its first solve, and
+``solve_spd`` multiplies by it, so a matrix and its factor solve to the
+same bytes.
 """
 
 from __future__ import annotations
 
-from typing import NamedTuple
+from functools import cached_property
 
 import numpy as np
 
@@ -90,58 +87,60 @@ def _require_symmetric(m, name, tol=1e-8):
     m = as_matrix(m, name)
     if m.shape[0] != m.shape[1]:
         raise DimensionError(f"{name} must be square, got {m.shape}")
-    scale = max(np.abs(m).max(), 1.0)
-    if np.abs(m - m.T).max() > tol * scale:
+    scale = np.abs(m).max()  # nan or inf when an entry is
+    if not np.isfinite(scale):
+        raise NumericalError(f"{name} has a non-finite entry")
+    if np.abs(m - m.T).max() > tol * max(scale, 1.0):
         raise ContractError(f"{name} is not symmetric within {tol} relative")
     return m
 
 
-def _lapack():
-    """scipy.linalg.lapack, imported on first use (see module docstring)."""
-    from scipy.linalg import lapack
-
-    return lapack
-
-
-class CholeskyFactor(NamedTuple):
+class CholeskyFactor:
     """The lower Cholesky factor of an SPD matrix, as cholesky_spd returns
-    it; solve_spd takes it in place of the matrix to skip the factorization."""
+    it; solve_spd takes it in place of the matrix to skip the factorization
+    and multiplies by its inverse (L L^T)^-1, formed on first use."""
 
-    lower: np.ndarray
+    def __init__(self, lower):
+        self.lower = lower
+
+    @cached_property
+    def inverse(self):
+        li = np.linalg.inv(self.lower)
+        return li.T @ li
 
 
 def cholesky_spd(m):
-    """Cholesky factor of a symmetric positive-definite m (dpotrf).
-
-    Raises NumericalError with the 1-based failing pivot index when the
-    factorization detects a non-SPD matrix.
-    """
+    """Cholesky factor of a symmetric positive-definite m.  Raises
+    NumericalError on a non-finite entry, or with the 1-based index of the
+    first failing pivot, found in at most ceil(log2 n) more factorizations."""
     m = _require_symmetric(m, "m")
     n = m.shape[0]
     if n > SOLVE_SPD_MAX_N:
         raise OracleScaleError(f"cholesky_spd limited to n <= {SOLVE_SPD_MAX_N}, got {n}")
-    c, info = _lapack().dpotrf(m, lower=1)
-    if info != 0:
-        raise NumericalError(f"matrix is not SPD: pivot {info} failed", pivot=info)
-    return CholeskyFactor(c)
+    try:
+        return CholeskyFactor(np.linalg.cholesky(m))
+    except np.linalg.LinAlgError:
+        good, bad = 0, n  # the leading block of order good is PD, of order bad not
+    while bad - good > 1:
+        mid = (good + bad) // 2
+        try:
+            np.linalg.cholesky(m[:mid, :mid])
+            good = mid
+        except np.linalg.LinAlgError:
+            bad = mid
+    raise NumericalError(f"matrix is not SPD: pivot {bad} failed", pivot=bad)
 
 
 def solve_spd(m, rhs):
-    """Solve m @ x = rhs for symmetric positive-definite m via Cholesky.
-
-    m is the matrix, which cholesky_spd factors here (raising its
-    NumericalError with the failing pivot), or a CholeskyFactor of it; the
-    solve itself is one dpotrs call.
-    """
+    """Solve m @ x = rhs for symmetric positive-definite m: m is the matrix,
+    which cholesky_spd factors here (raising its NumericalError), or a
+    CholeskyFactor of it; the solve is one product with its inverse."""
     factor = m if isinstance(m, CholeskyFactor) else cholesky_spd(m)
     n = factor.lower.shape[0]
     rhs = np.asarray(rhs, dtype=FLOAT)
     if rhs.shape[0] != n:
         raise DimensionError(f"rhs length {rhs.shape[0]} does not match n={n}")
-    x, info = _lapack().dpotrs(factor.lower, rhs, lower=1)
-    if info != 0:
-        raise NumericalError(f"triangular solve failed with info={info}")
-    return x
+    return factor.inverse @ rhs
 
 
 def sym_eig_min(m):

@@ -8,10 +8,10 @@ count, and exact curvature as one contraction over the per-example
 Jacobians of diffnet.preact_jacobians (one forward, d_out backwards).  The
 exact proximal point is solved by Levenberg-Marquardt on that Gauss-Newton
 curvature, so it is limited to numkit.SOLVE_SPD_MAX_N parameters.
-Training calls into this module only for the KFAC base
-optimizer, whose steps apo_train takes with kfac_statistics and kfac_update:
-the statistics refresh every update_every-th step and factor their damped
-blocks then, so every step costs two Cholesky solves (dpotrs) per layer.
+Training calls into this module only for the KFAC base optimizer, whose
+steps apo_train takes with kfac_statistics and kfac_update: the statistics
+refresh every update_every-th step and factor their damped blocks, so every
+step costs two products per layer with inverses formed once per refresh.
 The checks that compare these oracles with each other and with the
 meta-learned optimizers (Thm 1, KFAC recovery, the proximal-point limits)
 live in harness.checks.
@@ -54,9 +54,8 @@ def fsd_hessian_exact(model, params, inputs, kind=None):
 
 
 def spd_inverse(m):
-    """Inverse of an SPD matrix via column-wise Cholesky solves."""
-    m = np.asarray(m, dtype=FLOAT)
-    inv = solve_spd(m, np.eye(m.shape[0]))
+    """Inverse of an SPD matrix from its Cholesky factor, symmetrized."""
+    inv = cholesky_spd(m).inverse
     return 0.5 * (inv + inv.T)
 
 
@@ -162,11 +161,13 @@ def exact_ppm_solve(model, theta, batch, lam_fsd, lam_wsd, fsd_inputs,
             if evals >= max_iter:
                 raise ConvergenceError(f"inner solver hit {max_iter} objective evaluations "
                                        f"with gradient norm {gnorm}", grad_norm=gnorm)
+            damped = h + mu * np.eye(u.size)
             try:
-                step = solve_spd(h + mu * np.eye(u.size), grad)
+                cholesky_spd(damped)
             except NumericalError:  # mu below the rounding of a singular h
                 mu *= 4
                 continue
+            step = np.linalg.solve(damped, grad)
             cand_flat = u.flat - step
             if np.array_equal(cand_flat, u.flat):
                 raise ConvergenceError(f"inner solver stalled with gradient norm {gnorm}",
@@ -250,8 +251,8 @@ def kfac_blocks(model, params, inputs, rng=None, exact=False):
 
 class KfacStats(NamedTuple):
     """The KFAC state between refreshes: per layer the statistics (A, B) and
-    the Cholesky factors of the damped blocks A + damping I and
-    B + damping I, which kfac_update solves with."""
+    the Cholesky factors of A + damping I and B + damping I, whose inverses
+    kfac_update forms once per refresh, on first use, and multiplies by."""
 
     blocks: list
     factors: list
@@ -293,9 +294,9 @@ def kfac_update(theta, g, factors, lr):
 
         Wbar <- Wbar - lr * (A + damping I)^-1  grad(Wbar)  (B + damping I)^-1,
 
-    two solve_spd calls on the factors and no factorization.
+    two solve_spd products with the damped inverses, formed once per refresh;
+    B's comes first, so A's lands in Wbar's row-major layout.
     """
     for wbar, gbar, (a_fac, b_fac) in zip(theta.stacked(), g.stacked(), factors):
-        left = solve_spd(a_fac, gbar)
-        right = solve_spd(b_fac, left.T).T
-        np.subtract(wbar, lr * right, out=wbar)
+        right = solve_spd(b_fac, gbar.T)
+        np.subtract(wbar, lr * solve_spd(a_fac, right.T), out=wbar)

@@ -278,9 +278,9 @@ def test_meta_gradient_lr_matches_fd(base, lam_fsd, lam_wsd):
                          fsd_kind="kl-gaussian-unit-variance")
     kind = BaseOptKind(base)
     # advance the state so momentum buffers are nontrivial
-    _, state = update_direction(kind, init_state(kind, theta.flat),
-                                loss_and_grad(model, theta, bp)[1].flat)
-    delta, _ = update_direction(kind, state, loss_and_grad(model, theta, b)[1].flat)
+    state = init_state(kind, theta.flat)
+    update_direction(kind, state, loss_and_grad(model, theta, bp)[1].flat)
+    delta = update_direction(kind, state, loss_and_grad(model, theta, b)[1].flat)
     assert_meta_gradient_matches_fd(model, theta, LrPhi(math.log(0.07)), b, bp, cfg, delta)
 
 
@@ -383,7 +383,7 @@ def test_meta_gradient_op_counts(monkeypatch, lam_fsd, forwards, backwards):
     cfg = ProximalConfig(lam_fsd=lam_fsd, lam_wsd=0.3, fsd_batch_policy="fresh")
     kind = BaseOptKind("sgd-momentum")
     _, g = loss_and_grad(model, theta, b)
-    delta, _ = update_direction(kind, init_state(kind, theta.flat), g.flat)
+    delta = update_direction(kind, init_state(kind, theta.flat), g.flat)
     for phi, d in ((LrPhi(math.log(0.1)), delta), (init_identity(model), None)):
         counts = _count_passes(monkeypatch)
         meta_gradient(model, theta, phi, b, bp, cfg, g=g, delta=d)
@@ -506,19 +506,19 @@ def test_kfac_step_solves_twice_per_layer(monkeypatch):
 
 
 def test_kfac_factors_twice_per_layer_per_refresh(monkeypatch):
-    """Only a statistics refresh factors, 2 blocks per layer: over 12 steps
-    with update_every=5 the refreshes are t = 1, 5 and 10."""
-    from scipy.linalg import lapack
-    calls = []
-    dpotrf = lapack.dpotrf
-    monkeypatch.setattr(lapack, "dpotrf",
-                        lambda *a, **kw: calls.append(1) or dpotrf(*a, **kw))
+    """Only a statistics refresh factors, 2 blocks per layer, and each of
+    those factors forms its inverse once: over 12 steps with update_every=5
+    the refreshes are t = 1, 5 and 10."""
+    calls, inverses = [], []
+    cholesky, inv = np.linalg.cholesky, np.linalg.inv
+    monkeypatch.setattr(np.linalg, "cholesky", lambda m: calls.append(1) or cholesky(m))
+    monkeypatch.setattr(np.linalg, "inv", lambda m: inverses.append(1) or inv(m))
     task = tasks.synth_regression_task(n=64, d=3, seed=2, batch_size=8)
     theta0 = task.init_theta(numkit.make_rng(1))
     apo_train(task.model, theta0, ProximalConfig(), task, 12, numkit.make_rng(2),
               mode="none", base_kind=BaseOptKind("kfac"),
               kfac=KfacSettings(damping=1e-2, update_every=5, ema_decay=0.9))
-    assert len(calls) == 2 * len(task.model.layers) * 3
+    assert len(calls) == len(inverses) == 2 * len(task.model.layers) * 3
 
 
 def test_kfac_non_spd_refresh_diverges_at_its_step():
@@ -765,10 +765,10 @@ def test_apo_train_keeps_one_buffer_per_persistent_state(monkeypatch, mode, base
 
     def record_states(kind, state, g, _fn=apo.update_direction):
         before = (state.momentum, state.second)
-        delta, returned = _fn(kind, state, g)
-        assert returned is state and (state.momentum, state.second) == before
+        delta = _fn(kind, state, g)
+        assert (state.momentum, state.second) == before
         states.append((state, *before))
-        return delta, returned
+        return delta
 
     def record_step(fn, out_at):
         def step(params, *args, **kwargs):
@@ -905,7 +905,7 @@ def test_meta_step_copies_nothing_and_shares_no_memory(phi_type, meta_kind):
     flat = phi.flat
     for t in range(1, 4):
         phi_before, grad_before = phi.flat.copy(), meta_grad.flat.copy()
-        delta, _ = update_direction(cfg.meta_opt, ref, grad_before)
+        delta = update_direction(cfg.meta_opt, ref, grad_before)
         meta_step(phi, state, meta_grad, cfg)
         assert phi.flat is flat and state.step == t
         assert np.array_equal(meta_grad.flat, grad_before)

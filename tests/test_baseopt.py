@@ -21,7 +21,7 @@ def params(*values):
 def test_sgd_direction_is_gradient():
     g = vec(1.0, -2.0, 0.5)
     kind = BaseOptKind("sgd")
-    delta, _ = update_direction(kind, init_state(kind, g), g)
+    delta = update_direction(kind, init_state(kind, g), g)
     assert np.array_equal(delta, g)
 
 
@@ -29,23 +29,24 @@ def test_momentum_recurrence():
     kind = BaseOptKind("sgd-momentum", beta=0.9)
     g = vec(1.0)
     state = init_state(kind, g)
-    d1, state = update_direction(kind, state, g)
+    d1 = update_direction(kind, state, g)
     assert d1[0] == pytest.approx(1.0)
-    d2, _ = update_direction(kind, state, g)
+    d2 = update_direction(kind, state, g)
     assert d2[0] == pytest.approx(1.9)
 
 
 def test_adam_first_step_near_sign():
     kind = BaseOptKind("adam")
     g = vec(0.5)
-    delta, _ = update_direction(kind, init_state(kind, g), g)
+    delta = update_direction(kind, init_state(kind, g), g)
     assert delta[0] == pytest.approx(0.99999998, abs=1e-8)
 
 
 def test_rmsprop_direction():
     kind = BaseOptKind("rmsprop", rms_beta2=0.99, eps=1e-8)
     g = vec(2.0)
-    delta, state = update_direction(kind, init_state(kind, g), g)
+    state = init_state(kind, g)
+    delta = update_direction(kind, state, g)
     v = 0.01 * 4.0
     assert delta[0] == pytest.approx(2.0 / (np.sqrt(v) + 1e-8))
     assert state.second[0] == pytest.approx(v)
@@ -58,8 +59,8 @@ def test_determinism():
     g = vec(0.3, -0.7)
     s1, s2 = init_state(kind, g), init_state(kind, g)
     for t in (1, 2):
-        d1, _ = update_direction(kind, s1, g)
-        d2, _ = update_direction(kind, s2, g)
+        d1 = update_direction(kind, s1, g)
+        d2 = update_direction(kind, s2, g)
         assert np.array_equal(d1, d2)
         assert s1.step == s2.step == t
         assert np.array_equal(s1.momentum, s2.momentum)
@@ -72,8 +73,8 @@ def test_scale_invariance_small_eps(kind_name):
     rng = numkit.make_rng(0)
     g = rng.standard_normal(6) + 2.0
     g10 = 10.0 * g
-    d1, _ = update_direction(kind, init_state(kind, g), g)
-    d2, _ = update_direction(kind, init_state(kind, g10), g10)
+    d1 = update_direction(kind, init_state(kind, g), g)
+    d2 = update_direction(kind, init_state(kind, g10), g10)
     assert np.abs(d1 - d2).max() < 1e-6 * np.abs(d2).max()
 
 
@@ -111,8 +112,8 @@ def test_momentum_state_not_aliased():
     state, other = init_state(kind, g), init_state(kind, g)
     buf = state.momentum
     for want in (1.0, 1.5):
-        delta, returned = update_direction(kind, state, g)
-        assert returned is state and state.momentum is buf and delta is buf
+        delta = update_direction(kind, state, g)
+        assert state.momentum is buf and delta is buf
         assert delta[0] == want and g[0] == 1.0
         assert not np.shares_memory(buf, g) and not np.shares_memory(buf, other.momentum)
     assert other.momentum[0] == 0.0 and other.step == 0
@@ -148,11 +149,11 @@ def test_update_direction_matches_textbook_bit_for_bit(name, n, steps, beta, bet
     for t in range(1, steps + 1):
         g = rng.standard_normal(n) * 10.0 ** log_scale
         g_before = g.copy()
-        delta, new = update_direction(kind, state, g)
+        delta = update_direction(kind, state, g)
         want, m, v = textbook_step(kind, m, v, t, g)
         assert np.array_equal(delta, want)
-        assert new is state and new.step == t
-        for got, buf, expect in zip((new.momentum, new.second), buffers, (m, v)):
+        assert state.step == t
+        for got, buf, expect in zip((state.momentum, state.second), buffers, (m, v)):
             assert got is buf  # advanced in place
             assert got is None or np.array_equal(got, expect)
             # only sgd-momentum's direction is its state buffer

@@ -206,6 +206,33 @@ def test_predictive_rows_sum_to_one():
     assert np.abs(p.sum(axis=1) - 1.0).max() <= 1e-12
 
 
+def row_max_softmax_parts(y):
+    """diffnet._softmax_parts with the maximum reduced along each row."""
+    z = y - np.maximum.reduce(y, axis=1, keepdims=True)
+    e = np.exp(z)
+    return z, e, np.add.reduce(e, axis=1, keepdims=True)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 600), st.integers(1, 11), st.integers(-3, 3), st.booleans(),
+       st.integers(0, 2**32 - 1))
+def test_softmax_parts_match_row_max_bytes(rows, cols, log_scale, zeros, seed):
+    """The column-wise maximum gives the bytes of the row-wise one.  Ties of
+    0.0 and -0.0 may leave a zero row maximum with either sign, which can
+    flip only the sign of a zero in z: exp, the row sums and the loss agree
+    byte for byte."""
+    rng = numkit.make_rng(seed)
+    y = rng.standard_normal((rows, cols)) * 10.0 ** log_scale
+    if zeros:
+        y = np.where(rng.random(y.shape) < 0.5, rng.choice([0.0, -0.0], y.shape), y)
+    (z, e, total), (z0, e0, total0) = diffnet._softmax_parts(y), row_max_softmax_parts(y)
+    assert e.tobytes() == e0.tobytes() and total.tobytes() == total0.tobytes()
+    assert np.array_equal(z, z0) and z[z0 != 0].tobytes() == z0[z0 != 0].tobytes()
+    pick = np.arange(rows), rng.integers(0, cols, rows)
+    assert (np.add.reduce(np.log(total[:, 0]) - z[pick]) ==
+            np.add.reduce(np.log(total0[:, 0]) - z0[pick]))
+
+
 def test_predictive_regression_passthrough():
     y = np.array([[1.0, -2.0]])
     assert np.array_equal(predictive("regression-gaussian-unit-variance", y), y)

@@ -692,39 +692,48 @@ def test_cli_grid(tmp_path):
     assert os.path.exists(tmp_path / "g" / "summary.csv")
 
 
-# The benchmark's three tasks, an APO run of each mode on each, and one KFAC
-# run, all in one fresh interpreter that reports when scipy.linalg appears.
-LAZY_LAPACK_SCRIPT = """
-import json, os, sys
-from apobench.harness import cli, config, runner
+# The benchmark's three tasks, an APO run of each mode on each, one KFAC run,
+# the check suite and the ppm demo, all in one fresh interpreter whose import
+# hook records and refuses every import of SciPy.
+NO_SCIPY_SCRIPT = """
+import importlib.abc, json, os, sys
+blocked = []
+class NoScipy(importlib.abc.MetaPathFinder):
+    def find_spec(self, name, path=None, target=None):
+        if name.split(".")[0] == "scipy":
+            blocked.append(name)
+            raise ImportError(f"{name} is blocked")
+sys.meta_path.insert(0, NoScipy())
+from apobench.harness import checks, cli, config, ppmdemo, runner
 from apobench import tasks
 task_docs, out = json.loads(sys.argv[1])
-seen = {}
 for task in task_docs:
     tasks.build_task(config.parse_config({"task": task}).task)
-seen["built"] = "scipy.linalg" in sys.modules
 for i, task in enumerate(task_docs):
     for mode in ("apo-lr", "apo-precond"):
         doc = {"task": task, "mode": mode, "steps": 5, "seed": i,
                "proximal": {"lambda_fsd": 1.0, "lambda_wsd": 0.1, "meta_interval": 1}}
         runner.run(config.parse_config(doc), os.path.join(out, f"{mode}-{i}"))
-seen["apo"] = "scipy.linalg" in sys.modules
 doc = {"task": task_docs[0], "mode": "none", "base_opt": {"kind": "kfac"}, "steps": 5}
 runner.run(config.parse_config(doc), os.path.join(out, "kfac"))
-seen["kfac"] = "scipy.linalg" in sys.modules
-print(json.dumps(seen))
+checks_passed = checks.run_checks()["passed"]
+_, meta = ppmdemo.ppm_demo()
+print(json.dumps({"checks": checks_passed,
+                  "ppm": all(c["pass"] for c in ppmdemo.regime_checks(meta)),
+                  "blocked": blocked,
+                  "loaded": [m for m in sys.modules if m.split(".")[0] == "scipy"]}))
 """
 BENCH_TASKS = [{"kind": "synth-classification"}, {"kind": "bottleneck-autoencoder"},
                {"kind": "illcond-linear", "batch_size": 64,
                 "params": {"d": 64, "kappa": 1e10}}]
 
 
-def test_lapack_loads_on_first_factorization_only(tmp_path):
-    """Importing the CLI, building tasks and APO training load no SciPy;
-    the first KFAC factorization does."""
+def test_no_path_imports_scipy(tmp_path):
+    """Task builds, APO and KFAC training, the check suite and the ppm demo
+    all run with every import of SciPy refused, and none attempts one."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(apobench.__file__)))
     proc = subprocess.run(
-        [sys.executable, "-c", LAZY_LAPACK_SCRIPT, json.dumps([BENCH_TASKS, str(tmp_path)])],
+        [sys.executable, "-c", NO_SCIPY_SCRIPT, json.dumps([BENCH_TASKS, str(tmp_path)])],
         env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert json.loads(proc.stdout) == {"built": False, "apo": False, "kfac": True}
+    assert json.loads(proc.stdout) == {"checks": True, "ppm": True, "blocked": [], "loaded": []}

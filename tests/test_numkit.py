@@ -1,10 +1,13 @@
+import math
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from apobench import numkit
-from apobench.errors import ContractError, DimensionError, NumericalError, OracleScaleError
+from apobench.errors import (ApoBenchError, ContractError, DimensionError, NumericalError,
+                             OracleScaleError)
 
 
 def test_kron_identity():
@@ -112,6 +115,73 @@ def test_cholesky_spd_checks_what_solve_spd_checked():
 def test_solve_spd_factor_rejects_wrong_rhs_length():
     with pytest.raises(DimensionError):
         numkit.solve_spd(numkit.cholesky_spd(np.eye(3)), np.ones(2))
+
+
+@st.composite
+def symmetric_matrices(draw):
+    """Random symmetric n x n matrices, shifted so that the first leading
+    block that is not positive definite falls anywhere, or nowhere."""
+    n = draw(st.integers(1, 40))
+    rng = numkit.make_rng(draw(st.integers(0, 2**32 - 1)))
+    g = rng.standard_normal((n, n))
+    return (g + g.T) / 2 + draw(st.floats(0.0, 3.0)) * np.sqrt(n) * np.eye(n)
+
+
+@settings(max_examples=150, deadline=None)
+@given(symmetric_matrices())
+def test_cholesky_pivot_is_first_leading_block_not_pd(m):
+    minima = [np.linalg.eigvalsh(m[:k, :k])[0] for k in range(1, len(m) + 1)]
+    # a block within rounding of singular has no well-defined verdict
+    assume(all(abs(e) > 1e-8 * np.abs(m).max() for e in minima))
+    first = next((k for k, e in enumerate(minima, 1) if e < 0), None)
+    if first is None:
+        lower = numkit.cholesky_spd(m).lower
+        assert np.abs(lower @ lower.T - m).max() <= 1e-12 * np.abs(m).max()
+    else:
+        with pytest.raises(NumericalError) as err:
+            numkit.cholesky_spd(m)
+        assert err.value.pivot == first
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 64, 65, 512])
+def test_pivot_search_factors_at_most_log2_n_plus_one_times(monkeypatch, n):
+    cholesky, calls = np.linalg.cholesky, []
+    monkeypatch.setattr(np.linalg, "cholesky", lambda m: calls.append(1) or cholesky(m))
+    for pivot in sorted({1, n // 2 + 1, n}):
+        calls.clear()
+        m = np.eye(n)
+        m[pivot - 1, pivot - 1] = -1.0
+        with pytest.raises(NumericalError) as err:
+            numkit.cholesky_spd(m)
+        assert err.value.pivot == pivot
+        assert len(calls) <= math.ceil(math.log2(n)) + 1
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(1, 65), st.integers(1, 80), st.integers(1, 4),
+       st.sampled_from([1e-3, 1e-2, 1e-1, 1.0]), st.integers(0, 2**32 - 1))
+def test_solve_spd_residual_on_damped_blocks(n, rows, cols, damping, seed):
+    """A KFAC-style block, a second moment plus damping * I, solves to a
+    relative residual of at most 1e-8, from the matrix or its factor."""
+    rng = numkit.make_rng(seed)
+    x = rng.standard_normal((rows, n))
+    block = x.T @ x / rows + damping * np.eye(n)
+    rhs = rng.standard_normal((n, cols))
+    solved = numkit.solve_spd(block, rhs)
+    assert np.linalg.norm(block @ solved - rhs) <= 1e-8 * np.linalg.norm(rhs)
+    assert np.array_equal(numkit.solve_spd(numkit.cholesky_spd(block), rhs), solved)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("where", [[(0, 0)], [(1, 2), (2, 1)], [(0, 2)]])
+def test_non_finite_block_raises_and_returns_no_factor(bad, where):
+    m = np.eye(3)
+    for i, j in where:
+        m[i, j] = bad
+    with pytest.raises(ApoBenchError):
+        numkit.cholesky_spd(m)
+    with pytest.raises(ApoBenchError):
+        numkit.solve_spd(m, np.ones(3))
 
 
 def test_sym_eig_min_identity():

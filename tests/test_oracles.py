@@ -373,16 +373,16 @@ def test_kfac_update_huge_damping_freezes():
 
 def kfac_update_reference(theta, g, blocks, damping, lr):
     """The KFAC step as written out in full: [W; b] stacked by vstack, a
-    solve_spd on each raw damped block, then the subtracts."""
+    solve_spd on each raw damped block (B's first), then the subtracts."""
     out = theta.map(np.empty_like)
     for w, b, gw, gb, ow, ob, (a_blk, b_blk) in zip(theta.weights, theta.biases, g.weights,
                                                     g.biases, out.weights, out.biases, blocks):
         gbar = gw if b is None else np.vstack([gw, gb])
-        left = numkit.solve_spd(a_blk + damping * np.eye(a_blk.shape[0]), gbar)
-        right = numkit.solve_spd(b_blk + damping * np.eye(b_blk.shape[0]), left.T).T
-        np.subtract(w, lr * right[:w.shape[0]], out=ow)
+        right = numkit.solve_spd(b_blk + damping * np.eye(b_blk.shape[0]), gbar.T)
+        step = numkit.solve_spd(a_blk + damping * np.eye(a_blk.shape[0]), right.T)
+        np.subtract(w, lr * step[:w.shape[0]], out=ow)
         if b is not None:
-            np.subtract(b, lr * right[-1], out=ob)
+            np.subtract(b, lr * step[-1], out=ob)
     return out
 
 
