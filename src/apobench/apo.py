@@ -97,10 +97,9 @@ FSD_KINDS = tuple(DIVERGENCES)
 HEAD_DIVERGENCE = {
     "regression-gaussian-unit-variance": "kl-gaussian-unit-variance",
     "classification-softmax": "kl-categorical",
-    "rosenbrock-direct": "squared-output-distance",
 }
 # The divergence whose per-row output Hessian is the loss's (the Gauss-Newton
-# curvature of oracles.exact_ppm_solve); rosenbrock's raw loss has none.
+# curvature of oracles.exact_ppm_solve).
 HEAD_LOSS_CURVATURE = {
     "regression-gaussian-unit-variance": "squared-output-distance",
     "classification-softmax": "kl-categorical",

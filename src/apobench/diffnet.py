@@ -1,5 +1,4 @@
-"""Differentiable models: MLPs, a 2-parameter Rosenbrock model, losses, and
-reverse-mode gradients.
+"""Differentiable models: MLPs, their losses, and reverse-mode gradients.
 
 Weight matrices are stored fan_in x fan_out, so a forward step is
 ``a @ W + b`` on row-batched activations.  A ParamSet stores all parameters
@@ -35,7 +34,7 @@ from .errors import ContractError, DimensionError, NumericalError, OracleScaleEr
 from .numkit import FLOAT
 
 ACTIVATIONS = ("linear", "relu", "sigmoid")
-HEADS = ("regression-gaussian-unit-variance", "classification-softmax", "rosenbrock-direct")
+HEADS = ("regression-gaussian-unit-variance", "classification-softmax")
 
 JACOBIAN_MAX_PARAMS = 2000
 
@@ -58,7 +57,6 @@ class LayerSpec:
 class Model:
     layers: tuple
     head: str
-    kind: str = "mlp"  # "mlp" or "rosenbrock"
 
     def __post_init__(self):
         if self.head not in HEADS:
@@ -92,12 +90,6 @@ def mlp(widths, activation="sigmoid", head="regression-gaussian-unit-variance",
         act = out_activation if i == len(widths) - 2 else activation
         layers.append(LayerSpec(m, n, act, bias))
     return Model(tuple(layers), head)
-
-
-def rosenbrock_model():
-    """Two free parameters (x, y) stored as a 2x1 weight; the scalar output is
-    (1 - x)^2 + 100 (y - x^2)^2 regardless of the (dummy) input rows."""
-    return Model((LayerSpec(2, 1, "linear", False),), "rosenbrock-direct", kind="rosenbrock")
 
 
 class ParamSet:
@@ -292,27 +284,8 @@ def _act_grad(name, da, s, a):
     return da * (a * (1.0 - a))  # sigmoid, from the cached activation
 
 
-def _rosenbrock_value(w):
-    x, y = float(w[0, 0]), float(w[1, 0])
-    try:
-        return (1.0 - x) ** 2 + 100.0 * (y - x * x) ** 2
-    except OverflowError:   # float ** raises where x * x gives inf
-        return math.inf
-
-
-def _rosenbrock_grad(w):
-    x, y = float(w[0, 0]), float(w[1, 0])
-    gx = -2.0 * (1.0 - x) - 400.0 * x * (y - x * x)
-    gy = 200.0 * (y - x * x)
-    return np.array([[gx], [gy]])
-
-
 def forward(model, params, inputs):
     """Run the network; returns (outputs, ForwardTrace)."""
-    if model.kind == "rosenbrock":
-        f = _rosenbrock_value(params.weights[0])
-        outputs = np.full((inputs.shape[0], 1), f)
-        return outputs, ForwardTrace([inputs], [outputs.copy()], outputs)
     trace = ForwardTrace()
     a = inputs
     for spec, w, b in zip(model.layers, params.weights, params.biases):
@@ -336,10 +309,6 @@ def backward(model, params, trace, out_grad):
     layer's activation comes from the trace; a linear layer's ds is the
     incoming gradient array itself.
     """
-    if model.kind == "rosenbrock":
-        seed = float(np.add.reduce(out_grad, axis=None))
-        g = params.from_flat(seed * _rosenbrock_grad(params.weights[0]))
-        return g, [np.asarray(out_grad, dtype=FLOAT)]
     g = params.map(np.empty_like)
     ds_list = [None] * len(model.layers)
     da = out_grad
@@ -367,8 +336,6 @@ def _loss(head, outputs, targets):
     """loss_eval's value, and what its gradient reuses: the residual
     (regression) or the softmax parts (classification)."""
     b = len(outputs)
-    if head == "rosenbrock-direct":
-        return float(np.add.reduce(outputs, axis=None) / outputs.size), None
     if head == "regression-gaussian-unit-variance":
         r = outputs - targets
         return float(np.add.reduce(np.add.reduce(r ** 2, axis=1)) / b), r
@@ -378,7 +345,7 @@ def _loss(head, outputs, targets):
 
 def loss_eval(head, outputs, targets):
     """Mean per-example loss: squared error for regression, softmax
-    cross-entropy for classification, raw function value for rosenbrock."""
+    cross-entropy for classification."""
     return _loss(head, outputs, targets)[0]
 
 
@@ -387,8 +354,6 @@ def loss_value_and_grad(head, outputs, targets):
     one shift, exp and row sum of the logits."""
     loss, shared = _loss(head, outputs, targets)
     b = len(outputs)
-    if head == "rosenbrock-direct":
-        return loss, np.full_like(outputs, 1.0 / b)
     if head == "regression-gaussian-unit-variance":
         return loss, 2.0 * shared / b
     _, e, total = shared
@@ -412,8 +377,6 @@ def preact_jacobians(model, params, inputs):
     seeded with e_j on every row (rows never mix in a backward pass).
     Returns (outputs, trace, ds): ds[l] is B x d_out x fan_out, with
     ds[l][b, j] = d y_j(x_b) / d s_l(x_b) at layer l's pre-activation."""
-    if model.kind != "mlp":
-        raise ContractError("per-example Jacobians are defined for layered models only")
     outputs, trace = forward(model, params, inputs)
     per_out = [backward(model, params, trace, np.tile(e, (len(outputs), 1)))[1]
                for e in np.eye(outputs.shape[1])]

@@ -70,12 +70,16 @@ def _cmd_check(args):
 
 
 def _cmd_ppm_demo(args):
-    if args.lambda_fsd or args.lambda_wsd:
+    if args.lambda_fsd is not None or args.lambda_wsd is not None:
+        for flag, values in (("--lambda-fsd", args.lambda_fsd),
+                             ("--lambda-wsd", args.lambda_wsd)):
+            if values == []:
+                raise ConfigError("needs at least one value", flag)
         fsds = args.lambda_fsd or [s[0] for s in DEFAULT_SETTINGS]
         wsds = args.lambda_wsd or [s[1] for s in DEFAULT_SETTINGS]
         if len(fsds) != len(wsds):
-            print("need matching --lambda-fsd/--lambda-wsd counts", file=sys.stderr)
-            return EXIT_CONFIG
+            raise ConfigError(f"has {len(fsds)} values but --lambda-wsd has {len(wsds)}; "
+                              "they must pair up", "--lambda-fsd")
         settings = tuple(zip(fsds, wsds))
     else:
         settings = DEFAULT_SETTINGS

@@ -155,9 +155,6 @@ def parse_config(doc):
     for ok, message, pointer in (
             (not kfac or mode == "none",
              "the kfac baseline only runs with mode 'none'", "/base_opt/kind"),
-            (not kfac or kind != "rosenbrock",
-             "the kfac baseline needs a layered model, which rosenbrock is not",
-             "/base_opt/kind"),
             (cfg.init_lr is None or cfg.init_lr > 0, "init_lr must be a positive number",
              "/init_lr"),
             (cfg.kfac.damping >= 0, "damping must be nonnegative", "/kfac/damping"),

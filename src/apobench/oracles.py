@@ -128,14 +128,12 @@ def exact_ppm_solve(model, theta, batch, lam_fsd, lam_wsd, fsd_inputs,
     ||dQ/du|| <= tol or Q(u) <= tol * Q(theta), which bounds Q(u) - min Q
     since every term of Q is >= 0.  Raises ConvergenceError (with the
     gradient norm) after max_iter objective evaluations or when a step no
-    longer moves u, ContractError for a head without a loss curvature
-    (rosenbrock), and OracleScaleError above 512 parameters (SOLVE_SPD_MAX_N).
+    longer moves u, and OracleScaleError above 512 parameters
+    (SOLVE_SPD_MAX_N).
     """
     if tol <= 0:
         raise ContractError("tol must be positive")
     divergence(model, fsd_kind)  # rejects an unknown kind before the first step
-    if model.head not in HEAD_LOSS_CURVATURE:
-        raise ContractError(f"no Gauss-Newton loss curvature for head {model.head!r}")
     loss_kind = HEAD_LOSS_CURVATURE[model.head]
 
     def objective(u):
@@ -227,8 +225,6 @@ def kfac_blocks(model, params, inputs, rng=None, exact=False):
     form: B_l = mean_b M_b^T H_rho M_b over the preact_jacobians sweep, whose
     M_b holds d y / d s_l for example b.
     """
-    if model.kind != "mlp":
-        raise ContractError("kfac statistics are defined for layered models only")
     inputs = np.asarray(inputs, dtype=FLOAT)
     if inputs.shape[0] == 0:
         raise ContractError("kfac_blocks needs a nonempty dataset")

@@ -14,8 +14,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .diffnet import (Batch, LayerSpec, Model, ParamSet, check_dataset, forward,
-                      init_params, loss_eval, mlp, rosenbrock_model)
+from .diffnet import (Batch, LayerSpec, Model, check_dataset, forward, init_params,
+                      loss_eval, mlp)
 from .errors import ContractError, IngestionError
 from .numkit import FLOAT, make_rng, rand_orthogonal
 
@@ -25,7 +25,6 @@ SIGMA_FLOOR = 1e-12
 # JSON type of each, named in harness.config.JSON_TYPES: "int", "number",
 # "string", or "ints" (two or more ints).
 TASK_PARAMS = {
-    "rosenbrock": {},
     "illcond-linear": {"d": "int", "kappa": "number"},
     "synth-regression": {"d": "int", "noise": "number", "hidden": "int"},
     "synth-classification": {"d": "int", "classes": "int", "separation": "number",
@@ -79,24 +78,6 @@ def _finite_dataset_task(batch_size, model, features, targets, extras=None):
     merged = {"dataset": (features, targets)}
     merged.update(extras or {})
     return Task(model, sample, evaluate, lambda rng: init_params(model, rng), merged)
-
-
-def rosenbrock_task():
-    """Two-parameter valley with the classic (1, -1.5) start; the single
-    deterministic 'example' makes every batch identical and the function
-    value doubles as both loss and discrepancy output."""
-    model = rosenbrock_model()
-    batch = Batch(np.zeros((1, 2)), np.zeros((1, 1)))
-    check_dataset(model, batch.inputs, batch.targets)
-
-    def evaluate(theta):
-        outputs, _ = forward(model, theta, batch.inputs)
-        return float(outputs[0, 0])
-
-    return Task(model,
-                sample_batch=lambda rng: batch,
-                eval_loss=evaluate,
-                init_theta=lambda rng: ParamSet.from_layers([(np.array([[1.0], [-1.5]]), None)]))
 
 
 def illcond_linear_task(d=64, kappa=1e10, seed=0, batch_size=64):
@@ -266,8 +247,6 @@ def build_task(spec):
     """Construct a task from its spec (harness entry point); spec.params are
     keyword arguments of the kind's builder, as listed in TASK_PARAMS."""
     p, common = dict(spec.params), {"seed": spec.seed, "batch_size": spec.batch_size}
-    if spec.kind == "rosenbrock":
-        return rosenbrock_task()
     if spec.kind == "illcond-linear":
         return illcond_linear_task(**p, **common)
     if spec.kind == "synth-regression":

@@ -10,8 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from apobench import numkit
-from apobench import apo
+from apobench import apo, diffnet, numkit
 from apobench.apo import (DIVERGENCES, KfacSettings, LrPhi, ProximalConfig, apo_train,
                           default_precond_config, loss_and_grad, meta_gradient, meta_step,
                           proximal_value_and_grad, wsd)
@@ -92,6 +91,12 @@ def test_fsd_gaussian_kl_hand_value():
     # per-example output gap [1, 1]: 0.5 * ||gap||^2 = 1
     for kind, value in (("kl-gaussian-unit-variance", 1.0), ("squared-output-distance", 2.0)):
         assert fsd_value(model, theta_new, theta_old, x, kind) == pytest.approx(value)
+
+
+def test_head_tables_cover_every_head():
+    """Every head has a divergence and a loss curvature, so neither
+    divergence() nor exact_ppm_solve guards its table lookup."""
+    assert set(apo.HEAD_DIVERGENCE) == set(apo.HEAD_LOSS_CURVATURE) == set(diffnet.HEADS)
 
 
 @pytest.mark.parametrize("kind", sorted(DIVERGENCES))
@@ -639,12 +644,12 @@ def test_apo_train_lr_positive_throughout():
 
 
 def test_apo_train_divergence_guard():
-    task = tasks.rosenbrock_task()
+    task = tasks.synth_regression_task(n=32, d=2, hidden=4, batch_size=8)
     theta0 = task.init_theta(numkit.make_rng(0))
     cfg = ProximalConfig()
     with pytest.raises(TrainingDivergedError) as err:
         apo_train(task.model, theta0, cfg, task, 200, numkit.make_rng(0),
-                  mode="none", base_kind=BaseOptKind("sgd"), init_lr=0.1)
+                  mode="none", base_kind=BaseOptKind("sgd"), init_lr=1e4)
     assert err.value.step >= 1
 
 
@@ -744,7 +749,7 @@ def buffer_run(mode, base, meta, steps=20, task=None, init_lr=None):
 def test_apo_train_never_writes_theta0(mode, base, meta):
     """theta0 stays bit for bit the caller's, also when the run diverges."""
     if mode == "diverged":
-        theta0, train = buffer_run("none", base, meta, 200, tasks.rosenbrock_task(), 0.1)
+        theta0, train = buffer_run("none", base, meta, 200, init_lr=1e4)
     else:
         theta0, train = buffer_run(mode, base, meta)
     flat, before = theta0.flat, theta0.flat.copy()

@@ -8,7 +8,7 @@ from apobench.apo import LrPhi, loss_and_grad
 from apobench.baseopt import apply_lr_update
 from apobench.diffnet import (Batch, LayerSpec, Model, ParamSet, backward, check_dataset,
                               forward, init_params, loss_eval, loss_value_and_grad, mlp,
-                              per_example_jacobian, predictive, rosenbrock_model)
+                              per_example_jacobian, predictive)
 from apobench.errors import ContractError, DimensionError
 from apobench.kronprecond import PrecondPhi, apply_precond_update, init_identity
 
@@ -238,22 +238,6 @@ def test_predictive_regression_passthrough():
     assert np.array_equal(predictive("regression-gaussian-unit-variance", y), y)
 
 
-def test_rosenbrock_values_and_gradient():
-    model = rosenbrock_model()
-    at = lambda x, y: ParamSet.from_layers([(np.array([[x], [y]]), None)])
-    batch = Batch(np.zeros((1, 1)), np.zeros((1, 1)))
-    out, _ = forward(model, at(1.0, 1.0), batch.inputs)
-    assert out[0, 0] == 0.0
-    out, _ = forward(model, at(1.0, -1.5), batch.inputs)
-    assert out[0, 0] == 625.0
-    g = loss_and_grad(model, at(1.0, 1.0), batch)[1]
-    assert np.abs(g.weights[0]).max() == 0.0
-    # FD check away from the minimum
-    theta = at(0.3, -0.2)
-    assert rel_err(loss_and_grad(model, theta, batch)[1].to_flat(),
-                   fd_param_gradient(model, theta, batch, h=1e-6)) < 1e-6
-
-
 def test_paramset_flatten_roundtrip():
     rng = numkit.make_rng(8)
     model = mlp([3, 4, 2], activation="relu")
@@ -351,13 +335,6 @@ def test_jacobian_rows_are_batch_invariant(layers, activations, bsz, seed):
     assert np.abs(vjp - g.flat).max() <= 1e-12 * max(1.0, np.abs(g.flat).max())
 
 
-def test_jacobian_needs_a_layered_model():
-    model = rosenbrock_model()
-    theta = ParamSet.from_layers([(np.array([[0.3], [-0.2]]), None)])
-    with pytest.raises(ContractError):
-        per_example_jacobian(model, theta, np.zeros((2, 1)))
-
-
 def test_phi_types_rebuild_through_from_layers():
     lr = LrPhi.from_layers([((0.5,),)])
     assert type(lr) is LrPhi and lr.log_lr == 0.5 and np.array_equal(lr.flat, [0.5])
@@ -428,8 +405,6 @@ def _separate_loss_passes(head, outputs, targets):
     apart (loss_eval and the deleted loss_out_grad), through numpy's
     reduction wrappers."""
     b = len(outputs)
-    if head == "rosenbrock-direct":
-        return float(outputs.mean()), np.full_like(outputs, 1.0 / b)
     if head == "regression-gaussian-unit-variance":
         return (float(np.mean(np.sum((outputs - targets) ** 2, axis=1))),
                 2.0 * (outputs - targets) / b)

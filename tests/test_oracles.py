@@ -306,17 +306,6 @@ def test_exact_ppm_damps_a_singular_curvature():
     assert np.sqrt(g.flat @ g.flat) <= 1e-13 or loss <= 1e-13 * loss0
 
 
-def test_exact_ppm_rejects_rosenbrock_before_first_step(monkeypatch):
-    # The raw Rosenbrock value has no Gauss-Newton curvature to damp.
-    model = diffnet.rosenbrock_model()
-    theta = ParamSet.from_layers([(np.array([[0.3], [-0.2]]), None)])
-    batch = Batch(np.zeros((1, 1)), np.zeros((1, 1)))
-    monkeypatch.setattr(oracles, "proximal_value_and_grad",
-                        lambda *args: pytest.fail("the solver evaluated Q"))
-    with pytest.raises(ContractError, match="rosenbrock-direct"):
-        oracles.exact_ppm_solve(model, theta, batch, 0.0, 1.0, batch.inputs)
-
-
 # -------------------------------------------------------------------- KFAC
 
 

@@ -8,17 +8,6 @@ from apobench.errors import ContractError, IngestionError
 from helpers import write_dataset_csv
 
 
-def test_rosenbrock_task_values():
-    task = tasks.rosenbrock_task()
-    theta0 = task.init_theta(numkit.make_rng(0))
-    assert task.eval_loss(theta0) == 625.0
-    at_min = ParamSet.from_layers([(np.array([[1.0], [1.0]]), None)])
-    assert task.eval_loss(at_min) == 0.0
-    from apobench.apo import loss_and_grad
-    _, g = loss_and_grad(task.model, at_min, task.sample_batch(numkit.make_rng(0)))
-    assert np.abs(g.to_flat()).max() == 0.0
-
-
 def test_illcond_condition_number_exact():
     task = tasks.illcond_linear_task(d=16, kappa=1e10, seed=1)
     s = np.linalg.svd(task.extras["a"], compute_uv=False)
@@ -232,7 +221,6 @@ def test_build_task_dispatch(tmp_path):
     p = tmp_path / "d.csv"
     write_dataset_csv(np.eye(4), np.arange(4.0), p)
     specs = [
-        tasks.TaskSpec("rosenbrock", batch_size=1),
         tasks.TaskSpec("illcond-linear", batch_size=4, params={"d": 4, "kappa": 10.0}),
         tasks.TaskSpec("synth-regression", batch_size=8, dataset_size=32),
         tasks.TaskSpec("synth-classification", batch_size=8, dataset_size=32,
