@@ -14,10 +14,11 @@ import contextlib
 import sys
 
 from ..errors import ApoBenchError, ConfigError, TrainingDivergedError
+from . import write_csv
 from .checks import report_to_json, run_checks
 from .config import load_config, read_json
 from .gridsearch import grid
-from .ppmdemo import DEFAULT_SETTINGS, ppm_demo, regime_checks, write_demo_csv
+from .ppmdemo import CSV_COLUMNS, DEFAULT_SETTINGS, ppm_demo, regime_checks
 from .runner import run
 
 EXIT_OK = 0
@@ -85,7 +86,7 @@ def _cmd_ppm_demo(args):
         settings = DEFAULT_SETTINGS
     rows, meta = ppm_demo(lambda_settings=settings)
     with _output("--out", args.out):
-        write_demo_csv(rows, args.out)
+        write_csv(args.out, CSV_COLUMNS, rows)
     print(f"wrote {args.out}")
     checks = regime_checks(meta) if settings == DEFAULT_SETTINGS else []
     for c in checks:

@@ -5,7 +5,8 @@ dotted path addresses a field of the experiment document (for example
 "proximal.lambda_wsd" or "init_lr").  Every combination is run in its own
 subdirectory; per-run failures (an ApoBenchError, or an OSError from writing
 the run's files) are recorded and the sweep continues.  The summary is sorted
-by axis values, so it never depends on execution order.
+by axis values, numbers by value and any other value by its repr, so it never
+depends on execution order.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ import os
 from concurrent.futures import ProcessPoolExecutor
 
 from ..errors import ApoBenchError, ConfigError
+from . import write_csv
 from .config import config_hash, parse_config
 from .runner import run
 
@@ -67,6 +69,11 @@ def _run_one(doc, run_dir):
     return row
 
 
+def _axis_key(value):
+    """Numbers by value, then any other value (null included) by its repr."""
+    return (0, value) if isinstance(value, (int, float)) else (1, repr(value))
+
+
 def grid(template_doc, sweep_doc, out_dir, parallel=1):
     """Run the sweep in up to `parallel` processes, at most one per point;
     returns the summary rows (also written to summary.csv)."""
@@ -75,9 +82,7 @@ def grid(template_doc, sweep_doc, out_dir, parallel=1):
     combos = expand_grid(template_doc, sweep_doc)
     os.makedirs(out_dir, exist_ok=True)
     axis_names = sorted(sweep_doc["axes"])
-    run_dirs = []
-    for i, (overrides, _) in enumerate(combos):
-        run_dirs.append(os.path.join(out_dir, f"run{i:04d}"))
+    run_dirs = [os.path.join(out_dir, f"run{i:04d}") for i in range(len(combos))]
 
     workers = min(parallel, len(combos))
     if workers > 1:
@@ -92,23 +97,11 @@ def grid(template_doc, sweep_doc, out_dir, parallel=1):
         row.update({f"axis:{k}": v for k, v in overrides.items()})
         row.update(result)
         rows.append(row)
-    rows.sort(key=lambda r: tuple(repr(r[f"axis:{k}"]) for k in axis_names))
+    rows.sort(key=lambda r: tuple(_axis_key(r[f"axis:{k}"]) for k in axis_names))
 
     header = (["run_dir"] + [f"axis:{k}" for k in axis_names] + list(SUMMARY_FIELDS))
-    summary_path = os.path.join(out_dir, "summary.csv")
-    with open(summary_path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            cells = []
-            for key in header:
-                value = row.get(key)
-                if value is None:
-                    cells.append("")
-                elif isinstance(value, float):
-                    cells.append(repr(value))
-                else:
-                    cells.append(str(value).replace(",", ";"))
-            fh.write(",".join(cells) + "\n")
+    write_csv(os.path.join(out_dir, "summary.csv"), header,
+              ([row[key] for key in header] for row in rows))
     with open(os.path.join(out_dir, "sweep.json"), "w", encoding="utf-8") as fh:
         json.dump({"template": template_doc, "sweep": sweep_doc,
                    "n_runs": len(rows)}, fh, indent=2)

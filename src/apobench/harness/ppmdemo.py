@@ -21,14 +21,16 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..apo import loss_and_grad
-from ..baseopt import BaseOptKind, apply_lr_update, init_state, update_direction
+from ..apo import ProximalConfig, apo_train
+from ..baseopt import BaseOptKind
 from ..diffnet import Batch, forward, init_params, mlp
 from ..numkit import make_rng
 from ..oracles import exact_ppm_solve
+from ..tasks import Task
 from .checks import result
 
 DEFAULT_SETTINGS = ((1e6, 1e6), (0.0, 1.0), (100.0, 0.0))
+CSV_COLUMNS = ("lambda_fsd", "lambda_wsd", "x", "f_before", "f_after")
 WINDOW = 0.5
 
 
@@ -39,18 +41,15 @@ def _base_inputs():
 
 
 def _fit_base_model(seed=0, hidden=48, iters=3000, lr=0.02):
+    """Full-batch Adam at rate lr through apo_train's mode 'none', which steps
+    at exp(log(lr)); that is lr itself for the default 0.02."""
     rng = make_rng(seed)
     model = mlp([1, hidden, 1], activation="sigmoid")
     theta = init_params(model, rng)
     x = _base_inputs()
-    y = np.sin(1.5 * x) * 0.8
-    batch = Batch(x, y)
-    kind = BaseOptKind("adam")
-    state = init_state(kind, theta.flat)
-    for _ in range(iters):
-        _, g = loss_and_grad(model, theta, batch)
-        delta = update_direction(kind, state, g.flat)
-        apply_lr_update(theta, lr, delta, theta)
+    batch = Batch(x, np.sin(1.5 * x) * 0.8)
+    theta = apo_train(model, theta, ProximalConfig(), Task(model, lambda _: batch, None, None),
+                      iters, rng, mode="none", base_kind=BaseOptKind("adam"), init_lr=lr).theta
     return model, theta, x
 
 
@@ -77,13 +76,6 @@ def ppm_demo(lambda_settings=DEFAULT_SETTINGS, x0=0.0, bump=1.0, seed=0,
     meta = {"x0": x0, "bump": bump, "window": WINDOW,
             "settings": list(lambda_settings), "per_setting": per_setting}
     return rows, meta
-
-
-def write_demo_csv(rows, path):
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("lambda_fsd,lambda_wsd,x,f_before,f_after\n")
-        for lam_fsd, lam_wsd, x, fb, fa in rows:
-            fh.write(f"{lam_fsd!r},{lam_wsd!r},{x!r},{fb!r},{fa!r}\n")
 
 
 def locality_metrics(meta, lam_fsd, lam_wsd):

@@ -16,6 +16,7 @@ from ..diffnet import forward, predictive
 from ..errors import ConfigError, IngestionError, TrainingDivergedError
 from ..numkit import make_rng
 from ..tasks import build_task
+from . import write_csv
 from .config import config_hash, config_to_dict
 
 CSV_SCHEMA_VERSION = 1
@@ -23,28 +24,15 @@ CSV_COLUMNS = ("step", "train_loss", "eval_loss", "meta_objective", "lr",
                "phi_frobenius_norm", "fsd_term", "wsd_term")
 
 
-def _fmt(value):
-    if value is None:
-        return ""
-    return repr(float(value))
-
-
 def write_metrics_csv(path, rows, mode):
-    """Fixed column order, '.' decimals, shortest-roundtrip float repr."""
+    """Fixed column order, '.' decimals, shortest-roundtrip float repr; the
+    rate or phi norm is a float even when it is an int (a KFAC init_lr)."""
     lr_mode = mode in ("none", "apo-lr")
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(CSV_COLUMNS) + "\n")
-        for r in rows:
-            fh.write(",".join([
-                str(r.step),
-                _fmt(r.train_loss),
-                _fmt(r.eval_loss),
-                _fmt(r.meta_objective),
-                _fmt(r.lr_or_phi_norm) if lr_mode else "",
-                "" if lr_mode else _fmt(r.lr_or_phi_norm),
-                _fmt(r.fsd_term),
-                _fmt(r.wsd_term),
-            ]) + "\n")
+    write_csv(path, CSV_COLUMNS, [
+        (r.step, r.train_loss, r.eval_loss, r.meta_objective,
+         float(r.lr_or_phi_norm) if lr_mode else None,
+         None if lr_mode else float(r.lr_or_phi_norm), r.fsd_term, r.wsd_term)
+        for r in rows])
 
 
 def validate_metrics_csv(path):

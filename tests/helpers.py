@@ -57,3 +57,19 @@ def fsd_value(model, theta_new, theta_old, inputs, kind):
 def write_dataset_csv(features, targets, path):
     """Write a dataset in the CSV ingestion convention: no header, target last."""
     np.savetxt(path, np.column_stack([features, targets]), delimiter=",", fmt="%.17g")
+
+
+def textbook_step(kind, m, v, t, g):
+    """(Delta, m', v') of step t, each formula written out in one expression."""
+    if kind.kind == "sgd":
+        return g, m, v
+    if kind.kind == "sgd-momentum":
+        m = kind.beta * m + g
+        return m, m, v
+    if kind.kind == "rmsprop":
+        v = kind.rms_beta2 * v + (1.0 - kind.rms_beta2) * g * g
+        return g / (np.sqrt(v) + kind.eps), m, v
+    m = kind.beta * m + (1.0 - kind.beta) * g
+    v = kind.beta2 * v + (1.0 - kind.beta2) * g * g
+    c1, c2 = 1.0 - kind.beta ** t, 1.0 - kind.beta2 ** t
+    return (m / c1) / (np.sqrt(v / c2) + kind.eps), m, v

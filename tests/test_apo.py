@@ -18,7 +18,7 @@ from apobench.baseopt import KINDS, BaseOptKind, init_state, update_direction
 from apobench.diffnet import Batch, LayerSpec, Model, ParamSet, init_params, mlp
 from apobench.errors import (ContractError, DimensionError, NumericalError,
                              TrainingDivergedError)
-from apobench.kronprecond import DEFAULT_SCALE, KronBlocks, PrecondPhi, init_identity
+from apobench.kronprecond import DEFAULT_SCALE, init_identity
 from apobench import tasks
 from apobench.harness import config, runner
 

@@ -9,6 +9,8 @@ from apobench.baseopt import (KINDS, BaseOptKind, apply_lr_update, init_state,
 from apobench.diffnet import ParamSet
 from apobench.errors import ContractError
 
+from helpers import textbook_step
+
 
 def vec(*values):
     return np.array(values, dtype=float)
@@ -117,22 +119,6 @@ def test_momentum_state_not_aliased():
         assert delta[0] == want and g[0] == 1.0
         assert not np.shares_memory(buf, g) and not np.shares_memory(buf, other.momentum)
     assert other.momentum[0] == 0.0 and other.step == 0
-
-
-def textbook_step(kind, m, v, t, g):
-    """(Delta, m', v') of step t, each formula written out in one expression."""
-    if kind.kind == "sgd":
-        return g, m, v
-    if kind.kind == "sgd-momentum":
-        m = kind.beta * m + g
-        return m, m, v
-    if kind.kind == "rmsprop":
-        v = kind.rms_beta2 * v + (1.0 - kind.rms_beta2) * g * g
-        return g / (np.sqrt(v) + kind.eps), m, v
-    m = kind.beta * m + (1.0 - kind.beta) * g
-    v = kind.beta2 * v + (1.0 - kind.beta2) * g * g
-    c1, c2 = 1.0 - kind.beta ** t, 1.0 - kind.beta2 ** t
-    return (m / c1) / (np.sqrt(v / c2) + kind.eps), m, v
 
 
 @settings(max_examples=80, deadline=None)

@@ -1,8 +1,14 @@
+import numpy as np
 import pytest
 
 from apobench import oracles
-from apobench.apo import proximal_value_and_grad
+from apobench.apo import loss_and_grad, proximal_value_and_grad
+from apobench.baseopt import BaseOptKind
+from apobench.diffnet import Batch, init_params
 from apobench.harness import checks, ppmdemo
+from apobench.numkit import make_rng
+
+from helpers import textbook_step
 
 # Every check with its threshold, in report order, a line per CHECKS entry
 # (kfac-* takes three): loosening a threshold, or dropping or renaming a
@@ -66,3 +72,17 @@ def test_ppm_demo_regimes(seed, monkeypatch):
                                            lam_wsd, kwargs["fsd_kind"])[0]
 
         assert q(u) <= kwargs["tol"] * q(theta)
+
+
+def test_ppm_demo_base_fit_is_textbook_adam():
+    """The base fit steps through apo_train at exp(log(0.02)), which is 0.02
+    exactly; its theta equals full-batch Adam written out, bit for bit."""
+    model, theta, x = ppmdemo._fit_base_model()
+    ref = init_params(model, make_rng(0))
+    batch = Batch(x, np.sin(1.5 * x) * 0.8)
+    kind = BaseOptKind("adam")
+    m = v = np.zeros(ref.size)
+    for t in range(1, 3001):
+        delta, m, v = textbook_step(kind, m, v, t, loss_and_grad(model, ref, batch)[1].flat)
+        ref = ref.with_flat(ref.flat - 0.02 * delta)
+    assert np.array_equal(theta.flat, ref.flat)

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -14,12 +15,12 @@ from apobench.apo import DIVERGENCES, ProximalConfig, default_precond_config
 from apobench.baseopt import KINDS as BASE_KINDS
 from apobench.baseopt import BaseOptKind
 from apobench.errors import ConfigError, IngestionError, TrainingDivergedError
-from apobench.harness import cli, gridsearch
+from apobench.harness import cli, gridsearch, write_csv
 from apobench.harness.checks import result
 from apobench.harness.config import (CONFIG, MODES, KfacSettings, config_hash,
                                      config_to_dict, load_config, parse_config)
 from apobench.harness.gridsearch import SUMMARY_FIELDS, expand_grid, grid
-from apobench.harness.runner import run, validate_metrics_csv, write_metrics_csv
+from apobench.harness.runner import run, validate_metrics_csv
 
 from helpers import write_dataset_csv
 
@@ -387,6 +388,15 @@ def test_run_kfac_baseline(tmp_path):
     assert validate_metrics_csv(outcome.metrics_path)
 
 
+def test_run_kfac_int_rate_logs_a_float(tmp_path):
+    """An int init_lr (parse_config stores floats, so this is a direct
+    caller's) still logs as a float in the lr column."""
+    cfg = replace(parse_config(synth_doc(base_opt={"kind": "kfac"}, steps=3)), init_lr=1)
+    outcome = run(cfg, tmp_path / "kfac")
+    lines = open(outcome.metrics_path).read().splitlines()
+    assert [line.split(",")[4] for line in lines] == ["lr", "1.0", "1.0", "1.0"]
+
+
 def test_run_classification_reports_accuracy(tmp_path):
     doc = {
         "task": {"kind": "synth-classification", "batch_size": 16,
@@ -400,6 +410,13 @@ def test_run_classification_reports_accuracy(tmp_path):
     outcome = run(parse_config(doc), tmp_path / "cls")
     assert outcome.summary["final_accuracy"] is not None
     assert outcome.summary["final_accuracy"] > 0.8
+
+
+def test_write_csv_cell_rule(tmp_path):
+    path = tmp_path / "t.csv"
+    write_csv(path, ("a", "b", "c", "d", "e", "f"),
+              [(None, 0.1 + 0.2, np.float64(1e-05), 7, True, "a,b")])
+    assert path.read_bytes() == b"a,b,c,d,e,f\n,0.30000000000000004,1e-05,7,True,a;b\n"
 
 
 def test_metrics_schema_validation_rejects_bad_files(tmp_path):
@@ -520,6 +537,20 @@ def test_bad_apo_seed_is_config_error(tmp_path, monkeypatch):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(small_doc(steps=10)))
     assert cli.main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 2
+
+
+def test_grid_sorts_numbers_by_value(tmp_path):
+    """Numeric axis values sort as numbers, not as text, serially and in
+    parallel; an axis that mixes null with numbers puts null last."""
+    sweep = {"axes": {"init_lr": [0.1, 1e-05, 0.03, 2.0], "seed": [10, 2]}}
+    rows = grid(small_doc(steps=2), sweep, tmp_path / "s")
+    assert [(r["axis:init_lr"], r["axis:seed"]) for r in rows] == [
+        (lr, seed) for lr in (1e-05, 0.03, 0.1, 2.0) for seed in (2, 10)]
+    assert grid(small_doc(steps=2), sweep, tmp_path / "p", parallel=2) == rows
+    assert (tmp_path / "p" / "summary.csv").read_bytes() == \
+        (tmp_path / "s" / "summary.csv").read_bytes()
+    rows = grid(small_doc(steps=2), {"axes": {"eval_every": [10, None, 2]}}, tmp_path / "n")
+    assert [r["axis:eval_every"] for r in rows] == [2, 10, None]
 
 
 def test_grid_summary_order_deterministic(tmp_path):

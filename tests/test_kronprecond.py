@@ -8,7 +8,7 @@ from apobench.diffnet import ParamSet, init_params, mlp
 from apobench.errors import DimensionError, OracleScaleError
 from apobench.kronprecond import (KronBlocks, PrecondPhi, apply_precond,
                                   apply_precond_update, dense_precond, init_identity)
-from apobench.numkit import kron_dense, sym_eig_min, unvec_cm, vec_cm
+from apobench.numkit import sym_eig_min, unvec_cm, vec_cm
 
 
 def random_blocks(rng, fan_in, fan_out):

@@ -11,7 +11,6 @@ from apobench.diffnet import (Batch, LayerSpec, Model, ParamSet, forward,
                               init_params, mlp, predictive)
 from apobench.errors import ContractError, ConvergenceError, NumericalError
 from apobench.harness import checks
-from apobench.numkit import kron_dense
 
 from helpers import fsd_value, rel_err
 
