@@ -209,11 +209,6 @@ class KfacSettings:
     ema_decay: float = 0.95
 
 
-def wsd(theta_new, theta_old):
-    """0.5 * sum of squared parameter differences, biases included."""
-    return 0.5 * theta_new.sq_norm(theta_new.flat - theta_old.flat)
-
-
 def divergence(model, kind=None):
     """The Divergence named kind; None names the model head's."""
     kind = kind or HEAD_DIVERGENCE[model.head]

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 from ..apo import apo_train
 from ..diffnet import forward, predictive
-from ..errors import ConfigError, IngestionError, TrainingDivergedError
+from ..errors import IngestionError, TrainingDivergedError
 from ..numkit import make_rng
 from ..tasks import build_task
 from . import write_csv
@@ -72,13 +72,9 @@ class RunOutcome:
 
 
 def execute(cfg):
-    """Run the configured experiment; returns (result, task, seed)."""
-    try:
-        seed = int(os.environ.get("APO_SEED") or cfg.seed)
-    except ValueError:
-        raise ConfigError("APO_SEED must be an integer") from None
+    """Run the configured experiment; returns (result, task)."""
     task = build_task(cfg.task)
-    rng = make_rng(seed)
+    rng = make_rng(cfg.seed)
     theta0 = task.init_theta(rng)
     eval_every = cfg.eval_every
     if eval_every is None:
@@ -86,7 +82,7 @@ def execute(cfg):
     result = apo_train(task.model, theta0, cfg.proximal, task, cfg.steps, rng,
                        mode=cfg.mode, base_kind=cfg.base_opt, init_lr=cfg.init_lr,
                        kfac=cfg.kfac, eval_fn=task.eval_loss, eval_every=eval_every)
-    return result, task, seed
+    return result, task
 
 
 def summarize(rows, result, task):
@@ -119,14 +115,13 @@ def run(cfg, out_dir):
     started = time.monotonic()
     failure = None
     try:
-        result, task, seed = execute(cfg)
+        result, task = execute(cfg)
         rows = result.rows
     except TrainingDivergedError as exc:
         failure, rows = exc, exc.rows
     write_metrics_csv(metrics_path, rows, cfg.mode)
     validate_metrics_csv(metrics_path)
     if failure is None:
-        sidecar["resolved_seed"] = seed
         sidecar["summary"] = summary = summarize(rows, result, task)
     sidecar["runtime"] = {"wallclock_ms": round((time.monotonic() - started) * 1e3),
                           "status": f"diverged at step {failure.step}" if failure else "ok"}

@@ -1,14 +1,15 @@
 """Kronecker-structured gradient preconditioner.
 
 Per weight matrix W (fan_in x fan_out) the preconditioner acting on
-vec_cm(grad W) is
+grad W in ParamSet's row-major storage order, G.ravel(), is
 
-    P = (A kron B) diag(vec_cm(S))^2 (A kron B)^T
+    P = (B kron A) diag(S.ravel())^2 (B kron A)^T
 
-with A fan_out x fan_out, B fan_in x fan_in, S fan_in x fan_out.  P is PSD
-for arbitrary A, B, S, and is applied without ever materializing it:
+with A fan_out x fan_out, B fan_in x fan_in, S fan_in x fan_out (the paper's
+(A kron B) diag(vec S)^2 (A kron B)^T in column stacking).  P is PSD for
+arbitrary A, B, S, and is applied without ever materializing it:
 
-    P vec_cm(G) = vec_cm( B (S^2 * (B^T G A)) A^T )      (* elementwise)
+    P G.ravel() = ( B (S^2 * (B^T G A)) A^T ).ravel()      (* elementwise)
 
 Biases are not covered by the factorization; each bias vector gets an
 independent diagonal preconditioner diag(d)^2 with d meta-learned alongside
@@ -28,7 +29,7 @@ import numpy as np
 
 from .diffnet import ParamSet
 from .errors import DimensionError, NumericalError, OracleScaleError
-from .numkit import kron_dense, vec_cm
+from .numkit import kron_dense
 
 DENSE_MAX_DIM = 64
 DEFAULT_SCALE = 0.9
@@ -115,15 +116,15 @@ def apply_precond(blocks, grad_w, keep=None):
 
 
 def dense_precond(blocks):
-    """Materialized (A kron B) diag(vec_cm(S))^2 (A kron B)^T, oracle scale."""
+    """Materialized (B kron A) diag(S.ravel())^2 (B kron A)^T, oracle scale;
+    it multiplies a layer's slice of a ParamSet's flat vector."""
     fan_in, fan_out = blocks.s.shape
     if fan_in * fan_out > DENSE_MAX_DIM:
         raise OracleScaleError(
             f"dense_precond limited to {DENSE_MAX_DIM} rows, got {fan_in * fan_out}"
         )
-    ab = kron_dense(blocks.a, blocks.b)
-    d2 = vec_cm(blocks.s) ** 2
-    return (ab * d2) @ ab.T
+    ba = kron_dense(blocks.b, blocks.a)
+    return (ba * blocks.s.ravel() ** 2) @ ba.T
 
 
 def apply_precond_update(params, phi, g, keep=None, out=None):

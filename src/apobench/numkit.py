@@ -2,18 +2,6 @@
 
 Everything operates on plain float64 numpy arrays in row-major layout.
 
-Vectorization convention
-------------------------
-``vec_cm`` stacks matrix COLUMNS (Fortran order).  With this convention the
-Kronecker identity
-
-    (A kron B) @ vec_cm(X) == vec_cm(B @ X @ A.T)
-
-holds exactly, which is what makes the structured-preconditioner
-factorization and its efficient application interchangeable.  Do not mix
-``vec_cm`` with numpy's default C-order ``ravel`` when moving between the
-dense and factored representations.
-
 SPD solves
 ----------
 ``cholesky_spd`` factors with numpy's LAPACK.  numpy does not say which
@@ -67,20 +55,6 @@ def kron_dense(a, b):
             f"kron_dense result {p * r}x{q * s} exceeds guard {KRON_MAX_EXTENT}"
         )
     return np.kron(a, b)
-
-
-def vec_cm(m):
-    """Column-stacking vectorization (see module docstring)."""
-    m = as_matrix(m, "m")
-    return m.reshape(-1, order="F").copy()
-
-
-def unvec_cm(v, p, q):
-    """Inverse of vec_cm for a p x q matrix."""
-    v = np.asarray(v, dtype=FLOAT).reshape(-1)
-    if v.size != p * q:
-        raise DimensionError(f"vector of length {v.size} cannot fill {p}x{q}")
-    return v.reshape((p, q), order="F").copy()
 
 
 def _require_symmetric(m, name, tol=1e-8):

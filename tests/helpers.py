@@ -54,6 +54,12 @@ def fsd_value(model, theta_new, theta_old, inputs, kind):
     return float(np.mean(divergence(model, kind).value_and_grad(y_new, y_old)[0]))
 
 
+def wsd(theta_new, theta_old):
+    """0.5 * sum of squared parameter differences, biases included: the wsd
+    term of the proximal objective, evaluated on its own."""
+    return 0.5 * theta_new.sq_norm(theta_new.flat - theta_old.flat)
+
+
 def write_dataset_csv(features, targets, path):
     """Write a dataset in the CSV ingestion convention: no header, target last."""
     np.savetxt(path, np.column_stack([features, targets]), delimiter=",", fmt="%.17g")

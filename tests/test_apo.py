@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from apobench import apo, diffnet, numkit
 from apobench.apo import (DIVERGENCES, KfacSettings, LrPhi, ProximalConfig, apo_train,
                           default_precond_config, loss_and_grad, meta_gradient, meta_step,
-                          proximal_value_and_grad, wsd)
+                          proximal_value_and_grad)
 from apobench.baseopt import KINDS, BaseOptKind, init_state, update_direction
 from apobench.diffnet import Batch, LayerSpec, Model, ParamSet, init_params, mlp
 from apobench.errors import (ContractError, DimensionError, NumericalError,
@@ -22,7 +22,7 @@ from apobench.kronprecond import DEFAULT_SCALE, init_identity
 from apobench import tasks
 from apobench.harness import config, runner
 
-from helpers import fd_scalar_fn, fsd_value, rel_err
+from helpers import fd_scalar_fn, fsd_value, rel_err, wsd
 
 
 def quadratic_setup():

@@ -1,4 +1,5 @@
-"""Every name a module under src/ or tests/ imports is read in that module."""
+"""Every name a module under src/ or tests/ imports is read in that module,
+and every top-level function and class under src/ is read somewhere in src/."""
 
 import ast
 import pathlib
@@ -21,6 +22,22 @@ def unused_imports(source):
     return sorted(imported - read)
 
 
+def dead_definitions(sources):
+    """"path:name" of each top-level function or class in sources, a
+    {path: source text} map, that no source reads by name (a loaded
+    ast.Name or an ast.Attribute), sorted."""
+    trees = {path: ast.parse(source) for path, source in sources.items()}
+    read = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    return sorted(f"{path}:{node.name}" for path, tree in trees.items() for node in tree.body
+                  if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name not in read)
+
+
 def test_unused_import_scan_flags_dead_names():
     source = ("from __future__ import annotations\n"
               "import os.path\nimport json as js\nfrom a import b as c, d\n"
@@ -34,3 +51,16 @@ def test_src_and_tests_import_no_unused_names():
     unused = {str(path.relative_to(ROOT)): names for path in files
               if (names := unused_imports(path.read_text(encoding="utf-8")))}
     assert unused == {}
+
+
+def test_dead_definition_scan_flags_unread_top_level_names():
+    sources = {"a.py": ("def called():\n    def inner(): pass\n"
+                        "def dead(): pass\nclass Used: pass\nclass Patched: pass\n"),
+               "b.py": "import a\na.called()\nx = Used\ndead = 1\nPatched.attr = 2\n"}
+    assert dead_definitions(sources) == ["a.py:dead"]
+
+
+def test_src_defines_no_unread_function_or_class():
+    files = sorted((ROOT / "src").rglob("*.py"))
+    assert dead_definitions({str(path.relative_to(ROOT)): path.read_text(encoding="utf-8")
+                             for path in files}) == []

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,9 +8,11 @@ from hypothesis import strategies as st
 from apobench import numkit
 from apobench.diffnet import ParamSet, init_params, mlp
 from apobench.errors import DimensionError, OracleScaleError
-from apobench.kronprecond import (KronBlocks, PrecondPhi, apply_precond,
+from apobench.kronprecond import (DEFAULT_SCALE, KronBlocks, PrecondPhi, apply_precond,
                                   apply_precond_update, dense_precond, init_identity)
-from apobench.numkit import sym_eig_min, unvec_cm, vec_cm
+from apobench.numkit import sym_eig_min
+
+from helpers import rel_err
 
 
 def random_blocks(rng, fan_in, fan_out):
@@ -19,8 +23,7 @@ def random_blocks(rng, fan_in, fan_out):
 
 def dense_apply(blocks, grad):
     """Oracle route: multiply by the materialized preconditioner."""
-    p = dense_precond(blocks)
-    return unvec_cm(p @ vec_cm(grad), *grad.shape)
+    return (dense_precond(blocks) @ grad.ravel()).reshape(grad.shape)
 
 
 def test_identity_blocks_leave_gradient_unchanged():
@@ -59,7 +62,7 @@ def test_equivalence_and_psd_property(seed, fan_in, fan_out):
     assert np.abs(p - p.T).max() <= 1e-10 * max(1.0, np.abs(p).max())
     assert sym_eig_min(0.5 * (p + p.T)) >= -1e-10
     # descent direction: the quadratic form is nonnegative
-    v = vec_cm(g)
+    v = g.ravel()
     assert v @ p @ v >= -1e-10 * max(1.0, np.abs(p).max() * (v @ v))
 
 
@@ -211,6 +214,27 @@ def test_linearize_is_bitwise_the_update_and_an_unshared_vjp(widths, bias, seed,
             assert np.array_equal(got, unshared)
         if d is not None:
             assert np.array_equal(dout, 2.0 * d * gb * (-scale * vb))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.integers(1, 6), min_size=2, max_size=4), st.booleans(),
+       st.integers(0, 2**32 - 1))
+def test_update_is_dense_precond_on_layer_slices_of_flat(widths, bias, seed):
+    """Storage order: per layer, theta' = theta - c P g on the layer's slice of
+    the flat vectors, P = dense_precond(blocks); each bias b - c d^2 g_b."""
+    theta, g, _, phi = _perturbed_setup(widths, bias, seed, DEFAULT_SCALE)
+    c = phi.scale
+    out = apply_precond_update(theta, phi, g).flat
+    i = 0
+    for (w_shape, b_shape), blk, d in zip(theta.layout, phi.blocks, phi.bias_diags):
+        j = i + math.prod(w_shape)
+        ref = theta.flat[i:j] - c * dense_precond(blk) @ g.flat[i:j]
+        assert rel_err(out[i:j], ref) <= 1e-12
+        if b_shape is not None:
+            i, j = j, j + b_shape[0]
+            assert rel_err(out[i:j], theta.flat[i:j] - c * d * d * g.flat[i:j]) <= 1e-12
+        i = j
+    assert i == out.size
 
 
 class MatmulCounter(np.ndarray):

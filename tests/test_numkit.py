@@ -33,37 +33,16 @@ def test_kron_scale_guard():
         numkit.kron_dense(np.ones((32, 1)), np.ones((32, 1)))
 
 
-def test_vec_cm_column_stacking():
-    m = np.array([[1.0, 2.0], [3.0, 4.0]])
-    assert np.array_equal(numkit.vec_cm(m), np.array([1.0, 3.0, 2.0, 4.0]))
-
-
-def test_vec_cm_column_vector_passthrough():
-    v = np.array([[1.0], [2.0], [3.0]])
-    assert np.array_equal(numkit.vec_cm(v), v.ravel())
-
-
-def test_unvec_roundtrip():
-    rng = numkit.make_rng(7)
-    m = rng.standard_normal((3, 5))
-    assert np.array_equal(numkit.unvec_cm(numkit.vec_cm(m), 3, 5), m)
-
-
-def test_unvec_length_mismatch():
-    with pytest.raises(DimensionError):
-        numkit.unvec_cm(np.ones(5), 2, 3)
-
-
 @settings(max_examples=30, deadline=None)
 @given(st.integers(0, 10_000), st.integers(2, 6), st.integers(2, 6))
 def test_kron_vec_identity(seed, q, r):
-    """(A kron B) vec_cm(X) == vec_cm(B X A^T), the convention anchor."""
+    """(B kron A) X.ravel() == (B X A^T).ravel(), the row-major anchor."""
     rng = numkit.make_rng(seed)
     b = rng.standard_normal((q, q))
     x = rng.standard_normal((q, r))
     a = rng.standard_normal((r, r))
-    lhs = numkit.kron_dense(a, b) @ numkit.vec_cm(x)
-    rhs = numkit.vec_cm(b @ x @ a.T)
+    lhs = numkit.kron_dense(b, a) @ x.ravel()
+    rhs = (b @ x @ a.T).ravel()
     assert np.abs(lhs - rhs).max() <= 1e-12 * max(1.0, np.abs(rhs).max())
 
 

@@ -12,7 +12,7 @@ from apobench.diffnet import (Batch, LayerSpec, Model, ParamSet, forward,
 from apobench.errors import ContractError, ConvergenceError, NumericalError
 from apobench.harness import checks
 
-from helpers import fsd_value, rel_err
+from helpers import fsd_value, rel_err, wsd
 
 
 # ---------------------------------------------------------- fsd_hessian_exact
@@ -269,7 +269,6 @@ def test_exact_ppm_monotone_descent_invariant():
     u = oracles.exact_ppm_solve(model, theta, batch, 0.5, 0.5, fsd_inputs, tol=1e-9)
 
     def inner(params):
-        from apobench.apo import wsd
         loss, _ = loss_and_grad(model, params, batch)
         return (loss + 0.5 * fsd_value(model, params, theta, fsd_inputs,
                                        "kl-gaussian-unit-variance")
