@@ -30,13 +30,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ContractError, DimensionError, NumericalError, OracleScaleError
-from .numkit import FLOAT
+from .errors import ContractError, DimensionError, NumericalError
+from .numkit import FLOAT, require_oracle_scale
 
 ACTIVATIONS = ("linear", "relu", "sigmoid")
 HEADS = ("regression-gaussian-unit-variance", "classification-softmax")
-
-JACOBIAN_MAX_PARAMS = 2000
 
 
 @dataclass(frozen=True)
@@ -175,9 +173,6 @@ class ParamSet:
 
     def copy(self):
         return self.map(np.copy)
-
-    def zeros_like(self):
-        return self.map(np.zeros_like)
 
     def dot(self, other):
         """Sum of the per-array dot products in layout order; ``other`` is a
@@ -390,9 +385,7 @@ def per_example_jacobian(model, params, inputs):
     per layer).  From one preact_jacobians sweep: a weight block is the outer
     product of the layer input with ds, a bias block is ds itself.
     """
-    m = params.size
-    if m > JACOBIAN_MAX_PARAMS:
-        raise OracleScaleError(f"per_example_jacobian limited to {JACOBIAN_MAX_PARAMS} params, got {m}")
+    require_oracle_scale("per_example_jacobian", params.size)
     _, trace, ds = preact_jacobians(model, params, inputs)
     blocks = []
     for spec, a, d in zip(model.layers, trace.layer_inputs, ds):

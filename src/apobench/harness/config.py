@@ -155,6 +155,9 @@ def parse_config(doc):
     for ok, message, pointer in (
             (not kfac or mode == "none",
              "the kfac baseline only runs with mode 'none'", "/base_opt/kind"),
+            (mode != "apo-precond" or cfg.base_opt.kind == "sgd",
+             "apo-precond steps with its preconditioner, so base_opt.kind must be 'sgd'",
+             "/base_opt/kind"),
             (cfg.init_lr is None or cfg.init_lr > 0, "init_lr must be a positive number",
              "/init_lr"),
             (cfg.kfac.damping >= 0, "damping must be nonnegative", "/kfac/damping"),

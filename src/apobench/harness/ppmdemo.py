@@ -31,7 +31,7 @@ from .checks import result
 
 DEFAULT_SETTINGS = ((1e6, 1e6), (0.0, 1.0), (100.0, 0.0))
 CSV_COLUMNS = ("lambda_fsd", "lambda_wsd", "x", "f_before", "f_after")
-WINDOW = 0.5
+X0, BUMP, WINDOW = 0.0, 1.0, 0.5  # the new example, its lift, the spike window
 
 
 def _base_inputs():
@@ -40,40 +40,40 @@ def _base_inputs():
     return np.concatenate([left, right])[:, None]
 
 
-def _fit_base_model(seed=0, hidden=48, iters=3000, lr=0.02):
-    """Full-batch Adam at rate lr through apo_train's mode 'none', which steps
-    at exp(log(lr)); that is lr itself for the default 0.02."""
+def _fit_base_model(seed=0):
+    """3,000 steps of full-batch Adam on a 48-unit network through
+    apo_train's mode 'none', which steps at exp(log(0.02)), exactly 0.02."""
     rng = make_rng(seed)
-    model = mlp([1, hidden, 1], activation="sigmoid")
+    model = mlp([1, 48, 1], activation="sigmoid")
     theta = init_params(model, rng)
     x = _base_inputs()
     batch = Batch(x, np.sin(1.5 * x) * 0.8)
     theta = apo_train(model, theta, ProximalConfig(), Task(model, lambda _: batch, None, None),
-                      iters, rng, mode="none", base_kind=BaseOptKind("adam"), init_lr=lr).theta
+                      3000, rng, mode="none", base_kind=BaseOptKind("adam"), init_lr=0.02).theta
     return model, theta, x
 
 
-def ppm_demo(lambda_settings=DEFAULT_SETTINGS, x0=0.0, bump=1.0, seed=0,
-             grid_points=241, tol=1e-8):
-    """Solve the exact proximal update per lambda setting; returns
-    (rows, meta) where rows are (lam_fsd, lam_wsd, x, f_before, f_after)."""
+def ppm_demo(lambda_settings=DEFAULT_SETTINGS, seed=0):
+    """Solve the exact proximal update per lambda setting to tol 1e-8 and
+    read it on a 241-point grid; returns (rows, meta) where rows are
+    (lam_fsd, lam_wsd, x, f_before, f_after)."""
     model, theta, fsd_x = _fit_base_model(seed=seed)
-    grid = np.linspace(-3.0, 3.0, grid_points)[:, None]
+    grid = np.linspace(-3.0, 3.0, 241)[:, None]
     before, _ = forward(model, theta, grid)
-    y0_before, _ = forward(model, theta, np.array([[x0]]))
-    new_batch = Batch(np.array([[x0]]), np.array([[float(y0_before[0, 0]) + bump]]))
+    y0_before, _ = forward(model, theta, np.array([[X0]]))
+    new_batch = Batch(np.array([[X0]]), np.array([[float(y0_before[0, 0]) + BUMP]]))
 
     rows = []
     per_setting = {}
     for lam_fsd, lam_wsd in lambda_settings:
         u = exact_ppm_solve(model, theta, new_batch, lam_fsd, lam_wsd, fsd_x,
-                            tol=tol, fsd_kind="kl-gaussian-unit-variance")
+                            tol=1e-8, fsd_kind="kl-gaussian-unit-variance")
         after, _ = forward(model, u, grid)
         per_setting[(lam_fsd, lam_wsd)] = (grid[:, 0].copy(), before[:, 0].copy(),
                                            after[:, 0].copy())
         for xi, fb, fa in zip(grid[:, 0], before[:, 0], after[:, 0]):
             rows.append((lam_fsd, lam_wsd, float(xi), float(fb), float(fa)))
-    meta = {"x0": x0, "bump": bump, "window": WINDOW,
+    meta = {"x0": X0, "bump": BUMP, "window": WINDOW,
             "settings": list(lambda_settings), "per_setting": per_setting}
     return rows, meta
 

@@ -28,10 +28,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .diffnet import ParamSet
-from .errors import DimensionError, NumericalError, OracleScaleError
-from .numkit import kron_dense
+from .errors import DimensionError, NumericalError
+from .numkit import require_oracle_scale
 
-DENSE_MAX_DIM = 64
 DEFAULT_SCALE = 0.9
 
 
@@ -118,12 +117,8 @@ def apply_precond(blocks, grad_w, keep=None):
 def dense_precond(blocks):
     """Materialized (B kron A) diag(S.ravel())^2 (B kron A)^T, oracle scale;
     it multiplies a layer's slice of a ParamSet's flat vector."""
-    fan_in, fan_out = blocks.s.shape
-    if fan_in * fan_out > DENSE_MAX_DIM:
-        raise OracleScaleError(
-            f"dense_precond limited to {DENSE_MAX_DIM} rows, got {fan_in * fan_out}"
-        )
-    ba = kron_dense(blocks.b, blocks.a)
+    require_oracle_scale("dense_precond", blocks.s.size)
+    ba = np.kron(blocks.b, blocks.a)
     return (ba * blocks.s.ravel() ** 2) @ ba.T
 
 

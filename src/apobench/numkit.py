@@ -1,4 +1,7 @@
-"""Dense linear algebra, RNG, and small-matrix spectral utilities.
+"""SPD factorization and solves, the seeded RNG, and the one size limit of
+the package: a dense oracle, which builds matrices over a model's
+parameters, calls ``require_oracle_scale`` at entry; the training path,
+KFAC's factorizations included, has no limit.
 
 Everything operates on plain float64 numpy arrays in row-major layout.
 
@@ -22,11 +25,14 @@ from .errors import ContractError, DimensionError, NumericalError, OracleScaleEr
 
 FLOAT = np.float64
 
-# Oracle-scale guards.  These routines materialize dense objects and are only
-# meant for validating the production code paths at desk scale.
-KRON_MAX_EXTENT = 256
-SOLVE_SPD_MAX_N = 512
-EIG_MAX_N = 256
+ORACLE_MAX_PARAMS = 2000
+
+
+def require_oracle_scale(name, n):
+    """Raise OracleScaleError when the dense oracle name would build an
+    object over n > ORACLE_MAX_PARAMS parameters."""
+    if n > ORACLE_MAX_PARAMS:
+        raise OracleScaleError(f"{name} limited to {ORACLE_MAX_PARAMS} parameters, got {n}")
 
 
 def make_rng(seed):
@@ -34,38 +40,15 @@ def make_rng(seed):
     return np.random.default_rng(np.uint64(seed))
 
 
-def as_matrix(a, name="array"):
-    m = np.asarray(a, dtype=FLOAT)
-    if m.ndim != 2:
-        raise DimensionError(f"{name} must be 2-D, got shape {m.shape}")
-    return m
-
-
-def kron_dense(a, b):
-    """Dense Kronecker product, guarded to oracle scale.
-
-    Block (i, j) of the result equals a[i, j] * b.
-    """
-    a = as_matrix(a, "a")
-    b = as_matrix(b, "b")
-    p, q = a.shape
-    r, s = b.shape
-    if p * r > KRON_MAX_EXTENT or q * s > KRON_MAX_EXTENT:
-        raise OracleScaleError(
-            f"kron_dense result {p * r}x{q * s} exceeds guard {KRON_MAX_EXTENT}"
-        )
-    return np.kron(a, b)
-
-
-def _require_symmetric(m, name, tol=1e-8):
-    m = as_matrix(m, name)
-    if m.shape[0] != m.shape[1]:
-        raise DimensionError(f"{name} must be square, got {m.shape}")
+def _require_symmetric(m):
+    m = np.asarray(m, dtype=FLOAT)
+    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+        raise DimensionError(f"matrix must be square, got shape {m.shape}")
     scale = np.abs(m).max()  # nan or inf when an entry is
     if not np.isfinite(scale):
-        raise NumericalError(f"{name} has a non-finite entry")
-    if np.abs(m - m.T).max() > tol * max(scale, 1.0):
-        raise ContractError(f"{name} is not symmetric within {tol} relative")
+        raise NumericalError("matrix has a non-finite entry")
+    if np.abs(m - m.T).max() > 1e-8 * max(scale, 1.0):
+        raise ContractError("matrix is not symmetric within 1e-8 relative")
     return m
 
 
@@ -87,10 +70,8 @@ def cholesky_spd(m):
     """Cholesky factor of a symmetric positive-definite m.  Raises
     NumericalError on a non-finite entry, or with the 1-based index of the
     first failing pivot, found in at most ceil(log2 n) more factorizations."""
-    m = _require_symmetric(m, "m")
+    m = _require_symmetric(m)
     n = m.shape[0]
-    if n > SOLVE_SPD_MAX_N:
-        raise OracleScaleError(f"cholesky_spd limited to n <= {SOLVE_SPD_MAX_N}, got {n}")
     try:
         return CholeskyFactor(np.linalg.cholesky(m))
     except np.linalg.LinAlgError:
@@ -115,14 +96,6 @@ def solve_spd(m, rhs):
     if rhs.shape[0] != n:
         raise DimensionError(f"rhs length {rhs.shape[0]} does not match n={n}")
     return factor.inverse @ rhs
-
-
-def sym_eig_min(m):
-    """Smallest eigenvalue of a symmetric matrix."""
-    m = _require_symmetric(m, "m")
-    if m.shape[0] > EIG_MAX_N:
-        raise OracleScaleError(f"sym_eig_min limited to n <= {EIG_MAX_N}, got {m.shape[0]}")
-    return float(np.linalg.eigvalsh(m)[0])
 
 
 def rand_orthogonal(rng, n):

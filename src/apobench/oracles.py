@@ -3,11 +3,11 @@ optimizers: the exact proximal point, the closed-form proximal step (damped
 Newton is its lam_fsd = 1 case on the loss Hessian), dense discrepancy
 Hessians, the optimal dense preconditioner, and KFAC.
 
-Everything here is oracle-scale: dense matrices, guards on the parameter
-count, and exact curvature as one contraction over the per-example
-Jacobians of diffnet.preact_jacobians (one forward, d_out backwards).  The
-exact proximal point is solved by Levenberg-Marquardt on that Gauss-Newton
-curvature, so it is limited to numkit.SOLVE_SPD_MAX_N parameters.
+Everything here is oracle-scale: dense matrices over the parameters, each
+oracle refusing more than numkit.ORACLE_MAX_PARAMS of them at entry, and
+exact curvature as one contraction over the per-example Jacobians of
+diffnet.preact_jacobians (one forward, d_out backwards).  The exact proximal
+point is solved by Levenberg-Marquardt on that Gauss-Newton curvature.
 Training calls into this module only for the KFAC base optimizer, whose
 steps apo_train takes with kfac_statistics and kfac_update: the statistics
 refresh every update_every-th step and factor their damped blocks, so every
@@ -25,10 +25,8 @@ import numpy as np
 
 from .apo import HEAD_LOSS_CURVATURE, divergence, loss_and_grad, proximal_value_and_grad
 from .diffnet import backward, forward, per_example_jacobian, preact_jacobians, predictive
-from .errors import ContractError, ConvergenceError, NumericalError, OracleScaleError
-from .numkit import FLOAT, cholesky_spd, solve_spd
-
-HESSIAN_MAX_PARAMS = 2000
+from .errors import ContractError, ConvergenceError, NumericalError
+from .numkit import FLOAT, cholesky_spd, require_oracle_scale, solve_spd
 
 
 def _mean_sandwich(jac, hessians):
@@ -45,9 +43,6 @@ def fsd_hessian_exact(model, params, inputs, kind=None):
     divergence.
     """
     hessians = divergence(model, kind).hessian
-    m = params.size
-    if m > HESSIAN_MAX_PARAMS:
-        raise OracleScaleError(f"fsd_hessian_exact limited to {HESSIAN_MAX_PARAMS} params, got {m}")
     outputs, _ = forward(model, params, inputs)
     g = _mean_sandwich(per_example_jacobian(model, params, inputs), hessians(outputs))
     return 0.5 * (g + g.T)
@@ -99,18 +94,22 @@ def approx_ppm_update(theta, g, curvature, lam_fsd, lam_wsd):
     return theta.from_flat(theta.flat - solve_spd(reg, g.flat))
 
 
-def loss_hessian_fd(model, theta, batch, h=1e-5):
-    """Dense loss Hessian by central differences of the exact gradient."""
-    flat, m = theta.flat, theta.size
-    if m > HESSIAN_MAX_PARAMS:
-        raise OracleScaleError(f"loss_hessian_fd limited to {HESSIAN_MAX_PARAMS} params")
-    out = np.zeros((m, m))
-    for i in range(m):
-        e = np.zeros(m)
+def fd_jacobian(fn, x0, h):
+    """Central-difference Jacobian of fn at the flat vector x0: column i is
+    (fn(x0 + h e_i) - fn(x0 - h e_i)) / 2h, so a scalar fn gives its gradient."""
+    cols = []
+    for i in range(x0.size):
+        e = np.zeros_like(x0)
         e[i] = h
-        _, gp = loss_and_grad(model, theta.from_flat(flat + e), batch)
-        _, gm = loss_and_grad(model, theta.from_flat(flat - e), batch)
-        out[:, i] = (gp.flat - gm.flat) / (2 * h)
+        cols.append((fn(x0 + e) - fn(x0 - e)) / (2 * h))
+    return np.stack(cols, axis=-1)
+
+
+def loss_hessian_fd(model, theta, batch):
+    """Dense loss Hessian by central differences (step 1e-5) of the exact gradient."""
+    require_oracle_scale("loss_hessian_fd", theta.size)
+    out = fd_jacobian(lambda x: loss_and_grad(model, theta.from_flat(x), batch)[1].flat,
+                      theta.flat, 1e-5)
     return 0.5 * (out + out.T)
 
 
@@ -128,11 +127,12 @@ def exact_ppm_solve(model, theta, batch, lam_fsd, lam_wsd, fsd_inputs,
     ||dQ/du|| <= tol or Q(u) <= tol * Q(theta), which bounds Q(u) - min Q
     since every term of Q is >= 0.  Raises ConvergenceError (with the
     gradient norm) after max_iter objective evaluations or when a step no
-    longer moves u, and OracleScaleError above 512 parameters
-    (SOLVE_SPD_MAX_N).
+    longer moves u, and OracleScaleError above numkit.ORACLE_MAX_PARAMS
+    parameters.
     """
     if tol <= 0:
         raise ContractError("tol must be positive")
+    require_oracle_scale("exact_ppm_solve", theta.size)
     divergence(model, fsd_kind)  # rejects an unknown kind before the first step
     loss_kind = HEAD_LOSS_CURVATURE[model.head]
 

@@ -33,6 +33,8 @@ TASK_PARAMS = {
     "uci-csv": {"path": "string", "hidden": "int"},
 }
 TASK_KINDS = tuple(TASK_PARAMS)
+# The kinds whose builder draws its dataset, of TaskSpec.dataset_size rows.
+SIZED_KINDS = ("synth-regression", "synth-classification", "bottleneck-autoencoder")
 
 
 @dataclass(frozen=True)
@@ -48,8 +50,11 @@ class TaskSpec:
             raise ContractError(f"unknown task kind {self.kind!r}")
         if self.batch_size < 1:
             raise ContractError("batch_size must be >= 1")
-        if self.dataset_size is not None and self.batch_size > self.dataset_size:
-            raise ContractError("batch_size cannot exceed dataset_size")
+        if self.dataset_size is not None:
+            if self.kind not in SIZED_KINDS:
+                raise ContractError(f"task kind {self.kind!r} takes no dataset_size")
+            if self.batch_size > self.dataset_size:
+                raise ContractError("batch_size cannot exceed dataset_size")
 
 
 @dataclass
@@ -113,9 +118,9 @@ def illcond_linear_task(d=64, kappa=1e10, seed=0, batch_size=64):
                 extras={"a": a, "sigma": sigma})
 
 
-def _standardize(x, axis=0):
-    mean = x.mean(axis=axis)
-    std = x.std(axis=axis)
+def _standardize(x):
+    mean = x.mean(axis=0)
+    std = x.std(axis=0)
     floored = np.maximum(std, SIGMA_FLOOR)
     if np.any(std < SIGMA_FLOOR):
         warnings.warn("constant column standardized to zeros", stacklevel=2)
@@ -243,18 +248,15 @@ def uci_task(path, batch_size=32, hidden=16, seed=0):
     return _finite_dataset_task(batch_size, model, features, targets, {"report": report})
 
 
+BUILDERS = {"illcond-linear": illcond_linear_task, "synth-regression": synth_regression_task,
+            "synth-classification": synth_classification_task,
+            "bottleneck-autoencoder": bottleneck_autoencoder_task, "uci-csv": uci_task}
+
+
 def build_task(spec):
     """Construct a task from its spec (harness entry point); spec.params are
-    keyword arguments of the kind's builder, as listed in TASK_PARAMS."""
-    p, common = dict(spec.params), {"seed": spec.seed, "batch_size": spec.batch_size}
-    if spec.kind == "illcond-linear":
-        return illcond_linear_task(**p, **common)
-    if spec.kind == "synth-regression":
-        return synth_regression_task(n=spec.dataset_size or 512, **p, **common)
-    if spec.kind == "synth-classification":
-        return synth_classification_task(n=spec.dataset_size or 512, **p, **common)
-    if spec.kind == "bottleneck-autoencoder":
-        return bottleneck_autoencoder_task(n=spec.dataset_size or 256, **p, **common)
-    if spec.kind == "uci-csv":
-        return uci_task(**p, **common)
-    raise ContractError(f"unknown task kind {spec.kind!r}")
+    keyword arguments of the kind's builder, as listed in TASK_PARAMS, and a
+    set dataset_size is its n."""
+    sized = {} if spec.dataset_size is None else {"n": spec.dataset_size}
+    return BUILDERS[spec.kind](**spec.params, **sized, seed=spec.seed,
+                               batch_size=spec.batch_size)

@@ -26,7 +26,7 @@ def small_batch(rng, model, n=5, classification=False):
 
 def test_forward_zero_params_zero_output():
     model = mlp([3, 4, 2], activation="relu")
-    theta = init_params(model, numkit.make_rng(0)).zeros_like()
+    theta = init_params(model, numkit.make_rng(0)).map(np.zeros_like)
     out, _ = forward(model, theta, np.ones((4, 3)))
     assert np.array_equal(out, np.zeros((4, 2)))
 

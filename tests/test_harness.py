@@ -111,9 +111,10 @@ def test_parse_defaults_by_mode():
     # an omitted field takes the default of the object that owns it
     for mode, defaults in (("none", ProximalConfig), ("apo-lr", ProximalConfig),
                            ("apo-precond", default_precond_config)):
-        cfg = parse_config(synth_doc(mode=mode))
+        base = "sgd" if mode == "apo-precond" else "sgd-momentum"
+        cfg = parse_config(synth_doc(mode=mode, base_opt={"kind": base}))
         assert cfg.proximal == defaults()
-        assert cfg.base_opt == BaseOptKind("sgd-momentum")
+        assert cfg.base_opt == BaseOptKind(base)
         assert cfg.kfac == KfacSettings()
 
 
@@ -127,6 +128,43 @@ def test_parse_rejects_uci_csv_without_existing_path(tmp_path):
     write_dataset_csv(np.arange(20.0).reshape(10, 2), np.arange(10.0), path)
     doc = synth_doc(task={"kind": "uci-csv", "batch_size": 8, "params": {"path": str(path)}})
     assert parse_config(doc).task.params["path"] == str(path)
+
+
+def _unsized_task(kind, tmp_path, **fields):
+    """A task object of a kind whose builder does not draw its data."""
+    params = {}
+    if kind == "uci-csv":
+        params["path"] = str(tmp_path / "data.csv")
+        write_dataset_csv(np.arange(20.0).reshape(10, 2), np.arange(10.0), params["path"])
+    return {"kind": kind, "batch_size": 8, "params": params, **fields}
+
+
+@pytest.mark.parametrize("kind", ["illcond-linear", "uci-csv"])
+def test_parse_rejects_dataset_size_a_kind_ignores(tmp_path, kind):
+    """A size the builder would never read is an error, not silently dropped."""
+    doc = synth_doc(task=_unsized_task(kind, tmp_path, dataset_size=100000))
+    with pytest.raises(ConfigError, match="takes no dataset_size") as err:
+        parse_config(doc)
+    assert err.value.pointer == "/task"
+    assert parse_config(synth_doc(task=_unsized_task(kind, tmp_path))).task.dataset_size is None
+
+
+@pytest.mark.parametrize("kind", ["illcond-linear", "uci-csv"])
+def test_parse_names_the_ignored_dataset_size_below_batch_size(tmp_path, kind):
+    """Below batch_size the error names the ignored field, not the batch size."""
+    doc = synth_doc(task=_unsized_task(kind, tmp_path, dataset_size=4))
+    with pytest.raises(ConfigError, match="takes no dataset_size"):
+        parse_config(doc)
+
+
+@pytest.mark.parametrize("kind", ["sgd-momentum", "rmsprop", "adam"])
+def test_parse_rejects_a_base_kind_apo_precond_ignores(kind):
+    """apo-precond steps theta with its preconditioner, not the base kind."""
+    with pytest.raises(ConfigError) as err:
+        parse_config(synth_doc(mode="apo-precond", base_opt={"kind": kind}))
+    assert err.value.pointer == "/base_opt/kind"
+    for base in ({"kind": "sgd", "weight_decay": 0.1}, {}):
+        assert parse_config(synth_doc(mode="apo-precond", base_opt=base)).base_opt.kind == "sgd"
 
 
 @pytest.mark.parametrize("kind,params,pointer", [
@@ -207,15 +245,19 @@ PARAM_VALUES = {"int": st.integers(2, 6), "number": _numbers(1.0, 20.0),
 @st.composite
 def config_docs(draw, csv_path):
     """Valid documents: every task kind, mode and base kind, sections left out
-    or null, integers in number fields, fsd_kind left out, null or given."""
+    or null, integers in number fields, fsd_kind left out, null or given;
+    dataset_size only on a kind that draws its data, and under apo-precond
+    no base kind but sgd."""
     kind = draw(st.sampled_from(tasks.TASK_KINDS))
     params = draw(_optional(**{key: PARAM_VALUES[t] for key, t in
                                tasks.TASK_PARAMS[kind].items() if t != "string"}))
     if kind == "uci-csv":
         params["path"] = csv_path
     task = {"kind": kind, **draw(_optional(
-        batch_size=st.integers(1, 8), dataset_size=st.one_of(st.none(), st.integers(32, 64)),
-        seed=st.integers(0, 9), params=st.one_of(st.none(), st.just(params))))}
+        batch_size=st.integers(1, 8), seed=st.integers(0, 9),
+        params=st.one_of(st.none(), st.just(params)),
+        **({"dataset_size": st.one_of(st.none(), st.integers(32, 64))}
+           if kind in tasks.SIZED_KINDS else {})))}
     if kind == "uci-csv":
         task["params"] = params
     mode = draw(st.sampled_from(MODES))
@@ -229,7 +271,8 @@ def config_docs(draw, csv_path):
     kfac = _optional(damping=_numbers(0.0, 1.0), update_every=st.integers(1, 9),
                      ema_decay=st.floats(0.0, 0.99))
     doc = {"task": task, "mode": mode, **draw(_optional(
-        base_opt=st.one_of(st.none(), _optimizer(BASE_KINDS)),
+        base_opt=st.one_of(st.none(), _optimizer(["sgd"] if mode == "apo-precond"
+                                                 else BASE_KINDS)),
         proximal=st.one_of(st.none(), proximal),
         init_lr=st.one_of(st.none(), _numbers(1e-4, 1.0)),
         kfac=st.one_of(st.none(), kfac), steps=st.integers(1, 500),
@@ -385,6 +428,15 @@ def test_run_kfac_int_rate_logs_a_float(tmp_path):
     outcome = run(cfg, tmp_path / "kfac")
     lines = open(outcome.metrics_path).read().splitlines()
     assert [line.split(",")[4] for line in lines] == ["lr", "1.0", "1.0", "1.0"]
+
+
+def test_run_kfac_trains_a_layer_wider_than_any_former_guard(tmp_path):
+    """A 600-wide hidden layer factors 601 x 601 damped blocks each refresh;
+    the training path has no oracle-scale limit."""
+    doc = synth_doc(task={"kind": "synth-regression", "params": {"hidden": 600}},
+                    base_opt={"kind": "kfac"}, steps=2)
+    outcome = run(parse_config(doc), tmp_path / "wide")
+    assert len(open(outcome.metrics_path).read().splitlines()) == 1 + 2
 
 
 def test_run_classification_reports_accuracy(tmp_path):

@@ -1,5 +1,7 @@
 """Every name a module under src/ or tests/ imports is read in that module,
-and every top-level function and class under src/ is read somewhere in src/."""
+every top-level function and class under src/ is read somewhere in src/, and
+the oracle-scale limit is raised in one place and checked only at the dense
+oracles' entry points."""
 
 import ast
 import pathlib
@@ -64,3 +66,42 @@ def test_src_defines_no_unread_function_or_class():
     files = sorted((ROOT / "src").rglob("*.py"))
     assert dead_definitions({str(path.relative_to(ROOT)): path.read_text(encoding="utf-8")
                              for path in files}) == []
+
+
+def functions_where(tree, test):
+    """Names of the innermost functions of tree that hold a node passing test."""
+    found = set()
+
+    def visit(node, where):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.FunctionDef):
+                visit(child, child.name)
+            else:
+                if test(child):
+                    found.add(where)
+                visit(child, where)
+
+    visit(tree, "<module>")
+    return found
+
+
+def _calls(name):
+    def test(node):
+        func = getattr(node, "func", None)
+        return isinstance(node, ast.Call) and name in (getattr(func, "id", None),
+                                                        getattr(func, "attr", None))
+    return test
+
+
+def test_oracle_scale_is_raised_once_and_checked_only_at_dense_oracles():
+    raises, checks = set(), set()
+    for path in sorted((ROOT / "src").rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        raising = _calls("OracleScaleError")
+        raises |= {f"{path.name}:{f}" for f in functions_where(
+            tree, lambda n: isinstance(n, ast.Raise) and n.exc is not None and raising(n.exc))}
+        checks |= {f"{path.name}:{f}" for f in functions_where(
+            tree, _calls("require_oracle_scale"))}
+    assert raises == {"numkit.py:require_oracle_scale"}
+    assert checks == {"diffnet.py:per_example_jacobian", "oracles.py:loss_hessian_fd",
+                      "oracles.py:exact_ppm_solve", "kronprecond.py:dense_precond"}

@@ -9,8 +9,9 @@ from apobench import diffnet, numkit, oracles
 from apobench.apo import DIVERGENCES, loss_and_grad
 from apobench.diffnet import (Batch, LayerSpec, Model, ParamSet, forward,
                               init_params, mlp, predictive)
-from apobench.errors import ContractError, ConvergenceError, NumericalError
+from apobench.errors import ContractError, ConvergenceError, NumericalError, OracleScaleError
 from apobench.harness import checks
+from apobench.kronprecond import KronBlocks, dense_precond
 
 from helpers import fsd_value, rel_err, wsd
 
@@ -42,7 +43,7 @@ def test_fsd_hessian_symmetric_psd():
     g = oracles.fsd_hessian_exact(model, theta, rng.standard_normal((6, 3)),
                                   "kl-categorical")
     assert np.abs(g - g.T).max() < 1e-12
-    assert numkit.sym_eig_min(g) >= -1e-8
+    assert np.linalg.eigvalsh(g)[0] >= -1e-8
 
 
 def test_fsd_hessian_matches_fd_of_fsd():
@@ -156,7 +157,7 @@ def test_qhat_gradient_matches_fd():
 
 def test_approx_ppm_zero_gradient_no_move():
     theta = ParamSet.from_layers([(np.array([[1.0, 2.0]]), None)])
-    g = theta.zeros_like()
+    g = theta.map(np.zeros_like)
     out = oracles.approx_ppm_update(theta, g, np.eye(2), 1.0, 1.0)
     assert np.array_equal(out.to_flat(), theta.to_flat())
 
@@ -206,7 +207,7 @@ def test_damped_newton_hand_value():
 
 def test_damped_newton_zero_gradient():
     theta = ParamSet.from_layers([(np.array([[3.0]]), None)])
-    out = oracles.approx_ppm_update(theta, theta.zeros_like(), np.array([[2.0]]), 1.0, 1.0)
+    out = oracles.approx_ppm_update(theta, theta.map(np.zeros_like), np.array([[2.0]]), 1.0, 1.0)
     assert out.weights[0][0, 0] == 3.0
 
 
@@ -317,7 +318,8 @@ def test_kfac_blocks_shapes_with_bias():
     assert a1.shape == (4, 4) and b1.shape == (4, 4)
     assert a2.shape == (5, 5) and b2.shape == (2, 2)
     for blk in (a1, b1, a2, b2):
-        assert numkit.sym_eig_min(blk) >= -1e-8
+        assert np.abs(blk - blk.T).max() <= 1e-12 * np.abs(blk).max()
+        assert np.linalg.eigvalsh(blk)[0] >= -1e-8
 
 
 def test_kfac_single_example_input_stat():
@@ -537,3 +539,28 @@ def test_oracles_deterministic_given_seed():
     a = checks.verify_kfac_recovery(numkit.make_rng(19))
     b = checks.verify_kfac_recovery(numkit.make_rng(19))
     assert a == b
+
+
+@pytest.mark.parametrize("oracle", ["per_example_jacobian", "fsd_hessian_exact",
+                                    "loss_hessian_fd", "exact_ppm_solve", "dense_precond"])
+def test_dense_oracles_refuse_one_parameter_past_the_limit(monkeypatch, oracle):
+    """numkit.ORACLE_MAX_PARAMS is each dense oracle's one limit, checked at
+    entry: the exact proximal point refuses before its first objective."""
+    n = numkit.ORACLE_MAX_PARAMS + 1
+    model = Model((LayerSpec(n, 1, "linear", has_bias=False),),
+                  "regression-gaussian-unit-variance")
+    theta = init_params(model, numkit.make_rng(0))
+    batch = Batch(np.ones((2, n)), np.ones((2, 1)))
+    monkeypatch.setattr(oracles, "proximal_value_and_grad", None)
+    calls = {
+        "per_example_jacobian": lambda: diffnet.per_example_jacobian(model, theta, batch.inputs),
+        "fsd_hessian_exact": lambda: oracles.fsd_hessian_exact(model, theta, batch.inputs),
+        "loss_hessian_fd": lambda: oracles.loss_hessian_fd(model, theta, batch),
+        "exact_ppm_solve": lambda: oracles.exact_ppm_solve(model, theta, batch, 1.0, 1.0,
+                                                           batch.inputs),
+        # a 23 x 87 layer: 2,001 weights
+        "dense_precond": lambda: dense_precond(KronBlocks(np.eye(87), np.eye(23),
+                                                          np.ones((23, 87)))),
+    }
+    with pytest.raises(OracleScaleError, match=f"limited to {n - 1} parameters, got {n}"):
+        calls[oracle]()

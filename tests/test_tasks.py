@@ -87,7 +87,7 @@ def test_synth_classification_standardized():
 
 def test_autoencoder_zero_weights_closed_form():
     task = tasks.bottleneck_autoencoder_task(n=64, seed=10)
-    theta = init_params(task.model, numkit.make_rng(0)).zeros_like()
+    theta = init_params(task.model, numkit.make_rng(0)).map(np.zeros_like)
     out, _ = forward(task.model, theta, np.zeros((1, 16)))
     assert np.abs(out - 0.5).max() < 1e-15
     from apobench.diffnet import loss_eval
