@@ -12,16 +12,20 @@ base direction delta held fixed.  The loss term defaults to the same batch B
 that produced g (the fresh-batch variant exists as an ablation and exhibits
 the classic rapid learning-rate collapse).
 
+Every base kind yields a direction Delta (baseopt).  apply_lr_update takes
+theta - rate * Delta in mode none (rate init_lr, no phi), in apo-lr (init_lr
+until the first meta step, phi's exp(log_lr) after each) and in apo-precond's
+SGDm warm-up; otherwise apo-precond steps with phi.update.  A training row
+logs the rate, or phi.scalar() under apo-precond.
+
 Both phi types are ParamSets, so the meta-optimizer steps either one through
 its flat vector: LrPhi holds the log learning rate (exp keeps the rate
 positive) and kronprecond.PrecondPhi the Kronecker blocks.  Each owns its
-rule: update(theta, g, delta, out) takes the step, linearize(theta, g, delta)
-also returns the step's vector-Jacobian product in phi, a closure over its
-intermediates, and scalar() is the value a training row logs.  Only the SGDm
-warm-up of preconditioner mode and base kind kfac (oracles.kfac_update) step
-without phi.  The training loop updates theta, phi and the optimizer moments
-in place, each in its own buffer; what a step derives (gradients, theta',
-the meta-gradient, Delta) is fresh.
+rule: update(theta, g, delta, out) takes the step, and linearize(theta, g,
+delta) also returns the step's vector-Jacobian product in phi, a closure
+over its intermediates.  The training loop updates theta, phi and the
+optimizer moments in place, each in its own buffer; what a step derives
+(gradients, theta', the meta-gradient, Delta) is fresh.
 
 Each output divergence rho is defined once, in DIVERGENCES: its per-row
 value with its gradient in the new outputs, from one pass, and its Hessian
@@ -43,7 +47,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .baseopt import BaseOptKind, apply_lr_update, init_state, update_direction
+from .baseopt import (BaseOptKind, KfacSettings, apply_lr_update, init_state, kfac_direction,
+                      kfac_statistics, update_direction)
 from .diffnet import ParamSet, _softmax_parts, backward, forward, loss_value_and_grad, predictive
 from .errors import ContractError, DimensionError, NumericalError, TrainingDivergedError
 from .kronprecond import DEFAULT_SCALE, init_identity
@@ -185,9 +190,6 @@ class LrPhi(ParamSet):
             pass
         raise NumericalError(f"learning rate exp({self.log_lr}) is not finite")
 
-    def scalar(self):
-        return self.lr
-
     def update(self, theta, g, delta, out=None):
         """theta' = theta - lr * delta, into out or a new set; g is unused."""
         if delta is None:
@@ -198,15 +200,6 @@ class LrPhi(ParamSet):
         """(theta', vjp): the update and its vector-Jacobian product in
         log_lr, vjp(v) = d <v, theta'> / d log_lr = -lr <v, delta>."""
         return self.update(theta, g, delta), lambda v: LrPhi(-self.lr * v.dot(delta))
-
-
-@dataclass(frozen=True)
-class KfacSettings:
-    """The kfac base optimizer's damping and statistics refresh."""
-
-    damping: float = 1e-3
-    update_every: int = 5
-    ema_decay: float = 0.95
 
 
 def divergence(model, kind=None):
@@ -323,15 +316,15 @@ def apo_train(model, theta0, cfg, task, steps, rng, mode="apo-lr", base_kind=Non
               init_lr=None, kfac=KfacSettings(), eval_fn=None, eval_every=0):
     """Online meta-learning loop.
 
-    Per iteration t = 1..steps: sample B; every meta_interval-th iteration
-    sample B' (and a separate loss batch under the fresh-loss policy), take
-    one meta-optimizer step on phi through the one-step lookahead; then step
-    theta with phi.update.  In preconditioner mode the first warmup_steps
-    parameter updates use SGDm while phi is still meta-learned.  Base kind
-    kfac (mode none only) steps with oracles.kfac_update at init_lr; theta
-    is a copy of theta0, written in place.  Raises TrainingDivergedError
-    past the loss guard or on a NumericalError, carrying the rows of the
-    steps completed before it.
+    Per iteration t = 1..steps: sample B and take the base direction Delta;
+    every meta_interval-th iteration sample B' (and a separate loss batch
+    under the fresh-loss policy) and take one meta-optimizer step on phi
+    through the one-step lookahead; then step theta as the module docstring
+    says.  apo-precond's first warmup_steps updates use SGDm while phi is
+    still meta-learned.  Base kind kfac runs in mode none only, whose phi is
+    None.  theta is a copy of theta0, written in place.  Raises
+    TrainingDivergedError past the loss guard or on a NumericalError,
+    carrying the rows of the steps completed before it.
     """
     if steps < 1:
         raise ContractError("steps must be >= 1")
@@ -341,27 +334,25 @@ def apo_train(model, theta0, cfg, task, steps, rng, mode="apo-lr", base_kind=Non
         raise DimensionError(f"theta0 layout {theta0.layout} != model layout {model.layout}")
     base_kind = base_kind or BaseOptKind("sgd")
     wd = base_kind.weight_decay
-    lr0 = init_lr if init_lr is not None else DEFAULT_INIT_LR[base_kind.kind]
+    rate = float(init_lr if init_lr is not None else DEFAULT_INIT_LR[base_kind.kind])
     use_kfac = base_kind.kind == "kfac"
-    if use_kfac:
-        if mode != "none":
-            raise ContractError("the kfac base optimizer only runs with mode 'none'")
-        from .oracles import kfac_statistics, kfac_update  # oracles imports apo
-        phi = stats = None
+    if use_kfac and mode != "none":
+        raise ContractError("the kfac base optimizer only runs with mode 'none'")
+    phi = None
+    if mode == "apo-lr":
+        phi = LrPhi(math.log(rate))
     elif mode == "apo-precond":
         phi = init_identity(model, cfg.scale)
-    else:
-        phi = LrPhi(math.log(lr0))
 
     theta = theta0.copy()
     opt_state = init_state(base_kind, theta.flat)
     warmup = cfg.warmup_steps if mode == "apo-precond" else 0
     warm_kind = BaseOptKind("sgd-momentum", beta=0.9)
     warm_state = init_state(warm_kind, theta.flat) if warmup else None
-    meta_state = init_state(cfg.meta_opt, phi.flat) if mode != "none" else None
+    meta_state = init_state(cfg.meta_opt, phi.flat) if phi is not None else None
 
     rows = []
-    delta = last_q = last_fsd = last_wsd = None
+    delta = stats = last_q = last_fsd = last_wsd = None
     for t in range(1, steps + 1):
         batch = task.sample_batch(rng)
         try:
@@ -370,9 +361,12 @@ def apo_train(model, theta0, cfg, task, steps, rng, mode="apo-lr", base_kind=Non
                 raise TrainingDivergedError(f"loss {loss} at step {t}", t, rows)
             if wd:
                 g = g.map2(theta, lambda gg, th: gg + wd * th)
-            if mode != "apo-precond" and not use_kfac:
+            if use_kfac:
+                stats = kfac_statistics(model, theta, batch.inputs, rng, stats, t, kfac)
+                delta = kfac_direction(g, stats.factors)
+            elif mode != "apo-precond":
                 delta = update_direction(base_kind, opt_state, g.flat)
-            if mode != "none" and t % cfg.meta_interval == 0:
+            if phi is not None and t % cfg.meta_interval == 0:
                 batch_bp = task.sample_batch(rng)
                 batch_loss = (task.sample_batch(rng)
                               if cfg.loss_batch_policy == "fresh" else None)
@@ -380,18 +374,19 @@ def apo_train(model, theta0, cfg, task, steps, rng, mode="apo-lr", base_kind=Non
                                                      g=g, delta=delta, batch_loss=batch_loss)
                 last_fsd, last_wsd = parts["fsd"], parts["wsd"]
                 meta_step(phi, meta_state, mgrad, cfg)
-            if use_kfac:
-                stats = kfac_statistics(model, theta, batch.inputs, rng, stats, t, kfac)
-                kfac_update(theta, g, stats.factors, lr0)
-            elif t <= warmup:
+                if mode == "apo-lr":
+                    rate = phi.lr
+            if t <= warmup:
                 wdelta = update_direction(warm_kind, warm_state, g.flat)
                 apply_lr_update(theta, cfg.warmup_lr, wdelta, theta)
+            elif mode == "apo-precond":
+                phi.update(theta, g, None, theta)
             else:
-                phi.update(theta, g, delta, theta)
+                apply_lr_update(theta, rate, delta, theta)
             due = eval_fn is not None and eval_every and (t % eval_every == 0 or t == steps)
             eval_loss = float(eval_fn(theta)) if due else None
-            rows.append(TrainRow(t, loss, last_q, lr0 if use_kfac else phi.scalar(),
-                                 last_fsd, last_wsd, eval_loss))
+            logged = phi.scalar() if mode == "apo-precond" else rate
+            rows.append(TrainRow(t, loss, last_q, logged, last_fsd, last_wsd, eval_loss))
         except NumericalError as exc:
             raise TrainingDivergedError(f"non-finite at step {t}: {exc}", t, rows) from exc
     return TrainResult(rows, theta, phi)

@@ -1,8 +1,12 @@
-"""Base-optimizer update directions (SGD, heavy-ball momentum, RMSprop, Adam).
+"""Base-optimizer update directions (SGD, heavy-ball momentum, RMSprop, Adam,
+KFAC).
 
 A step is split into the unscaled direction Delta and the learning-rate
 application theta' = theta - eta * Delta, so the meta-learning layer can
 treat the optimizer state as a constant while differentiating through eta.
+Every base kind yields its Delta here: update_direction for the four
+elementwise kinds, kfac_direction for kfac, whose state is the KfacStats
+that kfac_statistics refreshes.
 
 Gradients, directions and optimizer buffers are flat float64 vectors (a
 ParamSet's ``flat``, or a meta-parameter vector), so each update is one
@@ -15,13 +19,16 @@ lists.  The direction it returns never shares memory with the gradient.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
+from .diffnet import backward, forward, predictive
 from .errors import ContractError, NumericalError
+from .numkit import cholesky_spd, solve_spd
 
 KINDS = ("sgd", "sgd-momentum", "rmsprop", "adam")
-# kfac has no update direction: apo_train steps it with oracles.kfac_update.
+# kfac's direction needs curvature statistics: kfac_direction, not update_direction.
 BASE_KINDS = KINDS + ("kfac",)
 
 
@@ -121,3 +128,100 @@ def apply_lr_update(params, lr, delta, out=None):
     out (params itself included) and returned; a new set when out is None."""
     flat = np.subtract(params.flat, lr * delta, out=None if out is None else out.flat)
     return params.with_flat(flat) if out is None else out
+
+
+@dataclass(frozen=True)
+class KfacSettings:
+    """The kfac base optimizer's damping and statistics refresh."""
+
+    damping: float = 1e-3
+    update_every: int = 5
+    ema_decay: float = 0.95
+
+
+def _sample_targets(head, outputs, rng):
+    """Targets drawn from the model's predictive distribution (true Fisher)."""
+    if head == "regression-gaussian-unit-variance":
+        return outputs + rng.standard_normal(outputs.shape)
+    if head == "classification-softmax":
+        p = predictive("classification-softmax", outputs)
+        u = rng.random(p.shape[0])
+        # Per row, the first index whose running total reaches u; a total
+        # that rounds to just below 1 can stay under u, so clamp to the last.
+        drawn = np.count_nonzero(np.cumsum(p, axis=1) < u[:, None], axis=1)
+        return np.minimum(drawn, p.shape[1] - 1)
+    raise ContractError(f"cannot sample Fisher targets for head {head!r}")
+
+
+def _nll_seed(head, outputs, targets):
+    """Per-example d NLL / d outputs at the sampled targets (no 1/B)."""
+    if head == "regression-gaussian-unit-variance":
+        return outputs - targets
+    p = predictive("classification-softmax", outputs)
+    seed = p.copy()
+    seed[np.arange(len(outputs)), targets] -= 1.0
+    return seed
+
+
+def kfac_input_moments(model, trace):
+    """Per layer, KFAC's A statistic: the second moment a^T a / B of the
+    layer inputs a of a forward trace, with a column of ones for a bias."""
+    abars = [np.hstack([a, np.ones((len(a), 1))]) if spec.has_bias else a
+             for spec, a in zip(model.layers, trace.layer_inputs)]
+    return [a.T @ a / len(a) for a in abars]
+
+
+def kfac_sampled_blocks(model, params, inputs, rng):
+    """Per-layer KFAC statistics (A, B) on a batch: B is the second moment
+    of the pre-activation gradients of one sampled target per example."""
+    outputs, trace = forward(model, params, inputs)
+    seed = _nll_seed(model.head, outputs, _sample_targets(model.head, outputs, rng))
+    _, ds_list = backward(model, params, trace, seed)
+    return [(a, ds.T @ ds / inputs.shape[0])
+            for a, ds in zip(kfac_input_moments(model, trace), ds_list)]
+
+
+class KfacStats(NamedTuple):
+    """The KFAC state between refreshes: per layer the statistics (A, B) and
+    the Cholesky factors of A + damping I and B + damping I, whose inverses
+    kfac_direction forms once per refresh, on first use, and multiplies by."""
+
+    blocks: list
+    factors: list
+
+
+def kfac_factors(blocks, damping):
+    """Per layer, the Cholesky factors of A + damping I and B + damping I.
+    A block that is not SPD raises NumericalError with its failing pivot."""
+    if damping < 0:
+        raise ContractError("damping must be nonnegative")
+    try:
+        return [tuple(cholesky_spd(m + damping * np.eye(m.shape[0])) for m in pair)
+                for pair in blocks]
+    except NumericalError as exc:
+        raise NumericalError(f"kfac block factorization failed: {exc}",
+                             pivot=exc.pivot) from exc
+
+
+def kfac_statistics(model, params, inputs, rng, stats, t, settings):
+    """The KfacStats for training step t: kfac_sampled_blocks on the first
+    step, then every settings.update_every-th step averaged into stats with
+    decay settings.ema_decay, each refresh factoring its damped blocks
+    (settings.damping) once; stats unchanged on the other steps."""
+    if stats is not None and t % settings.update_every:
+        return stats
+    blocks = kfac_sampled_blocks(model, params, inputs, rng)
+    if stats is not None:
+        d = settings.ema_decay
+        blocks = [(d * a0 + (1 - d) * a1, d * b0 + (1 - d) * b1)
+                  for (a0, b0), (a1, b1) in zip(stats.blocks, blocks)]
+    return KfacStats(blocks, kfac_factors(blocks, settings.damping))
+
+
+def kfac_direction(g, factors):
+    """The fresh flat Delta whose span of each layer's [W; b] (g.stacked())
+    is (A + damping I)^-1 grad(Wbar) (B + damping I)^-1: two solve_spd
+    products with the inverses of kfac_factors' factors, formed once per
+    refresh; B's comes first, so A's lands in Wbar's row-major layout."""
+    return np.concatenate([solve_spd(a_fac, solve_spd(b_fac, gbar.T).T).ravel()
+                           for gbar, (a_fac, b_fac) in zip(g.stacked(), factors)])

@@ -265,7 +265,7 @@ def verify_kfac_recovery(rng):
     params = init_params(model, rng)
 
     def run_instance(name, inputs):
-        blocks = oracles.kfac_blocks(model, params, inputs, exact=True)
+        blocks = oracles.kfac_blocks(model, params, inputs)
         a_stat, b_stat = blocks[0]
         g = oracles.fsd_hessian_exact(model, params, inputs, "kl-gaussian-unit-variance")
         p_star = oracles.optimal_dense_precond(g, 1.0, 0.0)

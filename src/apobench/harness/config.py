@@ -27,9 +27,8 @@ import sys
 from dataclasses import dataclass, field, replace
 from functools import partial
 
-from ..apo import (BATCH_POLICIES, FSD_KINDS, KfacSettings, ProximalConfig,
-                   default_precond_config)
-from ..baseopt import BASE_KINDS, KINDS, BaseOptKind
+from ..apo import BATCH_POLICIES, FSD_KINDS, ProximalConfig, default_precond_config
+from ..baseopt import BASE_KINDS, KINDS, BaseOptKind, KfacSettings
 from ..errors import ConfigError, ContractError
 from ..tasks import TASK_KINDS, TASK_PARAMS, TaskSpec
 

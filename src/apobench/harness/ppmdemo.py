@@ -42,7 +42,7 @@ def _base_inputs():
 
 def _fit_base_model(seed=0):
     """3,000 steps of full-batch Adam on a 48-unit network through
-    apo_train's mode 'none', which steps at exp(log(0.02)), exactly 0.02."""
+    apo_train's mode 'none', which steps at init_lr 0.02 exactly."""
     rng = make_rng(seed)
     model = mlp([1, 48, 1], activation="sigmoid")
     theta = init_params(model, rng)

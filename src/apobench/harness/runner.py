@@ -25,13 +25,14 @@ CSV_COLUMNS = ("step", "train_loss", "eval_loss", "meta_objective", "lr",
 
 
 def write_metrics_csv(path, rows, mode):
-    """Fixed column order, '.' decimals, shortest-roundtrip float repr; the
-    rate or phi norm is a float even when it is an int (a KFAC init_lr)."""
+    """Fixed column order, '.' decimals, shortest-roundtrip float repr; a
+    row's rate (apo_train's float) fills lr, apo-precond's phi norm
+    phi_frobenius_norm."""
     lr_mode = mode in ("none", "apo-lr")
     write_csv(path, CSV_COLUMNS, [
         (r.step, r.train_loss, r.eval_loss, r.meta_objective,
-         float(r.lr_or_phi_norm) if lr_mode else None,
-         None if lr_mode else float(r.lr_or_phi_norm), r.fsd_term, r.wsd_term)
+         r.lr_or_phi_norm if lr_mode else None,
+         None if lr_mode else r.lr_or_phi_norm, r.fsd_term, r.wsd_term)
         for r in rows])
 
 

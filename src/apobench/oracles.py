@@ -1,30 +1,27 @@
 """Reference implementations used to cross-validate the meta-learned
 optimizers: the exact proximal point, the closed-form proximal step (damped
 Newton is its lam_fsd = 1 case on the loss Hessian), dense discrepancy
-Hessians, the optimal dense preconditioner, and KFAC.
+Hessians, the optimal dense preconditioner, and exact KFAC statistics.
 
 Everything here is oracle-scale: dense matrices over the parameters, each
 oracle refusing more than numkit.ORACLE_MAX_PARAMS of them at entry, and
 exact curvature as one contraction over the per-example Jacobians of
 diffnet.preact_jacobians (one forward, d_out backwards).  The exact proximal
 point is solved by Levenberg-Marquardt on that Gauss-Newton curvature.
-Training calls into this module only for the KFAC base optimizer, whose
-steps apo_train takes with kfac_statistics and kfac_update: the statistics
-refresh every update_every-th step and factor their damped blocks, so every
-step costs two products per layer with inverses formed once per refresh.
-The checks that compare these oracles with each other and with the
-meta-learned optimizers (Thm 1, KFAC recovery, the proximal-point limits)
-live in harness.checks.
+No training path imports this module: the KFAC base optimizer lives in
+baseopt, and kfac_blocks here gives its statistics with the target
+integrated out, for the checks.  The checks that compare these oracles with
+each other and with the meta-learned optimizers (Thm 1, KFAC recovery, the
+proximal-point limits) live in harness.checks.
 """
 
 from __future__ import annotations
 
-from typing import NamedTuple
-
 import numpy as np
 
 from .apo import HEAD_LOSS_CURVATURE, divergence, loss_and_grad, proximal_value_and_grad
-from .diffnet import backward, forward, per_example_jacobian, preact_jacobians, predictive
+from .baseopt import kfac_input_moments
+from .diffnet import forward, per_example_jacobian, preact_jacobians
 from .errors import ContractError, ConvergenceError, NumericalError
 from .numkit import FLOAT, cholesky_spd, require_oracle_scale, solve_spd
 
@@ -185,114 +182,18 @@ def exact_ppm_solve(model, theta, batch, lam_fsd, lam_wsd, fsd_inputs,
             mu *= 4
 
 
-def _sample_targets(head, outputs, rng):
-    """Targets drawn from the model's predictive distribution (true Fisher)."""
-    if head == "regression-gaussian-unit-variance":
-        return outputs + rng.standard_normal(outputs.shape)
-    if head == "classification-softmax":
-        p = predictive("classification-softmax", outputs)
-        u = rng.random(p.shape[0])
-        # Per row, the first index whose running total reaches u; a total
-        # that rounds to just below 1 can stay under u, so clamp to the last.
-        drawn = np.count_nonzero(np.cumsum(p, axis=1) < u[:, None], axis=1)
-        return np.minimum(drawn, p.shape[1] - 1)
-    raise ContractError(f"cannot sample Fisher targets for head {head!r}")
-
-
-def _nll_seed(head, outputs, targets):
-    """Per-example d NLL / d outputs at the sampled targets (no 1/B)."""
-    if head == "regression-gaussian-unit-variance":
-        return outputs - targets
-    p = predictive("classification-softmax", outputs)
-    seed = p.copy()
-    seed[np.arange(len(outputs)), targets] -= 1.0
-    return seed
-
-
-def _homogeneous(a, has_bias):
-    if not has_bias:
-        return a
-    return np.hstack([a, np.ones((a.shape[0], 1))])
-
-
-def kfac_blocks(model, params, inputs, rng=None, exact=False):
-    """Per-layer KFAC statistics (A, B): A is the second moment of the layer
-    inputs (homogeneous coordinate appended when the layer has a bias), B the
-    second moment of the pre-activation gradients.
-
-    Sampled mode backpropagates one target drawn from the predictive
-    distribution per example.  Exact mode integrates the target out in closed
-    form: B_l = mean_b M_b^T H_rho M_b over the preact_jacobians sweep, whose
-    M_b holds d y / d s_l for example b.
+def kfac_blocks(model, params, inputs):
+    """Per-layer exact KFAC statistics (A, B): A is baseopt's
+    kfac_input_moments, B the expected second moment of the pre-activation
+    gradients with the target integrated out in closed form,
+    B_l = mean_b M_b^T H_rho M_b over the preact_jacobians sweep, whose M_b
+    holds d y / d s_l for example b.  Training samples B instead
+    (baseopt.kfac_sampled_blocks).
     """
     inputs = np.asarray(inputs, dtype=FLOAT)
     if inputs.shape[0] == 0:
         raise ContractError("kfac_blocks needs a nonempty dataset")
-    bsz = inputs.shape[0]
-    if exact:
-        outputs, trace, ds_stacks = preact_jacobians(model, params, inputs)
-        hessians = divergence(model).hessian(outputs)
-        b_blocks = [_mean_sandwich(stack, hessians) for stack in ds_stacks]
-    else:
-        if rng is None:
-            raise ContractError("sampled kfac_blocks needs an rng")
-        outputs, trace = forward(model, params, inputs)
-        targets = _sample_targets(model.head, outputs, rng)
-        seed = _nll_seed(model.head, outputs, targets)
-        _, ds_list = backward(model, params, trace, seed)
-        b_blocks = [ds.T @ ds / bsz for ds in ds_list]
-    abars = [_homogeneous(a, spec.has_bias) for spec, a in zip(model.layers, trace.layer_inputs)]
-    return [(a.T @ a / bsz, b) for a, b in zip(abars, b_blocks)]
-
-
-class KfacStats(NamedTuple):
-    """The KFAC state between refreshes: per layer the statistics (A, B) and
-    the Cholesky factors of A + damping I and B + damping I, whose inverses
-    kfac_update forms once per refresh, on first use, and multiplies by."""
-
-    blocks: list
-    factors: list
-
-
-def kfac_factors(blocks, damping):
-    """Per layer, the Cholesky factors of A + damping I and B + damping I.
-    A block that is not SPD raises NumericalError with its failing pivot."""
-    if damping < 0:
-        raise ContractError("damping must be nonnegative")
-    try:
-        return [tuple(cholesky_spd(m + damping * np.eye(m.shape[0])) for m in pair)
-                for pair in blocks]
-    except NumericalError as exc:
-        raise NumericalError(f"kfac block factorization failed: {exc}",
-                             pivot=exc.pivot) from exc
-
-
-def kfac_statistics(model, params, inputs, rng, stats, t, settings):
-    """The KfacStats for training step t: sampled kfac_blocks on the first
-    step, then every settings.update_every-th step averaged into stats with
-    decay settings.ema_decay, each refresh factoring its damped blocks
-    (settings.damping) once; stats unchanged on the other steps."""
-    if stats is not None and t % settings.update_every:
-        return stats
-    blocks = kfac_blocks(model, params, inputs, rng=rng)
-    if stats is not None:
-        d = settings.ema_decay
-        blocks = [(d * a0 + (1 - d) * a1, d * b0 + (1 - d) * b1)
-                  for (a0, b0), (a1, b1) in zip(stats.blocks, blocks)]
-    return KfacStats(blocks, kfac_factors(blocks, settings.damping))
-
-
-def kfac_update(theta, g, factors, lr):
-    """Damped Kronecker-inverse step from kfac_factors' Cholesky factors,
-    written into theta's own buffer: with weights stored fan_in x fan_out
-    and the bias as the appended homogeneous row, each layer's [W; b] span
-    of theta takes
-
-        Wbar <- Wbar - lr * (A + damping I)^-1  grad(Wbar)  (B + damping I)^-1,
-
-    two solve_spd products with the damped inverses, formed once per refresh;
-    B's comes first, so A's lands in Wbar's row-major layout.
-    """
-    for wbar, gbar, (a_fac, b_fac) in zip(theta.stacked(), g.stacked(), factors):
-        right = solve_spd(b_fac, gbar.T)
-        np.subtract(wbar, lr * solve_spd(a_fac, right.T), out=wbar)
+    outputs, trace, ds_stacks = preact_jacobians(model, params, inputs)
+    hessians = divergence(model).hessian(outputs)
+    return [(a, _mean_sandwich(stack, hessians))
+            for a, stack in zip(kfac_input_moments(model, trace), ds_stacks)]

@@ -10,11 +10,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from apobench import apo, diffnet, numkit
-from apobench.apo import (DIVERGENCES, KfacSettings, LrPhi, ProximalConfig, apo_train,
-                          default_precond_config, loss_and_grad, meta_gradient, meta_step,
-                          proximal_value_and_grad)
-from apobench.baseopt import KINDS, BaseOptKind, init_state, update_direction
+from apobench import apo, baseopt, diffnet, numkit
+from apobench.apo import (DIVERGENCES, LrPhi, ProximalConfig, apo_train, default_precond_config,
+                          loss_and_grad, meta_gradient, meta_step, proximal_value_and_grad)
+from apobench.baseopt import KINDS, BaseOptKind, KfacSettings, init_state, update_direction
 from apobench.diffnet import Batch, LayerSpec, Model, ParamSet, init_params, mlp
 from apobench.errors import (ContractError, DimensionError, NumericalError,
                              TrainingDivergedError)
@@ -461,7 +460,7 @@ def test_training_pass_counts(monkeypatch, mode, meta_interval):
 # moves the count.  The step repeats none of the checks that the task build
 # and apo_train's entry make (batch coercion, label range, layout, input
 # shape, Kronecker block shapes); one that creeps back moves these counts.
-CALL_COUNTS = {"none": 493, "apo-lr": 606, "apo-precond": 1683}
+CALL_COUNTS = {"none": 410, "apo-lr": 528, "apo-precond": 1683}
 
 
 @pytest.mark.parametrize("mode", list(CALL_COUNTS))
@@ -497,10 +496,9 @@ def test_training_call_counts(mode):
 
 def test_kfac_step_solves_twice_per_layer(monkeypatch):
     """A KFAC step makes 2 solve_spd calls per layer, refresh step or not."""
-    from apobench import oracles
     calls = []
-    solve = oracles.solve_spd
-    monkeypatch.setattr(oracles, "solve_spd", lambda m, rhs: calls.append(1) or solve(m, rhs))
+    solve = baseopt.solve_spd
+    monkeypatch.setattr(baseopt, "solve_spd", lambda m, rhs: calls.append(1) or solve(m, rhs))
     task = tasks.synth_regression_task(n=64, d=3, seed=2, batch_size=8)
     theta0 = task.init_theta(numkit.make_rng(1))
     steps = 12
@@ -615,7 +613,7 @@ def test_apo_train_no_meta_updates_matches_plain_run():
     for a, b in zip(res_apo.rows, res_plain.rows):
         assert a.train_loss == b.train_loss
         assert a.lr_or_phi_norm == b.lr_or_phi_norm
-        assert a.lr_or_phi_norm == pytest.approx(0.05)
+        assert a.lr_or_phi_norm == 0.05
     assert np.array_equal(res_apo.theta.flat, res_plain.theta.flat)
 
 
@@ -764,9 +762,10 @@ def test_apo_train_never_writes_theta0(mode, base, meta):
 @pytest.mark.parametrize("mode,base,meta", BUFFER_RUNS)
 def test_apo_train_keeps_one_buffer_per_persistent_state(monkeypatch, mode, base, meta):
     """Over a 20-step run theta, phi and every optimizer state each keep one
-    buffer: each step writes theta once, in place, and each meta step phi."""
-    from apobench import kronprecond, oracles
-    states, theta_writes, phis = [], [], []
+    buffer: each step writes theta once, in place, and each meta step phi;
+    a KFAC direction is fresh, sharing no memory with the gradient or theta."""
+    from apobench import kronprecond
+    states, theta_writes, phis, kfac_directions = [], [], [], []
 
     def record_states(kind, state, g, _fn=apo.update_direction):
         before = (state.momentum, state.second)
@@ -784,9 +783,11 @@ def test_apo_train_keeps_one_buffer_per_persistent_state(monkeypatch, mode, base
             return fn(params, *args, **kwargs)
         return step
 
-    def record_kfac(theta, g, factors, lr, _fn=oracles.kfac_update):
-        theta_writes.append((theta, theta.flat))
-        return _fn(theta, g, factors, lr)
+    def record_kfac(g, factors, _fn=apo.kfac_direction):
+        delta = _fn(g, factors)
+        assert not np.shares_memory(delta, g.flat)
+        kfac_directions.append(delta)
+        return delta
 
     def record_meta(phi, state, meta_grad, cfg, _fn=apo.meta_step):
         phis.append((phi, phi.flat))
@@ -796,7 +797,7 @@ def test_apo_train_keeps_one_buffer_per_persistent_state(monkeypatch, mode, base
     monkeypatch.setattr(apo, "apply_lr_update", record_step(apo.apply_lr_update, 2))
     monkeypatch.setattr(kronprecond, "apply_precond_update",
                         record_step(kronprecond.apply_precond_update, 3))
-    monkeypatch.setattr(oracles, "kfac_update", record_kfac)
+    monkeypatch.setattr(apo, "kfac_direction", record_kfac)
     monkeypatch.setattr(apo, "meta_step", record_meta)
     _, train = buffer_run(mode, base, meta)
     res = train()
@@ -807,6 +808,8 @@ def test_apo_train_keeps_one_buffer_per_persistent_state(monkeypatch, mode, base
 
     assert len(theta_writes) == 20 and one(theta_writes)
     assert theta_writes[0][0] is res.theta and theta_writes[0][1] is res.theta.flat
+    assert len(kfac_directions) == (20 if base == "kfac" else 0)
+    assert not any(np.shares_memory(d, res.theta.flat) for d in kfac_directions)
     distinct = {id(state): state for state, *_ in states}
     assert len(distinct) == {"none": base != "kfac", "apo-lr": 2, "apo-precond": 2}[mode]
     for state in distinct.values():

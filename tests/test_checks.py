@@ -75,8 +75,8 @@ def test_ppm_demo_regimes(seed, monkeypatch):
 
 
 def test_ppm_demo_base_fit_is_textbook_adam():
-    """The base fit steps through apo_train at exp(log(0.02)), which is 0.02
-    exactly; its theta equals full-batch Adam written out, bit for bit."""
+    """The base fit steps through apo_train's mode none at init_lr 0.02; its
+    theta equals full-batch Adam written out, bit for bit."""
     model, theta, x = ppmdemo._fit_base_model()
     ref = init_params(model, make_rng(0))
     batch = Batch(x, np.sin(1.5 * x) * 0.8)

@@ -421,6 +421,16 @@ def test_run_kfac_baseline(tmp_path):
     assert validate_metrics_csv(outcome.metrics_path)
 
 
+def test_run_mode_none_steps_and_logs_the_exact_default_rate(tmp_path):
+    """Mode none with sgd-momentum's default init_lr writes 0.1 itself in
+    every row's lr column, not exp(log(0.1)) = 0.10000000000000002."""
+    doc = synth_doc(steps=5)
+    del doc["init_lr"]
+    outcome = run(parse_config(doc), tmp_path / "none")
+    lines = open(outcome.metrics_path).read().splitlines()
+    assert [line.split(",")[4] for line in lines] == ["lr"] + ["0.1"] * 5
+
+
 def test_run_kfac_int_rate_logs_a_float(tmp_path):
     """An int init_lr (parse_config stores floats, so this is a direct
     caller's) still logs as a float in the lr column."""

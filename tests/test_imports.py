@@ -1,7 +1,7 @@
 """Every name a module under src/ or tests/ imports is read in that module,
-every top-level function and class under src/ is read somewhere in src/, and
+every top-level function and class under src/ is read somewhere in src/,
 the oracle-scale limit is raised in one place and checked only at the dense
-oracles' entry points."""
+oracles' entry points, and no training-path module imports oracles."""
 
 import ast
 import pathlib
@@ -105,3 +105,32 @@ def test_oracle_scale_is_raised_once_and_checked_only_at_dense_oracles():
     assert raises == {"numkit.py:require_oracle_scale"}
     assert checks == {"diffnet.py:per_example_jacobian", "oracles.py:loss_hessian_fd",
                       "oracles.py:exact_ppm_solve", "kronprecond.py:dense_precond"}
+
+
+TRAINING_PATH = ("apo.py", "baseopt.py", "diffnet.py", "kronprecond.py", "tasks.py",
+                 "harness/runner.py")
+
+
+def imports_oracles(source):
+    """Line numbers of every import of the oracles module in source, at top
+    level or inside a function: `import apobench.oracles`, `from .oracles
+    import x` at any depth, and `from . import oracles`."""
+    return sorted(node.lineno for node in ast.walk(ast.parse(source))
+                  if isinstance(node, ast.Import)
+                  and any("oracles" in a.name.split(".") for a in node.names)
+                  or isinstance(node, ast.ImportFrom)
+                  and ("oracles" in (node.module or "").split(".")
+                       or any(a.name == "oracles" for a in node.names)))
+
+
+def test_oracles_import_scan_finds_every_form():
+    source = ("import apobench.oracles\nfrom .oracles import kfac_blocks\n"
+              "def f():\n    from .. import oracles\n    from apobench.oracles import x\n"
+              "from .baseopt import oracles_free\nimport oraclesque\n")
+    assert imports_oracles(source) == [1, 2, 4, 5]
+
+
+def test_training_path_never_imports_oracles():
+    pkg = ROOT / "src" / "apobench"
+    assert {name: lines for name in TRAINING_PATH
+            if (lines := imports_oracles((pkg / name).read_text(encoding="utf-8")))} == {}
