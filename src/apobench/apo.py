@@ -12,11 +12,12 @@ base direction delta held fixed.  The loss term defaults to the same batch B
 that produced g (the fresh-batch variant exists as an ablation and exhibits
 the classic rapid learning-rate collapse).
 
-Every base kind yields a direction Delta (baseopt).  apply_lr_update takes
-theta - rate * Delta in mode none (rate init_lr, no phi), in apo-lr (init_lr
-until the first meta step, phi's exp(log_lr) after each) and in apo-precond's
-SGDm warm-up; otherwise apo-precond steps with phi.update.  A training row
-logs the rate, or phi.scalar() under apo-precond.
+Every base kind yields a direction Delta (baseopt); MODE_BASE_KINDS names
+the kinds each mode takes.  A base step, theta - rate * Delta through
+apply_lr_update, is each step of mode none (rate init_lr, no phi) and apo-lr
+(init_lr until the first meta step, then phi's exp(log_lr)), and each of
+apo-precond's warmup_steps (WARMUP_KIND at warmup_lr, init_lr unused), after
+which phi.update steps.  A row logs the rate, or phi.scalar() under apo-precond.
 
 Both phi types are ParamSets, so the meta-optimizer steps either one through
 its flat vector: LrPhi holds the log learning rate (exp keeps the rate
@@ -47,8 +48,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .baseopt import (BaseOptKind, KfacSettings, apply_lr_update, init_state, kfac_direction,
-                      kfac_statistics, update_direction)
+from .baseopt import (BASE_KINDS, KINDS, BaseOptKind, apply_lr_update, init_state,
+                      kfac_direction, kfac_statistics, update_direction)
 from .diffnet import ParamSet, _softmax_parts, backward, forward, loss_value_and_grad, predictive
 from .errors import ContractError, DimensionError, NumericalError, TrainingDivergedError
 from .kronprecond import DEFAULT_SCALE, init_identity
@@ -308,51 +309,51 @@ class TrainResult:
 
 DEFAULT_INIT_LR = {"sgd": 0.1, "sgd-momentum": 0.1, "rmsprop": 3e-4, "adam": 3e-4,
                    "kfac": 0.01}
+# The base kinds each mode takes; apo-precond's warm-up steps with WARMUP_KIND.
+MODE_BASE_KINDS = {"none": BASE_KINDS, "apo-lr": KINDS, "apo-precond": ("sgd",)}
+WARMUP_KIND = BaseOptKind("sgd-momentum", beta=0.9)
 
 
 # The non-finite guards decide a divergence; numpy's warnings would only add noise.
 @np.errstate(over="ignore", invalid="ignore")
 def apo_train(model, theta0, cfg, task, steps, rng, mode="apo-lr", base_kind=None,
-              init_lr=None, kfac=KfacSettings(), eval_fn=None, eval_every=0):
+              init_lr=None, eval_fn=None, eval_every=0):
     """Online meta-learning loop.
 
-    Per iteration t = 1..steps: sample B and take the base direction Delta;
-    every meta_interval-th iteration sample B' (and a separate loss batch
-    under the fresh-loss policy) and take one meta-optimizer step on phi
-    through the one-step lookahead; then step theta as the module docstring
-    says.  apo-precond's first warmup_steps updates use SGDm while phi is
-    still meta-learned.  Base kind kfac runs in mode none only, whose phi is
-    None.  theta is a copy of theta0, written in place.  Raises
-    TrainingDivergedError past the loss guard or on a NumericalError,
-    carrying the rows of the steps completed before it.
+    Per iteration t = 1..steps: sample B and, on a base step, take the base
+    direction Delta; every meta_interval-th iteration (warm-up included)
+    sample B' (and a separate loss batch under the fresh-loss policy) and
+    take one meta-optimizer step on phi; then step theta as the module
+    docstring says.  base_kind (default sgd) must be in MODE_BASE_KINDS[mode];
+    its weight decay holds in every step.  theta is a copy of theta0, written
+    in place.  Raises TrainingDivergedError past the loss guard or on a
+    NumericalError, carrying the rows of the steps completed before it.
     """
     if steps < 1:
         raise ContractError("steps must be >= 1")
-    if mode not in ("none", "apo-lr", "apo-precond"):
+    if mode not in MODE_BASE_KINDS:
         raise ContractError(f"unknown mode {mode!r}")
     if theta0.layout != model.layout:
         raise DimensionError(f"theta0 layout {theta0.layout} != model layout {model.layout}")
     base_kind = base_kind or BaseOptKind("sgd")
+    if base_kind.kind not in MODE_BASE_KINDS[mode]:
+        raise ContractError(f"mode {mode!r} takes base kinds {MODE_BASE_KINDS[mode]}, "
+                            f"not {base_kind.kind!r}")
     wd = base_kind.weight_decay
     rate = float(init_lr if init_lr is not None else DEFAULT_INIT_LR[base_kind.kind])
-    use_kfac = base_kind.kind == "kfac"
-    if use_kfac and mode != "none":
-        raise ContractError("the kfac base optimizer only runs with mode 'none'")
-    phi = None
+    phi, base_steps = None, steps
     if mode == "apo-lr":
         phi = LrPhi(math.log(rate))
     elif mode == "apo-precond":
         phi = init_identity(model, cfg.scale)
+        base_kind, rate, base_steps = WARMUP_KIND, float(cfg.warmup_lr), cfg.warmup_steps
 
     theta = theta0.copy()
-    opt_state = init_state(base_kind, theta.flat)
-    warmup = cfg.warmup_steps if mode == "apo-precond" else 0
-    warm_kind = BaseOptKind("sgd-momentum", beta=0.9)
-    warm_state = init_state(warm_kind, theta.flat) if warmup else None
+    opt_state = init_state(base_kind, theta.flat) if base_steps else None
     meta_state = init_state(cfg.meta_opt, phi.flat) if phi is not None else None
 
     rows = []
-    delta = stats = last_q = last_fsd = last_wsd = None
+    stats = last_q = last_fsd = last_wsd = None
     for t in range(1, steps + 1):
         batch = task.sample_batch(rng)
         try:
@@ -361,10 +362,12 @@ def apo_train(model, theta0, cfg, task, steps, rng, mode="apo-lr", base_kind=Non
                 raise TrainingDivergedError(f"loss {loss} at step {t}", t, rows)
             if wd:
                 g = g.map2(theta, lambda gg, th: gg + wd * th)
-            if use_kfac:
-                stats = kfac_statistics(model, theta, batch.inputs, rng, stats, t, kfac)
+            if t > base_steps:
+                delta = None
+            elif base_kind.kind == "kfac":
+                stats = kfac_statistics(model, theta, batch.inputs, rng, stats, t, base_kind)
                 delta = kfac_direction(g, stats.factors)
-            elif mode != "apo-precond":
+            else:
                 delta = update_direction(base_kind, opt_state, g.flat)
             if phi is not None and t % cfg.meta_interval == 0:
                 batch_bp = task.sample_batch(rng)
@@ -376,13 +379,10 @@ def apo_train(model, theta0, cfg, task, steps, rng, mode="apo-lr", base_kind=Non
                 meta_step(phi, meta_state, mgrad, cfg)
                 if mode == "apo-lr":
                     rate = phi.lr
-            if t <= warmup:
-                wdelta = update_direction(warm_kind, warm_state, g.flat)
-                apply_lr_update(theta, cfg.warmup_lr, wdelta, theta)
-            elif mode == "apo-precond":
-                phi.update(theta, g, None, theta)
-            else:
+            if t <= base_steps:
                 apply_lr_update(theta, rate, delta, theta)
+            else:
+                phi.update(theta, g, None, theta)
             due = eval_fn is not None and eval_every and (t % eval_every == 0 or t == steps)
             eval_loss = float(eval_fn(theta)) if due else None
             logged = phi.scalar() if mode == "apo-precond" else rate

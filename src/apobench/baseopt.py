@@ -40,16 +40,23 @@ class BaseOptKind:
     rms_beta2: float = 0.99
     eps: float = 1e-8
     weight_decay: float = 0.0
+    damping: float = 1e-3    # kfac: added to each block's diagonal
+    update_every: int = 5    # kfac: statistics refresh interval, in steps
+    ema_decay: float = 0.95  # kfac: weight of the old statistics at a refresh
 
     def __post_init__(self):
         if self.kind not in BASE_KINDS:
             raise ContractError(f"unknown base optimizer {self.kind!r}")
-        for name in ("beta", "beta2", "rms_beta2"):
+        for name in ("beta", "beta2", "rms_beta2", "ema_decay"):
             v = getattr(self, name)
             if not 0.0 <= v < 1.0:
                 raise ContractError(f"{name} must lie in [0, 1), got {v}")
         if self.eps <= 0:
             raise ContractError(f"eps must be positive, got {self.eps}")
+        if self.damping < 0:
+            raise ContractError(f"damping must be nonnegative, got {self.damping}")
+        if self.update_every < 1:
+            raise ContractError(f"update_every must be >= 1, got {self.update_every}")
 
 
 @dataclass
@@ -130,15 +137,6 @@ def apply_lr_update(params, lr, delta, out=None):
     return params.with_flat(flat) if out is None else out
 
 
-@dataclass(frozen=True)
-class KfacSettings:
-    """The kfac base optimizer's damping and statistics refresh."""
-
-    damping: float = 1e-3
-    update_every: int = 5
-    ema_decay: float = 0.95
-
-
 def _sample_targets(head, outputs, rng):
     """Targets drawn from the model's predictive distribution (true Fisher)."""
     if head == "regression-gaussian-unit-variance":
@@ -193,8 +191,6 @@ class KfacStats(NamedTuple):
 def kfac_factors(blocks, damping):
     """Per layer, the Cholesky factors of A + damping I and B + damping I.
     A block that is not SPD raises NumericalError with its failing pivot."""
-    if damping < 0:
-        raise ContractError("damping must be nonnegative")
     try:
         return [tuple(cholesky_spd(m + damping * np.eye(m.shape[0])) for m in pair)
                 for pair in blocks]
@@ -203,19 +199,19 @@ def kfac_factors(blocks, damping):
                              pivot=exc.pivot) from exc
 
 
-def kfac_statistics(model, params, inputs, rng, stats, t, settings):
+def kfac_statistics(model, params, inputs, rng, stats, t, kind):
     """The KfacStats for training step t: kfac_sampled_blocks on the first
-    step, then every settings.update_every-th step averaged into stats with
-    decay settings.ema_decay, each refresh factoring its damped blocks
-    (settings.damping) once; stats unchanged on the other steps."""
-    if stats is not None and t % settings.update_every:
+    step, then every kind.update_every-th step averaged into stats with
+    decay kind.ema_decay, each refresh factoring its damped blocks
+    (kind.damping) once; stats unchanged on the other steps."""
+    if stats is not None and t % kind.update_every:
         return stats
     blocks = kfac_sampled_blocks(model, params, inputs, rng)
     if stats is not None:
-        d = settings.ema_decay
+        d = kind.ema_decay
         blocks = [(d * a0 + (1 - d) * a1, d * b0 + (1 - d) * b1)
                   for (a0, b0), (a1, b1) in zip(stats.blocks, blocks)]
-    return KfacStats(blocks, kfac_factors(blocks, settings.damping))
+    return KfacStats(blocks, kfac_factors(blocks, kind.damping))
 
 
 def kfac_direction(g, factors):

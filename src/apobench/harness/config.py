@@ -1,7 +1,7 @@
 """Experiment configuration: one JSON document per run.
 
-Each object of the document (the top level, task, base_opt, proximal,
-proximal/meta_opt and kfac) is declared once, as a table that maps each
+Each object of the document (the top level, task, base_opt, proximal and
+proximal/meta_opt) is declared once, as a table that maps each
 document key to its dataclass field and its type. A type is a name in
 JSON_TYPES (a trailing "?" also admits null), a tuple of the allowed values,
 or the table of a nested object. parse_config reads every object through its
@@ -12,6 +12,9 @@ A number is finite (Python's json parses Infinity and NaN, which no number
 field takes) and stored as a float, so an integer in a number field dumps as
 a float; integer fields take integers only. A key left out takes the default of
 the dataclass that owns the field; the proximal defaults depend on the mode.
+base_opt holds KFAC's damping, update_every and ema_decay too. A setting the
+run would ignore is an error unless it keeps its default: proximal under
+mode none, init_lr under apo-precond, a KFAC setting under another kind.
 Every error is a ConfigError that carries the JSON pointer of the offending
 field; read_json, the reader of every JSON input file, raises one too.
 """
@@ -27,12 +30,13 @@ import sys
 from dataclasses import dataclass, field, replace
 from functools import partial
 
-from ..apo import BATCH_POLICIES, FSD_KINDS, ProximalConfig, default_precond_config
-from ..baseopt import BASE_KINDS, KINDS, BaseOptKind, KfacSettings
+from ..apo import (BATCH_POLICIES, FSD_KINDS, MODE_BASE_KINDS, ProximalConfig,
+                   default_precond_config)
+from ..baseopt import BASE_KINDS, KINDS, BaseOptKind
 from ..errors import ConfigError, ContractError
 from ..tasks import TASK_KINDS, TASK_PARAMS, TaskSpec
 
-MODES = ("none", "apo-lr", "apo-precond")
+MODES = tuple(MODE_BASE_KINDS)
 
 
 @dataclass(frozen=True)
@@ -42,7 +46,6 @@ class ExperimentConfig:
     base_opt: BaseOptKind = field(default_factory=BaseOptKind)
     proximal: ProximalConfig = field(default_factory=ProximalConfig)
     init_lr: float | None = None
-    kfac: KfacSettings = field(default_factory=KfacSettings)
     steps: int = 100
     seed: int = 0
     eval_every: int | None = None
@@ -71,16 +74,16 @@ def _table(**types):
 TASK = _table(kind=TASK_KINDS, batch_size="int", dataset_size="int?", seed="int",
               params="object?")
 OPT_DECAYS = dict.fromkeys(("beta", "beta2", "rms_beta2", "eps"), "number")
-BASE_OPT = _table(kind=BASE_KINDS, **OPT_DECAYS, weight_decay="number")
+KFAC_SETTINGS = dict(damping="number", update_every="int", ema_decay="number")
+BASE_OPT = _table(kind=BASE_KINDS, **OPT_DECAYS, weight_decay="number", **KFAC_SETTINGS)
 META_OPT = _table(kind=KINDS, **OPT_DECAYS)
 PROXIMAL = {"lambda_fsd": ("lam_fsd", "number"), "lambda_wsd": ("lam_wsd", "number"),
             **_table(fsd_kind=(None, *FSD_KINDS), meta_interval="int", meta_lr="number",
                      meta_opt=META_OPT, warmup_steps="int", warmup_lr="number",
                      loss_batch_policy=BATCH_POLICIES, fsd_batch_policy=BATCH_POLICIES,
                      scale="number")}
-KFAC = _table(damping="number", update_every="int", ema_decay="number")
 CONFIG = _table(task=TASK, mode=MODES, base_opt=BASE_OPT, proximal=PROXIMAL,
-                init_lr="number?", kfac=KFAC, steps="int", seed="int", eval_every="int?")
+                init_lr="number?", steps="int", seed="int", eval_every="int?")
 
 
 def _expect(cond, message, pointer):
@@ -148,21 +151,21 @@ def parse_config(doc):
     cfg = ExperimentConfig(**{
         **top, "task": _build(TaskSpec, task, "/task"),
         "base_opt": _build(BaseOptKind, base, "/base_opt"),
-        "proximal": _build(partial(replace, defaults), prox, "/proximal"),
-        "kfac": KfacSettings(**_read(top.get("kfac", {}), KFAC, "/kfac"))})
-    kfac = cfg.base_opt.kind == "kfac"
+        "proximal": _build(partial(replace, defaults), prox, "/proximal")})
+    base_kind = cfg.base_opt.kind
     for ok, message, pointer in (
-            (not kfac or mode == "none",
-             "the kfac baseline only runs with mode 'none'", "/base_opt/kind"),
-            (mode != "apo-precond" or cfg.base_opt.kind == "sgd",
-             "apo-precond steps with its preconditioner, so base_opt.kind must be 'sgd'",
-             "/base_opt/kind"),
+            (base_kind in MODE_BASE_KINDS[mode],
+             f"mode {mode!r} takes base_opt.kind in {MODE_BASE_KINDS[mode]}", "/base_opt/kind"),
+            *((base_kind == "kfac" or getattr(cfg.base_opt, key) == getattr(BaseOptKind, key),
+               f"{key} is a kfac setting, unused by base_opt.kind {base_kind!r}",
+               f"/base_opt/{key}") for key in KFAC_SETTINGS),
+            (mode != "none" or cfg.proximal == defaults,
+             "mode 'none' meta-learns nothing, so it takes no proximal settings", "/proximal"),
+            (mode != "apo-precond" or cfg.init_lr is None,
+             "apo-precond steps at proximal.warmup_lr, then with its preconditioner, "
+             "so it takes no init_lr", "/init_lr"),
             (cfg.init_lr is None or cfg.init_lr > 0, "init_lr must be a positive number",
              "/init_lr"),
-            (cfg.kfac.damping >= 0, "damping must be nonnegative", "/kfac/damping"),
-            (cfg.kfac.update_every >= 1, "update_every must be >= 1", "/kfac/update_every"),
-            (0.0 <= cfg.kfac.ema_decay < 1.0, "ema_decay must lie in [0, 1)",
-             "/kfac/ema_decay"),
             (cfg.steps >= 1, "steps must be a positive integer", "/steps"),
             (cfg.eval_every is None or cfg.eval_every >= 0,
              "eval_every must be a nonnegative integer", "/eval_every")):

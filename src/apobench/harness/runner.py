@@ -82,7 +82,7 @@ def execute(cfg):
         eval_every = max(1, cfg.steps // 100)
     result = apo_train(task.model, theta0, cfg.proximal, task, cfg.steps, rng,
                        mode=cfg.mode, base_kind=cfg.base_opt, init_lr=cfg.init_lr,
-                       kfac=cfg.kfac, eval_fn=task.eval_loss, eval_every=eval_every)
+                       eval_fn=task.eval_loss, eval_every=eval_every)
     return result, task
 
 

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from apobench import apo, baseopt, diffnet, numkit
 from apobench.apo import (DIVERGENCES, LrPhi, ProximalConfig, apo_train, default_precond_config,
                           loss_and_grad, meta_gradient, meta_step, proximal_value_and_grad)
-from apobench.baseopt import KINDS, BaseOptKind, KfacSettings, init_state, update_direction
+from apobench.baseopt import KINDS, BaseOptKind, init_state, update_direction
 from apobench.diffnet import Batch, LayerSpec, Model, ParamSet, init_params, mlp
 from apobench.errors import (ContractError, DimensionError, NumericalError,
                              TrainingDivergedError)
@@ -443,7 +443,7 @@ def test_training_pass_counts(monkeypatch, mode, meta_interval):
     counts = _count_passes(monkeypatch)
     ops = _count_paramset_ops(monkeypatch)
     apo_train(task.model, theta0, cfg, task, steps, numkit.make_rng(2), mode=mode,
-              base_kind=BaseOptKind("sgd-momentum"))
+              base_kind=BaseOptKind("sgd-momentum" if mode == "apo-lr" else "sgd"))
     meta_steps = steps // meta_interval
     assert counts == {"forward": steps + 3 * meta_steps, "backward": steps + 2 * meta_steps}
     expect = Counter({"copy": 1, "map": 1})
@@ -454,13 +454,13 @@ def test_training_pass_counts(monkeypatch, mode, meta_interval):
 
 
 # Calls of named apobench functions and methods in a 20-step apo_train on
-# synth-classification with Adam (apo-precond: 5 SGDm warm-up steps), fsd
+# synth-classification with Adam (apo-precond: sgd, 5 SGDm warm-up steps), fsd
 # and wsd on as in the bench.  Lambdas, comprehensions and generator
 # expressions are left out, so neither the numpy nor the Python version
 # moves the count.  The step repeats none of the checks that the task build
 # and apo_train's entry make (batch coercion, label range, layout, input
 # shape, Kronecker block shapes); one that creeps back moves these counts.
-CALL_COUNTS = {"none": 410, "apo-lr": 528, "apo-precond": 1683}
+CALL_COUNTS = {"none": 409, "apo-lr": 527, "apo-precond": 1681}
 
 
 @pytest.mark.parametrize("mode", list(CALL_COUNTS))
@@ -477,7 +477,7 @@ def test_training_call_counts(mode):
 
     def train():
         apo_train(task.model, theta0, cfg, task, 20, numkit.make_rng(2), mode=mode,
-                  base_kind=BaseOptKind("adam"))
+                  base_kind=BaseOptKind("sgd" if mode == "apo-precond" else "adam"))
 
     def profile(frame, event, arg):
         code = frame.f_code
@@ -503,8 +503,8 @@ def test_kfac_step_solves_twice_per_layer(monkeypatch):
     theta0 = task.init_theta(numkit.make_rng(1))
     steps = 12
     apo_train(task.model, theta0, ProximalConfig(), task, steps, numkit.make_rng(2),
-              mode="none", base_kind=BaseOptKind("kfac"),
-              kfac=KfacSettings(damping=1e-2, update_every=5, ema_decay=0.9))
+              mode="none",
+              base_kind=BaseOptKind("kfac", damping=1e-2, update_every=5, ema_decay=0.9))
     assert len(calls) == 2 * len(task.model.layers) * steps
 
 
@@ -519,8 +519,8 @@ def test_kfac_factors_twice_per_layer_per_refresh(monkeypatch):
     task = tasks.synth_regression_task(n=64, d=3, seed=2, batch_size=8)
     theta0 = task.init_theta(numkit.make_rng(1))
     apo_train(task.model, theta0, ProximalConfig(), task, 12, numkit.make_rng(2),
-              mode="none", base_kind=BaseOptKind("kfac"),
-              kfac=KfacSettings(damping=1e-2, update_every=5, ema_decay=0.9))
+              mode="none",
+              base_kind=BaseOptKind("kfac", damping=1e-2, update_every=5, ema_decay=0.9))
     assert len(calls) == len(inverses) == 2 * len(task.model.layers) * 3
 
 
@@ -536,8 +536,8 @@ def test_kfac_non_spd_refresh_diverges_at_its_step():
     task = SimpleNamespace(sample_batch=lambda _rng: batches.pop(0))
     with pytest.raises(TrainingDivergedError) as err:
         apo_train(model, init_params(model, rng), ProximalConfig(), task, 6,
-                  numkit.make_rng(5), mode="none", base_kind=BaseOptKind("kfac"),
-                  kfac=KfacSettings(damping=0.0, update_every=5, ema_decay=0.0))
+                  numkit.make_rng(5), mode="none",
+                  base_kind=BaseOptKind("kfac", damping=0.0, update_every=5, ema_decay=0.0))
     assert err.value.step == 5 and len(err.value.rows) == 4
     cause = err.value.__cause__
     assert isinstance(cause, NumericalError) and cause.pivot == 1
@@ -657,7 +657,7 @@ def test_apo_train_warmup_uses_sgdm_but_meta_learns():
     cfg = default_precond_config(lam_wsd=1.0, meta_interval=1, meta_lr=0.01,
                                  warmup_steps=5, warmup_lr=0.05)
     res = apo_train(task.model, theta0, cfg, task, 5, numkit.make_rng(5),
-                    mode="apo-precond", base_kind=BaseOptKind("sgd-momentum"))
+                    mode="apo-precond", base_kind=BaseOptKind("sgd"))
     # phi moved away from the identity during warm-up
     ident = init_identity(task.model)
     assert not np.array_equal(res.phi.to_flat(), ident.to_flat())
@@ -665,7 +665,7 @@ def test_apo_train_warmup_uses_sgdm_but_meta_learns():
     batch = task.sample_batch(numkit.make_rng(5))
     _, g = loss_and_grad(task.model, theta0, batch)
     one = apo_train(task.model, theta0, cfg, task, 1, numkit.make_rng(5),
-                    mode="apo-precond", base_kind=BaseOptKind("sgd-momentum"))
+                    mode="apo-precond", base_kind=BaseOptKind("sgd"))
     expect = theta0.map2(g, lambda t, gg: t - cfg.warmup_lr * gg)
     assert np.allclose(one.theta.to_flat(), expect.to_flat(), atol=0, rtol=0)
 
@@ -705,6 +705,17 @@ def test_apo_train_kfac_needs_mode_none():
                   mode="apo-lr", base_kind=BaseOptKind("kfac"))
 
 
+@pytest.mark.parametrize("kind", ["sgd-momentum", "adam", "kfac"])
+def test_apo_precond_rejects_a_base_kind_other_than_sgd(kind):
+    """apo-precond steps with its SGDm warm-up and then its preconditioner; a
+    base kind it would never step with is refused, not silently dropped."""
+    task = tasks.synth_regression_task(n=64, d=3, seed=2, batch_size=8)
+    theta0 = task.init_theta(numkit.make_rng(1))
+    with pytest.raises(ContractError, match="takes base kinds"):
+        apo_train(task.model, theta0, default_precond_config(), task, 5, numkit.make_rng(2),
+                  mode="apo-precond", base_kind=BaseOptKind(kind))
+
+
 def test_apo_train_kfac_logs_exact_lr_and_applies_weight_decay():
     task = tasks.synth_regression_task(n=64, d=3, seed=2, batch_size=8)
     theta0 = task.init_theta(numkit.make_rng(1))
@@ -712,8 +723,8 @@ def test_apo_train_kfac_logs_exact_lr_and_applies_weight_decay():
     def train(**kind):
         return apo_train(task.model, theta0, ProximalConfig(), task, 12,
                          numkit.make_rng(2), mode="none",
-                         base_kind=BaseOptKind("kfac", **kind),
-                         kfac=KfacSettings(damping=1e-2, update_every=2, ema_decay=0.9))
+                         base_kind=BaseOptKind("kfac", damping=1e-2, update_every=2,
+                                               ema_decay=0.9, **kind))
 
     plain, decayed = train(), train(weight_decay=0.1)
     assert [r.lr_or_phi_norm for r in plain.rows] == [0.01] * 12
@@ -737,10 +748,9 @@ def buffer_run(mode, base, meta, steps=20, task=None, init_lr=None):
                                      warmup_steps=5, meta_opt=meta_opt)
     else:
         cfg = ProximalConfig(lam_fsd=1.0, lam_wsd=0.1, meta_interval=3, meta_opt=meta_opt)
-    kfac = KfacSettings(damping=1e-2, update_every=2, ema_decay=0.9)
+    kind = BaseOptKind(base, damping=1e-2, update_every=2, ema_decay=0.9)
     return theta0, lambda: apo_train(task.model, theta0, cfg, task, steps, numkit.make_rng(2),
-                                     mode=mode, base_kind=BaseOptKind(base), init_lr=init_lr,
-                                     kfac=kfac)
+                                     mode=mode, base_kind=kind, init_lr=init_lr)
 
 
 @pytest.mark.parametrize("mode,base,meta", BUFFER_RUNS + [("diverged", "sgd", None)])

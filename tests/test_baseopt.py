@@ -106,6 +106,16 @@ def test_bad_hyperparameters_rejected():
         BaseOptKind("newton")
 
 
+@pytest.mark.parametrize("field,value", [("damping", -1.0), ("update_every", 0),
+                                         ("ema_decay", 1.5), ("ema_decay", 1.0),
+                                         ("ema_decay", -0.1)])
+def test_bad_kfac_settings_rejected_at_construction(field, value):
+    """update_every 0 would divide by zero at step 2, and ema_decay 1.5 train
+    until a refresh fails to factor: each is refused up front, by name."""
+    with pytest.raises(ContractError, match=f"^{field} "):
+        BaseOptKind("kfac", **{field: value})
+
+
 def test_momentum_state_not_aliased():
     """The momentum buffer is the state's own: one buffer across steps,
     shared with neither g nor another state; its direction is that buffer."""

@@ -2,7 +2,7 @@ import json
 import os
 import subprocess
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -11,16 +11,17 @@ from hypothesis import strategies as st
 
 import apobench
 from apobench import tasks
-from apobench.apo import DIVERGENCES, ProximalConfig, default_precond_config
-from apobench.baseopt import KINDS as BASE_KINDS
-from apobench.baseopt import BaseOptKind
+from apobench.apo import DIVERGENCES, MODE_BASE_KINDS, ProximalConfig, default_precond_config
+from apobench.baseopt import KINDS, BaseOptKind
 from apobench.errors import ConfigError, IngestionError, TrainingDivergedError
 from apobench.harness import cli, gridsearch, write_csv
 from apobench.harness.checks import result
-from apobench.harness.config import (CONFIG, MODES, KfacSettings, config_hash,
-                                     config_to_dict, load_config, parse_config)
+from apobench.harness.config import (BASE_OPT, CONFIG, KFAC_SETTINGS, META_OPT, MODES, PROXIMAL,
+                                     TASK, ExperimentConfig, config_hash, config_to_dict,
+                                     load_config, parse_config)
 from apobench.harness.gridsearch import SUMMARY_FIELDS, expand_grid, grid
 from apobench.harness.runner import run, validate_metrics_csv
+from apobench.tasks import TaskSpec
 
 from helpers import write_dataset_csv
 
@@ -38,6 +39,13 @@ def small_doc(**overrides):
         "seed": 0,
     }
     doc.update(overrides)
+    return doc
+
+
+def plain_doc(**overrides):
+    """small_doc's task and steps in mode none, which takes no proximal object."""
+    doc = small_doc(mode="none", **overrides)
+    del doc["proximal"]
     return doc
 
 
@@ -87,10 +95,11 @@ def test_parse_rejects_bad_nested_value():
     assert err.value.pointer.startswith("/proximal")
 
 
-@pytest.mark.parametrize("mode", ["apo-lr", "apo-precond"])
+@pytest.mark.parametrize("mode", ["none", "apo-lr", "apo-precond"])
 @pytest.mark.parametrize("warmup_lr", [-1.0, 0.0])
 def test_parse_rejects_nonpositive_warmup_lr(mode, warmup_lr):
-    """A warm-up at a negative rate would climb the loss and still exit 0."""
+    """A warm-up at a negative rate would climb the loss and still exit 0;
+    mode none takes no proximal object at all."""
     doc = synth_doc(mode=mode, proximal={"warmup_steps": 5, "warmup_lr": warmup_lr})
     with pytest.raises(ConfigError) as err:
         parse_config(doc)
@@ -112,10 +121,12 @@ def test_parse_defaults_by_mode():
     for mode, defaults in (("none", ProximalConfig), ("apo-lr", ProximalConfig),
                            ("apo-precond", default_precond_config)):
         base = "sgd" if mode == "apo-precond" else "sgd-momentum"
-        cfg = parse_config(synth_doc(mode=mode, base_opt={"kind": base}))
+        doc = synth_doc(mode=mode, base_opt={"kind": base})
+        if mode == "apo-precond":
+            del doc["init_lr"]
+        cfg = parse_config(doc)
         assert cfg.proximal == defaults()
         assert cfg.base_opt == BaseOptKind(base)
-        assert cfg.kfac == KfacSettings()
 
 
 def test_parse_rejects_uci_csv_without_existing_path(tmp_path):
@@ -164,7 +175,34 @@ def test_parse_rejects_a_base_kind_apo_precond_ignores(kind):
         parse_config(synth_doc(mode="apo-precond", base_opt={"kind": kind}))
     assert err.value.pointer == "/base_opt/kind"
     for base in ({"kind": "sgd", "weight_decay": 0.1}, {}):
-        assert parse_config(synth_doc(mode="apo-precond", base_opt=base)).base_opt.kind == "sgd"
+        doc = synth_doc(mode="apo-precond", base_opt=base)
+        del doc["init_lr"]
+        assert parse_config(doc).base_opt.kind == "sgd"
+
+
+@pytest.mark.parametrize("doc,pointer", [
+    (synth_doc(mode="none", proximal={"lambda_wsd": 1.0}), "/proximal"),
+    (synth_doc(mode="none", proximal={"meta_opt": {"kind": "adam"}}), "/proximal"),
+    (synth_doc(mode="apo-precond", base_opt={"kind": "sgd"}), "/init_lr"),
+    (synth_doc(base_opt={"kind": "kfac"}, kfac={"damping": 0.01}), "/kfac"),
+])
+def test_parse_rejects_a_setting_the_run_ignores(doc, pointer):
+    """A field the run would never read is an error at its pointer, not
+    silently dropped; KFAC's settings live in base_opt only."""
+    with pytest.raises(ConfigError) as err:
+        parse_config(doc)
+    assert err.value.pointer == pointer
+
+
+@pytest.mark.parametrize("key,value", [("damping", 0.01), ("update_every", 2),
+                                       ("ema_decay", 0.5)])
+def test_parse_takes_a_kfac_setting_under_kfac_only(key, value):
+    cfg = parse_config(synth_doc(base_opt={"kind": "kfac", key: value}))
+    assert getattr(cfg.base_opt, key) == value
+    for mode, kind in (("none", "sgd-momentum"), ("apo-lr", "adam")):
+        with pytest.raises(ConfigError, match="is a kfac setting") as err:
+            parse_config(synth_doc(mode=mode, base_opt={"kind": kind, key: value}))
+        assert err.value.pointer == f"/base_opt/{key}"
 
 
 @pytest.mark.parametrize("kind,params,pointer", [
@@ -197,22 +235,33 @@ def test_parse_accepts_every_task_param_type():
 
 @pytest.mark.parametrize("decay", [-0.1, 1.0, 1.5])
 def test_parse_rejects_ema_decay_out_of_range(decay):
-    with pytest.raises(ConfigError) as err:
-        parse_config(synth_doc(kfac={"ema_decay": decay}))
-    assert err.value.pointer == "/kfac/ema_decay"
+    with pytest.raises(ConfigError, match="ema_decay must lie in") as err:
+        parse_config(synth_doc(base_opt={"kind": "kfac", "ema_decay": decay}))
+    assert err.value.pointer == "/base_opt"
+
+
+def test_config_tables_name_every_dataclass_field():
+    """Each table reads every field of its dataclass, so none parses, dumps
+    and round-trips while always taking its default; the meta-optimizer
+    takes no weight decay and no KFAC setting."""
+    for table, cls in ((CONFIG, ExperimentConfig), (TASK, TaskSpec),
+                       (BASE_OPT, BaseOptKind), (PROXIMAL, ProximalConfig)):
+        assert sorted(name for name, _ in table.values()) == sorted(f.name for f in fields(cls))
+    meta = {name for name, _ in META_OPT.values()}
+    assert meta < {f.name for f in fields(BaseOptKind)}
+    assert not meta & {"weight_decay", *KFAC_SETTINGS}
 
 
 # The document schema: every object's keys in the order config_to_dict writes them.
 DOCUMENT_KEYS = {
-    "": ["task", "mode", "base_opt", "proximal", "init_lr", "kfac", "steps", "seed",
-         "eval_every"],
+    "": ["task", "mode", "base_opt", "proximal", "init_lr", "steps", "seed", "eval_every"],
     "/task": ["kind", "batch_size", "dataset_size", "seed", "params"],
-    "/base_opt": ["kind", "beta", "beta2", "rms_beta2", "eps", "weight_decay"],
+    "/base_opt": ["kind", "beta", "beta2", "rms_beta2", "eps", "weight_decay", "damping",
+                  "update_every", "ema_decay"],
     "/proximal": ["lambda_fsd", "lambda_wsd", "fsd_kind", "meta_interval", "meta_lr",
                   "meta_opt", "warmup_steps", "warmup_lr", "loss_batch_policy",
                   "fsd_batch_policy", "scale"],
     "/proximal/meta_opt": ["kind", "beta", "beta2", "rms_beta2", "eps"],
-    "/kfac": ["damping", "update_every", "ema_decay"],
 }
 
 
@@ -232,10 +281,10 @@ def _optional(**fields):
     return st.fixed_dictionaries({}, optional=fields)
 
 
-def _optimizer(kinds):
+def _optimizer(kinds, **extra):
     decay = st.one_of(st.just(0), st.floats(0.0, 0.99))
     return _optional(kind=st.sampled_from(kinds), beta=decay, beta2=decay,
-                     rms_beta2=decay, eps=_numbers(1e-9, 1.0))
+                     rms_beta2=decay, eps=_numbers(1e-9, 1.0), **extra)
 
 
 PARAM_VALUES = {"int": st.integers(2, 6), "number": _numbers(1.0, 20.0),
@@ -246,8 +295,9 @@ PARAM_VALUES = {"int": st.integers(2, 6), "number": _numbers(1.0, 20.0),
 def config_docs(draw, csv_path):
     """Valid documents: every task kind, mode and base kind, sections left out
     or null, integers in number fields, fsd_kind left out, null or given;
-    dataset_size only on a kind that draws its data, and under apo-precond
-    no base kind but sgd."""
+    dataset_size only on a kind that draws its data, and only fields the run
+    reads: a base kind the mode takes, KFAC's settings under kfac alone, no
+    proximal object in mode none and no init_lr under apo-precond."""
     kind = draw(st.sampled_from(tasks.TASK_KINDS))
     params = draw(_optional(**{key: PARAM_VALUES[t] for key, t in
                                tasks.TASK_PARAMS[kind].items() if t != "string"}))
@@ -264,22 +314,23 @@ def config_docs(draw, csv_path):
     proximal = _optional(
         lambda_fsd=_numbers(0.0, 2.0), lambda_wsd=_numbers(0.0, 2.0),
         fsd_kind=st.sampled_from([None, *DIVERGENCES]), meta_interval=st.integers(1, 20),
-        meta_lr=_numbers(1e-4, 1.0), meta_opt=st.one_of(st.none(), _optimizer(BASE_KINDS)),
+        meta_lr=_numbers(1e-4, 1.0), meta_opt=st.one_of(st.none(), _optimizer(KINDS)),
         warmup_steps=st.integers(0, 50), warmup_lr=_numbers(1e-4, 1.0),
         loss_batch_policy=st.sampled_from(["same", "fresh"]),
         fsd_batch_policy=st.sampled_from(["same", "fresh"]), scale=_numbers(0.01, 2.0))
-    kfac = _optional(damping=_numbers(0.0, 1.0), update_every=st.integers(1, 9),
-                     ema_decay=st.floats(0.0, 0.99))
+    kinds = [k for k in MODE_BASE_KINDS[mode] if k != "kfac"]
     doc = {"task": task, "mode": mode, **draw(_optional(
-        base_opt=st.one_of(st.none(), _optimizer(["sgd"] if mode == "apo-precond"
-                                                 else BASE_KINDS)),
-        proximal=st.one_of(st.none(), proximal),
-        init_lr=st.one_of(st.none(), _numbers(1e-4, 1.0)),
-        kfac=st.one_of(st.none(), kfac), steps=st.integers(1, 500),
-        seed=st.integers(0, 99), eval_every=st.one_of(st.none(), st.integers(0, 50))))}
-    # KFAC is valid only in mode none; there a coin picks it.
-    if mode == "none" and draw(st.booleans()):
-        doc["base_opt"] = {**(doc.get("base_opt") or {}), "kind": "kfac"}
+        base_opt=st.one_of(st.none(), _optimizer(kinds)),
+        **({} if mode == "none" else {"proximal": st.one_of(st.none(), proximal)}),
+        **({} if mode == "apo-precond" else
+           {"init_lr": st.one_of(st.none(), _numbers(1e-4, 1.0))}),
+        steps=st.integers(1, 500), seed=st.integers(0, 99),
+        eval_every=st.one_of(st.none(), st.integers(0, 50))))}
+    # A mode that takes kfac picks it by a coin, with its own settings.
+    if "kfac" in MODE_BASE_KINDS[mode] and draw(st.booleans()):
+        doc["base_opt"] = {**draw(_optimizer(["kfac"], damping=_numbers(0.0, 1.0),
+                                             update_every=st.integers(1, 9),
+                                             ema_decay=st.floats(0.0, 0.99))), "kind": "kfac"}
     return doc
 
 
@@ -309,13 +360,13 @@ def test_parse_dump_roundtrip(tmp_path):
     ("steps", True),
     ("init_lr", True),
     ("task.seed", None),
-    ("kfac.update_every", "x"),
+    ("base_opt.update_every", "x"),
     # Python's json parses Infinity and NaN; a number field takes neither
     ("init_lr", float("inf")),
     ("proximal.warmup_lr", float("inf")),
     ("proximal.meta_lr", float("nan")),
     ("base_opt.eps", float("-inf")),
-    ("kfac.damping", float("nan")),
+    ("base_opt.damping", float("nan")),
 ])
 def test_parse_rejects_wrong_type_at_its_pointer(path, value):
     doc = synth_doc()
@@ -369,7 +420,7 @@ def test_run_no_meta_updates_matches_mode_none(tmp_path):
 
 
 def test_run_divergence_exit(tmp_path):
-    cfg = parse_config(small_doc(mode="none", init_lr=1e4, steps=50))
+    cfg = parse_config(plain_doc(init_lr=1e4, steps=50))
     with pytest.raises(TrainingDivergedError):
         run(cfg, tmp_path / "x")
     sidecar = json.loads(open(tmp_path / "x" / "config.json").read())
@@ -388,7 +439,7 @@ def _assert_rows_before_divergence(cfg, run_dir):
 
 
 def test_run_divergence_keeps_rows_apo_train(tmp_path):
-    cfg = parse_config(small_doc(mode="none", init_lr=1e4, steps=50))
+    cfg = parse_config(plain_doc(init_lr=1e4, steps=50))
     assert _assert_rows_before_divergence(cfg, tmp_path / "x") == 3
 
 
@@ -413,8 +464,8 @@ def test_run_divergence_keeps_rows_nonfinite_learned_lr(tmp_path):
 
 
 def test_run_kfac_baseline(tmp_path):
-    doc = synth_doc(base_opt={"kind": "kfac"}, init_lr=0.05,
-                    kfac={"damping": 1e-2, "update_every": 2, "ema_decay": 0.9})
+    doc = synth_doc(base_opt={"kind": "kfac", "damping": 1e-2, "update_every": 2,
+                              "ema_decay": 0.9}, init_lr=0.05)
     cfg = parse_config(doc)
     outcome = run(cfg, tmp_path / "kfac")
     assert outcome.summary["final_train_loss"] < 1.5
@@ -513,7 +564,7 @@ def test_grid_single_point_equals_run(tmp_path):
 
 
 def test_grid_records_failures_and_continues(tmp_path):
-    doc = small_doc(mode="none", steps=80)
+    doc = plain_doc(steps=80)
     rows = grid(doc, {"axes": {"init_lr": [1e-4, 1e4]}}, tmp_path / "g2")
     statuses = {repr(r["axis:init_lr"]): r["status"] for r in rows}
     assert statuses[repr(1e-4)] == "ok"
@@ -690,7 +741,7 @@ def test_cli_run_and_exit_codes(tmp_path, capsys):
                      "--out", str(tmp_path / "out6")]) == 5
 
     div_path = tmp_path / "div.json"
-    div_path.write_text(json.dumps(small_doc(mode="none", init_lr=1e4)))
+    div_path.write_text(json.dumps(plain_doc(init_lr=1e4)))
     assert cli.main(["run", "--config", str(div_path),
                      "--out", str(tmp_path / "out3")]) == 3
 

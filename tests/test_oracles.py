@@ -405,8 +405,6 @@ def test_kfac_factors_non_spd_reports_pivot():
     with pytest.raises(NumericalError, match="^kfac block factorization failed") as err:
         baseopt.kfac_factors(blocks, 0.0)
     assert err.value.pivot == 2
-    with pytest.raises(ContractError):
-        baseopt.kfac_factors(blocks, -1.0)
 
 
 @settings(max_examples=80, deadline=None)
