@@ -50,7 +50,7 @@ import numpy as np
 
 from .baseopt import (BASE_KINDS, KINDS, BaseOptKind, apply_lr_update, init_state,
                       kfac_direction, kfac_statistics, update_direction)
-from .diffnet import ParamSet, _softmax_parts, backward, forward, loss_value_and_grad, predictive
+from .diffnet import ParamSet, _softmax_parts, backward, forward, loss_value_and_grad, softmax
 from .errors import ContractError, DimensionError, NumericalError, TrainingDivergedError
 from .kronprecond import DEFAULT_SCALE, init_identity
 from .numkit import FLOAT
@@ -75,7 +75,7 @@ def _kl_categorical(y_new, y_old):
 
 
 def _softmax_hessians(y):
-    p = predictive("classification-softmax", y)[:, :, None]
+    p = softmax(y)[:, :, None]
     return np.eye(y.shape[1]) * p - p * p.transpose(0, 2, 1)
 
 
@@ -325,8 +325,8 @@ def apo_train(model, theta0, cfg, task, steps, rng, mode="apo-lr", base_kind=Non
     sample B' (and a separate loss batch under the fresh-loss policy) and
     take one meta-optimizer step on phi; then step theta as the module
     docstring says.  base_kind (default sgd) must be in MODE_BASE_KINDS[mode];
-    its weight decay holds in every step.  theta is a copy of theta0, written
-    in place.  Raises TrainingDivergedError past the loss guard or on a
+    its weight decay holds in every step; apo-precond takes no init_lr.
+    theta is a copy of theta0, written in place.  Raises TrainingDivergedError past the loss guard or on a
     NumericalError, carrying the rows of the steps completed before it.
     """
     if steps < 1:
@@ -339,6 +339,9 @@ def apo_train(model, theta0, cfg, task, steps, rng, mode="apo-lr", base_kind=Non
     if base_kind.kind not in MODE_BASE_KINDS[mode]:
         raise ContractError(f"mode {mode!r} takes base kinds {MODE_BASE_KINDS[mode]}, "
                             f"not {base_kind.kind!r}")
+    if mode == "apo-precond" and init_lr is not None:
+        raise ContractError("apo-precond steps at cfg.warmup_lr, then with its "
+                            "preconditioner, so it takes no init_lr")
     wd = base_kind.weight_decay
     rate = float(init_lr if init_lr is not None else DEFAULT_INIT_LR[base_kind.kind])
     phi, base_steps = None, steps

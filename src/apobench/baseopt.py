@@ -23,7 +23,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .diffnet import backward, forward, predictive
+from .diffnet import backward, forward, softmax
 from .errors import ContractError, NumericalError
 from .numkit import cholesky_spd, solve_spd
 
@@ -141,22 +141,19 @@ def _sample_targets(head, outputs, rng):
     """Targets drawn from the model's predictive distribution (true Fisher)."""
     if head == "regression-gaussian-unit-variance":
         return outputs + rng.standard_normal(outputs.shape)
-    if head == "classification-softmax":
-        p = predictive("classification-softmax", outputs)
-        u = rng.random(p.shape[0])
-        # Per row, the first index whose running total reaches u; a total
-        # that rounds to just below 1 can stay under u, so clamp to the last.
-        drawn = np.count_nonzero(np.cumsum(p, axis=1) < u[:, None], axis=1)
-        return np.minimum(drawn, p.shape[1] - 1)
-    raise ContractError(f"cannot sample Fisher targets for head {head!r}")
+    p = softmax(outputs)
+    u = rng.random(p.shape[0])
+    # Per row, the first index whose running total reaches u; a total
+    # that rounds to just below 1 can stay under u, so clamp to the last.
+    drawn = np.count_nonzero(np.cumsum(p, axis=1) < u[:, None], axis=1)
+    return np.minimum(drawn, p.shape[1] - 1)
 
 
 def _nll_seed(head, outputs, targets):
     """Per-example d NLL / d outputs at the sampled targets (no 1/B)."""
     if head == "regression-gaussian-unit-variance":
         return outputs - targets
-    p = predictive("classification-softmax", outputs)
-    seed = p.copy()
+    seed = softmax(outputs)
     seed[np.arange(len(outputs)), targets] -= 1.0
     return seed
 

@@ -357,14 +357,11 @@ def loss_value_and_grad(head, outputs, targets):
     return loss, p / b
 
 
-def predictive(head, outputs):
-    """Predictive-distribution parameters: softmax probabilities for
-    classification, means passed through for regression."""
-    outputs = np.asarray(outputs, dtype=FLOAT)
-    if head == "classification-softmax":
-        _, e, total = _softmax_parts(outputs)
-        return e / total
-    return outputs
+def softmax(outputs):
+    """Row softmax of logits: the classification head's predictive
+    probabilities."""
+    _, e, total = _softmax_parts(outputs)
+    return e / total
 
 
 def preact_jacobians(model, params, inputs):

@@ -6,7 +6,8 @@ document key to its dataclass field and its type. A type is a name in
 JSON_TYPES (a trailing "?" also admits null), a tuple of the allowed values,
 or the table of a nested object. parse_config reads every object through its
 table with _read, and config_to_dict dumps the resolved configuration by
-walking the same tables, keys in table order.
+walking the same tables, keys in table order. Task params are declared by
+tasks.TASK_PARAMS, with types and least values, and kept as given.
 
 A number is finite (Python's json parses Infinity and NaN, which no number
 field takes) and stored as a float, so an integer in a number field dumps as
@@ -71,8 +72,7 @@ def _table(**types):
     return {key: (key, kind) for key, kind in types.items()}
 
 
-TASK = _table(kind=TASK_KINDS, batch_size="int", dataset_size="int?", seed="int",
-              params="object?")
+TASK = _table(kind=TASK_KINDS, batch_size="int", seed="int", params="object?")
 OPT_DECAYS = dict.fromkeys(("beta", "beta2", "rms_beta2", "eps"), "number")
 KFAC_SETTINGS = dict(damping="number", update_every="int", ema_decay="number")
 BASE_OPT = _table(kind=BASE_KINDS, **OPT_DECAYS, weight_decay="number", **KFAC_SETTINGS)
@@ -136,9 +136,15 @@ def parse_config(doc):
         path = params.get("path")
         _expect(isinstance(path, str) and os.path.isfile(path),
                 "uci-csv needs the path of an existing CSV file", "/task/params/path")
-    # Task parameters are builder keywords, kept as given.
-    task["params"] = _read(params, _table(**TASK_PARAMS[kind]), "/task/params", kind,
-                           number=lambda v: v)
+    # Task parameters are builder keywords, kept as given, none below its least.
+    declared = TASK_PARAMS[kind]
+    task["params"] = _read(params, {key: (key, t) for key, (t, _) in declared.items()},
+                           "/task/params", kind, number=lambda v: v)
+    for key, value in task["params"].items():
+        least, each = declared[key][1], declared[key][0] == "ints"
+        _expect(least is None or min(value if each else [value]) >= least,
+                f"{kind} needs {key} >= {least}{' in each entry' if each else ''}",
+                f"/task/params/{key}")
 
     mode = top.get("mode", ExperimentConfig.mode)
     base = _read(top.get("base_opt", {}), BASE_OPT, "/base_opt")

@@ -12,7 +12,7 @@ import time
 from dataclasses import dataclass
 
 from ..apo import apo_train
-from ..diffnet import forward, predictive
+from ..diffnet import forward, softmax
 from ..errors import IngestionError, TrainingDivergedError
 from ..numkit import make_rng
 from ..tasks import build_task
@@ -61,7 +61,7 @@ def _final_accuracy(task, theta):
         return None
     features, labels = task.extras["dataset"]
     outputs, _ = forward(task.model, theta, features)
-    pred = predictive("classification-softmax", outputs).argmax(axis=1)
+    pred = softmax(outputs).argmax(axis=1)
     return float((pred == labels).mean())
 
 

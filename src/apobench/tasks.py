@@ -4,7 +4,9 @@ Each task bundles a model, a seeded parameter initializer, a batch sampler
 (driven by the caller's rng so training streams stay reproducible), and an
 exact or full-dataset evaluation function.  A task's data passes
 diffnet.check_dataset once, when the task is built (a generated task's on one
-sampled batch); the batches it then samples are not checked again.
+sampled batch); the batches it then samples are not checked again.  The
+one limit that needs the data, batch_size against the dataset's rows, is a
+ConfigError at /task/batch_size when the task is built.
 """
 
 from __future__ import annotations
@@ -16,32 +18,32 @@ import numpy as np
 
 from .diffnet import (Batch, LayerSpec, Model, check_dataset, forward, init_params,
                       loss_eval, mlp)
-from .errors import ContractError, IngestionError
+from .errors import ConfigError, ContractError, IngestionError
 from .numkit import FLOAT, make_rng, rand_orthogonal
 
 SIGMA_FLOOR = 1e-12
 
-# Per task kind, the builder keywords that TaskSpec.params may set, with the
-# JSON type of each, named in harness.config.JSON_TYPES: "int", "number",
-# "string", or "ints" (two or more ints).
+# Per task kind, every builder keyword that TaskSpec.params may set: its JSON
+# type, named in harness.config.JSON_TYPES ("int", "number", "string", or
+# "ints", two or more ints), and its least value (of each entry, for "ints"),
+# None where any value builds. harness.config.parse_config checks both, so a
+# builder takes its keywords as given. n is a generated dataset's row count.
 TASK_PARAMS = {
-    "illcond-linear": {"d": "int", "kappa": "number"},
-    "synth-regression": {"d": "int", "noise": "number", "hidden": "int"},
-    "synth-classification": {"d": "int", "classes": "int", "separation": "number",
-                             "hidden": "int"},
-    "bottleneck-autoencoder": {"widths": "ints"},
-    "uci-csv": {"path": "string", "hidden": "int"},
+    "illcond-linear": {"d": ("int", 2), "kappa": ("number", 1)},
+    "synth-regression": {"n": ("int", 1), "d": ("int", 1), "noise": ("number", None),
+                         "hidden": ("int", 1)},
+    "synth-classification": {"n": ("int", 1), "d": ("int", 1), "classes": ("int", 2),
+                             "separation": ("number", None), "hidden": ("int", 1)},
+    "bottleneck-autoencoder": {"n": ("int", 1), "widths": ("ints", 1)},
+    "uci-csv": {"path": ("string", None), "hidden": ("int", 1)},
 }
 TASK_KINDS = tuple(TASK_PARAMS)
-# The kinds whose builder draws its dataset, of TaskSpec.dataset_size rows.
-SIZED_KINDS = ("synth-regression", "synth-classification", "bottleneck-autoencoder")
 
 
 @dataclass(frozen=True)
 class TaskSpec:
     kind: str
     batch_size: int = 32
-    dataset_size: int | None = None
     seed: int = 0
     params: dict = field(default_factory=dict)
 
@@ -50,11 +52,6 @@ class TaskSpec:
             raise ContractError(f"unknown task kind {self.kind!r}")
         if self.batch_size < 1:
             raise ContractError("batch_size must be >= 1")
-        if self.dataset_size is not None:
-            if self.kind not in SIZED_KINDS:
-                raise ContractError(f"task kind {self.kind!r} takes no dataset_size")
-            if self.batch_size > self.dataset_size:
-                raise ContractError("batch_size cannot exceed dataset_size")
 
 
 @dataclass
@@ -70,7 +67,8 @@ def _finite_dataset_task(batch_size, model, features, targets, extras=None):
     check_dataset(model, features, targets)
     n = len(features)
     if batch_size > n:
-        raise ContractError("batch_size cannot exceed dataset size")
+        raise ConfigError(f"batch_size {batch_size} exceeds the task's {n} rows",
+                          "/task/batch_size")
 
     def sample(rng):
         idx = rng.choice(n, size=batch_size, replace=False)
@@ -90,10 +88,6 @@ def illcond_linear_task(d=64, kappa=1e10, seed=0, batch_size=64):
     x ~ N(0, I), fit by a two-layer linear network.  Singular values of A are
     log-uniform between 1 and 1/kappa, so kappa(A) is exact by construction.
     The evaluation loss is the exact population value |A^T - W1 W2|_F^2."""
-    if d < 2:
-        raise ContractError("need d >= 2")
-    if kappa < 1:
-        raise ContractError("kappa must be >= 1")
     rng = make_rng(seed)
     u = rand_orthogonal(rng, d)
     v = rand_orthogonal(rng, d)
@@ -130,8 +124,6 @@ def _standardize(x):
 def synth_regression_task(n=512, d=8, noise=0.1, seed=0, batch_size=32, hidden=16):
     """Teacher-MLP regression: targets from a fixed random sigmoid teacher
     plus Gaussian noise, then feature/target standardization."""
-    if n < 1:
-        raise ContractError("need n >= 1")
     rng = make_rng(seed)
     teacher = mlp([d, hidden, 1], activation="sigmoid")
     teacher_theta = init_params(teacher, rng)
@@ -154,8 +146,6 @@ def synth_classification_task(n=512, d=8, classes=2, seed=0, batch_size=32,
                               separation=3.0, hidden=16):
     """Gaussian blobs with unit covariance and means at +-separation along
     orthogonal directions, standardized; well separated by a linear rule."""
-    if classes < 2:
-        raise ContractError("need at least 2 classes")
     rng = make_rng(seed)
     q = rand_orthogonal(rng, d)
     means = np.zeros((classes, d))
@@ -255,8 +245,5 @@ BUILDERS = {"illcond-linear": illcond_linear_task, "synth-regression": synth_reg
 
 def build_task(spec):
     """Construct a task from its spec (harness entry point); spec.params are
-    keyword arguments of the kind's builder, as listed in TASK_PARAMS, and a
-    set dataset_size is its n."""
-    sized = {} if spec.dataset_size is None else {"n": spec.dataset_size}
-    return BUILDERS[spec.kind](**spec.params, **sized, seed=spec.seed,
-                               batch_size=spec.batch_size)
+    keyword arguments of the kind's builder, as listed in TASK_PARAMS."""
+    return BUILDERS[spec.kind](**spec.params, seed=spec.seed, batch_size=spec.batch_size)

@@ -5,7 +5,8 @@ three training workloads at bench seeds 1 and 2 (config seeds 1000 and
 2000), the unit's config document, the sha256 of its metrics.csv and its
 final eval loss or divergence step; plus the sha256 of `check --json` and of
 the default `ppm-demo --out` table, and the numpy and CPython versions that
-made them.  tests/test_golden.py reruns everything and compares.
+made them, and the one BLAS thread they are measured with.
+tests/test_golden.py reruns everything and compares.
 
 A change that moves these bytes on purpose regenerates the file with
 
@@ -18,8 +19,10 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 import pathlib
 import platform
+import subprocess
 import sys
 import tempfile
 
@@ -35,8 +38,15 @@ GOLDEN_PATH = ROOT / "tests" / "golden_metrics.json"
 BENCH_SEEDS = (1, 2)
 
 
+# The BLAS thread count every measurement runs with: a default ppm-demo table
+# differs in its last bits between one thread and two.
+BLAS_THREADS = "1"
+BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
 def versions():
-    return {"numpy": np.__version__, "python": platform.python_version()}
+    return {"numpy": np.__version__, "python": platform.python_version(),
+            "blas_threads": BLAS_THREADS}
 
 
 def sha256(data):
@@ -67,7 +77,17 @@ def ppm_demo_digest(out_dir):
 
 
 def measure(units):
-    """The golden record of units, a {label: config document} map."""
+    """The golden record of units, a {label: config document} map, measured
+    in a child interpreter with BLAS_THREADS BLAS threads."""
+    path = os.pathsep.join(filter(None, (str(ROOT / "src"), os.environ.get("PYTHONPATH"))))
+    env = dict(os.environ, **dict.fromkeys(BLAS_VARS, BLAS_THREADS), PYTHONPATH=path)
+    child = subprocess.run([sys.executable, __file__, "--measure"], input=json.dumps(units),
+                           stdout=subprocess.PIPE, text=True, env=env, check=True)
+    return json.loads(child.stdout)
+
+
+def measure_here(units):
+    """measure's record, in this interpreter."""
     with tempfile.TemporaryDirectory() as tmp:
         results = {label: {"config": doc, **run_unit(doc, pathlib.Path(tmp) / str(i))}
                    for i, (label, doc) in enumerate(units.items())}
@@ -83,7 +103,9 @@ def bench_units():
             for seed in BENCH_SEEDS for unit in workloads.cycle(workload, seed, 0)}
 
 
-if __name__ == "__main__":
+if __name__ == "__main__" and sys.argv[1:] == ["--measure"]:
+    print(json.dumps(measure_here(json.load(sys.stdin))))
+elif __name__ == "__main__":
     GOLDEN_PATH.write_text(json.dumps(measure(bench_units()), indent=1) + "\n",
                            encoding="utf-8")
     print(f"wrote {GOLDEN_PATH}")

@@ -716,6 +716,16 @@ def test_apo_precond_rejects_a_base_kind_other_than_sgd(kind):
                   mode="apo-precond", base_kind=BaseOptKind(kind))
 
 
+def test_apo_precond_rejects_init_lr():
+    """apo-precond steps at warmup_lr, then with its preconditioner; an
+    init_lr it would never read is refused, as parse_config refuses /init_lr."""
+    task = tasks.synth_regression_task(n=64, d=3, seed=2, batch_size=8)
+    theta0 = task.init_theta(numkit.make_rng(1))
+    with pytest.raises(ContractError, match="takes no init_lr"):
+        apo_train(task.model, theta0, default_precond_config(), task, 5, numkit.make_rng(2),
+                  mode="apo-precond", init_lr=0.7)
+
+
 def test_apo_train_kfac_logs_exact_lr_and_applies_weight_decay():
     task = tasks.synth_regression_task(n=64, d=3, seed=2, batch_size=8)
     theta0 = task.init_theta(numkit.make_rng(1))

@@ -8,7 +8,7 @@ from apobench.apo import LrPhi, loss_and_grad
 from apobench.baseopt import apply_lr_update
 from apobench.diffnet import (Batch, LayerSpec, Model, ParamSet, backward, check_dataset,
                               forward, init_params, loss_eval, loss_value_and_grad, mlp,
-                              per_example_jacobian, predictive)
+                              per_example_jacobian, softmax)
 from apobench.errors import ContractError, DimensionError
 from apobench.kronprecond import PrecondPhi, apply_precond_update, init_identity
 
@@ -191,18 +191,18 @@ def test_jacobian_matches_finite_differences():
 
 
 def test_predictive_uniform():
-    p = predictive("classification-softmax", np.zeros((2, 4)))
+    p = softmax(np.zeros((2, 4)))
     assert np.abs(p - 0.25).max() < 1e-12
 
 
 def test_predictive_hand_softmax():
-    p = predictive("classification-softmax", np.array([[np.log(2.0), 0.0]]))
+    p = softmax(np.array([[np.log(2.0), 0.0]]))
     assert np.allclose(p, [[2 / 3, 1 / 3]], atol=1e-12)
 
 
 def test_predictive_rows_sum_to_one():
     rng = numkit.make_rng(1)
-    p = predictive("classification-softmax", rng.standard_normal((10, 5)) * 30)
+    p = softmax(rng.standard_normal((10, 5)) * 30)
     assert np.abs(p.sum(axis=1) - 1.0).max() <= 1e-12
 
 
@@ -231,11 +231,6 @@ def test_softmax_parts_match_row_max_bytes(rows, cols, log_scale, zeros, seed):
     pick = np.arange(rows), rng.integers(0, cols, rows)
     assert (np.add.reduce(np.log(total[:, 0]) - z[pick]) ==
             np.add.reduce(np.log(total0[:, 0]) - z0[pick]))
-
-
-def test_predictive_regression_passthrough():
-    y = np.array([[1.0, -2.0]])
-    assert np.array_equal(predictive("regression-gaussian-unit-variance", y), y)
 
 
 def test_paramset_flatten_roundtrip():

@@ -1,4 +1,6 @@
+import inspect
 import json
+import math
 import os
 import subprocess
 import sys
@@ -13,6 +15,7 @@ import apobench
 from apobench import tasks
 from apobench.apo import DIVERGENCES, MODE_BASE_KINDS, ProximalConfig, default_precond_config
 from apobench.baseopt import KINDS, BaseOptKind
+from apobench.diffnet import check_dataset
 from apobench.errors import ConfigError, IngestionError, TrainingDivergedError
 from apobench.harness import cli, gridsearch, write_csv
 from apobench.harness.checks import result
@@ -29,8 +32,8 @@ from helpers import write_dataset_csv
 def small_doc(**overrides):
     """A small apo-lr run: a 2-4-1 sigmoid MLP on 32 regression examples."""
     doc = {
-        "task": {"kind": "synth-regression", "batch_size": 8, "dataset_size": 32,
-                 "params": {"d": 2, "hidden": 4}},
+        "task": {"kind": "synth-regression", "batch_size": 8,
+                 "params": {"n": 32, "d": 2, "hidden": 4}},
         "mode": "apo-lr",
         "base_opt": {"kind": "sgd"},
         "proximal": {"lambda_wsd": 1.0, "meta_interval": 10},
@@ -51,8 +54,8 @@ def plain_doc(**overrides):
 
 def synth_doc(**overrides):
     doc = {
-        "task": {"kind": "synth-regression", "batch_size": 8,
-                 "dataset_size": 64, "seed": 1, "params": {"d": 3}},
+        "task": {"kind": "synth-regression", "batch_size": 8, "seed": 1,
+                 "params": {"n": 64, "d": 3}},
         "mode": "none",
         "base_opt": {"kind": "sgd-momentum"},
         "init_lr": 0.05,
@@ -141,31 +144,32 @@ def test_parse_rejects_uci_csv_without_existing_path(tmp_path):
     assert parse_config(doc).task.params["path"] == str(path)
 
 
-def _unsized_task(kind, tmp_path, **fields):
+def _unsized_task(kind, tmp_path, **params):
     """A task object of a kind whose builder does not draw its data."""
-    params = {}
     if kind == "uci-csv":
         params["path"] = str(tmp_path / "data.csv")
         write_dataset_csv(np.arange(20.0).reshape(10, 2), np.arange(10.0), params["path"])
-    return {"kind": kind, "batch_size": 8, "params": params, **fields}
+    return {"kind": kind, "batch_size": 8, "params": params}
 
 
 @pytest.mark.parametrize("kind", ["illcond-linear", "uci-csv"])
 def test_parse_rejects_dataset_size_a_kind_ignores(tmp_path, kind):
-    """A size the builder would never read is an error, not silently dropped."""
-    doc = synth_doc(task=_unsized_task(kind, tmp_path, dataset_size=100000))
-    with pytest.raises(ConfigError, match="takes no dataset_size") as err:
+    """A dataset size, params.n, is a keyword of the kinds that draw their
+    data; on another kind it is an unknown key, not silently dropped."""
+    doc = synth_doc(task=_unsized_task(kind, tmp_path, n=100000))
+    with pytest.raises(ConfigError, match="unknown key 'n'") as err:
         parse_config(doc)
-    assert err.value.pointer == "/task"
-    assert parse_config(synth_doc(task=_unsized_task(kind, tmp_path))).task.dataset_size is None
+    assert err.value.pointer == "/task/params/n"
+    assert "n" not in parse_config(synth_doc(task=_unsized_task(kind, tmp_path))).task.params
 
 
 @pytest.mark.parametrize("kind", ["illcond-linear", "uci-csv"])
 def test_parse_names_the_ignored_dataset_size_below_batch_size(tmp_path, kind):
-    """Below batch_size the error names the ignored field, not the batch size."""
-    doc = synth_doc(task=_unsized_task(kind, tmp_path, dataset_size=4))
-    with pytest.raises(ConfigError, match="takes no dataset_size"):
+    """Below batch_size the error names the ignored n, not the batch size."""
+    doc = synth_doc(task=_unsized_task(kind, tmp_path, n=4))
+    with pytest.raises(ConfigError, match="unknown key 'n'") as err:
         parse_config(doc)
+    assert err.value.pointer == "/task/params/n"
 
 
 @pytest.mark.parametrize("kind", ["sgd-momentum", "rmsprop", "adam"])
@@ -216,8 +220,11 @@ def test_parse_takes_a_kfac_setting_under_kfac_only(key, value):
     ("bottleneck-autoencoder", {"widths": [16, "2", 16]}, "/task/params/widths"),
     ("rosenbrock", {}, "/task/kind"),
     ("illcond-linear", {"kappa": float("inf")}, "/task/params/kappa"),
+    ("uci-csv", {"hidden": 0}, "/task/params/hidden"),
 ])
-def test_parse_rejects_bad_task_params(kind, params, pointer):
+def test_parse_rejects_bad_task_params(kind, params, pointer, tmp_path):
+    if kind == "uci-csv":
+        params = _unsized_task(kind, tmp_path, **params)["params"]
     doc = synth_doc(task={"kind": kind, "batch_size": 8, "params": params})
     with pytest.raises(ConfigError) as err:
         parse_config(doc)
@@ -231,6 +238,61 @@ def test_parse_accepts_every_task_param_type():
                          ("bottleneck-autoencoder", {"widths": [4, 2, 4]})):
         doc = synth_doc(task={"kind": kind, "batch_size": 8, "params": params})
         assert parse_config(doc).task.params == params
+
+
+def _near_least(json_type, least):
+    """Values of one task parameter: just below, at and above its least
+    value; any finite number where it has none; symmetric "ints"."""
+    if least is None:
+        return st.floats(-10.0, 10.0)
+    if json_type == "number":
+        return st.sampled_from([math.nextafter(least, -math.inf), least,
+                                math.nextafter(least, math.inf), least + 1.0])
+    near = st.integers(least - 1, least + 1)
+    if json_type == "int":
+        return near
+    return st.tuples(st.lists(near, min_size=1, max_size=2), st.lists(near, max_size=1)).map(
+        lambda parts: parts[0] + parts[1] + parts[0][::-1])
+
+
+GENERATED_KINDS = [kind for kind in tasks.TASK_KINDS if kind != "uci-csv"]
+
+
+@st.composite
+def generated_task_docs(draw):
+    kind = draw(st.sampled_from(GENERATED_KINDS))
+    params = draw(_optional(**{key: _near_least(*declared)
+                               for key, declared in tasks.TASK_PARAMS[kind].items()}))
+    return {"kind": kind, "batch_size": draw(st.integers(1, 3)), "params": params}
+
+
+@settings(max_examples=150, deadline=None)
+@given(generated_task_docs())
+def test_task_params_parse_and_build_or_fail_at_their_pointer(task):
+    """A task parameter below its least value is a ConfigError at its pointer,
+    raised by parse_config; any other generated task builds, and its first
+    batch passes check_dataset, unless batch_size exceeds the dataset's rows,
+    a ConfigError at /task/batch_size. No other error escapes."""
+    kind, params = task["kind"], task["params"]
+    declared = tasks.TASK_PARAMS[kind]
+    below = {f"/task/params/{key}" for key, value in params.items()
+             if declared[key][1] is not None and min(np.atleast_1d(value)) < declared[key][1]}
+    if below:
+        with pytest.raises(ConfigError) as err:
+            parse_config(synth_doc(task=task))
+        assert err.value.pointer in below
+        return
+    spec = parse_config(synth_doc(task=task)).task
+    rows = (params.get("n", inspect.signature(tasks.BUILDERS[kind]).parameters["n"].default)
+            if "n" in declared else math.inf)
+    if task["batch_size"] > rows:
+        with pytest.raises(ConfigError) as err:
+            tasks.build_task(spec)
+        assert err.value.pointer == "/task/batch_size"
+        return
+    built = tasks.build_task(spec)
+    batch = built.sample_batch(np.random.default_rng(0))
+    check_dataset(built.model, batch.inputs, batch.targets)
 
 
 @pytest.mark.parametrize("decay", [-0.1, 1.0, 1.5])
@@ -255,7 +317,7 @@ def test_config_tables_name_every_dataclass_field():
 # The document schema: every object's keys in the order config_to_dict writes them.
 DOCUMENT_KEYS = {
     "": ["task", "mode", "base_opt", "proximal", "init_lr", "steps", "seed", "eval_every"],
-    "/task": ["kind", "batch_size", "dataset_size", "seed", "params"],
+    "/task": ["kind", "batch_size", "seed", "params"],
     "/base_opt": ["kind", "beta", "beta2", "rms_beta2", "eps", "weight_decay", "damping",
                   "update_every", "ema_decay"],
     "/proximal": ["lambda_fsd", "lambda_wsd", "fsd_kind", "meta_interval", "meta_lr",
@@ -287,6 +349,7 @@ def _optimizer(kinds, **extra):
                      rms_beta2=decay, eps=_numbers(1e-9, 1.0), **extra)
 
 
+# Per JSON type, values at or above every least value in tasks.TASK_PARAMS.
 PARAM_VALUES = {"int": st.integers(2, 6), "number": _numbers(1.0, 20.0),
                 "ints": st.lists(st.integers(2, 6), min_size=2, max_size=4)}
 
@@ -295,19 +358,17 @@ PARAM_VALUES = {"int": st.integers(2, 6), "number": _numbers(1.0, 20.0),
 def config_docs(draw, csv_path):
     """Valid documents: every task kind, mode and base kind, sections left out
     or null, integers in number fields, fsd_kind left out, null or given;
-    dataset_size only on a kind that draws its data, and only fields the run
+    task parameters at or above their least values, and only fields the run
     reads: a base kind the mode takes, KFAC's settings under kfac alone, no
     proximal object in mode none and no init_lr under apo-precond."""
     kind = draw(st.sampled_from(tasks.TASK_KINDS))
-    params = draw(_optional(**{key: PARAM_VALUES[t] for key, t in
+    params = draw(_optional(**{key: PARAM_VALUES[t] for key, (t, _) in
                                tasks.TASK_PARAMS[kind].items() if t != "string"}))
     if kind == "uci-csv":
         params["path"] = csv_path
     task = {"kind": kind, **draw(_optional(
         batch_size=st.integers(1, 8), seed=st.integers(0, 9),
-        params=st.one_of(st.none(), st.just(params)),
-        **({"dataset_size": st.one_of(st.none(), st.integers(32, 64))}
-           if kind in tasks.SIZED_KINDS else {})))}
+        params=st.one_of(st.none(), st.just(params))))}
     if kind == "uci-csv":
         task["params"] = params
     mode = draw(st.sampled_from(MODES))
@@ -502,8 +563,8 @@ def test_run_kfac_trains_a_layer_wider_than_any_former_guard(tmp_path):
 
 def test_run_classification_reports_accuracy(tmp_path):
     doc = {
-        "task": {"kind": "synth-classification", "batch_size": 16,
-                 "dataset_size": 128, "seed": 2, "params": {"d": 3}},
+        "task": {"kind": "synth-classification", "batch_size": 16, "seed": 2,
+                 "params": {"n": 128, "d": 3}},
         "mode": "none",
         "base_opt": {"kind": "sgd-momentum"},
         "init_lr": 0.1,
@@ -782,6 +843,30 @@ def test_cli_run_and_exit_codes(tmp_path, capsys):
         assert cli.main(argv) == 2, argv
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and flag in err[0], err
+
+
+@pytest.mark.parametrize("task,pointer", [
+    ({"kind": "illcond-linear", "params": {"d": 1}}, "/task/params/d"),
+    ({"kind": "illcond-linear", "params": {"kappa": 0.5}}, "/task/params/kappa"),
+    ({"kind": "synth-regression", "params": {"hidden": 0}}, "/task/params/hidden"),
+    ({"kind": "synth-classification", "params": {"classes": 1}}, "/task/params/classes"),
+    ({"kind": "synth-classification", "params": {"d": 0}}, "/task/params/d"),
+    ({"kind": "bottleneck-autoencoder", "params": {"widths": [16, 0, 16]}},
+     "/task/params/widths"),
+    ({"kind": "illcond-linear", "params": {"n": 64}}, "/task/params/n"),
+    ({"kind": "synth-regression", "batch_size": 600}, "/task/batch_size"),
+])
+def test_cli_names_a_task_param_out_of_range(task, pointer, tmp_path, capsys):
+    """Exit 2 with one stderr line at the parameter's pointer; a parameter
+    fails at parse, before --out exists. batch_size against the rows fails
+    when the task is built, after run has made --out."""
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"task": task}))
+    out = tmp_path / "out"
+    assert cli.main(["run", "--config", str(cfg_path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and f"{pointer}: " in err[0], err
+    assert out.exists() == (pointer == "/task/batch_size")
 
 
 def test_cli_ppm_demo_default_run(tmp_path, capsys):

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from apobench import baseopt, diffnet, numkit, oracles
 from apobench.apo import DIVERGENCES, loss_and_grad
 from apobench.diffnet import (Batch, LayerSpec, Model, ParamSet, forward,
-                              init_params, mlp, predictive)
+                              init_params, mlp, softmax)
 from apobench.errors import ContractError, ConvergenceError, NumericalError, OracleScaleError
 from apobench.harness import checks
 from apobench.kronprecond import KronBlocks, dense_precond
@@ -417,7 +417,7 @@ def test_sampled_classification_targets_match_per_row_search(rows, classes, spre
     outputs = spread * numkit.make_rng(seed + 1).standard_normal((rows, classes))
     rng, ref_rng = numkit.make_rng(seed), numkit.make_rng(seed)
     got = baseopt._sample_targets("classification-softmax", outputs, rng)
-    p = predictive("classification-softmax", outputs)
+    p = softmax(outputs)
     u = ref_rng.random(rows)
     expect = np.array([min(np.searchsorted(np.cumsum(row), uu), classes - 1)
                        for row, uu in zip(p, u)])
@@ -429,7 +429,7 @@ def test_sampled_classification_target_clamped_to_last_class():
     """A softmax row whose running total rounds to below 1, with a draw
     above that total, gets the last class instead of one past it."""
     outputs = 3.0 * numkit.make_rng(12).standard_normal((1, 10))
-    assert np.cumsum(predictive("classification-softmax", outputs))[-1] < 1.0
+    assert np.cumsum(softmax(outputs))[-1] < 1.0
     top = SimpleNamespace(random=lambda n: np.full(n, np.nextafter(1.0, 0.0)))
     targets = baseopt._sample_targets("classification-softmax", outputs, top)
     assert targets.tolist() == [9]
@@ -513,9 +513,9 @@ def test_fsd_hessian_categorical_matches_sampled_fisher():
     g_exact = oracles.fsd_hessian_exact(model, theta, inputs, "kl-categorical")
 
     outputs, _ = forward(model, theta, inputs)
-    from apobench.diffnet import per_example_jacobian, predictive
+    from apobench.diffnet import per_example_jacobian
     jac = per_example_jacobian(model, theta, inputs)
-    probs = predictive("classification-softmax", outputs)
+    probs = softmax(outputs)
 
     n_total = 100_000
     sample_rng = numkit.make_rng(18)

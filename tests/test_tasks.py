@@ -1,9 +1,11 @@
+import inspect
+
 import numpy as np
 import pytest
 
 from apobench import numkit, tasks
 from apobench.diffnet import ParamSet, check_dataset, forward, init_params
-from apobench.errors import ContractError, IngestionError
+from apobench.errors import ConfigError, ContractError, IngestionError
 
 from helpers import write_dataset_csv
 
@@ -139,8 +141,11 @@ def test_sampler_determinism():
 
 
 def test_batch_larger_than_dataset_rejected():
-    with pytest.raises(ContractError):
+    """The rows are known only once the task is built; the error names the
+    batch size the config set."""
+    with pytest.raises(ConfigError, match="batch_size 32 exceeds the task's 16 rows") as err:
         tasks.synth_regression_task(n=16, d=2, batch_size=32)
+    assert err.value.pointer == "/task/batch_size"
 
 
 def test_uci_two_row_standardization(tmp_path):
@@ -217,15 +222,23 @@ def test_uci_task_trains(tmp_path):
     assert np.isfinite(task.eval_loss(theta))
 
 
+def test_task_params_name_every_builder_keyword():
+    """TASK_PARAMS declares each builder keyword that a config sets; seed and
+    batch_size come from the task object itself."""
+    assert tuple(tasks.BUILDERS) == tasks.TASK_KINDS
+    for kind, build in tasks.BUILDERS.items():
+        keywords = set(inspect.signature(build).parameters) - {"seed", "batch_size"}
+        assert set(tasks.TASK_PARAMS[kind]) == keywords, kind
+
+
 def test_build_task_dispatch(tmp_path):
     p = tmp_path / "d.csv"
     write_dataset_csv(np.eye(4), np.arange(4.0), p)
     specs = [
         tasks.TaskSpec("illcond-linear", batch_size=4, params={"d": 4, "kappa": 10.0}),
-        tasks.TaskSpec("synth-regression", batch_size=8, dataset_size=32),
-        tasks.TaskSpec("synth-classification", batch_size=8, dataset_size=32,
-                       params={"classes": 3}),
-        tasks.TaskSpec("bottleneck-autoencoder", batch_size=8, dataset_size=32),
+        tasks.TaskSpec("synth-regression", batch_size=8, params={"n": 32}),
+        tasks.TaskSpec("synth-classification", batch_size=8, params={"n": 32, "classes": 3}),
+        tasks.TaskSpec("bottleneck-autoencoder", batch_size=8, params={"n": 32}),
         tasks.TaskSpec("uci-csv", batch_size=2, params={"path": str(p)}),
     ]
     for spec in specs:
