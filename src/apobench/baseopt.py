@@ -187,13 +187,12 @@ class KfacStats(NamedTuple):
 
 def kfac_factors(blocks, damping):
     """Per layer, the Cholesky factors of A + damping I and B + damping I.
-    A block that is not SPD raises NumericalError with its failing pivot."""
+    A block that is not SPD raises NumericalError."""
     try:
         return [tuple(cholesky_spd(m + damping * np.eye(m.shape[0])) for m in pair)
                 for pair in blocks]
     except NumericalError as exc:
-        raise NumericalError(f"kfac block factorization failed: {exc}",
-                             pivot=exc.pivot) from exc
+        raise NumericalError(f"kfac block factorization failed: {exc}") from exc
 
 
 def kfac_statistics(model, params, inputs, rng, stats, t, kind):

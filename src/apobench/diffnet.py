@@ -12,8 +12,8 @@ Fisher blocks come out as (input stats) kron (output stats).
 per output unit; the per-example Jacobian and the exact oracles read it.
 
 Each input is checked once, where it enters: ``check_dataset`` checks a
-task's inputs and targets (labels: integers in [0, d_out)) when the task is
-built, apo.apo_train checks theta0's layout at its entry, and
+task's inputs and targets (finite floats; labels: integers in [0, d_out))
+when the task is built, apo.apo_train checks theta0's layout at its entry, and
 kronprecond.PrecondPhi its block layout when it is constructed.  Batch,
 forward, the losses and the preconditioner trust those checks; the step keeps
 only the non-finite guards that decide a divergence.
@@ -214,9 +214,9 @@ def init_params(model, rng):
 
 
 def check_dataset(model, inputs, targets):
-    """Inputs are at least one float64 row of d_in features; targets have as
-    many rows: an integer label vector in [0, d_out) for classification,
-    else float64 rows of d_out values."""
+    """Inputs are at least one float64 row of d_in finite features; targets
+    have as many rows: an integer label vector in [0, d_out) for
+    classification, else float64 rows of d_out finite values."""
     if inputs.dtype != FLOAT or inputs.ndim != 2 or inputs.shape[1] != model.d_in:
         raise DimensionError(f"inputs must be float64 rows of {model.d_in} features, "
                              f"got {inputs.dtype} {inputs.shape}")
@@ -233,6 +233,11 @@ def check_dataset(model, inputs, targets):
     elif targets.min() < 0 or targets.max() >= model.d_out:
         raise ContractError(f"label outside [0, {model.d_out}): "
                             f"{targets.min()}..{targets.max()}")
+    finite = np.isfinite(inputs).all(axis=1)
+    if targets.dtype == FLOAT:
+        finite &= np.isfinite(targets).all(axis=1)
+    if not finite.all():
+        raise ContractError(f"row {int(np.argmin(finite))} has a non-finite input or target")
 
 
 @dataclass

@@ -18,23 +18,13 @@ class ContractError(ApoBenchError):
 
 
 class NumericalError(ApoBenchError):
-    """A numerical failure (non-finite value, failed factorization).
-
-    ``pivot`` carries the 1-based index of the failing pivot when the error
-    came out of a Cholesky factorization, else None.
-    """
-
-    def __init__(self, message, pivot=None):
-        super().__init__(message)
-        self.pivot = pivot
+    """A numerical failure (non-finite value, failed factorization); the
+    message says which."""
 
 
 class ConvergenceError(ApoBenchError):
-    """An iterative solver hit its iteration cap before reaching tolerance."""
-
-    def __init__(self, message, grad_norm=None):
-        super().__init__(message)
-        self.grad_norm = grad_norm
+    """An iterative solver hit its iteration cap before reaching tolerance;
+    the message names the cap and the gradient norm it stopped at."""
 
 
 class TrainingDivergedError(ApoBenchError):

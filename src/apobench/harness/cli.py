@@ -3,8 +3,9 @@
 Subcommands: run, grid, check, ppm-demo.  Exit codes: 0 success, 2 config
 error (an unreadable input file or an unwritable output path included), 3
 training divergence, 4 check failure, 5 any other apobench error
-(bad input data, a solver that did not converge, a violated contract), each
-reported as one line on stderr.
+(bad input data, a non-finite value in a task's data included; a solver
+that did not converge; a violated contract), each reported as one line on
+stderr.
 """
 
 from __future__ import annotations

@@ -72,20 +72,6 @@ class RunOutcome:
     summary: dict
 
 
-def execute(cfg):
-    """Run the configured experiment; returns (result, task)."""
-    task = build_task(cfg.task)
-    rng = make_rng(cfg.seed)
-    theta0 = task.init_theta(rng)
-    eval_every = cfg.eval_every
-    if eval_every is None:
-        eval_every = max(1, cfg.steps // 100)
-    result = apo_train(task.model, theta0, cfg.proximal, task, cfg.steps, rng,
-                       mode=cfg.mode, base_kind=cfg.base_opt, init_lr=cfg.init_lr,
-                       eval_fn=task.eval_loss, eval_every=eval_every)
-    return result, task
-
-
 def summarize(rows, result, task):
     finals = [r.eval_loss for r in rows if r.eval_loss is not None]
     train = [r.train_loss for r in rows]
@@ -102,21 +88,31 @@ def summarize(rows, result, task):
 
 
 def run(cfg, out_dir):
-    """Execute one experiment and write metrics.csv plus config.json sidecar.
+    """Build the configured task, train on it, and write metrics.csv plus
+    the config.json sidecar to out_dir; a task that fails to build raises
+    before out_dir is made.
 
     Raises TrainingDivergedError on divergence, after writing the rows of the
     steps before it to metrics.csv and the failure to the sidecar.
     """
+    started = time.monotonic()
+    task = build_task(cfg.task)
     os.makedirs(out_dir, exist_ok=True)
     metrics_path = os.path.join(out_dir, "metrics.csv")
     sidecar_path = os.path.join(out_dir, "config.json")
     sidecar = {"schema_version": CSV_SCHEMA_VERSION,
                "config": config_to_dict(cfg),
                "config_hash": config_hash(cfg)}
-    started = time.monotonic()
+    rng = make_rng(cfg.seed)
+    theta0 = task.init_theta(rng)
+    eval_every = cfg.eval_every
+    if eval_every is None:
+        eval_every = max(1, cfg.steps // 100)
     failure = None
     try:
-        result, task = execute(cfg)
+        result = apo_train(task.model, theta0, cfg.proximal, task, cfg.steps, rng,
+                           mode=cfg.mode, base_kind=cfg.base_opt, init_lr=cfg.init_lr,
+                           eval_fn=task.eval_loss, eval_every=eval_every)
         rows = result.rows
     except TrainingDivergedError as exc:
         failure, rows = exc, exc.rows

@@ -7,12 +7,9 @@ Everything operates on plain float64 numpy arrays in row-major layout.
 
 SPD solves
 ----------
-``cholesky_spd`` factors with numpy's LAPACK.  numpy does not say which
-pivot failed, so a failure bisects over leading blocks for it: a leading
-block that is not positive definite stays so in every larger one.  A
-``CholeskyFactor`` forms its SPD inverse once, on its first solve, and
-``solve_spd`` multiplies by it, so a matrix and its factor solve to the
-same bytes.
+``cholesky_spd`` factors with numpy's LAPACK.  A ``CholeskyFactor`` forms
+its SPD inverse once, on its first solve, and ``solve_spd`` multiplies by
+it, so a matrix and its factor solve to the same bytes.
 """
 
 from __future__ import annotations
@@ -68,22 +65,12 @@ class CholeskyFactor:
 
 def cholesky_spd(m):
     """Cholesky factor of a symmetric positive-definite m.  Raises
-    NumericalError on a non-finite entry, or with the 1-based index of the
-    first failing pivot, found in at most ceil(log2 n) more factorizations."""
+    NumericalError on a non-finite entry or when m is not positive definite."""
     m = _require_symmetric(m)
-    n = m.shape[0]
     try:
         return CholeskyFactor(np.linalg.cholesky(m))
     except np.linalg.LinAlgError:
-        good, bad = 0, n  # the leading block of order good is PD, of order bad not
-    while bad - good > 1:
-        mid = (good + bad) // 2
-        try:
-            np.linalg.cholesky(m[:mid, :mid])
-            good = mid
-        except np.linalg.LinAlgError:
-            bad = mid
-    raise NumericalError(f"matrix is not SPD: pivot {bad} failed", pivot=bad)
+        raise NumericalError("matrix is not SPD") from None
 
 
 def solve_spd(m, rhs):

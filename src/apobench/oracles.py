@@ -122,9 +122,9 @@ def exact_ppm_solve(model, theta, batch, lam_fsd, lam_wsd, fsd_inputs,
 
     A None fsd_kind means the model head's divergence.  Returns u with
     ||dQ/du|| <= tol or Q(u) <= tol * Q(theta), which bounds Q(u) - min Q
-    since every term of Q is >= 0.  Raises ConvergenceError (with the
-    gradient norm) after max_iter objective evaluations or when a step no
-    longer moves u, and OracleScaleError above numkit.ORACLE_MAX_PARAMS
+    since every term of Q is >= 0.  Raises ConvergenceError, whose message
+    names the gradient norm, after max_iter objective evaluations or when a
+    step no longer moves u, and OracleScaleError above numkit.ORACLE_MAX_PARAMS
     parameters.
     """
     if tol <= 0:
@@ -155,7 +155,7 @@ def exact_ppm_solve(model, theta, batch, lam_fsd, lam_wsd, fsd_inputs,
         while True:
             if evals >= max_iter:
                 raise ConvergenceError(f"inner solver hit {max_iter} objective evaluations "
-                                       f"with gradient norm {gnorm}", grad_norm=gnorm)
+                                       f"with gradient norm {gnorm}")
             damped = h + mu * np.eye(u.size)
             try:
                 cholesky_spd(damped)
@@ -165,8 +165,7 @@ def exact_ppm_solve(model, theta, batch, lam_fsd, lam_wsd, fsd_inputs,
             step = np.linalg.solve(damped, grad)
             cand_flat = u.flat - step
             if np.array_equal(cand_flat, u.flat):
-                raise ConvergenceError(f"inner solver stalled with gradient norm {gnorm}",
-                                       grad_norm=gnorm)
+                raise ConvergenceError(f"inner solver stalled with gradient norm {gnorm}")
             cand = u.from_flat(cand_flat)
             cand_value, cand_grad = objective(cand)
             evals += 1

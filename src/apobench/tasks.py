@@ -5,12 +5,14 @@ Each task bundles a model, a seeded parameter initializer, a batch sampler
 exact or full-dataset evaluation function.  A task's data passes
 diffnet.check_dataset once, when the task is built (a generated task's on one
 sampled batch); the batches it then samples are not checked again.  The
-one limit that needs the data, batch_size against the dataset's rows, is a
-ConfigError at /task/batch_size when the task is built.
+two limits parse_config leaves to the builders, batch_size against the
+dataset's rows and an autoencoder's last width against its first, are
+ConfigErrors at their pointers, raised when the task is built.
 """
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, field
 
@@ -169,7 +171,11 @@ def synth_classification_task(n=512, d=8, classes=2, seed=0, batch_size=32,
 def bottleneck_autoencoder_task(n=256, seed=0, batch_size=32,
                                 widths=(16, 8, 2, 8, 16)):
     """Sigmoid autoencoder with a 2-unit bottleneck on full-rank synthetic
-    data in (0, 1); reconstruction is squared error against the inputs."""
+    data in (0, 1); reconstruction is squared error against the inputs, so
+    the first and last widths must match."""
+    if widths[0] != widths[-1]:
+        raise ConfigError(f"first and last widths must match, got {widths[0]} and "
+                          f"{widths[-1]}", "/task/params/widths")
     rng = make_rng(seed)
     d = widths[0]
     q = rand_orthogonal(rng, d)
@@ -215,11 +221,13 @@ def uci_csv_load(path):
         parsed = []
         for c, cell in enumerate(cells):
             try:
-                parsed.append(float(cell))
+                value = float(cell)
             except ValueError:
-                raise IngestionError(
-                    f"cell ({r}, {c}) is not numeric: {cell!r}", row=r, col=c
-                ) from None
+                value = math.nan
+            if not math.isfinite(value):
+                raise IngestionError(f"cell ({r}, {c}) is not a finite number: {cell!r}",
+                                     row=r, col=c)
+            parsed.append(value)
         rows.append(parsed)
     data = np.asarray(rows, dtype=FLOAT)
     features, targets = data[:, :-1], data[:, -1:]

@@ -73,6 +73,23 @@ def test_dataset_shape_mismatch():
         tasks._finite_dataset_task(2, model, np.ones((4, 4)), t)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("head", ["regression-gaussian-unit-variance", "classification-softmax"])
+def test_dataset_non_finite_row_is_named(bad, head):
+    """A non-finite input, or float target, is a ContractError at its first row."""
+    model = mlp([3, 2], head=head)
+    x = np.ones((5, 3))
+    t = np.zeros((5, 2)) if head.startswith("regression") else np.zeros(5, dtype=np.int64)
+    x[3, 1] = bad
+    with pytest.raises(ContractError, match="^row 3 "):
+        check_dataset(model, x, t)
+    if head.startswith("regression"):
+        x[3, 1] = 1.0
+        t[2, 0] = t[4, 1] = bad
+        with pytest.raises(ContractError, match="^row 2 "):
+            check_dataset(model, x, t)
+
+
 def test_loss_regression_zero_at_target():
     assert loss_eval("regression-gaussian-unit-variance", np.ones((3, 2)), np.ones((3, 2))) == 0.0
 

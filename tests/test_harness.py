@@ -242,7 +242,7 @@ def test_parse_accepts_every_task_param_type():
 
 def _near_least(json_type, least):
     """Values of one task parameter: just below, at and above its least
-    value; any finite number where it has none; symmetric "ints"."""
+    value; any finite number where it has none; "ints" symmetric or not."""
     if least is None:
         return st.floats(-10.0, 10.0)
     if json_type == "number":
@@ -251,8 +251,10 @@ def _near_least(json_type, least):
     near = st.integers(least - 1, least + 1)
     if json_type == "int":
         return near
-    return st.tuples(st.lists(near, min_size=1, max_size=2), st.lists(near, max_size=1)).map(
+    symmetric = st.tuples(st.lists(near, min_size=1, max_size=2),
+                          st.lists(near, max_size=1)).map(
         lambda parts: parts[0] + parts[1] + parts[0][::-1])
+    return st.one_of(symmetric, st.lists(near, min_size=2, max_size=4))
 
 
 GENERATED_KINDS = [kind for kind in tasks.TASK_KINDS if kind != "uci-csv"]
@@ -271,8 +273,10 @@ def generated_task_docs(draw):
 def test_task_params_parse_and_build_or_fail_at_their_pointer(task):
     """A task parameter below its least value is a ConfigError at its pointer,
     raised by parse_config; any other generated task builds, and its first
-    batch passes check_dataset, unless batch_size exceeds the dataset's rows,
-    a ConfigError at /task/batch_size. No other error escapes."""
+    batch passes check_dataset, unless its autoencoder widths end on another
+    width than they start, a ConfigError at /task/params/widths, or
+    batch_size exceeds the dataset's rows, a ConfigError at /task/batch_size.
+    No other error escapes."""
     kind, params = task["kind"], task["params"]
     declared = tasks.TASK_PARAMS[kind]
     below = {f"/task/params/{key}" for key, value in params.items()
@@ -283,6 +287,11 @@ def test_task_params_parse_and_build_or_fail_at_their_pointer(task):
         assert err.value.pointer in below
         return
     spec = parse_config(synth_doc(task=task)).task
+    if "widths" in params and params["widths"][0] != params["widths"][-1]:
+        with pytest.raises(ConfigError) as err:
+            tasks.build_task(spec)
+        assert err.value.pointer == "/task/params/widths"
+        return
     rows = (params.get("n", inspect.signature(tasks.BUILDERS[kind]).parameters["n"].default)
             if "n" in declared else math.inf)
     if task["batch_size"] > rows:
@@ -855,18 +864,39 @@ def test_cli_run_and_exit_codes(tmp_path, capsys):
      "/task/params/widths"),
     ({"kind": "illcond-linear", "params": {"n": 64}}, "/task/params/n"),
     ({"kind": "synth-regression", "batch_size": 600}, "/task/batch_size"),
+    ({"kind": "bottleneck-autoencoder", "params": {"widths": [16, 8, 4]}},
+     "/task/params/widths"),
 ])
 def test_cli_names_a_task_param_out_of_range(task, pointer, tmp_path, capsys):
-    """Exit 2 with one stderr line at the parameter's pointer; a parameter
-    fails at parse, before --out exists. batch_size against the rows fails
-    when the task is built, after run has made --out."""
+    """Exit 2 with one stderr line at the parameter's pointer, and no --out:
+    a parameter fails at parse, and batch_size against the rows or
+    mismatched autoencoder widths when the task is built, before run makes
+    --out."""
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps({"task": task}))
     out = tmp_path / "out"
     assert cli.main(["run", "--config", str(cfg_path), "--out", str(out)]) == 2
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and f"{pointer}: " in err[0], err
-    assert out.exists() == (pointer == "/task/batch_size")
+    assert not out.exists()
+
+
+def test_cli_nan_csv_cell_exits_5(tmp_path, capsys):
+    """A nan cell is bad input data, an IngestionError at its row and
+    column, not a divergence at step 1."""
+    data_path = tmp_path / "data.csv"
+    data_path.write_text("1.0,2.0\nnan,3.0\n4.0,5.0\n")
+    with pytest.raises(IngestionError) as ingestion:
+        tasks.uci_csv_load(data_path)
+    assert (ingestion.value.row, ingestion.value.col) == (1, 0)
+    cfg_path = tmp_path / "uci.json"
+    cfg_path.write_text(json.dumps(synth_doc(task={"kind": "uci-csv", "batch_size": 2,
+                                                   "params": {"path": str(data_path)}})))
+    out = tmp_path / "out"
+    assert cli.main(["run", "--config", str(cfg_path), "--out", str(out)]) == 5
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and "IngestionError: cell (1, 0) is not a finite number" in err[0], err
+    assert not out.exists()
 
 
 def test_cli_ppm_demo_default_run(tmp_path, capsys):

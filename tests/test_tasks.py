@@ -50,6 +50,13 @@ def test_synth_regression_standardization():
     assert abs(float(big.targets.std()) - 1.0) < 1e-8
 
 
+def test_synth_regression_overflowing_noise_fails_at_build():
+    """noise 1e308 overflows the targets to inf and standardizing them to
+    nan; the task refuses them when built instead of diverging at step 1."""
+    with np.errstate(all="ignore"), pytest.raises(ContractError, match="non-finite"):
+        tasks.synth_regression_task(noise=1e308)
+
+
 def test_synth_regression_noise_free_is_realizable():
     """The standardizations are affine, so a student with the teacher's
     architecture absorbs them into its first/last layers exactly."""
@@ -180,6 +187,15 @@ def test_uci_unparseable_cell_reports_position(tmp_path):
     with pytest.raises(IngestionError) as err:
         tasks.uci_csv_load(p)
     assert err.value.row == 1 and err.value.col == 1
+
+
+@pytest.mark.parametrize("cell", ["nan", "inf", "-Infinity"])
+def test_uci_non_finite_cell_reports_position(tmp_path, cell):
+    p = tmp_path / "bad.csv"
+    p.write_text(f"1,2,3\n4,5,6\n7,8,{cell}\n")
+    with pytest.raises(IngestionError, match="is not a finite number") as err:
+        tasks.uci_csv_load(p)
+    assert err.value.row == 2 and err.value.col == 2
 
 
 def test_uci_empty_file_rejected(tmp_path):
