@@ -17,7 +17,8 @@ the kinds each mode takes.  A base step, theta - rate * Delta through
 apply_lr_update, is each step of mode none (rate init_lr, no phi) and apo-lr
 (init_lr until the first meta step, then phi's exp(log_lr)), and each of
 apo-precond's warmup_steps (WARMUP_KIND at warmup_lr, init_lr unused), after
-which phi.update steps.  A row logs the rate, or phi.scalar() under apo-precond.
+which phi.update steps.  A step's TrainRow logs the rate in lr, or
+phi.scalar() in phi_frobenius_norm under apo-precond.
 
 Both phi types are ParamSets, so the meta-optimizer steps either one through
 its flat vector: LrPhi holds the log learning rate (exp keeps the rate
@@ -45,6 +46,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -289,22 +291,17 @@ def meta_step(phi, state, meta_grad, cfg):
     np.subtract(phi.flat, cfg.meta_lr * delta, out=phi.flat)
 
 
-@dataclass
-class TrainRow:
+class TrainRow(NamedTuple):
+    """A completed step's metrics.csv row: its columns in order; None is empty."""
+
     step: int
     train_loss: float
+    eval_loss: float | None
     meta_objective: float | None
-    lr_or_phi_norm: float
+    lr: float | None
+    phi_frobenius_norm: float | None
     fsd_term: float | None
     wsd_term: float | None
-    eval_loss: float | None = None
-
-
-@dataclass
-class TrainResult:
-    rows: list
-    theta: ParamSet
-    phi: object
 
 
 DEFAULT_INIT_LR = {"sgd": 0.1, "sgd-momentum": 0.1, "rmsprop": 3e-4, "adam": 3e-4,
@@ -316,9 +313,9 @@ WARMUP_KIND = BaseOptKind("sgd-momentum", beta=0.9)
 
 # The non-finite guards decide a divergence; numpy's warnings would only add noise.
 @np.errstate(over="ignore", invalid="ignore")
-def apo_train(model, theta0, cfg, task, steps, rng, mode="apo-lr", base_kind=None,
-              init_lr=None, eval_fn=None, eval_every=0):
-    """Online meta-learning loop.
+def apo_train(task, theta0, cfg, steps, rng, emit, mode="apo-lr", base_kind=None,
+              init_lr=None, eval_every=0):
+    """Online meta-learning loop on task.model; returns (theta, phi).
 
     Per iteration t = 1..steps: sample B and, on a base step, take the base
     direction Delta; every meta_interval-th iteration (warm-up included)
@@ -326,9 +323,12 @@ def apo_train(model, theta0, cfg, task, steps, rng, mode="apo-lr", base_kind=Non
     take one meta-optimizer step on phi; then step theta as the module
     docstring says.  base_kind (default sgd) must be in MODE_BASE_KINDS[mode];
     its weight decay holds in every step; apo-precond takes no init_lr.
-    theta is a copy of theta0, written in place.  Raises TrainingDivergedError past the loss guard or on a
-    NumericalError, carrying the rows of the steps completed before it.
+    theta is a copy of theta0, written in place.  emit(row) takes each completed
+    step's TrainRow in step order, with eval_loss = task.eval_loss(theta) at each
+    eval_every-th step and the last (never if eval_every is 0).  Past the loss
+    guard or on a NumericalError at step t, raises TrainingDivergedError after rows 1..t-1.
     """
+    model = task.model
     if steps < 1:
         raise ContractError("steps must be >= 1")
     if mode not in MODE_BASE_KINDS:
@@ -355,14 +355,13 @@ def apo_train(model, theta0, cfg, task, steps, rng, mode="apo-lr", base_kind=Non
     opt_state = init_state(base_kind, theta.flat) if base_steps else None
     meta_state = init_state(cfg.meta_opt, phi.flat) if phi is not None else None
 
-    rows = []
     stats = last_q = last_fsd = last_wsd = None
     for t in range(1, steps + 1):
         batch = task.sample_batch(rng)
         try:
             loss, g = loss_and_grad(model, theta, batch)
             if not math.isfinite(loss) or loss > DIVERGENCE_GUARD:
-                raise TrainingDivergedError(f"loss {loss} at step {t}", t, rows)
+                raise TrainingDivergedError(f"loss {loss} at step {t}", t)
             if wd:
                 g = g.map2(theta, lambda gg, th: gg + wd * th)
             if t > base_steps:
@@ -386,10 +385,10 @@ def apo_train(model, theta0, cfg, task, steps, rng, mode="apo-lr", base_kind=Non
                 apply_lr_update(theta, rate, delta, theta)
             else:
                 phi.update(theta, g, None, theta)
-            due = eval_fn is not None and eval_every and (t % eval_every == 0 or t == steps)
-            eval_loss = float(eval_fn(theta)) if due else None
-            logged = phi.scalar() if mode == "apo-precond" else rate
-            rows.append(TrainRow(t, loss, last_q, logged, last_fsd, last_wsd, eval_loss))
+            due = eval_every and (t % eval_every == 0 or t == steps)
+            eval_loss = float(task.eval_loss(theta)) if due else None
+            lr, phi_norm = (None, phi.scalar()) if mode == "apo-precond" else (rate, None)
+            emit(TrainRow(t, loss, eval_loss, last_q, lr, phi_norm, last_fsd, last_wsd))
         except NumericalError as exc:
-            raise TrainingDivergedError(f"non-finite at step {t}: {exc}", t, rows) from exc
-    return TrainResult(rows, theta, phi)
+            raise TrainingDivergedError(f"non-finite at step {t}: {exc}", t) from exc
+    return theta, phi

@@ -29,26 +29,19 @@ class ConvergenceError(ApoBenchError):
 
 class TrainingDivergedError(ApoBenchError):
     """Training loss exceeded the divergence guard or became non-finite at
-    ``step``; ``rows`` holds the metric rows of the steps before it."""
+    ``step``; the training loop's sink holds the rows of the steps before it."""
 
-    def __init__(self, message, step, rows=()):
+    def __init__(self, message, step):
         super().__init__(message)
         self.step = step
-        self.rows = list(rows)
 
 
 class ConfigError(ApoBenchError):
-    """Invalid experiment configuration. ``pointer`` is a JSON-pointer path."""
+    """Invalid configuration; the message leads with the JSON pointer or flag at fault."""
 
     def __init__(self, message, pointer=""):
         super().__init__(f"{pointer}: {message}" if pointer else message)
-        self.pointer = pointer
 
 
 class IngestionError(ApoBenchError):
-    """Unparseable external data. Carries 0-based row/column indices."""
-
-    def __init__(self, message, row=None, col=None):
-        super().__init__(message)
-        self.row = row
-        self.col = col
+    """Unparseable external data; the message says where in the data."""

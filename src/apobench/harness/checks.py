@@ -2,7 +2,8 @@
 
 Every check returns a list of JSON-ready dicts {check, value, threshold,
 pass}, each built by `result`, the one place in the package that builds that
-format (harness.ppmdemo uses it for its regime checks).  CHECKS lists the
+format (harness.ppmdemo uses it for its regime checks); a value is an int or a
+float (numpy's float64 included), so json.dumps writes the report.  CHECKS lists the
 checks in report order and run_checks runs them all.  The suite is
 deterministic and takes well under a second; tier-1 (tests/test_checks.py)
 runs every entry and pins each check's name and threshold.
@@ -10,7 +11,6 @@ runs every entry and pins each check's name and threshold.
 
 from __future__ import annotations
 
-import json
 import math
 
 import numpy as np
@@ -368,11 +368,3 @@ def run_checks():
             "passed": all(r["pass"] for r in results),
             "checks": results}
 
-
-def report_to_json(report):
-    def default(o):
-        if isinstance(o, (np.floating, np.integer)):
-            return o.item()
-        raise TypeError(f"not serializable: {type(o)}")
-
-    return json.dumps(report, indent=2, default=default)

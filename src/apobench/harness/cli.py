@@ -4,19 +4,20 @@ Subcommands: run, grid, check, ppm-demo.  Exit codes: 0 success, 2 config
 error (an unreadable input file or an unwritable output path included), 3
 training divergence, 4 check failure, 5 any other apobench error
 (bad input data, a non-finite value in a task's data included; a solver
-that did not converge; a violated contract), each reported as one line on
-stderr.
+that did not converge; a violated contract) or a failed allocation
+(MemoryError), each reported as one line on stderr.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
+import json
 import sys
 
 from ..errors import ApoBenchError, ConfigError, TrainingDivergedError
 from . import write_csv
-from .checks import report_to_json, run_checks
+from .checks import run_checks
 from .config import load_config, read_json
 from .gridsearch import grid
 from .ppmdemo import CSV_COLUMNS, DEFAULT_SETTINGS, ppm_demo, regime_checks
@@ -60,7 +61,7 @@ def _cmd_grid(args):
 
 def _cmd_check(args):
     report = run_checks()
-    text = report_to_json(report)
+    text = json.dumps(report, indent=2)
     if args.json:
         with _output("--json", args.json), open(args.json, "w", encoding="utf-8") as fh:
             fh.write(text + "\n")
@@ -137,7 +138,7 @@ def main(argv=None):
     except TrainingDivergedError as exc:
         print(f"training diverged: {exc}", file=sys.stderr)
         return EXIT_DIVERGED
-    except ApoBenchError as exc:
+    except (ApoBenchError, MemoryError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_ERROR
 

@@ -45,11 +45,11 @@ def _fit_base_model(seed=0):
     apo_train's mode 'none', which steps at init_lr 0.02 exactly."""
     rng = make_rng(seed)
     model = mlp([1, 48, 1], activation="sigmoid")
-    theta = init_params(model, rng)
     x = _base_inputs()
     batch = Batch(x, np.sin(1.5 * x) * 0.8)
-    theta = apo_train(model, theta, ProximalConfig(), Task(model, lambda _: batch, None, None),
-                      3000, rng, mode="none", base_kind=BaseOptKind("adam"), init_lr=0.02).theta
+    theta, _ = apo_train(Task(model, lambda _: batch, None, None), init_params(model, rng),
+                         ProximalConfig(), 3000, rng, lambda row: None, mode="none",
+                         base_kind=BaseOptKind("adam"), init_lr=0.02)
     return model, theta, x
 
 

@@ -11,7 +11,7 @@ import os
 import time
 from dataclasses import dataclass
 
-from ..apo import apo_train
+from ..apo import TrainRow, apo_train
 from ..diffnet import forward, softmax
 from ..errors import IngestionError, TrainingDivergedError
 from ..numkit import make_rng
@@ -20,38 +20,31 @@ from . import write_csv
 from .config import config_hash, config_to_dict
 
 CSV_SCHEMA_VERSION = 1
-CSV_COLUMNS = ("step", "train_loss", "eval_loss", "meta_objective", "lr",
-               "phi_frobenius_norm", "fsd_term", "wsd_term")
+CSV_COLUMNS = TrainRow._fields
 
 
-def write_metrics_csv(path, rows, mode):
-    """Fixed column order, '.' decimals, shortest-roundtrip float repr; a
-    row's rate (apo_train's float) fills lr, apo-precond's phi norm
-    phi_frobenius_norm."""
-    lr_mode = mode in ("none", "apo-lr")
-    write_csv(path, CSV_COLUMNS, [
-        (r.step, r.train_loss, r.eval_loss, r.meta_objective,
-         r.lr_or_phi_norm if lr_mode else None,
-         None if lr_mode else r.lr_or_phi_norm, r.fsd_term, r.wsd_term)
-        for r in rows])
+def write_metrics_csv(path, rows):
+    """apo_train's TrainRows in column order, '.' decimals, shortest-roundtrip
+    float repr."""
+    write_csv(path, CSV_COLUMNS, rows)
 
 
 def validate_metrics_csv(path):
     """Schema check: exact header and strictly increasing integer steps.  A
-    violation is an IngestionError at its 0-based line of the file."""
+    violation is an IngestionError naming its 0-based line of the file."""
     with open(path, "r", encoding="utf-8") as fh:
         header = fh.readline().strip()
         if header != ",".join(CSV_COLUMNS):
-            raise IngestionError(f"bad metrics header in {path}: {header}", row=0)
+            raise IngestionError(f"bad metrics header at line 0 of {path}: {header}")
         last = 0
         for r, line in enumerate(fh, start=1):
             cells = line.rstrip("\n").split(",")
             if len(cells) != len(CSV_COLUMNS):
-                raise IngestionError(f"bad column count in {path}: {line!r}", row=r)
+                raise IngestionError(f"bad column count at line {r} of {path}: {line!r}")
             step = int(cells[0]) if cells[0].isdecimal() else 0
             if step <= last:
-                raise IngestionError(f"steps not strictly increasing integers in {path}",
-                                     row=r)
+                raise IngestionError(f"steps not strictly increasing integers at line {r} "
+                                     f"of {path}")
             last = step
     return True
 
@@ -72,19 +65,19 @@ class RunOutcome:
     summary: dict
 
 
-def summarize(rows, result, task):
+def summarize(rows, theta, task):
+    """The sidecar's summary of a completed run's rows (one or more)."""
     finals = [r.eval_loss for r in rows if r.eval_loss is not None]
-    train = [r.train_loss for r in rows]
-    summary = {
+    last = rows[-1]
+    return {
         "steps": len(rows),
-        "final_train_loss": train[-1] if train else None,
-        "best_train_loss": min(train) if train else None,
+        "final_train_loss": last.train_loss,
+        "best_train_loss": min(r.train_loss for r in rows),
         "final_eval_loss": finals[-1] if finals else None,
         "best_eval_loss": min(finals) if finals else None,
-        "final_accuracy": _final_accuracy(task, result.theta),
-        "final_lr_or_phi_norm": rows[-1].lr_or_phi_norm if rows else None,
+        "final_accuracy": _final_accuracy(task, theta),
+        "final_lr_or_phi_norm": last.lr if last.lr is not None else last.phi_frobenius_norm,
     }
-    return summary
 
 
 def run(cfg, out_dir):
@@ -108,18 +101,17 @@ def run(cfg, out_dir):
     eval_every = cfg.eval_every
     if eval_every is None:
         eval_every = max(1, cfg.steps // 100)
-    failure = None
+    rows, failure = [], None
     try:
-        result = apo_train(task.model, theta0, cfg.proximal, task, cfg.steps, rng,
-                           mode=cfg.mode, base_kind=cfg.base_opt, init_lr=cfg.init_lr,
-                           eval_fn=task.eval_loss, eval_every=eval_every)
-        rows = result.rows
+        theta, _ = apo_train(task, theta0, cfg.proximal, cfg.steps, rng, rows.append,
+                             mode=cfg.mode, base_kind=cfg.base_opt, init_lr=cfg.init_lr,
+                             eval_every=eval_every)
     except TrainingDivergedError as exc:
-        failure, rows = exc, exc.rows
-    write_metrics_csv(metrics_path, rows, cfg.mode)
+        failure = exc
+    write_metrics_csv(metrics_path, rows)
     validate_metrics_csv(metrics_path)
     if failure is None:
-        sidecar["summary"] = summary = summarize(rows, result, task)
+        sidecar["summary"] = summary = summarize(rows, theta, task)
     sidecar["runtime"] = {"wallclock_ms": round((time.monotonic() - started) * 1e3),
                           "status": f"diverged at step {failure.step}" if failure else "ok"}
     with open(sidecar_path, "w", encoding="utf-8") as fh:

@@ -115,12 +115,7 @@ def illcond_linear_task(d=64, kappa=1e10, seed=0, batch_size=64):
 
 
 def _standardize(x):
-    mean = x.mean(axis=0)
-    std = x.std(axis=0)
-    floored = np.maximum(std, SIGMA_FLOOR)
-    if np.any(std < SIGMA_FLOOR):
-        warnings.warn("constant column standardized to zeros", stacklevel=2)
-    return (x - mean) / floored
+    return (x - x.mean(axis=0)) / np.maximum(x.std(axis=0), SIGMA_FLOOR)
 
 
 def synth_regression_task(n=512, d=8, noise=0.1, seed=0, batch_size=32, hidden=16):
@@ -189,10 +184,10 @@ def bottleneck_autoencoder_task(n=256, seed=0, batch_size=32,
 def uci_csv_load(path):
     """Numeric CSV with the target in the last column.  A non-numeric first
     line is treated as a header and skipped.  Features and target are
-    standardized to zero mean and unit (population) variance.
+    standardized to zero mean and unit (population) variance; a constant
+    column, named by its 0-based index in a warning, becomes zeros.
 
-    Returns (features, targets, report) where report carries row/column
-    counts and the indices of any constant columns."""
+    Returns (features, targets)."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             lines = [ln.strip() for ln in fh if ln.strip()]
@@ -216,8 +211,7 @@ def uci_csv_load(path):
             if width < 2:
                 raise ContractError("need at least one feature column plus a target")
         elif len(cells) != width:
-            raise IngestionError(f"row {r} has {len(cells)} cells, expected {width}",
-                                 row=r)
+            raise IngestionError(f"row {r} has {len(cells)} cells, expected {width}")
         parsed = []
         for c, cell in enumerate(cells):
             try:
@@ -225,25 +219,22 @@ def uci_csv_load(path):
             except ValueError:
                 value = math.nan
             if not math.isfinite(value):
-                raise IngestionError(f"cell ({r}, {c}) is not a finite number: {cell!r}",
-                                     row=r, col=c)
+                raise IngestionError(f"cell ({r}, {c}) is not a finite number: {cell!r}")
             parsed.append(value)
         rows.append(parsed)
     data = np.asarray(rows, dtype=FLOAT)
-    features, targets = data[:, :-1], data[:, -1:]
-    constant = [int(i) for i in np.flatnonzero(features.std(axis=0) < SIGMA_FLOOR)]
-    features = _standardize(features)
-    targets = _standardize(targets)
-    report = {"rows": int(data.shape[0]), "features": int(features.shape[1]),
-              "constant_columns": constant}
-    return features, targets, report
+    constant = np.flatnonzero(data.std(axis=0) < SIGMA_FLOOR).tolist()
+    if constant:
+        warnings.warn(f"constant columns {constant} of {path} standardized to zeros",
+                      stacklevel=2)
+    return _standardize(data[:, :-1]), _standardize(data[:, -1:])
 
 
 def uci_task(path, batch_size=32, hidden=16, seed=0):
     """Regression task over an ingested CSV (2-layer MLP student)."""
-    features, targets, report = uci_csv_load(path)
+    features, targets = uci_csv_load(path)
     model = mlp([features.shape[1], hidden, targets.shape[1]], activation="relu")
-    return _finite_dataset_task(batch_size, model, features, targets, {"report": report})
+    return _finite_dataset_task(batch_size, model, features, targets)
 
 
 BUILDERS = {"illcond-linear": illcond_linear_task, "synth-regression": synth_regression_task,
@@ -251,6 +242,8 @@ BUILDERS = {"illcond-linear": illcond_linear_task, "synth-regression": synth_reg
             "bottleneck-autoencoder": bottleneck_autoencoder_task, "uci-csv": uci_task}
 
 
+# check_dataset refuses data that overflowed; numpy's warnings would only add noise.
+@np.errstate(over="ignore", invalid="ignore")
 def build_task(spec):
     """Construct a task from its spec (harness entry point); spec.params are
     keyword arguments of the kind's builder, as listed in TASK_PARAMS."""

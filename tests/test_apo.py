@@ -442,7 +442,7 @@ def test_training_pass_counts(monkeypatch, mode, meta_interval):
     steps = 20
     counts = _count_passes(monkeypatch)
     ops = _count_paramset_ops(monkeypatch)
-    apo_train(task.model, theta0, cfg, task, steps, numkit.make_rng(2), mode=mode,
+    apo_train(task, theta0, cfg, steps, numkit.make_rng(2), lambda row: None, mode=mode,
               base_kind=BaseOptKind("sgd-momentum" if mode == "apo-lr" else "sgd"))
     meta_steps = steps // meta_interval
     assert counts == {"forward": steps + 3 * meta_steps, "backward": steps + 2 * meta_steps}
@@ -476,7 +476,7 @@ def test_training_call_counts(mode):
     calls = Counter()
 
     def train():
-        apo_train(task.model, theta0, cfg, task, 20, numkit.make_rng(2), mode=mode,
+        apo_train(task, theta0, cfg, 20, numkit.make_rng(2), lambda row: None, mode=mode,
                   base_kind=BaseOptKind("sgd" if mode == "apo-precond" else "adam"))
 
     def profile(frame, event, arg):
@@ -502,7 +502,7 @@ def test_kfac_step_solves_twice_per_layer(monkeypatch):
     task = tasks.synth_regression_task(n=64, d=3, seed=2, batch_size=8)
     theta0 = task.init_theta(numkit.make_rng(1))
     steps = 12
-    apo_train(task.model, theta0, ProximalConfig(), task, steps, numkit.make_rng(2),
+    apo_train(task, theta0, ProximalConfig(), steps, numkit.make_rng(2), lambda row: None,
               mode="none",
               base_kind=BaseOptKind("kfac", damping=1e-2, update_every=5, ema_decay=0.9))
     assert len(calls) == 2 * len(task.model.layers) * steps
@@ -518,7 +518,7 @@ def test_kfac_factors_twice_per_layer_per_refresh(monkeypatch):
     monkeypatch.setattr(np.linalg, "inv", lambda m: inverses.append(1) or inv(m))
     task = tasks.synth_regression_task(n=64, d=3, seed=2, batch_size=8)
     theta0 = task.init_theta(numkit.make_rng(1))
-    apo_train(task.model, theta0, ProximalConfig(), task, 12, numkit.make_rng(2),
+    apo_train(task, theta0, ProximalConfig(), 12, numkit.make_rng(2), lambda row: None,
               mode="none",
               base_kind=BaseOptKind("kfac", damping=1e-2, update_every=5, ema_decay=0.9))
     assert len(calls) == len(inverses) == 2 * len(task.model.layers) * 3
@@ -533,12 +533,13 @@ def test_kfac_non_spd_refresh_diverges_at_its_step():
     batches = [Batch(rng.standard_normal((8, 3)), rng.standard_normal((8, 2)))
                for _ in range(6)]
     batches[4].inputs[:, 0] = 0.0
-    task = SimpleNamespace(sample_batch=lambda _rng: batches.pop(0))
+    task = SimpleNamespace(model=model, sample_batch=lambda _rng: batches.pop(0))
+    rows = []
     with pytest.raises(TrainingDivergedError) as err:
-        apo_train(model, init_params(model, rng), ProximalConfig(), task, 6,
-                  numkit.make_rng(5), mode="none",
+        apo_train(task, init_params(model, rng), ProximalConfig(), 6, numkit.make_rng(5),
+                  rows.append, mode="none",
                   base_kind=BaseOptKind("kfac", damping=0.0, update_every=5, ema_decay=0.0))
-    assert err.value.step == 5 and len(err.value.rows) == 4
+    assert err.value.step == 5 and [r.step for r in rows] == [1, 2, 3, 4]
     cause = err.value.__cause__
     assert isinstance(cause, NumericalError)
     assert str(cause).startswith("kfac block factorization failed: ")
@@ -553,7 +554,8 @@ def test_kfac_illcond_linear_diverges_at_step_3(tmp_path, seed):
            "mode": "none", "base_opt": {"kind": "kfac"}, "steps": 400, "seed": seed}
     with pytest.raises(TrainingDivergedError) as err:
         runner.run(config.parse_config(doc), tmp_path)
-    assert err.value.step == 3 and len(err.value.rows) == 2
+    lines = (tmp_path / "metrics.csv").read_text().splitlines()
+    assert err.value.step == 3 and [line.split(",")[0] for line in lines[1:]] == ["1", "2"]
 
 
 # ---------------------------------------------------------------- meta-step
@@ -606,15 +608,16 @@ def test_apo_train_no_meta_updates_matches_plain_run():
     theta0 = task.init_theta(numkit.make_rng(1))
     kind = BaseOptKind("sgd-momentum")
     cfg = ProximalConfig(meta_interval=10_000, lam_fsd=0.1)
-    res_apo = apo_train(task.model, theta0, cfg, task, 40, numkit.make_rng(2),
-                        mode="apo-lr", base_kind=kind, init_lr=0.05)
-    res_plain = apo_train(task.model, theta0, cfg, task, 40, numkit.make_rng(2),
-                          mode="none", base_kind=kind, init_lr=0.05)
-    for a, b in zip(res_apo.rows, res_plain.rows):
+    rows_apo, rows_plain = [], []
+    theta_apo, _ = apo_train(task, theta0, cfg, 40, numkit.make_rng(2), rows_apo.append,
+                             mode="apo-lr", base_kind=kind, init_lr=0.05)
+    theta_plain, _ = apo_train(task, theta0, cfg, 40, numkit.make_rng(2), rows_plain.append,
+                               mode="none", base_kind=kind, init_lr=0.05)
+    for a, b in zip(rows_apo, rows_plain):
         assert a.train_loss == b.train_loss
-        assert a.lr_or_phi_norm == b.lr_or_phi_norm
-        assert a.lr_or_phi_norm == 0.05
-    assert np.array_equal(res_apo.theta.flat, res_plain.theta.flat)
+        assert a.lr == b.lr
+        assert a.lr == 0.05
+    assert np.array_equal(theta_apo.flat, theta_plain.flat)
 
 
 def test_apo_train_deterministic_given_seed():
@@ -623,22 +626,53 @@ def test_apo_train_deterministic_given_seed():
     cfg = ProximalConfig(lam_fsd=0.03, meta_interval=5)
     runs = []
     for _ in range(2):
-        res = apo_train(task.model, theta0, cfg, task, 60, numkit.make_rng(7),
-                        mode="apo-lr", base_kind=BaseOptKind("sgd-momentum"),
-                        init_lr=0.1)
-        runs.append(res)
-    for a, b in zip(runs[0].rows, runs[1].rows):
+        rows = []
+        theta, _ = apo_train(task, theta0, cfg, 60, numkit.make_rng(7), rows.append,
+                             mode="apo-lr", base_kind=BaseOptKind("sgd-momentum"),
+                             init_lr=0.1)
+        runs.append((rows, theta))
+    (rows_a, theta_a), (rows_b, theta_b) = runs
+    for a, b in zip(rows_a, rows_b):
         assert a == b
-    assert runs[0].theta.to_flat().tobytes() == runs[1].theta.to_flat().tobytes()
+    assert theta_a.to_flat().tobytes() == theta_b.to_flat().tobytes()
 
 
 def test_apo_train_lr_positive_throughout():
     task = tasks.synth_regression_task(n=64, d=3, seed=5, batch_size=8)
     theta0 = task.init_theta(numkit.make_rng(1))
     cfg = ProximalConfig(lam_wsd=0.1, meta_interval=2)
-    res = apo_train(task.model, theta0, cfg, task, 50, numkit.make_rng(3),
-                    mode="apo-lr", base_kind=BaseOptKind("sgd"), init_lr=0.05)
-    assert all(r.lr_or_phi_norm > 0 for r in res.rows)
+    rows = []
+    apo_train(task, theta0, cfg, 50, numkit.make_rng(3), rows.append,
+              mode="apo-lr", base_kind=BaseOptKind("sgd"), init_lr=0.05)
+    assert all(r.lr > 0 for r in rows)
+
+
+@pytest.mark.parametrize("mode", ["none", "apo-lr", "apo-precond"])
+def test_apo_train_emits_each_step_once_up_to_a_divergence(mode):
+    """Every emitted row sets exactly one of lr and phi_frobenius_norm, the
+    norm under apo-precond alone; a run emits steps 1..steps in order, and
+    one that diverges at step t has emitted steps 1..t-1."""
+    task = tasks.synth_regression_task(n=32, d=2, hidden=4, batch_size=8)
+    theta0 = task.init_theta(numkit.make_rng(0))
+    precond = mode == "apo-precond"
+    for rate in (0.05, 1e4):
+        if precond:
+            cfg, init_lr = default_precond_config(meta_interval=3, warmup_steps=10,
+                                                  warmup_lr=rate), None
+        else:
+            cfg, init_lr = ProximalConfig(meta_interval=3), rate
+        rows = []
+        try:
+            apo_train(task, theta0, cfg, 20, numkit.make_rng(0), rows.append, mode=mode,
+                      init_lr=init_lr)
+            last = 20
+        except TrainingDivergedError as exc:
+            assert rate == 1e4 and exc.step > 1
+            last = exc.step - 1
+        assert (rate == 1e4) == (last < 20)
+        assert [r.step for r in rows] == list(range(1, last + 1))
+        assert all((r.lr is None) != (r.phi_frobenius_norm is None) for r in rows)
+        assert all((r.phi_frobenius_norm is not None) == precond for r in rows)
 
 
 def test_apo_train_divergence_guard():
@@ -646,7 +680,7 @@ def test_apo_train_divergence_guard():
     theta0 = task.init_theta(numkit.make_rng(0))
     cfg = ProximalConfig()
     with pytest.raises(TrainingDivergedError) as err:
-        apo_train(task.model, theta0, cfg, task, 200, numkit.make_rng(0),
+        apo_train(task, theta0, cfg, 200, numkit.make_rng(0), lambda row: None,
                   mode="none", base_kind=BaseOptKind("sgd"), init_lr=1e4)
     assert err.value.step >= 1
 
@@ -656,30 +690,31 @@ def test_apo_train_warmup_uses_sgdm_but_meta_learns():
     theta0 = task.init_theta(numkit.make_rng(4))
     cfg = default_precond_config(lam_wsd=1.0, meta_interval=1, meta_lr=0.01,
                                  warmup_steps=5, warmup_lr=0.05)
-    res = apo_train(task.model, theta0, cfg, task, 5, numkit.make_rng(5),
-                    mode="apo-precond", base_kind=BaseOptKind("sgd"))
+    _, phi = apo_train(task, theta0, cfg, 5, numkit.make_rng(5), lambda row: None,
+                       mode="apo-precond", base_kind=BaseOptKind("sgd"))
     # phi moved away from the identity during warm-up
     ident = init_identity(task.model)
-    assert not np.array_equal(res.phi.to_flat(), ident.to_flat())
+    assert not np.array_equal(phi.to_flat(), ident.to_flat())
     # parameters moved by plain SGDm: first step is -warmup_lr * g
     batch = task.sample_batch(numkit.make_rng(5))
     _, g = loss_and_grad(task.model, theta0, batch)
-    one = apo_train(task.model, theta0, cfg, task, 1, numkit.make_rng(5),
-                    mode="apo-precond", base_kind=BaseOptKind("sgd"))
+    one, _ = apo_train(task, theta0, cfg, 1, numkit.make_rng(5), lambda row: None,
+                       mode="apo-precond", base_kind=BaseOptKind("sgd"))
     expect = theta0.map2(g, lambda t, gg: t - cfg.warmup_lr * gg)
-    assert np.allclose(one.theta.to_flat(), expect.to_flat(), atol=0, rtol=0)
+    assert np.allclose(one.to_flat(), expect.to_flat(), atol=0, rtol=0)
 
 
 def test_apo_train_meta_fires_on_interval():
     task = tasks.synth_regression_task(n=64, d=3, seed=2, batch_size=8)
     theta0 = task.init_theta(numkit.make_rng(1))
     cfg = ProximalConfig(meta_interval=10)
-    res = apo_train(task.model, theta0, cfg, task, 25, numkit.make_rng(2),
-                    mode="apo-lr", base_kind=BaseOptKind("sgd"), init_lr=0.01)
+    rows = []
+    apo_train(task, theta0, cfg, 25, numkit.make_rng(2), rows.append,
+              mode="apo-lr", base_kind=BaseOptKind("sgd"), init_lr=0.01)
     # no meta values before step 10, present afterwards
-    assert res.rows[8].meta_objective is None
-    assert res.rows[9].meta_objective is not None
-    lrs = [r.lr_or_phi_norm for r in res.rows]
+    assert rows[8].meta_objective is None
+    assert rows[9].meta_objective is not None
+    lrs = [r.lr for r in rows]
     assert lrs[0] == lrs[8] == pytest.approx(0.01)
     assert lrs[9] != lrs[8]
 
@@ -692,7 +727,7 @@ def test_apo_train_rejects_wrong_theta_layout_before_step_1():
     task.sample_batch = lambda rng: sampled.append(rng) or sample(rng)
     for mode in ("none", "apo-lr", "apo-precond"):
         with pytest.raises(DimensionError):
-            apo_train(task.model, theta0, ProximalConfig(), task, 5, numkit.make_rng(2),
+            apo_train(task, theta0, ProximalConfig(), 5, numkit.make_rng(2), lambda row: None,
                       mode=mode, base_kind=BaseOptKind("sgd"))
     assert not sampled
 
@@ -701,7 +736,7 @@ def test_apo_train_kfac_needs_mode_none():
     task = tasks.synth_regression_task(n=64, d=3, seed=2, batch_size=8)
     theta0 = task.init_theta(numkit.make_rng(1))
     with pytest.raises(ContractError):
-        apo_train(task.model, theta0, ProximalConfig(), task, 5, numkit.make_rng(2),
+        apo_train(task, theta0, ProximalConfig(), 5, numkit.make_rng(2), lambda row: None,
                   mode="apo-lr", base_kind=BaseOptKind("kfac"))
 
 
@@ -712,8 +747,8 @@ def test_apo_precond_rejects_a_base_kind_other_than_sgd(kind):
     task = tasks.synth_regression_task(n=64, d=3, seed=2, batch_size=8)
     theta0 = task.init_theta(numkit.make_rng(1))
     with pytest.raises(ContractError, match="takes base kinds"):
-        apo_train(task.model, theta0, default_precond_config(), task, 5, numkit.make_rng(2),
-                  mode="apo-precond", base_kind=BaseOptKind(kind))
+        apo_train(task, theta0, default_precond_config(), 5, numkit.make_rng(2),
+                  lambda row: None, mode="apo-precond", base_kind=BaseOptKind(kind))
 
 
 def test_apo_precond_rejects_init_lr():
@@ -722,8 +757,8 @@ def test_apo_precond_rejects_init_lr():
     task = tasks.synth_regression_task(n=64, d=3, seed=2, batch_size=8)
     theta0 = task.init_theta(numkit.make_rng(1))
     with pytest.raises(ContractError, match="takes no init_lr"):
-        apo_train(task.model, theta0, default_precond_config(), task, 5, numkit.make_rng(2),
-                  mode="apo-precond", init_lr=0.7)
+        apo_train(task, theta0, default_precond_config(), 5, numkit.make_rng(2),
+                  lambda row: None, mode="apo-precond", init_lr=0.7)
 
 
 def test_apo_train_kfac_logs_exact_lr_and_applies_weight_decay():
@@ -731,15 +766,17 @@ def test_apo_train_kfac_logs_exact_lr_and_applies_weight_decay():
     theta0 = task.init_theta(numkit.make_rng(1))
 
     def train(**kind):
-        return apo_train(task.model, theta0, ProximalConfig(), task, 12,
-                         numkit.make_rng(2), mode="none",
-                         base_kind=BaseOptKind("kfac", damping=1e-2, update_every=2,
-                                               ema_decay=0.9, **kind))
+        rows = []
+        theta, phi = apo_train(task, theta0, ProximalConfig(), 12, numkit.make_rng(2),
+                               rows.append, mode="none",
+                               base_kind=BaseOptKind("kfac", damping=1e-2, update_every=2,
+                                                     ema_decay=0.9, **kind))
+        return rows, theta, phi
 
-    plain, decayed = train(), train(weight_decay=0.1)
-    assert [r.lr_or_phi_norm for r in plain.rows] == [0.01] * 12
-    assert plain.phi is None
-    assert not np.array_equal(plain.theta.flat, decayed.theta.flat)
+    (plain_rows, plain, phi), (_, decayed, _) = train(), train(weight_decay=0.1)
+    assert [r.lr for r in plain_rows] == [0.01] * 12
+    assert phi is None
+    assert not np.array_equal(plain.flat, decayed.flat)
 
 
 # (mode, base kind, meta-optimizer kind) of the runs that check how apo_train
@@ -759,8 +796,9 @@ def buffer_run(mode, base, meta, steps=20, task=None, init_lr=None):
     else:
         cfg = ProximalConfig(lam_fsd=1.0, lam_wsd=0.1, meta_interval=3, meta_opt=meta_opt)
     kind = BaseOptKind(base, damping=1e-2, update_every=2, ema_decay=0.9)
-    return theta0, lambda: apo_train(task.model, theta0, cfg, task, steps, numkit.make_rng(2),
-                                     mode=mode, base_kind=kind, init_lr=init_lr)
+    return theta0, lambda: apo_train(task, theta0, cfg, steps, numkit.make_rng(2),
+                                     lambda row: None, mode=mode, base_kind=kind,
+                                     init_lr=init_lr)
 
 
 @pytest.mark.parametrize("mode,base,meta", BUFFER_RUNS + [("diverged", "sgd", None)])
@@ -775,7 +813,7 @@ def test_apo_train_never_writes_theta0(mode, base, meta):
         with pytest.raises(TrainingDivergedError):
             train()
     else:
-        assert train().theta.flat is not flat
+        assert train()[0].flat is not flat
     assert theta0.flat is flat and np.array_equal(flat, before)
 
 
@@ -820,16 +858,16 @@ def test_apo_train_keeps_one_buffer_per_persistent_state(monkeypatch, mode, base
     monkeypatch.setattr(apo, "kfac_direction", record_kfac)
     monkeypatch.setattr(apo, "meta_step", record_meta)
     _, train = buffer_run(mode, base, meta)
-    res = train()
+    theta, phi = train()
 
     def one(pairs):
         """Every (set, its flat) pair recorded is the same set and array."""
         return len({id(x) for pair in pairs for x in pair}) == 2
 
     assert len(theta_writes) == 20 and one(theta_writes)
-    assert theta_writes[0][0] is res.theta and theta_writes[0][1] is res.theta.flat
+    assert theta_writes[0][0] is theta and theta_writes[0][1] is theta.flat
     assert len(kfac_directions) == (20 if base == "kfac" else 0)
-    assert not any(np.shares_memory(d, res.theta.flat) for d in kfac_directions)
+    assert not any(np.shares_memory(d, theta.flat) for d in kfac_directions)
     distinct = {id(state): state for state, *_ in states}
     assert len(distinct) == {"none": base != "kfac", "apo-lr": 2, "apo-precond": 2}[mode]
     for state in distinct.values():
@@ -839,7 +877,7 @@ def test_apo_train_keeps_one_buffer_per_persistent_state(monkeypatch, mode, base
         assert not phis
     else:
         assert len(phis) == (20 if mode == "apo-precond" else 6) and one(phis)
-        assert phis[0][0] is res.phi and phis[0][1] is res.phi.flat
+        assert phis[0][0] is phi and phis[0][1] is phi.flat
 
 
 def test_phi_linearize_matches_update_and_fd():
