@@ -36,10 +36,11 @@ names the divergence the model head implies, per HEAD_DIVERGENCE.  The
 proximal objective and its gradient in theta' are assembled once, by
 proximal_value_and_grad, which meta_gradient and the exact proximal-point
 oracle share.  meta_gradient is the one entry point to Q: one pass takes the
-lookahead, Q with its terms, and dQ/dphi.  Given g, it costs one forward and
-one backward on the loss batch, plus, when lam_fsd > 0, one forward at
-theta', one at theta and one backward on the discrepancy rows: 3 forwards
-and 2 backwards per meta step.
+lookahead, Q with its terms, and dQ/dphi.  Given g, it costs one forward at
+theta' over the stacked rows [loss batch; discrepancy inputs], one forward
+at theta on the discrepancy inputs and one backward at theta': 2 forwards
+and 1 backward per meta step (1 and 1 when lam_fsd is 0).  apo_train keeps
+the stacked rows' two arrays for the run.
 """
 
 from __future__ import annotations
@@ -213,58 +214,83 @@ def divergence(model, kind=None):
     return DIVERGENCES[kind]
 
 
-def loss_and_grad(model, params, batch):
-    outputs, trace = forward(model, params, batch.inputs)
-    loss, dy = loss_value_and_grad(model.head, outputs, batch.targets)
+def loss_and_grad(model, params, batch, more=None):
+    """(J_batch(params), its gradient) from one forward and one backward.
+
+    more = (inputs, seed, fill) stacks further rows into the same pass:
+    inputs holds [batch.inputs; the further rows] and the forward runs over
+    all of them; fill(y, out) writes into out the output gradient of a term
+    on the further rows' outputs y; seed, with inputs' rows, takes the
+    stacked output gradient, so the gradient is J_batch's plus the term's."""
+    inputs, seed, fill = more or (batch.inputs, None, None)
+    b = len(batch.targets)
+    outputs, trace = forward(model, params, inputs)
+    loss, dy = loss_value_and_grad(model.head, outputs[:b], batch.targets)
+    if more is not None:
+        seed[:b] = dy
+        fill(outputs[b:], seed[b:])
+        dy = seed
     g, _ = backward(model, params, trace, dy)
     return loss, g
 
 
-def _add_scaled(a, lam, b):
-    """a <- a + lam * b, written into a; b is overwritten with lam * b."""
-    np.add(a, np.multiply(lam, b, out=b), out=a)
-
-
 def proximal_value_and_grad(model, u, theta, loss_batch, fsd_inputs, lam_fsd, lam_wsd,
-                            fsd_kind):
+                            fsd_kind, buffers=None):
     """The proximal objective
     Q(u) = J_batch(u) + lam_fsd * FSD(u, theta) + lam_wsd * 0.5 ||u - theta||^2
     with its terms and its gradient in u (theta fixed), in one pass; a None
     fsd_kind means the model head's divergence.
 
+    When lam_fsd > 0 the pass runs over the stacked rows [loss batch; fsd
+    inputs] (loss_and_grad's more): one forward at u, the divergence on the
+    fsd rows against one forward at theta, and one backward seeded with
+    [dJ/dy; (lam_fsd / n) d rho / dy].  The rows and the seed go into two
+    arrays kept in the dict buffers under their row count (fresh when
+    buffers is None), so a training run makes them once.
+
     Returns (Q, {"loss", "fsd", "wsd"}, dQ/du); a term whose weight is zero is
-    skipped and reported as 0.0.  dQ/du is the loss gradient's set, with the
-    weighted fsd and wsd gradients added into its buffer.
+    skipped and reported as 0.0.  dQ/du is the backward's set, with the
+    weighted wsd gradient added into its buffer.
     """
-    loss_term, grad = loss_and_grad(model, u, loss_batch)
     fsd_term = wsd_term = 0.0
+    more = None
     if lam_fsd:
-        div = divergence(model, fsd_kind)
-        y_new, trace = forward(model, u, fsd_inputs)
+        div, b, n = divergence(model, fsd_kind), len(loss_batch.inputs), len(fsd_inputs)
+        buffers = {} if buffers is None else buffers
+        if b + n not in buffers:
+            buffers[b + n] = (np.empty((b + n, model.d_in)), np.empty((b + n, model.d_out)))
+        inputs, seed = buffers[b + n]
+        np.concatenate((loss_batch.inputs, fsd_inputs), out=inputs)
         y_old, _ = forward(model, theta, fsd_inputs)
-        rho, dy = div.value_and_grad(y_new, y_old)
-        n = fsd_inputs.shape[0]
-        fsd_term = float(np.add.reduce(rho) / n)
-        fsd_grad, _ = backward(model, u, trace, dy / n)
-        _add_scaled(grad.flat, lam_fsd, fsd_grad.flat)
+
+        def fsd_seed(y_new, out):
+            nonlocal fsd_term
+            rho, drho = div.value_and_grad(y_new, y_old)
+            fsd_term = float(np.add.reduce(rho) / n)
+            np.multiply(lam_fsd / n, drho, out=out)
+
+        more = (inputs, seed, fsd_seed)
+    loss_term, grad = loss_and_grad(model, u, loss_batch, more)
     if lam_wsd:
         diff = u.flat - theta.flat
         wsd_term = 0.5 * u.sq_norm(diff)
-        _add_scaled(grad.flat, lam_wsd, diff)
+        grad.flat += np.multiply(lam_wsd, diff, out=diff)
     q = loss_term + lam_fsd * fsd_term + lam_wsd * wsd_term
     return q, {"loss": loss_term, "fsd": fsd_term, "wsd": wsd_term}, grad
 
 
 def meta_gradient(model, theta, phi, batch_b, batch_bp, cfg, g=None, delta=None,
-                  batch_loss=None):
+                  batch_loss=None, buffers=None):
     """Exact reverse-mode gradient of Q w.r.t. phi at the lookahead
     theta' = phi.update(theta, g, delta), with g and delta held fixed:
-    phi.linearize takes the lookahead and gives its vjp.
+    phi.linearize takes the lookahead and gives its vjp.  Given g, it costs
+    2 forwards and 1 backward (1 and 1 when lam_fsd is 0).
 
     g is the loss gradient on batch_b, computed here unless given; delta is
     the base direction a learning-rate phi steps along (a preconditioner
-    ignores it).  Returns (dQ/dphi as a set of phi's type, Q, Q's terms
-    {"loss", "fsd", "wsd"}); raises NumericalError on a non-finite term.
+    ignores it); buffers is proximal_value_and_grad's.  Returns (dQ/dphi as
+    a set of phi's type, Q, Q's terms {"loss", "fsd", "wsd"}); raises
+    NumericalError on a non-finite term.
     """
     if g is None:
         _, g = loss_and_grad(model, theta, batch_b)
@@ -275,7 +301,7 @@ def meta_gradient(model, theta, phi, batch_b, batch_bp, cfg, g=None, delta=None,
         loss_batch = batch_loss if batch_loss is not None else batch_bp
     fsd_inputs = batch_bp.inputs if cfg.fsd_batch_policy == "fresh" else batch_b.inputs
     q, parts, v = proximal_value_and_grad(model, theta_new, theta, loss_batch, fsd_inputs,
-                                          cfg.lam_fsd, cfg.lam_wsd, cfg.fsd_kind)
+                                          cfg.lam_fsd, cfg.lam_wsd, cfg.fsd_kind, buffers)
     for name, value in parts.items():
         if not math.isfinite(value):
             raise NumericalError(f"meta-objective {name} term is non-finite")
@@ -356,6 +382,7 @@ def apo_train(task, theta0, cfg, steps, rng, emit, mode="apo-lr", base_kind=None
     meta_state = init_state(cfg.meta_opt, phi.flat) if phi is not None else None
 
     stats = last_q = last_fsd = last_wsd = None
+    buffers = {}  # the meta pass's stacked rows, kept for the run
     for t in range(1, steps + 1):
         batch = task.sample_batch(rng)
         try:
@@ -376,7 +403,8 @@ def apo_train(task, theta0, cfg, steps, rng, emit, mode="apo-lr", base_kind=None
                 batch_loss = (task.sample_batch(rng)
                               if cfg.loss_batch_policy == "fresh" else None)
                 mgrad, last_q, parts = meta_gradient(model, theta, phi, batch, batch_bp, cfg,
-                                                     g=g, delta=delta, batch_loss=batch_loss)
+                                                     g=g, delta=delta, batch_loss=batch_loss,
+                                                     buffers=buffers)
                 last_fsd, last_wsd = parts["fsd"], parts["wsd"]
                 meta_step(phi, meta_state, mgrad, cfg)
                 if mode == "apo-lr":

@@ -106,14 +106,14 @@ class ParamSet:
     def __init__(self, flat, layout):
         self.flat = flat
         self.layout = layout
-        self._spans, self._bounds = ParamSet._offsets(layout)
+        self._spans = ParamSet._offsets(layout)
         self._bind()
 
     @staticmethod
     @functools.lru_cache(maxsize=None)
     def _offsets(layout):
         """Per layer, (start, stop, shape) of each array in ``flat`` (None
-        where absent); and the (start, stop) of every present array."""
+        where absent)."""
         spans, k = [], 0
         for layer in layout:
             row = []
@@ -122,7 +122,7 @@ class ParamSet:
                 row.append(None if shape is None else (k, k + n, shape))
                 k += n
             spans.append(tuple(row))
-        return tuple(spans), tuple(span[:2] for row in spans for span in row if span)
+        return tuple(spans)
 
     def _views(self):
         """Per array slot of a layer (W, b, ...), its view of ``flat`` in
@@ -175,15 +175,14 @@ class ParamSet:
         return self.map(np.copy)
 
     def dot(self, other):
-        """Sum of the per-array dot products in layout order; ``other`` is a
-        set of the same layout or its flat vector."""
-        a, b = self.flat, other.flat if isinstance(other, ParamSet) else other
-        return float(sum(np.vdot(a[i:j], b[i:j]) for i, j in self._bounds))
+        """One dot product over ``flat``; ``other`` is a set of the same
+        layout or its flat vector."""
+        return float(np.vdot(self.flat, other.flat if isinstance(other, ParamSet) else other))
 
     def sq_norm(self, flat=None):
-        """Sum of per-array squared norms of flat (this set's by default)."""
+        """The squared norm of flat (this set's by default), one dot product."""
         a = self.flat if flat is None else flat
-        return float(sum(np.vdot(a[i:j], a[i:j]) for i, j in self._bounds))
+        return float(np.vdot(a, a))
 
     @property
     def size(self):

@@ -95,20 +95,21 @@ def illcond_linear_task(d=64, kappa=1e10, seed=0, batch_size=64):
     v = rand_orthogonal(rng, d)
     sigma = np.logspace(0.0, -np.log10(kappa), d)
     a = (u * sigma) @ v.T
+    a_t = np.ascontiguousarray(a.T)   # sample and evaluate read A^T in row order
     model = Model((LayerSpec(d, d, "linear", False),
                    LayerSpec(d, d, "linear", False)),
                   "regression-gaussian-unit-variance")
 
     def sample(rng_):
         x = rng_.standard_normal((batch_size, d))
-        return Batch(x, x @ a.T)
+        return Batch(x, x @ a_t)
 
     probe = sample(rng)   # every batch has this one's shapes and dtypes
     check_dataset(model, probe.inputs, probe.targets)
 
     def evaluate(theta):
         m = theta.weights[0] @ theta.weights[1]
-        return float(np.sum((a.T - m) ** 2))
+        return float(np.sum((a_t - m) ** 2))
 
     return Task(model, sample, evaluate, lambda rng_: init_params(model, rng_),
                 extras={"a": a, "sigma": sigma})

@@ -12,7 +12,8 @@ A change that moves these bytes on purpose regenerates the file with
 
     PYTHONPATH=src python3 tests/golden.py
 
-and names every moved unit, old -> new final loss, in CHANGES.md.
+which prints every entry whose digest moved, old -> new final eval loss or
+divergence step, for CHANGES.md to name.
 """
 
 from __future__ import annotations
@@ -95,6 +96,27 @@ def measure_here(units):
                 "ppm_demo": ppm_demo_digest(tmp)}
 
 
+def end_of(record):
+    if "diverged_at" in record:
+        return f"diverged at step {record['diverged_at']}"
+    return f"final eval loss {record['final_eval_loss']!r}"
+
+
+def moved(golden, now):
+    """One line per unit or digest of golden that differs in now, and per
+    unit that only one of them has."""
+    units, now_units = golden["units"], now["units"]
+    lines = [f"{label}: {end_of(old)} -> "
+             + (end_of(now_units[label]) if label in now_units else "not measured")
+             for label, old in units.items()
+             if now_units.get(label, {}).get("sha256") != old["sha256"]]
+    lines += [f"{label}: new, {end_of(unit)}" for label, unit in now_units.items()
+              if label not in units]
+    lines += [f"{name} digest moved" for name in ("check_json", "ppm_demo")
+              if now[name] != golden[name]]
+    return lines
+
+
 def bench_units():
     """{"<bench seed> <unit label>": config document} of every cycle-0 unit."""
     sys.path.insert(0, str(ROOT / "bench"))
@@ -106,6 +128,9 @@ def bench_units():
 if __name__ == "__main__" and sys.argv[1:] == ["--measure"]:
     print(json.dumps(measure_here(json.load(sys.stdin))))
 elif __name__ == "__main__":
-    GOLDEN_PATH.write_text(json.dumps(measure(bench_units()), indent=1) + "\n",
-                           encoding="utf-8")
+    record = measure(bench_units())
+    if GOLDEN_PATH.exists():
+        for line in moved(json.loads(GOLDEN_PATH.read_text(encoding="utf-8")), record):
+            print(line)
+    GOLDEN_PATH.write_text(json.dumps(record, indent=1) + "\n", encoding="utf-8")
     print(f"wrote {GOLDEN_PATH}")

@@ -306,10 +306,11 @@ def test_flat_roundtrip_and_dot_order(layers):
     back = theta.from_flat(theta.to_flat())
     assert back.layout == theta.layout
     assert all(np.array_equal(a, b) for a, b in zip(arrays_of(back), arrays_of(theta)))
-    per_array = sum(np.vdot(a, b) for a, b in zip(arrays_of(theta), arrays_of(other)))
-    assert theta.dot(other) == float(per_array)
-    assert theta.dot(other.flat) == float(per_array)
-    assert theta.sq_norm() == float(sum(np.vdot(a, a) for a in arrays_of(theta)))
+    # one reduction over the arrays concatenated in layout order
+    mine, theirs = (np.concatenate([a.ravel() for a in arrays_of(p)]) for p in (theta, other))
+    assert theta.dot(other) == float(np.vdot(mine, theirs))
+    assert theta.dot(other.flat) == float(np.vdot(mine, theirs))
+    assert theta.sq_norm() == float(np.vdot(mine, mine))
     assert theta.sq_norm(other.flat) == other.sq_norm()
     with pytest.raises(DimensionError):
         theta.from_flat(np.zeros(theta.size + 1))

@@ -5,33 +5,21 @@ tests/golden.py` (see golden.py)."""
 
 import json
 
-from golden import GOLDEN_PATH, measure, versions
-
-
-def end_of(record):
-    if "diverged_at" in record:
-        return f"diverged at step {record['diverged_at']}"
-    return f"final eval loss {record['final_eval_loss']!r}"
-
-
-def moved(golden, now):
-    """One line per unit or digest of golden that differs in now."""
-    lines = [f"{label}: {end_of(old)} -> {end_of(now['units'][label])}"
-             for label, old in golden["units"].items()
-             if now["units"][label]["sha256"] != old["sha256"]]
-    lines += [f"{name} digest moved" for name in ("check_json", "ppm_demo")
-              if now[name] != golden[name]]
-    return lines
+from golden import GOLDEN_PATH, measure, moved, versions
 
 
 def test_moved_lists_each_changed_unit_and_digest():
     golden = {"units": {"a": {"sha256": "1", "final_eval_loss": 0.5},
-                        "b": {"sha256": "2", "diverged_at": 3}},
+                        "b": {"sha256": "2", "diverged_at": 3},
+                        "c": {"sha256": "3", "final_eval_loss": 0.25}},
               "check_json": "c", "ppm_demo": "p"}
     now = {"units": {"a": {"sha256": "9", "diverged_at": 7},
-                     "b": {"sha256": "2", "diverged_at": 3}},
+                     "b": {"sha256": "2", "diverged_at": 3},
+                     "d": {"sha256": "4", "final_eval_loss": 2.0}},
            "check_json": "c", "ppm_demo": "q"}
     assert moved(golden, now) == ["a: final eval loss 0.5 -> diverged at step 7",
+                                  "c: final eval loss 0.25 -> not measured",
+                                  "d: new, final eval loss 2.0",
                                   "ppm_demo digest moved"]
 
 

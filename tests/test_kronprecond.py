@@ -167,20 +167,21 @@ def test_phi_flat_is_a_b_s_d_per_layer():
     assert np.array_equal(phi.flat, expect)
     views = [a for blk, d in zip(phi.blocks, phi.bias_diags) for a in (blk.a, blk.b, blk.s, d)]
     assert all(np.shares_memory(a, phi.flat) for a in views)
-    assert phi.scalar() == float(np.sqrt(sum(np.vdot(a, a) for a in views)))
+    assert phi.scalar() == float(np.sqrt(np.vdot(expect, expect)))
     assert phi.from_flat(phi.flat).scale == phi.scale
 
 
 def _separate_vjp(blocks, g, v):
     """precond_vjp's formulas, dA, dB and dS, with every product computed
-    afresh, as the VJP computed them before it shared the lookahead's."""
+    afresh in the VJP's association (T = B^T (G A), X = B^T (V A)), as the
+    VJP computed them before it shared the lookahead's."""
     a, b, s = blocks.a, blocks.b, blocks.s
     s2 = s * s
-    t = b.T @ g @ a
+    t = b.T @ (g @ a)
     u = s2 * t
-    x = b.T @ v @ a
+    x = b.T @ (v @ a)
     s2x = s2 * x
-    return (g.T @ (b @ s2x) + v.T @ (b @ u), v @ a @ u.T + (g @ a) @ s2x.T,
+    return (g.T @ (b @ s2x) + v.T @ (b @ u), (v @ a) @ u.T + (g @ a) @ s2x.T,
             2.0 * s * t * x)
 
 
@@ -251,14 +252,15 @@ class MatmulCounter(np.ndarray):
 
 
 def test_lookahead_and_vjp_share_products():
-    """One layer's lookahead and VJP take 13 matrix products: the VJP reuses
-    T = B^T G A and B U, which the unshared formulas compute again (16)."""
+    """One layer's lookahead and VJP take 11 matrix products: the VJP reuses
+    T = B^T (G A), B U and G A, and takes V A once, where the unshared
+    formulas compute each again (16)."""
     theta, g, v, phi = _perturbed_setup([4, 3], True, 8, 0.5)
     theta, g, v, phi = (p.with_flat(p.flat.view(MatmulCounter)) for p in (theta, g, v, phi))
     MatmulCounter.products = 0
     _, vjp = phi.linearize(theta, g, None)
     vjp(v)
-    assert MatmulCounter.products == 13
+    assert MatmulCounter.products == 11
     MatmulCounter.products = 0
     apply_precond_update(theta, phi, g)
     _separate_vjp(phi.blocks[0], g.weights[0], -phi.scale * v.weights[0])
