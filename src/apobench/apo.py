@@ -36,11 +36,15 @@ names the divergence the model head implies, per HEAD_DIVERGENCE.  The
 proximal objective and its gradient in theta' are assembled once, by
 proximal_value_and_grad, which meta_gradient and the exact proximal-point
 oracle share.  meta_gradient is the one entry point to Q: one pass takes the
-lookahead, Q with its terms, and dQ/dphi.  Given g, it costs one forward at
-theta' over the stacked rows [loss batch; discrepancy inputs], one forward
-at theta on the discrepancy inputs and one backward at theta': 2 forwards
-and 1 backward per meta step (1 and 1 when lam_fsd is 0).  apo_train keeps
-the stacked rows' two arrays for the run.
+lookahead, Q with its terms, and dQ/dphi.  A meta step evaluates each point
+once.  At theta, the training pass runs one forward over the stacked rows
+[B; discrepancy inputs]: the B rows give the loss and, from one backward
+over those rows alone, g; the other rows' outputs are the discrepancy
+reference.  At theta', one forward over [loss batch; discrepancy inputs]
+and one backward give Q and its gradient: 1 forward and 1 backward beyond
+the training pass.  apo_train keeps the stacked rows' two arrays for the
+run; the theta' pass reads the rows the training pass wrote there when its
+loss batch is B.
 """
 
 from __future__ import annotations
@@ -53,7 +57,8 @@ import numpy as np
 
 from .baseopt import (BASE_KINDS, KINDS, BaseOptKind, apply_lr_update, init_state,
                       kfac_direction, kfac_statistics, update_direction)
-from .diffnet import ParamSet, _softmax_parts, backward, forward, loss_value_and_grad, softmax
+from .diffnet import (ForwardTrace, ParamSet, _softmax_parts, backward, forward,
+                      loss_value_and_grad, softmax)
 from .errors import ContractError, DimensionError, NumericalError, TrainingDivergedError
 from .kronprecond import DEFAULT_SCALE, init_identity
 from .numkit import FLOAT
@@ -217,36 +222,66 @@ def divergence(model, kind=None):
 def loss_and_grad(model, params, batch, more=None):
     """(J_batch(params), its gradient) from one forward and one backward.
 
-    more = (inputs, seed, fill) stacks further rows into the same pass:
-    inputs holds [batch.inputs; the further rows] and the forward runs over
-    all of them; fill(y, out) writes into out the output gradient of a term
-    on the further rows' outputs y; seed, with inputs' rows, takes the
-    stacked output gradient, so the gradient is J_batch's plus the term's."""
-    inputs, seed, fill = more or (batch.inputs, None, None)
-    b = len(batch.targets)
+    more = (further, fill, buffers) runs the same forward over further input
+    rows and returns their outputs y as a third value (None when further is
+    None).  The rows [batch.inputs; further] go into the arrays that
+    _stacked_rows keeps in the dict buffers.  fill(y, out) writes
+    into out the output gradient of a term on y, and the one backward, seeded
+    with [dJ/dy; that gradient], gives J_batch's gradient plus the term's.
+    With fill None the backward runs over the trace's batch rows alone, and
+    further rows that are the batch's own inputs are not stacked again: y is
+    then the batch's outputs."""
+    further, fill, buffers = more or (None, None, None)
+    inputs, b = batch.inputs, len(batch.targets)
+    if further is not None and (fill is not None or further is not inputs):
+        inputs, seed = _stacked_rows(model, buffers, inputs, further)
     outputs, trace = forward(model, params, inputs)
     loss, dy = loss_value_and_grad(model.head, outputs[:b], batch.targets)
-    if more is not None:
+    if fill is not None:
         seed[:b] = dy
         fill(outputs[b:], seed[b:])
         dy = seed
+    elif len(outputs) > b:  # rows never mix in a pass: the batch rows' trace is a slice
+        trace = ForwardTrace([a[:b] for a in trace.layer_inputs],
+                             [s[:b] for s in trace.preacts], outputs[:b])
     g, _ = backward(model, params, trace, dy)
-    return loss, g
+    if more is None:
+        return loss, g
+    return loss, g, None if further is None else outputs[len(outputs) - len(further):]
 
 
-def proximal_value_and_grad(model, u, theta, loss_batch, fsd_inputs, lam_fsd, lam_wsd,
+def _stacked_rows(model, buffers, head, tail):
+    """(inputs, seed): the arrays kept in the dict buffers under the row
+    count of [head; tail] (made on its first use; fresh when buffers is
+    None), inputs holding those rows and seed as many rows of output
+    gradient.  The rows are copied in unless head and tail are the very
+    arrays last copied there; no caller writes a batch array."""
+    rows, buffers = len(head) + len(tail), {} if buffers is None else buffers
+    if rows not in buffers:
+        buffers[rows] = [np.empty((rows, model.d_in)), np.empty((rows, model.d_out)), None, None]
+    kept = buffers[rows]
+    if kept[2] is not head or kept[3] is not tail:
+        np.concatenate((head, tail), out=kept[0])
+        kept[2:] = head, tail
+    return kept[0], kept[1]
+
+
+def proximal_value_and_grad(model, u, theta, loss_batch, fsd_inputs, y_ref, lam_fsd, lam_wsd,
                             fsd_kind, buffers=None):
     """The proximal objective
     Q(u) = J_batch(u) + lam_fsd * FSD(u, theta) + lam_wsd * 0.5 ||u - theta||^2
-    with its terms and its gradient in u (theta fixed), in one pass; a None
-    fsd_kind means the model head's divergence.
+    with its terms and its gradient in u (theta fixed), in one pass; y_ref
+    holds the outputs at theta on fsd_inputs (both read only when lam_fsd >
+    0), and a None fsd_kind means the model head's divergence.  No forward
+    runs at theta.
 
     When lam_fsd > 0 the pass runs over the stacked rows [loss batch; fsd
     inputs] (loss_and_grad's more): one forward at u, the divergence on the
-    fsd rows against one forward at theta, and one backward seeded with
-    [dJ/dy; (lam_fsd / n) d rho / dy].  The rows and the seed go into two
-    arrays kept in the dict buffers under their row count (fresh when
-    buffers is None), so a training run makes them once.
+    fsd rows against y_ref, and one backward seeded with
+    [dJ/dy; (lam_fsd / n) d rho / dy].  The rows and the seed are arrays kept
+    in the dict buffers (fresh when buffers is None), so a training run makes
+    them once; rows that its training pass wrote there, [B; B'], are read
+    without a copy when the loss batch is B.
 
     Returns (Q, {"loss", "fsd", "wsd"}, dQ/du); a term whose weight is zero is
     skipped and reported as 0.0.  dQ/du is the backward's set, with the
@@ -255,22 +290,16 @@ def proximal_value_and_grad(model, u, theta, loss_batch, fsd_inputs, lam_fsd, la
     fsd_term = wsd_term = 0.0
     more = None
     if lam_fsd:
-        div, b, n = divergence(model, fsd_kind), len(loss_batch.inputs), len(fsd_inputs)
-        buffers = {} if buffers is None else buffers
-        if b + n not in buffers:
-            buffers[b + n] = (np.empty((b + n, model.d_in)), np.empty((b + n, model.d_out)))
-        inputs, seed = buffers[b + n]
-        np.concatenate((loss_batch.inputs, fsd_inputs), out=inputs)
-        y_old, _ = forward(model, theta, fsd_inputs)
+        div, n = divergence(model, fsd_kind), len(fsd_inputs)
 
         def fsd_seed(y_new, out):
             nonlocal fsd_term
-            rho, drho = div.value_and_grad(y_new, y_old)
+            rho, drho = div.value_and_grad(y_new, y_ref)
             fsd_term = float(np.add.reduce(rho) / n)
             np.multiply(lam_fsd / n, drho, out=out)
 
-        more = (inputs, seed, fsd_seed)
-    loss_term, grad = loss_and_grad(model, u, loss_batch, more)
+        more = (fsd_inputs, fsd_seed, buffers)
+    loss_term, grad = loss_and_grad(model, u, loss_batch, more)[:2]
     if lam_wsd:
         diff = u.flat - theta.flat
         wsd_term = 0.5 * u.sq_norm(diff)
@@ -280,28 +309,36 @@ def proximal_value_and_grad(model, u, theta, loss_batch, fsd_inputs, lam_fsd, la
 
 
 def meta_gradient(model, theta, phi, batch_b, batch_bp, cfg, g=None, delta=None,
-                  batch_loss=None, buffers=None):
+                  batch_loss=None, buffers=None, y_ref=None):
     """Exact reverse-mode gradient of Q w.r.t. phi at the lookahead
     theta' = phi.update(theta, g, delta), with g and delta held fixed:
-    phi.linearize takes the lookahead and gives its vjp.  Given g, it costs
-    2 forwards and 1 backward (1 and 1 when lam_fsd is 0).
+    phi.linearize takes the lookahead and gives its vjp.  Given g and y_ref,
+    it costs 1 forward and 1 backward, at theta'.
 
-    g is the loss gradient on batch_b, computed here unless given; delta is
-    the base direction a learning-rate phi steps along (a preconditioner
-    ignores it); buffers is proximal_value_and_grad's.  Returns (dQ/dphi as
-    a set of phi's type, Q, Q's terms {"loss", "fsd", "wsd"}); raises
-    NumericalError on a non-finite term.
+    g is the loss gradient on batch_b and y_ref the fsd reference outputs at
+    theta (read when lam_fsd > 0).  A caller gives both, from its training
+    pass, or neither, and then the training pass apo_train runs at a meta
+    step (loss_and_grad over [B; fsd inputs]) makes them here.  delta is the
+    base direction a learning-rate phi steps along (a preconditioner ignores
+    it); buffers is proximal_value_and_grad's.  Returns (dQ/dphi as a set of
+    phi's type, Q, Q's terms {"loss", "fsd", "wsd"}); raises NumericalError
+    on a non-finite term.
     """
-    if g is None:
-        _, g = loss_and_grad(model, theta, batch_b)
-    theta_new, vjp = phi.linearize(theta, g, delta)
     if cfg.loss_batch_policy == "same":
         loss_batch = batch_b
     else:
         loss_batch = batch_loss if batch_loss is not None else batch_bp
     fsd_inputs = batch_bp.inputs if cfg.fsd_batch_policy == "fresh" else batch_b.inputs
+    buffers = {} if buffers is None else buffers
+    if g is None:
+        more = (fsd_inputs if cfg.lam_fsd else None, None, buffers)
+        _, g, y_ref = loss_and_grad(model, theta, batch_b, more)
+    elif cfg.lam_fsd and y_ref is None:
+        raise ContractError("meta_gradient takes y_ref with g when lam_fsd > 0")
+    theta_new, vjp = phi.linearize(theta, g, delta)
     q, parts, v = proximal_value_and_grad(model, theta_new, theta, loss_batch, fsd_inputs,
-                                          cfg.lam_fsd, cfg.lam_wsd, cfg.fsd_kind, buffers)
+                                          y_ref, cfg.lam_fsd, cfg.lam_wsd, cfg.fsd_kind,
+                                          buffers)
     for name, value in parts.items():
         if not math.isfinite(value):
             raise NumericalError(f"meta-objective {name} term is non-finite")
@@ -343,16 +380,21 @@ def apo_train(task, theta0, cfg, steps, rng, emit, mode="apo-lr", base_kind=None
               init_lr=None, eval_every=0):
     """Online meta-learning loop on task.model; returns (theta, phi).
 
-    Per iteration t = 1..steps: sample B and, on a base step, take the base
-    direction Delta; every meta_interval-th iteration (warm-up included)
-    sample B' (and a separate loss batch under the fresh-loss policy) and
-    take one meta-optimizer step on phi; then step theta as the module
-    docstring says.  base_kind (default sgd) must be in MODE_BASE_KINDS[mode];
-    its weight decay holds in every step; apo-precond takes no init_lr.
-    theta is a copy of theta0, written in place.  emit(row) takes each completed
-    step's TrainRow in step order, with eval_loss = task.eval_loss(theta) at each
-    eval_every-th step and the last (never if eval_every is 0).  Past the loss
-    guard or on a NumericalError at step t, raises TrainingDivergedError after rows 1..t-1.
+    Per iteration t = 1..steps: sample B, and on every meta_interval-th
+    iteration (warm-up included) then B' and, under the fresh-loss policy,
+    the loss batch, in that order.  Take the training pass, whose forward on
+    a meta step runs over [B; fsd rows] and also gives the fsd reference
+    outputs, and on a base step the base direction Delta; on a meta step take
+    one meta-optimizer step on phi; then step theta as the module docstring
+    says.  The draws come before kfac's, the one other rng use in a step,
+    and no mode with a phi takes kfac.  base_kind (default sgd) must be in
+    MODE_BASE_KINDS[mode]; its weight decay holds in every step; apo-precond
+    takes no init_lr.  theta is a copy of theta0, written in place.
+    emit(row) takes each completed step's TrainRow in step order, with
+    eval_loss = task.eval_loss(theta) at each eval_every-th step and the last
+    (never if eval_every is 0).  Past the loss guard or on a NumericalError
+    at step t (a non-finite output on B' ends the training forward there),
+    raises TrainingDivergedError after rows 1..t-1.
     """
     model = task.model
     if steps < 1:
@@ -382,11 +424,21 @@ def apo_train(task, theta0, cfg, steps, rng, emit, mode="apo-lr", base_kind=None
     meta_state = init_state(cfg.meta_opt, phi.flat) if phi is not None else None
 
     stats = last_q = last_fsd = last_wsd = None
-    buffers = {}  # the meta pass's stacked rows, kept for the run
+    buffers = {}  # a meta step's stacked rows, at theta and theta', kept for the run
     for t in range(1, steps + 1):
         batch = task.sample_batch(rng)
+        meta = phi is not None and t % cfg.meta_interval == 0
         try:
-            loss, g = loss_and_grad(model, theta, batch)
+            if meta:
+                batch_bp = task.sample_batch(rng)
+                batch_loss = (task.sample_batch(rng)
+                              if cfg.loss_batch_policy == "fresh" else None)
+                # meta_gradient's fsd rows, run through the training forward
+                fsd = batch_bp if cfg.fsd_batch_policy == "fresh" else batch
+                more = (fsd.inputs if cfg.lam_fsd else None, None, buffers)
+                loss, g, y_ref = loss_and_grad(model, theta, batch, more)
+            else:
+                loss, g = loss_and_grad(model, theta, batch)
             if not math.isfinite(loss) or loss > DIVERGENCE_GUARD:
                 raise TrainingDivergedError(f"loss {loss} at step {t}", t)
             if wd:
@@ -398,13 +450,10 @@ def apo_train(task, theta0, cfg, steps, rng, emit, mode="apo-lr", base_kind=None
                 delta = kfac_direction(g, stats.factors)
             else:
                 delta = update_direction(base_kind, opt_state, g.flat)
-            if phi is not None and t % cfg.meta_interval == 0:
-                batch_bp = task.sample_batch(rng)
-                batch_loss = (task.sample_batch(rng)
-                              if cfg.loss_batch_policy == "fresh" else None)
+            if meta:
                 mgrad, last_q, parts = meta_gradient(model, theta, phi, batch, batch_bp, cfg,
                                                      g=g, delta=delta, batch_loss=batch_loss,
-                                                     buffers=buffers)
+                                                     buffers=buffers, y_ref=y_ref)
                 last_fsd, last_wsd = parts["fsd"], parts["wsd"]
                 meta_step(phi, meta_state, mgrad, cfg)
                 if mode == "apo-lr":

@@ -133,9 +133,13 @@ def exact_ppm_solve(model, theta, batch, lam_fsd, lam_wsd, fsd_inputs,
     divergence(model, fsd_kind)  # rejects an unknown kind before the first step
     loss_kind = HEAD_LOSS_CURVATURE[model.head]
 
+    # The outputs at theta, and the stacked rows, are the same at every evaluation.
+    y_ref = forward(model, theta, fsd_inputs)[0] if lam_fsd else None
+    buffers = {}
+
     def objective(u):
-        value, _, grad = proximal_value_and_grad(model, u, theta, batch, fsd_inputs,
-                                                 lam_fsd, lam_wsd, fsd_kind)
+        value, _, grad = proximal_value_and_grad(model, u, theta, batch, fsd_inputs, y_ref,
+                                                 lam_fsd, lam_wsd, fsd_kind, buffers)
         return value, grad.flat
 
     u = theta.copy()

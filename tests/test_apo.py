@@ -313,8 +313,10 @@ def test_meta_gradient_precond_matches_fd(fsd_kind, classification):
     # the proximal pass underneath, at a generic u: dQ/du against FD
     u = theta.from_flat(theta.to_flat() + 0.2 * rng.standard_normal(theta.size))
 
+    y_ref, _ = diffnet.forward(model, theta, bp.inputs)
+
     def prox(params):
-        return proximal_value_and_grad(model, params, theta, b, bp.inputs,
+        return proximal_value_and_grad(model, params, theta, b, bp.inputs, y_ref,
                                        cfg.lam_fsd, cfg.lam_wsd, fsd_kind)
 
     q, parts, qgrad = prox(u)
@@ -385,21 +387,137 @@ def test_stacked_pass_is_the_two_separate_passes(head, fsd_kind, loss_policy, fs
     b_batch, bp, b_loss = batch(b), batch(n), batch(b)
     loss_batch = b_batch if loss_policy == "same" else b_loss
     fsd_inputs = bp.inputs if fsd_policy == "fresh" else b_batch.inputs
-    args = (theta, loss_batch, fsd_inputs, lam_fsd, lam_wsd, fsd_kind)
+    y_ref, _ = diffnet.forward(model, theta, fsd_inputs)
     u = theta.map(lambda f: f + 0.3 * rng.standard_normal(f.size))
     buffers = {} if keep_buffers else None
+
+    def stacked(params):
+        return proximal_value_and_grad(model, params, theta, loss_batch, fsd_inputs, y_ref,
+                                       lam_fsd, lam_wsd, fsd_kind, buffers)
+
     if keep_buffers:
-        proximal_value_and_grad(model, theta.map(np.negative), *args, buffers)
-        kept = list(buffers.values())
-    q, parts, grad = proximal_value_and_grad(model, u, *args, buffers)
-    ref_q, ref_parts, ref_grad = _two_pass_reference(model, u, *args)
+        stacked(theta.map(np.negative))
+        kept = [list(entry) for entry in buffers.values()]
+    q, parts, grad = stacked(u)
+    ref_q, ref_parts, ref_grad = _two_pass_reference(model, u, theta, loss_batch, fsd_inputs,
+                                                     lam_fsd, lam_wsd, fsd_kind)
     assert rel_err(q, ref_q) <= 1e-12
     for name, value in ref_parts.items():
         assert rel_err(parts[name], value, floor=abs(ref_q)) <= 1e-12
     assert rel_err(grad.flat, ref_grad.flat) <= 1e-12
     if keep_buffers:
         assert len(buffers) == (lam_fsd > 0)
-        assert all(now is before for now, before in zip(buffers.values(), kept))
+        assert all(a is b for now, before in zip(buffers.values(), kept)
+                   for a, b in zip(now, before))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(diffnet.HEADS), st.sampled_from(apo.BATCH_POLICIES),
+       st.sampled_from([0.0, 0.7]), st.booleans(), st.integers(1, 6), st.integers(1, 6),
+       st.integers(0, 2**32 - 1))
+def test_stacked_training_pass_is_the_two_separate_passes(head, fsd_policy, lam_fsd,
+                                                          keep_buffers, b, n, seed):
+    """The training pass as apo_train takes it at a meta step, one forward
+    over [B; fsd rows] and one backward over B's rows, gives the loss, g and
+    y_ref of loss_and_grad on B and a forward on the fsd rows, run
+    separately, within 1e-12 relative; with run buffers (holding other rows
+    of the same count) or fresh ones."""
+    rng = numkit.make_rng(seed)
+    model = mlp([3, 4, 2], activation="sigmoid", head=head)
+    theta = init_params(model, rng)
+
+    def batch(rows):
+        targets = (rng.integers(0, 2, size=rows) if head == "classification-softmax"
+                   else rng.standard_normal((rows, 2)))
+        return Batch(rng.standard_normal((rows, 3)), targets)
+
+    b_batch, bp = batch(b), batch(n)
+    fsd_inputs = (bp if fsd_policy == "fresh" else b_batch).inputs
+    buffers = {}
+    if keep_buffers:
+        other = batch(b)
+        loss_and_grad(model, theta, other, (batch(n).inputs, None, buffers))
+    more = (fsd_inputs if lam_fsd else None, None, buffers)
+    loss, g, y_ref = loss_and_grad(model, theta, b_batch, more)
+    ref_loss, ref_g = loss_and_grad(model, theta, b_batch)
+    assert rel_err(loss, ref_loss) <= 1e-12
+    assert rel_err(g.flat, ref_g.flat) <= 1e-12
+    if lam_fsd:
+        assert rel_err(y_ref, diffnet.forward(model, theta, fsd_inputs)[0]) <= 1e-12
+    else:
+        assert y_ref is None
+    stacked = bool(lam_fsd) and fsd_policy == "fresh"
+    assert len(buffers) == (keep_buffers or stacked)
+
+
+def test_theta_prime_pass_reads_the_training_rows():
+    """At a meta step whose loss batch is B, the theta' pass reads the rows
+    [B; B'] that the training pass wrote, without a copy: rows spoiled in
+    between reach its forward.  A fresh loss batch's rows are copied in."""
+    rng = numkit.make_rng(43)
+    model = mlp([3, 4, 2], activation="sigmoid")
+    theta = init_params(model, rng)
+    b, bp, b_loss = (Batch(rng.standard_normal((5, 3)), rng.standard_normal((5, 2)))
+                     for _ in range(3))
+    phi = init_identity(model)
+    buffers = {}
+    _, g, y_ref = loss_and_grad(model, theta, b, (bp.inputs, None, buffers))
+    (inputs, *_), = buffers.values()
+    cfg = ProximalConfig(lam_fsd=0.5, lam_wsd=0.3)
+    meta_gradient(model, theta, phi, b, bp, cfg, g=g, y_ref=y_ref, buffers=buffers)
+    inputs[0, 0] = np.nan
+    with pytest.raises(NumericalError, match="non-finite outputs"):
+        meta_gradient(model, theta, phi, b, bp, cfg, g=g, y_ref=y_ref, buffers=buffers)
+    fresh = ProximalConfig(lam_fsd=0.5, lam_wsd=0.3, loss_batch_policy="fresh")
+    meta_gradient(model, theta, phi, b, bp, fresh, g=g, y_ref=y_ref, batch_loss=b_loss,
+                  buffers=buffers)
+    assert np.array_equal(inputs, np.concatenate((b_loss.inputs, bp.inputs)))
+
+
+def test_meta_gradient_takes_y_ref_with_g():
+    """With lam_fsd > 0, g alone is refused; g with y_ref, or neither, gives
+    the same Q and dQ/dphi."""
+    rng = numkit.make_rng(44)
+    model = mlp([3, 4, 2], activation="sigmoid")
+    theta = init_params(model, rng)
+    b, bp = (Batch(rng.standard_normal((5, 3)), rng.standard_normal((5, 2))) for _ in range(2))
+    cfg = ProximalConfig(lam_fsd=0.5, lam_wsd=0.3)
+    phi = init_identity(model)
+    _, g = loss_and_grad(model, theta, b)
+    with pytest.raises(ContractError, match="y_ref"):
+        meta_gradient(model, theta, phi, b, bp, cfg, g=g)
+    y_ref, _ = diffnet.forward(model, theta, bp.inputs)
+    given = meta_gradient(model, theta, phi, b, bp, cfg, g=g, y_ref=y_ref)
+    made = meta_gradient(model, theta, phi, b, bp, cfg)
+    assert given[1] == made[1] and np.array_equal(given[0].flat, made[0].flat)
+
+
+def test_no_mode_with_a_phi_takes_kfac():
+    """apo_train draws B' and the loss batch straight after B, before the
+    step's other rng use, kfac's statistics; the stream is that of drawing
+    them after Delta only while no mode with a phi takes kfac."""
+    for kinds in (apo.MODE_BASE_KINDS["apo-lr"], apo.MODE_BASE_KINDS["apo-precond"],
+                  (apo.WARMUP_KIND.kind,)):
+        assert "kfac" not in kinds
+
+
+def test_nonfinite_fsd_output_diverges_at_its_meta_step():
+    """A B' whose outputs overflow ends the run at its meta step, after the
+    rows before it; the training forward over [B; B'] is where it fails."""
+    model = Model((LayerSpec(2, 1, "linear", False),), "regression-gaussian-unit-variance")
+    rng = numkit.make_rng(46)
+    batches = [Batch(rng.standard_normal((4, 2)), rng.standard_normal((4, 1)))
+               for _ in range(3)]
+    batches.append(Batch(np.full((4, 2), 1e308), np.zeros((4, 1))))
+    task = SimpleNamespace(model=model, sample_batch=lambda _rng: batches.pop(0))
+    theta0 = ParamSet.from_layers([(np.ones((2, 1)), None)])
+    cfg = ProximalConfig(lam_fsd=1.0, meta_interval=3)
+    rows = []
+    with pytest.raises(TrainingDivergedError) as err:
+        apo_train(task, theta0, cfg, 5, numkit.make_rng(5), rows.append, init_lr=0.01)
+    assert err.value.step == 3 and [r.step for r in rows] == [1, 2]
+    assert isinstance(err.value.__cause__, NumericalError)
+    assert not batches
 
 
 @pytest.mark.parametrize("head,kind", [("classification-softmax", "kl-categorical"),
@@ -439,9 +557,13 @@ def _count_passes(monkeypatch):
     return counts
 
 
-@pytest.mark.parametrize("lam_fsd,forwards,backwards", [(0.5, 2, 1), (0.0, 1, 1)])
-def test_meta_gradient_op_counts(monkeypatch, lam_fsd, forwards, backwards):
-    """One meta step as apo_train makes it (g and delta given, fresh B')."""
+@pytest.mark.parametrize("lam_fsd,given,forwards,backwards",
+                         [(0.5, True, 1, 1), (0.0, True, 1, 1), (0.5, False, 2, 2),
+                          (0.0, False, 2, 2)])
+def test_meta_gradient_op_counts(monkeypatch, lam_fsd, given, forwards, backwards):
+    """One meta step as apo_train makes it (g and y_ref given, fresh B'):
+    1 forward and 1 backward, at theta'; a caller that gives neither pays
+    the training pass on top."""
     rng = numkit.make_rng(41)
     model = mlp([3, 4, 2], activation="sigmoid")
     theta = init_params(model, rng)
@@ -450,10 +572,12 @@ def test_meta_gradient_op_counts(monkeypatch, lam_fsd, forwards, backwards):
     cfg = ProximalConfig(lam_fsd=lam_fsd, lam_wsd=0.3, fsd_batch_policy="fresh")
     kind = BaseOptKind("sgd-momentum")
     _, g = loss_and_grad(model, theta, b)
+    y_ref, _ = diffnet.forward(model, theta, bp.inputs)
+    ref = {"g": g, "y_ref": y_ref} if given else {}
     delta = update_direction(kind, init_state(kind, theta.flat), g.flat)
     for phi, d in ((LrPhi(math.log(0.1)), delta), (init_identity(model), None)):
         counts = _count_passes(monkeypatch)
-        meta_gradient(model, theta, phi, b, bp, cfg, g=g, delta=d)
+        meta_gradient(model, theta, phi, b, bp, cfg, delta=d, **ref)
         assert counts == {"forward": forwards, "backward": backwards}
         monkeypatch.undo()
 
@@ -490,8 +614,9 @@ PARAMSET_COUNTS = {
 
 @pytest.mark.parametrize("mode,meta_interval", [("apo-lr", 10), ("apo-precond", 1)])
 def test_training_pass_counts(monkeypatch, mode, meta_interval):
-    """apo_train makes 1 forward and 1 backward per training step, and 2
-    forwards and 1 backward more per meta step (fsd and wsd on), in the
+    """apo_train makes 1 forward and 1 backward per training step, whose
+    forward at a meta step also gives the fsd reference outputs, and 1
+    forward and 1 backward more per meta step (fsd and wsd on), in the
     preconditioner's SGDm warm-up and after it; its ParamSet operations
     follow PARAMSET_COUNTS exactly."""
     task = tasks.synth_regression_task(n=64, d=3, seed=2, batch_size=8)
@@ -508,7 +633,7 @@ def test_training_pass_counts(monkeypatch, mode, meta_interval):
     apo_train(task, theta0, cfg, steps, numkit.make_rng(2), lambda row: None, mode=mode,
               base_kind=BaseOptKind("sgd-momentum" if mode == "apo-lr" else "sgd"))
     meta_steps = steps // meta_interval
-    assert counts == {"forward": steps + 2 * meta_steps, "backward": steps + meta_steps}
+    assert counts == {"forward": steps + meta_steps, "backward": steps + meta_steps}
     expect = Counter({"copy": 1, "map": 1})
     for times, per in zip((warmup, steps - warmup, meta_steps), PARAMSET_COUNTS[mode]):
         for op, n in per.items():
@@ -523,7 +648,7 @@ def test_training_pass_counts(monkeypatch, mode, meta_interval):
 # moves the count.  The step repeats none of the checks that the task build
 # and apo_train's entry make (batch coercion, label range, layout, input
 # shape, Kronecker block shapes); one that creeps back moves these counts.
-CALL_COUNTS = {"none": 409, "apo-lr": 503, "apo-precond": 1423}
+CALL_COUNTS = {"none": 409, "apo-lr": 501, "apo-precond": 1403}
 
 
 @pytest.mark.parametrize("mode", list(CALL_COUNTS))

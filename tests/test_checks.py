@@ -4,7 +4,7 @@ import pytest
 from apobench import oracles
 from apobench.apo import loss_and_grad, proximal_value_and_grad
 from apobench.baseopt import BaseOptKind
-from apobench.diffnet import Batch, init_params
+from apobench.diffnet import Batch, forward, init_params
 from apobench.harness import checks, ppmdemo
 from apobench.numkit import make_rng
 
@@ -67,9 +67,11 @@ def test_ppm_demo_regimes(seed, monkeypatch):
         (model, theta, batch, lam_fsd, lam_wsd, fsd_inputs), kwargs, u = solves[2]
         assert (lam_fsd, lam_wsd) == ppmdemo.DEFAULT_SETTINGS[2] == (100.0, 0.0)
 
+        y_ref, _ = forward(model, theta, fsd_inputs)
+
         def q(params):
-            return proximal_value_and_grad(model, params, theta, batch, fsd_inputs, lam_fsd,
-                                           lam_wsd, kwargs["fsd_kind"])[0]
+            return proximal_value_and_grad(model, params, theta, batch, fsd_inputs, y_ref,
+                                           lam_fsd, lam_wsd, kwargs["fsd_kind"])[0]
 
         assert q(u) <= kwargs["tol"] * q(theta)
 

@@ -290,6 +290,37 @@ def test_exact_ppm_capped_solve_raises_with_grad_norm():
     assert float(str(info.value).rsplit(" ", 1)[1]) > 1e-9
 
 
+def test_exact_ppm_solve_runs_one_forward_at_theta(monkeypatch):
+    """The fsd reference outputs at theta are one forward per solve: the
+    objective's forwards are evals + 1, one at u per evaluation."""
+    from apobench import apo
+    rng = numkit.make_rng(12)
+    model = mlp([3, 5, 2], activation="sigmoid")
+    theta = init_params(model, rng)
+    batch = Batch(rng.standard_normal((8, 3)), rng.standard_normal((8, 2)))
+    fsd_inputs = rng.standard_normal((6, 3))
+    calls = {"evals": 0, "at_u": 0, "at_theta": 0}
+
+    def evaluated(*args, _fn=apo.loss_and_grad):
+        calls["evals"] += 1
+        return _fn(*args)
+
+    def at_u(model_, params, inputs):
+        calls["at_u"] += 1
+        return forward(model_, params, inputs)
+
+    def oracle_forward(model_, params, inputs):
+        calls["at_theta"] += params is theta
+        return forward(model_, params, inputs)
+
+    monkeypatch.setattr(apo, "loss_and_grad", evaluated)
+    monkeypatch.setattr(apo, "forward", at_u)
+    monkeypatch.setattr(oracles, "forward", oracle_forward)
+    oracles.exact_ppm_solve(model, theta, batch, 1.0, 0.5, fsd_inputs, tol=1e-10)
+    assert calls["evals"] > 1
+    assert calls["at_u"] == calls["evals"] and calls["at_theta"] == 1
+
+
 def test_exact_ppm_damps_a_singular_curvature():
     # Unregularized softmax loss on 4 rows: the 33 x 33 Gauss-Newton matrix
     # has rank <= 8, and once mu shrinks below its rounding the damped matrix
