@@ -37,14 +37,13 @@ proximal objective and its gradient in theta' are assembled once, by
 proximal_value_and_grad, which meta_gradient and the exact proximal-point
 oracle share.  meta_gradient is the one entry point to Q: one pass takes the
 lookahead, Q with its terms, and dQ/dphi.  A meta step evaluates each point
-once.  At theta, the training pass runs one forward over the stacked rows
-[B; discrepancy inputs]: the B rows give the loss and, from one backward
-over those rows alone, g; the other rows' outputs are the discrepancy
-reference.  At theta', one forward over [loss batch; discrepancy inputs]
-and one backward give Q and its gradient: 1 forward and 1 backward beyond
-the training pass.  apo_train keeps the stacked rows' two arrays for the
-run; the theta' pass reads the rows the training pass wrote there when its
-loss batch is B.
+once, over the rows meta_batches picks.  At theta, the training pass runs one
+forward over [B; discrepancy inputs]: the B rows give the loss and, from one
+backward over those rows alone, g; the other rows' outputs are the
+discrepancy reference.  At theta', one forward over [loss batch;
+discrepancy inputs] and one backward give Q and its gradient: 1 forward and
+1 backward beyond the training pass, which reads the training pass's rows
+when the loss batch is B.
 """
 
 from __future__ import annotations
@@ -57,7 +56,7 @@ import numpy as np
 
 from .baseopt import (BASE_KINDS, KINDS, BaseOptKind, apply_lr_update, init_state,
                       kfac_direction, kfac_statistics, update_direction)
-from .diffnet import (ForwardTrace, ParamSet, _softmax_parts, backward, forward,
+from .diffnet import (Batch, ForwardTrace, ParamSet, _softmax_parts, backward, forward,
                       loss_value_and_grad, softmax)
 from .errors import ContractError, DimensionError, NumericalError, TrainingDivergedError
 from .kronprecond import DEFAULT_SCALE, init_identity
@@ -219,87 +218,72 @@ def divergence(model, kind=None):
     return DIVERGENCES[kind]
 
 
-def loss_and_grad(model, params, batch, more=None):
-    """(J_batch(params), its gradient) from one forward and one backward.
-
-    more = (further, fill, buffers) runs the same forward over further input
-    rows and returns their outputs y as a third value (None when further is
-    None).  The rows [batch.inputs; further] go into the arrays that
-    _stacked_rows keeps in the dict buffers.  fill(y, out) writes
-    into out the output gradient of a term on y, and the one backward, seeded
-    with [dJ/dy; that gradient], gives J_batch's gradient plus the term's.
-    With fill None the backward runs over the trace's batch rows alone, and
-    further rows that are the batch's own inputs are not stacked again: y is
-    then the batch's outputs."""
-    further, fill, buffers = more or (None, None, None)
-    inputs, b = batch.inputs, len(batch.targets)
-    if further is not None and (fill is not None or further is not inputs):
-        inputs, seed = _stacked_rows(model, buffers, inputs, further)
-    outputs, trace = forward(model, params, inputs)
+def loss_and_grad(model, params, batch, fill=None):
+    """(J, its gradient g, outputs): one forward over all of batch.inputs, J
+    the mean loss on its target rows (the first len(batch.targets); a stacked
+    batch's inputs run past them), and one backward over those rows or, given
+    fill(dy, y), seeded with what fill returns from dJ/dy and the outputs y
+    past them: [dJ/dy; the output gradient of a term on y]."""
+    b = len(batch.targets)
+    outputs, trace = forward(model, params, batch.inputs)
     loss, dy = loss_value_and_grad(model.head, outputs[:b], batch.targets)
     if fill is not None:
-        seed[:b] = dy
-        fill(outputs[b:], seed[b:])
-        dy = seed
-    elif len(outputs) > b:  # rows never mix in a pass: the batch rows' trace is a slice
+        dy = fill(dy, outputs[b:])
+    elif len(outputs) > b:  # rows never mix in a pass: the target rows' trace is a slice
         trace = ForwardTrace([a[:b] for a in trace.layer_inputs],
                              [s[:b] for s in trace.preacts], outputs[:b])
     g, _ = backward(model, params, trace, dy)
-    if more is None:
-        return loss, g
-    return loss, g, None if further is None else outputs[len(outputs) - len(further):]
+    return loss, g, outputs
 
 
-def _stacked_rows(model, buffers, head, tail):
-    """(inputs, seed): the arrays kept in the dict buffers under the row
-    count of [head; tail] (made on its first use; fresh when buffers is
-    None), inputs holding those rows and seed as many rows of output
-    gradient.  The rows are copied in unless head and tail are the very
-    arrays last copied there; no caller writes a batch array."""
-    rows, buffers = len(head) + len(tail), {} if buffers is None else buffers
-    if rows not in buffers:
-        buffers[rows] = [np.empty((rows, model.d_in)), np.empty((rows, model.d_out)), None, None]
-    kept = buffers[rows]
-    if kept[2] is not head or kept[3] is not tail:
-        np.concatenate((head, tail), out=kept[0])
-        kept[2:] = head, tail
-    return kept[0], kept[1]
+def meta_batches(cfg, batch_b, batch_bp, batch_loss=None, rows=None):
+    """(train, prox): a meta step's batches at theta and at theta'.  The loss
+    rows are B's under the loss policy "same", else batch_loss's (batch_bp's
+    if None); the fsd rows are B''s inputs under the fsd policy "fresh", else
+    B's.  With lam_fsd 0, train is B and prox the loss batch; otherwise train
+    is [B; fsd rows] with B's targets and prox [loss rows; fsd rows] with the
+    loss targets, their inputs in rows[0] and rows[1] (fresh arrays when rows
+    is None) until the next call.  Under the loss policy "same" train is prox."""
+    same = cfg.loss_batch_policy == "same"
+    loss = batch_b if same else batch_bp if batch_loss is None else batch_loss
+    if not cfg.lam_fsd:
+        return batch_b, loss
+    fsd = (batch_bp if cfg.fsd_batch_policy == "fresh" else batch_b).inputs
+    rows = (None, None) if rows is None else rows
+    train = Batch(np.concatenate((batch_b.inputs, fsd), out=rows[0]), batch_b.targets)
+    if same:
+        return train, train
+    return train, Batch(np.concatenate((loss.inputs, fsd), out=rows[1]), loss.targets)
 
 
-def proximal_value_and_grad(model, u, theta, loss_batch, fsd_inputs, y_ref, lam_fsd, lam_wsd,
-                            fsd_kind, buffers=None):
+def proximal_value_and_grad(model, u, theta, batch, y_ref, lam_fsd, lam_wsd, fsd_kind,
+                            seed=None):
     """The proximal objective
     Q(u) = J_batch(u) + lam_fsd * FSD(u, theta) + lam_wsd * 0.5 ||u - theta||^2
-    with its terms and its gradient in u (theta fixed), in one pass; y_ref
-    holds the outputs at theta on fsd_inputs (both read only when lam_fsd >
-    0), and a None fsd_kind means the model head's divergence.  No forward
-    runs at theta.
-
-    When lam_fsd > 0 the pass runs over the stacked rows [loss batch; fsd
-    inputs] (loss_and_grad's more): one forward at u, the divergence on the
-    fsd rows against y_ref, and one backward seeded with
-    [dJ/dy; (lam_fsd / n) d rho / dy].  The rows and the seed are arrays kept
-    in the dict buffers (fresh when buffers is None), so a training run makes
-    them once; rows that its training pass wrote there, [B; B'], are read
-    without a copy when the loss batch is B.
+    with its terms and its gradient in u (theta fixed), from one forward and
+    one backward at u; a None fsd_kind means the model head's divergence.
+    When lam_fsd > 0, batch is stacked (meta_batches' prox): its rows past the
+    targets are the fsd rows, y_ref their outputs at theta, and the backward's
+    seed [dJ/dy; (lam_fsd / n) d rho / dy] goes into seed (fresh when None).
 
     Returns (Q, {"loss", "fsd", "wsd"}, dQ/du); a term whose weight is zero is
     skipped and reported as 0.0.  dQ/du is the backward's set, with the
     weighted wsd gradient added into its buffer.
     """
     fsd_term = wsd_term = 0.0
-    more = None
+    fsd_seed = None
     if lam_fsd:
-        div, n = divergence(model, fsd_kind), len(fsd_inputs)
+        div, n = divergence(model, fsd_kind), len(y_ref)
 
-        def fsd_seed(y_new, out):
+        def fsd_seed(dy, y_new):
             nonlocal fsd_term
             rho, drho = div.value_and_grad(y_new, y_ref)
             fsd_term = float(np.add.reduce(rho) / n)
-            np.multiply(lam_fsd / n, drho, out=out)
+            out = np.concatenate((dy, drho), out=seed)
+            out[len(dy):] *= lam_fsd / n
+            return out
 
-        more = (fsd_inputs, fsd_seed, buffers)
-    loss_term, grad = loss_and_grad(model, u, loss_batch, more)[:2]
+    loss_term, grad, _ = loss_and_grad(model, u, batch, fsd_seed)
     if lam_wsd:
         diff = u.flat - theta.flat
         wsd_term = 0.5 * u.sq_norm(diff)
@@ -308,37 +292,29 @@ def proximal_value_and_grad(model, u, theta, loss_batch, fsd_inputs, y_ref, lam_
     return q, {"loss": loss_term, "fsd": fsd_term, "wsd": wsd_term}, grad
 
 
-def meta_gradient(model, theta, phi, batch_b, batch_bp, cfg, g=None, delta=None,
-                  batch_loss=None, buffers=None, y_ref=None):
+def meta_gradient(model, theta, phi, train, prox, cfg, g=None, delta=None, outputs=None,
+                  seed=None):
     """Exact reverse-mode gradient of Q w.r.t. phi at the lookahead
     theta' = phi.update(theta, g, delta), with g and delta held fixed:
-    phi.linearize takes the lookahead and gives its vjp.  Given g and y_ref,
-    it costs 1 forward and 1 backward, at theta'.
-
-    g is the loss gradient on batch_b and y_ref the fsd reference outputs at
-    theta (read when lam_fsd > 0).  A caller gives both, from its training
-    pass, or neither, and then the training pass apo_train runs at a meta
-    step (loss_and_grad over [B; fsd inputs]) makes them here.  delta is the
-    base direction a learning-rate phi steps along (a preconditioner ignores
-    it); buffers is proximal_value_and_grad's.  Returns (dQ/dphi as a set of
-    phi's type, Q, Q's terms {"loss", "fsd", "wsd"}); raises NumericalError
-    on a non-finite term.
+    phi.linearize takes the lookahead and gives its vjp.  train and prox are
+    meta_batches'; g is the loss gradient at theta on train's target rows and
+    outputs the outputs on all its rows, whose rows past the targets are the
+    fsd reference y_ref.  Given both, from the caller's training pass, it costs
+    1 forward and 1 backward, at theta' over prox; given neither, that pass
+    runs here; g alone is refused when lam_fsd > 0.  delta is the base
+    direction a learning-rate phi steps along (a preconditioner ignores it);
+    seed is proximal_value_and_grad's.  Returns (dQ/dphi as a set of phi's
+    type, Q, Q's terms {"loss", "fsd", "wsd"}); raises NumericalError on a
+    non-finite term.
     """
-    if cfg.loss_batch_policy == "same":
-        loss_batch = batch_b
-    else:
-        loss_batch = batch_loss if batch_loss is not None else batch_bp
-    fsd_inputs = batch_bp.inputs if cfg.fsd_batch_policy == "fresh" else batch_b.inputs
-    buffers = {} if buffers is None else buffers
     if g is None:
-        more = (fsd_inputs if cfg.lam_fsd else None, None, buffers)
-        _, g, y_ref = loss_and_grad(model, theta, batch_b, more)
-    elif cfg.lam_fsd and y_ref is None:
-        raise ContractError("meta_gradient takes y_ref with g when lam_fsd > 0")
+        _, g, outputs = loss_and_grad(model, theta, train)
+    elif cfg.lam_fsd and outputs is None:
+        raise ContractError("meta_gradient takes the training outputs with g when lam_fsd > 0")
+    y_ref = outputs[len(train.targets):] if cfg.lam_fsd else None
     theta_new, vjp = phi.linearize(theta, g, delta)
-    q, parts, v = proximal_value_and_grad(model, theta_new, theta, loss_batch, fsd_inputs,
-                                          y_ref, cfg.lam_fsd, cfg.lam_wsd, cfg.fsd_kind,
-                                          buffers)
+    q, parts, v = proximal_value_and_grad(model, theta_new, theta, prox, y_ref, cfg.lam_fsd,
+                                          cfg.lam_wsd, cfg.fsd_kind, seed)
     for name, value in parts.items():
         if not math.isfinite(value):
             raise NumericalError(f"meta-objective {name} term is non-finite")
@@ -382,14 +358,15 @@ def apo_train(task, theta0, cfg, steps, rng, emit, mode="apo-lr", base_kind=None
 
     Per iteration t = 1..steps: sample B, and on every meta_interval-th
     iteration (warm-up included) then B' and, under the fresh-loss policy,
-    the loss batch, in that order.  Take the training pass, whose forward on
-    a meta step runs over [B; fsd rows] and also gives the fsd reference
-    outputs, and on a base step the base direction Delta; on a meta step take
-    one meta-optimizer step on phi; then step theta as the module docstring
-    says.  The draws come before kfac's, the one other rng use in a step,
-    and no mode with a phi takes kfac.  base_kind (default sgd) must be in
-    MODE_BASE_KINDS[mode]; its weight decay holds in every step; apo-precond
-    takes no init_lr.  theta is a copy of theta0, written in place.
+    the loss batch, in that order.  Take the training pass, over B or, on a
+    meta step, over meta_batches' train, whose outputs past B's rows are the
+    fsd reference, and on a base step the base direction Delta; on a meta
+    step take one meta-optimizer step on phi; then step theta as the module
+    docstring says.  The stacked rows and the theta' pass's seed are arrays
+    made at the first meta step and kept for the run.  The draws come before
+    kfac's, the one other rng use in a step, and no mode with a phi takes
+    kfac.  base_kind (default sgd) must be in MODE_BASE_KINDS[mode]; its
+    weight decay holds in every step; apo-precond takes no init_lr.  theta is a copy of theta0, written in place.
     emit(row) takes each completed step's TrainRow in step order, with
     eval_loss = task.eval_loss(theta) at each eval_every-th step and the last
     (never if eval_every is 0).  Past the loss guard or on a NumericalError
@@ -423,22 +400,20 @@ def apo_train(task, theta0, cfg, steps, rng, emit, mode="apo-lr", base_kind=None
     opt_state = init_state(base_kind, theta.flat) if base_steps else None
     meta_state = init_state(cfg.meta_opt, phi.flat) if phi is not None else None
 
-    stats = last_q = last_fsd = last_wsd = None
-    buffers = {}  # a meta step's stacked rows, at theta and theta', kept for the run
+    stats = last_q = last_fsd = last_wsd = rows = seed = None
     for t in range(1, steps + 1):
-        batch = task.sample_batch(rng)
+        batch = train = task.sample_batch(rng)
         meta = phi is not None and t % cfg.meta_interval == 0
         try:
             if meta:
                 batch_bp = task.sample_batch(rng)
                 batch_loss = (task.sample_batch(rng)
                               if cfg.loss_batch_policy == "fresh" else None)
-                # meta_gradient's fsd rows, run through the training forward
-                fsd = batch_bp if cfg.fsd_batch_policy == "fresh" else batch
-                more = (fsd.inputs if cfg.lam_fsd else None, None, buffers)
-                loss, g, y_ref = loss_and_grad(model, theta, batch, more)
-            else:
-                loss, g = loss_and_grad(model, theta, batch)
+                if rows is None:  # the stacked rows and the theta' seed, kept for the run
+                    b = len(batch.targets)
+                    rows, seed = np.empty((2, 2 * b, model.d_in)), np.empty((2 * b, model.d_out))
+                train, prox = meta_batches(cfg, batch, batch_bp, batch_loss, rows)
+            loss, g, outputs = loss_and_grad(model, theta, train)
             if not math.isfinite(loss) or loss > DIVERGENCE_GUARD:
                 raise TrainingDivergedError(f"loss {loss} at step {t}", t)
             if wd:
@@ -451,9 +426,8 @@ def apo_train(task, theta0, cfg, steps, rng, emit, mode="apo-lr", base_kind=None
             else:
                 delta = update_direction(base_kind, opt_state, g.flat)
             if meta:
-                mgrad, last_q, parts = meta_gradient(model, theta, phi, batch, batch_bp, cfg,
-                                                     g=g, delta=delta, batch_loss=batch_loss,
-                                                     buffers=buffers, y_ref=y_ref)
+                mgrad, last_q, parts = meta_gradient(model, theta, phi, train, prox, cfg, g=g,
+                                                     delta=delta, outputs=outputs, seed=seed)
                 last_fsd, last_wsd = parts["fsd"], parts["wsd"]
                 meta_step(phi, meta_state, mgrad, cfg)
                 if mode == "apo-lr":

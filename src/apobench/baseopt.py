@@ -8,10 +8,10 @@ Every base kind yields its Delta here: update_direction for the four
 elementwise kinds, kfac_direction for kfac, whose state is the KfacStats
 that kfac_statistics refreshes.
 
-Gradients, directions and optimizer buffers are flat float64 vectors (a
+Gradients, directions and optimizer moments are flat float64 vectors (a
 ParamSet's ``flat``, or a meta-parameter vector), so each update is one
 whole-vector expression.  An optimizer state persists from step to step:
-update_direction advances its moment buffers in place, with out= through
+update_direction advances its moment arrays in place, with out= through
 one scratch array, so its results are bit-identical to the formulas it
 lists.  The direction it returns never shares memory with the gradient.
 """

@@ -241,6 +241,9 @@ def check_dataset(model, inputs, targets):
 
 @dataclass
 class Batch:
+    """Input rows and the targets of its first len(targets) rows; a stacked
+    batch's inputs run past its targets (apo.meta_batches)."""
+
     inputs: np.ndarray
     targets: np.ndarray
 
@@ -380,17 +383,18 @@ def preact_jacobians(model, params, inputs):
 
 
 def per_example_jacobian(model, params, inputs):
-    """Exact per-example Jacobian d f(x_b, theta) / d theta, B x d_out x m.
+    """(outputs, the exact per-example Jacobian d f(x_b, theta) / d theta,
+    B x d_out x m).
 
     Parameter ordering is the ParamSet storage order (row-major W, then bias,
     per layer).  From one preact_jacobians sweep: a weight block is the outer
     product of the layer input with ds, a bias block is ds itself.
     """
     require_oracle_scale("per_example_jacobian", params.size)
-    _, trace, ds = preact_jacobians(model, params, inputs)
+    outputs, trace, ds = preact_jacobians(model, params, inputs)
     blocks = []
     for spec, a, d in zip(model.layers, trace.layer_inputs, ds):
         blocks.append((a[:, None, :, None] * d[:, :, None, :]).reshape(*d.shape[:2], -1))
         if spec.has_bias:
             blocks.append(d)
-    return np.concatenate(blocks, axis=2)
+    return outputs, np.concatenate(blocks, axis=2)

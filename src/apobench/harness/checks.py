@@ -16,9 +16,9 @@ import math
 import numpy as np
 
 from .. import oracles
-from ..apo import LrPhi, ProximalConfig, loss_and_grad, meta_gradient
+from ..apo import LrPhi, ProximalConfig, loss_and_grad, meta_batches, meta_gradient
 from ..baseopt import BaseOptKind, init_state, update_direction
-from ..diffnet import (Batch, LayerSpec, Model, forward, init_params, loss_value_and_grad,
+from ..diffnet import (Batch, LayerSpec, Model, init_params, loss_value_and_grad,
                        mlp, per_example_jacobian)
 from ..errors import ContractError, NumericalError
 from ..kronprecond import (KronBlocks, apply_precond, apply_precond_update,
@@ -81,7 +81,7 @@ def check_gradient_fd():
         t = (rng.integers(0, 2, size=4) if head.startswith("classification")
              else rng.standard_normal((4, 2)))
         batch = Batch(x, t)
-        _, g = loss_and_grad(model, theta, batch)
+        g = loss_and_grad(model, theta, batch)[1]
         fd = oracles.fd_jacobian(lambda v: loss_and_grad(model, theta.from_flat(v), batch)[0],
                                  theta.to_flat(), 1e-5)
         worst = max(worst, np.abs(g.to_flat() - fd).max() / max(np.abs(fd).max(), 1e-12))
@@ -93,8 +93,7 @@ def check_jacobian_chain():
     model = mlp([3, 5, 2], activation="sigmoid")
     theta = init_params(model, rng)
     batch = Batch(rng.standard_normal((4, 3)), rng.standard_normal((4, 2)))
-    jac = per_example_jacobian(model, theta, batch.inputs)
-    outputs, _ = forward(model, theta, batch.inputs)
+    outputs, jac = per_example_jacobian(model, theta, batch.inputs)
     _, dy = loss_value_and_grad(model.head, outputs, batch.targets)
     contracted = np.einsum("bj,bjm->m", dy, jac)
     exact = loss_and_grad(model, theta, batch)[1].to_flat()
@@ -168,9 +167,10 @@ def check_identity_init_scaling():
 def _metagrad_fd_error(model, theta, phi, b, bp, cfg, delta=None):
     """Max-norm relative error of meta_gradient's dQ/dphi against central
     differences of Q over phi's flat vector."""
-    grad = meta_gradient(model, theta, phi, b, bp, cfg, delta=delta)[0]
-    fd = oracles.fd_jacobian(lambda v: meta_gradient(model, theta, phi.from_flat(v), b, bp,
-                                                     cfg, delta=delta)[1], phi.flat, 1e-4)
+    train, prox = meta_batches(cfg, b, bp)
+    grad = meta_gradient(model, theta, phi, train, prox, cfg, delta=delta)[0]
+    fd = oracles.fd_jacobian(lambda v: meta_gradient(model, theta, phi.from_flat(v), train,
+                                                     prox, cfg, delta=delta)[1], phi.flat, 1e-4)
     return np.abs(grad.flat - fd).max() / max(np.abs(fd).max(), 1e-12)
 
 
@@ -185,8 +185,7 @@ def check_metagrad_lr_fd():
         cfg = ProximalConfig(lam_fsd=0.3, lam_wsd=0.4)
         kind = BaseOptKind("sgd-momentum")
         state = init_state(kind, theta.flat)
-        _, g0 = loss_and_grad(model, theta, bp)
-        update_direction(kind, state, g0.flat)
+        update_direction(kind, state, loss_and_grad(model, theta, bp)[1].flat)
         delta = update_direction(kind, state, loss_and_grad(model, theta, b)[1].flat)
         phi = LrPhi(math.log(0.05))
         worst = max(worst, _metagrad_fd_error(model, theta, phi, b, bp, cfg, delta))
@@ -306,7 +305,7 @@ def check_ppm_limits():
     theta = init_params(model, rng)
     batch = Batch(rng.standard_normal((4, 2)), rng.standard_normal((4, 1)))
     fsd_inputs = rng.standard_normal((8, 2))
-    _, g = loss_and_grad(model, theta, batch)
+    g = loss_and_grad(model, theta, batch)[1]
     g_mat = oracles.fsd_hessian_exact(model, theta, fsd_inputs, "kl-gaussian-unit-variance")
     hessian = oracles.loss_hessian_fd(model, theta, batch)
 

@@ -3,9 +3,10 @@
 A sweep spec is JSON: {"axes": {"<dotted.path>": [values...], ...}}, where a
 dotted path addresses a field of the experiment document (for example
 "proximal.lambda_wsd" or "init_lr").  Every combination is run in its own
-subdirectory; per-run failures (an ApoBenchError, or an OSError from writing
-the run's files) are recorded and the sweep continues.  The summary is sorted
-by axis values, numbers by value and any other value by its repr, so it never
+subdirectory; per-run failures (an ApoBenchError, an OSError from writing
+the run's files, or a MemoryError, whose status line names its type as the
+CLI does) are recorded and the sweep continues.  The summary is sorted by
+axis values, numbers by value and any other value by its repr, so it never
 depends on execution order.
 """
 
@@ -66,6 +67,8 @@ def _run_one(doc, run_dir):
                    status="ok", config_hash=config_hash(cfg))
     except (ApoBenchError, OSError) as exc:
         row.update(status=f"failed: {exc}", config_hash="")
+    except MemoryError as exc:
+        row.update(status=f"failed: MemoryError: {exc}", config_hash="")
     return row
 
 

@@ -21,7 +21,7 @@ import numpy as np
 
 from .apo import HEAD_LOSS_CURVATURE, divergence, loss_and_grad, proximal_value_and_grad
 from .baseopt import kfac_input_moments
-from .diffnet import forward, per_example_jacobian, preact_jacobians
+from .diffnet import Batch, forward, per_example_jacobian, preact_jacobians
 from .errors import ContractError, ConvergenceError, NumericalError
 from .numkit import FLOAT, cholesky_spd, require_oracle_scale, solve_spd
 
@@ -39,9 +39,8 @@ def fsd_hessian_exact(model, params, inputs, kind=None):
     ordering is the ParamSet storage order; a None kind means the model head's
     divergence.
     """
-    hessians = divergence(model, kind).hessian
-    outputs, _ = forward(model, params, inputs)
-    g = _mean_sandwich(per_example_jacobian(model, params, inputs), hessians(outputs))
+    outputs, jac = per_example_jacobian(model, params, inputs)
+    g = _mean_sandwich(jac, divergence(model, kind).hessian(outputs))
     return 0.5 * (g + g.T)
 
 
@@ -133,13 +132,16 @@ def exact_ppm_solve(model, theta, batch, lam_fsd, lam_wsd, fsd_inputs,
     divergence(model, fsd_kind)  # rejects an unknown kind before the first step
     loss_kind = HEAD_LOSS_CURVATURE[model.head]
 
-    # The outputs at theta, and the stacked rows, are the same at every evaluation.
-    y_ref = forward(model, theta, fsd_inputs)[0] if lam_fsd else None
-    buffers = {}
+    # The stacked rows, y_ref and the seed serve every evaluation.
+    prox, y_ref, seed = batch, None, None
+    if lam_fsd:
+        prox = Batch(np.concatenate((batch.inputs, fsd_inputs)), batch.targets)
+        y_ref = forward(model, theta, fsd_inputs)[0]
+        seed = np.empty((len(prox.inputs), model.d_out))
 
     def objective(u):
-        value, _, grad = proximal_value_and_grad(model, u, theta, batch, fsd_inputs, y_ref,
-                                                 lam_fsd, lam_wsd, fsd_kind, buffers)
+        value, _, grad = proximal_value_and_grad(model, u, theta, prox, y_ref, lam_fsd,
+                                                 lam_wsd, fsd_kind, seed)
         return value, grad.flat
 
     u = theta.copy()

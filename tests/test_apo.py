@@ -1,3 +1,4 @@
+import itertools
 import math
 import os
 import sys
@@ -12,7 +13,8 @@ from hypothesis import strategies as st
 
 from apobench import apo, baseopt, diffnet, numkit
 from apobench.apo import (DIVERGENCES, LrPhi, ProximalConfig, apo_train, default_precond_config,
-                          loss_and_grad, meta_gradient, meta_step, proximal_value_and_grad)
+                          loss_and_grad, meta_batches, meta_gradient, meta_step,
+                          proximal_value_and_grad)
 from apobench.baseopt import KINDS, BaseOptKind, init_state, update_direction
 from apobench.diffnet import Batch, LayerSpec, Model, ParamSet, init_params, mlp
 from apobench.errors import (ContractError, DimensionError, NumericalError,
@@ -177,8 +179,8 @@ def test_meta_objective_null_step_equals_current_loss():
         if d is not None:
             d[:] = 0.0
     cfg = ProximalConfig(lam_fsd=0.3, lam_wsd=0.5)
-    expected, _ = loss_and_grad(model, theta, batch)
-    q = meta_gradient(model, theta, phi, batch, batch, cfg)[1]
+    expected, _, _ = loss_and_grad(model, theta, batch)
+    q = meta_gradient(model, theta, phi, *meta_batches(cfg, batch, batch), cfg)[1]
     assert q == pytest.approx(expected, rel=0, abs=0)
 
 
@@ -189,8 +191,8 @@ def test_meta_objective_degenerate_config_is_post_step_loss():
     batch = Batch(rng.standard_normal((4, 2)), rng.standard_normal((4, 1)))
     cfg = zero_lam_cfg()
     phi = LrPhi(math.log(0.05))
-    _, g = loss_and_grad(model, theta, batch)
-    expected, _ = loss_and_grad(model, phi.update(theta, g, g.flat), batch)
+    _, g, _ = loss_and_grad(model, theta, batch)
+    expected, _, _ = loss_and_grad(model, phi.update(theta, g, g.flat), batch)
     q = meta_gradient(model, theta, phi, batch, batch, cfg, delta=g.flat)[1]
     assert q == pytest.approx(expected)
 
@@ -213,7 +215,7 @@ def test_meta_objective_dominates_post_step_loss():
     b2 = Batch(rng.standard_normal((6, 3)), rng.standard_normal((6, 2)))
     cfg = ProximalConfig(lam_fsd=0.7, lam_wsd=0.4)
     phi = LrPhi(math.log(0.2))
-    _, q, parts = meta_gradient(model, theta, phi, b1, b2, cfg,
+    _, q, parts = meta_gradient(model, theta, phi, *meta_batches(cfg, b1, b2), cfg,
                                 delta=sgd_delta(model, theta, b1))
     assert parts["fsd"] >= 0.0 and parts["wsd"] >= 0.0
     assert q >= parts["loss"]
@@ -227,9 +229,9 @@ def test_meta_objective_fresh_loss_policy_is_expected_loss_objective():
     bp = Batch(rng.standard_normal((5, 3)), rng.standard_normal((5, 2)))
     cfg = zero_lam_cfg(loss_batch_policy="fresh")
     phi = LrPhi(math.log(0.1))
-    _, g = loss_and_grad(model, theta, b)
-    expected, _ = loss_and_grad(model, phi.update(theta, g, g.flat), bp)
-    q = meta_gradient(model, theta, phi, b, bp, cfg, delta=g.flat)[1]
+    _, g, _ = loss_and_grad(model, theta, b)
+    expected, _, _ = loss_and_grad(model, phi.update(theta, g, g.flat), bp)
+    q = meta_gradient(model, theta, phi, *meta_batches(cfg, b, bp), cfg, delta=g.flat)[1]
     assert q == pytest.approx(expected, rel=1e-14)
 
 
@@ -253,18 +255,20 @@ def test_meta_gradient_zero_at_stationary_point():
     outputs, _ = forward(model, theta, x)
     batch = Batch(x, outputs)  # loss minimum: gradient is exactly zero
     cfg = ProximalConfig(lam_fsd=0.5, lam_wsd=0.5)
-    grad = meta_gradient(model, theta, LrPhi(math.log(0.3)), batch, batch, cfg,
+    train, prox = meta_batches(cfg, batch, batch)
+    grad = meta_gradient(model, theta, LrPhi(math.log(0.3)), train, prox, cfg,
                          delta=sgd_delta(model, theta, batch))[0]
     assert grad.log_lr == 0.0
-    pgrad = meta_gradient(model, theta, init_identity(model), batch, batch, cfg)[0]
+    pgrad = meta_gradient(model, theta, init_identity(model), train, prox, cfg)[0]
     assert np.abs(pgrad.flat).max() == 0.0
 
 
 def assert_meta_gradient_matches_fd(model, theta, phi, b, bp, cfg, delta=None):
     """dQ/dphi from meta_gradient against central differences of Q over
     phi's flat vector; the same check for either phi type."""
-    grad = meta_gradient(model, theta, phi, b, bp, cfg, delta=delta)[0]
-    fd = fd_scalar_fn(lambda v: meta_gradient(model, theta, phi.from_flat(v), b, bp, cfg,
+    train, prox = meta_batches(cfg, b, bp)
+    grad = meta_gradient(model, theta, phi, train, prox, cfg, delta=delta)[0]
+    fd = fd_scalar_fn(lambda v: meta_gradient(model, theta, phi.from_flat(v), train, prox, cfg,
                                               delta=delta)[1], phi.flat, h=1e-4)
     assert type(grad) is type(phi)
     assert rel_err(grad.flat, fd) < 1e-4
@@ -314,10 +318,11 @@ def test_meta_gradient_precond_matches_fd(fsd_kind, classification):
     u = theta.from_flat(theta.to_flat() + 0.2 * rng.standard_normal(theta.size))
 
     y_ref, _ = diffnet.forward(model, theta, bp.inputs)
+    _, stacked = meta_batches(cfg, b, bp)
 
     def prox(params):
-        return proximal_value_and_grad(model, params, theta, b, bp.inputs, y_ref,
-                                       cfg.lam_fsd, cfg.lam_wsd, fsd_kind)
+        return proximal_value_and_grad(model, params, theta, stacked, y_ref, cfg.lam_fsd,
+                                       cfg.lam_wsd, fsd_kind)
 
     q, parts, qgrad = prox(u)
     assert parts["fsd"] == fsd_value(model, u, theta, bp.inputs, fsd_kind) > 0.0
@@ -345,7 +350,7 @@ def _two_pass_reference(model, u, theta, loss_batch, fsd_inputs, lam_fsd, lam_ws
     """The proximal objective as two separate passes at u: a forward and a
     backward on the loss rows, then a forward and a backward on the fsd rows
     whose lam_fsd-weighted gradient is added, then the wsd term."""
-    loss_term, grad = loss_and_grad(model, u, loss_batch)
+    loss_term, grad, _ = loss_and_grad(model, u, loss_batch)
     fsd_term = wsd_term = 0.0
     if lam_fsd:
         y_new, trace = diffnet.forward(model, u, fsd_inputs)
@@ -365,16 +370,15 @@ def _two_pass_reference(model, u, theta, loss_batch, fsd_inputs, lam_fsd, lam_ws
 @settings(max_examples=150, deadline=None)
 @given(st.sampled_from(diffnet.HEADS), st.sampled_from([None, *sorted(DIVERGENCES)]),
        st.sampled_from(apo.BATCH_POLICIES), st.sampled_from(apo.BATCH_POLICIES),
-       st.sampled_from([0.0, 0.3, 2.0]), st.sampled_from([0.0, 0.5]), st.booleans(),
+       st.sampled_from([0.0, 0.3, 2.0]), st.sampled_from([0.0, 0.5]),
        st.integers(1, 6), st.integers(1, 6), st.integers(0, 2**32 - 1))
 def test_stacked_pass_is_the_two_separate_passes(head, fsd_kind, loss_policy, fsd_policy,
-                                                 lam_fsd, lam_wsd, keep_buffers, b, n, seed):
-    """The one stacked pass gives the two separate passes' Q, terms and
-    dQ/du within 1e-12 relative, for rows chosen as meta_gradient chooses
-    them, with run buffers (already used once) or without.  A term is
-    measured against the larger of it and Q: the rows' outputs may differ in
-    their last bit, and a KL of nearly equal rows cancels that bit's
-    relative error up by orders of magnitude (1.7e-11 seen at 4e-6)."""
+                                                 lam_fsd, lam_wsd, b, n, seed):
+    """The one stacked pass over meta_batches' prox gives the two separate
+    passes' Q, terms and dQ/du within 1e-12 relative.  A term is measured
+    against the larger of it and Q: the rows' outputs may differ in their
+    last bit, and a KL of nearly equal rows cancels that bit's relative
+    error up by orders of magnitude (1.7e-11 seen at 4e-6)."""
     rng = numkit.make_rng(seed)
     model = mlp([3, 4, 2], activation="sigmoid", head=head)
     theta = init_params(model, rng)
@@ -385,43 +389,33 @@ def test_stacked_pass_is_the_two_separate_passes(head, fsd_kind, loss_policy, fs
         return Batch(rng.standard_normal((rows, 3)), targets)
 
     b_batch, bp, b_loss = batch(b), batch(n), batch(b)
+    cfg = ProximalConfig(lam_fsd=lam_fsd, loss_batch_policy=loss_policy,
+                         fsd_batch_policy=fsd_policy)
+    _, prox = meta_batches(cfg, b_batch, bp, b_loss)
     loss_batch = b_batch if loss_policy == "same" else b_loss
     fsd_inputs = bp.inputs if fsd_policy == "fresh" else b_batch.inputs
     y_ref, _ = diffnet.forward(model, theta, fsd_inputs)
     u = theta.map(lambda f: f + 0.3 * rng.standard_normal(f.size))
-    buffers = {} if keep_buffers else None
-
-    def stacked(params):
-        return proximal_value_and_grad(model, params, theta, loss_batch, fsd_inputs, y_ref,
-                                       lam_fsd, lam_wsd, fsd_kind, buffers)
-
-    if keep_buffers:
-        stacked(theta.map(np.negative))
-        kept = [list(entry) for entry in buffers.values()]
-    q, parts, grad = stacked(u)
+    q, parts, grad = proximal_value_and_grad(model, u, theta, prox, y_ref, lam_fsd, lam_wsd,
+                                             fsd_kind)
     ref_q, ref_parts, ref_grad = _two_pass_reference(model, u, theta, loss_batch, fsd_inputs,
                                                      lam_fsd, lam_wsd, fsd_kind)
     assert rel_err(q, ref_q) <= 1e-12
     for name, value in ref_parts.items():
         assert rel_err(parts[name], value, floor=abs(ref_q)) <= 1e-12
     assert rel_err(grad.flat, ref_grad.flat) <= 1e-12
-    if keep_buffers:
-        assert len(buffers) == (lam_fsd > 0)
-        assert all(a is b for now, before in zip(buffers.values(), kept)
-                   for a, b in zip(now, before))
 
 
 @settings(max_examples=150, deadline=None)
 @given(st.sampled_from(diffnet.HEADS), st.sampled_from(apo.BATCH_POLICIES),
-       st.sampled_from([0.0, 0.7]), st.booleans(), st.integers(1, 6), st.integers(1, 6),
+       st.sampled_from([0.0, 0.7]), st.integers(1, 6), st.integers(1, 6),
        st.integers(0, 2**32 - 1))
-def test_stacked_training_pass_is_the_two_separate_passes(head, fsd_policy, lam_fsd,
-                                                          keep_buffers, b, n, seed):
+def test_stacked_training_pass_is_the_two_separate_passes(head, fsd_policy, lam_fsd, b, n,
+                                                          seed):
     """The training pass as apo_train takes it at a meta step, one forward
-    over [B; fsd rows] and one backward over B's rows, gives the loss, g and
-    y_ref of loss_and_grad on B and a forward on the fsd rows, run
-    separately, within 1e-12 relative; with run buffers (holding other rows
-    of the same count) or fresh ones."""
+    over meta_batches' train and one backward over B's rows, gives the loss,
+    g and y_ref (its outputs past B's rows) of loss_and_grad on B and a
+    forward on the fsd rows, run separately, within 1e-12 relative."""
     rng = numkit.make_rng(seed)
     model = mlp([3, 4, 2], activation="sigmoid", head=head)
     theta = init_params(model, rng)
@@ -433,62 +427,64 @@ def test_stacked_training_pass_is_the_two_separate_passes(head, fsd_policy, lam_
 
     b_batch, bp = batch(b), batch(n)
     fsd_inputs = (bp if fsd_policy == "fresh" else b_batch).inputs
-    buffers = {}
-    if keep_buffers:
-        other = batch(b)
-        loss_and_grad(model, theta, other, (batch(n).inputs, None, buffers))
-    more = (fsd_inputs if lam_fsd else None, None, buffers)
-    loss, g, y_ref = loss_and_grad(model, theta, b_batch, more)
-    ref_loss, ref_g = loss_and_grad(model, theta, b_batch)
+    cfg = ProximalConfig(lam_fsd=lam_fsd, fsd_batch_policy=fsd_policy)
+    train, _ = meta_batches(cfg, b_batch, bp)
+    loss, g, outputs = loss_and_grad(model, theta, train)
+    ref_loss, ref_g, ref_outputs = loss_and_grad(model, theta, b_batch)
     assert rel_err(loss, ref_loss) <= 1e-12
     assert rel_err(g.flat, ref_g.flat) <= 1e-12
+    assert rel_err(outputs[:b], ref_outputs) <= 1e-12
     if lam_fsd:
-        assert rel_err(y_ref, diffnet.forward(model, theta, fsd_inputs)[0]) <= 1e-12
+        assert rel_err(outputs[b:], diffnet.forward(model, theta, fsd_inputs)[0]) <= 1e-12
     else:
-        assert y_ref is None
-    stacked = bool(lam_fsd) and fsd_policy == "fresh"
-    assert len(buffers) == (keep_buffers or stacked)
+        assert len(outputs) == b
 
 
-def test_theta_prime_pass_reads_the_training_rows():
-    """At a meta step whose loss batch is B, the theta' pass reads the rows
-    [B; B'] that the training pass wrote, without a copy: rows spoiled in
-    between reach its forward.  A fresh loss batch's rows are copied in."""
+def test_meta_batches_rows_follow_the_policies():
+    """For each loss and fsd policy and lam_fsd, train is [B; fsd rows] with
+    B's targets and prox [loss rows; fsd rows] with the loss targets, or B and
+    the loss batch at lam_fsd 0.  Under the loss policy "same" train is prox,
+    its stacked inputs in rows[0]; stacked inputs are views of rows, so a
+    second call makes no new inputs array."""
     rng = numkit.make_rng(43)
-    model = mlp([3, 4, 2], activation="sigmoid")
-    theta = init_params(model, rng)
     b, bp, b_loss = (Batch(rng.standard_normal((5, 3)), rng.standard_normal((5, 2)))
                      for _ in range(3))
-    phi = init_identity(model)
-    buffers = {}
-    _, g, y_ref = loss_and_grad(model, theta, b, (bp.inputs, None, buffers))
-    (inputs, *_), = buffers.values()
-    cfg = ProximalConfig(lam_fsd=0.5, lam_wsd=0.3)
-    meta_gradient(model, theta, phi, b, bp, cfg, g=g, y_ref=y_ref, buffers=buffers)
-    inputs[0, 0] = np.nan
-    with pytest.raises(NumericalError, match="non-finite outputs"):
-        meta_gradient(model, theta, phi, b, bp, cfg, g=g, y_ref=y_ref, buffers=buffers)
-    fresh = ProximalConfig(lam_fsd=0.5, lam_wsd=0.3, loss_batch_policy="fresh")
-    meta_gradient(model, theta, phi, b, bp, fresh, g=g, y_ref=y_ref, batch_loss=b_loss,
-                  buffers=buffers)
-    assert np.array_equal(inputs, np.concatenate((b_loss.inputs, bp.inputs)))
+    rows = np.empty((2, 10, 3))
+    for loss_policy, fsd_policy, lam_fsd, extra in itertools.product(
+            apo.BATCH_POLICIES, apo.BATCH_POLICIES, (0.0, 0.5), (b_loss, None)):
+        cfg = ProximalConfig(lam_fsd=lam_fsd, loss_batch_policy=loss_policy,
+                             fsd_batch_policy=fsd_policy)
+        loss = b if loss_policy == "same" else bp if extra is None else extra
+        fsd = (bp if fsd_policy == "fresh" else b).inputs
+        train, prox = meta_batches(cfg, b, bp, extra, rows)
+        again = meta_batches(cfg, b, bp, extra, rows)
+        for got, second, head in zip((train, prox), again, (b, loss)):
+            if lam_fsd:
+                assert np.array_equal(got.inputs, np.concatenate((head.inputs, fsd)))
+                assert got.inputs.base is rows and second.inputs.base is rows
+            else:
+                assert got is head and second is head
+            assert got.targets is head.targets
+        assert (train is prox) == (loss_policy == "same")
+        if lam_fsd:
+            assert np.shares_memory(prox.inputs, rows[int(loss_policy == "fresh")])
 
 
 def test_meta_gradient_takes_y_ref_with_g():
-    """With lam_fsd > 0, g alone is refused; g with y_ref, or neither, gives
-    the same Q and dQ/dphi."""
+    """With lam_fsd > 0, g alone is refused; g with the training outputs,
+    whose rows past B's are y_ref, or neither, gives the same Q and dQ/dphi."""
     rng = numkit.make_rng(44)
     model = mlp([3, 4, 2], activation="sigmoid")
     theta = init_params(model, rng)
     b, bp = (Batch(rng.standard_normal((5, 3)), rng.standard_normal((5, 2))) for _ in range(2))
     cfg = ProximalConfig(lam_fsd=0.5, lam_wsd=0.3)
     phi = init_identity(model)
-    _, g = loss_and_grad(model, theta, b)
-    with pytest.raises(ContractError, match="y_ref"):
-        meta_gradient(model, theta, phi, b, bp, cfg, g=g)
-    y_ref, _ = diffnet.forward(model, theta, bp.inputs)
-    given = meta_gradient(model, theta, phi, b, bp, cfg, g=g, y_ref=y_ref)
-    made = meta_gradient(model, theta, phi, b, bp, cfg)
+    train, prox = meta_batches(cfg, b, bp)
+    _, g, outputs = loss_and_grad(model, theta, train)
+    with pytest.raises(ContractError, match="training outputs"):
+        meta_gradient(model, theta, phi, train, prox, cfg, g=g)
+    given = meta_gradient(model, theta, phi, train, prox, cfg, g=g, outputs=outputs)
+    made = meta_gradient(model, theta, phi, train, prox, cfg)
     assert given[1] == made[1] and np.array_equal(given[0].flat, made[0].flat)
 
 
@@ -536,7 +532,7 @@ def test_meta_objective_none_fsd_kind_is_head_divergence(head, kind):
 
     def q(fsd_kind):
         cfg = ProximalConfig(lam_fsd=0.8, lam_wsd=0.2, fsd_kind=fsd_kind)
-        return meta_gradient(model, theta, phi, b, bp, cfg, delta=delta)[1]
+        return meta_gradient(model, theta, phi, *meta_batches(cfg, b, bp), cfg, delta=delta)[1]
 
     assert ProximalConfig().fsd_kind is None
     assert q(None) == q(kind)
@@ -561,7 +557,7 @@ def _count_passes(monkeypatch):
                          [(0.5, True, 1, 1), (0.0, True, 1, 1), (0.5, False, 2, 2),
                           (0.0, False, 2, 2)])
 def test_meta_gradient_op_counts(monkeypatch, lam_fsd, given, forwards, backwards):
-    """One meta step as apo_train makes it (g and y_ref given, fresh B'):
+    """One meta step as apo_train makes it (g and outputs given, fresh B'):
     1 forward and 1 backward, at theta'; a caller that gives neither pays
     the training pass on top."""
     rng = numkit.make_rng(41)
@@ -571,13 +567,13 @@ def test_meta_gradient_op_counts(monkeypatch, lam_fsd, given, forwards, backward
     bp = Batch(rng.standard_normal((4, 3)), rng.standard_normal((4, 2)))
     cfg = ProximalConfig(lam_fsd=lam_fsd, lam_wsd=0.3, fsd_batch_policy="fresh")
     kind = BaseOptKind("sgd-momentum")
-    _, g = loss_and_grad(model, theta, b)
-    y_ref, _ = diffnet.forward(model, theta, bp.inputs)
-    ref = {"g": g, "y_ref": y_ref} if given else {}
+    train, prox = meta_batches(cfg, b, bp)
+    _, g, outputs = loss_and_grad(model, theta, train)
+    ref = {"g": g, "outputs": outputs} if given else {}
     delta = update_direction(kind, init_state(kind, theta.flat), g.flat)
     for phi, d in ((LrPhi(math.log(0.1)), delta), (init_identity(model), None)):
         counts = _count_passes(monkeypatch)
-        meta_gradient(model, theta, phi, b, bp, cfg, delta=d, **ref)
+        meta_gradient(model, theta, phi, train, prox, cfg, delta=d, **ref)
         assert counts == {"forward": forwards, "backward": backwards}
         monkeypatch.undo()
 
@@ -648,7 +644,7 @@ def test_training_pass_counts(monkeypatch, mode, meta_interval):
 # moves the count.  The step repeats none of the checks that the task build
 # and apo_train's entry make (batch coercion, label range, layout, input
 # shape, Kronecker block shapes); one that creeps back moves these counts.
-CALL_COUNTS = {"none": 409, "apo-lr": 501, "apo-precond": 1403}
+CALL_COUNTS = {"none": 409, "apo-lr": 499, "apo-precond": 1383}
 
 
 @pytest.mark.parametrize("mode", list(CALL_COUNTS))
@@ -885,7 +881,7 @@ def test_apo_train_warmup_uses_sgdm_but_meta_learns():
     assert not np.array_equal(phi.to_flat(), ident.to_flat())
     # parameters moved by plain SGDm: first step is -warmup_lr * g
     batch = task.sample_batch(numkit.make_rng(5))
-    _, g = loss_and_grad(task.model, theta0, batch)
+    _, g, _ = loss_and_grad(task.model, theta0, batch)
     one, _ = apo_train(task, theta0, cfg, 1, numkit.make_rng(5), lambda row: None,
                        mode="apo-precond", base_kind=BaseOptKind("sgd"))
     expect = theta0.map2(g, lambda t, gg: t - cfg.warmup_lr * gg)

@@ -68,10 +68,11 @@ def test_ppm_demo_regimes(seed, monkeypatch):
         assert (lam_fsd, lam_wsd) == ppmdemo.DEFAULT_SETTINGS[2] == (100.0, 0.0)
 
         y_ref, _ = forward(model, theta, fsd_inputs)
+        prox = Batch(np.concatenate((batch.inputs, fsd_inputs)), batch.targets)
 
         def q(params):
-            return proximal_value_and_grad(model, params, theta, batch, fsd_inputs, y_ref,
-                                           lam_fsd, lam_wsd, kwargs["fsd_kind"])[0]
+            return proximal_value_and_grad(model, params, theta, prox, y_ref, lam_fsd,
+                                           lam_wsd, kwargs["fsd_kind"])[0]
 
         assert q(u) <= kwargs["tol"] * q(theta)
 

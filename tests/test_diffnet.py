@@ -170,7 +170,7 @@ def test_jacobian_linear_model_kron_pattern():
     model = Model((LayerSpec(3, 2, "linear", False),), "regression-gaussian-unit-variance")
     theta = init_params(model, numkit.make_rng(0))
     x = np.array([[1.0, 2.0, -1.0]])
-    jac = per_example_jacobian(model, theta, x)
+    _, jac = per_example_jacobian(model, theta, x)
     expect = np.zeros((2, 6))
     for j in range(2):
         for i in range(3):
@@ -182,7 +182,7 @@ def test_jacobian_saturated_relu_rows_zero():
     model = Model((LayerSpec(2, 3, "relu", False), LayerSpec(3, 1, "linear", False)),
                   "regression-gaussian-unit-variance")
     theta = ParamSet.from_layers([(-np.ones((2, 3)), None), (np.ones((3, 1)), None)])
-    jac = per_example_jacobian(model, theta, np.array([[1.0, 1.0]]))
+    _, jac = per_example_jacobian(model, theta, np.array([[1.0, 1.0]]))
     # relu saturates at 0 for all hidden units, so the first-layer block is 0
     assert np.abs(jac[0, 0, :6]).max() == 0.0
 
@@ -192,7 +192,7 @@ def test_jacobian_matches_finite_differences():
     model = mlp([4, 8, 3], activation="sigmoid")
     theta = init_params(model, rng)
     x = rng.standard_normal((3, 4))
-    jac = per_example_jacobian(model, theta, x)
+    _, jac = per_example_jacobian(model, theta, x)
     flat = theta.to_flat()
     h = 1e-5
     for b in range(3):
@@ -337,10 +337,10 @@ def test_jacobian_rows_are_batch_invariant(layers, activations, bsz, seed):
     theta = ParamSet.from_layers(layers)
     rng = numkit.make_rng(seed)
     x = rng.standard_normal((bsz, model.d_in))
-    jac = per_example_jacobian(model, theta, x)
+    _, jac = per_example_jacobian(model, theta, x)
     assert jac.shape == (bsz, model.d_out, theta.size)
     for b in range(bsz):
-        one = per_example_jacobian(model, theta, x[b:b + 1])[0]
+        one = per_example_jacobian(model, theta, x[b:b + 1])[1][0]
         assert np.abs(jac[b] - one).max() <= 1e-12 * max(1.0, np.abs(one).max())
     dy = rng.standard_normal((bsz, model.d_out))
     g, _ = backward(model, theta, forward(model, theta, x)[1], dy)

@@ -1,3 +1,4 @@
+import csv
 import inspect
 import json
 import math
@@ -690,6 +691,31 @@ def test_grid_os_error_point_fails_alone(tmp_path):
     assert statuses[0] == statuses[2] == "ok"
     assert statuses[1].startswith("failed: ")
     assert os.path.exists(out / "summary.csv")
+
+
+@pytest.mark.parametrize("parallel", [1, 2])
+def test_grid_memory_error_point_fails_alone(tmp_path, monkeypatch, parallel):
+    """A point whose task fails to allocate is recorded as the CLI prints a
+    MemoryError, and the sweep goes on: summary.csv holds both points and
+    apobench grid exits 0, serially and in forked workers, which inherit the
+    patched build_task."""
+    build = runner.build_task
+
+    def build_task(spec):
+        if spec.batch_size == 4:
+            raise MemoryError("cannot allocate the task's data")
+        return build(spec)
+
+    monkeypatch.setattr(runner, "build_task", build_task)
+    cfg_path, sweep_path, out = tmp_path / "cfg.json", tmp_path / "sweep.json", tmp_path / "g"
+    cfg_path.write_text(json.dumps(small_doc(steps=10)))
+    sweep_path.write_text(json.dumps({"axes": {"task.batch_size": [4, 8]}}))
+    assert cli.main(["grid", "--config", str(cfg_path), "--sweep", str(sweep_path),
+                     "--out", str(out), "--parallel", str(parallel)]) == 0
+    with open(out / "summary.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [(r["axis:task.batch_size"], r["status"]) for r in rows] == [
+        ("4", "failed: MemoryError: cannot allocate the task's data"), ("8", "ok")]
 
 
 def test_grid_loss_guard_point_fails_alone(tmp_path):

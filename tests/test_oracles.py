@@ -192,7 +192,7 @@ def quadratic_1p():
 
 def test_damped_newton_exact_on_quadratic():
     model, theta, batch = quadratic_1p()
-    _, g = loss_and_grad(model, theta, batch)
+    _, g, _ = loss_and_grad(model, theta, batch)
     assert g.weights[0][0, 0] == pytest.approx(2.0)
     out = oracles.approx_ppm_update(theta, g, np.array([[2.0]]), 1.0, 0.0)
     assert out.weights[0][0, 0] == pytest.approx(0.0)
@@ -200,7 +200,7 @@ def test_damped_newton_exact_on_quadratic():
 
 def test_damped_newton_hand_value():
     model, theta, batch = quadratic_1p()
-    _, g = loss_and_grad(model, theta, batch)
+    _, g, _ = loss_and_grad(model, theta, batch)
     out = oracles.approx_ppm_update(theta, g, np.array([[2.0]]), 1.0, 2.0)
     assert out.weights[0][0, 0] == pytest.approx(0.5)
 
@@ -270,7 +270,7 @@ def test_exact_ppm_monotone_descent_invariant():
     u = oracles.exact_ppm_solve(model, theta, batch, 0.5, 0.5, fsd_inputs, tol=1e-9)
 
     def inner(params):
-        loss, _ = loss_and_grad(model, params, batch)
+        loss, _, _ = loss_and_grad(model, params, batch)
         return (loss + 0.5 * fsd_value(model, params, theta, fsd_inputs,
                                        "kl-gaussian-unit-variance")
                 + 0.5 * wsd(params, theta))
@@ -330,9 +330,9 @@ def test_exact_ppm_damps_a_singular_curvature():
     theta = init_params(model, rng)
     labels = rng.integers(0, 3, 4)
     batch = Batch(rng.standard_normal((4, 2)), labels)
-    loss0, _ = loss_and_grad(model, theta, batch)
+    loss0, _, _ = loss_and_grad(model, theta, batch)
     u = oracles.exact_ppm_solve(model, theta, batch, 0.0, 0.0, batch.inputs, tol=1e-13)
-    loss, g = loss_and_grad(model, u, batch)
+    loss, g, _ = loss_and_grad(model, u, batch)
     assert np.sqrt(g.flat @ g.flat) <= 1e-13 or loss <= 1e-13 * loss0
 
 
@@ -468,14 +468,9 @@ def test_sampled_classification_target_clamped_to_last_class():
     assert seed[0, 9] < 0.0 and np.all(seed[0, :9] > 0.0)
 
 
-@pytest.mark.parametrize("oracle,forwards", [
-    (lambda m, th, x: diffnet.per_example_jacobian(m, th, x), 1),
-    (lambda m, th, x: oracles.fsd_hessian_exact(m, th, x), 2),
-    (lambda m, th, x: oracles.kfac_blocks(m, th, x), 1),
-])
-def test_exact_oracles_sweep_pass_counts(monkeypatch, oracle, forwards):
-    """Each exact oracle makes at most `forwards` forwards on the whole
-    batch and one backward per output unit, whatever the batch size."""
+def _count_sweeps(monkeypatch, oracle):
+    """Run `oracle` on a small softmax MLP, counting the forwards and
+    backwards it makes."""
     counts = {"forward": 0, "backward": 0}
     for name in counts:
         original = getattr(diffnet, name)
@@ -490,7 +485,27 @@ def test_exact_oracles_sweep_pass_counts(monkeypatch, oracle, forwards):
     rng = numkit.make_rng(23)
     model = mlp([4, 5, 3], activation="sigmoid", head="classification-softmax")
     oracle(model, init_params(model, rng), rng.standard_normal((6, 4)))
+    return model, counts
+
+
+@pytest.mark.parametrize("oracle,forwards", [
+    (lambda m, th, x: diffnet.per_example_jacobian(m, th, x), 1),
+    (lambda m, th, x: oracles.fsd_hessian_exact(m, th, x), 2),
+    (lambda m, th, x: oracles.kfac_blocks(m, th, x), 1),
+])
+def test_exact_oracles_sweep_pass_counts(monkeypatch, oracle, forwards):
+    """Each exact oracle makes at most `forwards` forwards on the whole
+    batch and one backward per output unit, whatever the batch size."""
+    model, counts = _count_sweeps(monkeypatch, oracle)
     assert counts["forward"] <= forwards
+    assert counts["backward"] == model.d_out
+
+
+def test_fsd_hessian_exact_reads_the_jacobian_outputs(monkeypatch):
+    """fsd_hessian_exact takes the outputs for H from per_example_jacobian,
+    so it makes one forward in all, not a second one of its own."""
+    model, counts = _count_sweeps(monkeypatch, oracles.fsd_hessian_exact)
+    assert counts["forward"] == 1
     assert counts["backward"] == model.d_out
 
 
@@ -505,7 +520,7 @@ def test_exact_oracles_equal_per_example_sums():
     inputs = rng.standard_normal((5, 3))
     outputs, _ = forward(model, theta, inputs)
     hessians = DIVERGENCES["kl-categorical"].hessian(outputs)
-    jac = diffnet.per_example_jacobian(model, theta, inputs)
+    _, jac = diffnet.per_example_jacobian(model, theta, inputs)
     g = sum(jac[b].T @ hessians[b] @ jac[b] for b in range(5)) / 5
     assert rel_err(oracles.fsd_hessian_exact(model, theta, inputs), g) < 1e-12
     b_blocks = [np.zeros((4, 4)), np.zeros((3, 3))]
@@ -545,7 +560,7 @@ def test_fsd_hessian_categorical_matches_sampled_fisher():
 
     outputs, _ = forward(model, theta, inputs)
     from apobench.diffnet import per_example_jacobian
-    jac = per_example_jacobian(model, theta, inputs)
+    _, jac = per_example_jacobian(model, theta, inputs)
     probs = softmax(outputs)
 
     n_total = 100_000
