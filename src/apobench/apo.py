@@ -24,10 +24,15 @@ Both phi types are ParamSets, so the meta-optimizer steps either one through
 its flat vector: LrPhi holds the log learning rate (exp keeps the rate
 positive) and kronprecond.PrecondPhi the Kronecker blocks.  Each owns its
 rule: update(theta, g, delta, out) takes the step, and linearize(theta, g,
-delta) also returns the step's vector-Jacobian product in phi, a closure
-over its intermediates.  The training loop updates theta, phi and the
-optimizer moments in place, each in its own buffer; what a step derives
-(gradients, theta', the meta-gradient, Delta) is fresh.
+delta, work) also returns the step's vector-Jacobian product in phi, a
+closure over its intermediates.  The training loop updates theta, phi and
+the optimizer moments in place, each in its own buffer, and writes every
+parameter-shaped array a step derives into a buffer kept for the run: the
+training gradient into one set made with theta, Delta into its OptState,
+and a meta step's arrays (theta', dQ/dtheta' with the wsd difference,
+dQ/dphi, a preconditioner's lookahead products) into the MetaWork that the
+first meta step makes.  A caller that passes no kept arrays (out=None,
+work=None) gets fresh ones from each call.
 
 Each output divergence rho is defined once, in DIVERGENCES: its per-row
 value with its gradient in the new outputs, from one pass, and its Hessian
@@ -204,10 +209,24 @@ class LrPhi(ParamSet):
             raise ContractError("a learning-rate update needs the base direction")
         return apply_lr_update(theta, self.lr, delta, out)
 
-    def linearize(self, theta, g, delta):
+    def lookahead_products(self):
+        """A learning-rate lookahead keeps no products."""
+        return None
+
+    def linearize(self, theta, g, delta, work=None):
         """(theta', vjp): the update and its vector-Jacobian product in
-        log_lr, vjp(v) = d <v, theta'> / d log_lr = -lr <v, delta>."""
-        return self.update(theta, g, delta), lambda v: LrPhi(-self.lr * v.dot(delta))
+        log_lr, vjp(v) = d <v, theta'> / d log_lr = -lr <v, delta>.  theta'
+        and each vjp result are written into work's theta_new and phi_grad
+        (a MetaWork), or into fresh sets where work or its field is None."""
+        out, dphi = (None, None) if work is None else (work.theta_new, work.phi_grad)
+        theta_new = self.update(theta, g, delta, out)
+
+        def vjp(v):
+            grad = LrPhi(0.0) if dphi is None else dphi
+            grad.flat[0] = -self.lr * v.dot(delta)
+            return grad
+
+        return theta_new, vjp
 
 
 def divergence(model, kind=None):
@@ -218,12 +237,13 @@ def divergence(model, kind=None):
     return DIVERGENCES[kind]
 
 
-def loss_and_grad(model, params, batch, fill=None):
+def loss_and_grad(model, params, batch, fill=None, out=None):
     """(J, its gradient g, outputs): one forward over all of batch.inputs, J
     the mean loss on its target rows (the first len(batch.targets); a stacked
     batch's inputs run past them), and one backward over those rows or, given
     fill(dy, y), seeded with what fill returns from dJ/dy and the outputs y
-    past them: [dJ/dy; the output gradient of a term on y]."""
+    past them: [dJ/dy; the output gradient of a term on y].  g is written
+    into the set out, or into a new set when out is None."""
     b = len(batch.targets)
     outputs, trace = forward(model, params, batch.inputs)
     loss, dy = loss_value_and_grad(model.head, outputs[:b], batch.targets)
@@ -232,7 +252,7 @@ def loss_and_grad(model, params, batch, fill=None):
     elif len(outputs) > b:  # rows never mix in a pass: the target rows' trace is a slice
         trace = ForwardTrace([a[:b] for a in trace.layer_inputs],
                              [s[:b] for s in trace.preacts], outputs[:b])
-    g, _ = backward(model, params, trace, dy)
+    g, _ = backward(model, params, trace, dy, out)
     return loss, g, outputs
 
 
@@ -256,15 +276,48 @@ def meta_batches(cfg, batch_b, batch_bp, batch_loss=None, rows=None):
     return train, Batch(np.concatenate((loss.inputs, fsd), out=rows[1]), loss.targets)
 
 
+class MetaWork(NamedTuple):
+    """The arrays a meta step writes, made by meta_work at a run's first
+    meta step and kept for the run.  A None field is an array its reader
+    makes fresh on each call."""
+
+    rows: tuple | None = None           # meta_batches' stacked inputs
+    seed: np.ndarray | None = None      # the theta' backward's seed
+    diff: np.ndarray | None = None      # theta' - theta, flat
+    theta_new: ParamSet | None = None   # theta'
+    grad: ParamSet | None = None        # dQ/dtheta'
+    phi_grad: ParamSet | None = None    # dQ/dphi
+    products: list | None = None        # phi.lookahead_products()
+
+
+def meta_work(model, theta, phi, cfg, b):
+    """The MetaWork of a run on theta and phi whose batches have b rows,
+    holding only the arrays cfg reads: the stacked rows and the seed when
+    lam_fsd > 0 (the second stack only under the fresh loss policy), the wsd
+    difference when lam_wsd > 0."""
+    rows = seed = diff = None
+    if cfg.lam_fsd:
+        stacked = (2 * b, model.d_in)
+        rows = (np.empty(stacked),
+                np.empty(stacked) if cfg.loss_batch_policy == "fresh" else None)
+        seed = np.empty((2 * b, model.d_out))
+    if cfg.lam_wsd:
+        diff = np.empty(theta.size)
+    return MetaWork(rows, seed, diff, theta.map(np.empty_like), theta.map(np.empty_like),
+                    phi.map(np.empty_like), phi.lookahead_products())
+
+
 def proximal_value_and_grad(model, u, theta, batch, y_ref, lam_fsd, lam_wsd, fsd_kind,
-                            seed=None):
+                            work=None):
     """The proximal objective
     Q(u) = J_batch(u) + lam_fsd * FSD(u, theta) + lam_wsd * 0.5 ||u - theta||^2
     with its terms and its gradient in u (theta fixed), from one forward and
     one backward at u; a None fsd_kind means the model head's divergence.
     When lam_fsd > 0, batch is stacked (meta_batches' prox): its rows past the
-    targets are the fsd rows, y_ref their outputs at theta, and the backward's
-    seed [dJ/dy; (lam_fsd / n) d rho / dy] goes into seed (fresh when None).
+    targets are the fsd rows and y_ref their outputs at theta.  The backward's
+    seed [dJ/dy; (lam_fsd / n) d rho / dy], dQ/du and the wsd difference
+    u - theta are written into work's seed, grad and diff (a MetaWork), or
+    into fresh arrays where work or its field is None.
 
     Returns (Q, {"loss", "fsd", "wsd"}, dQ/du); a term whose weight is zero is
     skipped and reported as 0.0.  dQ/du is the backward's set, with the
@@ -272,6 +325,7 @@ def proximal_value_and_grad(model, u, theta, batch, y_ref, lam_fsd, lam_wsd, fsd
     """
     fsd_term = wsd_term = 0.0
     fsd_seed = None
+    seed, grad, diff = (None,) * 3 if work is None else (work.seed, work.grad, work.diff)
     if lam_fsd:
         div, n = divergence(model, fsd_kind), len(y_ref)
 
@@ -283,9 +337,9 @@ def proximal_value_and_grad(model, u, theta, batch, y_ref, lam_fsd, lam_wsd, fsd
             out[len(dy):] *= lam_fsd / n
             return out
 
-    loss_term, grad, _ = loss_and_grad(model, u, batch, fsd_seed)
+    loss_term, grad, _ = loss_and_grad(model, u, batch, fsd_seed, grad)
     if lam_wsd:
-        diff = u.flat - theta.flat
+        diff = np.subtract(u.flat, theta.flat, out=diff)
         wsd_term = 0.5 * u.sq_norm(diff)
         grad.flat += np.multiply(lam_wsd, diff, out=diff)
     q = loss_term + lam_fsd * fsd_term + lam_wsd * wsd_term
@@ -293,7 +347,7 @@ def proximal_value_and_grad(model, u, theta, batch, y_ref, lam_fsd, lam_wsd, fsd
 
 
 def meta_gradient(model, theta, phi, train, prox, cfg, g=None, delta=None, outputs=None,
-                  seed=None):
+                  work=None):
     """Exact reverse-mode gradient of Q w.r.t. phi at the lookahead
     theta' = phi.update(theta, g, delta), with g and delta held fixed:
     phi.linearize takes the lookahead and gives its vjp.  train and prox are
@@ -302,19 +356,20 @@ def meta_gradient(model, theta, phi, train, prox, cfg, g=None, delta=None, outpu
     fsd reference y_ref.  Given both, from the caller's training pass, it costs
     1 forward and 1 backward, at theta' over prox; given neither, that pass
     runs here; g alone is refused when lam_fsd > 0.  delta is the base
-    direction a learning-rate phi steps along (a preconditioner ignores it);
-    seed is proximal_value_and_grad's.  Returns (dQ/dphi as a set of phi's
-    type, Q, Q's terms {"loss", "fsd", "wsd"}); raises NumericalError on a
-    non-finite term.
+    direction a learning-rate phi steps along (a preconditioner ignores it).
+    theta', dQ/dtheta' and dQ/dphi are written into work, meta_work's record
+    for this run, or are fresh when work is None.  Returns (dQ/dphi as a set
+    of phi's type, Q, Q's terms {"loss", "fsd", "wsd"}); raises
+    NumericalError on a non-finite term.
     """
     if g is None:
         _, g, outputs = loss_and_grad(model, theta, train)
     elif cfg.lam_fsd and outputs is None:
         raise ContractError("meta_gradient takes the training outputs with g when lam_fsd > 0")
     y_ref = outputs[len(train.targets):] if cfg.lam_fsd else None
-    theta_new, vjp = phi.linearize(theta, g, delta)
+    theta_new, vjp = phi.linearize(theta, g, delta, work)
     q, parts, v = proximal_value_and_grad(model, theta_new, theta, prox, y_ref, cfg.lam_fsd,
-                                          cfg.lam_wsd, cfg.fsd_kind, seed)
+                                          cfg.lam_wsd, cfg.fsd_kind, work)
     for name, value in parts.items():
         if not math.isfinite(value):
             raise NumericalError(f"meta-objective {name} term is non-finite")
@@ -325,9 +380,10 @@ def meta_step(phi, state, meta_grad, cfg):
     """One meta-optimizer step on phi's flat vector, phi <- phi - meta_lr *
     Delta, written in place, so the views phi binds stay valid.  state, the
     meta-optimizer's OptState (init_state(cfg.meta_opt, phi.flat)), advances
-    in place and counts the meta steps; meta_grad is not written."""
+    in place and counts the meta steps, and meta_lr * Delta goes into its
+    scratch; meta_grad is not written."""
     delta = update_direction(cfg.meta_opt, state, meta_grad.flat)
-    np.subtract(phi.flat, cfg.meta_lr * delta, out=phi.flat)
+    np.subtract(phi.flat, np.multiply(cfg.meta_lr, delta, out=state.scratch), out=phi.flat)
 
 
 class TrainRow(NamedTuple):
@@ -362,8 +418,9 @@ def apo_train(task, theta0, cfg, steps, rng, emit, mode="apo-lr", base_kind=None
     meta step, over meta_batches' train, whose outputs past B's rows are the
     fsd reference, and on a base step the base direction Delta; on a meta
     step take one meta-optimizer step on phi; then step theta as the module
-    docstring says.  The stacked rows and the theta' pass's seed are arrays
-    made at the first meta step and kept for the run.  The draws come before
+    docstring says.  The training gradient is one set made with theta, and
+    the meta step's arrays one MetaWork that the first meta step makes; each
+    is written in place by every step after.  The draws come before
     kfac's, the one other rng use in a step, and no mode with a phi takes
     kfac.  base_kind (default sgd) must be in MODE_BASE_KINDS[mode]; its
     weight decay holds in every step; apo-precond takes no init_lr.  theta is a copy of theta0, written in place.
@@ -397,10 +454,11 @@ def apo_train(task, theta0, cfg, steps, rng, emit, mode="apo-lr", base_kind=None
         base_kind, rate, base_steps = WARMUP_KIND, float(cfg.warmup_lr), cfg.warmup_steps
 
     theta = theta0.copy()
+    grad = theta.map(np.empty_like)
     opt_state = init_state(base_kind, theta.flat) if base_steps else None
     meta_state = init_state(cfg.meta_opt, phi.flat) if phi is not None else None
 
-    stats = last_q = last_fsd = last_wsd = rows = seed = None
+    stats = last_q = last_fsd = last_wsd = work = None
     for t in range(1, steps + 1):
         batch = train = task.sample_batch(rng)
         meta = phi is not None and t % cfg.meta_interval == 0
@@ -409,15 +467,14 @@ def apo_train(task, theta0, cfg, steps, rng, emit, mode="apo-lr", base_kind=None
                 batch_bp = task.sample_batch(rng)
                 batch_loss = (task.sample_batch(rng)
                               if cfg.loss_batch_policy == "fresh" else None)
-                if rows is None:  # the stacked rows and the theta' seed, kept for the run
-                    b = len(batch.targets)
-                    rows, seed = np.empty((2, 2 * b, model.d_in)), np.empty((2 * b, model.d_out))
-                train, prox = meta_batches(cfg, batch, batch_bp, batch_loss, rows)
-            loss, g, outputs = loss_and_grad(model, theta, train)
+                if work is None:
+                    work = meta_work(model, theta, phi, cfg, len(batch.targets))
+                train, prox = meta_batches(cfg, batch, batch_bp, batch_loss, work.rows)
+            loss, g, outputs = loss_and_grad(model, theta, train, out=grad)
             if not math.isfinite(loss) or loss > DIVERGENCE_GUARD:
                 raise TrainingDivergedError(f"loss {loss} at step {t}", t)
             if wd:
-                g = g.map2(theta, lambda gg, th: gg + wd * th)
+                g.flat += wd * theta.flat
             if t > base_steps:
                 delta = None
             elif base_kind.kind == "kfac":
@@ -427,13 +484,13 @@ def apo_train(task, theta0, cfg, steps, rng, emit, mode="apo-lr", base_kind=None
                 delta = update_direction(base_kind, opt_state, g.flat)
             if meta:
                 mgrad, last_q, parts = meta_gradient(model, theta, phi, train, prox, cfg, g=g,
-                                                     delta=delta, outputs=outputs, seed=seed)
+                                                     delta=delta, outputs=outputs, work=work)
                 last_fsd, last_wsd = parts["fsd"], parts["wsd"]
                 meta_step(phi, meta_state, mgrad, cfg)
                 if mode == "apo-lr":
                     rate = phi.lr
             if t <= base_steps:
-                apply_lr_update(theta, rate, delta, theta)
+                apply_lr_update(theta, rate, delta, theta, opt_state.scratch)
             else:
                 phi.update(theta, g, None, theta)
             due = eval_every and (t % eval_every == 0 or t == steps)

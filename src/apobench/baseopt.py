@@ -12,8 +12,9 @@ Gradients, directions and optimizer moments are flat float64 vectors (a
 ParamSet's ``flat``, or a meta-parameter vector), so each update is one
 whole-vector expression.  An optimizer state persists from step to step:
 update_direction advances its moment arrays in place, with out= through
-one scratch array, so its results are bit-identical to the formulas it
-lists.  The direction it returns never shares memory with the gradient.
+the state's scratch, and writes Delta into a state buffer, so its results are
+bit-identical to the formulas it lists and a step allocates no array.  The
+direction it returns never shares memory with the gradient.
 """
 
 from __future__ import annotations
@@ -61,19 +62,27 @@ class BaseOptKind:
 
 @dataclass
 class OptState:
-    """Flat accumulators shaped like the parameter vector, one buffer each
-    for the whole run, advanced in place; treated as fixed by the
-    meta-gradient."""
+    """Flat arrays shaped like the parameter vector, one buffer each for the
+    whole run, written in place: the accumulators, which the meta-gradient
+    treats as fixed, Delta, and a scratch that update_direction uses and
+    then a step's lr * Delta (apply_lr_update, apo.meta_step)."""
 
     momentum: np.ndarray | None
     second: np.ndarray | None
     step: int = 0
+    scratch: np.ndarray | None = None
+    delta: np.ndarray | None = None
 
 
 def init_state(kind, flat):
+    """The zero state of kind for a flat vector shaped like flat: a scratch
+    for every elementwise kind, and a Delta buffer for each whose Delta is
+    not a moment (all but sgd-momentum); kfac's state has neither."""
     momentum = np.zeros_like(flat) if kind.kind in ("sgd-momentum", "adam") else None
     second = np.zeros_like(flat) if kind.kind in ("rmsprop", "adam") else None
-    return OptState(momentum, second, 0)
+    scratch = np.empty_like(flat) if kind.kind in KINDS else None
+    delta = np.empty_like(flat) if kind.kind in ("sgd", "rmsprop", "adam") else None
+    return OptState(momentum, second, 0, scratch, delta)
 
 
 def update_direction(kind, state, g):
@@ -87,8 +96,10 @@ def update_direction(kind, state, g):
                   Delta = (m/c1) / (sqrt(v/c2) + eps),  c_i = 1 - b_i^t
 
     evaluated in the order written, bit for bit.  g is never written and
-    Delta never shares memory with it; Delta may be a state buffer
-    (sgd-momentum's buf), so a caller must not write into it.
+    Delta never shares memory with it.  Delta is a buffer of state's
+    (sgd-momentum's buf, else state.delta) that lives until the next call on
+    state, so a caller must not write into it; state.scratch is free once
+    this returns.
     """
     if not np.isfinite(g).all():
         raise NumericalError("gradient passed to update_direction is non-finite")
@@ -96,17 +107,18 @@ def update_direction(kind, state, g):
         raise ContractError(f"{kind.kind} has no update direction")
     state.step += 1
     if kind.kind == "sgd":
-        return g.copy()
+        np.copyto(state.delta, g)
+        return state.delta
     if kind.kind == "sgd-momentum":
         m = state.momentum
         np.multiply(kind.beta, m, out=m)
         return np.add(m, g, out=m)
-    scratch = np.empty(g.shape)
+    scratch = state.scratch
     if kind.kind == "rmsprop":
         _second_moment(kind.rms_beta2, state.second, g, scratch)
         np.sqrt(state.second, out=scratch)
         np.add(scratch, kind.eps, out=scratch)
-        return np.divide(g, scratch, out=scratch)
+        return np.divide(g, scratch, out=state.delta)
     b1, b2 = kind.beta, kind.beta2
     m = state.momentum
     np.multiply(b1, m, out=m)
@@ -118,7 +130,7 @@ def update_direction(kind, state, g):
     np.divide(state.second, c2, out=scratch)
     np.sqrt(scratch, out=scratch)
     np.add(scratch, kind.eps, out=scratch)
-    delta = np.divide(m, c1)
+    delta = np.divide(m, c1, out=state.delta)
     return np.divide(delta, scratch, out=delta)
 
 
@@ -130,10 +142,12 @@ def _second_moment(b2, second, g, scratch):
     np.add(second, scratch, out=second)
 
 
-def apply_lr_update(params, lr, delta, out=None):
+def apply_lr_update(params, lr, delta, out=None, scratch=None):
     """theta' = theta - lr * Delta on the flat vector, written into the set
-    out (params itself included) and returned; a new set when out is None."""
-    flat = np.subtract(params.flat, lr * delta, out=None if out is None else out.flat)
+    out (params itself included) and returned; a new set when out is None.
+    lr * Delta goes into scratch (an OptState's, say) when one is given."""
+    flat = np.subtract(params.flat, np.multiply(lr, delta, out=scratch),
+                       out=None if out is None else out.flat)
     return params.with_flat(flat) if out is None else out
 
 

@@ -303,15 +303,16 @@ def forward(model, params, inputs):
     return a, trace
 
 
-def backward(model, params, trace, out_grad):
+def backward(model, params, trace, out_grad, out=None):
     """Vector-Jacobian product of the forward map.
 
     out_grad is d(scalar)/d(outputs), shape B x d_out.  Returns
-    (ParamSet gradient, per-layer pre-activation gradients ds).  Each
+    (ParamSet gradient, per-layer pre-activation gradients ds); the gradient
+    is written into the set out, or into a new set when out is None.  Each
     layer's activation comes from the trace; a linear layer's ds is the
     incoming gradient array itself.
     """
-    g = params.map(np.empty_like)
+    g = params.map(np.empty_like) if out is None else out
     ds_list = [None] * len(model.layers)
     da = out_grad
     for idx in range(len(model.layers) - 1, -1, -1):

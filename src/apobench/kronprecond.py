@@ -74,21 +74,30 @@ class PrecondPhi(ParamSet):
         the base direction delta is unused."""
         return apply_precond_update(theta, self, g, out=out)
 
-    def linearize(self, theta, g, delta):
+    def lookahead_products(self):
+        """Storage for the products linearize's lookahead keeps: per layer
+        one fresh (5, fan_in, fan_out) array for S^2, T, U, B U and G A."""
+        return [np.empty((5, *blk.s.shape)) for blk in self.blocks]
+
+    def linearize(self, theta, g, delta, work=None):
         """(theta', vjp): the update and its vector-Jacobian product in phi,
         vjp(v) = d <v, theta'> / d phi with g fixed.  vjp reuses each layer's
-        S^2, T, U, B U and G A from the update, and writes into one fresh
-        set."""
-        products = []
-        theta_new = apply_precond_update(theta, self, g, products)
+        S^2, T, U, B U and G A from the update.  theta', those products and
+        each vjp result are written into work's theta_new, products and
+        phi_grad (an apo.MetaWork, kept for a run), or into fresh arrays
+        where work or its field is None."""
+        out, kept, dphi = ((None,) * 3 if work is None
+                           else (work.theta_new, work.products, work.phi_grad))
+        kept = self.lookahead_products() if kept is None else kept
+        theta_new = apply_precond_update(theta, self, g, kept, out)
 
         def vjp(v):
             c = self.scale
-            grad = self.map(np.empty_like)
-            for blk, d, gw, gb, vw, vb, kept, out, dout in zip(
+            grad = self.map(np.empty_like) if dphi is None else dphi
+            for blk, d, gw, gb, vw, vb, products, dblk, dout in zip(
                     self.blocks, self.bias_diags, g.weights, g.biases, v.weights, v.biases,
-                    products, grad.blocks, grad.bias_diags):
-                precond_vjp(blk, gw, -c * vw, kept, out)
+                    kept, grad.blocks, grad.bias_diags):
+                precond_vjp(blk, gw, -c * vw, products, dblk)
                 if d is not None:   # d <v_b, -c d^2 g_b> / dd = 2 d g_b (-c v_b)
                     np.multiply(np.multiply(2.0 * d, gb, out=dout), -c * vb, out=dout)
             return grad
@@ -107,15 +116,16 @@ def init_identity(model, scale=DEFAULT_SCALE):
 
 def apply_precond(blocks, grad_w, keep=None):
     """Efficient application: B (S^2 * T) A^T with T = B^T (G A), 4 matrix
-    products.  A list keep gets the products (S^2, T, U = S^2 * T, B U, G A)
-    appended, which precond_vjp reuses."""
-    s2 = blocks.s * blocks.s
-    ga = grad_w @ blocks.a
-    t = blocks.b.T @ ga
-    u = s2 * t
-    bu = blocks.b @ u
-    if keep is not None:
-        keep.append((s2, t, u, bu, ga))
+    products, returned in a fresh array.  The products S^2, T, U = S^2 * T,
+    B U and G A, which precond_vjp reuses, are written into the five rows of
+    keep, a (5, fan_in, fan_out) array, or into fresh arrays when keep is
+    None."""
+    s2, t, u, bu, ga = (None,) * 5 if keep is None else keep
+    s2 = np.multiply(blocks.s, blocks.s, out=s2)
+    ga = np.matmul(grad_w, blocks.a, out=ga)
+    t = np.matmul(blocks.b.T, ga, out=t)
+    u = np.multiply(s2, t, out=u)
+    bu = np.matmul(blocks.b, u, out=bu)
     return bu @ blocks.a.T
 
 
@@ -130,14 +140,16 @@ def dense_precond(blocks):
 def apply_precond_update(params, phi, g, keep=None, out=None):
     """theta' = theta - c * P g, per layer (bias preconditioner diag(d)^2),
     written into the set out (params itself included) and returned; a new
-    set when out is None.  keep, a list, gets each layer's apply_precond
-    products.  A non-finite result raises once out is written."""
+    set when out is None.  keep, a list of PrecondPhi.lookahead_products'
+    arrays, gets each layer's apply_precond products.  A non-finite result
+    raises once out is written."""
     c = phi.scale
     out = params.map(np.empty_like) if out is None else out
-    for w, b, gw, gb, blk, d, ow, ob in zip(params.weights, params.biases, g.weights,
-                                            g.biases, phi.blocks, phi.bias_diags,
-                                            out.weights, out.biases):
-        np.subtract(w, c * apply_precond(blk, gw, keep), out=ow)
+    for w, b, gw, gb, blk, d, ow, ob, kept in zip(
+            params.weights, params.biases, g.weights, g.biases, phi.blocks, phi.bias_diags,
+            out.weights, out.biases, keep or (None,) * len(phi.blocks)):
+        step = apply_precond(blk, gw, kept)
+        np.subtract(w, np.multiply(c, step, out=step), out=ow)
         if b is not None:
             np.subtract(b, c * ((d * d) * gb), out=ob)
     if not out.all_finite():

@@ -19,7 +19,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .apo import HEAD_LOSS_CURVATURE, divergence, loss_and_grad, proximal_value_and_grad
+from .apo import (HEAD_LOSS_CURVATURE, MetaWork, divergence, loss_and_grad,
+                  proximal_value_and_grad)
 from .baseopt import kfac_input_moments
 from .diffnet import Batch, forward, per_example_jacobian, preact_jacobians
 from .errors import ContractError, ConvergenceError, NumericalError
@@ -132,16 +133,17 @@ def exact_ppm_solve(model, theta, batch, lam_fsd, lam_wsd, fsd_inputs,
     divergence(model, fsd_kind)  # rejects an unknown kind before the first step
     loss_kind = HEAD_LOSS_CURVATURE[model.head]
 
-    # The stacked rows, y_ref and the seed serve every evaluation.
-    prox, y_ref, seed = batch, None, None
+    # The stacked rows, y_ref and the seed serve every evaluation; the
+    # gradient is fresh, as a rejected step keeps the last accepted one.
+    prox, y_ref, work = batch, None, None
     if lam_fsd:
         prox = Batch(np.concatenate((batch.inputs, fsd_inputs)), batch.targets)
         y_ref = forward(model, theta, fsd_inputs)[0]
-        seed = np.empty((len(prox.inputs), model.d_out))
+        work = MetaWork(seed=np.empty((len(prox.inputs), model.d_out)))
 
     def objective(u):
         value, _, grad = proximal_value_and_grad(model, u, theta, prox, y_ref, lam_fsd,
-                                                 lam_wsd, fsd_kind, seed)
+                                                 lam_wsd, fsd_kind, work)
         return value, grad.flat
 
     u = theta.copy()

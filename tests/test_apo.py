@@ -2,6 +2,7 @@ import itertools
 import math
 import os
 import sys
+import tracemalloc
 import zlib
 from collections import Counter
 from types import SimpleNamespace
@@ -578,6 +579,192 @@ def test_meta_gradient_op_counts(monkeypatch, lam_fsd, given, forwards, backward
         monkeypatch.undo()
 
 
+def _arrays(result):
+    """The arrays of a result: a set's flat vector, an array, or those of a
+    tuple's items."""
+    if isinstance(result, tuple):
+        return [a for item in result for a in _arrays(item)]
+    return [result.flat if isinstance(result, ParamSet) else result]
+
+
+def test_calls_without_kept_arrays_return_arrays_of_their_own():
+    """Given no kept arrays (out=None, work=None), two calls return results
+    that share no memory: exact_ppm_solve holds a gradient across its tries,
+    and the finite-difference checks hold one call's result past the next."""
+    rng = numkit.make_rng(43)
+    model = mlp([3, 4, 2], activation="sigmoid")
+    theta = init_params(model, rng)
+    b = Batch(rng.standard_normal((5, 3)), rng.standard_normal((5, 2)))
+    bp = Batch(rng.standard_normal((5, 3)), rng.standard_normal((5, 2)))
+    cfg = default_precond_config(lam_fsd=0.5, lam_wsd=0.3)
+    train, prox = meta_batches(cfg, b, bp)
+    _, g, outputs = loss_and_grad(model, theta, train)
+    phi = init_identity(model, 0.5)
+    v = theta.map(lambda a: rng.standard_normal(a.shape))
+    _, vjp = phi.linearize(theta, g, None)
+    calls = {
+        "loss_and_grad": lambda: loss_and_grad(model, theta, train)[1:],
+        "proximal_value_and_grad": lambda: proximal_value_and_grad(
+            model, v, theta, prox, outputs[5:], 0.5, 0.3, None)[2],
+        "meta_gradient": lambda: meta_gradient(model, theta, phi, train, prox, cfg, g=g,
+                                               outputs=outputs)[0],
+        "PrecondPhi.linearize": lambda: phi.linearize(theta, g, None)[0],
+        "PrecondPhi.linearize's vjp": lambda: vjp(v),
+    }
+    for name, call in calls.items():
+        first = call()
+        kept = [a.copy() for a in _arrays(first)]
+        second = _arrays(call())
+        assert not any(np.shares_memory(a, b) for a in _arrays(first) for b in second), name
+        assert all(np.array_equal(a, k) for a, k in zip(_arrays(first), kept)), name
+
+
+@pytest.mark.parametrize("lam_fsd,lam_wsd,loss_policy", [
+    (0.0, 0.0, "same"), (1.0, 0.0, "same"), (0.0, 0.1, "fresh"), (1.0, 0.1, "fresh")])
+@pytest.mark.parametrize("phi_type", ["lr", "precond"])
+def test_meta_work_makes_only_the_arrays_the_config_reads(lam_fsd, lam_wsd, loss_policy,
+                                                          phi_type):
+    """The stacked rows and the seed exist only when lam_fsd > 0 (the second
+    stack only under the fresh loss policy), the wsd difference only when
+    lam_wsd > 0, and the lookahead products only for a preconditioner."""
+    model = mlp([3, 4, 2])
+    theta = init_params(model, numkit.make_rng(5))
+    phi = LrPhi(0.0) if phi_type == "lr" else init_identity(model)
+    cfg = ProximalConfig(lam_fsd=lam_fsd, lam_wsd=lam_wsd, loss_batch_policy=loss_policy)
+    work = apo.meta_work(model, theta, phi, cfg, 6)
+    if lam_fsd:
+        assert work.rows[0].shape == (12, 3) and work.seed.shape == (12, 2)
+        assert (work.rows[1] is None) == (loss_policy == "same")
+    else:
+        assert work.rows is None and work.seed is None
+    assert (work.diff is None) == (not lam_wsd)
+    assert work.theta_new.layout == work.grad.layout == theta.layout
+    assert type(work.phi_grad) is type(phi) and work.phi_grad.layout == phi.layout
+    if phi_type == "lr":
+        assert work.products is None
+    else:
+        assert [p.shape for p in work.products] == [(5, 3, 4), (5, 4, 2)]
+
+
+@pytest.mark.parametrize("phi_type", ["lr", "precond"])
+def test_meta_gradient_into_kept_arrays_equals_fresh(phi_type):
+    """With a MetaWork, meta_gradient writes theta', dQ/dtheta', the
+    weighted wsd difference and dQ/dphi into the record's own arrays, bit
+    for bit what a call without one returns."""
+    rng = numkit.make_rng(47)
+    model = mlp([3, 4, 2], activation="sigmoid")
+    theta = init_params(model, rng)
+    b = Batch(rng.standard_normal((5, 3)), rng.standard_normal((5, 2)))
+    bp = Batch(rng.standard_normal((5, 3)), rng.standard_normal((5, 2)))
+    cfg = ProximalConfig(lam_fsd=0.5, lam_wsd=0.3)
+    phi = LrPhi(math.log(0.1)) if phi_type == "lr" else init_identity(model, 0.5)
+    train, prox = meta_batches(cfg, b, bp)
+    _, g, outputs = loss_and_grad(model, theta, train)
+    delta = rng.standard_normal(theta.size)
+    work = apo.meta_work(model, theta, phi, cfg, 5)
+    kept = [work.theta_new.flat, work.grad.flat, work.diff, work.phi_grad.flat]
+    for _ in range(2):
+        dphi, q, _ = meta_gradient(model, theta, phi, train, prox, cfg, g=g, delta=delta,
+                                   outputs=outputs, work=work)
+        assert dphi is work.phi_grad
+        now = [work.theta_new.flat, work.grad.flat, work.diff, work.phi_grad.flat]
+        assert all(a is b for a, b in zip(now, kept))
+        fresh_dphi, fresh_q, _ = meta_gradient(model, theta, phi, train, prox, cfg, g=g,
+                                               delta=delta, outputs=outputs)
+        theta_new = phi.update(theta, g, delta)
+        fresh_grad = proximal_value_and_grad(model, theta_new, theta, prox,
+                                             outputs[5:], 0.5, 0.3, None)[2]
+        assert q == fresh_q and np.array_equal(dphi.flat, fresh_dphi.flat)
+        assert np.array_equal(work.theta_new.flat, theta_new.flat)
+        assert np.array_equal(work.grad.flat, fresh_grad.flat)
+        assert np.array_equal(work.diff, 0.3 * (theta_new.flat - theta.flat))
+
+
+def _traced(fn):
+    """fn() under tracemalloc, which it may reset and read; tracing stops
+    after unless it was on before."""
+    tracing = tracemalloc.is_tracing()
+    tracemalloc.start()
+    try:
+        return fn()
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+
+
+@pytest.mark.parametrize("meta_kind", KINDS)
+def test_meta_step_allocates_no_phi_sized_array(meta_kind):
+    """meta_step writes Delta, meta_lr * Delta and phi into the state's and
+    phi's own buffers: on a 64x64 preconditioner (192 KiB) a step's peak is
+    under a quarter of phi (update_direction's finiteness mask is an
+    eighth)."""
+    phi = init_identity(mlp([64, 64, 64], activation="linear", bias=False))
+    meta_grad = phi.map(np.ones_like)
+    cfg = ProximalConfig(meta_opt=BaseOptKind(meta_kind), meta_lr=1e-4)
+    state = init_state(cfg.meta_opt, phi.flat)
+
+    def peaks():
+        for _ in range(3):
+            tracemalloc.reset_peak()
+            start = tracemalloc.get_traced_memory()[0]
+            meta_step(phi, state, meta_grad, cfg)
+            yield tracemalloc.get_traced_memory()[1] - start
+
+    assert max(_traced(lambda: list(peaks()))) < 8 * phi.size // 4
+
+
+def _transient_peaks(mode, steps, **overrides):
+    """Per step of a 64x64 illcond-linear run with fsd and wsd on, the
+    tracemalloc peak above the step's starting level, read through emit."""
+    task = tasks.illcond_linear_task(d=64, kappa=1e10, seed=0, batch_size=64)
+    theta0 = task.init_theta(numkit.make_rng(1))
+    if mode == "apo-precond":
+        cfg = default_precond_config(lam_fsd=1.0, lam_wsd=0.1, scale=0.3, **overrides)
+        kind = None
+    else:
+        cfg = ProximalConfig(lam_fsd=1.0, lam_wsd=0.1, **overrides)
+        kind = BaseOptKind("adam")
+    peaks, level = [], []
+
+    def emit(row):
+        current, peak = tracemalloc.get_traced_memory()
+        peaks.append(peak - level[-1])
+        level.append(current)
+        tracemalloc.reset_peak()
+
+    def train():
+        tracemalloc.reset_peak()
+        level.append(tracemalloc.get_traced_memory()[0])
+        apo_train(task, theta0, cfg, steps, numkit.make_rng(2), emit, mode=mode,
+                  base_kind=kind)
+
+    _traced(train)
+    return task.model, peaks
+
+
+def test_precond_step_allocates_at_most_one_phi_and_one_theta():
+    """After step 1, which makes the kept arrays, no step of a 30-step 64x64
+    apo-precond run (10 SGDm warm-up steps, a meta step every step) allocates
+    more than one phi plus one theta above its starting level: 256 KiB, where
+    a fresh dQ/dphi alone is 192 KiB."""
+    model, peaks = _transient_peaks("apo-precond", 30, meta_interval=1, warmup_steps=10)
+    theta = init_params(model, numkit.make_rng(0))
+    bound = 8 * (init_identity(model).size + theta.size)
+    assert bound == 256 * 1024
+    assert max(peaks[1:]) <= bound, peaks
+
+
+def test_lr_step_allocates_at_most_eight_batch_row_arrays():
+    """Past the steps that make the kept arrays (1, and 10, the first meta
+    step), no step of a 30-step 64x64 apo-lr run (Adam base, fsd and wsd on)
+    allocates more than 8 arrays of b x d float64 above its starting level
+    (b = d = 64: 32 KiB each, 256 KiB; theta is two of them).  A meta step's
+    forward at theta' alone makes two 2b x d pre-activations, 4 arrays."""
+    _, peaks = _transient_peaks("apo-lr", 30, meta_interval=10)
+    bound = 8 * 64 * 64 * 8
+    assert max(p for t, p in enumerate(peaks, start=1) if t not in (1, 10)) <= bound, peaks
+
+
 # The ParamSet operations bench/tracer.PARAMSET_OPS counts (a copy's own
 # map counts too).
 PARAMSET_OPS = ("map", "map2", "copy", "dot", "sq_norm", "to_flat", "from_flat")
@@ -596,16 +783,17 @@ def _count_paramset_ops(monkeypatch):
     return counts
 
 
-# ParamSet operations per SGDm warm-up step, per training step after it
-# (backward's gradient set; for a preconditioner also the logged norm; each
-# step writes theta in place) and per meta step (the lookahead's and the one
-# backward's sets, the norm of the flat wsd difference, and the phi VJP).  A
-# run adds theta0.copy().
+# ParamSet operations per SGDm warm-up step, per training step after it (for
+# a preconditioner the logged norm; each step writes theta and the training
+# gradient in place) and per meta step (the norm of the flat wsd difference,
+# and a learning rate's VJP dot product; the meta step writes its MetaWork).
+# A run adds theta0.copy() and the training gradient's set, and its first
+# meta step the MetaWork's theta', dQ/dtheta' and dQ/dphi.
 PARAMSET_COUNTS = {
-    "apo-lr": ({}, {"map": 1}, {"map": 1, "sq_norm": 1, "dot": 1}),
-    "apo-precond": ({"map": 1, "sq_norm": 1}, {"map": 1, "sq_norm": 1},
-                    {"map": 3, "sq_norm": 1}),
+    "apo-lr": ({}, {}, {"sq_norm": 1, "dot": 1}),
+    "apo-precond": ({"sq_norm": 1}, {"sq_norm": 1}, {"sq_norm": 1}),
 }
+RUN_PARAMSET_COUNTS = {"copy": 1, "map": 2 + 3}
 
 
 @pytest.mark.parametrize("mode,meta_interval", [("apo-lr", 10), ("apo-precond", 1)])
@@ -630,7 +818,7 @@ def test_training_pass_counts(monkeypatch, mode, meta_interval):
               base_kind=BaseOptKind("sgd-momentum" if mode == "apo-lr" else "sgd"))
     meta_steps = steps // meta_interval
     assert counts == {"forward": steps + meta_steps, "backward": steps + meta_steps}
-    expect = Counter({"copy": 1, "map": 1})
+    expect = Counter(RUN_PARAMSET_COUNTS)
     for times, per in zip((warmup, steps - warmup, meta_steps), PARAMSET_COUNTS[mode]):
         for op, n in per.items():
             expect[op] += times * n
@@ -644,7 +832,7 @@ def test_training_pass_counts(monkeypatch, mode, meta_interval):
 # moves the count.  The step repeats none of the checks that the task build
 # and apo_train's entry make (batch coercion, label range, layout, input
 # shape, Kronecker block shapes); one that creeps back moves these counts.
-CALL_COUNTS = {"none": 409, "apo-lr": 499, "apo-precond": 1383}
+CALL_COUNTS = {"none": 333, "apo-lr": 419, "apo-precond": 1082}
 
 
 @pytest.mark.parametrize("mode", list(CALL_COUNTS))
@@ -979,7 +1167,7 @@ def buffer_run(mode, base, meta, steps=20, task=None, init_lr=None):
                                      warmup_steps=5, meta_opt=meta_opt)
     else:
         cfg = ProximalConfig(lam_fsd=1.0, lam_wsd=0.1, meta_interval=3, meta_opt=meta_opt)
-    kind = BaseOptKind(base, damping=1e-2, update_every=2, ema_decay=0.9)
+    kind = BaseOptKind(base, weight_decay=0.01, damping=1e-2, update_every=2, ema_decay=0.9)
     return theta0, lambda: apo_train(task, theta0, cfg, steps, numkit.make_rng(2),
                                      lambda row: None, mode=mode, base_kind=kind,
                                      init_lr=init_lr)
@@ -1003,27 +1191,40 @@ def test_apo_train_never_writes_theta0(mode, base, meta):
 
 @pytest.mark.parametrize("mode,base,meta", BUFFER_RUNS)
 def test_apo_train_keeps_one_buffer_per_persistent_state(monkeypatch, mode, base, meta):
-    """Over a 20-step run theta, phi and every optimizer state each keep one
-    buffer: each step writes theta once, in place, and each meta step phi;
+    """Over a 20-step run with weight decay, theta, phi, every optimizer
+    state (its moments, scratch and Delta), the training gradient and each
+    set the meta step writes (theta', dQ/dtheta', dQ/dphi) keep one buffer,
+    and each state steps on one gradient buffer: each step writes
+    theta once, in place, and each meta step phi, theta' and one MetaWork;
     a KFAC direction is fresh, sharing no memory with the gradient or theta."""
     from apobench import kronprecond
-    states, theta_writes, phis, kfac_directions = [], [], [], []
+    states, theta_writes, lookaheads, phis, kfac_directions = [], [], [], [], []
+    grads, works, meta_grads, lr_scratches, stepped_on = [], [], [], [], {}
 
     def record_states(kind, state, g, _fn=apo.update_direction):
-        before = (state.momentum, state.second)
+        before = (state.momentum, state.second, state.scratch, state.delta)
         delta = _fn(kind, state, g)
-        assert (state.momentum, state.second) == before
+        assert all(a is b for a, b in zip(
+            (state.momentum, state.second, state.scratch, state.delta), before))
+        assert delta is (state.momentum if kind.kind == "sgd-momentum" else state.delta)
         states.append((state, *before))
+        stepped_on.setdefault(id(state), set()).add(id(g))
         return delta
 
-    def record_step(fn, out_at):
+    def record_step(fn, out_at, scratches=None):
         def step(params, *args, **kwargs):
             out = kwargs.get("out", args[out_at] if len(args) > out_at else None)
-            if out is not None:
-                assert out is params
-                theta_writes.append((params, params.flat))
+            assert out is not None
+            (theta_writes if out is params else lookaheads).append((out, out.flat))
+            if scratches is not None and out is params:
+                scratches.append(args[out_at + 1] if len(args) > out_at + 1 else None)
             return fn(params, *args, **kwargs)
         return step
+
+    def record_grad(*args, _fn=apo.loss_and_grad, **kwargs):
+        result = _fn(*args, **kwargs)
+        grads.append((result[1], result[1].flat))
+        return result
 
     def record_kfac(g, factors, _fn=apo.kfac_direction):
         delta = _fn(g, factors)
@@ -1031,15 +1232,24 @@ def test_apo_train_keeps_one_buffer_per_persistent_state(monkeypatch, mode, base
         kfac_directions.append(delta)
         return delta
 
+    def record_meta_gradient(*args, _fn=apo.meta_gradient, **kwargs):
+        result = _fn(*args, **kwargs)
+        works.append(kwargs["work"])
+        meta_grads.append((result[0], result[0].flat))
+        return result
+
     def record_meta(phi, state, meta_grad, cfg, _fn=apo.meta_step):
         phis.append((phi, phi.flat))
         return _fn(phi, state, meta_grad, cfg)
 
     monkeypatch.setattr(apo, "update_direction", record_states)
-    monkeypatch.setattr(apo, "apply_lr_update", record_step(apo.apply_lr_update, 2))
+    monkeypatch.setattr(apo, "apply_lr_update",
+                        record_step(apo.apply_lr_update, 2, lr_scratches))
     monkeypatch.setattr(kronprecond, "apply_precond_update",
                         record_step(kronprecond.apply_precond_update, 3))
+    monkeypatch.setattr(apo, "loss_and_grad", record_grad)
     monkeypatch.setattr(apo, "kfac_direction", record_kfac)
+    monkeypatch.setattr(apo, "meta_gradient", record_meta_gradient)
     monkeypatch.setattr(apo, "meta_step", record_meta)
     _, train = buffer_run(mode, base, meta)
     theta, phi = train()
@@ -1048,6 +1258,7 @@ def test_apo_train_keeps_one_buffer_per_persistent_state(monkeypatch, mode, base
         """Every (set, its flat) pair recorded is the same set and array."""
         return len({id(x) for pair in pairs for x in pair}) == 2
 
+    meta_steps = {"none": 0, "apo-lr": 6, "apo-precond": 20}[mode]
     assert len(theta_writes) == 20 and one(theta_writes)
     assert theta_writes[0][0] is theta and theta_writes[0][1] is theta.flat
     assert len(kfac_directions) == (20 if base == "kfac" else 0)
@@ -1055,13 +1266,28 @@ def test_apo_train_keeps_one_buffer_per_persistent_state(monkeypatch, mode, base
     distinct = {id(state): state for state, *_ in states}
     assert len(distinct) == {"none": base != "kfac", "apo-lr": 2, "apo-precond": 2}[mode]
     for state in distinct.values():
-        buffers = [(m, v) for st, m, v in states if st is state]
-        assert all(m is state.momentum and v is state.second for m, v in buffers)
+        own = (state.momentum, state.second, state.scratch, state.delta)
+        assert all(a is b for st, *kept in states if st is state for a, b in zip(kept, own))
+    # each state steps on one gradient buffer, weight decay included
+    assert all(len(ids) == 1 for ids in stepped_on.values())
+    # a base step takes lr * Delta through its state's scratch (kfac's state has none)
+    base_scratch = None if base == "kfac" else states[0][0].scratch
+    assert lr_scratches and all(s is base_scratch for s in lr_scratches)
+    # the training pass's gradient, then at a meta step the theta' pass's
+    training = [pair for pair in grads if pair[0] is grads[0][0]]
+    assert len(training) == 20 and one(training)
     if mode == "none":
-        assert not phis
-    else:
-        assert len(phis) == (20 if mode == "apo-precond" else 6) and one(phis)
-        assert phis[0][0] is phi and phis[0][1] is phi.flat
+        assert not phis and not lookaheads and len(grads) == 20
+        return
+    theta_passes = [pair for pair in grads if pair[0] is not grads[0][0]]
+    assert len(theta_passes) == len(lookaheads) == len(phis) == meta_steps
+    for pairs in (theta_passes, lookaheads, phis, meta_grads):
+        assert one(pairs)
+    work = works[0]
+    assert all(w is work for w in works)
+    assert lookaheads[0][0] is work.theta_new and theta_passes[0][0] is work.grad
+    assert meta_grads[0][0] is work.phi_grad
+    assert phis[0][0] is phi and phis[0][1] is phi.flat
 
 
 def test_phi_linearize_matches_update_and_fd():

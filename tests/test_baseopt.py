@@ -97,6 +97,19 @@ def test_apply_lr_zero_direction():
     assert np.array_equal(out.weights[0], theta.weights[0])
 
 
+def test_apply_lr_through_scratch_is_bitwise_the_fresh_update():
+    """Given out (theta itself) and a scratch, theta - lr * Delta is written
+    in place, bit for bit the fresh result, with lr * Delta left in the
+    scratch."""
+    rng = numkit.make_rng(3)
+    theta = ParamSet.from_layers([(rng.standard_normal((3, 2)), rng.standard_normal(2))])
+    delta = rng.standard_normal(theta.size)
+    fresh = apply_lr_update(theta, 0.3, delta)
+    scratch = np.full(theta.size, np.nan)
+    assert apply_lr_update(theta, 0.3, delta, theta, scratch) is theta
+    assert np.array_equal(theta.flat, fresh.flat) and np.array_equal(scratch, 0.3 * delta)
+
+
 def test_bad_hyperparameters_rejected():
     with pytest.raises(ContractError):
         BaseOptKind("sgd-momentum", beta=1.0)
@@ -141,6 +154,7 @@ def test_update_direction_matches_textbook_bit_for_bit(name, n, steps, beta, bet
     rng = numkit.make_rng(seed)
     state = init_state(kind, np.zeros(n))
     buffers = (state.momentum, state.second)
+    kept = (state.scratch, state.delta)
     m = v = np.zeros(n)
     for t in range(1, steps + 1):
         g = rng.standard_normal(n) * 10.0 ** log_scale
@@ -152,6 +166,9 @@ def test_update_direction_matches_textbook_bit_for_bit(name, n, steps, beta, bet
         for got, buf, expect in zip((state.momentum, state.second), buffers, (m, v)):
             assert got is buf  # advanced in place
             assert got is None or np.array_equal(got, expect)
-            # only sgd-momentum's direction is its state buffer
+            # only sgd-momentum's direction is a moment buffer
             assert got is None or np.shares_memory(got, delta) == (name == "sgd-momentum")
         assert not np.shares_memory(delta, g) and np.array_equal(g, g_before)
+        # Delta lives in the state's own buffer, the same one every step
+        assert state.scratch is kept[0] and state.delta is kept[1]
+        assert delta is (state.momentum if name == "sgd-momentum" else state.delta)

@@ -238,17 +238,25 @@ def test_update_is_dense_precond_on_layer_slices_of_flat(widths, bias, seed):
 
 
 class MatmulCounter(np.ndarray):
-    """An ndarray that counts the matrix products it takes part in."""
+    """An ndarray that counts the matrix products it takes part in, by the
+    @ operator or by np.matmul into an out= array; what it computes is
+    again a MatmulCounter."""
 
     products = 0
 
-    def __matmul__(self, other):
-        MatmulCounter.products += 1
-        return super().__matmul__(other)
+    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+        if ufunc is np.matmul:
+            MatmulCounter.products += 1
 
-    def __rmatmul__(self, other):
-        MatmulCounter.products += 1
-        return super().__rmatmul__(other)
+        def plain(arrays):
+            return [x.view(np.ndarray) if isinstance(x, MatmulCounter) else x for x in arrays]
+
+        out = kwargs.pop("out", None)
+        result = getattr(ufunc, method)(*plain(inputs), **kwargs,
+                                        **({} if out is None else {"out": tuple(plain(out))}))
+        if out is not None:
+            return out[0]
+        return result.view(MatmulCounter) if isinstance(result, np.ndarray) else result
 
 
 def test_lookahead_and_vjp_share_products():
