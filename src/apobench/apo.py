@@ -28,11 +28,14 @@ delta, work) also returns the step's vector-Jacobian product in phi, a
 closure over its intermediates.  The training loop updates theta, phi and
 the optimizer moments in place, each in its own buffer, and writes every
 parameter-shaped array a step derives into a buffer kept for the run: the
-training gradient into one set made with theta, Delta into its OptState,
-and a meta step's arrays (theta', dQ/dtheta' with the wsd difference,
-dQ/dphi, a preconditioner's lookahead products) into the MetaWork that the
-first meta step makes.  A caller that passes no kept arrays (out=None,
-work=None) gets fresh ones from each call.
+training gradient into one set made with theta (and, under weight decay,
+wd * theta into one vector made with it), Delta into its OptState, and a
+meta step's arrays (theta', dQ/dtheta' with the wsd difference, dQ/dphi, a
+preconditioner's kronprecond.PrecondWork) into the MetaWork that the first
+meta step makes; a learning-rate lookahead puts lr * Delta in the buffer
+of theta' before theta' itself, and apo-precond's steps after its warm-up
+update theta through the MetaWork's PrecondWork.  A caller that passes no
+kept arrays (out=None, work=None) gets fresh ones from each call.
 
 Each output divergence rho is defined once, in DIVERGENCES: its per-row
 value with its gradient in the new outputs, from one pass, and its Hessian
@@ -64,7 +67,7 @@ from .baseopt import (BASE_KINDS, KINDS, BaseOptKind, apply_lr_update, init_stat
 from .diffnet import (Batch, ForwardTrace, ParamSet, _softmax_parts, backward, forward,
                       loss_value_and_grad, softmax)
 from .errors import ContractError, DimensionError, NumericalError, TrainingDivergedError
-from .kronprecond import DEFAULT_SCALE, init_identity
+from .kronprecond import DEFAULT_SCALE, PrecondWork, init_identity
 from .numkit import FLOAT
 
 
@@ -203,11 +206,12 @@ class LrPhi(ParamSet):
             pass
         raise NumericalError(f"learning rate exp({self.log_lr}) is not finite")
 
-    def update(self, theta, g, delta, out=None):
-        """theta' = theta - lr * delta, into out or a new set; g is unused."""
+    def update(self, theta, g, delta, out=None, scratch=None):
+        """theta' = theta - lr * delta, into out or a new set, with lr * delta
+        in scratch when one is given; g is unused."""
         if delta is None:
             raise ContractError("a learning-rate update needs the base direction")
-        return apply_lr_update(theta, self.lr, delta, out)
+        return apply_lr_update(theta, self.lr, delta, out, scratch)
 
     def lookahead_products(self):
         """A learning-rate lookahead keeps no products."""
@@ -217,9 +221,10 @@ class LrPhi(ParamSet):
         """(theta', vjp): the update and its vector-Jacobian product in
         log_lr, vjp(v) = d <v, theta'> / d log_lr = -lr <v, delta>.  theta'
         and each vjp result are written into work's theta_new and phi_grad
-        (a MetaWork), or into fresh sets where work or its field is None."""
+        (a MetaWork), or into fresh sets where work or its field is None;
+        lr * delta goes into the buffer of theta' before theta' does."""
         out, dphi = (None, None) if work is None else (work.theta_new, work.phi_grad)
-        theta_new = self.update(theta, g, delta, out)
+        theta_new = self.update(theta, g, delta, out, None if out is None else out.flat)
 
         def vjp(v):
             grad = LrPhi(0.0) if dphi is None else dphi
@@ -279,7 +284,9 @@ def meta_batches(cfg, batch_b, batch_bp, batch_loss=None, rows=None):
 class MetaWork(NamedTuple):
     """The arrays a meta step writes, made by meta_work at a run's first
     meta step and kept for the run.  A None field is an array its reader
-    makes fresh on each call."""
+    makes fresh on each call.  A preconditioner's products is its
+    kind-major kronprecond.PrecondWork, which apo_train's steps after the
+    warm-up update theta through too."""
 
     rows: tuple | None = None           # meta_batches' stacked inputs
     seed: np.ndarray | None = None      # the theta' backward's seed
@@ -287,7 +294,7 @@ class MetaWork(NamedTuple):
     theta_new: ParamSet | None = None   # theta'
     grad: ParamSet | None = None        # dQ/dtheta'
     phi_grad: ParamSet | None = None    # dQ/dphi
-    products: list | None = None        # phi.lookahead_products()
+    products: PrecondWork | None = None  # phi.lookahead_products()
 
 
 def meta_work(model, theta, phi, cfg, b):
@@ -418,9 +425,10 @@ def apo_train(task, theta0, cfg, steps, rng, emit, mode="apo-lr", base_kind=None
     meta step, over meta_batches' train, whose outputs past B's rows are the
     fsd reference, and on a base step the base direction Delta; on a meta
     step take one meta-optimizer step on phi; then step theta as the module
-    docstring says.  The training gradient is one set made with theta, and
-    the meta step's arrays one MetaWork that the first meta step makes; each
-    is written in place by every step after.  The draws come before
+    docstring says.  The training gradient is one set made with theta (with
+    one vector for wd * theta under weight decay), and the meta step's
+    arrays one MetaWork that the first meta step makes; each is written in
+    place by every step after.  The draws come before
     kfac's, the one other rng use in a step, and no mode with a phi takes
     kfac.  base_kind (default sgd) must be in MODE_BASE_KINDS[mode]; its
     weight decay holds in every step; apo-precond takes no init_lr.  theta is a copy of theta0, written in place.
@@ -455,6 +463,7 @@ def apo_train(task, theta0, cfg, steps, rng, emit, mode="apo-lr", base_kind=None
 
     theta = theta0.copy()
     grad = theta.map(np.empty_like)
+    decay = np.empty_like(theta.flat) if wd else None
     opt_state = init_state(base_kind, theta.flat) if base_steps else None
     meta_state = init_state(cfg.meta_opt, phi.flat) if phi is not None else None
 
@@ -474,7 +483,7 @@ def apo_train(task, theta0, cfg, steps, rng, emit, mode="apo-lr", base_kind=None
             if not math.isfinite(loss) or loss > DIVERGENCE_GUARD:
                 raise TrainingDivergedError(f"loss {loss} at step {t}", t)
             if wd:
-                g.flat += wd * theta.flat
+                g.flat += np.multiply(wd, theta.flat, out=decay)
             if t > base_steps:
                 delta = None
             elif base_kind.kind == "kfac":
@@ -492,7 +501,7 @@ def apo_train(task, theta0, cfg, steps, rng, emit, mode="apo-lr", base_kind=None
             if t <= base_steps:
                 apply_lr_update(theta, rate, delta, theta, opt_state.scratch)
             else:
-                phi.update(theta, g, None, theta)
+                phi.update(theta, g, None, theta, None if work is None else work.products)
             due = eval_every and (t % eval_every == 0 or t == steps)
             eval_loss = float(task.eval_loss(theta)) if due else None
             lr, phi_norm = (None, phi.scalar()) if mode == "apo-precond" else (rate, None)

@@ -4,7 +4,9 @@ Weight matrices are stored fan_in x fan_out, so a forward step is
 ``a @ W + b`` on row-batched activations.  A ParamSet stores all parameters
 in one float64 vector: each layer's W in C order, then its bias.  This is
 also the parameter order of the dense oracles, and it makes the per-layer
-Fisher blocks come out as (input stats) kron (output stats).
+Fisher blocks come out as (input stats) kron (output stats).  The
+preconditioner's meta-parameters (kronprecond.PrecondPhi) are stored
+kind-major instead, each kind of array of every layer in one region.
 
 ``forward`` keeps every layer's activation in its ForwardTrace, and
 ``backward`` reads them from there instead of computing them again.
@@ -98,31 +100,38 @@ class ParamSet:
     through ``flat``.
 
     ``layout`` gives, per layer, the shape of each of its arrays (None for an
-    absent one), in storage order.  The per-layer arrays are views of
-    ``flat``, kept in tuples so they can be written through but not rebound.
-    Subclasses name the views of their own layouts in ``_bind``.
+    absent one).  ``flat`` stores them layer by layer, each layer's arrays in
+    layout order, as theta and its gradients are stored; a KIND_MAJOR set
+    (kronprecond.PrecondPhi) stores every layer's first array, then every
+    layer's second, and so on, so each kind is one contiguous region.  The
+    per-layer arrays are views of ``flat``, kept in tuples so they can be
+    written through but not rebound.  Subclasses name the views of their own
+    layouts in ``_bind``.
     """
+
+    KIND_MAJOR = False
 
     def __init__(self, flat, layout):
         self.flat = flat
         self.layout = layout
-        self._spans = ParamSet._offsets(layout)
+        self._spans = ParamSet._offsets(layout, self.KIND_MAJOR)
         self._bind()
 
     @staticmethod
     @functools.lru_cache(maxsize=None)
-    def _offsets(layout):
+    def _offsets(layout, kind_major):
         """Per layer, (start, stop, shape) of each array in ``flat`` (None
-        where absent)."""
-        spans, k = [], 0
-        for layer in layout:
-            row = []
-            for shape in layer:
-                n = 0 if shape is None else math.prod(shape)
-                row.append(None if shape is None else (k, k + n, shape))
+        where absent), in layer-major or kind-major storage order."""
+        slots = [(l, i) for l, layer in enumerate(layout) for i in range(len(layer))]
+        if kind_major:
+            slots.sort(key=lambda slot: slot[1])
+        spans, k = [[None] * len(layer) for layer in layout], 0
+        for l, i in slots:
+            if (shape := layout[l][i]) is not None:
+                n = math.prod(shape)
+                spans[l][i] = (k, k + n, shape)
                 k += n
-            spans.append(tuple(row))
-        return tuple(spans)
+        return tuple(map(tuple, spans))
 
     def _views(self):
         """Per array slot of a layer (W, b, ...), its view of ``flat`` in
@@ -148,12 +157,16 @@ class ParamSet:
     @classmethod
     def from_layers(cls, layers, *args):
         """A set whose fresh buffer holds copies of the given arrays: one
-        tuple per layer, in storage order, None for an absent array."""
+        tuple per layer, in layout order, None for an absent array."""
         layers = [tuple(None if a is None else np.asarray(a, dtype=FLOAT) for a in layer)
                   for layer in layers]
         layout = tuple(tuple(None if a is None else a.shape for a in layer)
                        for layer in layers)
-        flat = np.concatenate([a.ravel() for layer in layers for a in layer if a is not None])
+        flat = np.empty(sum(a.size for layer in layers for a in layer if a is not None))
+        for layer, spans in zip(layers, ParamSet._offsets(layout, cls.KIND_MAJOR)):
+            for a, span in zip(layer, spans):
+                if a is not None:
+                    flat[span[0]:span[1]] = a.ravel()
         return cls(flat, layout, *args)
 
     def with_flat(self, flat):

@@ -15,12 +15,18 @@ Biases are not covered by the factorization; each bias vector gets an
 independent diagonal preconditioner diag(d)^2 with d meta-learned alongside
 the blocks.  The fixed step scale c multiplies the preconditioned gradient
 and is not meta-learned.  PrecondPhi is a ParamSet: it stores A, B, S and d
-of every layer in one flat vector, in that order, so apo.meta_step steps it
-through that vector as it steps apo.LrPhi.  It owns its update of theta
-and, in linearize, the meta step's lookahead with that lookahead's
-vector-Jacobian product in phi, built from the lookahead's own products:
-per layer apply_precond keeps S^2, T, U = S^2 * T, B U and G A, and
-precond_vjp reuses them, 11 matrix products per layer and meta step.
+in one flat vector kind-major, every layer's A, then every B, every S and
+every d, so each kind is one contiguous region of phi and of dQ/dphi, and
+apo.meta_step steps it through that vector as it steps apo.LrPhi.  It owns
+its update of theta and, in linearize, the meta step's lookahead with that
+lookahead's vector-Jacobian product in phi, built from the lookahead's own
+products.  Only the matrix products run per layer: apply_precond takes the
+lookahead's 4 (keeping T, U = S^2 * T, B U and G A) and precond_vjp the
+VJP's 7, 11 per layer and meta step.  The elementwise steps run once per
+phi, over a kind's region or over all of theta: S^2, d^2, c * P g and
+theta - c * P g in apply_precond_update, and -c v, the dA and dB sums,
+dS = 2 S * T * X and 2 d in the VJP.  A PrecondWork, kept for the run in
+apo.MetaWork, holds those products in the same kind-major order.
 """
 
 from __future__ import annotations
@@ -49,10 +55,14 @@ class KronBlocks:
 
 class PrecondPhi(ParamSet):
     """The meta-parameters phi in one flat vector with ParamSet's layout
-    code: per layer the views A, B and S of one KronBlocks, then the bias
-    diagonal d (None for a bias-free layer).  The fixed application scale c
-    is not part of the vector.  The layout is checked once, here; the sets
-    with_flat derives from this one share it."""
+    code: per layer the views A, B and S of one KronBlocks, and the bias
+    diagonal d (None for a bias-free layer), stored kind-major: every
+    layer's A, then every B, every S, every d.  regions holds those four
+    contiguous views of flat.  The fixed application scale c is not part of
+    the vector.  The layout is checked once, here; the sets with_flat
+    derives from this one share it."""
+
+    KIND_MAJOR = True
 
     def __init__(self, flat, layout, scale=DEFAULT_SCALE):
         for a, b, (fan_in, fan_out), d in layout:
@@ -64,45 +74,80 @@ class PrecondPhi(ParamSet):
     def _bind(self):
         a, b, s, self.bias_diags = map(tuple, self._views())
         self.blocks = tuple(map(KronBlocks, a, b, s))
+        # The last layer's A, B and S end their kinds' regions.
+        self.regions = tuple(np.split(self.flat, [span[1] for span in self._spans[-1][:3]]))
 
     def scalar(self):
         """phi's Frobenius norm, the value a training row logs."""
         return float(np.sqrt(self.sq_norm()))
 
-    def update(self, theta, g, delta, out=None):
-        """theta' = theta - c * P g, written into out (a new set when None);
-        the base direction delta is unused."""
-        return apply_precond_update(theta, self, g, out=out)
+    def update(self, theta, g, delta, out=None, products=None):
+        """theta' = theta - c * P g, written into out (a new set when None)
+        through products, a PrecondWork (fresh when None); the base
+        direction delta is unused."""
+        return apply_precond_update(theta, self, g, products, out)
 
     def lookahead_products(self):
-        """Storage for the products linearize's lookahead keeps: per layer
-        one fresh (5, fan_in, fan_out) array for S^2, T, U, B U and G A."""
-        return [np.empty((5, *blk.s.shape)) for blk in self.blocks]
+        """A fresh PrecondWork for this phi's layout, each array made like
+        flat (so of flat's array type)."""
+        rows = np.empty_like(self.flat, shape=(7, self.regions[2].size))
+        layers, k = [], 0
+        for blk in self.blocks:
+            layers.append(tuple(row[k:k + blk.s.size].reshape(blk.s.shape) for row in rows))
+            k += blk.s.size
+        step = ParamSet(np.empty_like(self.flat, shape=k + self.regions[3].size),
+                        tuple((s, d) for _, _, s, d in self.layout))
+        return PrecondWork(rows, tuple(layers), self.map(np.empty_like), step)
 
     def linearize(self, theta, g, delta, work=None):
         """(theta', vjp): the update and its vector-Jacobian product in phi,
-        vjp(v) = d <v, theta'> / d phi with g fixed.  vjp reuses each layer's
-        S^2, T, U, B U and G A from the update.  theta', those products and
-        each vjp result are written into work's theta_new, products and
-        phi_grad (an apo.MetaWork, kept for a run), or into fresh arrays
-        where work or its field is None."""
+        vjp(v) = d <v, theta'> / d phi with g fixed.  vjp reuses the update's
+        S^2, T, U, B U and G A.  theta', the PrecondWork and each vjp result
+        are work's theta_new, products and phi_grad (an apo.MetaWork, kept
+        for a run), or fresh where work or its field is None.  Per layer,
+        precond_vjp takes the matrix products; the elementwise steps run once
+        over theta or over a region of phi."""
         out, kept, dphi = ((None,) * 3 if work is None
                            else (work.theta_new, work.products, work.phi_grad))
         kept = self.lookahead_products() if kept is None else kept
         theta_new = apply_precond_update(theta, self, g, kept, out)
 
         def vjp(v):
-            c = self.scale
             grad = self.map(np.empty_like) if dphi is None else dphi
-            for blk, d, gw, gb, vw, vb, products, dblk, dout in zip(
-                    self.blocks, self.bias_diags, g.weights, g.biases, v.weights, v.biases,
-                    kept, grad.blocks, grad.bias_diags):
-                precond_vjp(blk, gw, -c * vw, products, dblk)
-                if d is not None:   # d <v_b, -c d^2 g_b> / dd = 2 d g_b (-c v_b)
-                    np.multiply(np.multiply(2.0 * d, gb, out=dout), -c * vb, out=dout)
+            np.multiply(-self.scale, v.flat, out=kept.step.flat)
+            for blk, gw, cvw, products, dblk, rest in zip(
+                    self.blocks, g.weights, kept.step.weights, kept.layers, grad.blocks,
+                    kept.rest.blocks):
+                precond_vjp(blk, gw, cvw, products, dblk, rest)
+            da, db, ds, dd = grad.regions
+            np.add(da, kept.rest.regions[0], out=da)
+            np.add(db, kept.rest.regions[1], out=db)
+            np.multiply(np.multiply(2.0, self.regions[2], out=ds), kept.rows[1], out=ds)
+            np.multiply(ds, kept.rows[6], out=ds)
+            # d <v_b, -c d^2 g_b> / dd = 2 d g_b (-c v_b)
+            np.multiply(2.0, self.regions[3], out=dd)
+            for dout, gb, cvb in zip(grad.bias_diags, g.biases, kept.step.biases):
+                if dout is not None:
+                    np.multiply(np.multiply(dout, gb, out=dout), cvb, out=dout)
             return grad
 
         return theta_new, vjp
+
+
+class PrecondWork:
+    """The arrays of a preconditioner step and its VJP, kept for a run
+    (PrecondPhi.lookahead_products): rows, seven S-kind rows in phi's S
+    order, S^2, T, U = S^2 * T, B U and G A from the lookahead, then V A
+    (later B (S^2 * X)) and X = B^T (V A) from the VJP, with layers[l] the
+    tuple of layer l's views of them; rest, a set shaped like phi whose A
+    and B hold the second terms of dA and dB, S holds S^2 * X and d holds
+    d^2; and step, a set shaped like theta holding c P g, then -c v.  A
+    plain class: a NamedTuple's would be built at import."""
+
+    __slots__ = ("rows", "layers", "rest", "step")
+
+    def __init__(self, rows, layers, rest, step):
+        self.rows, self.layers, self.rest, self.step = rows, layers, rest, step
 
 
 def init_identity(model, scale=DEFAULT_SCALE):
@@ -114,19 +159,18 @@ def init_identity(model, scale=DEFAULT_SCALE):
         scale)
 
 
-def apply_precond(blocks, grad_w, keep=None):
+def apply_precond(blocks, grad_w, keep=None, out=None):
     """Efficient application: B (S^2 * T) A^T with T = B^T (G A), 4 matrix
-    products, returned in a fresh array.  The products S^2, T, U = S^2 * T,
-    B U and G A, which precond_vjp reuses, are written into the five rows of
-    keep, a (5, fan_in, fan_out) array, or into fresh arrays when keep is
-    None."""
-    s2, t, u, bu, ga = (None,) * 5 if keep is None else keep
-    s2 = np.multiply(blocks.s, blocks.s, out=s2)
+    products, written into out (a fresh array when None).  keep is one
+    layer's tuple of PrecondWork rows whose first already holds S^2; T,
+    U = S^2 * T, B U and G A, which precond_vjp reuses, go into the next
+    four.  With keep None, S^2 and those products are fresh arrays."""
+    s2, t, u, bu, ga = (blocks.s * blocks.s,) + (None,) * 4 if keep is None else keep[:5]
     ga = np.matmul(grad_w, blocks.a, out=ga)
     t = np.matmul(blocks.b.T, ga, out=t)
     u = np.multiply(s2, t, out=u)
     bu = np.matmul(blocks.b, u, out=bu)
-    return bu @ blocks.a.T
+    return np.matmul(bu, blocks.a.T, out=out)
 
 
 def dense_precond(blocks):
@@ -137,43 +181,52 @@ def dense_precond(blocks):
     return (ba * blocks.s.ravel() ** 2) @ ba.T
 
 
-def apply_precond_update(params, phi, g, keep=None, out=None):
-    """theta' = theta - c * P g, per layer (bias preconditioner diag(d)^2),
-    written into the set out (params itself included) and returned; a new
-    set when out is None.  keep, a list of PrecondPhi.lookahead_products'
-    arrays, gets each layer's apply_precond products.  A non-finite result
-    raises once out is written."""
-    c = phi.scale
-    out = params.map(np.empty_like) if out is None else out
-    for w, b, gw, gb, blk, d, ow, ob, kept in zip(
-            params.weights, params.biases, g.weights, g.biases, phi.blocks, phi.bias_diags,
-            out.weights, out.biases, keep or (None,) * len(phi.blocks)):
-        step = apply_precond(blk, gw, kept)
-        np.subtract(w, np.multiply(c, step, out=step), out=ow)
-        if b is not None:
-            np.subtract(b, c * ((d * d) * gb), out=ob)
+def apply_precond_update(params, phi, g, products=None, out=None):
+    """theta' = theta - c * P g (bias preconditioner diag(d)^2), written into
+    the set out (params itself included) and returned; a new set when out is
+    None.  products, a PrecondWork (fresh when None), gets S^2 and d^2 over
+    their whole regions of phi, each layer's apply_precond products, and
+    c * P g in its step, which is scaled and subtracted over all of theta at
+    once.  A non-finite result raises once out is written."""
+    kept = phi.lookahead_products() if products is None else products
+    step = kept.step
+    np.multiply(phi.regions[2], phi.regions[2], out=kept.rows[0])
+    np.multiply(phi.regions[3], phi.regions[3], out=kept.rest.regions[3])
+    for blk, gw, gb, keep, sw, sb, d2 in zip(phi.blocks, g.weights, g.biases, kept.layers,
+                                            step.weights, step.biases, kept.rest.bias_diags):
+        apply_precond(blk, gw, keep, sw)
+        if sb is not None:
+            np.multiply(d2, gb, out=sb)
+    np.multiply(phi.scale, step.flat, out=step.flat)
+    flat = np.subtract(params.flat, step.flat, out=None if out is None else out.flat)
+    out = params.with_flat(flat) if out is None else out
     if not out.all_finite():
         raise NumericalError("preconditioned update produced non-finite parameters")
     return out
 
 
-def precond_vjp(blocks, g, v, products, out):
-    """Gradients of <v, apply_precond(blocks, g)> w.r.t. A, B, S, holding the
-    weight gradient g fixed, written into the KronBlocks out; products are
-    apply_precond's (S^2, T, U, B U, G A) on g.
+def precond_vjp(blocks, g, v, products, out, rest):
+    """The matrix products of the gradients of <v, apply_precond(blocks, g)>
+    w.r.t. A, B, S, holding the weight gradient g fixed; products is the
+    layer's PrecondWork rows, holding apply_precond's (S^2, T, U, B U, G A)
+    on g.
 
     Derived from R = B U A^T with U = S^2 * T and T = B^T G A:
       dS = 2 S * T * X          where X = B^T (V A)  (G = g, V = v)
       dB = (V A) U^T + (G A) (S^2 * X)^T
       dA = G^T B (S^2 * X) + V^T B U
-    V A is computed once, so with the kept products this takes 7 matrix
-    products, 11 per layer with the lookahead's 4.
+    The first term of dA and of dB goes into the KronBlocks out, the second
+    into rest, S^2 * X into rest.s and X into products' seventh row; the
+    caller adds the terms and forms dS over whole regions of phi.  V A is
+    computed once, so with the kept products this takes 7 matrix products,
+    11 per layer with the lookahead's 4.
     """
-    b, s = blocks.b, blocks.s
-    s2, t, u, bu, ga = products
-    va = v @ blocks.a
-    x = b.T @ va
-    s2x = s2 * x
-    np.multiply(np.multiply(2.0 * s, t, out=out.s), x, out=out.s)
-    np.add(va @ u.T, ga @ s2x.T, out=out.b)
-    np.add(g.T @ (b @ s2x), v.T @ bu, out=out.a)
+    b = blocks.b
+    s2, _, u, bu, ga, va, x = products
+    np.matmul(v, blocks.a, out=va)
+    np.matmul(b.T, va, out=x)
+    s2x = np.multiply(s2, x, out=rest.s)
+    np.matmul(va, u.T, out=out.b)
+    np.matmul(ga, s2x.T, out=rest.b)
+    np.matmul(g.T, np.matmul(b, s2x, out=va), out=out.a)
+    np.matmul(v.T, bu, out=rest.a)

@@ -2,8 +2,8 @@
 
 tests/golden_metrics.json records, for every cycle-0 unit of the benchmark's
 three training workloads at bench seeds 1 and 2 (config seeds 1000 and
-2000), the unit's config document, the sha256 of its metrics.csv and its
-final eval loss or divergence step; plus the sha256 of `check --json` and of
+2000), the unit's config document, the sha256 of its metrics.csv and of
+each of its columns, and its final eval loss or divergence step; plus the sha256 of `check --json` and of
 the default `ppm-demo --out` table, and the numpy and CPython versions that
 made them, and the one BLAS thread they are measured with.
 tests/test_golden.py reruns everything and compares.
@@ -13,12 +13,15 @@ A change that moves these bytes on purpose regenerates the file with
     PYTHONPATH=src python3 tests/golden.py
 
 which prints every entry whose digest moved, old -> new final eval loss or
-divergence step, for CHANGES.md to name.
+divergence step and the metrics.csv columns that moved, for CHANGES.md to
+name.
 """
 
 from __future__ import annotations
 
+import csv
 import hashlib
+import io
 import json
 import os
 import pathlib
@@ -54,15 +57,22 @@ def sha256(data):
     return hashlib.sha256(data).hexdigest()
 
 
+def column_digests(data):
+    """{column name: sha256 of its cells, one a line} of a CSV file's bytes."""
+    rows = csv.reader(io.StringIO(data.decode()))
+    return {name: sha256("\n".join(cells).encode()) for name, *cells in zip(*rows)}
+
+
 def run_unit(doc, out_dir):
-    """{"sha256", and "final_eval_loss" or "diverged_at"} of one training unit."""
+    """{"sha256", "columns" (column_digests), and "final_eval_loss" or
+    "diverged_at"} of one training unit."""
     try:
         outcome = runner.run(config.parse_config(doc), out_dir)
         end = {"final_eval_loss": outcome.summary["final_eval_loss"]}
     except TrainingDivergedError as exc:
         end = {"diverged_at": exc.step}
-    with open(pathlib.Path(out_dir) / "metrics.csv", "rb") as fh:
-        return {"sha256": sha256(fh.read()), **end}
+    data = (pathlib.Path(out_dir) / "metrics.csv").read_bytes()
+    return {"sha256": sha256(data), "columns": column_digests(data), **end}
 
 
 def check_digest():
@@ -102,14 +112,28 @@ def end_of(record):
     return f"final eval loss {record['final_eval_loss']!r}"
 
 
+def moved_columns(old, new):
+    """The columns whose digests differ between two unit records, in
+    order; none unless both records have column digests."""
+    if "columns" not in old or "columns" not in new:
+        return []
+    names = {**old["columns"], **new["columns"]}
+    return [name for name in names if old["columns"].get(name) != new["columns"].get(name)]
+
+
 def moved(golden, now):
-    """One line per unit or digest of golden that differs in now, and per
-    unit that only one of them has."""
+    """One line per unit or digest of golden that differs in now, naming a
+    unit's moved columns, and per unit that only one of them has."""
     units, now_units = golden["units"], now["units"]
-    lines = [f"{label}: {end_of(old)} -> "
-             + (end_of(now_units[label]) if label in now_units else "not measured")
-             for label, old in units.items()
-             if now_units.get(label, {}).get("sha256") != old["sha256"]]
+    lines = []
+    for label, old in units.items():
+        new = now_units.get(label)
+        if new is None:
+            lines.append(f"{label}: {end_of(old)} -> not measured")
+        elif new["sha256"] != old["sha256"]:
+            columns = moved_columns(old, new)
+            lines.append(f"{label}: {end_of(old)} -> {end_of(new)}"
+                         + (f"; columns moved: {', '.join(columns)}" if columns else ""))
     lines += [f"{label}: new, {end_of(unit)}" for label, unit in now_units.items()
               if label not in units]
     lines += [f"{name} digest moved" for name in ("check_json", "ppm_demo")

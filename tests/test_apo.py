@@ -626,7 +626,8 @@ def test_meta_work_makes_only_the_arrays_the_config_reads(lam_fsd, lam_wsd, loss
                                                           phi_type):
     """The stacked rows and the seed exist only when lam_fsd > 0 (the second
     stack only under the fresh loss policy), the wsd difference only when
-    lam_wsd > 0, and the lookahead products only for a preconditioner."""
+    lam_wsd > 0, and the lookahead products only for a preconditioner: one
+    PrecondWork of 7 S-kind rows, a phi-shaped and a theta-shaped set."""
     model = mlp([3, 4, 2])
     theta = init_params(model, numkit.make_rng(5))
     phi = LrPhi(0.0) if phi_type == "lr" else init_identity(model)
@@ -643,7 +644,12 @@ def test_meta_work_makes_only_the_arrays_the_config_reads(lam_fsd, lam_wsd, loss
     if phi_type == "lr":
         assert work.products is None
     else:
-        assert [p.shape for p in work.products] == [(5, 3, 4), (5, 4, 2)]
+        kept = work.products
+        assert kept.rows.shape == (7, 3 * 4 + 4 * 2)
+        assert [[row.shape for row in layer] for layer in kept.layers] == [[(3, 4)] * 7,
+                                                                          [(4, 2)] * 7]
+        assert type(kept.rest) is type(phi) and kept.rest.layout == phi.layout
+        assert kept.step.layout == theta.layout
 
 
 @pytest.mark.parametrize("phi_type", ["lr", "precond"])
@@ -713,17 +719,17 @@ def test_meta_step_allocates_no_phi_sized_array(meta_kind):
     assert max(_traced(lambda: list(peaks()))) < 8 * phi.size // 4
 
 
-def _transient_peaks(mode, steps, **overrides):
-    """Per step of a 64x64 illcond-linear run with fsd and wsd on, the
-    tracemalloc peak above the step's starting level, read through emit."""
-    task = tasks.illcond_linear_task(d=64, kappa=1e10, seed=0, batch_size=64)
+def _transient_peaks(mode, steps, batch_size=64, kind=None, **overrides):
+    """Per step of a 64x64 illcond-linear run with fsd and wsd on (base kind
+    adam where kind is None, except under apo-precond), the tracemalloc peak
+    above the step's starting level, read through emit."""
+    task = tasks.illcond_linear_task(d=64, kappa=1e10, seed=0, batch_size=batch_size)
     theta0 = task.init_theta(numkit.make_rng(1))
     if mode == "apo-precond":
         cfg = default_precond_config(lam_fsd=1.0, lam_wsd=0.1, scale=0.3, **overrides)
-        kind = None
     else:
         cfg = ProximalConfig(lam_fsd=1.0, lam_wsd=0.1, **overrides)
-        kind = BaseOptKind("adam")
+        kind = kind or BaseOptKind("adam")
     peaks, level = [], []
 
     def emit(row):
@@ -765,6 +771,30 @@ def test_lr_step_allocates_at_most_eight_batch_row_arrays():
     assert max(p for t, p in enumerate(peaks, start=1) if t not in (1, 10)) <= bound, peaks
 
 
+def test_lr_lookahead_and_weight_decay_make_no_theta_sized_array():
+    """At d = 64 (theta is 64 KiB) LrPhi.linearize writes lr * Delta into the
+    MetaWork's dQ/dtheta' buffer, and weight decay wd * theta into a buffer
+    kept with the training gradient: each peaks under 64 KiB.  The decay is
+    read from the steps of a 1-row Adam run, whose other arrays are small."""
+    task = tasks.illcond_linear_task(d=64, kappa=1e10, seed=0, batch_size=1)
+    theta = task.init_theta(numkit.make_rng(1))
+    assert 8 * theta.size == 64 * 1024
+    phi = LrPhi(math.log(0.1))
+    work = apo.meta_work(task.model, theta, phi, ProximalConfig(lam_fsd=1.0, lam_wsd=0.1), 1)
+    g, delta = theta.map(np.ones_like), np.ones(theta.size)
+
+    def linearize_peak():
+        tracemalloc.reset_peak()
+        start = tracemalloc.get_traced_memory()[0]
+        phi.linearize(theta, g, delta, work)
+        return tracemalloc.get_traced_memory()[1] - start
+
+    assert _traced(linearize_peak) < 64 * 1024
+    _, peaks = _transient_peaks("none", 10, batch_size=1,
+                                kind=BaseOptKind("adam", weight_decay=1e-3))
+    assert max(peaks[1:]) < 64 * 1024, peaks
+
+
 # The ParamSet operations bench/tracer.PARAMSET_OPS counts (a copy's own
 # map counts too).
 PARAMSET_OPS = ("map", "map2", "copy", "dot", "sq_norm", "to_flat", "from_flat")
@@ -786,14 +816,15 @@ def _count_paramset_ops(monkeypatch):
 # ParamSet operations per SGDm warm-up step, per training step after it (for
 # a preconditioner the logged norm; each step writes theta and the training
 # gradient in place) and per meta step (the norm of the flat wsd difference,
-# and a learning rate's VJP dot product; the meta step writes its MetaWork).
-# A run adds theta0.copy() and the training gradient's set, and its first
-# meta step the MetaWork's theta', dQ/dtheta' and dQ/dphi.
+# and a learning rate's VJP dot product; the meta step writes its MetaWork),
+# and per run: theta0.copy() and the training gradient's set, and at the
+# first meta step the MetaWork's theta', dQ/dtheta' and dQ/dphi, and a
+# preconditioner's PrecondWork its phi-shaped set.
 PARAMSET_COUNTS = {
-    "apo-lr": ({}, {}, {"sq_norm": 1, "dot": 1}),
-    "apo-precond": ({"sq_norm": 1}, {"sq_norm": 1}, {"sq_norm": 1}),
+    "apo-lr": ({}, {}, {"sq_norm": 1, "dot": 1}, {"copy": 1, "map": 2 + 3}),
+    "apo-precond": ({"sq_norm": 1}, {"sq_norm": 1}, {"sq_norm": 1},
+                    {"copy": 1, "map": 2 + 3 + 1}),
 }
-RUN_PARAMSET_COUNTS = {"copy": 1, "map": 2 + 3}
 
 
 @pytest.mark.parametrize("mode,meta_interval", [("apo-lr", 10), ("apo-precond", 1)])
@@ -818,8 +849,9 @@ def test_training_pass_counts(monkeypatch, mode, meta_interval):
               base_kind=BaseOptKind("sgd-momentum" if mode == "apo-lr" else "sgd"))
     meta_steps = steps // meta_interval
     assert counts == {"forward": steps + meta_steps, "backward": steps + meta_steps}
-    expect = Counter(RUN_PARAMSET_COUNTS)
-    for times, per in zip((warmup, steps - warmup, meta_steps), PARAMSET_COUNTS[mode]):
+    *per_step, per_run = PARAMSET_COUNTS[mode]
+    expect = Counter(per_run)
+    for times, per in zip((warmup, steps - warmup, meta_steps), per_step):
         for op, n in per.items():
             expect[op] += times * n
     assert ops == expect
@@ -832,7 +864,7 @@ def test_training_pass_counts(monkeypatch, mode, meta_interval):
 # moves the count.  The step repeats none of the checks that the task build
 # and apo_train's entry make (batch coercion, label range, layout, input
 # shape, Kronecker block shapes); one that creeps back moves these counts.
-CALL_COUNTS = {"none": 333, "apo-lr": 419, "apo-precond": 1082}
+CALL_COUNTS = {"none": 333, "apo-lr": 419, "apo-precond": 1090}
 
 
 @pytest.mark.parametrize("mode", list(CALL_COUNTS))

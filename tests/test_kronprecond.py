@@ -6,6 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from apobench import numkit
+from apobench.apo import MetaWork, default_precond_config, meta_step
+from apobench.baseopt import init_state
 from apobench.diffnet import ParamSet, init_params, mlp
 from apobench.errors import DimensionError, OracleScaleError
 from apobench.kronprecond import (DEFAULT_SCALE, KronBlocks, PrecondPhi, apply_precond,
@@ -159,14 +161,27 @@ def test_flat_roundtrip():
     assert np.array_equal(back.to_flat(), flat)
 
 
-def test_phi_flat_is_a_b_s_d_per_layer():
-    model = mlp([3, 4, 2], bias=True)
-    phi = init_identity(model).map(lambda v: v + numkit.make_rng(6).standard_normal(v.shape))
-    expect = np.concatenate([a.ravel() for blk, d in zip(phi.blocks, phi.bias_diags)
-                             for a in (blk.a, blk.b, blk.s, d)])
+def test_phi_flat_is_every_a_then_every_b_s_d():
+    """PrecondPhi stores phi kind-major: every layer's A, then every B, every
+    S and every d (a bias-free layer has none); regions are those four
+    contiguous views of flat, and each block is a view of its region."""
+    rng = numkit.make_rng(6)
+    layers = [tuple(None if shape is None else rng.standard_normal(shape) for shape in layer)
+              for layer in (((4, 4), (3, 3), (3, 4), (4,)), ((2, 2), (4, 4), (4, 2), None),
+                            ((5, 5), (2, 2), (2, 5), (5,)))]
+    phi = PrecondPhi.from_layers(layers, 0.4)
+    kinds = [[layer[i] for layer in layers if layer[i] is not None] for i in range(4)]
+    expect = np.concatenate([a.ravel() for kind in kinds for a in kind])
     assert np.array_equal(phi.flat, expect)
-    views = [a for blk, d in zip(phi.blocks, phi.bias_diags) for a in (blk.a, blk.b, blk.s, d)]
-    assert all(np.shares_memory(a, phi.flat) for a in views)
+    for region, kind in zip(phi.regions, kinds):
+        assert np.shares_memory(region, phi.flat)
+        assert np.array_equal(region, np.concatenate([a.ravel() for a in kind]))
+    for layer, blk, d in zip(layers, phi.blocks, phi.bias_diags):
+        for given_array, view, region in zip(layer, (blk.a, blk.b, blk.s, d), phi.regions):
+            if given_array is None:
+                assert view is None
+            else:
+                assert np.array_equal(view, given_array) and np.shares_memory(view, region)
     assert phi.scalar() == float(np.sqrt(np.vdot(expect, expect)))
     assert phi.from_flat(phi.flat).scale == phi.scale
 
@@ -185,6 +200,18 @@ def _separate_vjp(blocks, g, v):
             2.0 * s * t * x)
 
 
+def _textbook_update(theta, phi, g):
+    """theta' layer by layer with plain @, in apply_precond's association:
+    W - c (B (S^2 * (B^T (G A)))) A^T and b - c ((d d) g_b)."""
+    c, layers = phi.scale, []
+    for w, b, gw, gb, blk, d in zip(theta.weights, theta.biases, g.weights, g.biases,
+                                    phi.blocks, phi.bias_diags):
+        a, bb, s = blk.a, blk.b, blk.s
+        layers.append((w - c * ((bb @ ((s * s) * (bb.T @ (gw @ a)))) @ a.T),
+                       None if b is None else b - c * ((d * d) * gb)))
+    return ParamSet.from_layers(layers)
+
+
 def _perturbed_setup(widths, bias, seed, scale):
     """A model, theta, gradient g, upstream v and a non-identity phi."""
     model = mlp(widths, bias=bias)
@@ -200,10 +227,12 @@ def _perturbed_setup(widths, bias, seed, scale):
 @given(st.lists(st.integers(1, 6), min_size=2, max_size=4), st.booleans(),
        st.integers(0, 2**32 - 1), st.floats(0.01, 1.0))
 def test_linearize_is_bitwise_the_update_and_an_unshared_vjp(widths, bias, seed, scale):
+    """theta' is bitwise the textbook per-layer update, and each layer's VJP
+    the unshared formulas."""
     theta, g, v, phi = _perturbed_setup(widths, bias, seed, scale)
     attrs = set(vars(phi))
     theta_new, vjp = phi.linearize(theta, g, None)
-    assert np.array_equal(theta_new.flat, apply_precond_update(theta, phi, g).flat)
+    assert np.array_equal(theta_new.flat, _textbook_update(theta, phi, g).flat)
     grad = vjp(v)
     assert type(grad) is PrecondPhi and grad.layout == phi.layout
     assert set(vars(phi)) == attrs   # the lookahead's products stay in the closure
@@ -237,39 +266,93 @@ def test_update_is_dense_precond_on_layer_slices_of_flat(widths, bias, seed):
     assert i == out.size
 
 
-class MatmulCounter(np.ndarray):
-    """An ndarray that counts the matrix products it takes part in, by the
-    @ operator or by np.matmul into an out= array; what it computes is
-    again a MatmulCounter."""
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.integers(1, 6), min_size=2, max_size=4), st.booleans(),
+       st.integers(0, 2**32 - 1))
+def test_one_kept_record_through_meta_steps_gives_a_fresh_records_bytes(widths, bias, seed):
+    """One MetaWork, its PrecondWork included, reused through in-place meta
+    steps of phi gives, at each step, the bytes of fresh arrays: theta',
+    dQ/dphi (twice from one lookahead) and the update through the record."""
+    theta, g, v, phi = _perturbed_setup(widths, bias, seed, 0.5)
+    rng = numkit.make_rng(seed)
+    work = MetaWork(theta_new=theta.map(np.empty_like), phi_grad=phi.map(np.empty_like),
+                    products=phi.lookahead_products())
+    cfg = default_precond_config(meta_lr=0.05)
+    state = init_state(cfg.meta_opt, phi.flat)
+    for _ in range(3):
+        g, v = (theta.map(lambda a: rng.standard_normal(a.shape)) for _ in range(2))
+        theta_new, vjp = phi.linearize(theta, g, None, work)
+        fresh_new, fresh_vjp = phi.linearize(theta, g, None)
+        fresh = fresh_vjp(v)
+        assert theta_new is work.theta_new and np.array_equal(theta_new.flat, fresh_new.flat)
+        for _ in range(2):
+            assert vjp(v) is work.phi_grad and np.array_equal(work.phi_grad.flat, fresh.flat)
+        stepped = phi.update(theta, g, None, None, work.products)
+        assert np.array_equal(stepped.flat, fresh_new.flat)
+        meta_step(phi, state, work.phi_grad, cfg)
 
-    products = 0
+
+class UfuncCounter(np.ndarray):
+    """An ndarray that counts the ufunc calls it takes part in (calls) and,
+    of those, the matrix products (products), by an operator or a function,
+    into an out= array or not; what it computes, and an array made like it
+    (np.empty_like keeps the subclass, so a PrecondWork made from a counting
+    phi counts too), is again a UfuncCounter."""
+
+    calls = products = 0
 
     def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+        UfuncCounter.calls += 1
         if ufunc is np.matmul:
-            MatmulCounter.products += 1
+            UfuncCounter.products += 1
 
         def plain(arrays):
-            return [x.view(np.ndarray) if isinstance(x, MatmulCounter) else x for x in arrays]
+            return [x.view(np.ndarray) if isinstance(x, UfuncCounter) else x for x in arrays]
 
         out = kwargs.pop("out", None)
         result = getattr(ufunc, method)(*plain(inputs), **kwargs,
                                         **({} if out is None else {"out": tuple(plain(out))}))
         if out is not None:
             return out[0]
-        return result.view(MatmulCounter) if isinstance(result, np.ndarray) else result
+        return result.view(UfuncCounter) if isinstance(result, np.ndarray) else result
+
+
+def _counting_lookahead_and_vjp(widths):
+    """(ufunc calls, matrix products) of one lookahead and its VJP on
+    counting arrays of a biased model, into a kept MetaWork made before the
+    count starts."""
+    theta, g, v, phi = _perturbed_setup(widths, True, 8, 0.5)
+    theta, g, v, phi = (p.with_flat(p.flat.view(UfuncCounter)) for p in (theta, g, v, phi))
+    work = MetaWork(theta_new=theta.map(np.empty_like), phi_grad=phi.map(np.empty_like),
+                    products=phi.lookahead_products())
+    UfuncCounter.calls = UfuncCounter.products = 0
+    _, vjp = phi.linearize(theta, g, None, work)
+    vjp(v)
+    return UfuncCounter.calls, UfuncCounter.products
 
 
 def test_lookahead_and_vjp_share_products():
     """One layer's lookahead and VJP take 11 matrix products: the VJP reuses
     T = B^T (G A), B U and G A, and takes V A once, where the unshared
     formulas compute each again (16)."""
+    assert _counting_lookahead_and_vjp([4, 3])[1] == 11
     theta, g, v, phi = _perturbed_setup([4, 3], True, 8, 0.5)
-    theta, g, v, phi = (p.with_flat(p.flat.view(MatmulCounter)) for p in (theta, g, v, phi))
-    MatmulCounter.products = 0
-    _, vjp = phi.linearize(theta, g, None)
-    vjp(v)
-    assert MatmulCounter.products == 11
-    MatmulCounter.products = 0
+    theta, g, v, phi = (p.with_flat(p.flat.view(UfuncCounter)) for p in (theta, g, v, phi))
+    UfuncCounter.products = 0
     apply_precond_update(theta, phi, g)
     _separate_vjp(phi.blocks[0], g.weights[0], -phi.scale * v.weights[0])
-    assert MatmulCounter.products == 16
+    assert UfuncCounter.products == 16
+
+
+def test_lookahead_and_vjp_run_elementwise_steps_once_per_phi():
+    """Only the matrix products and a biased layer's d^2 g_b, d g_b and its
+    -c v_b factor run per layer: S^2, d^2, c P g, theta - c P g, -c v, the
+    dA and dB sums, dS = 2 S * T * X and 2 d run once over theta or over a
+    region of phi.  Per biased layer the lookahead and VJP take 16 ufunc
+    calls (11 products, U = S^2 * T, S^2 * X and three bias steps), where
+    each layer once took 29 and the bottleneck autoencoder's 4 layers 118."""
+    calls_2, _ = _counting_lookahead_and_vjp([16, 8, 2])
+    calls_4, products_4 = _counting_lookahead_and_vjp([16, 8, 2, 8, 16])
+    assert products_4 == 4 * 11
+    assert (calls_4 - calls_2) / 2 == 16
+    assert calls_4 <= 80
