@@ -2,7 +2,8 @@
 
 tests/golden_metrics.json records, for every cycle-0 unit of the benchmark's
 three training workloads at bench seeds 1 and 2 (config seeds 1000 and
-2000), the unit's config document, the sha256 of its metrics.csv and of
+2000) and for each of extra_units' paths that the benchmark never takes,
+the unit's config document, the sha256 of its metrics.csv and of
 each of its columns, and its final eval loss or divergence step; plus the sha256 of `check --json` and of
 the default `ppm-demo --out` table, and the numpy and CPython versions that
 made them, and the one BLAS thread they are measured with.
@@ -149,10 +150,36 @@ def bench_units():
             for seed in BENCH_SEEDS for unit in workloads.cycle(workload, seed, 0)}
 
 
+def extra_units():
+    """{"extra <label>": config document} of the units that take what the
+    benchmark's never do, 60 steps at seed 5 each: apo-precond's steps after
+    its warm-up and before its first meta step (warm-up 0 and meta_interval
+    10; warm-up 3, meta_interval 7 and the fresh loss and same fsd batches),
+    and apo-lr meta steps under weight decay with lam_fsd 0 and the fresh
+    loss batch."""
+    run = {"steps": 60, "seed": 5}
+    units = {}
+    for name, proximal in (("warmup 0, interval 10", {"warmup_steps": 0, "meta_interval": 10}),
+                           ("warmup 3, interval 7, fresh loss, same fsd",
+                            {"warmup_steps": 3, "meta_interval": 7,
+                             "loss_batch_policy": "fresh", "fsd_batch_policy": "same"})):
+        for task in ("synth-classification", "bottleneck-autoencoder"):
+            units[f"extra apo-precond:{task}/{name}"] = {
+                "task": {"kind": task}, "mode": "apo-precond", **run,
+                "proximal": {"lambda_fsd": 1.0, "lambda_wsd": 0.1, "scale": 0.3, **proximal}}
+    for kind in ("sgd-momentum", "adam"):
+        units[f"extra apo-lr:synth-classification/{kind}, lambda_fsd 0"] = {
+            "task": {"kind": "synth-classification"}, "mode": "apo-lr", **run,
+            "base_opt": {"kind": kind, "weight_decay": 0.01},
+            "proximal": {"lambda_fsd": 0.0, "lambda_wsd": 0.1, "meta_interval": 3,
+                         "loss_batch_policy": "fresh"}}
+    return units
+
+
 if __name__ == "__main__" and sys.argv[1:] == ["--measure"]:
     print(json.dumps(measure_here(json.load(sys.stdin))))
 elif __name__ == "__main__":
-    record = measure(bench_units())
+    record = measure({**bench_units(), **extra_units()})
     if GOLDEN_PATH.exists():
         for line in moved(json.loads(GOLDEN_PATH.read_text(encoding="utf-8")), record):
             print(line)
