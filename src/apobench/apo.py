@@ -17,25 +17,25 @@ the kinds each mode takes.  A base step, theta - rate * Delta through
 apply_lr_update, is each step of mode none (rate init_lr, no phi) and apo-lr
 (init_lr until the first meta step, then phi's exp(log_lr)), and each of
 apo-precond's warmup_steps (WARMUP_KIND at warmup_lr, init_lr unused), after
-which phi.update steps.  A step's TrainRow logs the rate in lr, or
-phi.scalar() in phi_frobenius_norm under apo-precond.
+which kronprecond.apply_precond_update steps.  A step's TrainRow logs the
+rate in lr, or phi.scalar() in phi_frobenius_norm under apo-precond.
 
 Both phi types are ParamSets, so the meta-optimizer steps either one through
 its flat vector: LrPhi holds the log learning rate (exp keeps the rate
 positive) and kronprecond.PrecondPhi the Kronecker blocks.  Each owns its
-rule: update(theta, g, delta, out) takes the step, and linearize(theta, g,
-delta, work) also returns the step's vector-Jacobian product in phi, a
-closure over its intermediates.  The training loop updates theta, phi and
-the optimizer moments in place, each in its own buffer, and writes every
-parameter-shaped array a step derives into a buffer kept for the run: the
-training gradient into one set made with theta (and, under weight decay,
-wd * theta into one vector made with it), Delta into its OptState, and a
-meta step's arrays (theta', dQ/dtheta' with the wsd difference, dQ/dphi, a
-preconditioner's kronprecond.PrecondWork) into the MetaWork that the first
-meta step makes; a learning-rate lookahead puts lr * Delta in the buffer
-of theta' before theta' itself, and apo-precond's steps after its warm-up
-update theta through the MetaWork's PrecondWork.  A caller that passes no
-kept arrays (out=None, work=None) gets fresh ones from each call.
+lookahead: linearize(theta, g, delta, work) takes the step into work and
+returns it with its vector-Jacobian product in phi.  The training loop
+updates theta, phi and the optimizer moments in place, each in its own
+buffer, and writes every parameter-shaped array a step derives into a buffer
+kept for the run: the training gradient into one set made with theta (and,
+under weight decay, wd * theta into one vector made with it), Delta into its
+OptState, and a meta step's arrays (theta', dQ/dtheta' with the wsd
+difference, dQ/dphi, a preconditioner's kronprecond.PrecondWork) into the
+MetaWork that the first step of a run with a phi makes; a learning-rate
+lookahead puts lr * Delta in the buffer of theta' before theta' itself, and
+apo-precond's steps after its warm-up update theta through the MetaWork's
+PrecondWork.  Every meta-step function writes into a MetaWork the caller
+passes; none makes arrays of its own.
 
 Each output divergence rho is defined once, in DIVERGENCES: its per-row
 value with its gradient in the new outputs, from one pass, and its Hessian
@@ -67,7 +67,7 @@ from .baseopt import (BASE_KINDS, KINDS, BaseOptKind, apply_lr_update, init_stat
 from .diffnet import (Batch, ForwardTrace, ParamSet, _softmax_parts, backward, forward,
                       loss_value_and_grad, softmax)
 from .errors import ContractError, DimensionError, NumericalError, TrainingDivergedError
-from .kronprecond import DEFAULT_SCALE, PrecondWork, init_identity
+from .kronprecond import DEFAULT_SCALE, PrecondWork, apply_precond_update, init_identity
 from .numkit import FLOAT
 
 
@@ -206,30 +206,23 @@ class LrPhi(ParamSet):
             pass
         raise NumericalError(f"learning rate exp({self.log_lr}) is not finite")
 
-    def update(self, theta, g, delta, out=None, scratch=None):
-        """theta' = theta - lr * delta, into out or a new set, with lr * delta
-        in scratch when one is given; g is unused."""
-        if delta is None:
-            raise ContractError("a learning-rate update needs the base direction")
-        return apply_lr_update(theta, self.lr, delta, out, scratch)
-
     def lookahead_products(self):
         """A learning-rate lookahead keeps no products."""
         return None
 
-    def linearize(self, theta, g, delta, work=None):
-        """(theta', vjp): the update and its vector-Jacobian product in
-        log_lr, vjp(v) = d <v, theta'> / d log_lr = -lr <v, delta>.  theta'
-        and each vjp result are written into work's theta_new and phi_grad
-        (a MetaWork), or into fresh sets where work or its field is None;
-        lr * delta goes into the buffer of theta' before theta' does."""
-        out, dphi = (None, None) if work is None else (work.theta_new, work.phi_grad)
-        theta_new = self.update(theta, g, delta, out, None if out is None else out.flat)
+    def linearize(self, theta, g, delta, work):
+        """(theta', vjp): the update theta' = theta - lr * delta and its
+        vector-Jacobian product in log_lr, vjp(v) = d <v, theta'> / d log_lr
+        = -lr <v, delta>; g is unused.  theta' and each vjp result are
+        written into work's theta_new and phi_grad (a MetaWork); lr * delta
+        goes into the buffer of theta' before theta' does."""
+        if delta is None:
+            raise ContractError("a learning-rate update needs the base direction")
+        theta_new = apply_lr_update(theta, self.lr, delta, work.theta_new, work.theta_new.flat)
 
         def vjp(v):
-            grad = LrPhi(0.0) if dphi is None else dphi
-            grad.flat[0] = -self.lr * v.dot(delta)
-            return grad
+            work.phi_grad.flat[0] = -self.lr * v.dot(delta)
+            return work.phi_grad
 
         return theta_new, vjp
 
@@ -255,8 +248,7 @@ def loss_and_grad(model, params, batch, fill=None, out=None):
     if fill is not None:
         dy = fill(dy, outputs[b:])
     elif len(outputs) > b:  # rows never mix in a pass: the target rows' trace is a slice
-        trace = ForwardTrace([a[:b] for a in trace.layer_inputs],
-                             [s[:b] for s in trace.preacts], outputs[:b])
+        trace = ForwardTrace([a[:b] for a in trace.acts], [s[:b] for s in trace.preacts])
     g, _ = backward(model, params, trace, dy, out)
     return loss, g, outputs
 
@@ -282,11 +274,12 @@ def meta_batches(cfg, batch_b, batch_bp, batch_loss=None, rows=None):
 
 
 class MetaWork(NamedTuple):
-    """The arrays a meta step writes, made by meta_work at a run's first
-    meta step and kept for the run.  A None field is an array its reader
-    makes fresh on each call.  A preconditioner's products is its
-    kind-major kronprecond.PrecondWork, which apo_train's steps after the
-    warm-up update theta through too."""
+    """The arrays a meta step writes, made by meta_work at the first step
+    of a run with a phi and kept for the run: each call into a record
+    overwrites what the last one wrote.  A None field is one the run never
+    reads.  A preconditioner's products is its kind-major
+    kronprecond.PrecondWork, which apo_train's steps after the warm-up
+    update theta through too."""
 
     rows: tuple | None = None           # meta_batches' stacked inputs
     seed: np.ndarray | None = None      # the theta' backward's seed
@@ -314,8 +307,7 @@ def meta_work(model, theta, phi, cfg, b):
                     phi.map(np.empty_like), phi.lookahead_products())
 
 
-def proximal_value_and_grad(model, u, theta, batch, y_ref, lam_fsd, lam_wsd, fsd_kind,
-                            work=None):
+def proximal_value_and_grad(model, u, theta, batch, y_ref, lam_fsd, lam_wsd, fsd_kind, work):
     """The proximal objective
     Q(u) = J_batch(u) + lam_fsd * FSD(u, theta) + lam_wsd * 0.5 ||u - theta||^2
     with its terms and its gradient in u (theta fixed), from one forward and
@@ -323,8 +315,7 @@ def proximal_value_and_grad(model, u, theta, batch, y_ref, lam_fsd, lam_wsd, fsd
     When lam_fsd > 0, batch is stacked (meta_batches' prox): its rows past the
     targets are the fsd rows and y_ref their outputs at theta.  The backward's
     seed [dJ/dy; (lam_fsd / n) d rho / dy], dQ/du and the wsd difference
-    u - theta are written into work's seed, grad and diff (a MetaWork), or
-    into fresh arrays where work or its field is None.
+    u - theta are written into work's seed, grad and diff (a MetaWork).
 
     Returns (Q, {"loss", "fsd", "wsd"}, dQ/du); a term whose weight is zero is
     skipped and reported as 0.0.  dQ/du is the backward's set, with the
@@ -332,7 +323,6 @@ def proximal_value_and_grad(model, u, theta, batch, y_ref, lam_fsd, lam_wsd, fsd
     """
     fsd_term = wsd_term = 0.0
     fsd_seed = None
-    seed, grad, diff = (None,) * 3 if work is None else (work.seed, work.grad, work.diff)
     if lam_fsd:
         div, n = divergence(model, fsd_kind), len(y_ref)
 
@@ -340,39 +330,32 @@ def proximal_value_and_grad(model, u, theta, batch, y_ref, lam_fsd, lam_wsd, fsd
             nonlocal fsd_term
             rho, drho = div.value_and_grad(y_new, y_ref)
             fsd_term = float(np.add.reduce(rho) / n)
-            out = np.concatenate((dy, drho), out=seed)
+            out = np.concatenate((dy, drho), out=work.seed)
             out[len(dy):] *= lam_fsd / n
             return out
 
-    loss_term, grad, _ = loss_and_grad(model, u, batch, fsd_seed, grad)
+    loss_term, grad, _ = loss_and_grad(model, u, batch, fsd_seed, work.grad)
     if lam_wsd:
-        diff = np.subtract(u.flat, theta.flat, out=diff)
+        diff = np.subtract(u.flat, theta.flat, out=work.diff)
         wsd_term = 0.5 * u.sq_norm(diff)
         grad.flat += np.multiply(lam_wsd, diff, out=diff)
     q = loss_term + lam_fsd * fsd_term + lam_wsd * wsd_term
     return q, {"loss": loss_term, "fsd": fsd_term, "wsd": wsd_term}, grad
 
 
-def meta_gradient(model, theta, phi, train, prox, cfg, g=None, delta=None, outputs=None,
-                  work=None):
-    """Exact reverse-mode gradient of Q w.r.t. phi at the lookahead
-    theta' = phi.update(theta, g, delta), with g and delta held fixed:
-    phi.linearize takes the lookahead and gives its vjp.  train and prox are
-    meta_batches'; g is the loss gradient at theta on train's target rows and
-    outputs the outputs on all its rows, whose rows past the targets are the
-    fsd reference y_ref.  Given both, from the caller's training pass, it costs
-    1 forward and 1 backward, at theta' over prox; given neither, that pass
-    runs here; g alone is refused when lam_fsd > 0.  delta is the base
+def meta_gradient(model, theta, phi, train, prox, cfg, g, delta, outputs, work):
+    """Exact reverse-mode gradient of Q w.r.t. phi at the lookahead theta'
+    that phi.linearize takes, with g and delta held fixed; linearize also
+    gives the lookahead's vjp.  train and prox are meta_batches'; g and
+    outputs are the caller's training pass over train (loss_and_grad): the
+    loss gradient at theta on train's target rows and the outputs on all its
+    rows, whose rows past the targets are the fsd reference y_ref.  It costs
+    1 forward and 1 backward, at theta' over prox.  delta is the base
     direction a learning-rate phi steps along (a preconditioner ignores it).
     theta', dQ/dtheta' and dQ/dphi are written into work, meta_work's record
-    for this run, or are fresh when work is None.  Returns (dQ/dphi as a set
-    of phi's type, Q, Q's terms {"loss", "fsd", "wsd"}); raises
-    NumericalError on a non-finite term.
+    for this run.  Returns (dQ/dphi, which is work's phi_grad, Q, Q's terms
+    {"loss", "fsd", "wsd"}); raises NumericalError on a non-finite term.
     """
-    if g is None:
-        _, g, outputs = loss_and_grad(model, theta, train)
-    elif cfg.lam_fsd and outputs is None:
-        raise ContractError("meta_gradient takes the training outputs with g when lam_fsd > 0")
     y_ref = outputs[len(train.targets):] if cfg.lam_fsd else None
     theta_new, vjp = phi.linearize(theta, g, delta, work)
     q, parts, v = proximal_value_and_grad(model, theta_new, theta, prox, y_ref, cfg.lam_fsd,
@@ -427,8 +410,8 @@ def apo_train(task, theta0, cfg, steps, rng, emit, mode="apo-lr", base_kind=None
     step take one meta-optimizer step on phi; then step theta as the module
     docstring says.  The training gradient is one set made with theta (with
     one vector for wd * theta under weight decay), and the meta step's
-    arrays one MetaWork that the first meta step makes; each is written in
-    place by every step after.  The draws come before
+    arrays one MetaWork that the first step makes when a phi exists; each
+    is written in place by every step after.  The draws come before
     kfac's, the one other rng use in a step, and no mode with a phi takes
     kfac.  base_kind (default sgd) must be in MODE_BASE_KINDS[mode]; its
     weight decay holds in every step; apo-precond takes no init_lr.  theta is a copy of theta0, written in place.
@@ -471,13 +454,13 @@ def apo_train(task, theta0, cfg, steps, rng, emit, mode="apo-lr", base_kind=None
     for t in range(1, steps + 1):
         batch = train = task.sample_batch(rng)
         meta = phi is not None and t % cfg.meta_interval == 0
+        if phi is not None and work is None:
+            work = meta_work(model, theta, phi, cfg, len(batch.targets))
         try:
             if meta:
                 batch_bp = task.sample_batch(rng)
                 batch_loss = (task.sample_batch(rng)
                               if cfg.loss_batch_policy == "fresh" else None)
-                if work is None:
-                    work = meta_work(model, theta, phi, cfg, len(batch.targets))
                 train, prox = meta_batches(cfg, batch, batch_bp, batch_loss, work.rows)
             loss, g, outputs = loss_and_grad(model, theta, train, out=grad)
             if not math.isfinite(loss) or loss > DIVERGENCE_GUARD:
@@ -492,8 +475,8 @@ def apo_train(task, theta0, cfg, steps, rng, emit, mode="apo-lr", base_kind=None
             else:
                 delta = update_direction(base_kind, opt_state, g.flat)
             if meta:
-                mgrad, last_q, parts = meta_gradient(model, theta, phi, train, prox, cfg, g=g,
-                                                     delta=delta, outputs=outputs, work=work)
+                mgrad, last_q, parts = meta_gradient(model, theta, phi, train, prox, cfg, g,
+                                                     delta, outputs, work)
                 last_fsd, last_wsd = parts["fsd"], parts["wsd"]
                 meta_step(phi, meta_state, mgrad, cfg)
                 if mode == "apo-lr":
@@ -501,7 +484,7 @@ def apo_train(task, theta0, cfg, steps, rng, emit, mode="apo-lr", base_kind=None
             if t <= base_steps:
                 apply_lr_update(theta, rate, delta, theta, opt_state.scratch)
             else:
-                phi.update(theta, g, None, theta, None if work is None else work.products)
+                apply_precond_update(theta, phi, g, work.products, theta)
             due = eval_every and (t % eval_every == 0 or t == steps)
             eval_loss = float(task.eval_loss(theta)) if due else None
             lr, phi_norm = (None, phi.scalar()) if mode == "apo-precond" else (rate, None)

@@ -176,7 +176,7 @@ def kfac_input_moments(model, trace):
     """Per layer, KFAC's A statistic: the second moment a^T a / B of the
     layer inputs a of a forward trace, with a column of ones for a bias."""
     abars = [np.hstack([a, np.ones((len(a), 1))]) if spec.has_bias else a
-             for spec, a in zip(model.layers, trace.layer_inputs)]
+             for spec, a in zip(model.layers, trace.acts[:-1])]
     return [a.T @ a / len(a) for a in abars]
 
 

@@ -267,18 +267,13 @@ class ForwardTrace:
     backprop and KFAC stats; backward reads the activations, never
     recomputes them.
 
-    layer_inputs[l] is the activation entering layer l (layer_inputs[0] is the
-    batch input); preacts[l] = layer_inputs[l] @ W_l (+ b_l); output is the
-    last layer's activation, the array forward returns.
+    acts[l] is the activation entering layer l (acts[0] is the batch input)
+    and acts[-1] the output, the array forward returns; preacts[l] =
+    acts[l] @ W_l (+ b_l).
     """
 
-    layer_inputs: list = field(default_factory=list)
+    acts: list = field(default_factory=list)
     preacts: list = field(default_factory=list)
-    output: np.ndarray | None = None
-
-    def activation(self, l):
-        """The activation layer l produced."""
-        return self.layer_inputs[l + 1] if l + 1 < len(self.layer_inputs) else self.output
 
 
 def _act(name, s):
@@ -301,18 +296,17 @@ def _act_grad(name, da, s, a):
 
 def forward(model, params, inputs):
     """Run the network; returns (outputs, ForwardTrace)."""
-    trace = ForwardTrace()
+    trace = ForwardTrace([inputs])
     a = inputs
     for spec, w, b in zip(model.layers, params.weights, params.biases):
-        trace.layer_inputs.append(a)
         s = a @ w
         if b is not None:
             s = s + b
         trace.preacts.append(s)
         a = _act(spec.activation, s)
+        trace.acts.append(a)
     if not np.isfinite(a).all():
         raise NumericalError("forward pass produced non-finite outputs")
-    trace.output = a
     return a, trace
 
 
@@ -330,9 +324,9 @@ def backward(model, params, trace, out_grad, out=None):
     da = out_grad
     for idx in range(len(model.layers) - 1, -1, -1):
         spec = model.layers[idx]
-        ds = _act_grad(spec.activation, da, trace.preacts[idx], trace.activation(idx))
+        ds = _act_grad(spec.activation, da, trace.preacts[idx], trace.acts[idx + 1])
         ds_list[idx] = ds
-        np.matmul(trace.layer_inputs[idx].T, ds, out=g.weights[idx])
+        np.matmul(trace.acts[idx].T, ds, out=g.weights[idx])
         if spec.has_bias:
             np.add.reduce(ds, axis=0, out=g.biases[idx])
         if idx > 0:
@@ -407,7 +401,7 @@ def per_example_jacobian(model, params, inputs):
     require_oracle_scale("per_example_jacobian", params.size)
     outputs, trace, ds = preact_jacobians(model, params, inputs)
     blocks = []
-    for spec, a, d in zip(model.layers, trace.layer_inputs, ds):
+    for spec, a, d in zip(model.layers, trace.acts[:-1], ds):
         blocks.append((a[:, None, :, None] * d[:, :, None, :]).reshape(*d.shape[:2], -1))
         if spec.has_bias:
             blocks.append(d)

@@ -16,7 +16,8 @@ import math
 import numpy as np
 
 from .. import oracles
-from ..apo import LrPhi, ProximalConfig, loss_and_grad, meta_batches, meta_gradient
+from ..apo import (LrPhi, ProximalConfig, loss_and_grad, meta_batches, meta_gradient,
+                   meta_work)
 from ..baseopt import BaseOptKind, init_state, update_direction
 from ..diffnet import (Batch, LayerSpec, Model, init_params, loss_value_and_grad,
                        mlp, per_example_jacobian)
@@ -158,7 +159,8 @@ def check_identity_init_scaling():
     theta = init_params(model, rng)
     g = theta.map(lambda a: rng.standard_normal(a.shape))
     phi = init_identity(model, scale=0.9)
-    stepped = apply_precond_update(theta, phi, g)
+    stepped = apply_precond_update(theta, phi, g, phi.lookahead_products(),
+                                   theta.map(np.empty_like))
     expect = theta.map2(g, lambda t, gg: t - 0.9 * gg)
     exact = np.array_equal(stepped.flat, expect.flat)
     return [result("identity-init-scaling-bitwise", int(exact), 1, exact)]
@@ -166,12 +168,17 @@ def check_identity_init_scaling():
 
 def _metagrad_fd_error(model, theta, phi, b, bp, cfg, delta=None):
     """Max-norm relative error of meta_gradient's dQ/dphi against central
-    differences of Q over phi's flat vector."""
+    differences of Q over phi's flat vector, every call into one MetaWork."""
     train, prox = meta_batches(cfg, b, bp)
-    grad = meta_gradient(model, theta, phi, train, prox, cfg, delta=delta)[0]
-    fd = oracles.fd_jacobian(lambda v: meta_gradient(model, theta, phi.from_flat(v), train,
-                                                     prox, cfg, delta=delta)[1], phi.flat, 1e-4)
-    return np.abs(grad.flat - fd).max() / max(np.abs(fd).max(), 1e-12)
+    _, g, outputs = loss_and_grad(model, theta, train)
+    work = meta_work(model, theta, phi, cfg, len(b.targets))
+
+    def meta(p):
+        return meta_gradient(model, theta, p, train, prox, cfg, g, delta, outputs, work)
+
+    grad = meta(phi)[0].flat.copy()  # the difference loop below reuses work
+    fd = oracles.fd_jacobian(lambda v: meta(phi.from_flat(v))[1], phi.flat, 1e-4)
+    return np.abs(grad - fd).max() / max(np.abs(fd).max(), 1e-12)
 
 
 def check_metagrad_lr_fd():

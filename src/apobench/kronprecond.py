@@ -17,16 +17,17 @@ the blocks.  The fixed step scale c multiplies the preconditioned gradient
 and is not meta-learned.  PrecondPhi is a ParamSet: it stores A, B, S and d
 in one flat vector kind-major, every layer's A, then every B, every S and
 every d, so each kind is one contiguous region of phi and of dQ/dphi, and
-apo.meta_step steps it through that vector as it steps apo.LrPhi.  It owns
-its update of theta and, in linearize, the meta step's lookahead with that
-lookahead's vector-Jacobian product in phi, built from the lookahead's own
+apo.meta_step steps it through that vector as it steps apo.LrPhi.
+apply_precond_update steps theta, and PrecondPhi.linearize takes the meta
+step's lookahead through it and returns that lookahead's vector-Jacobian
+product in phi, precond_update_vjp, built from the lookahead's own
 products.  Only the matrix products run per layer: apply_precond takes the
 lookahead's 4 (keeping T, U = S^2 * T, B U and G A) and precond_vjp the
 VJP's 7, 11 per layer and meta step.  The elementwise steps run once per
 phi, over a kind's region or over all of theta: S^2, d^2, c * P g and
 theta - c * P g in apply_precond_update, and -c v, the dA and dB sums,
-dS = 2 S * T * X and 2 d in the VJP.  A PrecondWork, kept for the run in
-apo.MetaWork, holds those products in the same kind-major order.
+dS = 2 S * T * X and 2 d in precond_update_vjp.  A PrecondWork, kept for
+the run in apo.MetaWork, holds those products in the same kind-major order.
 """
 
 from __future__ import annotations
@@ -81,12 +82,6 @@ class PrecondPhi(ParamSet):
         """phi's Frobenius norm, the value a training row logs."""
         return float(np.sqrt(self.sq_norm()))
 
-    def update(self, theta, g, delta, out=None, products=None):
-        """theta' = theta - c * P g, written into out (a new set when None)
-        through products, a PrecondWork (fresh when None); the base
-        direction delta is unused."""
-        return apply_precond_update(theta, self, g, products, out)
-
     def lookahead_products(self):
         """A fresh PrecondWork for this phi's layout, each array made like
         flat (so of flat's array type)."""
@@ -99,39 +94,15 @@ class PrecondPhi(ParamSet):
                         tuple((s, d) for _, _, s, d in self.layout))
         return PrecondWork(rows, tuple(layers), self.map(np.empty_like), step)
 
-    def linearize(self, theta, g, delta, work=None):
-        """(theta', vjp): the update and its vector-Jacobian product in phi,
-        vjp(v) = d <v, theta'> / d phi with g fixed.  vjp reuses the update's
-        S^2, T, U, B U and G A.  theta', the PrecondWork and each vjp result
-        are work's theta_new, products and phi_grad (an apo.MetaWork, kept
-        for a run), or fresh where work or its field is None.  Per layer,
-        precond_vjp takes the matrix products; the elementwise steps run once
-        over theta or over a region of phi."""
-        out, kept, dphi = ((None,) * 3 if work is None
-                           else (work.theta_new, work.products, work.phi_grad))
-        kept = self.lookahead_products() if kept is None else kept
-        theta_new = apply_precond_update(theta, self, g, kept, out)
-
-        def vjp(v):
-            grad = self.map(np.empty_like) if dphi is None else dphi
-            np.multiply(-self.scale, v.flat, out=kept.step.flat)
-            for blk, gw, cvw, products, dblk, rest in zip(
-                    self.blocks, g.weights, kept.step.weights, kept.layers, grad.blocks,
-                    kept.rest.blocks):
-                precond_vjp(blk, gw, cvw, products, dblk, rest)
-            da, db, ds, dd = grad.regions
-            np.add(da, kept.rest.regions[0], out=da)
-            np.add(db, kept.rest.regions[1], out=db)
-            np.multiply(np.multiply(2.0, self.regions[2], out=ds), kept.rows[1], out=ds)
-            np.multiply(ds, kept.rows[6], out=ds)
-            # d <v_b, -c d^2 g_b> / dd = 2 d g_b (-c v_b)
-            np.multiply(2.0, self.regions[3], out=dd)
-            for dout, gb, cvb in zip(grad.bias_diags, g.biases, kept.step.biases):
-                if dout is not None:
-                    np.multiply(np.multiply(dout, gb, out=dout), cvb, out=dout)
-            return grad
-
-        return theta_new, vjp
+    def linearize(self, theta, g, delta, work):
+        """(theta', vjp): the update theta' = theta - c * P g and its
+        vector-Jacobian product in phi, vjp(v) = d <v, theta'> / d phi with
+        g fixed (precond_update_vjp); the base direction delta is unused.
+        theta', the PrecondWork and each vjp result are work's theta_new,
+        products and phi_grad (an apo.MetaWork, kept for a run)."""
+        kept = work.products
+        return (apply_precond_update(theta, self, g, kept, work.theta_new),
+                lambda v: precond_update_vjp(self, g, v, kept, work.phi_grad))
 
 
 class PrecondWork:
@@ -181,27 +152,50 @@ def dense_precond(blocks):
     return (ba * blocks.s.ravel() ** 2) @ ba.T
 
 
-def apply_precond_update(params, phi, g, products=None, out=None):
+def apply_precond_update(params, phi, g, products, out):
     """theta' = theta - c * P g (bias preconditioner diag(d)^2), written into
-    the set out (params itself included) and returned; a new set when out is
-    None.  products, a PrecondWork (fresh when None), gets S^2 and d^2 over
-    their whole regions of phi, each layer's apply_precond products, and
-    c * P g in its step, which is scaled and subtracted over all of theta at
-    once.  A non-finite result raises once out is written."""
-    kept = phi.lookahead_products() if products is None else products
-    step = kept.step
-    np.multiply(phi.regions[2], phi.regions[2], out=kept.rows[0])
-    np.multiply(phi.regions[3], phi.regions[3], out=kept.rest.regions[3])
-    for blk, gw, gb, keep, sw, sb, d2 in zip(phi.blocks, g.weights, g.biases, kept.layers,
-                                            step.weights, step.biases, kept.rest.bias_diags):
+    the set out (params itself included) and returned.  products, a
+    PrecondWork, gets S^2 and d^2 over their whole regions of phi, each
+    layer's apply_precond products, and c * P g in its step, which is scaled
+    and subtracted over all of theta at once.  A non-finite result raises
+    once out is written."""
+    step = products.step
+    np.multiply(phi.regions[2], phi.regions[2], out=products.rows[0])
+    np.multiply(phi.regions[3], phi.regions[3], out=products.rest.regions[3])
+    for blk, gw, gb, keep, sw, sb, d2 in zip(phi.blocks, g.weights, g.biases, products.layers,
+                                            step.weights, step.biases,
+                                            products.rest.bias_diags):
         apply_precond(blk, gw, keep, sw)
         if sb is not None:
             np.multiply(d2, gb, out=sb)
     np.multiply(phi.scale, step.flat, out=step.flat)
-    flat = np.subtract(params.flat, step.flat, out=None if out is None else out.flat)
-    out = params.with_flat(flat) if out is None else out
+    np.subtract(params.flat, step.flat, out=out.flat)
     if not out.all_finite():
         raise NumericalError("preconditioned update produced non-finite parameters")
+    return out
+
+
+def precond_update_vjp(phi, g, v, products, out):
+    """d <v, apply_precond_update(theta, phi, g, products, ...)> / d phi
+    with g fixed, written into out, a set shaped like phi, and returned;
+    products holds that update's products.  Per layer, precond_vjp takes the
+    matrix products; the elementwise steps run once over theta or over a
+    region of phi."""
+    np.multiply(-phi.scale, v.flat, out=products.step.flat)
+    for blk, gw, cvw, layer, dblk, rest in zip(phi.blocks, g.weights, products.step.weights,
+                                               products.layers, out.blocks,
+                                               products.rest.blocks):
+        precond_vjp(blk, gw, cvw, layer, dblk, rest)
+    da, db, ds, dd = out.regions
+    np.add(da, products.rest.regions[0], out=da)
+    np.add(db, products.rest.regions[1], out=db)
+    np.multiply(np.multiply(2.0, phi.regions[2], out=ds), products.rows[1], out=ds)
+    np.multiply(ds, products.rows[6], out=ds)
+    # d <v_b, -c d^2 g_b> / dd = 2 d g_b (-c v_b)
+    np.multiply(2.0, phi.regions[3], out=dd)
+    for dout, gb, cvb in zip(out.bias_diags, g.biases, products.step.biases):
+        if dout is not None:
+            np.multiply(np.multiply(dout, gb, out=dout), cvb, out=dout)
     return out
 
 

@@ -133,18 +133,20 @@ def exact_ppm_solve(model, theta, batch, lam_fsd, lam_wsd, fsd_inputs,
     divergence(model, fsd_kind)  # rejects an unknown kind before the first step
     loss_kind = HEAD_LOSS_CURVATURE[model.head]
 
-    # The stacked rows, y_ref and the seed serve every evaluation; the
-    # gradient is fresh, as a rejected step keeps the last accepted one.
-    prox, y_ref, work = batch, None, None
+    # The stacked rows, y_ref and one record serve every evaluation; the
+    # gradient is copied out, as a rejected step keeps the last accepted one.
+    prox, y_ref, seed = batch, None, None
     if lam_fsd:
         prox = Batch(np.concatenate((batch.inputs, fsd_inputs)), batch.targets)
         y_ref = forward(model, theta, fsd_inputs)[0]
-        work = MetaWork(seed=np.empty((len(prox.inputs), model.d_out)))
+        seed = np.empty((len(prox.inputs), model.d_out))
+    work = MetaWork(seed=seed, diff=np.empty(theta.size) if lam_wsd else None,
+                    grad=theta.map(np.empty_like))
 
     def objective(u):
         value, _, grad = proximal_value_and_grad(model, u, theta, prox, y_ref, lam_fsd,
                                                  lam_wsd, fsd_kind, work)
-        return value, grad.flat
+        return value, grad.flat.copy()
 
     u = theta.copy()
     value, grad = objective(u)

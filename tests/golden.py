@@ -2,10 +2,11 @@
 
 tests/golden_metrics.json records, for every cycle-0 unit of the benchmark's
 three training workloads at bench seeds 1 and 2 (config seeds 1000 and
-2000) and for each of extra_units' paths that the benchmark never takes,
-the unit's config document, the sha256 of its metrics.csv and of
-each of its columns, and its final eval loss or divergence step; plus the sha256 of `check --json` and of
-the default `ppm-demo --out` table, and the numpy and CPython versions that
+2000) and for every extra_units unit, each of which takes a path the
+benchmark never does, the unit's config document, the sha256 of its
+metrics.csv and of each of its columns, and its final eval loss or
+divergence step; plus the sha256 of `check --json` and of the default
+`ppm-demo --out` table, and the numpy and CPython versions that
 made them, and the one BLAS thread they are measured with.
 tests/test_golden.py reruns everything and compares.
 

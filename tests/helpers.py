@@ -1,4 +1,5 @@
-"""Independent numerical oracles shared by the test modules.
+"""Independent numerical oracles shared by the test modules, and the
+meta-gradient as one meta step takes it.
 
 Finite differences here are written directly against the public evaluation
 functions so they stay independent of the reverse-mode code paths they check.
@@ -6,8 +7,25 @@ functions so they stay independent of the reverse-mode code paths they check.
 
 import numpy as np
 
-from apobench.apo import divergence
+from apobench.apo import MetaWork, divergence, loss_and_grad, meta_gradient, meta_work
 from apobench.diffnet import forward, loss_eval
+
+
+def prox_work(model, theta, batch):
+    """A new MetaWork holding every array proximal_value_and_grad writes
+    over batch's rows: the seed, dQ/du and the wsd difference."""
+    return MetaWork(seed=np.empty((len(batch.inputs), model.d_out)),
+                    diff=np.empty(theta.size), grad=theta.map(np.empty_like))
+
+
+def fresh_meta_gradient(model, theta, phi, train, prox, cfg, delta=None):
+    """(a copy of dQ/dphi, Q, Q's terms): meta_gradient after the training
+    pass over train, into a new meta_work record whose seed fits prox."""
+    _, g, outputs = loss_and_grad(model, theta, train)
+    work = meta_work(model, theta, phi, cfg, len(train.targets))._replace(
+        seed=np.empty((len(prox.inputs), model.d_out)))
+    dphi, q, parts = meta_gradient(model, theta, phi, train, prox, cfg, g, delta, outputs, work)
+    return dphi.copy(), q, parts
 
 
 def fd_param_gradient(model, theta, batch, h=1e-5, head=None):

@@ -1,3 +1,4 @@
+import inspect
 import itertools
 import math
 import os
@@ -12,11 +13,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from apobench import apo, baseopt, diffnet, numkit
+from apobench import apo, baseopt, diffnet, kronprecond, numkit, oracles
 from apobench.apo import (DIVERGENCES, LrPhi, ProximalConfig, apo_train, default_precond_config,
                           loss_and_grad, meta_batches, meta_gradient, meta_step,
                           proximal_value_and_grad)
-from apobench.baseopt import KINDS, BaseOptKind, init_state, update_direction
+from apobench.baseopt import KINDS, BaseOptKind, apply_lr_update, init_state, update_direction
 from apobench.diffnet import Batch, LayerSpec, Model, ParamSet, init_params, mlp
 from apobench.errors import (ContractError, DimensionError, NumericalError,
                              TrainingDivergedError)
@@ -24,7 +25,7 @@ from apobench.kronprecond import DEFAULT_SCALE, init_identity
 from apobench import tasks
 from apobench.harness import config, runner
 
-from helpers import fd_scalar_fn, fsd_value, rel_err, wsd
+from helpers import fd_scalar_fn, fresh_meta_gradient, fsd_value, prox_work, rel_err, wsd
 
 
 def quadratic_setup():
@@ -181,7 +182,7 @@ def test_meta_objective_null_step_equals_current_loss():
             d[:] = 0.0
     cfg = ProximalConfig(lam_fsd=0.3, lam_wsd=0.5)
     expected, _, _ = loss_and_grad(model, theta, batch)
-    q = meta_gradient(model, theta, phi, *meta_batches(cfg, batch, batch), cfg)[1]
+    q = fresh_meta_gradient(model, theta, phi, *meta_batches(cfg, batch, batch), cfg)[1]
     assert q == pytest.approx(expected, rel=0, abs=0)
 
 
@@ -193,8 +194,8 @@ def test_meta_objective_degenerate_config_is_post_step_loss():
     cfg = zero_lam_cfg()
     phi = LrPhi(math.log(0.05))
     _, g, _ = loss_and_grad(model, theta, batch)
-    expected, _, _ = loss_and_grad(model, phi.update(theta, g, g.flat), batch)
-    q = meta_gradient(model, theta, phi, batch, batch, cfg, delta=g.flat)[1]
+    expected, _, _ = loss_and_grad(model, apply_lr_update(theta, phi.lr, g.flat), batch)
+    q = fresh_meta_gradient(model, theta, phi, batch, batch, cfg, g.flat)[1]
     assert q == pytest.approx(expected)
 
 
@@ -203,8 +204,8 @@ def test_meta_objective_quadratic_closed_form():
     cfg = zero_lam_cfg()
     delta = sgd_delta(model, theta, batch)
     for eta in (0.05, 0.1, 0.5, 1.5):
-        q = meta_gradient(model, theta, LrPhi(math.log(eta)), batch, batch, cfg,
-                          delta=delta)[1]
+        q = fresh_meta_gradient(model, theta, LrPhi(math.log(eta)), batch, batch, cfg,
+                                delta)[1]
         assert q == pytest.approx(0.5 * (1.0 - eta) ** 2, rel=1e-12)
 
 
@@ -216,8 +217,8 @@ def test_meta_objective_dominates_post_step_loss():
     b2 = Batch(rng.standard_normal((6, 3)), rng.standard_normal((6, 2)))
     cfg = ProximalConfig(lam_fsd=0.7, lam_wsd=0.4)
     phi = LrPhi(math.log(0.2))
-    _, q, parts = meta_gradient(model, theta, phi, *meta_batches(cfg, b1, b2), cfg,
-                                delta=sgd_delta(model, theta, b1))
+    _, q, parts = fresh_meta_gradient(model, theta, phi, *meta_batches(cfg, b1, b2), cfg,
+                                      sgd_delta(model, theta, b1))
     assert parts["fsd"] >= 0.0 and parts["wsd"] >= 0.0
     assert q >= parts["loss"]
 
@@ -231,8 +232,8 @@ def test_meta_objective_fresh_loss_policy_is_expected_loss_objective():
     cfg = zero_lam_cfg(loss_batch_policy="fresh")
     phi = LrPhi(math.log(0.1))
     _, g, _ = loss_and_grad(model, theta, b)
-    expected, _, _ = loss_and_grad(model, phi.update(theta, g, g.flat), bp)
-    q = meta_gradient(model, theta, phi, *meta_batches(cfg, b, bp), cfg, delta=g.flat)[1]
+    expected, _, _ = loss_and_grad(model, apply_lr_update(theta, phi.lr, g.flat), bp)
+    q = fresh_meta_gradient(model, theta, phi, *meta_batches(cfg, b, bp), cfg, g.flat)[1]
     assert q == pytest.approx(expected, rel=1e-14)
 
 
@@ -241,8 +242,8 @@ def test_meta_objective_fresh_loss_policy_is_expected_loss_objective():
 
 def test_meta_gradient_quadratic_hand_value():
     model, theta, batch = quadratic_setup()
-    grad = meta_gradient(model, theta, LrPhi(math.log(0.1)), batch, batch, zero_lam_cfg(),
-                         delta=sgd_delta(model, theta, batch))[0]
+    grad = fresh_meta_gradient(model, theta, LrPhi(math.log(0.1)), batch, batch,
+                               zero_lam_cfg(), sgd_delta(model, theta, batch))[0]
     # dQ/d eta = -(1 - eta) = -0.9; chain to log space: eta * that = -0.09
     assert grad.log_lr == pytest.approx(-0.09, rel=1e-12)
 
@@ -257,10 +258,10 @@ def test_meta_gradient_zero_at_stationary_point():
     batch = Batch(x, outputs)  # loss minimum: gradient is exactly zero
     cfg = ProximalConfig(lam_fsd=0.5, lam_wsd=0.5)
     train, prox = meta_batches(cfg, batch, batch)
-    grad = meta_gradient(model, theta, LrPhi(math.log(0.3)), train, prox, cfg,
-                         delta=sgd_delta(model, theta, batch))[0]
+    grad = fresh_meta_gradient(model, theta, LrPhi(math.log(0.3)), train, prox, cfg,
+                               sgd_delta(model, theta, batch))[0]
     assert grad.log_lr == 0.0
-    pgrad = meta_gradient(model, theta, init_identity(model), train, prox, cfg)[0]
+    pgrad = fresh_meta_gradient(model, theta, init_identity(model), train, prox, cfg)[0]
     assert np.abs(pgrad.flat).max() == 0.0
 
 
@@ -268,9 +269,9 @@ def assert_meta_gradient_matches_fd(model, theta, phi, b, bp, cfg, delta=None):
     """dQ/dphi from meta_gradient against central differences of Q over
     phi's flat vector; the same check for either phi type."""
     train, prox = meta_batches(cfg, b, bp)
-    grad = meta_gradient(model, theta, phi, train, prox, cfg, delta=delta)[0]
-    fd = fd_scalar_fn(lambda v: meta_gradient(model, theta, phi.from_flat(v), train, prox, cfg,
-                                              delta=delta)[1], phi.flat, h=1e-4)
+    grad = fresh_meta_gradient(model, theta, phi, train, prox, cfg, delta)[0]
+    fd = fd_scalar_fn(lambda v: fresh_meta_gradient(model, theta, phi.from_flat(v), train, prox,
+                                                    cfg, delta)[1], phi.flat, h=1e-4)
     assert type(grad) is type(phi)
     assert rel_err(grad.flat, fd) < 1e-4
 
@@ -323,7 +324,7 @@ def test_meta_gradient_precond_matches_fd(fsd_kind, classification):
 
     def prox(params):
         return proximal_value_and_grad(model, params, theta, stacked, y_ref, cfg.lam_fsd,
-                                       cfg.lam_wsd, fsd_kind)
+                                       cfg.lam_wsd, fsd_kind, prox_work(model, theta, stacked))
 
     q, parts, qgrad = prox(u)
     assert parts["fsd"] == fsd_value(model, u, theta, bp.inputs, fsd_kind) > 0.0
@@ -398,7 +399,7 @@ def test_stacked_pass_is_the_two_separate_passes(head, fsd_kind, loss_policy, fs
     y_ref, _ = diffnet.forward(model, theta, fsd_inputs)
     u = theta.map(lambda f: f + 0.3 * rng.standard_normal(f.size))
     q, parts, grad = proximal_value_and_grad(model, u, theta, prox, y_ref, lam_fsd, lam_wsd,
-                                             fsd_kind)
+                                             fsd_kind, prox_work(model, theta, prox))
     ref_q, ref_parts, ref_grad = _two_pass_reference(model, u, theta, loss_batch, fsd_inputs,
                                                      lam_fsd, lam_wsd, fsd_kind)
     assert rel_err(q, ref_q) <= 1e-12
@@ -472,8 +473,9 @@ def test_meta_batches_rows_follow_the_policies():
 
 
 def test_meta_gradient_takes_y_ref_with_g():
-    """With lam_fsd > 0, g alone is refused; g with the training outputs,
-    whose rows past B's are y_ref, or neither, gives the same Q and dQ/dphi."""
+    """y_ref is the training outputs' rows past B's: with B's rows NaN and
+    the others a separate forward on B' at theta, meta_gradient gives the
+    training pass's Q and dQ/dphi within 1e-12 relative."""
     rng = numkit.make_rng(44)
     model = mlp([3, 4, 2], activation="sigmoid")
     theta = init_params(model, rng)
@@ -482,11 +484,13 @@ def test_meta_gradient_takes_y_ref_with_g():
     phi = init_identity(model)
     train, prox = meta_batches(cfg, b, bp)
     _, g, outputs = loss_and_grad(model, theta, train)
-    with pytest.raises(ContractError, match="training outputs"):
-        meta_gradient(model, theta, phi, train, prox, cfg, g=g)
-    given = meta_gradient(model, theta, phi, train, prox, cfg, g=g, outputs=outputs)
-    made = meta_gradient(model, theta, phi, train, prox, cfg)
-    assert given[1] == made[1] and np.array_equal(given[0].flat, made[0].flat)
+    separate = np.concatenate((np.full((5, 2), np.nan),
+                               diffnet.forward(model, theta, bp.inputs)[0]))
+    dphi, q, _ = meta_gradient(model, theta, phi, train, prox, cfg, g, None, outputs,
+                               apo.meta_work(model, theta, phi, cfg, 5))
+    ref_dphi, ref_q, _ = meta_gradient(model, theta, phi, train, prox, cfg, g, None, separate,
+                                       apo.meta_work(model, theta, phi, cfg, 5))
+    assert rel_err(q, ref_q) <= 1e-12 and rel_err(dphi.flat, ref_dphi.flat) <= 1e-12
 
 
 def test_no_mode_with_a_phi_takes_kfac():
@@ -533,7 +537,7 @@ def test_meta_objective_none_fsd_kind_is_head_divergence(head, kind):
 
     def q(fsd_kind):
         cfg = ProximalConfig(lam_fsd=0.8, lam_wsd=0.2, fsd_kind=fsd_kind)
-        return meta_gradient(model, theta, phi, *meta_batches(cfg, b, bp), cfg, delta=delta)[1]
+        return fresh_meta_gradient(model, theta, phi, *meta_batches(cfg, b, bp), cfg, delta)[1]
 
     assert ProximalConfig().fsd_kind is None
     assert q(None) == q(kind)
@@ -559,8 +563,8 @@ def _count_passes(monkeypatch):
                           (0.0, False, 2, 2)])
 def test_meta_gradient_op_counts(monkeypatch, lam_fsd, given, forwards, backwards):
     """One meta step as apo_train makes it (g and outputs given, fresh B'):
-    1 forward and 1 backward, at theta'; a caller that gives neither pays
-    the training pass on top."""
+    1 forward and 1 backward, at theta'; a caller that has not taken the
+    training pass pays it on top."""
     rng = numkit.make_rng(41)
     model = mlp([3, 4, 2], activation="sigmoid")
     theta = init_params(model, rng)
@@ -570,11 +574,14 @@ def test_meta_gradient_op_counts(monkeypatch, lam_fsd, given, forwards, backward
     kind = BaseOptKind("sgd-momentum")
     train, prox = meta_batches(cfg, b, bp)
     _, g, outputs = loss_and_grad(model, theta, train)
-    ref = {"g": g, "outputs": outputs} if given else {}
     delta = update_direction(kind, init_state(kind, theta.flat), g.flat)
     for phi, d in ((LrPhi(math.log(0.1)), delta), (init_identity(model), None)):
+        work = apo.meta_work(model, theta, phi, cfg, 5)._replace(seed=np.empty((9, 2)))
         counts = _count_passes(monkeypatch)
-        meta_gradient(model, theta, phi, train, prox, cfg, delta=d, **ref)
+        if given:
+            meta_gradient(model, theta, phi, train, prox, cfg, g, d, outputs, work)
+        else:
+            fresh_meta_gradient(model, theta, phi, train, prox, cfg, d)
         assert counts == {"forward": forwards, "backward": backwards}
         monkeypatch.undo()
 
@@ -587,29 +594,25 @@ def _arrays(result):
     return [result.flat if isinstance(result, ParamSet) else result]
 
 
-def test_calls_without_kept_arrays_return_arrays_of_their_own():
-    """Given no kept arrays (out=None, work=None), two calls return results
-    that share no memory: exact_ppm_solve holds a gradient across its tries,
-    and the finite-difference checks hold one call's result past the next."""
+def test_calls_without_kept_arrays_return_arrays_of_their_own(monkeypatch):
+    """Given no kept arrays (out=None, keep=None, rows=None), two calls
+    return results that share no memory.  exact_ppm_solve writes every
+    evaluation into one record and holds its accepted gradient across a
+    rejected try: the solve is bytewise that with a new record each time."""
     rng = numkit.make_rng(43)
     model = mlp([3, 4, 2], activation="sigmoid")
     theta = init_params(model, rng)
     b = Batch(rng.standard_normal((5, 3)), rng.standard_normal((5, 2)))
     bp = Batch(rng.standard_normal((5, 3)), rng.standard_normal((5, 2)))
     cfg = default_precond_config(lam_fsd=0.5, lam_wsd=0.3)
-    train, prox = meta_batches(cfg, b, bp)
-    _, g, outputs = loss_and_grad(model, theta, train)
-    phi = init_identity(model, 0.5)
-    v = theta.map(lambda a: rng.standard_normal(a.shape))
-    _, vjp = phi.linearize(theta, g, None)
+    train, _ = meta_batches(cfg, b, bp)
+    g = loss_and_grad(model, theta, train)[1]
+    blocks = init_identity(model, 0.5).blocks[0]
     calls = {
         "loss_and_grad": lambda: loss_and_grad(model, theta, train)[1:],
-        "proximal_value_and_grad": lambda: proximal_value_and_grad(
-            model, v, theta, prox, outputs[5:], 0.5, 0.3, None)[2],
-        "meta_gradient": lambda: meta_gradient(model, theta, phi, train, prox, cfg, g=g,
-                                               outputs=outputs)[0],
-        "PrecondPhi.linearize": lambda: phi.linearize(theta, g, None)[0],
-        "PrecondPhi.linearize's vjp": lambda: vjp(v),
+        "apply_lr_update": lambda: apply_lr_update(theta, 0.1, g.flat),
+        "meta_batches": lambda: meta_batches(cfg, b, bp)[0].inputs,
+        "apply_precond": lambda: kronprecond.apply_precond(blocks, g.weights[0]),
     }
     for name, call in calls.items():
         first = call()
@@ -617,6 +620,33 @@ def test_calls_without_kept_arrays_return_arrays_of_their_own():
         second = _arrays(call())
         assert not any(np.shares_memory(a, b) for a in _arrays(first) for b in second), name
         assert all(np.array_equal(a, k) for a, k in zip(_arrays(first), kept)), name
+
+    # Unregularized softmax loss on 4 rows: 36 evaluations, 2 of them rejected.
+    model = mlp([2, 5, 3], activation="sigmoid", head="classification-softmax")
+    rng = numkit.make_rng(45)
+    theta = init_params(model, rng)
+    batch = Batch(rng.standard_normal((4, 2)), rng.integers(0, 3, 4))
+    evals, accepted = [], []
+    real = oracles.proximal_value_and_grad
+
+    def solve():
+        return oracles.exact_ppm_solve(model, theta, batch, 0.0, 0.0, batch.inputs, tol=1e-13)
+
+    def counted(*args):
+        evals.append(args[-1])
+        return real(*args)
+
+    def curvature(model_, u, inputs, kind, _fn=oracles.fsd_hessian_exact):
+        accepted.append(u)
+        return _fn(model_, u, inputs, kind)
+
+    monkeypatch.setattr(oracles, "fsd_hessian_exact", curvature)
+    monkeypatch.setattr(oracles, "proximal_value_and_grad", counted)
+    u = solve()
+    assert len(evals) - 1 - len(accepted) == 2 and all(w is evals[0] for w in evals)
+    monkeypatch.setattr(oracles, "proximal_value_and_grad",
+                        lambda *args: real(*args[:-1], prox_work(model, theta, batch)))
+    assert np.array_equal(solve().flat, u.flat)
 
 
 @pytest.mark.parametrize("lam_fsd,lam_wsd,loss_policy", [
@@ -654,9 +684,9 @@ def test_meta_work_makes_only_the_arrays_the_config_reads(lam_fsd, lam_wsd, loss
 
 @pytest.mark.parametrize("phi_type", ["lr", "precond"])
 def test_meta_gradient_into_kept_arrays_equals_fresh(phi_type):
-    """With a MetaWork, meta_gradient writes theta', dQ/dtheta', the
-    weighted wsd difference and dQ/dphi into the record's own arrays, bit
-    for bit what a call without one returns."""
+    """meta_gradient writes theta', dQ/dtheta', the weighted wsd difference
+    and dQ/dphi into its MetaWork's own arrays, and a record reused through
+    two calls holds, bit for bit, what a new record does."""
     rng = numkit.make_rng(47)
     model = mlp([3, 4, 2], activation="sigmoid")
     theta = init_params(model, rng)
@@ -667,23 +697,21 @@ def test_meta_gradient_into_kept_arrays_equals_fresh(phi_type):
     train, prox = meta_batches(cfg, b, bp)
     _, g, outputs = loss_and_grad(model, theta, train)
     delta = rng.standard_normal(theta.size)
+
+    def arrays(work):
+        return [work.theta_new.flat, work.grad.flat, work.diff, work.phi_grad.flat]
+
     work = apo.meta_work(model, theta, phi, cfg, 5)
-    kept = [work.theta_new.flat, work.grad.flat, work.diff, work.phi_grad.flat]
+    kept = arrays(work)
     for _ in range(2):
-        dphi, q, _ = meta_gradient(model, theta, phi, train, prox, cfg, g=g, delta=delta,
-                                   outputs=outputs, work=work)
+        dphi, q, _ = meta_gradient(model, theta, phi, train, prox, cfg, g, delta, outputs, work)
         assert dphi is work.phi_grad
-        now = [work.theta_new.flat, work.grad.flat, work.diff, work.phi_grad.flat]
-        assert all(a is b for a, b in zip(now, kept))
-        fresh_dphi, fresh_q, _ = meta_gradient(model, theta, phi, train, prox, cfg, g=g,
-                                               delta=delta, outputs=outputs)
-        theta_new = phi.update(theta, g, delta)
-        fresh_grad = proximal_value_and_grad(model, theta_new, theta, prox,
-                                             outputs[5:], 0.5, 0.3, None)[2]
-        assert q == fresh_q and np.array_equal(dphi.flat, fresh_dphi.flat)
-        assert np.array_equal(work.theta_new.flat, theta_new.flat)
-        assert np.array_equal(work.grad.flat, fresh_grad.flat)
-        assert np.array_equal(work.diff, 0.3 * (theta_new.flat - theta.flat))
+        assert all(a is b for a, b in zip(arrays(work), kept))
+        new = apo.meta_work(model, theta, phi, cfg, 5)
+        new_q = meta_gradient(model, theta, phi, train, prox, cfg, g, delta, outputs, new)[1]
+        assert q == new_q
+        assert all(np.array_equal(a, b) for a, b in zip(arrays(work), arrays(new)))
+        assert np.array_equal(work.diff, 0.3 * (work.theta_new.flat - theta.flat))
 
 
 def _traced(fn):
@@ -761,10 +789,10 @@ def test_precond_step_allocates_at_most_one_phi_and_one_theta():
 
 
 def test_lr_step_allocates_at_most_eight_batch_row_arrays():
-    """Past the steps that make the kept arrays (1, and 10, the first meta
-    step), no step of a 30-step 64x64 apo-lr run (Adam base, fsd and wsd on)
-    allocates more than 8 arrays of b x d float64 above its starting level
-    (b = d = 64: 32 KiB each, 256 KiB; theta is two of them).  A meta step's
+    """Past step 1, which makes the kept arrays, and step 10, the first
+    meta step, no step of a 30-step 64x64 apo-lr run (Adam base, fsd and
+    wsd on) allocates more than 8 arrays of b x d float64 above its starting
+    level (b = d = 64: 32 KiB each, 256 KiB; theta is two of them).  A meta step's
     forward at theta' alone makes two 2b x d pre-activations, 4 arrays."""
     _, peaks = _transient_peaks("apo-lr", 30, meta_interval=10)
     bound = 8 * 64 * 64 * 8
@@ -818,7 +846,7 @@ def _count_paramset_ops(monkeypatch):
 # gradient in place) and per meta step (the norm of the flat wsd difference,
 # and a learning rate's VJP dot product; the meta step writes its MetaWork),
 # and per run: theta0.copy() and the training gradient's set, and at the
-# first meta step the MetaWork's theta', dQ/dtheta' and dQ/dphi, and a
+# first step the MetaWork's theta', dQ/dtheta' and dQ/dphi, and a
 # preconditioner's PrecondWork its phi-shaped set.
 PARAMSET_COUNTS = {
     "apo-lr": ({}, {}, {"sq_norm": 1, "dot": 1}, {"copy": 1, "map": 2 + 3}),
@@ -864,7 +892,7 @@ def test_training_pass_counts(monkeypatch, mode, meta_interval):
 # moves the count.  The step repeats none of the checks that the task build
 # and apo_train's entry make (batch coercion, label range, layout, input
 # shape, Kronecker block shapes); one that creeps back moves these counts.
-CALL_COUNTS = {"none": 333, "apo-lr": 419, "apo-precond": 1090}
+CALL_COUNTS = {"none": 293, "apo-lr": 373, "apo-precond": 995}
 
 
 @pytest.mark.parametrize("mode", list(CALL_COUNTS))
@@ -1229,7 +1257,6 @@ def test_apo_train_keeps_one_buffer_per_persistent_state(monkeypatch, mode, base
     and each state steps on one gradient buffer: each step writes
     theta once, in place, and each meta step phi, theta' and one MetaWork;
     a KFAC direction is fresh, sharing no memory with the gradient or theta."""
-    from apobench import kronprecond
     states, theta_writes, lookaheads, phis, kfac_directions = [], [], [], [], []
     grads, works, meta_grads, lr_scratches, stepped_on = [], [], [], [], {}
 
@@ -1264,9 +1291,9 @@ def test_apo_train_keeps_one_buffer_per_persistent_state(monkeypatch, mode, base
         kfac_directions.append(delta)
         return delta
 
-    def record_meta_gradient(*args, _fn=apo.meta_gradient, **kwargs):
-        result = _fn(*args, **kwargs)
-        works.append(kwargs["work"])
+    def record_meta_gradient(*args, _fn=apo.meta_gradient):
+        result = _fn(*args)
+        works.append(args[-1])
         meta_grads.append((result[0], result[0].flat))
         return result
 
@@ -1277,8 +1304,9 @@ def test_apo_train_keeps_one_buffer_per_persistent_state(monkeypatch, mode, base
     monkeypatch.setattr(apo, "update_direction", record_states)
     monkeypatch.setattr(apo, "apply_lr_update",
                         record_step(apo.apply_lr_update, 2, lr_scratches))
-    monkeypatch.setattr(kronprecond, "apply_precond_update",
-                        record_step(kronprecond.apply_precond_update, 3))
+    precond_step = record_step(kronprecond.apply_precond_update, 3)
+    monkeypatch.setattr(kronprecond, "apply_precond_update", precond_step)  # the lookahead
+    monkeypatch.setattr(apo, "apply_precond_update", precond_step)  # the step after warm-up
     monkeypatch.setattr(apo, "loss_and_grad", record_grad)
     monkeypatch.setattr(apo, "kfac_direction", record_kfac)
     monkeypatch.setattr(apo, "meta_gradient", record_meta_gradient)
@@ -1323,8 +1351,9 @@ def test_apo_train_keeps_one_buffer_per_persistent_state(monkeypatch, mode, base
 
 
 def test_phi_linearize_matches_update_and_fd():
-    """Each phi type's linearize takes phi.update's step, and its vjp is the
-    gradient of <v, phi.update(theta, g, delta)>."""
+    """Each phi type's linearize takes its update's step (apply_lr_update,
+    kronprecond.apply_precond_update), and its vjp is the gradient of <v,
+    that step>."""
     rng = numkit.make_rng(21)
     model = mlp([3, 4, 2], activation="sigmoid", out_activation="linear")
     theta = init_params(model, rng)
@@ -1332,20 +1361,40 @@ def test_phi_linearize_matches_update_and_fd():
     delta = rng.standard_normal(theta.size)
     precond = init_identity(model, scale=0.7)
     precond = precond.from_flat(precond.to_flat() + 0.3 * rng.standard_normal(precond.size))
-    for phi in (LrPhi(math.log(0.2)), precond):
-        def inner(vec):
-            return v.dot(phi.from_flat(vec).update(theta, g, delta).flat)
 
-        fd = fd_scalar_fn(inner, phi.to_flat(), h=1e-5)
-        theta_new, vjp = phi.linearize(theta, g, delta)
-        assert np.array_equal(theta_new.flat, phi.update(theta, g, delta).flat)
+    def update(phi):
+        if isinstance(phi, LrPhi):
+            return apply_lr_update(theta, phi.lr, delta)
+        return kronprecond.apply_precond_update(theta, phi, g, phi.lookahead_products(),
+                                                theta.map(np.empty_like))
+
+    for phi in (LrPhi(math.log(0.2)), precond):
+        fd = fd_scalar_fn(lambda vec: v.dot(update(phi.from_flat(vec)).flat), phi.to_flat(),
+                          h=1e-5)
+        work = apo.meta_work(model, theta, phi, ProximalConfig(), 1)
+        theta_new, vjp = phi.linearize(theta, g, delta, work)
+        assert np.array_equal(theta_new.flat, update(phi).flat)
         assert rel_err(vjp(v).to_flat(), fd) < 1e-7
+
+
+def test_meta_step_functions_have_one_call_form():
+    """The meta-gradient, the proximal objective, both lookaheads and the
+    preconditioned step take every parameter from their caller, the arrays
+    they write included, and no phi type has an update beside linearize."""
+    for fn in (meta_gradient, proximal_value_and_grad, LrPhi.linearize,
+               kronprecond.PrecondPhi.linearize, kronprecond.apply_precond_update):
+        defaulted = [p.name for p in inspect.signature(fn).parameters.values()
+                     if p.default is not p.empty]
+        assert not defaulted, (fn.__qualname__, defaulted)
+    assert not hasattr(LrPhi, "update") and not hasattr(kronprecond.PrecondPhi, "update")
 
 
 def test_lr_update_needs_base_direction():
     model, theta, batch = quadratic_setup()
-    with pytest.raises(ContractError):
-        meta_gradient(model, theta, LrPhi(0.0), batch, batch, zero_lam_cfg())
+    phi = LrPhi(0.0)
+    with pytest.raises(ContractError, match="base direction"):
+        phi.linearize(theta, theta.copy(), None,
+                      apo.meta_work(model, theta, phi, zero_lam_cfg(), 1))
 
 
 # ------------------------------------------------------------------ config
@@ -1365,8 +1414,8 @@ def test_meta_objective_nonfinite_term_raises():
     cfg = zero_lam_cfg()
     huge = LrPhi(820.0)  # exp overflows to inf
     with pytest.raises((NumericalError, FloatingPointError, OverflowError)):
-        meta_gradient(model, theta, huge, batch, batch, cfg,
-                      delta=sgd_delta(model, theta, batch))
+        fresh_meta_gradient(model, theta, huge, batch, batch, cfg,
+                            sgd_delta(model, theta, batch))
 
 
 def test_lr_overflow_is_numerical_error():

@@ -8,7 +8,7 @@ from apobench.diffnet import Batch, forward, init_params
 from apobench.harness import checks, ppmdemo
 from apobench.numkit import make_rng
 
-from helpers import textbook_step
+from helpers import prox_work, textbook_step
 
 # Every check with its threshold, in report order, a line per CHECKS entry
 # (kfac-* takes three): loosening a threshold, or dropping or renaming a
@@ -72,7 +72,8 @@ def test_ppm_demo_regimes(seed, monkeypatch):
 
         def q(params):
             return proximal_value_and_grad(model, params, theta, prox, y_ref, lam_fsd,
-                                           lam_wsd, kwargs["fsd_kind"])[0]
+                                           lam_wsd, kwargs["fsd_kind"],
+                                           prox_work(model, theta, prox))[0]
 
         assert q(u) <= kwargs["tol"] * q(theta)
 

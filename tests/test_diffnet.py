@@ -380,7 +380,8 @@ def test_container_operations_never_alias_inputs(layers):
         "from_flat": (theta.from_flat(vec), [theta, vec]),
         "to_flat": (vec, [g]),
         "apply_lr_update": (apply_lr_update(theta, 0.1, vec), [theta, vec]),
-        "apply_precond_update": (apply_precond_update(theta, phi, g), [theta, g, phi]),
+        "apply_precond_update": (apply_precond_update(theta, phi, g, phi.lookahead_products(),
+                                                      theta.map(np.empty_like)), [theta, g, phi]),
         "phi.copy": (phi.copy(), [phi]),
         "lr_phi.copy": (lr.copy(), [lr]),
         "lr_phi.from_flat": (lr.from_flat(lr_grad.flat), [lr, lr_grad]),

@@ -97,6 +97,18 @@ def test_init_identity_contract():
     assert np.abs(dense_precond(phi.blocks[1]) - np.eye(8)).max() < 1e-14
 
 
+def _meta_work(theta, phi):
+    """A new record of the arrays a preconditioner's lookahead and VJP write."""
+    return MetaWork(theta_new=theta.map(np.empty_like), phi_grad=phi.map(np.empty_like),
+                    products=phi.lookahead_products())
+
+
+def _update(theta, phi, g):
+    """apply_precond_update into a new theta' through a new PrecondWork."""
+    return apply_precond_update(theta, phi, g, phi.lookahead_products(),
+                                theta.map(np.empty_like))
+
+
 def test_first_update_is_scaled_gradient_bitwise():
     model = mlp([3, 4, 2], activation="relu")
     phi = init_identity(model, scale=0.9)
@@ -104,7 +116,7 @@ def test_first_update_is_scaled_gradient_bitwise():
     w1, w2 = rng.standard_normal((3, 4)), rng.standard_normal((4, 2))
     theta = ParamSet.from_layers([(w1, rng.standard_normal(4)), (w2, rng.standard_normal(2))])
     g = theta.map(lambda a: rng.standard_normal(a.shape))
-    stepped = apply_precond_update(theta, phi, g)
+    stepped = _update(theta, phi, g)
     expect = theta.map2(g, lambda t, gg: t - 0.9 * gg)
     assert np.array_equal(stepped.flat, expect.flat)
 
@@ -113,7 +125,7 @@ def test_update_zero_gradient_is_identity():
     model = mlp([2, 2])
     phi = init_identity(model)
     theta = ParamSet.from_layers([(np.ones((2, 2)), np.ones(2))])
-    out = apply_precond_update(theta, phi, theta.map(np.zeros_like))
+    out = _update(theta, phi, theta.map(np.zeros_like))
     assert np.array_equal(out.flat, theta.flat)
 
 
@@ -122,7 +134,7 @@ def test_update_1x1_hand_value():
     phi = PrecondPhi.from_layers([(blocks.a, blocks.b, blocks.s, None)], 1.0)
     theta = ParamSet.from_layers([(np.array([[1.0]]), None)])
     g = ParamSet.from_layers([(np.array([[4.0]]), None)])
-    out = apply_precond_update(theta, phi, g)
+    out = _update(theta, phi, g)
     assert out.weights[0][0, 0] == pytest.approx(-35.0)
 
 
@@ -132,7 +144,7 @@ def test_bias_diag_square_parameterization():
     phi.bias_diags[0][:] = np.array([2.0, -3.0, 0.5])
     theta = ParamSet.from_layers([(np.zeros((2, 3)), np.zeros(3))])
     g = ParamSet.from_layers([(np.zeros((2, 3)), np.ones(3))])
-    out = apply_precond_update(theta, phi, g)
+    out = _update(theta, phi, g)
     # diag(d)^2 keeps the bias preconditioner PSD even for negative d
     assert np.allclose(out.biases[0], [-4.0, -9.0, -0.25])
 
@@ -231,11 +243,11 @@ def test_linearize_is_bitwise_the_update_and_an_unshared_vjp(widths, bias, seed,
     the unshared formulas."""
     theta, g, v, phi = _perturbed_setup(widths, bias, seed, scale)
     attrs = set(vars(phi))
-    theta_new, vjp = phi.linearize(theta, g, None)
+    theta_new, vjp = phi.linearize(theta, g, None, _meta_work(theta, phi))
     assert np.array_equal(theta_new.flat, _textbook_update(theta, phi, g).flat)
     grad = vjp(v)
     assert type(grad) is PrecondPhi and grad.layout == phi.layout
-    assert set(vars(phi)) == attrs   # the lookahead's products stay in the closure
+    assert set(vars(phi)) == attrs   # the lookahead's products stay in the record
     for blk, d, gw, gb, vw, vb, out, dout in zip(phi.blocks, phi.bias_diags, g.weights,
                                                  g.biases, v.weights, v.biases,
                                                  grad.blocks, grad.bias_diags):
@@ -253,7 +265,7 @@ def test_update_is_dense_precond_on_layer_slices_of_flat(widths, bias, seed):
     the flat vectors, P = dense_precond(blocks); each bias b - c d^2 g_b."""
     theta, g, _, phi = _perturbed_setup(widths, bias, seed, DEFAULT_SCALE)
     c = phi.scale
-    out = apply_precond_update(theta, phi, g).flat
+    out = _update(theta, phi, g).flat
     i = 0
     for (w_shape, b_shape), blk, d in zip(theta.layout, phi.blocks, phi.bias_diags):
         j = i + math.prod(w_shape)
@@ -271,23 +283,22 @@ def test_update_is_dense_precond_on_layer_slices_of_flat(widths, bias, seed):
        st.integers(0, 2**32 - 1))
 def test_one_kept_record_through_meta_steps_gives_a_fresh_records_bytes(widths, bias, seed):
     """One MetaWork, its PrecondWork included, reused through in-place meta
-    steps of phi gives, at each step, the bytes of fresh arrays: theta',
+    steps of phi gives, at each step, the bytes of a new record: theta',
     dQ/dphi (twice from one lookahead) and the update through the record."""
     theta, g, v, phi = _perturbed_setup(widths, bias, seed, 0.5)
     rng = numkit.make_rng(seed)
-    work = MetaWork(theta_new=theta.map(np.empty_like), phi_grad=phi.map(np.empty_like),
-                    products=phi.lookahead_products())
+    work = _meta_work(theta, phi)
     cfg = default_precond_config(meta_lr=0.05)
     state = init_state(cfg.meta_opt, phi.flat)
     for _ in range(3):
         g, v = (theta.map(lambda a: rng.standard_normal(a.shape)) for _ in range(2))
         theta_new, vjp = phi.linearize(theta, g, None, work)
-        fresh_new, fresh_vjp = phi.linearize(theta, g, None)
+        fresh_new, fresh_vjp = phi.linearize(theta, g, None, _meta_work(theta, phi))
         fresh = fresh_vjp(v)
         assert theta_new is work.theta_new and np.array_equal(theta_new.flat, fresh_new.flat)
         for _ in range(2):
             assert vjp(v) is work.phi_grad and np.array_equal(work.phi_grad.flat, fresh.flat)
-        stepped = phi.update(theta, g, None, None, work.products)
+        stepped = apply_precond_update(theta, phi, g, work.products, theta.map(np.empty_like))
         assert np.array_equal(stepped.flat, fresh_new.flat)
         meta_step(phi, state, work.phi_grad, cfg)
 
@@ -323,8 +334,7 @@ def _counting_lookahead_and_vjp(widths):
     count starts."""
     theta, g, v, phi = _perturbed_setup(widths, True, 8, 0.5)
     theta, g, v, phi = (p.with_flat(p.flat.view(UfuncCounter)) for p in (theta, g, v, phi))
-    work = MetaWork(theta_new=theta.map(np.empty_like), phi_grad=phi.map(np.empty_like),
-                    products=phi.lookahead_products())
+    work = _meta_work(theta, phi)
     UfuncCounter.calls = UfuncCounter.products = 0
     _, vjp = phi.linearize(theta, g, None, work)
     vjp(v)
@@ -339,7 +349,7 @@ def test_lookahead_and_vjp_share_products():
     theta, g, v, phi = _perturbed_setup([4, 3], True, 8, 0.5)
     theta, g, v, phi = (p.with_flat(p.flat.view(UfuncCounter)) for p in (theta, g, v, phi))
     UfuncCounter.products = 0
-    apply_precond_update(theta, phi, g)
+    _update(theta, phi, g)
     _separate_vjp(phi.blocks[0], g.weights[0], -phi.scale * v.weights[0])
     assert UfuncCounter.products == 16
 
